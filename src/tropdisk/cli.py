@@ -67,7 +67,7 @@ def _load_inputs(args):
         flags = FixtureFlags()
         label = diagram.name
     if args.bounds:
-        v, l = (int(part) for part in args.bounds.split(","))
+        v, l = _parse_bounds(args.bounds)
         bounds = SearchBounds(max_vertices=v, max_lattice_length=l,
                               max_cut_crossings=bounds.max_cut_crossings,
                               max_splits=bounds.max_splits)
@@ -77,6 +77,18 @@ def _load_inputs(args):
             data = json.load(fh)
         convention = DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
     return diagram, lag, constraint, bounds, flags, convention, label
+
+
+def _parse_bounds(spec: str):
+    """V,L: two positive integers (vertex cap, lattice length cap)."""
+    parts = spec.split(",")
+    try:
+        values = [int(part) for part in parts]
+    except ValueError:
+        values = []
+    if len(values) != 2 or min(values) < 1:
+        raise GeometryError(f"--bounds takes two positive integers V,L, not {spec!r}")
+    return values
 
 
 def _parse_constraint(spec: Optional[str], lag: Optional[LagGraph]) -> Constraint:

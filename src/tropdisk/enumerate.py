@@ -13,11 +13,14 @@ sheared, cylinder bookkeeping vertex inserted), split at points pinned by a
 focus-focus value (pair-of-pants vertex), and must terminate either at a
 focus-focus value along its shear direction or on the boundary with primitive
 normal direction.  Everything is exact rational arithmetic; results are
-deterministic and duplicate-free.
+deterministic and duplicate-free.  The tracer scans events in integers: the
+facets, branch cuts, focus values and Lagrangian edges are scaled once to a
+common denominator, and only actual hits are turned back into Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,16 +36,16 @@ from .diskgraph import (
 )
 from .geometry import (
     GeometryError,
-    Ray,
     Vec,
     det2,
-    lines_intersect,
+    homogeneous,
     point_on_segment,
     primitive,
     primitive_and_length,
-    ray_hits_point,
-    ray_segment_intersect,
+    ray_point_param,
+    ray_segment_hit,
     rational_length,
+    scaled,
 )
 from .lagrangian import LagGraph
 from .multiplicity import (
@@ -156,6 +159,15 @@ class EnumerationResult:
 
 
 class _Tracer:
+    """Exhaustive ray tracing on integer line tables.
+
+    The facets, branch cuts, focus positions and Lagrangian edges are scaled
+    once to one common denominator, and every ray origin is written as a
+    homogeneous (X, Y, W) triple, so each event test is an integer cross
+    product.  The arithmetic stays exact; only actual hits re-enter as
+    Fractions and Vecs.
+    """
+
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
                  bounds: SearchBounds, flags: FixtureFlags):
         self.diagram = diagram
@@ -163,60 +175,75 @@ class _Tracer:
         self.bounds = bounds
         self.flags = flags
         self.facets = diagram.facets()
-        self.cuts = diagram.branch_cuts()
+        foci = diagram.focus_foci
+        facet_segments = [facet.endpoints for facet in self.facets]
+        cuts = diagram.branch_cuts()
+        lag_segments = [] if lag is None else [
+            (lag.position(e.endpoints[0]), lag.position(e.endpoints[1])) for e in lag.edges
+        ]
+        points = [q for seg in facet_segments + cuts + lag_segments for q in seg]
+        points += [ff.position for ff in foci]
+        self.scale = math.lcm(*(c.denominator for q in points for c in q))
+
+        def table(segments):
+            return [scaled(a, self.scale) + scaled(b - a, self.scale) for a, b in segments]
+
+        self.facet_table = table(facet_segments)
+        self.cut_table = list(zip(table(cuts), (ff.cut_direction().as_int_pair() for ff in foci)))
+        self.focus_table = [scaled(ff.position, self.scale) for ff in foci]
+        self.lag_table = table(lag_segments)
+        self.shear_table = [ff.pi.as_int_pair() for ff in foci]
 
     # -- event scanning -------------------------------------------------------
 
-    def _lambda_hit(self, p: Vec, prim: Vec, limit: Optional[Fraction]) -> Optional[Fraction]:
-        """Smallest t > 0 at which the ray from p meets the Lagrangian graph."""
-        if self.lag is None:
-            return None
+    @staticmethod
+    def _at(origin, d, t_num: int, t_den: int) -> Tuple[Fraction, Vec]:
+        """(t, origin + t d) as exact rationals."""
+        X, Y, W = origin
+        den = W * t_den
+        return Fraction(t_num, t_den), Vec(
+            Fraction(X * t_den + d[0] * t_num * W, den),
+            Fraction(Y * t_den + d[1] * t_num * W, den),
+        )
+
+    def _lambda_hit(self, origin, prim, limit: Fraction) -> Optional[Fraction]:
+        """Smallest t in (0, limit] at which the ray meets the Lagrangian graph."""
         best = None
-        ray = Ray(p, prim)
-        for e in self.lag.edges:
-            a = self.lag.position(e.endpoints[0])
-            b = self.lag.position(e.endpoints[1])
-            hit = ray_segment_intersect(ray, a, b)
-            if hit is None:
+        for row in self.lag_table:
+            hit = ray_segment_hit(origin, prim, row, self.scale)
+            if hit is None or hit[0] * limit.denominator > limit.numerator * hit[1]:
                 continue
-            t = hit[0]
-            if limit is not None and t > limit:
-                continue
+            t = Fraction(hit[0], hit[1])
             if best is None or t < best:
                 best = t
         return best
 
-    def _boundary_hit(self, p: Vec, prim: Vec):
+    def _boundary_hit(self, origin, prim) -> Optional[Tuple[Fraction, Vec]]:
         best = None
-        for i, facet in enumerate(self.facets):
-            hit = ray_segment_intersect(Ray(p, prim), *facet.endpoints)
-            if hit is None:
-                continue
-            if best is None or hit[0] < best[0]:
-                best = (hit[0], hit[1])
-        return best
+        for row in self.facet_table:
+            hit = ray_segment_hit(origin, prim, row, self.scale)
+            if hit is not None and (best is None or hit[0] * best[1] < best[0] * hit[1]):
+                best = hit
+        return None if best is None else self._at(origin, prim, best[0], best[1])
 
-    def _cut_events(self, p: Vec, prim: Vec) -> List[Tuple[Fraction, int, Vec]]:
+    def _cut_events(self, origin, prim) -> List[Tuple[Fraction, int, Vec]]:
         events = []
-        for j, (start, end) in enumerate(self.cuts):
-            cut_dir = self.diagram.focus_foci[j].cut_direction()
-            if det2(prim, cut_dir) == 0:
+        for j, (row, (cx, cy)) in enumerate(self.cut_table):
+            if prim[0] * cy - prim[1] * cx == 0:
                 continue  # parallel: running along a cut is shear-invariant
-            hit = ray_segment_intersect(Ray(p, prim), start, end)
-            if hit is None:
-                continue
-            t, point = hit
-            if point == start:
-                continue  # meeting the focus itself is a focus event
+            hit = ray_segment_hit(origin, prim, row, self.scale)
+            if hit is None or hit[2] == 0:
+                continue  # s = 0: meeting the focus itself is a focus event
+            t, point = self._at(origin, prim, hit[0], hit[1])
             events.append((t, j, point))
         return events
 
-    def _focus_events(self, p: Vec, prim: Vec) -> List[Tuple[Fraction, int]]:
+    def _focus_events(self, origin, prim) -> List[Tuple[Fraction, int]]:
         events = []
-        for j, ff in enumerate(self.diagram.focus_foci):
-            t = ray_hits_point(Ray(p, prim), ff.position)
-            if t is not None:
-                events.append((t, j))
+        for j, q in enumerate(self.focus_table):
+            t = ray_point_param(origin, prim, q, self.scale)
+            if t is not None and t[0] > 0:
+                events.append((Fraction(*t), j))
         return events
 
     # -- the trace ------------------------------------------------------------
@@ -225,15 +252,18 @@ class _Tracer:
         """All valid continuations of a closed edge leaving p with value dirval."""
         if not dirval.is_integral():
             return []
-        prim, ell = primitive_and_length(dirval)
+        dx, dy = dirval.as_int_pair()
+        ell = math.gcd(dx, dy)
+        prim = (dx // ell, dy // ell)
+        origin = homogeneous(p)
 
-        boundary = self._boundary_hit(p, prim)
+        boundary = self._boundary_hit(origin, prim)
         if boundary is None:
             return []  # leaves the polygon without meeting it: malformed input
         t_boundary = boundary[0]
 
-        focus_events = [e for e in self._focus_events(p, prim) if e[0] <= t_boundary]
-        cut_events = [e for e in self._cut_events(p, prim) if e[0] <= t_boundary]
+        focus_events = [e for e in self._focus_events(origin, prim) if e[0] <= t_boundary]
+        cut_events = [e for e in self._cut_events(origin, prim) if e[0] <= t_boundary]
         t_focus = min((e[0] for e in focus_events), default=None)
         t_cut = min((e[0] for e in cut_events), default=None)
 
@@ -241,16 +271,13 @@ class _Tracer:
         for t in (t_focus, t_cut):
             if t is not None and t < horizon:
                 horizon = t
-        lam_hit = self._lambda_hit(p, prim, horizon)
-        if lam_hit is not None and lam_hit <= horizon:
-            blocked = True
-            if lam_hit == horizon and (t_focus == horizon or t_cut == horizon):
-                blocked = True  # degenerate coincidence: reject conservatively
-            if blocked:
-                return []
+        if self._lambda_hit(origin, prim, horizon) is not None:
+            return []
 
         completions: List[_Completion] = []
-        completions.extend(self._split_completions(p, prim, ell, dirval, horizon, crossings, splits))
+        completions.extend(
+            self._split_completions(p, origin, prim, dirval, horizon, crossings, splits)
+        )
 
         if t_focus is not None and t_focus <= (t_cut if t_cut is not None else t_boundary):
             if t_cut is not None and t_cut == t_focus:
@@ -263,8 +290,8 @@ class _Tracer:
             t, j, point = min(cut_events)
             if crossings <= 0:
                 return completions
-            cut_dir = self.diagram.focus_foci[j].cut_direction()
-            side = 1 if det2(cut_dir, prim) > 0 else -1
+            cx, cy = self.cut_table[j][1]
+            side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
             new_dir = self.diagram.cross_branch_cut(j, dirval, side)
             rest = self.trace(point, new_dir, crossings - 1, splits)
             for completion in rest:
@@ -281,7 +308,8 @@ class _Tracer:
 
     def _focus_end(self, p, dirval, prim, ell, j) -> List[_Completion]:
         ff = self.diagram.focus_foci[j]
-        if det2(prim, ff.pi) != 0:
+        pix, piy = self.shear_table[j]
+        if prim[0] * piy - prim[1] * pix != 0:
             return []  # the ray would run through a nodal fiber: not generic
         w = ff.weight()
         out = [
@@ -359,79 +387,106 @@ class _Tracer:
             return False
         return any(v.position == corner for v in self.lag.vertices)
 
-    def _split_completions(self, p, prim, ell, dirval, horizon, crossings, splits):
+    def _split_completions(self, p, origin, prim, dirval, horizon, crossings, splits):
+        """Splits at a point w of the ray, pinned by a focus along its shear line.
+
+        Every arrival sub_ell * sign * pi at focus j spans the line through the
+        focus along pi, so the split point w, its parameter, the one sign that
+        puts the focus ahead of w and the clearance of the leg from w to the
+        focus are found once per focus.
+        """
         if splits <= 0:
             return []
+        X, Y, W = origin
+        scale = self.scale
+        dx, dy = dirval.as_int_pair()
         out = []
         for j, ff in enumerate(self.diagram.focus_foci):
+            pix, piy = self.shear_table[j]
+            cross = prim[0] * piy - prim[1] * pix
+            if cross == 0:
+                continue  # the ray runs along the shear line: no split point
+            # focus - origin = (rx, ry) / (scale W); w = origin + t prim = focus + u pi
+            fx, fy = self.focus_table[j]
+            rx, ry = fx * W - X * scale, fy * W - Y * scale
+            t_num = rx * piy - ry * pix
+            u_num = rx * prim[1] - ry * prim[0]
+            if cross < 0:
+                cross, t_num, u_num = -cross, -t_num, -u_num
+            t_den = scale * W * cross
+            if t_num <= 0 or t_num * horizon.denominator >= horizon.numerator * t_den:
+                continue  # w must lie strictly between p and the horizon
+            if u_num == 0:
+                continue  # w is the focus itself
+            # tau = -u / (sub_ell * sign) > 0 for this sign only; since prim is
+            # not parallel to pi, d2 = dirval - arrival is never parallel to the
+            # arrival either
+            sign = -1 if u_num > 0 else 1
+            w_origin = (X * t_den + prim[0] * t_num * W, Y * t_den + prim[1] * t_num * W, W * t_den)
+            if not self._leg_clear(w_origin, j):
+                continue
+            w = Vec(Fraction(w_origin[0], w_origin[2]), Fraction(w_origin[1], w_origin[2]))
+            wt = ff.weight()
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
-                for sign in (1, -1):
-                    arrival = ff.pi * (sub_ell * sign)
-                    w = lines_intersect(p, prim, ff.position, arrival)
-                    if w is None:
-                        continue
-                    t_w = rational_length(w - p, prim)
-                    if not (0 < t_w < horizon):
-                        continue
-                    tau = rational_length(ff.position - w, arrival)
-                    if tau <= 0:
-                        continue
-                    d2 = dirval - arrival
-                    if not d2 or det2(arrival, d2) == 0:
-                        continue
-                    if not self._leg_clear(w, ff.position, j):
-                        continue
-                    rest = self.trace(w, d2, crossings, splits - 1)
-                    for completion in rest:
-                        prefix_notes = ()
-                        wt = ff.weight()
-                        focus_vertex = _VertexSpec(ff.position, focus_cover(sub_ell, j, wt))
-                        variants = [(focus_vertex, prefix_notes)]
-                        if sub_ell >= 2:
-                            note = f"cover_pair:{j}:{sub_ell}"
-                            variants = [
-                                (focus_vertex, (note,)),
-                                (
-                                    _VertexSpec(ff.position, focus_cover_pair(sub_ell, j, wt)),
-                                    (note,),
-                                ),
-                            ]
-                        for fv, notes in variants:
-                            out.append(
-                                completion.prepend(
-                                    [
-                                        _VertexSpec(w, pair_of_pants(arrival, d2)),
-                                        fv,
-                                    ],
-                                    [
-                                        _EdgeSpec(p, w, dirval),
-                                        _EdgeSpec(w, ff.position, arrival),
-                                    ],
-                                    notes,
-                                )
+                m = sub_ell * sign
+                arrival = Vec(pix * m, piy * m)
+                d2 = Vec(dx - pix * m, dy - piy * m)
+                rest = self.trace(w, d2, crossings, splits - 1)
+                for completion in rest:
+                    focus_vertex = _VertexSpec(ff.position, focus_cover(sub_ell, j, wt))
+                    variants = [(focus_vertex, ())]
+                    if sub_ell >= 2:
+                        note = f"cover_pair:{j}:{sub_ell}"
+                        variants = [
+                            (focus_vertex, (note,)),
+                            (
+                                _VertexSpec(ff.position, focus_cover_pair(sub_ell, j, wt)),
+                                (note,),
+                            ),
+                        ]
+                    for fv, notes in variants:
+                        out.append(
+                            completion.prepend(
+                                [
+                                    _VertexSpec(w, pair_of_pants(arrival, d2)),
+                                    fv,
+                                ],
+                                [
+                                    _EdgeSpec(p, w, dirval),
+                                    _EdgeSpec(w, ff.position, arrival),
+                                ],
+                                notes,
                             )
+                        )
         return out
 
-    def _leg_clear(self, w: Vec, target: Vec, focus_j: int) -> bool:
-        """The pinned split leg from w to focus_j must meet nothing on the way."""
-        direction = target - w
-        for k, ff in enumerate(self.diagram.focus_foci):
-            if k != focus_j and point_on_segment(ff.position, w, target, closed=True):
-                return False
-        for j, (start, end) in enumerate(self.cuts):
-            cut_dir = self.diagram.focus_foci[j].cut_direction()
-            if det2(direction, cut_dir) == 0:
+    def _leg_clear(self, origin, focus_j: int) -> bool:
+        """The pinned split leg from w to focus_j must meet nothing on the way.
+
+        `origin` is w as a homogeneous triple.  The leg direction is
+        (focus - w) * scale * W, so the focus sits at t = 1 / (scale * W).
+        """
+        X, Y, W = origin
+        scale = self.scale
+        fx, fy = self.focus_table[focus_j]
+        d = (fx * W - X * scale, fy * W - Y * scale)
+        reach = scale * W   # t * reach is the fraction of the leg travelled
+        for k, q in enumerate(self.focus_table):
+            if k == focus_j:
                 continue
-            hit = ray_segment_intersect(Ray(w, direction), start, end)
-            if hit is not None and hit[1] != target and hit[0] <= 1:
+            t = ray_point_param(origin, d, q, scale)
+            if t is not None and 0 <= t[0] and t[0] * reach <= t[1]:
                 return False
-        if self.lag is not None:
-            for e in self.lag.edges:
-                a = self.lag.position(e.endpoints[0])
-                b = self.lag.position(e.endpoints[1])
-                hit = ray_segment_intersect(Ray(w, direction), a, b)
-                if hit is not None and hit[0] <= 1:
-                    return False
+        for row, (cx, cy) in self.cut_table:
+            if d[0] * cy - d[1] * cx == 0:
+                continue
+            hit = ray_segment_hit(origin, d, row, scale)
+            if hit is not None and hit[0] * reach < hit[1]:
+                return False  # a hit at the focus itself is where its own cut starts
+        for row in self.lag_table:
+            hit = ray_segment_hit(origin, d, row, scale)
+            if hit is not None and hit[0] * reach <= hit[1]:
+                return False
         return True
 
 

@@ -1,8 +1,15 @@
 """Exact rational 2D lattice geometry.
 
 Everything downstream (diagrams, graphs, the disk enumeration) runs on the
-primitives in this module.  All coordinates are `fractions.Fraction`; there is
-no floating point and no tolerance anywhere.
+primitives in this module.  Coordinates of `Vec` are `fractions.Fraction`;
+there is no floating point and no tolerance anywhere.
+
+Ray incidence has one integer kernel, `ray_segment_hit` and `ray_point_param`:
+points are homogeneous (X, Y, W) triples or integer pairs over a common
+denominator, and every decision is an integer cross product, so it stays
+exact.  The disk tracer calls the kernel directly on tables scaled once per
+diagram; `ray_segment_intersect` is its Fraction front end, and results
+re-enter as Fractions.
 """
 
 from __future__ import annotations
@@ -203,42 +210,93 @@ def lines_intersect(p: Vec, d: Vec, q: Vec, e: Vec) -> Optional[Vec]:
     return p + d * t
 
 
-def ray_hits_point(ray: Ray, p: Vec) -> Optional[Fraction]:
-    """Parameter t > 0 with ray(t) = p, or None."""
-    rel = p - ray.origin
-    if det2(ray.direction, rel) != 0:
+def homogeneous(v: Vec) -> Tuple[int, int, int]:
+    """Integers (X, Y, W) with W > 0 and v = (X/W, Y/W)."""
+    w = math.lcm(v.x.denominator, v.y.denominator)
+    return (v.x.numerator * (w // v.x.denominator),
+            v.y.numerator * (w // v.y.denominator), w)
+
+
+def scaled(v: Vec, scale: int) -> Tuple[int, int]:
+    """The integer pair scale * v; scale must clear both denominators."""
+    x, y = v.x * scale, v.y * scale
+    if x.denominator != 1 or y.denominator != 1:
+        raise GeometryError(f"{scale} does not clear the denominators of {v!r}")
+    return (x.numerator, y.numerator)
+
+
+def ray_point_param(origin, d, q, scale: int) -> Optional[Tuple[int, int]]:
+    """Parameter of the point q/scale on the line origin + t d, or None.
+
+    `origin` is a homogeneous (X, Y, W) triple, `d` a nonzero integer pair and
+    `q` an integer pair.  The parameter t (of any sign) is returned as
+    (numerator, denominator) with a positive denominator; None means q is off
+    the line.
+    """
+    X, Y, W = origin
+    dx, dy = d
+    rx = q[0] * W - X * scale
+    ry = q[1] * W - Y * scale
+    if dx * ry - dy * rx != 0:
         return None
-    t = rational_length(rel, ray.direction)
-    return t if t > 0 else None
+    return rx * dx + ry * dy, scale * W * (dx * dx + dy * dy)
+
+
+def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int, int]]:
+    """First meeting of an open ray (t > 0) with a closed segment, in integers.
+
+    The ray is origin + t d with `origin` a homogeneous (X, Y, W) triple and
+    `d` a nonzero integer pair.  The segment is (a + s e)/scale, s in [0, 1],
+    given as the integer quadruple seg = (ax, ay, ex, ey) and scale > 0.
+    Returns (t_num, t_den, s_num, s_den) with positive denominators, or None.
+    Collinear overlaps return the smallest positive parameter at which the
+    ray enters the segment (s is then 0 or 1), and None when the origin
+    already lies on the segment.
+    """
+    X, Y, W = origin
+    dx, dy = d
+    ax, ay, ex, ey = seg
+    # a/scale - origin = (rx, ry) / (scale W)
+    rx = ax * W - X * scale
+    ry = ay * W - Y * scale
+    denom = dx * ey - dy * ex
+    if denom == 0:
+        if ex * ry - ey * rx != 0:
+            return None
+        # collinear: parameters of both endpoints over scale W (d.d)
+        ta = rx * dx + ry * dy
+        tb = ta + W * (ex * dx + ey * dy)
+        if not (ex or ey) or ta <= 0 <= tb or tb <= 0 <= ta:
+            return None  # a point segment, or the origin lies on the segment
+        if ta < 0:
+            return None  # both endpoints behind the origin
+        norm = scale * W * (dx * dx + dy * dy)
+        return (ta, norm, 0, 1) if ta <= tb else (tb, norm, 1, 1)
+    t_num = rx * ey - ry * ex
+    s_num = rx * dy - ry * dx
+    if denom < 0:
+        denom, t_num, s_num = -denom, -t_num, -s_num
+    if t_num <= 0 or s_num < 0 or s_num > W * denom:
+        return None
+    return t_num, scale * W * denom, s_num, W * denom
+
 
 def ray_segment_intersect(ray: Ray, a: Vec, b: Vec) -> Optional[Tuple[Fraction, Vec]]:
     """First meeting of an open ray (t > 0) with the closed segment [a, b].
 
     Returns (t, point) or None.  Collinear overlaps return the smallest
-    positive parameter at which the ray enters the segment.
+    positive parameter at which the ray enters the segment.  A Fraction
+    front end to `ray_segment_hit`.
     """
     d = ray.direction
-    e = b - a
-    denom = det2(d, e)
-    if denom == 0:
-        if det2(e, ray.origin - a) != 0:
-            return None
-        # collinear: walk toward whichever endpoint comes first
-        ts = []
-        for endpoint in (a, b):
-            t = rational_length(endpoint - ray.origin, d)
-            if t > 0:
-                ts.append(t)
-        if point_on_segment(ray.origin, a, b):
-            ts.append(Fraction(0))
-        if not ts:
-            return None
-        t = min(ts)
-        return (t, ray.at(t)) if t > 0 else None
-    t = det2(a - ray.origin, e) / denom
-    s = det2(a - ray.origin, d) / denom
-    if t <= 0 or s < 0 or s > 1:
+    k = math.lcm(d.x.denominator, d.y.denominator)
+    scale = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
+    hit = ray_segment_hit(
+        homogeneous(ray.origin), scaled(d, k), scaled(a, scale) + scaled(b - a, scale), scale
+    )
+    if hit is None:
         return None
+    t = Fraction(hit[0] * k, hit[1])
     return t, ray.at(t)
 
 

@@ -242,8 +242,6 @@ class LagGraph:
         for k, e in enumerate(self.edges):
             a = self.position(e.endpoints[0])
             b = self.position(e.endpoints[1])
-            for p in (ff.position, new_position):
-                pass
             hit = lines_intersect(a, b - a, ff.position, slide) if slide else None
             if hit is None:
                 continue

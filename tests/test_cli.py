@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tropdisk.cli import main
 from tropdisk.fixtures import builtin_fixture
 
@@ -94,6 +96,20 @@ def test_missing_inputs_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "potential")
     assert code == 1
     assert "error" in err
+
+
+def test_bounds_override(capsys):
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp6", "--bounds", "6,3")
+    assert code == 0
+    assert "total W_L = -2" in out
+
+
+@pytest.mark.parametrize("spec", ["6", "a,b", "0,3", "3,0"])
+def test_malformed_bounds_is_validation_error(capsys, spec):
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp6", "--bounds", spec)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_render_deterministic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,12 +11,17 @@ from tropdisk.geometry import (
     Vec,
     apply_matrix,
     det2,
+    homogeneous,
     lines_intersect,
     point_on_segment,
     primitive,
     primitive_and_length,
+    ray_point_param,
+    ray_segment_hit,
     ray_segment_intersect,
+    rational_length,
     reflect_over,
+    scaled,
     segment_parameter,
     shear_apply,
     unimodular,
@@ -165,6 +171,98 @@ def test_ray_segment_agrees_with_line_solution(origin, direction, a, b)\
     assert t > 0
     assert point == origin + direction * t
     assert point_on_segment(point, a, b)
+
+
+def reference_ray_segment(ray, a, b):
+    """Fraction-only ray-segment intersection, the kernel's former body."""
+    d = ray.direction
+    e = b - a
+    denom = det2(d, e)
+    if denom == 0:
+        if det2(e, ray.origin - a) != 0:
+            return None
+        ts = []
+        for endpoint in (a, b):
+            t = rational_length(endpoint - ray.origin, d)
+            if t > 0:
+                ts.append(t)
+        if point_on_segment(ray.origin, a, b):
+            ts.append(F(0))
+        if not ts:
+            return None
+        t = min(ts)
+        return (t, ray.at(t)) if t > 0 else None
+    t = det2(a - ray.origin, e) / denom
+    s = det2(a - ray.origin, d) / denom
+    if t <= 0 or s < 0 or s > 1:
+        return None
+    return t, ray.at(t)
+
+
+def reference_ray_point(ray, p):
+    """Fraction-only parameter t > 0 with ray(t) = p, or None."""
+    rel = p - ray.origin
+    if det2(ray.direction, rel) != 0:
+        return None
+    t = rational_length(rel, ray.direction)
+    return t if t > 0 else None
+
+
+small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def ray_segment_cases(draw):
+    """(origin, direction, a, b), with the degenerate configurations on purpose."""
+    origin = draw(vecs(small_rats))
+    d = draw(vecs(st.integers(-4, 4)).filter(bool))
+    a, b = draw(vecs(small_rats)), draw(vecs(small_rats))
+    kind = draw(st.sampled_from(["generic", "parallel", "collinear", "endpoint", "on_segment"]))
+    if kind == "parallel":
+        b = a + d * draw(small_rats)
+    elif kind == "collinear":
+        a, b = origin + d * draw(small_rats), origin + d * draw(small_rats)
+    elif kind == "endpoint":
+        a = origin + d * draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+    elif kind == "on_segment":
+        origin = a + (b - a) * draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+    return origin, d, a, b
+
+
+@given(ray_segment_cases())
+def test_integer_ray_segment_agrees_with_fraction_reference(case):
+    origin, d, a, b = case
+    scale = math.lcm(*(c.denominator for c in (*a, *b)))
+    hit = ray_segment_hit(homogeneous(origin), d.as_int_pair(),
+                          scaled(a, scale) + scaled(b - a, scale), scale)
+    if a == b:
+        assert hit is None  # a point segment is never met
+        return
+    expected = reference_ray_segment(Ray(origin, d), a, b)
+    if expected is None:
+        assert hit is None
+        return
+    assert hit is not None
+    t, s = F(hit[0], hit[1]), F(hit[2], hit[3])
+    assert t == expected[0]
+    assert 0 <= s <= 1 and a + (b - a) * s == expected[1]
+    assert ray_segment_intersect(Ray(origin, d), a, b) == expected
+
+
+@given(vecs(small_rats), vecs(st.integers(-4, 4)).filter(bool), vecs(small_rats),
+       st.one_of(st.none(), small_rats))
+def test_integer_ray_point_agrees_with_fraction_reference(origin, d, q, alpha):
+    if alpha is not None:
+        q = origin + d * alpha  # on the ray's line, behind, at or ahead of the origin
+    scale = math.lcm(q.x.denominator, q.y.denominator)
+    param = ray_point_param(homogeneous(origin), d.as_int_pair(), scaled(q, scale), scale)
+    expected = reference_ray_point(Ray(origin, d), q)
+    if param is None:
+        assert expected is None and det2(d, q - origin) != 0
+        return
+    t = F(*param)
+    assert origin + d * t == q
+    assert expected == (t if t > 0 else None)
 
 
 def test_unimodular_guard():
