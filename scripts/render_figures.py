@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render every fixture (diagram, sphere, disk graphs) to SVG files.
+"""Render every shipped case (diagram, sphere, disk graphs) to SVG files.
 
 Usage: python scripts/render_figures.py [outdir]
 """
@@ -7,31 +7,19 @@ Usage: python scripts/render_figures.py [outdir]
 import pathlib
 import sys
 
-from tropdisk.enumerate import enumerate_disks
-from tropdisk.fixtures import builtin_fixture
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.render import render_svg
-
-RUNS = [
-    ("p1xp1", "antidiagonal"), ("dp7", "leg"), ("dp6", "segment"),
-    ("dp6", "trivalent"), ("dp6", "fiber"), ("dp5", "segment"),
-    ("dp4", "sphere"), ("dp3", "trivalent"), ("dp2", "l1"), ("dp2", "l2"),
-    ("dp1", "vertical"),
-]
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     outdir = pathlib.Path(argv[0] if argv else "figures")
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, case in RUNS:
+    for name, case in SHIPPED_CASES:
         fixture = builtin_fixture(name)
-        spec = fixture.case(case)
-        diagram = fixture.diagram_for(case)
-        lag = fixture.lagrangian_for(case)
-        constraint = fixture.constraint(case)
-        result = enumerate_disks(diagram, lag, constraint, spec.bounds,
-                                 flags=spec.flags)
-        svg = render_svg(diagram, lag, [g.graph for g in result.graphs], constraint)
+        result = fixture.run(case)
+        svg = render_svg(fixture.diagram_for(case), fixture.lagrangian_for(case),
+                         [g.graph for g in result.graphs], fixture.constraint(case))
         path = outdir / f"{name}_{case}.svg"
         path.write_text(svg)
         print(f"wrote {path} ({len(result.graphs)} disk graphs)")

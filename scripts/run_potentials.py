@@ -11,16 +11,8 @@ import time
 from collections import Counter
 
 from tropdisk.eigentable import eigenvalue_verdict
-from tropdisk.enumerate import cancellation_report, enumerate_disks
-from tropdisk.fixtures import builtin_fixture
-
-RUNS = [
-    ("p1xp1", "antidiagonal"), ("p1xp1", "fiber"),
-    ("dp7", "leg"), ("dp7", "diag"),
-    ("dp6", "segment"), ("dp6", "trivalent"), ("dp6", "fiber"),
-    ("dp5", "segment"), ("dp4", "sphere"), ("dp3", "trivalent"),
-    ("dp2", "l1"), ("dp2", "l2"), ("dp1", "vertical"),
-]
+from tropdisk.enumerate import cancellation_report
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 
 
 def main(argv=None):
@@ -29,14 +21,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rows = []
-    for name, case in RUNS:
+    for name, case in SHIPPED_CASES:
         fixture = builtin_fixture(name)
-        spec = fixture.case(case)
         start = time.time()
-        result = enumerate_disks(
-            fixture.diagram_for(case), fixture.lagrangian_for(case),
-            fixture.constraint(case), spec.bounds, flags=spec.flags,
-        )
+        result = fixture.run(case)
         elapsed = time.time() - start
         total = result.total()
         counts = Counter(result.contributions())

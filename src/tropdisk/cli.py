@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -18,8 +19,8 @@ from .diagram import BaseDiagram
 from .diskgraph import Constraint
 from .eigentable import EIGENVALUE_TABLE, eigenvalue_verdict, nonmaximal_integers
 from .enumerate import (
+    NO_FLAGS,
     EnumerationResult,
-    FixtureFlags,
     SearchBounds,
     cancellation_report,
     enumerate_disks,
@@ -41,42 +42,21 @@ def _rat(value: Fraction):
 
 
 def _load_inputs(args):
-    """Resolve (diagram, lagrangian, constraint, bounds, flags, fixture name)."""
+    """Resolve (fixture, case name, diagram, lagrangian, label) from the arguments.
+
+    --fixture/--case name a built-in case; otherwise --diagram and
+    --lagrangian name files, and fixture and case name are None.
+    """
     if args.fixture:
         fixture = builtin_fixture(args.fixture)
         case_name = args.case or fixture.default_case
-        if case_name not in fixture.cases:
-            raise GeometryError(
-                f"fixture {fixture.name} has no case {case_name!r}; "
-                f"known: {', '.join(fixture.cases)}"
-            )
-        case = fixture.case(case_name)
-        diagram = fixture.diagram_for(case_name)
-        lag = fixture.lagrangian_for(case_name)
-        constraint = fixture.constraint(case_name)
-        bounds = case.bounds
-        flags = case.flags
-        label = f"{fixture.name}:{case_name}"
-    else:
-        if not args.diagram:
-            raise GeometryError("need --fixture NAME or --diagram FILE")
-        diagram = BaseDiagram.load(args.diagram)
-        lag = LagGraph.load(args.lagrangian) if args.lagrangian else None
-        constraint = _parse_constraint(args.constraint, lag)
-        bounds = SearchBounds()
-        flags = FixtureFlags()
-        label = diagram.name
-    if args.bounds:
-        v, l = _parse_bounds(args.bounds)
-        bounds = SearchBounds(max_vertices=v, max_lattice_length=l,
-                              max_cut_crossings=bounds.max_cut_crossings,
-                              max_splits=bounds.max_splits)
-    convention = DEFAULT_CONVENTION
-    if args.convention:
-        with open(args.convention) as fh:
-            data = json.load(fh)
-        convention = DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
-    return diagram, lag, constraint, bounds, flags, convention, label
+        return (fixture, case_name, fixture.diagram_for(case_name),
+                fixture.lagrangian_for(case_name), f"{fixture.name}:{case_name}")
+    if not args.diagram:
+        raise GeometryError("need --fixture NAME or --diagram FILE")
+    diagram = BaseDiagram.load(args.diagram)
+    lag = LagGraph.load(args.lagrangian) if args.lagrangian else None
+    return None, None, diagram, lag, diagram.name
 
 
 def _parse_bounds(spec: str):
@@ -155,7 +135,21 @@ def _print_text_report(report: dict) -> None:
 
 
 def cmd_potential(args) -> int:
-    diagram, lag, constraint, bounds, flags, convention, label = _load_inputs(args)
+    fixture, case_name, diagram, lag, label = _load_inputs(args)
+    if fixture is not None:
+        case = fixture.case(case_name)
+        constraint, bounds, flags = fixture.constraint(case_name), case.bounds, case.flags
+    else:
+        constraint = _parse_constraint(args.constraint, lag)
+        bounds, flags = SearchBounds(), NO_FLAGS
+    if args.bounds:
+        v, l = _parse_bounds(args.bounds)
+        bounds = replace(bounds, max_vertices=v, max_lattice_length=l)
+    convention = DEFAULT_CONVENTION
+    if args.convention:
+        with open(args.convention) as fh:
+            data = json.load(fh)
+        convention = DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
     problems = diagram.validate()
     if lag is not None:
         problems += lag.is_allowable(diagram)
@@ -184,7 +178,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    diagram, lag, _constraint, _bounds, _flags, _conv, label = _load_inputs_no_constraint(args)
+    _fixture, _case, diagram, lag, label = _load_inputs(args)
     problems = diagram.validate()
     if lag is not None:
         problems += lag.is_allowable(diagram)
@@ -199,35 +193,15 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID if problems else EXIT_OK
 
 
-def _load_inputs_no_constraint(args):
-    if args.fixture:
-        fixture = builtin_fixture(args.fixture)
-        case_name = args.case or fixture.default_case
-        return (
-            fixture.diagram_for(case_name),
-            fixture.lagrangian_for(case_name),
-            None, None, None, None,
-            f"{fixture.name}:{case_name}",
-        )
-    if not args.diagram:
-        raise GeometryError("need --fixture NAME or --diagram FILE")
-    diagram = BaseDiagram.load(args.diagram)
-    lag = LagGraph.load(args.lagrangian) if args.lagrangian else None
-    return diagram, lag, None, None, None, None, diagram.name
-
-
 def cmd_render(args) -> int:
-    diagram, lag, _c, _b, _f, _conv, label = _load_inputs_no_constraint(args)
+    if args.with_disks and not args.fixture:
+        raise GeometryError("--with-disks needs --fixture")
+    fixture, case_name, diagram, lag, _label = _load_inputs(args)
     graphs = []
     constraint = None
     if args.with_disks:
-        fixture = builtin_fixture(args.fixture)
-        case_name = args.case or fixture.default_case
-        case = fixture.case(case_name)
         constraint = fixture.constraint(case_name)
-        result = enumerate_disks(diagram, lag, constraint, case.bounds,
-                                 flags=case.flags)
-        graphs = [g.graph for g in result.graphs]
+        graphs = [g.graph for g in fixture.run(case_name).graphs]
     svg = render_svg(diagram, lag, graphs, constraint)
     if args.out:
         with open(args.out, "w") as fh:
@@ -258,17 +232,10 @@ def cmd_table(args) -> int:
             realized = [
                 (fx, case) for v, fx, case in entry.realizations if v == value
             ]
-            status = []
-            for fx, case_name in realized:
-                fixture = builtin_fixture(fx)
-                case = fixture.case(case_name)
-                result = enumerate_disks(
-                    fixture.diagram_for(case_name),
-                    fixture.lagrangian_for(case_name),
-                    fixture.constraint(case_name),
-                    case.bounds, flags=case.flags,
-                )
-                status.append((fx, case_name, result.total()))
+            status = [
+                (fx, case_name, builtin_fixture(fx).run(case_name).total())
+                for fx, case_name in realized
+            ]
             rows.append({
                 "surface": entry.surface,
                 "eigenvalue": value,

@@ -262,8 +262,10 @@ class BaseDiagram:
     @classmethod
     def load(cls, path) -> "BaseDiagram":
         with open(path) as fh:
-            data = json.load(fh)
-        diagram = cls.from_json_dict(data)
+            try:
+                diagram = cls.from_json_dict(json.load(fh))
+            except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
+                raise GeometryError(f"malformed diagram file {path}: {exc!r}") from exc
         problems = diagram.validate()
         if problems:
             raise GeometryError(f"invalid diagram {path}: {problems}")

@@ -44,7 +44,6 @@ from .geometry import (
     primitive_and_length,
     ray_point_param,
     ray_segment_hit,
-    rational_length,
     scaled,
 )
 from .lagrangian import LagGraph
@@ -218,13 +217,24 @@ class _Tracer:
                 best = t
         return best
 
-    def _boundary_hit(self, origin, prim) -> Optional[Tuple[Fraction, Vec]]:
-        best = None
-        for row in self.facet_table:
+    def _boundary_hit(self, origin, prim) -> Optional[Tuple[Fraction, Vec, List[int]]]:
+        """(t, point, facets) of the first boundary meeting, or None.
+
+        `facets` lists every facet hit at that parameter, in facet order: one
+        facet, or the two that meet at a corner.
+        """
+        best, facets = None, []
+        for i, row in enumerate(self.facet_table):
             hit = ray_segment_hit(origin, prim, row, self.scale)
-            if hit is not None and (best is None or hit[0] * best[1] < best[0] * hit[1]):
-                best = hit
-        return None if best is None else self._at(origin, prim, best[0], best[1])
+            if hit is None:
+                continue
+            if best is None or hit[0] * best[1] < best[0] * hit[1]:
+                best, facets = hit, [i]
+            elif hit[0] * best[1] == best[0] * hit[1]:
+                facets.append(i)
+        if best is None:
+            return None
+        return self._at(origin, prim, best[0], best[1]) + (facets,)
 
     def _cut_events(self, origin, prim) -> List[Tuple[Fraction, int, Vec]]:
         events = []
@@ -303,7 +313,7 @@ class _Tracer:
                 )
             return completions
 
-        completions.extend(self._boundary_end(p, dirval, boundary[1]))
+        completions.extend(self._boundary_end(p, dirval, boundary[1], boundary[2]))
         return completions
 
     def _focus_end(self, p, dirval, prim, ell, j) -> List[_Completion]:
@@ -331,8 +341,7 @@ class _Tracer:
             )
         return out
 
-    def _boundary_end(self, p, dirval, point) -> List[_Completion]:
-        facet_ids = self.diagram.facets_through(point)
+    def _boundary_end(self, p, dirval, point, facet_ids) -> List[_Completion]:
         for i in facet_ids:
             if dirval == -self.facets[i].inward_normal:
                 return [
@@ -722,29 +731,35 @@ def _perp_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
 def _pant_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
     edge = lag.edges[constraint.edge_index]
     a_id, b_id = edge.endpoints
-    a, b = lag.position(a_id), lag.position(b_id)
-    lam = primitive(b - a)
+    # the strip must end at a seam on a Lagrangian pair of pants
+    a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
+    if not (a_seam or b_seam):
+        return []
+    lam = primitive(lag.position(b_id) - lag.position(a_id))
+    lx, ly = lam.as_int_pair()
     q = constraint.point
     out = []
     for e_black in _direction_candidates(bounds.max_lattice_length):
-        if det2(e_black, lam) == 0:
+        ex, ey = e_black.as_int_pair()
+        if ex * ly - ey * lx == 0:
             continue
-        e_white = pant_strip_direction(e_black, lam)
-        if not e_white:
+        # the strip is -<e_black, lam>/<lam, lam> lam: it vanishes when the dot
+        # product is 0 and runs towards b when it is negative
+        dot = ex * lx + ey * ly
+        if dot == 0:
             continue
-        coeff = rational_length(e_white, lam)
-        target_id = b_id if coeff > 0 else a_id
-        target = lag.position(target_id)
-        if lag.valence(target_id) != 3:
-            continue  # strip must end at a seam on a Lagrangian pair of pants
+        target_id, seam = (b_id, b_seam) if dot < 0 else (a_id, a_seam)
+        if not seam:
+            continue
         closed = tracer.trace(q, e_black, bounds.max_cut_crossings, bounds.max_splits)
         if not closed:
             continue
+        target = lag.position(target_id)
         root = [
             _VertexSpec(q, holomorphic_pant(e_black, lam)),
             _VertexSpec(target, pant_seam()),
         ]
-        strip = _EdgeSpec(q, target, e_white, open=True)
+        strip = _EdgeSpec(q, target, pant_strip_direction(e_black, lam), open=True)
         for completion in closed:
             out.append(_build_graph(constraint, root, [strip], completion))
     return out

@@ -17,9 +17,16 @@ from typing import Dict, List, Optional
 
 from .diagram import BaseDiagram, FocusFocus
 from .diskgraph import Constraint
-from .enumerate import FixtureFlags, NO_FLAGS, SearchBounds
+from .enumerate import (
+    EnumerationResult,
+    FixtureFlags,
+    NO_FLAGS,
+    SearchBounds,
+    enumerate_disks,
+)
 from .geometry import GeometryError, Vec
 from .lagrangian import LagGraph, segment_graph, star_graph
+from .multiplicity import DEFAULT_CONVENTION
 
 F = Fraction
 
@@ -47,27 +54,47 @@ class Fixture:
     provenance: str = ""
     diagram_variants: Dict[str, BaseDiagram] = field(default_factory=dict)
 
+    def case(self, case_name: Optional[str] = None) -> FixtureCase:
+        """The named case, or the default one; unknown names raise GeometryError."""
+        name = case_name or self.default_case
+        if name not in self.cases:
+            raise GeometryError(
+                f"fixture {self.name} has no case {name!r}; known: {', '.join(self.cases)}"
+            )
+        return self.cases[name]
+
     def diagram_for(self, case_name: Optional[str] = None) -> BaseDiagram:
-        case = self.cases[case_name or self.default_case]
+        case = self.case(case_name)
         if case.diagram is not None:
             return self.diagram_variants[case.diagram]
         return self.diagram
 
     def constraint(self, case_name: Optional[str] = None) -> Constraint:
-        case = self.cases[case_name or self.default_case]
+        case = self.case(case_name)
         if case.lagrangian is None:
             return Constraint.interior_point(case.point)
         lag = self.lagrangians[case.lagrangian]
         return Constraint.on_lagrangian(lag, case.edge_index, case.t)
 
-    def case(self, case_name: Optional[str] = None) -> FixtureCase:
-        return self.cases[case_name or self.default_case]
-
     def lagrangian_for(self, case_name: Optional[str] = None) -> Optional[LagGraph]:
-        case = self.cases[case_name or self.default_case]
+        case = self.case(case_name)
         if case.lagrangian is None:
             return None
         return self.lagrangians[case.lagrangian]
+
+    def run(self, case_name: Optional[str] = None,
+            bounds: Optional[SearchBounds] = None) -> EnumerationResult:
+        """Enumerate one case with its own inputs, bounds and flags.
+
+        `bounds` replaces the case's bounds (the saturation checks pass
+        `case.bounds.bumped()`).
+        """
+        case = self.case(case_name)
+        return enumerate_disks(
+            self.diagram_for(case_name), self.lagrangian_for(case_name),
+            self.constraint(case_name), bounds or case.bounds, DEFAULT_CONVENTION,
+            case.flags,
+        )
 
 
 def _hexagon1() -> List[Vec]:
@@ -314,6 +341,16 @@ _BUILDERS = {
 }
 
 FIXTURE_NAMES = tuple(_BUILDERS)
+
+# Every shipped (fixture, case) pair whose potential is checked against the
+# eigenvalue table: the fixture runs, the figures and the stability tests.
+SHIPPED_CASES = (
+    ("p1xp1", "antidiagonal"), ("p1xp1", "fiber"),
+    ("dp7", "leg"), ("dp7", "diag"),
+    ("dp6", "segment"), ("dp6", "trivalent"), ("dp6", "fiber"),
+    ("dp5", "segment"), ("dp4", "sphere"), ("dp3", "trivalent"),
+    ("dp2", "l1"), ("dp2", "l2"), ("dp1", "vertical"),
+)
 
 
 def builtin_fixture(name: str) -> Fixture:

@@ -90,9 +90,6 @@ class Vec:
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
 
-    def is_parallel(self, other: "Vec") -> bool:
-        return self.cross(other) == 0
-
     def as_int_pair(self) -> Tuple[int, int]:
         if not self.is_integral():
             raise GeometryError(f"{self!r} is not an integer vector")
@@ -103,10 +100,6 @@ class Vec:
             [self.x.numerator, self.x.denominator],
             [self.y.numerator, self.y.denominator],
         ]
-
-
-def vec(x: Scalar, y: Scalar) -> Vec:
-    return Vec(x, y)
 
 
 ZERO = Vec(0, 0)

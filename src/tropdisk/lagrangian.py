@@ -330,7 +330,10 @@ class LagGraph:
     @classmethod
     def load(cls, path) -> "LagGraph":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
+                raise GeometryError(f"malformed Lagrangian file {path}: {exc!r}") from exc
 
 
 def segment_graph(a: Vec, b: Vec, name: str = "segment") -> LagGraph:

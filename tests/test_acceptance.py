@@ -16,12 +16,8 @@ from fractions import Fraction as F
 import pytest
 
 from tropdisk.diskgraph import Constraint
-from tropdisk.enumerate import (
-    cancellation_report,
-    enumerate_disks,
-    enumerate_maslov4,
-)
-from tropdisk.fixtures import builtin_fixture
+from tropdisk.enumerate import cancellation_report, enumerate_maslov4
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import Vec, apply_matrix, det2, shear_apply
 from tropdisk.multiplicity import (
     boundary_collision,
@@ -37,15 +33,6 @@ from tropdisk.multiplicity import (
 )
 
 
-def run_case(name, case=None, bounds=None):
-    fx = builtin_fixture(name)
-    c = fx.case(case)
-    return enumerate_disks(
-        fx.diagram_for(case), fx.lagrangian_for(case), fx.constraint(case),
-        bounds or c.bounds, flags=c.flags,
-    )
-
-
 def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {criterion:>3}: {status}  {detail}")
@@ -53,25 +40,25 @@ def report(criterion, ok, detail=""):
 
 
 def test_criterion_01_dp6_segment():
-    res = run_case("dp6", "segment")
+    res = builtin_fixture("dp6").run("segment")
     ok = res.total() == -2 and res.contributions() == [F(-1), F(-1)]
     report("1", ok, f"dp6 segment W = {res.total()} via {len(res.graphs)} graphs")
 
 
 def test_criterion_02a_dp7_leg():
-    res = run_case("dp7", "leg")
+    res = builtin_fixture("dp7").run("leg")
     ok = res.total() == -1 and sorted(res.contributions()) == [F(-1, 2), F(-1, 2)]
     report("2a", ok, f"dp7 leg constraint W = {res.total()} via two -1/2 graphs")
 
 
 def test_criterion_02b_dp7_diag_total():
-    res = run_case("dp7", "diag")
+    res = builtin_fixture("dp7").run("diag")
     ok = res.total() == -1
     report("2b", ok, f"dp7 corner constraint W = {res.total()}")
 
 
 def test_criterion_02c_dp7_diag_multiset():
-    res = run_case("dp7", "diag")
+    res = builtin_fixture("dp7").run("diag")
     expected = sorted([F(-1), F(-1), F(-1, 2), F(3, 2)])
     got = sorted(res.contributions())
     ok = got == expected
@@ -81,26 +68,26 @@ def test_criterion_02c_dp7_diag_multiset():
 
 
 def test_criterion_03_dp4():
-    res = run_case("dp4")
+    res = builtin_fixture("dp4").run()
     ok = res.total() == -4 and res.contributions() == [F(-1)] * 4
     report("3", ok, f"dp4 sphere W = {res.total()} via exactly 4 graphs of -1")
 
 
 def test_criterion_04_dp6_trivalent():
-    res = run_case("dp6", "trivalent")
+    res = builtin_fixture("dp6").run("trivalent")
     ok = sorted(res.contributions()) == [F(-1), F(-1), F(-1, 2), F(-1, 2)]
     report("4", ok, f"dp6 trivalent W = {res.total()} via {{-1,-1,-1/2,-1/2}}")
 
 
 def test_criterion_05_dp3_cubic():
-    res = run_case("dp3")
+    res = builtin_fixture("dp3").run()
     counts = Counter(res.contributions())
     ok = res.total() == -6 and counts == {F(3, 2): 2, F(-1): 6, F(-1, 2): 6}
     report("5", ok, f"dp3 cubic W = {res.total()} via {{3/2 x2, -1 x6, -1/2 x6}}")
 
 
 def test_criterion_06_dp2_both_spheres():
-    res1 = run_case("dp2", "l1")
+    res1 = builtin_fixture("dp2").run("l1")
     ok1 = res1.total() == -12
     # every L1 graph is rooted in a sign -1 collision; sides sum to -6 each
     sides = Counter()
@@ -110,7 +97,7 @@ def test_criterion_06_dp2_both_spheres():
         leg = next(d for e, d in g.graph.adjacent(root.id) if not e.open)
         sides[leg.y > 0] += g.contribution
     ok1 = ok1 and set(sides.values()) == {F(-6)}
-    res2 = run_case("dp2", "l2")
+    res2 = builtin_fixture("dp2").run("l2")
     by_ell = {1: F(0), 2: F(0)}
     for g in res2.graphs:
         root = next(v for v in g.graph.vertices if v.kind.tag == "perp_collision")
@@ -123,7 +110,7 @@ def test_criterion_06_dp2_both_spheres():
 
 
 def test_criterion_07_dp1():
-    res = run_case("dp1")
+    res = builtin_fixture("dp1").run()
     pairs = cancellation_report(res)
     net = sum((a.contribution + b.contribution for a, b in pairs), F(0))
     ok = res.total() == -60 and len(pairs) >= 1 and net == 0
@@ -132,13 +119,13 @@ def test_criterion_07_dp1():
 
 
 def test_criterion_08_dp6_fiber():
-    res = run_case("dp6", "fiber")
+    res = builtin_fixture("dp6").run("fiber")
     ok = len(res.graphs) == 6 and res.contributions() == [F(1)] * 6
     report("8", ok, f"dp6 monotone fiber count = {len(res.graphs)}, all +1")
 
 
 def test_criterion_09_dp5():
-    res = run_case("dp5")
+    res = builtin_fixture("dp5").run()
     total = res.total()
     from tropdisk.eigentable import entry_for_fixture, nonmaximal_integers
 
@@ -232,20 +219,14 @@ def test_criterion_13_property_suites():
     from test_multiplicity import _aut_reference
 
     for name, case in (("dp6", "trivalent"), ("dp1", None)):
-        for g in run_case(name, case).graphs:
+        for g in builtin_fixture(name).run(case).graphs:
             assert aut_order(g.graph) == _aut_reference(g.graph)
 
     # bounds saturation across every fixture case
-    cases = [("p1xp1", None), ("dp6", "segment"), ("dp6", "trivalent"),
-             ("dp6", "fiber"), ("dp7", "leg"), ("dp7", "diag"), ("dp5", None),
-             ("dp4", None), ("dp3", None), ("dp2", "l1"), ("dp2", "l2"),
-             ("dp1", None)]
-    for name, case in cases:
+    for name, case in SHIPPED_CASES:
         fx = builtin_fixture(name)
-        c = fx.case(case)
-        args = (fx.diagram_for(case), fx.lagrangian_for(case), fx.constraint(case))
-        base = enumerate_disks(*args, c.bounds, flags=c.flags)
-        bumped = enumerate_disks(*args, c.bounds.bumped(), flags=c.flags)
+        base = fx.run(case)
+        bumped = fx.run(case, fx.case(case).bounds.bumped())
         assert base.total() == bumped.total(), (name, case)
 
     report("13", True, "equivariance, shear, rigidity-rank, automorphism and "

@@ -169,3 +169,43 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "total W_L = 0" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["potential", "validate", "render"])
+def test_unknown_case_is_validation_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--fixture", "dp6", "--case", "nope")
+    assert code == 1
+    assert err.startswith("error:") and "no case 'nope'" in err
+    assert out == ""
+
+
+def test_render_with_disks_needs_fixture(tmp_path, capsys):
+    path = tmp_path / "dp6.diagram.json"
+    builtin_fixture("dp6").diagram.save(path)
+    code, _, err = run_cli(capsys, "render", "--diagram", str(path), "--with-disks")
+    assert code == 1
+    assert err.startswith("error:") and "--with-disks needs --fixture" in err
+
+
+@pytest.mark.parametrize("diagram,lagrangian", [
+    pytest.param("{not json", None, id="not-json"),
+    pytest.param(json.dumps({"name": "bad"}), None, id="no-polygon"),
+    pytest.param(json.dumps({"polygon": [[1, 0, 0, 1], [0, 1, 1, 1], [-1, 1, 0, 1]]}),
+                 None, id="zero-denominator"),
+    pytest.param(None, json.dumps({"edges": []}), id="lagrangian-without-vertices"),
+])
+def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
+    dpath = tmp_path / "d.json"
+    if diagram is None:
+        builtin_fixture("dp6").diagram.save(dpath)
+    else:
+        dpath.write_text(diagram)
+    argv = ["validate", "--diagram", str(dpath)]
+    bad = dpath
+    if lagrangian is not None:
+        bad = tmp_path / "l.json"
+        bad.write_text(lagrangian)
+        argv += ["--lagrangian", str(bad)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and str(bad) in err

@@ -4,21 +4,26 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
 from tropdisk.enumerate import (
+    NO_FLAGS,
     FixtureFlags,
+    SearchBounds,
     _row_reduce,
+    _Tracer,
     cancellation_report,
     corner_projection,
     enumerate_disks,
     enumerate_maslov4,
     rigidity_dimension,
 )
-from tropdisk.fixtures import builtin_fixture
-from tropdisk.geometry import Vec, apply_matrix, det2
+from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
+from tropdisk.geometry import Vec, apply_matrix, det2, homogeneous, primitive
 from tropdisk.lagrangian import LagGraph, LagVertex
 from tropdisk.multiplicity import (
     CORNER_CAP,
@@ -30,15 +35,6 @@ from tropdisk.multiplicity import (
     perp_collision,
     graph_index_diagnostic,
 )
-
-
-def run_case(name, case=None, bounds=None):
-    fx = builtin_fixture(name)
-    c = fx.case(case)
-    return enumerate_disks(
-        fx.diagram_for(case), fx.lagrangian_for(case), fx.constraint(case),
-        bounds or c.bounds, flags=c.flags,
-    )
 
 
 # -- rigidity ---------------------------------------------------------------
@@ -134,17 +130,12 @@ def test_row_reduce_rank_matches_brute_force_minors():
 
 
 def test_enumerated_graphs_are_rigid_and_revalidate():
-    cases = [("dp6", "segment"), ("dp6", "trivalent"), ("dp6", "fiber"),
-             ("dp7", "leg"), ("dp5", None), ("dp4", None), ("dp3", None),
-             ("dp2", "l1"), ("dp2", "l2"), ("dp1", None)]
-    for name, case in cases:
+    for name, case in SHIPPED_CASES:
         fx = builtin_fixture(name)
-        c = fx.case(case)
         diagram = fx.diagram_for(case)
         lag = fx.lagrangian_for(case)
         constraint = fx.constraint(case)
-        res = enumerate_disks(diagram, lag, constraint, c.bounds, flags=c.flags)
-        for g in res.graphs:
+        for g in fx.run(case).graphs:
             assert g.rigidity == 0
             assert rigidity_dimension(g.graph, diagram, lag, constraint) == 0
             assert graph_index_diagnostic(g.graph) == 2
@@ -160,22 +151,53 @@ def test_enumerated_graphs_are_rigid_and_revalidate():
                     assert rederived.weight == v.kind.weight
 
 
+# -- boundary hits ------------------------------------------------------------
+
+
+BOUNDARY_TRACERS = [
+    _Tracer(diagram, None, SearchBounds(), NO_FLAGS)
+    for fx in map(builtin_fixture, FIXTURE_NAMES)
+    for diagram in [fx.diagram, *fx.diagram_variants.values()]
+]
+
+
+@given(st.data())
+def test_boundary_hit_facets_are_facets_through_the_hit(data):
+    # a ray from an interior point leaves the polygon once, so the facets hit
+    # at the smallest parameter are every facet through the exit point
+    tracer = data.draw(st.sampled_from(BOUNDARY_TRACERS))
+    polygon = tracer.diagram.polygon
+    weights = data.draw(st.lists(st.integers(1, 8), min_size=len(polygon),
+                                 max_size=len(polygon)))
+    # all weights positive: strictly inside the convex polygon
+    origin = sum((v * w for v, w in zip(polygon, weights)), Vec(0, 0)) / sum(weights)
+    corner = data.draw(st.none() | st.sampled_from(polygon))
+    if corner is None:
+        d = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    else:
+        d = primitive(corner - origin).as_int_pair()  # exits through a corner
+    _t, point, facets = tracer._boundary_hit(homogeneous(origin), d)
+    assert facets == tracer.diagram.facets_through(point)
+    if corner is not None:
+        assert point == corner and len(facets) == 2
+
+
 # -- fixture enumerations -----------------------------------------------------
 
 
 def test_dp6_segment_graphs():
-    res = run_case("dp6", "segment")
+    res = builtin_fixture("dp6").run("segment")
     assert res.contributions() == [F(-1), F(-1)]
     assert res.total() == -2
 
 
 def test_dp6_trivalent_graphs():
-    res = run_case("dp6", "trivalent")
+    res = builtin_fixture("dp6").run("trivalent")
     assert sorted(res.contributions()) == [F(-1), F(-1), F(-1, 2), F(-1, 2)]
 
 
 def test_dp6_fiber_cho_oh_disks():
-    res = run_case("dp6", "fiber")
+    res = builtin_fixture("dp6").run("fiber")
     assert res.contributions() == [F(1)] * 6
     # each disk heads along the outward primitive normal of its facet
     facets = builtin_fixture("dp6").diagram.facets()
@@ -188,7 +210,7 @@ def test_dp6_fiber_cho_oh_disks():
 
 
 def test_dp7_leg_two_half_pants():
-    res = run_case("dp7", "leg")
+    res = builtin_fixture("dp7").run("leg")
     assert sorted(res.contributions()) == [F(-1, 2), F(-1, 2)]
     kinds = sorted(
         tuple(sorted(v.kind.tag for v in g.graph.vertices)) for g in res.graphs
@@ -198,12 +220,12 @@ def test_dp7_leg_two_half_pants():
 
 
 def test_dp7_diag_total():
-    res = run_case("dp7", "diag")
+    res = builtin_fixture("dp7").run("diag")
     assert res.total() == -1
 
 
 def test_dp5_three_disks():
-    res = run_case("dp5")
+    res = builtin_fixture("dp5").run()
     assert res.contributions() == [F(-1)] * 3
     split = [g for g in res.graphs
              if any(v.kind.tag == "pair_of_pants" for v in g.graph.vertices)]
@@ -211,20 +233,20 @@ def test_dp5_three_disks():
 
 
 def test_dp4_exactly_four():
-    res = run_case("dp4")
+    res = builtin_fixture("dp4").run()
     assert res.contributions() == [F(-1)] * 4
 
 
 def test_dp3_multiset():
-    res = run_case("dp3")
+    res = builtin_fixture("dp3").run()
     counts = Counter(res.contributions())
     assert counts == {F(-1): 6, F(-1, 2): 6, F(3, 2): 2}
 
 
 def test_dp2_breakdowns():
-    res1 = run_case("dp2", "l1")
+    res1 = builtin_fixture("dp2").run("l1")
     assert res1.total() == -12
-    res2 = run_case("dp2", "l2")
+    res2 = builtin_fixture("dp2").run("l2")
     assert res2.total() == -12
     by_root = {1: F(0), 2: F(0)}
     for g in res2.graphs:
@@ -235,7 +257,7 @@ def test_dp2_breakdowns():
 
 
 def test_dp1_total_and_cancellation():
-    res = run_case("dp1")
+    res = builtin_fixture("dp1").run()
     assert res.total() == -60
     pairs = cancellation_report(res)
     assert pairs
@@ -249,12 +271,12 @@ def test_dp1_total_and_cancellation():
 
 
 def test_cancellation_report_empty_without_covers():
-    assert cancellation_report(run_case("dp6", "segment")) == []
-    assert cancellation_report(run_case("dp4")) == []
+    assert cancellation_report(builtin_fixture("dp6").run("segment")) == []
+    assert cancellation_report(builtin_fixture("dp4").run()) == []
 
 
 def test_p1xp1_no_disks():
-    res = run_case("p1xp1")
+    res = builtin_fixture("p1xp1").run()
     assert res.graphs == []
     assert res.total() == 0
 
@@ -262,26 +284,18 @@ def test_p1xp1_no_disks():
 # -- stability properties -----------------------------------------------------
 
 
-ALL_CASES = [("p1xp1", None), ("dp6", "segment"), ("dp6", "trivalent"),
-             ("dp6", "fiber"), ("dp7", "leg"), ("dp7", "diag"), ("dp5", None),
-             ("dp4", None), ("dp3", None), ("dp2", "l1"), ("dp2", "l2"),
-             ("dp1", None)]
-
-
-@pytest.mark.parametrize("name,case", ALL_CASES)
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
 def test_bounds_saturation(name, case):
     fx = builtin_fixture(name)
-    c = fx.case(case)
-    args = (fx.diagram_for(case), fx.lagrangian_for(case), fx.constraint(case))
-    base = enumerate_disks(*args, c.bounds, flags=c.flags)
-    bumped = enumerate_disks(*args, c.bounds.bumped(), flags=c.flags)
+    base = fx.run(case)
+    bumped = fx.run(case, fx.case(case).bounds.bumped())
     assert base.total() == bumped.total()
 
 
-@pytest.mark.parametrize("name,case", ALL_CASES)
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
 def test_determinism(name, case):
-    r1 = run_case(name, case)
-    r2 = run_case(name, case)
+    r1 = builtin_fixture(name).run(case)
+    r2 = builtin_fixture(name).run(case)
     assert [g.graph.signature() for g in r1.graphs] == [
         g.graph.signature() for g in r2.graphs
     ]
@@ -289,18 +303,21 @@ def test_determinism(name, case):
 
 
 def test_constraint_position_independence_dp6_segment():
-    assert run_case("dp6", "segment").total() == run_case("dp6", "segment_alt").total()
+    fx = builtin_fixture("dp6")
+    assert fx.run("segment").total() == fx.run("segment_alt").total()
 
 
 def test_constraint_position_independence_dp7():
-    assert run_case("dp7", "leg").total() == -1
-    assert run_case("dp7", "leg_alt").total() == -1
-    assert run_case("dp7", "diag").total() == -1
+    fx = builtin_fixture("dp7")
+    assert fx.run("leg").total() == -1
+    assert fx.run("leg_alt").total() == -1
+    assert fx.run("diag").total() == -1
 
 
 def test_constraint_position_independence_dp5_dp4():
-    assert run_case("dp5").total() == run_case("dp5", "segment_alt").total()
-    assert run_case("dp4").total() == run_case("dp4", "sphere_alt").total()
+    dp5, dp4 = builtin_fixture("dp5"), builtin_fixture("dp4")
+    assert dp5.run().total() == dp5.run("segment_alt").total()
+    assert dp4.run().total() == dp4.run("sphere_alt").total()
 
 
 SIGNED_PERMS = [
@@ -349,9 +366,7 @@ def test_enumeration_equivariance_under_signed_permutations(name, case):
     diagram = fx.diagram_for(case)
     lag = fx.lagrangian_for(case)
     constraint = fx.constraint(case)
-    reference = sorted(
-        enumerate_disks(diagram, lag, constraint, c.bounds, flags=c.flags).contributions()
-    )
+    reference = sorted(fx.run(case).contributions())
     for m in SIGNED_PERMS:
         d2, l2, c2, f2 = _transform_all(diagram, lag, constraint, c.flags, m)
         assert d2.validate() == []

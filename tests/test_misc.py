@@ -68,10 +68,7 @@ def test_incomplete_result_raises_in_potential():
 
 
 def test_signature_distinguishes_open_flag():
-    fx = builtin_fixture("dp7")
-    case = fx.case("leg")
-    res = enumerate_disks(fx.diagram, fx.lagrangian_for("leg"),
-                          fx.constraint("leg"), case.bounds, flags=case.flags)
+    res = builtin_fixture("dp7").run("leg")
     sigs = {g.graph.signature() for g in res.graphs}
     assert len(sigs) == len(res.graphs)
     opens = [e for g in res.graphs for e in g.graph.edges if e.open]
@@ -81,10 +78,7 @@ def test_signature_distinguishes_open_flag():
 
 
 def test_open_edge_directions_half_integral_on_diagonal_legs():
-    fx = builtin_fixture("dp3")
-    case = fx.case()
-    res = enumerate_disks(fx.diagram, fx.lagrangian_for(), fx.constraint(),
-                          case.bounds, flags=case.flags)
+    res = builtin_fixture("dp3").run()
     halves = [
         e.direction
         for g in res.graphs

@@ -211,16 +211,11 @@ def _aut_reference(graph):
 
 
 def test_aut_order_matches_reference_on_fixture_graphs():
-    from tropdisk.enumerate import enumerate_disks
     from tropdisk.fixtures import builtin_fixture
 
     checked = 0
     for name, case in (("dp6", "trivalent"), ("dp4", None), ("dp1", None)):
-        fx = builtin_fixture(name)
-        c = fx.case(case)
-        res = enumerate_disks(fx.diagram_for(case), fx.lagrangian_for(case),
-                              fx.constraint(case), c.bounds, flags=c.flags)
-        for g in res.graphs:
+        for g in builtin_fixture(name).run(case).graphs:
             assert aut_order(g.graph) == _aut_reference(g.graph)
             checked += 1
     assert checked > 10
