@@ -9,7 +9,6 @@ from .multiplicity import (
     VertexKind,
     aut_order,
     graph_contribution,
-    maslov_contribution,
     multiplicity,
 )
 from .diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex

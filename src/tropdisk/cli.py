@@ -28,7 +28,7 @@ from .enumerate import (
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .geometry import GeometryError, Vec, frac
 from .lagrangian import LagGraph
-from .multiplicity import DEFAULT_CONVENTION, aut_order, multiplicity
+from .multiplicity import DEFAULT_CONVENTION, SignConvention, aut_order, multiplicity
 from .render import render_svg
 
 EXIT_OK = 0
@@ -72,18 +72,39 @@ def _parse_bounds(spec: str):
 
 
 def _parse_constraint(spec: Optional[str], lag: Optional[LagGraph]) -> Constraint:
+    """edge:K@T (edge index K, rational T in (0, 1)) or point:X,Y (rationals)."""
     if spec is None:
         raise GeometryError("a constraint is required: edge:K@T or point:X,Y")
-    if spec.startswith("edge:"):
-        body = spec[len("edge:"):]
-        index, t = body.split("@")
-        if lag is None:
-            raise GeometryError("edge constraints need a Lagrangian")
-        return Constraint.on_lagrangian(lag, int(index), frac(t))
-    if spec.startswith("point:"):
-        x, y = spec[len("point:"):].split(",")
-        return Constraint.interior_point(Vec(frac(x), frac(y)))
-    raise GeometryError(f"cannot parse constraint {spec!r}")
+    kind, _, body = spec.partition(":")
+    try:
+        if kind == "edge":
+            index, t = body.split("@")
+            index, t = int(index), frac(t)
+        elif kind == "point":
+            x, y = body.split(",")
+            point = Vec(frac(x), frac(y))
+        else:
+            raise ValueError(kind)
+    except (ValueError, ZeroDivisionError):
+        raise GeometryError(
+            f"cannot parse constraint {spec!r}: expected edge:K@T or point:X,Y") from None
+    if kind == "point":
+        return Constraint.interior_point(point)
+    if lag is None:
+        raise GeometryError("edge constraints need a Lagrangian")
+    return Constraint.on_lagrangian(lag, index, t)
+
+
+def _load_convention(path) -> SignConvention:
+    """DEFAULT_CONVENTION merged with a JSON file {"pant_sign": [[D, sign], ...]}."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            return DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
+        except (ValueError, TypeError) as exc:
+            raise GeometryError(f"malformed convention file {path}: {exc!r}") from exc
 
 
 def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:
@@ -145,11 +166,7 @@ def cmd_potential(args) -> int:
     if args.bounds:
         v, l = _parse_bounds(args.bounds)
         bounds = replace(bounds, max_vertices=v, max_lattice_length=l)
-    convention = DEFAULT_CONVENTION
-    if args.convention:
-        with open(args.convention) as fh:
-            data = json.load(fh)
-        convention = DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
+    convention = _load_convention(args.convention) if args.convention else DEFAULT_CONVENTION
     problems = diagram.validate()
     if lag is not None:
         problems += lag.is_allowable(diagram)

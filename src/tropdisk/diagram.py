@@ -154,7 +154,10 @@ class BaseDiagram:
         positions = []
         for j, ff in enumerate(self.focus_foci):
             prim_ok = True
-            if not ff.pi.is_integral() or not ff.pi:
+            if not ff.pi:
+                violations.append(f"shear_direction_zero:{j}")
+                prim_ok = False
+            elif not ff.pi.is_integral():
                 violations.append(f"shear_direction_not_integral:{j}")
                 prim_ok = False
             else:
@@ -264,7 +267,7 @@ class BaseDiagram:
         with open(path) as fh:
             try:
                 diagram = cls.from_json_dict(json.load(fh))
-            except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
                 raise GeometryError(f"malformed diagram file {path}: {exc!r}") from exc
         problems = diagram.validate()
         if problems:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import GeometryError, Vec, frac
-from .multiplicity import VertexKind
+from .multiplicity import CORNER_CAP, VertexKind
 
 CONSTRAINT_LAGRANGIAN = "lagrangian"
 CONSTRAINT_INTERIOR = "interior"
@@ -25,6 +25,10 @@ class Constraint:
         t = frac(t)
         if not (0 < t < 1):
             raise GeometryError("constraint parameter must be strictly inside the edge")
+        if not (0 <= edge_index < len(lag.edges)):
+            raise GeometryError(
+                f"constraint edge {edge_index} out of range: the Lagrangian has "
+                f"{len(lag.edges)} edge(s)")
         edge = lag.edges[edge_index]
         a = lag.position(edge.endpoints[0])
         b = lag.position(edge.endpoints[1])
@@ -54,11 +58,14 @@ class DiskGraph:
     vertices: List[DiskVertex]
     edges: List[DiskEdge]
     constraint: Optional[Constraint] = None
-    corner_mode: bool = False
-    notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
         self._index: Dict[str, int] = {v.id: i for i, v in enumerate(self.vertices)}
+
+    @property
+    def corner_mode(self) -> bool:
+        """The graph ends in a corner cap (a rim continuation into a corner)."""
+        return any(v.kind.tag == CORNER_CAP for v in self.vertices)
 
     def index_of(self, vid: str) -> int:
         return self._index[vid]

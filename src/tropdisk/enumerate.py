@@ -21,7 +21,7 @@ common denominator, and only actual hits are turned back into Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +58,6 @@ from .multiplicity import (
     PANT,
     PANT_SEAM,
     PERP_COLLISION,
-    STRIP_CAP,
     THREE_STRIP,
     SignConvention,
     VertexKind,
@@ -68,7 +67,6 @@ from .multiplicity import (
     focus_cover_pair,
     graph_contribution,
     graph_index_diagnostic,
-    graph_maslov,
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
@@ -122,21 +120,15 @@ class _EdgeSpec:
 class _Completion:
     vertices: Tuple[_VertexSpec, ...]
     edges: Tuple[_EdgeSpec, ...]
-    notes: Tuple[str, ...] = ()
 
-    def prepend(self, vertices, edges, notes=()) -> "_Completion":
-        return _Completion(
-            tuple(vertices) + self.vertices,
-            tuple(edges) + self.edges,
-            tuple(notes) + self.notes,
-        )
+    def prepend(self, vertices, edges) -> "_Completion":
+        return _Completion(tuple(vertices) + self.vertices, tuple(edges) + self.edges)
 
 
 @dataclass
 class EnumeratedGraph:
     graph: DiskGraph
     contribution: Fraction
-    maslov: int
     rigidity: int
 
 
@@ -321,24 +313,17 @@ class _Tracer:
         pix, piy = self.shear_table[j]
         if prim[0] * piy - prim[1] * pix != 0:
             return []  # the ray would run through a nodal fiber: not generic
+        leg = (_EdgeSpec(p, ff.position, dirval),)
+        return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
+
+    def _focus_vertices(self, j, ell) -> List[_VertexSpec]:
+        """The ell-fold cover of focus j, then for ell >= 2 its desingularized
+        partner (the pair nets zero)."""
+        ff = self.diagram.focus_foci[j]
         w = ff.weight()
-        out = [
-            _Completion(
-                (_VertexSpec(ff.position, focus_cover(ell, j, w)),),
-                (_EdgeSpec(p, ff.position, dirval),),
-            )
-        ]
+        out = [_VertexSpec(ff.position, focus_cover(ell, j, w))]
         if ell >= 2:
-            # the desingularized multi-cover partner; the pair nets zero
-            note = f"cover_pair:{j}:{ell}"
-            out[0] = replace(out[0], notes=(note,))
-            out.append(
-                _Completion(
-                    (_VertexSpec(ff.position, focus_cover_pair(ell, j, w)),),
-                    (_EdgeSpec(p, ff.position, dirval),),
-                    (note,),
-                )
-            )
+            out.append(_VertexSpec(ff.position, focus_cover_pair(ell, j, w)))
         return out
 
     def _boundary_end(self, p, dirval, point, facet_ids) -> List[_Completion]:
@@ -386,7 +371,6 @@ class _Tracer:
                             _EdgeSpec(p, point, dirval),
                             _EdgeSpec(point, corner, tangent),
                         ),
-                        (f"corner_cap:{tuple(corner)}",),
                     )
                 )
         return out
@@ -435,38 +419,19 @@ class _Tracer:
             if not self._leg_clear(w_origin, j):
                 continue
             w = Vec(Fraction(w_origin[0], w_origin[2]), Fraction(w_origin[1], w_origin[2]))
-            wt = ff.weight()
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
                 m = sub_ell * sign
                 arrival = Vec(pix * m, piy * m)
                 d2 = Vec(dx - pix * m, dy - piy * m)
                 rest = self.trace(w, d2, crossings, splits - 1)
+                if not rest:
+                    continue
+                pants = _VertexSpec(w, pair_of_pants(arrival, d2))
+                legs = [_EdgeSpec(p, w, dirval), _EdgeSpec(w, ff.position, arrival)]
+                focus_vertices = self._focus_vertices(j, sub_ell)
                 for completion in rest:
-                    focus_vertex = _VertexSpec(ff.position, focus_cover(sub_ell, j, wt))
-                    variants = [(focus_vertex, ())]
-                    if sub_ell >= 2:
-                        note = f"cover_pair:{j}:{sub_ell}"
-                        variants = [
-                            (focus_vertex, (note,)),
-                            (
-                                _VertexSpec(ff.position, focus_cover_pair(sub_ell, j, wt)),
-                                (note,),
-                            ),
-                        ]
-                    for fv, notes in variants:
-                        out.append(
-                            completion.prepend(
-                                [
-                                    _VertexSpec(w, pair_of_pants(arrival, d2)),
-                                    fv,
-                                ],
-                                [
-                                    _EdgeSpec(p, w, dirval),
-                                    _EdgeSpec(w, ff.position, arrival),
-                                ],
-                                notes,
-                            )
-                        )
+                    for fv in focus_vertices:
+                        out.append(completion.prepend([pants, fv], legs))
         return out
 
     def _leg_clear(self, origin, focus_j: int) -> bool:
@@ -514,12 +479,11 @@ def _build_graph(constraint, root_specs, root_edges, completion: _Completion) ->
         by_pos[key] = vid
 
     edges = []
-    corner = any(n.startswith("corner_cap") for n in completion.notes)
     for spec in list(root_edges) + list(completion.edges):
         a = by_pos[tuple(spec.start)]
         b = by_pos[tuple(spec.end)]
         edges.append(DiskEdge((a, b), spec.direction, spec.open))
-    return DiskGraph(vertices, edges, constraint, corner, completion.notes)
+    return DiskGraph(vertices, edges, constraint)
 
 
 # -- rigidity ------------------------------------------------------------------
@@ -566,9 +530,6 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
                 facet = diagram.facets()[fi]
                 nrm = facet.inward_normal
                 add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
-        elif tag == CORNER_CAP:
-            add_row({2 * i: 1}, v.position.x)
-            add_row({2 * i + 1: 1}, v.position.y)
         elif tag == CYLINDER:
             pinned = False
             for j, (start, end) in enumerate(diagram.branch_cuts()):
@@ -591,7 +552,7 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
                 b = lag.position(edge.endpoints[1])
                 d = b - a
                 add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * a.x - d.x * a.y)
-        elif tag in (PANT_SEAM, THREE_STRIP, STRIP_CAP):
+        elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
             add_row({2 * i: 1}, v.position.x)
             add_row({2 * i + 1: 1}, v.position.y)
 
@@ -693,10 +654,10 @@ def enumerate_disks(
             warnings.append(f"dropped non-rigid graph (dim={dim})")
             continue
         contribution = graph_contribution(g, convention)
-        maslov = graph_maslov(g)
-        if graph_index_diagnostic(g) != 2:
-            warnings.append(f"index diagnostic != 2 for a counted graph ({maslov})")
-        out.append(EnumeratedGraph(g, contribution, maslov, dim))
+        index = graph_index_diagnostic(g)
+        if index != 2:
+            warnings.append(f"index diagnostic != 2 for a counted graph ({index})")
+        out.append(EnumeratedGraph(g, contribution, dim))
     return EnumerationResult(out, [], warnings)
 
 
@@ -798,21 +759,20 @@ def corner_projection(direction: Vec, facet_normal: Vec, facet_tangent: Vec) -> 
 
 
 def cancellation_report(result: EnumerationResult) -> List[Tuple[EnumeratedGraph, EnumeratedGraph]]:
-    """Pairs of cover/desingularized graphs with opposite contributions."""
-    by_note: Dict[Tuple, List[EnumeratedGraph]] = {}
+    """Pairs of cover/desingularized graphs with opposite contributions.
+
+    Graphs are grouped by each multiple cover (ell >= 2) they contain, keyed
+    by "cover_pair:{focus}:{ell}" and the positions and ells of all their
+    focus vertices; a group of two with opposite contributions is a pair.
+    """
+    groups: Dict[Tuple, List[EnumeratedGraph]] = {}
     for g in result.graphs:
-        for note in g.graph.notes:
-            if note.startswith("cover_pair"):
-                geometry = tuple(
-                    sorted(
-                        (tuple(v.position), v.kind.ell)
-                        for v in g.graph.vertices
-                        if v.kind.tag in (FOCUS_COVER, FOCUS_COVER_PAIR)
-                    )
-                )
-                by_note.setdefault((note, geometry), []).append(g)
+        covers = [v for v in g.graph.vertices if v.kind.tag in (FOCUS_COVER, FOCUS_COVER_PAIR)]
+        geometry = tuple(sorted((tuple(v.position), v.kind.ell) for v in covers))
+        for k in (v.kind for v in covers if v.kind.ell >= 2):
+            groups.setdefault((f"cover_pair:{k.index}:{k.ell}", geometry), []).append(g)
     pairs = []
-    for key, group in sorted(by_note.items()):
+    for key, group in sorted(groups.items()):
         if len(group) == 2 and group[0].contribution == -group[1].contribution:
             pairs.append((group[0], group[1]))
     return pairs

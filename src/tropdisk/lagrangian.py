@@ -332,7 +332,7 @@ class LagGraph:
         with open(path) as fh:
             try:
                 return cls.from_json_dict(json.load(fh))
-            except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
                 raise GeometryError(f"malformed Lagrangian file {path}: {exc!r}") from exc
 
 

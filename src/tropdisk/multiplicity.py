@@ -5,10 +5,12 @@ Signs for the holomorphic pant depend on non-canonical choices (relative spin
 structures), so they are looked up in a configurable convention table; the
 magnitudes are always D/2 where D is the pant determinant.
 
-Two bookkeeping kinds sit alongside the geometric ones: FIBER_ROOT marks the
-interior-point constraint end of a Cho-Oh disk, and FOCUS_COVER_PAIR is the
-desingularized partner of a double cover of a vanishing sphere (it cancels the
-corresponding FOCUS_COVER contribution exactly).
+Three bookkeeping kinds sit alongside the geometric ones: FIBER_ROOT marks
+the interior-point constraint end of a Cho-Oh disk, CORNER_CAP ends a rim
+continuation in a polygon corner, and FOCUS_COVER_PAIR is the desingularized
+partner of a multiple cover of a vanishing sphere (it cancels the
+corresponding FOCUS_COVER contribution exactly).  A vertex's kind is the one
+record of its multiplicity and its index contribution.
 """
 
 from __future__ import annotations
@@ -32,20 +34,7 @@ THREE_STRIP = "three_ended_strip"
 
 FIBER_ROOT = "fiber_root"
 CORNER_CAP = "corner_cap"
-STRIP_CAP = "strip_cap"
 FOCUS_COVER_PAIR = "focus_cover_pair"
-
-GEOMETRIC_KINDS = (
-    CYLINDER,
-    PAIR_OF_PANTS,
-    BOUNDARY_COLLISION,
-    FOCUS_COVER,
-    PERP_COLLISION,
-    PANT,
-    PANT_SEAM,
-    TWO_STRIP,
-    THREE_STRIP,
-)
 
 
 class UnclassifiableVertex(GeometryError):
@@ -188,30 +177,9 @@ def multiplicity(kind: VertexKind, convention: SignConvention = DEFAULT_CONVENTI
         if d == 0:
             raise GeometryError("pant with closed edge along the Lagrangian")
         return Fraction(convention.pant_sign(d) * d, 2)
-    if tag in (PANT_SEAM, TWO_STRIP, THREE_STRIP, FIBER_ROOT, CORNER_CAP, STRIP_CAP):
+    if tag in (PANT_SEAM, TWO_STRIP, THREE_STRIP, FIBER_ROOT, CORNER_CAP):
         return Fraction(1)
     raise HigherValenceVertex(f"no multiplicity known for kind {tag!r}")
-
-
-def maslov_contribution(kind: VertexKind) -> int:
-    """Index bookkeeping per vertex (diagnostic only; never gates the search)."""
-    tag = kind.tag
-    if tag in (BOUNDARY_COLLISION, CORNER_CAP, STRIP_CAP):
-        return 2
-    if tag in (PAIR_OF_PANTS, THREE_STRIP):
-        return -2
-    if tag in (
-        CYLINDER,
-        FOCUS_COVER,
-        FOCUS_COVER_PAIR,
-        PERP_COLLISION,
-        PANT,
-        PANT_SEAM,
-        TWO_STRIP,
-        FIBER_ROOT,
-    ):
-        return 0
-    raise HigherValenceVertex(f"no index contribution known for kind {tag!r}")
 
 
 # -- graph-level weights ------------------------------------------------------
@@ -220,15 +188,14 @@ def maslov_contribution(kind: VertexKind) -> int:
 def aut_order(graph) -> int:
     """Order of the automorphism group of a solved disk graph.
 
-    Brute force over vertex bijections preserving position and kind; a
-    bijection counts when it maps the edge multiset (with directions and the
-    open/closed flags) to itself.  Literally identical parallel edges (same
-    endpoints, same data) contribute a factorial of their multiplicity on
-    top.  Disk graphs here are tiny, so this is never a bottleneck.
+    A vertex bijection preserving position and kind permutes each class of
+    vertices with equal (kind, position) within itself, so only products of
+    permutations of those classes are tried; a bijection counts when it maps
+    the edge multiset (with directions and the open/closed flags) to itself.
+    Literally identical parallel edges (same endpoints, same data) contribute
+    a factorial of their multiplicity on top.
     """
     verts = graph.vertices
-    n = len(verts)
-    keys = [(v.kind, v.position) for v in verts]
 
     def edge_key(a_id: str, b_id: str, e) -> tuple:
         fwd = (a_id, b_id, tuple(e.direction), e.open)
@@ -240,16 +207,19 @@ def aut_order(graph) -> int:
         key = edge_key(e.endpoints[0], e.endpoints[1], e)
         base[key] = base.get(key, 0) + 1
 
-    candidates: List[List[int]] = [
-        [j for j in range(n) if keys[j] == keys[i]] for i in range(n)
-    ]
+    classes: Dict[tuple, List[int]] = {}
+    for i, v in enumerate(verts):
+        classes.setdefault((v.kind, v.position), []).append(i)
+    groups = list(classes.values())
+    ends = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]), e)
+            for e in graph.edges]
     count = 0
-    for perm in itertools.permutations(range(n)):
-        if any(perm[i] not in candidates[i] for i in range(n)):
-            continue
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm: Dict[int, int] = {}
+        for group, image in zip(groups, images):
+            perm.update(zip(group, image))
         mapped: Dict[tuple, int] = {}
-        for e in graph.edges:
-            ia, ib = graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1])
+        for ia, ib, e in ends:
             key = edge_key(verts[perm[ia]].id, verts[perm[ib]].id, e)
             mapped[key] = mapped.get(key, 0) + 1
         if mapped == base:
@@ -268,21 +238,23 @@ def graph_contribution(graph, convention: SignConvention = DEFAULT_CONVENTION) -
     return total
 
 
-def graph_maslov(graph) -> int:
-    return sum(maslov_contribution(v.kind) for v in graph.vertices)
-
-
 def index_diagnostic(kind: VertexKind) -> int:
-    """Internal index count with closed univalent ends at +2.
+    """Index contribution of one vertex (diagnostic only; never gates the search).
 
-    maslov_contribution pins focus-focus covers to 0 so that the published
-    per-graph sums come out as printed; for the engine's own sanity check the
-    closed univalent vertices all count +2 (their moduli are two-dimensional),
-    which makes every counted graph total exactly 2.
+    Closed univalent ends (boundary collisions, corner caps, focus covers and
+    their desingularized partners) count +2, since their moduli are
+    two-dimensional; pairs of pants and three-ended strips count -2; every
+    other kind counts 0.  A counted graph should total exactly 2; the
+    enumerator warns about one that does not.
     """
-    if kind.tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
+    tag = kind.tag
+    if tag in (BOUNDARY_COLLISION, CORNER_CAP, FOCUS_COVER, FOCUS_COVER_PAIR):
         return 2
-    return maslov_contribution(kind)
+    if tag in (PAIR_OF_PANTS, THREE_STRIP):
+        return -2
+    if tag in (CYLINDER, PERP_COLLISION, PANT, PANT_SEAM, TWO_STRIP, FIBER_ROOT):
+        return 0
+    raise HigherValenceVertex(f"no index contribution known for kind {tag!r}")
 
 
 def graph_index_diagnostic(graph) -> int:

@@ -92,6 +92,36 @@ def test_convention_override(tmp_path, capsys):
     assert "total W_L = 1" in out  # both half pants flipped to +1/2
 
 
+@pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",
+                                  "edge:-1@1/2"])
+def test_malformed_constraint_is_validation_error(tmp_path, capsys, spec):
+    fx = builtin_fixture("dp6")
+    dpath = tmp_path / "dp6.diagram.json"
+    lpath = tmp_path / "segment.lag.json"
+    fx.diagram.save(dpath)
+    fx.lagrangians["segment"].save(lpath)
+    code, out, err = run_cli(capsys, "potential", "--diagram", str(dpath),
+                             "--lagrangian", str(lpath), "--constraint", spec)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("{not", id="not-json"),
+    pytest.param(json.dumps([[1, 1]]), id="json-list"),
+    pytest.param(json.dumps({"pant_sign": [[1]]}), id="short-entry"),
+])
+def test_malformed_convention_is_validation_error(tmp_path, capsys, content):
+    convention = tmp_path / "signs.json"
+    convention.write_text(content)
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp7",
+                             "--convention", str(convention))
+    assert code == 1
+    assert err.startswith("error:") and str(convention) in err
+    assert out == ""
+
+
 def test_missing_inputs_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "potential")
     assert code == 1
@@ -192,7 +222,11 @@ def test_render_with_disks_needs_fixture(tmp_path, capsys):
     pytest.param(json.dumps({"name": "bad"}), None, id="no-polygon"),
     pytest.param(json.dumps({"polygon": [[1, 0, 0, 1], [0, 1, 1, 1], [-1, 1, 0, 1]]}),
                  None, id="zero-denominator"),
+    pytest.param(json.dumps({"polygon": [[1, 0, 1], [0, 1, 1, 1], [-1, 1, 0, 1]]}),
+                 None, id="polygon-entry-length"),
     pytest.param(None, json.dumps({"edges": []}), id="lagrangian-without-vertices"),
+    pytest.param(None, json.dumps({"vertices": [{"id": "a", "position": [[0, 1]]}],
+                                   "edges": []}), id="lagrangian-position-length"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
     dpath = tmp_path / "d.json"

@@ -36,6 +36,16 @@ def test_nonprimitive_shear_direction_flagged(hexagon):
     assert any(v.startswith("shear_direction_not_primitive") for v in bad.validate())
 
 
+def test_zero_shear_direction_flagged(hexagon):
+    bad = BaseDiagram(
+        "bad", list(hexagon.polygon),
+        [FocusFocus(Vec(0, 0), pi=Vec(0, 0), sigma=Vec(0, 1))],
+    )
+    problems = bad.validate()
+    assert "shear_direction_zero:0" in problems
+    assert not any(v.startswith("shear_direction_not_integral") for v in problems)
+
+
 def test_focus_on_facet_flagged(hexagon):
     bad = BaseDiagram(
         "bad", list(hexagon.polygon),

@@ -29,7 +29,9 @@ from tropdisk.multiplicity import (
     CORNER_CAP,
     FIBER_ROOT,
     FOCUS_COVER_PAIR,
+    VertexKind,
     boundary_collision,
+    cylinder,
     focus_cover,
     pair_of_pants,
     perp_collision,
@@ -149,6 +151,21 @@ def test_enumerated_graphs_are_rigid_and_revalidate():
                 if v.kind.tag == "focus_cover":
                     assert rederived.ell == v.kind.ell
                     assert rederived.weight == v.kind.weight
+
+
+def test_corner_mode_reads_the_corner_cap_kind():
+    root = DiskVertex("v0", Vec(0, 0), perp_collision(1))
+    plain = DiskGraph(
+        [root, DiskVertex("v1", Vec(1, 0), boundary_collision(0))],
+        [DiskEdge(("v0", "v1"), Vec(1, 0))],
+    )
+    corner = DiskGraph(
+        [root, DiskVertex("v1", Vec(1, 0), cylinder()),
+         DiskVertex("v2", Vec(1, 1), VertexKind(CORNER_CAP))],
+        [DiskEdge(("v0", "v1"), Vec(1, 0)), DiskEdge(("v1", "v2"), Vec(0, 1))],
+    )
+    assert plain.corner_mode is False
+    assert corner.corner_mode is True
 
 
 # -- boundary hits ------------------------------------------------------------

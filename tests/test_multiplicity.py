@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from tropdisk.diskgraph import DiskEdge, DiskGraph, DiskVertex
 from tropdisk.geometry import Vec, apply_matrix
 from tropdisk.multiplicity import (
+    CORNER_CAP,
     DEFAULT_CONVENTION,
+    FIBER_ROOT,
     HigherValenceVertex,
+    VertexKind,
     aut_order,
     boundary_collision,
     cylinder,
@@ -16,7 +19,7 @@ from tropdisk.multiplicity import (
     focus_cover_pair,
     graph_contribution,
     holomorphic_pant,
-    maslov_contribution,
+    index_diagnostic,
     multiplicity,
     pair_of_pants,
     pant_determinant,
@@ -96,17 +99,17 @@ def test_degenerate_pair_of_pants_rejected():
 
 
 def test_maslov_contributions():
-    assert maslov_contribution(boundary_collision(0)) == 2
-    assert maslov_contribution(three_ended_strip()) == -2
-    assert maslov_contribution(pair_of_pants(Vec(1, 0), Vec(0, 1))) == -2
-    for kind in (cylinder(), focus_cover(1), perp_collision(1),
-                 holomorphic_pant(Vec(1, 0), Vec(1, 1)), pant_seam(),
-                 two_ended_strip()):
-        assert maslov_contribution(kind) == 0
-    # the degree-four graph reading: one perpendicular collision, one
-    # boundary end, two focus-focus vertices sums to the disk index 2
-    kinds = [perp_collision(1), boundary_collision(0), focus_cover(1), focus_cover(1)]
-    assert sum(maslov_contribution(k) for k in kinds) == 2
+    # closed univalent ends count +2, focus covers and their partners included
+    for kind in (boundary_collision(0), VertexKind(CORNER_CAP), focus_cover(1),
+                 focus_cover(2), focus_cover_pair(2)):
+        assert index_diagnostic(kind) == 2
+    assert index_diagnostic(three_ended_strip()) == -2
+    assert index_diagnostic(pair_of_pants(Vec(1, 0), Vec(0, 1))) == -2
+    for kind in (cylinder(), perp_collision(1), holomorphic_pant(Vec(1, 0), Vec(1, 1)),
+                 pant_seam(), two_ended_strip(), VertexKind(FIBER_ROOT)):
+        assert index_diagnostic(kind) == 0
+    with pytest.raises(HigherValenceVertex):
+        index_diagnostic(VertexKind("mystery"))
 
 
 def shear_matrices():
