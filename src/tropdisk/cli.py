@@ -28,7 +28,7 @@ from .enumerate import (
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .geometry import GeometryError, Vec, frac
 from .lagrangian import LagGraph
-from .multiplicity import DEFAULT_CONVENTION, SignConvention, aut_order, multiplicity
+from .multiplicity import DEFAULT_CONVENTION, SignConvention
 from .render import render_svg
 
 EXIT_OK = 0
@@ -115,11 +115,11 @@ def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:
                 {
                     "kind": v.kind.label(),
                     "position": [_rat(v.position.x), _rat(v.position.y)],
-                    "multiplicity": _rat(multiplicity(v.kind)),
+                    "multiplicity": _rat(weight),
                 }
-                for v in g.graph.vertices
+                for v, weight in zip(g.graph.vertices, g.weights)
             ],
-            "aut_order": aut_order(g.graph),
+            "aut_order": g.aut_order,
             "contribution": _rat(g.contribution),
             "rigidity_dimension": g.rigidity,
         })

@@ -65,8 +65,8 @@ from .multiplicity import (
     cylinder,
     focus_cover,
     focus_cover_pair,
-    graph_contribution,
     graph_index_diagnostic,
+    graph_weights,
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
@@ -130,6 +130,8 @@ class EnumeratedGraph:
     graph: DiskGraph
     contribution: Fraction
     rigidity: int
+    aut_order: int
+    weights: Tuple[Fraction, ...]  # vertex multiplicities under the convention used
 
 
 @dataclass
@@ -495,7 +497,8 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
 
     Unknowns are the vertex positions (2 each).  Equations: collinearity of
     each edge with its fixed direction, anchor incidences per vertex kind and
-    the point constraint.  Exact Gaussian elimination over the rationals.
+    the point constraint.  The rational rows go to `_row_reduce`, which
+    finds the rank and solvability exactly in integers.
     """
     n = len(graph.vertices)
     cols = 2 * n
@@ -503,11 +506,11 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
     rhs: List[Fraction] = []
 
     def add_row(coeffs: Dict[int, Fraction], b) -> None:
-        row = [Fraction(0)] * cols
+        row = [0] * cols
         for c, val in coeffs.items():
-            row[c] = Fraction(val)
+            row[c] = val
         rows.append(row)
-        rhs.append(Fraction(b))
+        rhs.append(b)
 
     for e in graph.edges:
         ia = graph.index_of(e.endpoints[0])
@@ -577,29 +580,44 @@ def _root_vertex(graph: DiskGraph) -> Optional[DiskVertex]:
 
 
 def _row_reduce(rows, rhs, cols) -> Tuple[int, bool]:
-    matrix = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    """Rank of the rational system rows . x = rhs, and whether it is solvable.
+
+    The entries of `rows` and `rhs` are ints or Fractions.  Fraction-free forward elimination (Bareiss 1968): each row, with its
+    right-hand side appended, is scaled once to integers.  Pivoting on row k
+    replaces every row below it by (pv * row - f * top) // prev, where pv is
+    the pivot, f the row's entry in the pivot column and prev the previous
+    pivot (1 at the start); by Sylvester's identity the division is exact.
+    Elimination stops at echelon form, since only the rank is needed.
+    """
+    matrix = []
+    for row, b in zip(rows, rhs):
+        entries = [*row, b]
+        den = 1
+        for x in entries:
+            d = x.denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+        matrix.append([x.numerator * (den // x.denominator) for x in entries])
+    n = len(matrix)
     rank = 0
+    prev = 1
     for col in range(cols):
-        pivot = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
+        if rank == n:
+            break
+        pivot = next((r for r in range(rank, n) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        pv = matrix[rank][col]
-        matrix[rank] = [x / pv for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        top = matrix[rank]
+        pv = top[col]
+        for r in range(rank + 1, n):
+            row = matrix[r]
+            f = row[col]
+            matrix[r] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
         rank += 1
-        if rank == len(matrix):
-            break
-    consistent = all(
-        row[-1] == 0 or any(x != 0 for x in row[:-1]) for row in matrix
-    )
+    # rows below the rank are zero in every coefficient column
+    consistent = all(row[-1] == 0 for row in matrix[rank:])
     return rank, consistent
 
 
@@ -653,11 +671,11 @@ def enumerate_disks(
         if dim != 0:
             warnings.append(f"dropped non-rigid graph (dim={dim})")
             continue
-        contribution = graph_contribution(g, convention)
+        aut, weights, contribution = graph_weights(g, convention)
         index = graph_index_diagnostic(g)
         if index != 2:
             warnings.append(f"index diagnostic != 2 for a counted graph ({index})")
-        out.append(EnumeratedGraph(g, contribution, dim))
+        out.append(EnumeratedGraph(g, contribution, dim, aut, weights))
     return EnumerationResult(out, [], warnings)
 
 

@@ -173,16 +173,31 @@ class Ray:
         return self.origin + self.direction * frac(t)
 
 
+def _cleared(u: Fraction, v: Fraction, w: Fraction) -> Tuple[int, int, int]:
+    """u, v and w times the product of their denominators."""
+    du, dv, dw = u.denominator, v.denominator, w.denominator
+    return u.numerator * dv * dw, v.numerator * du * dw, w.numerator * du * dv
+
+
 def point_on_segment(p: Vec, a: Vec, b: Vec, closed: bool = True) -> bool:
-    """Exact test for p on the segment [a, b] (open or closed)."""
-    ab = b - a
-    ap = p - a
-    if det2(ab, ap) != 0:
+    """Exact test for p on the segment [a, b] (open or closed).
+
+    p is on it when (p - a) x (b - a) = 0 and 0 <= (p - a).(b - a) <= |b - a|^2,
+    strictly for the open segment; a point segment a == b thus holds every p
+    when closed and none when open.  The test runs in integers: x and y are
+    each scaled by the product of their three denominators, an affine change
+    that keeps lines and the order of points along them.
+    """
+    px, ax, bx = _cleared(p.x, a.x, b.x)
+    py, ay, by = _cleared(p.y, a.y, b.y)
+    abx, aby = bx - ax, by - ay
+    apx, apy = px - ax, py - ay
+    if abx * apy != aby * apx:
         return False
-    t = rational_length(ap, ab) if ab else Fraction(0)
+    dot = apx * abx + apy * aby
     if closed:
-        return 0 <= t <= 1
-    return 0 < t < 1
+        return 0 <= dot <= abx * abx + aby * aby
+    return 0 < dot < abx * abx + aby * aby
 
 
 def segment_parameter(p: Vec, a: Vec, b: Vec) -> Optional[Fraction]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import GeometryError, Vec, det2, primitive
 
@@ -231,11 +231,20 @@ def aut_order(graph) -> int:
     return count * extra
 
 
+def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION
+                  ) -> Tuple[int, Tuple[Fraction, ...], Fraction]:
+    """The automorphism order, the vertex multiplicities (in vertex order)
+    and the contribution: the product of the multiplicities over the order."""
+    aut = aut_order(graph)
+    weights = tuple(multiplicity(v.kind, convention) for v in graph.vertices)
+    total = Fraction(1, aut)
+    for m in weights:
+        total *= m
+    return aut, weights, total
+
+
 def graph_contribution(graph, convention: SignConvention = DEFAULT_CONVENTION) -> Fraction:
-    total = Fraction(1, aut_order(graph))
-    for v in graph.vertices:
-        total *= multiplicity(v.kind, convention)
-    return total
+    return graph_weights(graph, convention)[2]
 
 
 def index_diagnostic(kind: VertexKind) -> int:

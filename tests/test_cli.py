@@ -1,9 +1,12 @@
+import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from tropdisk import cli
 from tropdisk.cli import main
 from tropdisk.fixtures import builtin_fixture
 
@@ -90,6 +93,40 @@ def test_convention_override(tmp_path, capsys):
                            "--convention", str(convention))
     assert code == 0
     assert "total W_L = 1" in out  # both half pants flipped to +1/2
+
+
+def test_report_weights_follow_the_convention(tmp_path, capsys):
+    convention = tmp_path / "signs.json"
+    convention.write_text(json.dumps({"pant_sign": [[1, 1]]}))
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp7", "--case", "leg",
+                           "--convention", str(convention), "--json")
+    assert code == 0
+    graphs = json.loads(out)["graphs"]
+    assert graphs
+    for g in graphs:
+        product = F(1, g["aut_order"])
+        for v in g["vertices"]:
+            product *= F(*v["multiplicity"])
+            if v["kind"].startswith("holomorphic_pant"):
+                assert v["multiplicity"] == [1, 2]
+        assert product == F(*g["contribution"])
+
+
+def test_report_reads_each_aut_order_once(capsys, monkeypatch):
+    # the package re-exports the function `multiplicity` under the module's name
+    weights = importlib.import_module("tropdisk.multiplicity")
+    calls = []
+    real = weights.aut_order
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(weights, "aut_order", counting)
+    monkeypatch.setattr(cli, "aut_order", counting, raising=False)
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp1", "--json")
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["graphs"]) == 14
 
 
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",

@@ -131,6 +131,66 @@ def test_row_reduce_rank_matches_brute_force_minors():
         assert rank == _minor_rank(rows, cols)
 
 
+def _row_reduce_reference(rows, rhs, cols):
+    """Fraction Gauss-Jordan elimination, the former body of `_row_reduce`."""
+    matrix = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(matrix)):
+            if matrix[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        pv = matrix[rank][col]
+        matrix[rank] = [x / pv for x in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+        if rank == len(matrix):
+            break
+    consistent = all(
+        row[-1] == 0 or any(x != 0 for x in row[:-1]) for row in matrix
+    )
+    return rank, consistent
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, cols, drifted) with rational entries and right-hand sides.
+
+    Some appended rows combine two earlier rows, with the right-hand side
+    combined the same way plus a drift; a nonzero drift makes the system
+    inconsistent on purpose.
+    """
+    entry = st.just(F(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    cols = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(n)]
+    rhs = [draw(entry) for _ in range(n)]
+    drifted = False
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        s, t, drift = draw(entry), draw(entry), draw(entry)
+        rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+        rhs.append(s * rhs[i] + t * rhs[j] + drift)
+        drifted = drifted or drift != 0
+    return rows, rhs, cols, drifted
+
+
+@given(linear_systems())
+def test_row_reduce_agrees_with_fraction_reference(system):
+    rows, rhs, cols, drifted = system
+    rank, consistent = _row_reduce(rows, rhs, cols)
+    assert (rank, consistent) == _row_reduce_reference(rows, rhs, cols)
+    if drifted:
+        assert not consistent
+
+
 def test_enumerated_graphs_are_rigid_and_revalidate():
     for name, case in SHIPPED_CASES:
         fx = builtin_fixture(name)

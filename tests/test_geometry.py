@@ -265,6 +265,44 @@ def test_integer_ray_point_agrees_with_fraction_reference(origin, d, q, alpha):
     assert expected == (t if t > 0 else None)
 
 
+def reference_point_on_segment(p, a, b, closed=True):
+    """Fraction-only segment incidence, the former body of point_on_segment."""
+    ab = b - a
+    ap = p - a
+    if det2(ab, ap) != 0:
+        return False
+    t = rational_length(ap, ab) if ab else F(0)
+    if closed:
+        return 0 <= t <= 1
+    return 0 < t < 1
+
+
+@st.composite
+def point_segment_cases(draw):
+    """(p, a, b), with endpoints, collinear points and point segments on purpose."""
+    a, b = draw(vecs(small_rats)), draw(vecs(small_rats))
+    kind = draw(st.sampled_from(["generic", "endpoint", "collinear", "point_segment"]))
+    if kind == "point_segment":
+        b = a
+    if kind == "endpoint":
+        p = draw(st.sampled_from([a, b]))
+    elif kind == "collinear":
+        # inside the segment and beyond either end
+        p = a + (b - a) * draw(st.fractions(min_value=-3, max_value=4, max_denominator=6))
+    else:
+        p = draw(vecs(small_rats))
+    return p, a, b
+
+
+@given(point_segment_cases(), st.booleans())
+def test_point_on_segment_agrees_with_fraction_reference(case, closed):
+    p, a, b = case
+    got = point_on_segment(p, a, b, closed)
+    assert got == reference_point_on_segment(p, a, b, closed)
+    if a == b:
+        assert got == closed
+
+
 def test_unimodular_guard():
     with pytest.raises(GeometryError):
         unimodular(2, 0, 0, 2)
