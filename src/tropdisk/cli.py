@@ -159,7 +159,9 @@ def cmd_potential(args) -> int:
     fixture, case_name, diagram, lag, label = _load_inputs(args)
     if fixture is not None:
         case = fixture.case(case_name)
-        constraint, bounds, flags = fixture.constraint(case_name), case.bounds, case.flags
+        bounds, flags = case.bounds, case.flags
+        constraint = (fixture.constraint(case_name) if args.constraint is None
+                      else _parse_constraint(args.constraint, lag))
     else:
         constraint = _parse_constraint(args.constraint, lag)
         bounds, flags = SearchBounds(), NO_FLAGS
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="enumerate disks and sum the potential")
     add_common(p)
-    p.add_argument("--constraint", help="edge:K@T or point:X,Y (file inputs)")
+    p.add_argument("--constraint", help="edge:K@T or point:X,Y; with --fixture it replaces "
+                   "the case's constraint (same diagram, Lagrangian, bounds, flags)")
     p.add_argument("--bounds", help="V,L search bounds")
     p.add_argument("--convention", help="pant sign override JSON file")
     p.add_argument("--svg", help="also write an SVG rendering here")

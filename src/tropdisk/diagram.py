@@ -15,12 +15,15 @@ from typing import List, Optional, Tuple
 
 from .geometry import (
     GeometryError,
-    Ray,
     Vec,
     det2,
+    homogeneous,
+    integer_rows,
     point_on_segment,
+    primitive,
     primitive_and_length,
-    ray_segment_intersect,
+    ray_at,
+    ray_segment_hit,
     shear_apply,
 )
 
@@ -33,9 +36,6 @@ class Facet:
     def line_value(self) -> Fraction:
         """c with the facet on <normal, x> = c and the interior on > c."""
         return self.inward_normal.dot(self.endpoints[0])
-
-    def tangent(self) -> Vec:
-        return self.endpoints[1] - self.endpoints[0]
 
 
 @dataclass(frozen=True)
@@ -94,42 +94,77 @@ class BaseDiagram:
                 a, b = self.polygon[i], self.polygon[(i + 1) % n]
                 edge = b - a
                 # inward normal: rotate the ccw edge left
-                normal = Vec(-edge.y, edge.x)
-                prim, _ = primitive_and_length(
-                    normal if normal.is_integral() else _clear_denominators(normal)
-                )
-                out.append(Facet((a, b), prim))
+                out.append(Facet((a, b), primitive(Vec(-edge.y, edge.x))))
             self._facets = out
+            self._facet_rows = integer_rows([facet.endpoints for facet in out])
+            self._normals = [facet.inward_normal.as_int_pair() for facet in out]
         return self._facets
+
+    def facet_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
+        """The facets as `integer_rows`, over the polygon's own scale."""
+        self.facets()
+        return self._facet_rows
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
         """Cut segments (focus position -> boundary exit point)."""
         if self._cuts is None:
             out = []
             for ff in self.focus_foci:
-                hit = self._boundary_hit(Ray(ff.position, ff.cut_direction()))
-                if hit is None:
+                end = self._cut_exit(ff)
+                if end is None:
                     raise GeometryError(
                         f"branch cut of focus at {ff.position!r} never reaches the boundary"
                     )
-                out.append((ff.position, hit))
+                out.append((ff.position, end))
             self._cuts = out
+            self._cut_rows = integer_rows(out)
         return self._cuts
 
-    def _boundary_hit(self, ray: Ray) -> Optional[Vec]:
-        best = None
-        for facet in self.facets():
-            hit = ray_segment_intersect(ray, *facet.endpoints)
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-        return best[1] if best else None
+    def cut_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
+        """The cuts as `integer_rows`, over the cuts' own scale; row[:2] is the focus."""
+        self.branch_cuts()
+        return self._cut_rows
+
+    def boundary_hit(self, origin, d) -> Optional[Tuple[int, int, List[int]]]:
+        """(t_num, t_den, facets) where the open ray origin + t d first meets
+        the boundary, or None; origin is homogeneous, d an integer pair and t
+        in units of d.  `facets` lists, in order, every facet hit at t: one,
+        or the two that meet at a corner."""
+        rows, scale = self.facet_rows()
+        best, facets = None, []
+        for i, row in enumerate(rows):
+            hit = ray_segment_hit(origin, d, row, scale)
+            if hit is None:
+                continue
+            if best is None or hit[0] * best[1] < best[0] * hit[1]:
+                best, facets = hit, [i]
+            elif hit[0] * best[1] == best[0] * hit[1]:
+                facets.append(i)
+        if best is None:
+            return None
+        return best[0], best[1], facets
+
+    def _cut_exit(self, ff: FocusFocus) -> Optional[Vec]:
+        """Where the branch cut of ff first meets the boundary, or None."""
+        origin = homogeneous(ff.position)
+        d = primitive(ff.cut_direction()).as_int_pair()
+        hit = self.boundary_hit(origin, d)
+        return None if hit is None else ray_at(origin, d, hit[0], hit[1])[1]
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
-        for facet in self.facets():
-            v = facet.inward_normal.dot(p) - facet.line_value()
+        X, Y, W = homogeneous(p)
+        rows, scale = self.facet_rows()
+        for (ax, ay, _, _), (nx, ny) in zip(rows, self._normals):
+            # scale * W * (<normal, p> - line_value), a positive multiple
+            v = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
             if v < 0 or (strict and v == 0):
                 return False
         return True
+
+    def cut_through(self, p: Vec) -> Optional[int]:
+        """Index of the first branch cut containing p, or None."""
+        cuts = enumerate(self.branch_cuts())
+        return next((j for j, (a, b) in cuts if point_on_segment(p, a, b)), None)
 
     # -- spec operations ----------------------------------------------------
 
@@ -172,6 +207,7 @@ class BaseDiagram:
                 violations.append(f"shear_not_unipotent:{j}")
             if ff.cut_sign not in (1, -1):
                 violations.append(f"branch_cut_sign_invalid:{j}")
+                prim_ok = False
             if not self.contains(ff.position, strict=True):
                 violations.append(f"focus_not_interior:{j}")
                 prim_ok = False
@@ -179,8 +215,7 @@ class BaseDiagram:
                 violations.append(f"focus_positions_not_distinct:{j}")
             positions.append(ff.position)
             if prim_ok:
-                ray = Ray(ff.position, ff.cut_direction())
-                hit = self._boundary_hit(ray)
+                hit = self._cut_exit(ff)
                 if hit is None:
                     violations.append(f"branch_cut_misses_boundary:{j}")
                 else:
@@ -201,9 +236,9 @@ class BaseDiagram:
         for i, facet in enumerate(self.facets()):
             if point_on_segment(p, *facet.endpoints):
                 return PointClass(ON_FACET, i)
-        for j, (start, end) in enumerate(self.branch_cuts()):
-            if point_on_segment(p, start, end):
-                return PointClass(ON_BRANCH_CUT, j)
+        j = self.cut_through(p)
+        if j is not None:
+            return PointClass(ON_BRANCH_CUT, j)
         return PointClass(INTERIOR)
 
     def cross_branch_cut(self, j: int, direction: Vec, crossing_side: int) -> Vec:
@@ -281,8 +316,3 @@ def _vec_from_pairs(entry) -> Vec:
         return Vec(Fraction(entry[0], entry[1]), Fraction(entry[2], entry[3]))
     (xn, xd), (yn, yd) = entry
     return Vec(Fraction(xn, xd), Fraction(yn, yd))
-
-
-def _clear_denominators(v: Vec) -> Vec:
-    scale = v.x.denominator * v.y.denominator
-    return v * scale

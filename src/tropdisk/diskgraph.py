@@ -86,9 +86,6 @@ class DiskGraph:
                 out.append((e, -e.direction))
         return out
 
-    def valence(self, vid: str) -> int:
-        return len(self.adjacent(vid))
-
     def signature(self):
         """Canonical hashable form for dedup and deterministic ordering."""
         verts = sorted(

@@ -13,9 +13,9 @@ sheared, cylinder bookkeeping vertex inserted), split at points pinned by a
 focus-focus value (pair-of-pants vertex), and must terminate either at a
 focus-focus value along its shear direction or on the boundary with primitive
 normal direction.  Everything is exact rational arithmetic; results are
-deterministic and duplicate-free.  The tracer scans events in integers: the
-facets, branch cuts, focus values and Lagrangian edges are scaled once to a
-common denominator, and only actual hits are turned back into Fractions.
+deterministic and duplicate-free.  The tracer scans events in integers: it
+reads the diagram's integer facet and branch-cut rows, adds the Lagrangian
+edges as rows of their own, and turns only actual hits back into Fractions.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ from .geometry import (
     Vec,
     det2,
     homogeneous,
-    point_on_segment,
+    integer_rows,
     primitive,
     primitive_and_length,
+    ray_at,
     ray_point_param,
     ray_segment_hit,
-    scaled,
 )
 from .lagrangian import LagGraph
 from .multiplicity import (
@@ -154,11 +154,10 @@ class EnumerationResult:
 class _Tracer:
     """Exhaustive ray tracing on integer line tables.
 
-    The facets, branch cuts, focus positions and Lagrangian edges are scaled
-    once to one common denominator, and every ray origin is written as a
-    homogeneous (X, Y, W) triple, so each event test is an integer cross
-    product.  The arithmetic stays exact; only actual hits re-enter as
-    Fractions and Vecs.
+    It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
+    edges as rows of their own; every ray origin is a homogeneous (X, Y, W)
+    triple, so each event test is an integer cross product.  The arithmetic
+    stays exact; only actual hits re-enter as Fractions and Vecs.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -168,42 +167,19 @@ class _Tracer:
         self.bounds = bounds
         self.flags = flags
         self.facets = diagram.facets()
-        foci = diagram.focus_foci
-        facet_segments = [facet.endpoints for facet in self.facets]
-        cuts = diagram.branch_cuts()
-        lag_segments = [] if lag is None else [
+        self.cut_rows, self.cut_scale = diagram.cut_rows()
+        self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
+        self.lag_rows, self.lag_scale = integer_rows([] if lag is None else [
             (lag.position(e.endpoints[0]), lag.position(e.endpoints[1])) for e in lag.edges
-        ]
-        points = [q for seg in facet_segments + cuts + lag_segments for q in seg]
-        points += [ff.position for ff in foci]
-        self.scale = math.lcm(*(c.denominator for q in points for c in q))
-
-        def table(segments):
-            return [scaled(a, self.scale) + scaled(b - a, self.scale) for a, b in segments]
-
-        self.facet_table = table(facet_segments)
-        self.cut_table = list(zip(table(cuts), (ff.cut_direction().as_int_pair() for ff in foci)))
-        self.focus_table = [scaled(ff.position, self.scale) for ff in foci]
-        self.lag_table = table(lag_segments)
-        self.shear_table = [ff.pi.as_int_pair() for ff in foci]
+        ])
 
     # -- event scanning -------------------------------------------------------
-
-    @staticmethod
-    def _at(origin, d, t_num: int, t_den: int) -> Tuple[Fraction, Vec]:
-        """(t, origin + t d) as exact rationals."""
-        X, Y, W = origin
-        den = W * t_den
-        return Fraction(t_num, t_den), Vec(
-            Fraction(X * t_den + d[0] * t_num * W, den),
-            Fraction(Y * t_den + d[1] * t_num * W, den),
-        )
 
     def _lambda_hit(self, origin, prim, limit: Fraction) -> Optional[Fraction]:
         """Smallest t in (0, limit] at which the ray meets the Lagrangian graph."""
         best = None
-        for row in self.lag_table:
-            hit = ray_segment_hit(origin, prim, row, self.scale)
+        for row in self.lag_rows:
+            hit = ray_segment_hit(origin, prim, row, self.lag_scale)
             if hit is None or hit[0] * limit.denominator > limit.numerator * hit[1]:
                 continue
             t = Fraction(hit[0], hit[1])
@@ -212,40 +188,26 @@ class _Tracer:
         return best
 
     def _boundary_hit(self, origin, prim) -> Optional[Tuple[Fraction, Vec, List[int]]]:
-        """(t, point, facets) of the first boundary meeting, or None.
-
-        `facets` lists every facet hit at that parameter, in facet order: one
-        facet, or the two that meet at a corner.
-        """
-        best, facets = None, []
-        for i, row in enumerate(self.facet_table):
-            hit = ray_segment_hit(origin, prim, row, self.scale)
-            if hit is None:
-                continue
-            if best is None or hit[0] * best[1] < best[0] * hit[1]:
-                best, facets = hit, [i]
-            elif hit[0] * best[1] == best[0] * hit[1]:
-                facets.append(i)
-        if best is None:
-            return None
-        return self._at(origin, prim, best[0], best[1]) + (facets,)
+        """(t, point, facets) of the first boundary meeting, or None."""
+        hit = self.diagram.boundary_hit(origin, prim)
+        return None if hit is None else ray_at(origin, prim, hit[0], hit[1]) + (hit[2],)
 
     def _cut_events(self, origin, prim) -> List[Tuple[Fraction, int, Vec]]:
         events = []
-        for j, (row, (cx, cy)) in enumerate(self.cut_table):
-            if prim[0] * cy - prim[1] * cx == 0:
+        for j, row in enumerate(self.cut_rows):
+            if prim[0] * row[3] - prim[1] * row[2] == 0:
                 continue  # parallel: running along a cut is shear-invariant
-            hit = ray_segment_hit(origin, prim, row, self.scale)
+            hit = ray_segment_hit(origin, prim, row, self.cut_scale)
             if hit is None or hit[2] == 0:
                 continue  # s = 0: meeting the focus itself is a focus event
-            t, point = self._at(origin, prim, hit[0], hit[1])
+            t, point = ray_at(origin, prim, hit[0], hit[1])
             events.append((t, j, point))
         return events
 
     def _focus_events(self, origin, prim) -> List[Tuple[Fraction, int]]:
         events = []
-        for j, q in enumerate(self.focus_table):
-            t = ray_point_param(origin, prim, q, self.scale)
+        for j, row in enumerate(self.cut_rows):
+            t = ray_point_param(origin, prim, row[:2], self.cut_scale)
             if t is not None and t[0] > 0:
                 events.append((Fraction(*t), j))
         return events
@@ -294,7 +256,8 @@ class _Tracer:
             t, j, point = min(cut_events)
             if crossings <= 0:
                 return completions
-            cx, cy = self.cut_table[j][1]
+            # a cut row runs along its cut direction
+            _, _, cx, cy = self.cut_rows[j]
             side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
             new_dir = self.diagram.cross_branch_cut(j, dirval, side)
             rest = self.trace(point, new_dir, crossings - 1, splits)
@@ -393,7 +356,7 @@ class _Tracer:
         if splits <= 0:
             return []
         X, Y, W = origin
-        scale = self.scale
+        scale = self.cut_scale
         dx, dy = dirval.as_int_pair()
         out = []
         for j, ff in enumerate(self.diagram.focus_foci):
@@ -402,7 +365,7 @@ class _Tracer:
             if cross == 0:
                 continue  # the ray runs along the shear line: no split point
             # focus - origin = (rx, ry) / (scale W); w = origin + t prim = focus + u pi
-            fx, fy = self.focus_table[j]
+            fx, fy, _, _ = self.cut_rows[j]
             rx, ry = fx * W - X * scale, fy * W - Y * scale
             t_num = rx * piy - ry * pix
             u_num = rx * prim[1] - ry * prim[0]
@@ -443,24 +406,24 @@ class _Tracer:
         (focus - w) * scale * W, so the focus sits at t = 1 / (scale * W).
         """
         X, Y, W = origin
-        scale = self.scale
-        fx, fy = self.focus_table[focus_j]
+        scale = self.cut_scale
+        fx, fy, _, _ = self.cut_rows[focus_j]
         d = (fx * W - X * scale, fy * W - Y * scale)
         reach = scale * W   # t * reach is the fraction of the leg travelled
-        for k, q in enumerate(self.focus_table):
+        for k, row in enumerate(self.cut_rows):
             if k == focus_j:
                 continue
-            t = ray_point_param(origin, d, q, scale)
+            t = ray_point_param(origin, d, row[:2], scale)
             if t is not None and 0 <= t[0] and t[0] * reach <= t[1]:
                 return False
-        for row, (cx, cy) in self.cut_table:
-            if d[0] * cy - d[1] * cx == 0:
+        for row in self.cut_rows:
+            if d[0] * row[3] - d[1] * row[2] == 0:
                 continue
             hit = ray_segment_hit(origin, d, row, scale)
             if hit is not None and hit[0] * reach < hit[1]:
                 return False  # a hit at the focus itself is where its own cut starts
-        for row in self.lag_table:
-            hit = ray_segment_hit(origin, d, row, scale)
+        for row in self.lag_rows:
+            hit = ray_segment_hit(origin, d, row, self.lag_scale)
             if hit is not None and hit[0] * reach <= hit[1]:
                 return False
         return True
@@ -534,15 +497,13 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
                 nrm = facet.inward_normal
                 add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
         elif tag == CYLINDER:
-            pinned = False
-            for j, (start, end) in enumerate(diagram.branch_cuts()):
-                if point_on_segment(v.position, start, end):
-                    d = end - start
-                    # on the cut line: det2(x - start, d) = 0
-                    add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * start.x - d.x * start.y)
-                    pinned = True
-                    break
-            if not pinned:
+            j = diagram.cut_through(v.position)
+            if j is not None:
+                start, end = diagram.branch_cuts()[j]
+                d = end - start
+                # on the cut line: det2(x - start, d) = 0
+                add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * start.x - d.x * start.y)
+            else:
                 for fi in diagram.facets_through(v.position):
                     facet = diagram.facets()[fi]
                     nrm = facet.inward_normal
@@ -635,7 +596,6 @@ def _direction_candidates(bound: int) -> List[Vec]:
             if x == 0 and y == 0:
                 continue
             out.append(Vec(x, y))
-    out.sort(key=lambda v: (v.x, v.y))
     return out
 
 

@@ -5,11 +5,12 @@ primitives in this module.  Coordinates of `Vec` are `fractions.Fraction`;
 there is no floating point and no tolerance anywhere.
 
 Ray incidence has one integer kernel, `ray_segment_hit` and `ray_point_param`:
-points are homogeneous (X, Y, W) triples or integer pairs over a common
-denominator, and every decision is an integer cross product, so it stays
-exact.  The disk tracer calls the kernel directly on tables scaled once per
-diagram; `ray_segment_intersect` is its Fraction front end, and results
-re-enter as Fractions.
+a ray origin is a homogeneous (X, Y, W) triple, a line table is the rows of
+`integer_rows` over the table's own scale, and every decision is an integer
+cross product, so it stays exact.  Ray parameters come back in units of the
+ray direction whatever the scale, so hits on different tables compare
+directly.  `ray_at` turns a hit back into Fractions; `ray_segment_intersect`
+is the Fraction front end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -84,9 +85,6 @@ class Vec:
     def dot(self, other: "Vec") -> Fraction:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
 
@@ -100,9 +98,6 @@ class Vec:
             [self.x.numerator, self.x.denominator],
             [self.y.numerator, self.y.denominator],
         ]
-
-
-ZERO = Vec(0, 0)
 
 
 def det2(a: Vec, b: Vec) -> Fraction:
@@ -233,6 +228,24 @@ def scaled(v: Vec, scale: int) -> Tuple[int, int]:
     return (x.numerator, y.numerator)
 
 
+def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
+    """(rows, scale): row (ax, ay, ex, ey) is the segment [a, b] as (a + s e)/scale,
+    s in [0, 1], the form `ray_segment_hit` reads; scale is the least common
+    denominator of all the endpoints."""
+    scale = math.lcm(*(c.denominator for seg in segments for q in seg for c in q))
+    return [scaled(a, scale) + scaled(b - a, scale) for a, b in segments], scale
+
+
+def ray_at(origin, d, t_num: int, t_den: int) -> Tuple[Fraction, Vec]:
+    """(t, origin + t d) as exact rationals, for a homogeneous origin and integer d."""
+    X, Y, W = origin
+    den = W * t_den
+    return Fraction(t_num, t_den), Vec(
+        Fraction(X * t_den + d[0] * t_num * W, den),
+        Fraction(Y * t_den + d[1] * t_num * W, den),
+    )
+
+
 def ray_point_param(origin, d, q, scale: int) -> Optional[Tuple[int, int]]:
     """Parameter of the point q/scale on the line origin + t d, or None.
 
@@ -296,12 +309,9 @@ def ray_segment_intersect(ray: Ray, a: Vec, b: Vec) -> Optional[Tuple[Fraction, 
     positive parameter at which the ray enters the segment.  A Fraction
     front end to `ray_segment_hit`.
     """
-    d = ray.direction
-    k = math.lcm(d.x.denominator, d.y.denominator)
-    scale = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
-    hit = ray_segment_hit(
-        homogeneous(ray.origin), scaled(d, k), scaled(a, scale) + scaled(b - a, scale), scale
-    )
+    dx, dy, k = homogeneous(ray.direction)
+    (row,), scale = integer_rows([(a, b)])
+    hit = ray_segment_hit(homogeneous(ray.origin), (dx, dy), row, scale)
     if hit is None:
         return None
     t = Fraction(hit[0] * k, hit[1])

@@ -57,9 +57,7 @@ class VertexKind:
     weight: int = 1                # stack size of the focus-focus value
 
     def label(self) -> str:
-        if self.tag == FOCUS_COVER:
-            return f"{self.tag}(l={self.ell})"
-        if self.tag == PERP_COLLISION:
+        if self.tag in (FOCUS_COVER, PERP_COLLISION):
             return f"{self.tag}(l={self.ell})"
         if self.tag == PANT:
             return f"{self.tag}(D={pant_determinant(self)})"

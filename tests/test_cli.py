@@ -1,11 +1,13 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import tropdisk
 from tropdisk import cli
 from tropdisk.cli import main
 from tropdisk.fixtures import builtin_fixture
@@ -129,6 +131,26 @@ def test_report_reads_each_aut_order_once(capsys, monkeypatch):
     assert len(calls) == len(json.loads(out)["graphs"]) == 14
 
 
+def test_fixture_constraint_replaces_the_case_constraint(capsys):
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp6",
+                           "--constraint", "edge:0@5/16", "--json")
+    assert code == 0
+    moved = json.loads(out)
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp6",
+                           "--case", "segment_alt", "--json")
+    assert code == 0
+    case = json.loads(out)
+    assert (moved["total"], moved["graphs"]) == (case["total"], case["graphs"])
+
+
+def test_fixture_constraint_is_validated(capsys):
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp6",
+                             "--constraint", "edge:9@1/2")
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",
                                   "edge:-1@1/2"])
 def test_malformed_constraint_is_validation_error(tmp_path, capsys, spec):
@@ -230,9 +252,12 @@ def test_table_json(capsys):
 
 
 def test_entry_point_runs():
+    # the child process imports the same tropdisk as this one, installed or not
+    src = os.path.dirname(os.path.dirname(tropdisk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tropdisk.cli", "potential", "--fixture", "p1xp1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "total W_L = 0" in proc.stdout

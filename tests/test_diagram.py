@@ -16,7 +16,13 @@ from tropdisk.diagram import (
     FocusFocus,
 )
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
-from tropdisk.geometry import Vec, primitive_and_length
+from tropdisk.geometry import (
+    Ray,
+    Vec,
+    primitive,
+    primitive_and_length,
+    ray_segment_intersect,
+)
 
 
 @pytest.fixture
@@ -52,6 +58,15 @@ def test_focus_on_facet_flagged(hexagon):
         [FocusFocus(Vec(F(1, 2), F(1, 2)), pi=Vec(1, 0), sigma=Vec(0, 1))],
     )
     assert any(v.startswith("focus_not_interior") for v in bad.validate())
+
+
+def test_zero_cut_sign_flagged(hexagon):
+    # a zero sign gives a zero cut direction: flagged, with no cut traced
+    bad = BaseDiagram(
+        "bad", list(hexagon.polygon),
+        [FocusFocus(Vec(0, 0), pi=Vec(1, 0), sigma=Vec(0, 1), cut_sign=0)],
+    )
+    assert bad.validate() == ["branch_cut_sign_invalid:0"]
 
 
 def test_classify_point_examples(hexagon):
@@ -110,6 +125,83 @@ def test_branch_cuts_pairwise_disjoint(name):
                 if inter is not None:
                     # only boundary contact is tolerated
                     assert not diagram.contains(inter, strict=True)
+
+
+FIXTURE_DIAGRAMS = [
+    diagram
+    for fx in map(builtin_fixture, FIXTURE_NAMES)
+    for diagram in [fx.diagram, *fx.diagram_variants.values()]
+]
+
+
+def reference_contains(diagram, p, strict):
+    """BaseDiagram.contains in Fractions, kept as the reference."""
+    for facet in diagram.facets():
+        v = facet.inward_normal.dot(p) - facet.line_value()
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
+
+
+def reference_cut_exit(diagram, ff):
+    """First hit of the cut ray over the facets, by the Fraction front end."""
+    ray = Ray(ff.position, ff.cut_direction())
+    hits = [ray_segment_intersect(ray, *facet.endpoints) for facet in diagram.facets()]
+    return min((hit for hit in hits if hit is not None), key=lambda hit: hit[0])[1]
+
+
+offsets = st.just(0) | st.fractions(-2, 2, max_denominator=12)
+
+
+def _shifted(data, diagram):
+    """The polygon moved by a drawn rational shift, so its rows need a scale."""
+    shift = Vec(data.draw(offsets), data.draw(offsets))
+    return BaseDiagram("shifted", [v + shift for v in diagram.polygon])
+
+
+def _interior_point(data, polygon):
+    # all weights positive: strictly inside the convex polygon
+    weights = data.draw(st.lists(st.integers(1, 8), min_size=len(polygon),
+                                 max_size=len(polygon)))
+    return sum((v * w for v, w in zip(polygon, weights)), Vec(0, 0)) / sum(weights)
+
+
+@given(st.data())
+def test_contains_agrees_with_fraction_reference(data):
+    diagram = _shifted(data, data.draw(st.sampled_from(FIXTURE_DIAGRAMS)))
+    facet = data.draw(st.sampled_from(diagram.facets()))
+    a, b = facet.endpoints
+    where = data.draw(st.sampled_from(["corner", "facet", "interior"]))
+    if where == "corner":
+        base = a
+    elif where == "facet":
+        base = a + (b - a) * data.draw(st.fractions(0, 1, max_denominator=12))
+    else:
+        base = _interior_point(data, diagram.polygon)
+    # pushed off the base point along the facet normal: in, on or out
+    p = base + facet.inward_normal * data.draw(offsets)
+    for strict in (False, True):
+        assert diagram.contains(p, strict) == reference_contains(diagram, p, strict)
+
+
+@given(st.data())
+def test_cut_exits_agree_with_fraction_reference(data):
+    diagram = data.draw(st.sampled_from(FIXTURE_DIAGRAMS))
+    for ff, (start, end) in zip(diagram.focus_foci, diagram.branch_cuts()):
+        assert start == ff.position and end == reference_cut_exit(diagram, ff)
+    # a fresh focus anywhere inside, its cut aimed anywhere or at a corner
+    diagram = _shifted(data, diagram)
+    position = _interior_point(data, diagram.polygon)
+    corner = data.draw(st.none() | st.sampled_from(diagram.polygon))
+    if corner is None:
+        pi = primitive(Vec(*data.draw(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))))
+    else:
+        pi = primitive(corner - position)
+    ff = FocusFocus(position, pi=pi, sigma=Vec(pi.y, -pi.x),
+                    cut_sign=data.draw(st.sampled_from([1, -1])))
+    diagram.focus_foci.append(ff)
+    assert diagram.branch_cuts() == [(position, reference_cut_exit(diagram, ff))]
 
 
 def _segment_intersection(s1, s2):
