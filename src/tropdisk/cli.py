@@ -59,16 +59,19 @@ def _load_inputs(args):
     return None, None, diagram, lag, diagram.name
 
 
-def _parse_bounds(spec: str):
-    """V,L: two positive integers (vertex cap, lattice length cap)."""
-    parts = spec.split(",")
+def _parse_bounds(spec: str, bounds: SearchBounds) -> SearchBounds:
+    """V,L[,C,S] over `bounds`: vertex cap and lattice length cap (each >= 1),
+    then optionally the cut-crossing and split caps (each >= 0)."""
     try:
-        values = [int(part) for part in parts]
+        values = [int(part) for part in spec.split(",")]
     except ValueError:
         values = []
-    if len(values) != 2 or min(values) < 1:
-        raise GeometryError(f"--bounds takes two positive integers V,L, not {spec!r}")
-    return values
+    if len(values) not in (2, 4) or min(values[:2]) < 1 or min(values) < 0:
+        raise GeometryError(
+            f"--bounds takes V,L or V,L,C,S: V and L positive, C and S "
+            f"non-negative integers, not {spec!r}")
+    fields = ("max_vertices", "max_lattice_length", "max_cut_crossings", "max_splits")
+    return replace(bounds, **dict(zip(fields, values)))
 
 
 def _parse_constraint(spec: Optional[str], lag: Optional[LagGraph]) -> Constraint:
@@ -165,9 +168,8 @@ def cmd_potential(args) -> int:
     else:
         constraint = _parse_constraint(args.constraint, lag)
         bounds, flags = SearchBounds(), NO_FLAGS
-    if args.bounds:
-        v, l = _parse_bounds(args.bounds)
-        bounds = replace(bounds, max_vertices=v, max_lattice_length=l)
+    if args.bounds is not None:
+        bounds = _parse_bounds(args.bounds, bounds)
     convention = _load_convention(args.convention) if args.convention else DEFAULT_CONVENTION
     problems = diagram.validate()
     if lag is not None:
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--constraint", help="edge:K@T or point:X,Y; with --fixture it replaces "
                    "the case's constraint (same diagram, Lagrangian, bounds, flags)")
-    p.add_argument("--bounds", help="V,L search bounds")
+    p.add_argument("--bounds", help="V,L[,C,S] search bounds: vertex cap, lattice "
+                   "length cap, and optionally cut-crossing and split caps")
     p.add_argument("--convention", help="pant sign override JSON file")
     p.add_argument("--svg", help="also write an SVG rendering here")
     p.set_defaults(func=cmd_potential)

@@ -17,12 +17,13 @@ from .geometry import (
     GeometryError,
     Vec,
     det2,
+    from_homogeneous,
     homogeneous,
     integer_rows,
     point_on_segment,
     primitive,
     primitive_and_length,
-    ray_at,
+    ray_point,
     ray_segment_hit,
     shear_apply,
 )
@@ -149,7 +150,7 @@ class BaseDiagram:
         origin = homogeneous(ff.position)
         d = primitive(ff.cut_direction()).as_int_pair()
         hit = self.boundary_hit(origin, d)
-        return None if hit is None else ray_at(origin, d, hit[0], hit[1])[1]
+        return None if hit is None else from_homogeneous(ray_point(origin, d, hit[0], hit[1]))
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
         X, Y, W = homogeneous(p)
@@ -186,6 +187,10 @@ class BaseDiagram:
             c = self.polygon[(i + 2) % n]
             if det2(b - a, c - b) <= 0:
                 violations.append(f"polygon_not_convex_at:{i}")
+        # a repeated vertex leaves a facet without a normal: skip the focus
+        # checks that read the facets
+        repeats = [i for i in range(n) if self.polygon[i] in self.polygon[:i]]
+        violations += [f"polygon_repeats_vertex:{i}" for i in repeats]
         positions = []
         for j, ff in enumerate(self.focus_foci):
             prim_ok = True
@@ -208,7 +213,9 @@ class BaseDiagram:
             if ff.cut_sign not in (1, -1):
                 violations.append(f"branch_cut_sign_invalid:{j}")
                 prim_ok = False
-            if not self.contains(ff.position, strict=True):
+            if repeats:
+                prim_ok = False
+            elif not self.contains(ff.position, strict=True):
                 violations.append(f"focus_not_interior:{j}")
                 prim_ok = False
             if ff.position in positions:

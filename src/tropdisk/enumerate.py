@@ -14,8 +14,10 @@ focus-focus value (pair-of-pants vertex), and must terminate either at a
 focus-focus value along its shear direction or on the boundary with primitive
 normal direction.  Everything is exact rational arithmetic; results are
 deterministic and duplicate-free.  The tracer scans events in integers: it
-reads the diagram's integer facet and branch-cut rows, adds the Lagrangian
-edges as rows of their own, and turns only actual hits back into Fractions.
+reads the diagram's integer facet and branch-cut rows and adds the Lagrangian
+edges as rows of their own.  Its recursion carries points as homogeneous
+integer triples and directions as integer pairs; Fractions and Vecs are built
+only for completions.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from .geometry import (
     GeometryError,
     Vec,
     det2,
+    from_homogeneous,
     homogeneous,
     integer_rows,
     primitive,
     primitive_and_length,
-    ray_at,
+    ray_point,
     ray_point_param,
     ray_segment_hit,
 )
@@ -152,12 +155,15 @@ class EnumerationResult:
 
 
 class _Tracer:
-    """Exhaustive ray tracing on integer line tables.
+    """Exhaustive ray tracing on homogeneous integers.
 
     It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
-    edges as rows of their own; every ray origin is a homogeneous (X, Y, W)
-    triple, so each event test is an integer cross product.  The arithmetic
-    stays exact; only actual hits re-enter as Fractions and Vecs.
+    edges as rows of their own.  `trace` is the Vec front end; the recursion
+    `_trace` carries every ray origin, split point and cut crossing as a
+    homogeneous (X, Y, W) triple and every direction as an integer pair, so
+    each event test is an integer cross product and each comparison of ray
+    parameters a cross-multiplication.  Fractions and Vecs are built only for
+    completions.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -167,50 +173,59 @@ class _Tracer:
         self.bounds = bounds
         self.flags = flags
         self.facets = diagram.facets()
+        self.normals = [facet.inward_normal.as_int_pair() for facet in self.facets]
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
+        self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
         self.lag_rows, self.lag_scale = integer_rows([] if lag is None else [
             (lag.position(e.endpoints[0]), lag.position(e.endpoints[1])) for e in lag.edges
         ])
 
     # -- event scanning -------------------------------------------------------
 
-    def _lambda_hit(self, origin, prim, limit: Fraction) -> Optional[Fraction]:
-        """Smallest t in (0, limit] at which the ray meets the Lagrangian graph."""
-        best = None
+    def _lambda_hit(self, origin, prim, t_num: int, t_den: int) -> bool:
+        """Whether the ray meets the Lagrangian graph at some t in (0, t_num/t_den]."""
         for row in self.lag_rows:
             hit = ray_segment_hit(origin, prim, row, self.lag_scale)
-            if hit is None or hit[0] * limit.denominator > limit.numerator * hit[1]:
-                continue
-            t = Fraction(hit[0], hit[1])
-            if best is None or t < best:
-                best = t
-        return best
+            if hit is not None and hit[0] * t_den <= t_num * hit[1]:
+                return True
+        return False
 
-    def _boundary_hit(self, origin, prim) -> Optional[Tuple[Fraction, Vec, List[int]]]:
-        """(t, point, facets) of the first boundary meeting, or None."""
-        hit = self.diagram.boundary_hit(origin, prim)
-        return None if hit is None else ray_at(origin, prim, hit[0], hit[1]) + (hit[2],)
+    def _boundary_hit(self, origin, prim) -> Optional[Tuple[int, int, List[int]]]:
+        """(t_num, t_den, facets) of the first boundary meeting, or None."""
+        return self.diagram.boundary_hit(origin, prim)
 
-    def _cut_events(self, origin, prim) -> List[Tuple[Fraction, int, Vec]]:
-        events = []
+    def _events(self, origin, prim, b_num: int, b_den: int):
+        """(focus, cut): the earliest focus on the ray and the earliest cut it
+        crosses, each as (t_num, t_den, j) with t at most the boundary's
+        b_num/b_den, or None.  Ties keep the lowest index j."""
+        focus = cut = None
+        scale = self.cut_scale
+        px, py = prim
         for j, row in enumerate(self.cut_rows):
-            if prim[0] * row[3] - prim[1] * row[2] == 0:
+            t = ray_point_param(origin, prim, row[:2], scale)
+            if (t is not None and t[0] > 0 and t[0] * b_den <= b_num * t[1]
+                    and (focus is None or t[0] * focus[1] < focus[0] * t[1])):
+                focus = (t[0], t[1], j)
+            if px * row[3] - py * row[2] == 0:
                 continue  # parallel: running along a cut is shear-invariant
-            hit = ray_segment_hit(origin, prim, row, self.cut_scale)
+            hit = ray_segment_hit(origin, prim, row, scale)
             if hit is None or hit[2] == 0:
                 continue  # s = 0: meeting the focus itself is a focus event
-            t, point = ray_at(origin, prim, hit[0], hit[1])
-            events.append((t, j, point))
-        return events
+            if (hit[0] * b_den <= b_num * hit[1]
+                    and (cut is None or hit[0] * cut[1] < cut[0] * hit[1])):
+                cut = (hit[0], hit[1], j)
+        return focus, cut
 
-    def _focus_events(self, origin, prim) -> List[Tuple[Fraction, int]]:
-        events = []
-        for j, row in enumerate(self.cut_rows):
-            t = ray_point_param(origin, prim, row[:2], self.cut_scale)
-            if t is not None and t[0] > 0:
-                events.append((Fraction(*t), j))
-        return events
+    def _crossed(self, j: int, d, side: int) -> Tuple[int, int]:
+        """d carried across cut j: the shear d + side <sigma, d> pi."""
+        pix, piy = self.shear_table[j]
+        sx, sy = self.sigma_table[j]
+        if sx * pix + sy * piy != 0:
+            ff = self.diagram.focus_foci[j]
+            raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
+        k = side * (sx * d[0] + sy * d[1])
+        return d[0] + k * pix, d[1] + k * piy
 
     # -- the trace ------------------------------------------------------------
 
@@ -218,67 +233,56 @@ class _Tracer:
         """All valid continuations of a closed edge leaving p with value dirval."""
         if not dirval.is_integral():
             return []
-        dx, dy = dirval.as_int_pair()
-        ell = math.gcd(dx, dy)
-        prim = (dx // ell, dy // ell)
-        origin = homogeneous(p)
+        return self._trace(homogeneous(p), dirval.as_int_pair(), crossings, splits)
 
+    def _trace(self, origin, d, crossings: int, splits: int) -> List[_Completion]:
+        """`trace` from the homogeneous point origin along the integer pair d."""
+        ell = math.gcd(*d)
+        prim = (d[0] // ell, d[1] // ell)
         boundary = self._boundary_hit(origin, prim)
         if boundary is None:
             return []  # leaves the polygon without meeting it: malformed input
-        t_boundary = boundary[0]
+        b_num, b_den, facet_ids = boundary
+        focus, cut = self._events(origin, prim, b_num, b_den)
 
-        focus_events = [e for e in self._focus_events(origin, prim) if e[0] <= t_boundary]
-        cut_events = [e for e in self._cut_events(origin, prim) if e[0] <= t_boundary]
-        t_focus = min((e[0] for e in focus_events), default=None)
-        t_cut = min((e[0] for e in cut_events), default=None)
-
-        horizon = t_boundary
-        for t in (t_focus, t_cut):
-            if t is not None and t < horizon:
-                horizon = t
-        if self._lambda_hit(origin, prim, horizon) is not None:
+        horizon = (b_num, b_den)
+        for event in (focus, cut):
+            if event is not None and event[0] * horizon[1] < horizon[0] * event[1]:
+                horizon = event[:2]
+        if self._lambda_hit(origin, prim, *horizon):
             return []
 
-        completions: List[_Completion] = []
-        completions.extend(
-            self._split_completions(p, origin, prim, dirval, horizon, crossings, splits)
-        )
+        completions = self._split_completions(origin, prim, d, horizon, crossings, splits)
 
-        if t_focus is not None and t_focus <= (t_cut if t_cut is not None else t_boundary):
-            if t_cut is not None and t_cut == t_focus:
+        if focus is not None and (cut is None or focus[0] * cut[1] <= cut[0] * focus[1]):
+            if cut is not None and focus[0] * cut[1] == cut[0] * focus[1]:
                 return completions  # degenerate: cut and focus at one point
-            j = next(j for (t, j) in focus_events if t == t_focus)
-            completions.extend(self._focus_end(p, dirval, prim, ell, j))
-            return completions
+            return completions + self._focus_end(origin, d, prim, ell, focus[2])
 
-        if t_cut is not None and t_cut < t_boundary:
-            t, j, point = min(cut_events)
+        if cut is not None and cut[0] * b_den < b_num * cut[1]:
             if crossings <= 0:
                 return completions
+            t_num, t_den, j = cut
             # a cut row runs along its cut direction
             _, _, cx, cy = self.cut_rows[j]
             side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
-            new_dir = self.diagram.cross_branch_cut(j, dirval, side)
-            rest = self.trace(point, new_dir, crossings - 1, splits)
-            for completion in rest:
-                completions.append(
-                    completion.prepend(
-                        [_VertexSpec(point, cylinder())],
-                        [_EdgeSpec(p, point, dirval)],
-                    )
-                )
+            point = ray_point(origin, prim, t_num, t_den)
+            rest = self._trace(point, self._crossed(j, d, side), crossings - 1, splits)
+            if rest:
+                hit = from_homogeneous(point)
+                vertex = _VertexSpec(hit, cylinder())
+                edge = _EdgeSpec(from_homogeneous(origin), hit, Vec(*d))
+                completions.extend(c.prepend([vertex], [edge]) for c in rest)
             return completions
 
-        completions.extend(self._boundary_end(p, dirval, boundary[1], boundary[2]))
-        return completions
+        return completions + self._boundary_end(origin, d, prim, boundary)
 
-    def _focus_end(self, p, dirval, prim, ell, j) -> List[_Completion]:
-        ff = self.diagram.focus_foci[j]
+    def _focus_end(self, origin, d, prim, ell, j) -> List[_Completion]:
         pix, piy = self.shear_table[j]
         if prim[0] * piy - prim[1] * pix != 0:
             return []  # the ray would run through a nodal fiber: not generic
-        leg = (_EdgeSpec(p, ff.position, dirval),)
+        ff = self.diagram.focus_foci[j]
+        leg = (_EdgeSpec(from_homogeneous(origin), ff.position, Vec(*d)),)
         return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
 
     def _focus_vertices(self, j, ell) -> List[_VertexSpec]:
@@ -291,21 +295,25 @@ class _Tracer:
             out.append(_VertexSpec(ff.position, focus_cover_pair(ell, j, w)))
         return out
 
-    def _boundary_end(self, p, dirval, point, facet_ids) -> List[_Completion]:
-        for i in facet_ids:
-            if dirval == -self.facets[i].inward_normal:
-                return [
-                    _Completion(
-                        (_VertexSpec(point, boundary_collision(i)),),
-                        (_EdgeSpec(p, point, dirval),),
-                    )
-                ]
-        return self._corner_cap(p, dirval, point, facet_ids)
+    def _boundary_end(self, origin, d, prim, boundary) -> List[_Completion]:
+        t_num, t_den, facet_ids = boundary
+        outward = (-d[0], -d[1])
+        collision = next((i for i in facet_ids if self.normals[i] == outward), None)
+        if collision is None and not self.flags.corner_caps:
+            return []
+        p, dirval = from_homogeneous(origin), Vec(*d)
+        point = from_homogeneous(ray_point(origin, prim, t_num, t_den))
+        if collision is None:
+            return self._corner_cap(p, dirval, point, facet_ids)
+        return [
+            _Completion(
+                (_VertexSpec(point, boundary_collision(collision)),),
+                (_EdgeSpec(p, point, dirval),),
+            )
+        ]
 
     def _corner_cap(self, p, dirval, point, facet_ids) -> List[_Completion]:
         """Lemma-4.18 style rim continuation into a flagged corner piece."""
-        if not self.flags.corner_caps:
-            return []
         prim, ell = primitive_and_length(dirval)
         if ell != 1:
             return []  # rim continuations carry primitive directions only
@@ -345,22 +353,22 @@ class _Tracer:
             return False
         return any(v.position == corner for v in self.lag.vertices)
 
-    def _split_completions(self, p, origin, prim, dirval, horizon, crossings, splits):
+    def _split_completions(self, origin, prim, d, horizon, crossings, splits):
         """Splits at a point w of the ray, pinned by a focus along its shear line.
 
         Every arrival sub_ell * sign * pi at focus j spans the line through the
         focus along pi, so the split point w, its parameter, the one sign that
         puts the focus ahead of w and the clearance of the leg from w to the
-        focus are found once per focus.
+        focus are found once per focus.  w stays a homogeneous triple.
         """
         if splits <= 0:
             return []
         X, Y, W = origin
         scale = self.cut_scale
-        dx, dy = dirval.as_int_pair()
+        h_num, h_den = horizon
+        dx, dy = d
         out = []
-        for j, ff in enumerate(self.diagram.focus_foci):
-            pix, piy = self.shear_table[j]
+        for j, (pix, piy) in enumerate(self.shear_table):
             cross = prim[0] * piy - prim[1] * pix
             if cross == 0:
                 continue  # the ray runs along the shear line: no split point
@@ -372,27 +380,28 @@ class _Tracer:
             if cross < 0:
                 cross, t_num, u_num = -cross, -t_num, -u_num
             t_den = scale * W * cross
-            if t_num <= 0 or t_num * horizon.denominator >= horizon.numerator * t_den:
+            if t_num <= 0 or t_num * h_den >= h_num * t_den:
                 continue  # w must lie strictly between p and the horizon
             if u_num == 0:
                 continue  # w is the focus itself
             # tau = -u / (sub_ell * sign) > 0 for this sign only; since prim is
-            # not parallel to pi, d2 = dirval - arrival is never parallel to the
+            # not parallel to pi, d2 = d - arrival is never parallel to the
             # arrival either
             sign = -1 if u_num > 0 else 1
-            w_origin = (X * t_den + prim[0] * t_num * W, Y * t_den + prim[1] * t_num * W, W * t_den)
+            w_origin = ray_point(origin, prim, t_num, t_den)
             if not self._leg_clear(w_origin, j):
                 continue
-            w = Vec(Fraction(w_origin[0], w_origin[2]), Fraction(w_origin[1], w_origin[2]))
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
                 m = sub_ell * sign
-                arrival = Vec(pix * m, piy * m)
-                d2 = Vec(dx - pix * m, dy - piy * m)
-                rest = self.trace(w, d2, crossings, splits - 1)
+                d2 = (dx - pix * m, dy - piy * m)
+                rest = self._trace(w_origin, d2, crossings, splits - 1)
                 if not rest:
                     continue
-                pants = _VertexSpec(w, pair_of_pants(arrival, d2))
-                legs = [_EdgeSpec(p, w, dirval), _EdgeSpec(w, ff.position, arrival)]
+                w = from_homogeneous(w_origin)
+                arrival = Vec(pix * m, piy * m)
+                pants = _VertexSpec(w, pair_of_pants(arrival, Vec(*d2)))
+                legs = [_EdgeSpec(from_homogeneous(origin), w, Vec(dx, dy)),
+                        _EdgeSpec(w, self.diagram.focus_foci[j].position, arrival)]
                 focus_vertices = self._focus_vertices(j, sub_ell)
                 for completion in rest:
                     for fv in focus_vertices:
@@ -657,10 +666,13 @@ def _perp_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
     q = constraint.point
     out = []
     for ell in range(1, bounds.max_lattice_length + 1):
+        # collision models require the crossing line on both sides
         plus = tracer.trace(q, d0 * ell, bounds.max_cut_crossings, bounds.max_splits)
+        if not plus:
+            continue
         minus = tracer.trace(q, d0 * (-ell), bounds.max_cut_crossings, bounds.max_splits)
-        if not plus or not minus:
-            continue  # collision models require the crossing line on both sides
+        if not minus:
+            continue
         root = _VertexSpec(q, perp_collision(ell))
         for completion in plus + minus:
             out.append(_build_graph(constraint, [root], [], completion))

@@ -9,8 +9,9 @@ a ray origin is a homogeneous (X, Y, W) triple, a line table is the rows of
 `integer_rows` over the table's own scale, and every decision is an integer
 cross product, so it stays exact.  Ray parameters come back in units of the
 ray direction whatever the scale, so hits on different tables compare
-directly.  `ray_at` turns a hit back into Fractions; `ray_segment_intersect`
-is the Fraction front end.
+directly.  `ray_point` moves a homogeneous point along a ray without leaving
+the integers, `from_homogeneous` turns a point back into Fractions, and
+`ray_segment_intersect` is the Fraction front end.
 """
 
 from __future__ import annotations
@@ -236,14 +237,23 @@ def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
     return [scaled(a, scale) + scaled(b - a, scale) for a, b in segments], scale
 
 
-def ray_at(origin, d, t_num: int, t_den: int) -> Tuple[Fraction, Vec]:
-    """(t, origin + t d) as exact rationals, for a homogeneous origin and integer d."""
+def from_homogeneous(origin) -> Vec:
+    """The point (X/W, Y/W) of a homogeneous triple, as exact rationals."""
     X, Y, W = origin
-    den = W * t_den
-    return Fraction(t_num, t_den), Vec(
-        Fraction(X * t_den + d[0] * t_num * W, den),
-        Fraction(Y * t_den + d[1] * t_num * W, den),
-    )
+    return Vec(Fraction(X, W), Fraction(Y, W))
+
+
+def ray_point(origin, d, t_num: int, t_den: int) -> Tuple[int, int, int]:
+    """origin + (t_num/t_den) d as a homogeneous triple in lowest terms.
+
+    `origin` is a homogeneous (X, Y, W) triple, `d` an integer pair and
+    t_den > 0, so the result has W > 0; lowest terms keep the integers small
+    along a chain of rays.
+    """
+    X, Y, W = origin
+    X, Y, W = X * t_den + d[0] * t_num * W, Y * t_den + d[1] * t_num * W, W * t_den
+    g = math.gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
 
 def ray_point_param(origin, d, q, scale: int) -> Optional[Tuple[int, int]]:

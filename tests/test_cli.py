@@ -5,11 +5,14 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+from dataclasses import replace
+
 import pytest
 
 import tropdisk
 from tropdisk import cli
 from tropdisk.cli import main
+from tropdisk.enumerate import SearchBounds
 from tropdisk.fixtures import builtin_fixture
 
 
@@ -72,6 +75,24 @@ def test_validate_bad_diagram(tmp_path, capsys):
     }))
     code, out, err = run_cli(capsys, "validate", "--diagram", str(path))
     assert code == 1
+
+
+def test_validate_repeated_vertex_names_the_code(tmp_path, capsys):
+    path = tmp_path / "repeat.diagram.json"
+    path.write_text(json.dumps({
+        "name": "repeat",
+        "polygon": [[0, 1, 0, 1], [0, 1, 0, 1], [2, 1, 0, 1], [0, 1, 2, 1]],
+        "focus_foci": [{
+            "position": [[1, 2], [1, 2]],
+            "shear_direction": [1, 0],
+            "shear_covector": [0, 1],
+            "branch_cut_sign": 1,
+        }],
+    }))
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(path))
+    assert code == 1
+    assert "polygon_repeats_vertex:1" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_file_driven_potential(tmp_path, capsys):
@@ -193,7 +214,23 @@ def test_bounds_override(capsys):
     assert "total W_L = -2" in out
 
 
-@pytest.mark.parametrize("spec", ["6", "a,b", "0,3", "3,0"])
+def test_bounds_set_crossings_and_splits():
+    case = builtin_fixture("dp3").case()
+    assert cli._parse_bounds("8,4", case.bounds) == replace(
+        case.bounds, max_vertices=8, max_lattice_length=4)
+    assert cli._parse_bounds("8,4,1,0", case.bounds) == SearchBounds(8, 4, 1, 0)
+
+
+@pytest.mark.parametrize("spec,total", [("8,3", -6), ("8,3,2,2", -36), ("8,3,2,0", -2)])
+def test_bounds_with_splits_change_the_search(capsys, spec, total):
+    # the split cap reaches the search only through the four-value form
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp3", "--bounds", spec)
+    assert code == 0
+    assert f"total W_L = {total}\n" in out
+
+
+@pytest.mark.parametrize("spec", ["", "6", "a,b", "0,3", "3,0", "6,3,1", "6,3,1,2,3",
+                                  "6,3,-1,0", "6,3,0,-1", "0,3,0,0", "6,3,x,0"])
 def test_malformed_bounds_is_validation_error(capsys, spec):
     code, out, err = run_cli(capsys, "potential", "--fixture", "dp6", "--bounds", spec)
     assert code == 1

@@ -69,6 +69,17 @@ def test_zero_cut_sign_flagged(hexagon):
     assert bad.validate() == ["branch_cut_sign_invalid:0"]
 
 
+def test_repeated_vertex_flagged():
+    # the zero edge has no facet normal: named, and no focus check reads it
+    bad = BaseDiagram(
+        "bad", [Vec(0, 0), Vec(0, 0), Vec(2, 0), Vec(0, 2)],
+        [FocusFocus(Vec(F(1, 2), F(1, 2)), pi=Vec(1, 0), sigma=Vec(0, 1))],
+    )
+    problems = bad.validate()
+    assert "polygon_repeats_vertex:1" in problems
+    assert not any(v.startswith(("focus_not_interior", "branch_cut")) for v in problems)
+
+
 def test_classify_point_examples(hexagon):
     assert hexagon.classify_point(Vec(0, 0)).kind == INTERIOR
     assert hexagon.classify_point(Vec(1, -1)).kind == ON_POLYGON_VERTEX

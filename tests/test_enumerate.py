@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdisk.classify import classify_vertex
@@ -14,8 +15,11 @@ from tropdisk.enumerate import (
     NO_FLAGS,
     FixtureFlags,
     SearchBounds,
+    _Completion,
+    _EdgeSpec,
     _row_reduce,
     _Tracer,
+    _VertexSpec,
     cancellation_report,
     corner_projection,
     enumerate_disks,
@@ -23,7 +27,18 @@ from tropdisk.enumerate import (
     rigidity_dimension,
 )
 from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
-from tropdisk.geometry import Vec, apply_matrix, det2, homogeneous, primitive
+from tropdisk.geometry import (
+    GeometryError,
+    Vec,
+    apply_matrix,
+    det2,
+    from_homogeneous,
+    homogeneous,
+    primitive,
+    ray_point,
+    ray_point_param,
+    ray_segment_hit,
+)
 from tropdisk.lagrangian import LagGraph, LagVertex
 from tropdisk.multiplicity import (
     CORNER_CAP,
@@ -253,10 +268,31 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
         d = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
     else:
         d = primitive(corner - origin).as_int_pair()  # exits through a corner
-    _t, point, facets = tracer._boundary_hit(homogeneous(origin), d)
+    t_num, t_den, facets = tracer._boundary_hit(homogeneous(origin), d)
+    point = from_homogeneous(ray_point(homogeneous(origin), d, t_num, t_den))
     assert facets == tracer.diagram.facets_through(point)
     if corner is not None:
         assert point == corner and len(facets) == 2
+
+
+def _square_with_focus(sigma):
+    return BaseDiagram(
+        "shear", [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)],
+        [FocusFocus(Vec(0, 0), pi=Vec(0, 1), sigma=sigma, cut_sign=1)],
+    )
+
+
+def test_tracer_rejects_a_non_unipotent_shear_at_the_crossing():
+    # <sigma, pi> = 1: the ray from (-1, 1) along (1, 0) crosses the cut at (0, 1)
+    tracer = _Tracer(_square_with_focus(Vec(1, 1)), None, SearchBounds(), NO_FLAGS)
+    assert len(tracer.trace(Vec(-1, 1), Vec(0, -1), 2, 0)) == 1  # crosses no cut
+    with pytest.raises(GeometryError, match="not a valid shear"):
+        tracer.trace(Vec(-1, 1), Vec(1, 0), 2, 0)
+
+
+def test_tracer_rejects_a_non_integral_shear_covector():
+    with pytest.raises(GeometryError):
+        _Tracer(_square_with_focus(Vec(F(1, 2), 0)), None, SearchBounds(), NO_FLAGS)
 
 
 # -- fixture enumerations -----------------------------------------------------
@@ -477,3 +513,282 @@ def test_maslov_four_counts():
     seg = seg_fx.lagrangians["segment"]
     seg_constraints = [Constraint.on_lagrangian(seg, 0, F(i + 1, 5)) for i in range(3)]
     assert enumerate_maslov4(seg_fx.diagram, seg, seg_constraints) == 0
+
+
+# -- the integer tracer against its Fraction reference ---------------------------
+
+
+def _ray_at(origin, d, t_num, t_den):
+    """(t, origin + t d) in Fractions, the former `geometry.ray_at`."""
+    X, Y, W = origin
+    den = W * t_den
+    return F(t_num, t_den), Vec(F(X * t_den + d[0] * t_num * W, den),
+                                F(Y * t_den + d[1] * t_num * W, den))
+
+
+class _ReferenceTracer(_Tracer):
+    """The tracer whose recursion builds Fractions and Vecs at every event,
+    kept as the reference: the former bodies of `trace` and its helpers."""
+
+    def _lambda_hit(self, origin, prim, limit):
+        best = None
+        for row in self.lag_rows:
+            hit = ray_segment_hit(origin, prim, row, self.lag_scale)
+            if hit is None or hit[0] * limit.denominator > limit.numerator * hit[1]:
+                continue
+            t = F(hit[0], hit[1])
+            if best is None or t < best:
+                best = t
+        return best
+
+    def _boundary_hit(self, origin, prim):
+        hit = self.diagram.boundary_hit(origin, prim)
+        return None if hit is None else _ray_at(origin, prim, hit[0], hit[1]) + (hit[2],)
+
+    def _cut_events(self, origin, prim):
+        events = []
+        for j, row in enumerate(self.cut_rows):
+            if prim[0] * row[3] - prim[1] * row[2] == 0:
+                continue
+            hit = ray_segment_hit(origin, prim, row, self.cut_scale)
+            if hit is None or hit[2] == 0:
+                continue
+            t, point = _ray_at(origin, prim, hit[0], hit[1])
+            events.append((t, j, point))
+        return events
+
+    def _focus_events(self, origin, prim):
+        events = []
+        for j, row in enumerate(self.cut_rows):
+            t = ray_point_param(origin, prim, row[:2], self.cut_scale)
+            if t is not None and t[0] > 0:
+                events.append((F(*t), j))
+        return events
+
+    def trace(self, p, dirval, crossings, splits):
+        if not dirval.is_integral():
+            return []
+        dx, dy = dirval.as_int_pair()
+        ell = math.gcd(dx, dy)
+        prim = (dx // ell, dy // ell)
+        origin = homogeneous(p)
+
+        boundary = self._boundary_hit(origin, prim)
+        if boundary is None:
+            return []
+        t_boundary = boundary[0]
+
+        focus_events = [e for e in self._focus_events(origin, prim) if e[0] <= t_boundary]
+        cut_events = [e for e in self._cut_events(origin, prim) if e[0] <= t_boundary]
+        t_focus = min((e[0] for e in focus_events), default=None)
+        t_cut = min((e[0] for e in cut_events), default=None)
+
+        horizon = t_boundary
+        for t in (t_focus, t_cut):
+            if t is not None and t < horizon:
+                horizon = t
+        if self._lambda_hit(origin, prim, horizon) is not None:
+            return []
+
+        completions = []
+        completions.extend(
+            self._split_completions(p, origin, prim, dirval, horizon, crossings, splits)
+        )
+
+        if t_focus is not None and t_focus <= (t_cut if t_cut is not None else t_boundary):
+            if t_cut is not None and t_cut == t_focus:
+                return completions
+            j = next(j for (t, j) in focus_events if t == t_focus)
+            completions.extend(self._focus_end(p, dirval, prim, ell, j))
+            return completions
+
+        if t_cut is not None and t_cut < t_boundary:
+            t, j, point = min(cut_events)
+            if crossings <= 0:
+                return completions
+            _, _, cx, cy = self.cut_rows[j]
+            side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
+            new_dir = self.diagram.cross_branch_cut(j, dirval, side)
+            rest = self.trace(point, new_dir, crossings - 1, splits)
+            for completion in rest:
+                completions.append(
+                    completion.prepend(
+                        [_VertexSpec(point, cylinder())],
+                        [_EdgeSpec(p, point, dirval)],
+                    )
+                )
+            return completions
+
+        completions.extend(self._boundary_end(p, dirval, boundary[1], boundary[2]))
+        return completions
+
+    def _focus_end(self, p, dirval, prim, ell, j):
+        ff = self.diagram.focus_foci[j]
+        pix, piy = self.shear_table[j]
+        if prim[0] * piy - prim[1] * pix != 0:
+            return []
+        leg = (_EdgeSpec(p, ff.position, dirval),)
+        return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
+
+    def _boundary_end(self, p, dirval, point, facet_ids):
+        for i in facet_ids:
+            if dirval == -self.facets[i].inward_normal:
+                return [
+                    _Completion(
+                        (_VertexSpec(point, boundary_collision(i)),),
+                        (_EdgeSpec(p, point, dirval),),
+                    )
+                ]
+        if not self.flags.corner_caps:
+            return []
+        return self._corner_cap(p, dirval, point, facet_ids)
+
+    def _split_completions(self, p, origin, prim, dirval, horizon, crossings, splits):
+        if splits <= 0:
+            return []
+        X, Y, W = origin
+        scale = self.cut_scale
+        dx, dy = dirval.as_int_pair()
+        out = []
+        for j, ff in enumerate(self.diagram.focus_foci):
+            pix, piy = self.shear_table[j]
+            cross = prim[0] * piy - prim[1] * pix
+            if cross == 0:
+                continue
+            fx, fy, _, _ = self.cut_rows[j]
+            rx, ry = fx * W - X * scale, fy * W - Y * scale
+            t_num = rx * piy - ry * pix
+            u_num = rx * prim[1] - ry * prim[0]
+            if cross < 0:
+                cross, t_num, u_num = -cross, -t_num, -u_num
+            t_den = scale * W * cross
+            if t_num <= 0 or t_num * horizon.denominator >= horizon.numerator * t_den:
+                continue
+            if u_num == 0:
+                continue
+            sign = -1 if u_num > 0 else 1
+            w_origin = (X * t_den + prim[0] * t_num * W, Y * t_den + prim[1] * t_num * W,
+                        W * t_den)
+            if not self._leg_clear(w_origin, j):
+                continue
+            w = Vec(F(w_origin[0], w_origin[2]), F(w_origin[1], w_origin[2]))
+            for sub_ell in range(1, self.bounds.max_lattice_length + 1):
+                m = sub_ell * sign
+                arrival = Vec(pix * m, piy * m)
+                d2 = Vec(dx - pix * m, dy - piy * m)
+                rest = self.trace(w, d2, crossings, splits - 1)
+                if not rest:
+                    continue
+                pants = _VertexSpec(w, pair_of_pants(arrival, d2))
+                legs = [_EdgeSpec(p, w, dirval), _EdgeSpec(w, ff.position, arrival)]
+                focus_vertices = self._focus_vertices(j, sub_ell)
+                for completion in rest:
+                    for fv in focus_vertices:
+                        out.append(completion.prepend([pants, fv], legs))
+        return out
+
+
+TRACED_CASES = [(name, case) for name in FIXTURE_NAMES
+                for case in builtin_fixture(name).cases]
+
+
+def _shifted_case(fx, case, shift):
+    """The case's diagram, Lagrangian and flags moved by `shift`."""
+    diagram = fx.diagram_for(case)
+    moved = BaseDiagram(diagram.name, [v + shift for v in diagram.polygon], [
+        FocusFocus(ff.position + shift, ff.pi, ff.sigma, ff.cut_sign)
+        for ff in diagram.focus_foci
+    ])
+    lag = fx.lagrangian_for(case)
+    if lag is not None:
+        lag = LagGraph([LagVertex(v.id, v.position + shift, v.anchor, v.anchor_index)
+                        for v in lag.vertices], list(lag.edges))
+    flags = fx.case(case).flags
+    flags = FixtureFlags(
+        tuple(c + shift for c in flags.corner_caps),
+        None if flags.corner_limit is None else flags.corner_limit + shift,
+    )
+    return moved, lag, flags
+
+
+NODED_CASES = [(name, case) for name, case in TRACED_CASES
+               if builtin_fixture(name).diagram_for(case).focus_foci]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_agrees_with_fraction_reference(data):
+    where = data.draw(st.sampled_from(["interior", "lagrangian", "vertex", "focus", "cut"]))
+    cases = NODED_CASES if where in ("focus", "cut") else TRACED_CASES
+    name, case = data.draw(st.sampled_from(cases))
+    fx = builtin_fixture(name)
+    # a rational shift, so that the rows need a scale other than 1
+    offset = st.just(F(0)) | st.fractions(-2, 2, max_denominator=12)
+    shift = Vec(data.draw(offset), data.draw(offset))
+    diagram, lag, flags = _shifted_case(fx, case, shift)
+    bounds = fx.case(case).bounds
+    ff = data.draw(st.sampled_from(diagram.focus_foci)) if diagram.focus_foci else None
+    # nonzero directions in [-4, 4]^2, drawn evenly or as a multiple of an
+    # outward facet normal plus a multiple of pi: the directions that end on a
+    # facet directly, after a split or after a cut crossing
+    evenly = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    normal = st.sampled_from([-facet.inward_normal for facet in diagram.facets()])
+    pi = Vec(0, 0) if ff is None else ff.pi
+    combined = st.builds(lambda n, a, b: tuple(n * a + pi * b),
+                         normal, st.integers(0, 2), st.integers(-2, 2))
+    d = Vec(*data.draw((evenly | combined).filter(lambda v: any(v) and max(map(abs, v)) <= 4)))
+    step = F(1, data.draw(st.integers(4, 64)))
+    if where == "cut":
+        # just before a point of the cut, aimed so that the sheared direction
+        # past the cut is an outward facet normal (possibly outside [-4, 4]^2)
+        j = diagram.focus_foci.index(ff)
+        start, end = diagram.branch_cuts()[j]
+        past = -data.draw(st.sampled_from(diagram.facets())).inward_normal
+        side = 1 if det2(ff.cut_direction(), past) > 0 else -1
+        d = diagram.cross_branch_cut(j, past, -side)
+        p = start + (end - start) * F(data.draw(st.integers(1, 15)), 16) - d * step
+    elif where == "vertex" and lag is not None:
+        # one step before a vertex of the Lagrangian: the ray meets it, often
+        # where it also meets the boundary or a focus
+        p = data.draw(st.sampled_from(lag.vertices)).position - d * step
+    elif where == "lagrangian" and lag is not None:
+        edge = data.draw(st.sampled_from(lag.edges))
+        a, b = (lag.position(v) for v in edge.endpoints)
+        p = a + (b - a) * data.draw(st.fractions(0, 1, max_denominator=16))
+    elif where == "focus":
+        # on the focus's shear line, where a ray along pi meets the focus, or
+        # beside it, where a ray may cross the focus's cut
+        along = data.draw(st.fractions(-2, 2, max_denominator=16))
+        beside = data.draw(st.just(F(0)) | st.fractions(-1, 1, max_denominator=16))
+        p = ff.position + ff.pi * along + Vec(-ff.pi.y, ff.pi.x) * beside
+    else:
+        polygon = diagram.polygon
+        # all weights positive: strictly inside the convex polygon
+        weights = data.draw(st.lists(st.integers(1, 8), min_size=len(polygon),
+                                     max_size=len(polygon)))
+        p = sum((v * w for v, w in zip(polygon, weights)), Vec(0, 0)) / sum(weights)
+    crossings, splits = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    tracer = _Tracer(diagram, lag, bounds, flags)
+    reference = _ReferenceTracer(diagram, lag, bounds, flags)
+    assert tracer.trace(p, d, crossings, splits) == reference.trace(p, d, crossings, splits)
+
+
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
+def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
+    # every direction a root may take from the case's own constraint point,
+    # under the case's own bounds: the traces the search itself makes
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+    tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+    reference = _ReferenceTracer(diagram, lag, c.bounds, c.flags)
+    q = fx.constraint(case).point
+    found = 0
+    for d in itertools.product(range(-4, 5), repeat=2):
+        if any(d):
+            d = Vec(*d)
+            completions = tracer.trace(q, d, c.bounds.max_cut_crossings, c.bounds.max_splits)
+            assert completions == reference.trace(
+                q, d, c.bounds.max_cut_crossings, c.bounds.max_splits), d
+            found += len(completions)
+    assert found or name == "p1xp1"
