@@ -4,13 +4,13 @@
 Usage, from anywhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --seconds 8 --out BENCH_8.json \\
+        --pairs 10 --out BENCH_8.json \\
         --label "what the change does" --claim grid:wall_s
 
 `--parent` and `--change` are two checkouts of the repository (for example
 the parent commit as a `git worktree` or a clone).  For every workload and
-every seed 0..pairs-1 the script runs `perfbench/run.py --trace 0` once in
-each checkout, the parent first on even seeds and the change first on odd
+every seed 0..pairs-1 the script runs `perfbench/run.py --seconds 8 --trace 0`
+once in each checkout, the parent first on even seeds and the change first on odd
 seeds, then one `--trace 1` pass per checkout at seed 0.  Each summary
 metric gets the median and quartiles (`statistics.quantiles`, inclusive) of
 its runs per side, `change_over_parent` (ratio of the medians),
@@ -32,6 +32,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("fixtures", "grid", "sweep", "revalidate")
+SECONDS = 8        # length of each timed run
+TRACED_SECONDS = 1  # length of the traced pass at seed 0
 # traced counters copied into "traced_seed0"
 TRACED = (
     "geometry.vec_new", "geometry.fraction_new", "geometry.calls", "geometry.self_s",
@@ -133,8 +135,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--label", default="", help="one line: what the change does")
     parser.add_argument("--claim", help="W:M, the workload and metric claimed to improve")
@@ -142,24 +142,24 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     workloads = {}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         pairs = []
         for seed in range(args.pairs):
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
-            runs = {side: run_once(checkouts[side], workload, seed, args.seconds, 0)
+            runs = {side: run_once(checkouts[side], workload, seed, SECONDS, 0)
                     for side in order}
             pairs.append((seed, runs["parent"], runs["change"]))
             print(f"{workload} seed {seed}: wall_s parent "
                   f"{runs['parent']['metrics']['wall_s']:.4f} change "
                   f"{runs['change']['metrics']['wall_s']:.4f}", file=sys.stderr)
-        traced = {side: run_once(checkouts[side], workload, 0, 1, 1) for side in SIDES}
+        traced = {side: run_once(checkouts[side], workload, 0, TRACED_SECONDS, 1) for side in SIDES}
         workloads[workload] = summarise_workload(pairs, traced)
 
     report = {
         "change": args.label,
         "parent": _commit(checkouts["parent"]),
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g} "
-                   "--trace 0 (timed); --seed 0 --seconds 1 --trace 1 (traced)",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} "
+                   f"--trace 0 (timed); --seed 0 --seconds {TRACED_SECONDS} --trace 1 (traced)",
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}; times scaled "
                    "by perfbench/reference.py, traced self times unscaled",
         "method": f"{args.pairs} pairs per workload (seeds 0-{args.pairs - 1}), parent and "

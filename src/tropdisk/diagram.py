@@ -106,6 +106,11 @@ class BaseDiagram:
         self.facets()
         return self._facet_rows
 
+    def normals(self) -> List[Tuple[int, int]]:
+        """The facets' primitive inward normals as integer pairs."""
+        self.facets()
+        return self._normals
+
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
         """Cut segments (focus position -> boundary exit point)."""
         if self._cuts is None:
@@ -155,7 +160,7 @@ class BaseDiagram:
     def contains(self, p: Vec, strict: bool = False) -> bool:
         X, Y, W = homogeneous(p)
         rows, scale = self.facet_rows()
-        for (ax, ay, _, _), (nx, ny) in zip(rows, self._normals):
+        for (ax, ay, _, _), (nx, ny) in zip(rows, self.normals()):
             # scale * W * (<normal, p> - line_value), a positive multiple
             v = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
             if v < 0 or (strict and v == 0):

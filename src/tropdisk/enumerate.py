@@ -173,7 +173,6 @@ class _Tracer:
         self.bounds = bounds
         self.flags = flags
         self.facets = diagram.facets()
-        self.normals = [facet.inward_normal.as_int_pair() for facet in self.facets]
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
         self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
@@ -298,7 +297,7 @@ class _Tracer:
     def _boundary_end(self, origin, d, prim, boundary) -> List[_Completion]:
         t_num, t_den, facet_ids = boundary
         outward = (-d[0], -d[1])
-        collision = next((i for i in facet_ids if self.normals[i] == outward), None)
+        collision = next((i for i in facet_ids if self.diagram.normals()[i] == outward), None)
         if collision is None and not self.flags.corner_caps:
             return []
         p, dirval = from_homogeneous(origin), Vec(*d)
