@@ -14,10 +14,14 @@ once in each checkout, the parent first on even seeds and the change first on od
 seeds, then one `--trace 1` pass per checkout at seed 0.  Each summary
 metric gets the median and quartiles (`statistics.quantiles`, inclusive) of
 its runs per side, `change_over_parent` (ratio of the medians),
-`change_lower_in_pairs` and `parent_iqr`.  A claim `W:M` is met when the
-change reads lower in at least nine of ten pairs (the same share of any
-other count) and its median is below the parent's by more than the parent's
-distance between quartiles.
+`change_lower_in_pairs`, `parent_iqr` and `regressed`: whether the change's
+median is worse than the parent's by more than the metric's bound in
+`BENCHMARK.json` (of the change checkout).  The report lists every regressed
+`W:M` under `regressions`.  A claim `W:M` is met when the change reads lower
+in at least nine of ten pairs (the same share of any other count), its
+median is below the parent's by more than the parent's distance between
+quartiles, the digests agree on every pair of every workload and no metric
+regressed.
 """
 
 from __future__ import annotations
@@ -65,10 +69,24 @@ def _quartiles(values):
     return q1, median, q3
 
 
-def summarise_workload(pairs, traced=None) -> dict:
+def load_bounds(path: Path) -> dict:
+    """{metric: (better, bound)} for the end-to-end metrics of a BENCHMARK.json."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def regressed(parent_median: float, change_median: float, better: str, bound: float) -> bool:
+    """The change's median worse than the parent's by more than the bound."""
+    if better == "lower":
+        return change_median > parent_median * (1 + bound)
+    return change_median < parent_median * (1 - bound)
+
+
+def summarise_workload(pairs, traced=None, bounds=None) -> dict:
     """Summary of one workload: `pairs` lists (seed, parent run, change run)
     with runs as `parse_run` returns them; `traced` maps each side to its
-    traced run at seed 0, or is None."""
+    traced run at seed 0, or is None; `bounds` is `load_bounds`'s map, and a
+    metric without a bound never counts as regressed."""
     seeds = [seed for seed, *_ in pairs]
     runs = {"parent": [p[1] for p in pairs], "change": [p[2] for p in pairs]}
     metrics = {}
@@ -82,6 +100,9 @@ def summarise_workload(pairs, traced=None) -> dict:
         entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
         entry["change_lower_in_pairs"] = f"{lower}/{len(pairs)}"
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        bound = (bounds or {}).get(name)
+        entry["regressed"] = bound is not None and regressed(
+            entry["parent"]["median"], entry["change"]["median"], *bound)
         metrics[name] = entry
     digests = [r["digest"] for side in SIDES for r in runs[side]]
     out = {
@@ -114,6 +135,22 @@ def claim_met(entry: dict) -> bool:
     return 10 * lower >= 9 * n and gap > entry["parent_iqr"]
 
 
+def regressions(workloads: dict) -> list:
+    """Every `W:M` whose metric regressed, in report order."""
+    return [f"{workload}:{name}" for workload, summary in workloads.items()
+            for name, entry in summary["metrics"].items() if entry["regressed"]]
+
+
+def claim_report(workloads: dict, claim: str) -> dict:
+    """The claim `W:M` and whether it is met: `claim_met` on its metric, the
+    digests equal on every pair of every workload and no metric regressed."""
+    workload, metric = claim.split(":")
+    digests_equal = all(s["digests"]["equal_on_every_pair"] for s in workloads.values())
+    met = (claim_met(workloads[workload]["metrics"][metric]) and digests_equal
+           and not regressions(workloads))
+    return {"workload": workload, "metric": metric, "met": met}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -140,6 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="W:M, the workload and metric claimed to improve")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = load_bounds(checkouts["change"] / "BENCHMARK.json")
 
     workloads = {}
     for workload in WORKLOADS:
@@ -153,7 +191,7 @@ def main(argv=None) -> int:
                   f"{runs['parent']['metrics']['wall_s']:.4f} change "
                   f"{runs['change']['metrics']['wall_s']:.4f}", file=sys.stderr)
         traced = {side: run_once(checkouts[side], workload, 0, TRACED_SECONDS, 1) for side in SIDES}
-        workloads[workload] = summarise_workload(pairs, traced)
+        workloads[workload] = summarise_workload(pairs, traced, bounds)
 
     report = {
         "change": args.label,
@@ -168,9 +206,8 @@ def main(argv=None) -> int:
                   "change_lower_in_pairs counts pairs where the change reads lower",
     }
     if args.claim:
-        workload, metric = args.claim.split(":")
-        report["claim"] = {"workload": workload, "metric": metric,
-                           "met": claim_met(workloads[workload]["metrics"][metric])}
+        report["claim"] = claim_report(workloads, args.claim)
+    report["regressions"] = regressions(workloads)
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

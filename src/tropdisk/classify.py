@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .diagram import AT_FOCUS_FOCUS, BaseDiagram, ON_FACET, ON_POLYGON_VERTEX
 from .diskgraph import DiskGraph
-from .geometry import Vec, det2, point_on_segment, primitive_and_length, reflect_over
+from .geometry import Vec, det2, homogeneous, point_on_row, primitive_and_length, reflect_over
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -33,12 +33,8 @@ def _lagrangian_edge_through(lag: LagGraph, p: Vec) -> Optional[Tuple[int, Vec]]
     """(edge index, primitive direction) of a Lagrangian edge containing p."""
     if lag is None:
         return None
-    for i, e in enumerate(lag.edges):
-        a = lag.position(e.endpoints[0])
-        b = lag.position(e.endpoints[1])
-        if point_on_segment(p, a, b, closed=False):
-            return i, lag.edge_direction(e)
-    return None
+    i = lag.edge_through(p)
+    return None if i is None else (i, lag.edge_direction(lag.edges[i]))
 
 
 def _lagrangian_vertex_at(lag: LagGraph, p: Vec):
@@ -52,8 +48,10 @@ def _lagrangian_vertex_at(lag: LagGraph, p: Vec):
 
 def _cylinder_across_cut(diagram: BaseDiagram, position: Vec, d1: Vec, d2: Vec) -> bool:
     """Directions equal once one side is transported through the cut."""
-    for j, (start, end) in enumerate(diagram.branch_cuts()):
-        if not point_on_segment(position, start, end):
+    point = homogeneous(position)
+    rows, scale = diagram.cut_rows()
+    for j, row in enumerate(rows):
+        if not point_on_row(point, row, scale):
             continue
         arriving = -d1
         cut_dir = diagram.focus_foci[j].cut_direction()

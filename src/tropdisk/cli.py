@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .diagram import BaseDiagram
-from .diskgraph import Constraint
+from .diskgraph import CONSTRAINT_INTERIOR, Constraint
 from .eigentable import EIGENVALUE_TABLE, eigenvalue_verdict, nonmaximal_integers
 from .enumerate import (
     NO_FLAGS,
@@ -177,6 +177,10 @@ def cmd_potential(args) -> int:
     if problems:
         print("validation failed:", "; ".join(problems), file=sys.stderr)
         return EXIT_INVALID
+    point = constraint.point
+    if constraint.kind == CONSTRAINT_INTERIOR and not diagram.contains(point, strict=True):
+        raise GeometryError(
+            f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
     result = enumerate_disks(diagram, lag, constraint, bounds, convention, flags)
     if args.convention:
         result.warnings.append(f"pant sign convention overridden from {args.convention}")

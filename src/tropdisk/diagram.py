@@ -20,6 +20,7 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
+    point_on_row,
     point_on_segment,
     primitive,
     primitive_and_length,
@@ -84,6 +85,7 @@ class BaseDiagram:
     def __post_init__(self):
         self._facets: Optional[List[Facet]] = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
+        self._points = None
 
     # -- derived geometry ---------------------------------------------------
 
@@ -158,7 +160,10 @@ class BaseDiagram:
         return None if hit is None else from_homogeneous(ray_point(origin, d, hit[0], hit[1]))
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
-        X, Y, W = homogeneous(p)
+        return self._contains(homogeneous(p), strict)
+
+    def _contains(self, point, strict: bool = False) -> bool:
+        X, Y, W = point
         rows, scale = self.facet_rows()
         for (ax, ay, _, _), (nx, ny) in zip(rows, self.normals()):
             # scale * W * (<normal, p> - line_value), a positive multiple
@@ -169,8 +174,18 @@ class BaseDiagram:
 
     def cut_through(self, p: Vec) -> Optional[int]:
         """Index of the first branch cut containing p, or None."""
-        cuts = enumerate(self.branch_cuts())
-        return next((j for j, (a, b) in cuts if point_on_segment(p, a, b)), None)
+        return self._cut_through(homogeneous(p))
+
+    def _cut_through(self, point) -> Optional[int]:
+        rows, scale = self.cut_rows()
+        return next((j for j, row in enumerate(rows) if point_on_row(point, row, scale)), None)
+
+    def _homogeneous_points(self):
+        """The foci and the polygon's vertices as homogeneous triples."""
+        if self._points is None:
+            self._points = ([homogeneous(ff.position) for ff in self.focus_foci],
+                            [homogeneous(v) for v in self.polygon])
+        return self._points
 
     # -- spec operations ----------------------------------------------------
 
@@ -237,18 +252,19 @@ class BaseDiagram:
         return violations
 
     def classify_point(self, p: Vec) -> PointClass:
-        for j, ff in enumerate(self.focus_foci):
-            if p == ff.position:
-                return PointClass(AT_FOCUS_FOCUS, j)
-        for i, v in enumerate(self.polygon):
-            if p == v:
-                return PointClass(ON_POLYGON_VERTEX, i)
-        if not self.contains(p):
+        # homogeneous triples are canonical, so equal points have equal triples
+        point = homogeneous(p)
+        foci, corners = self._homogeneous_points()
+        if point in foci:
+            return PointClass(AT_FOCUS_FOCUS, foci.index(point))
+        if point in corners:
+            return PointClass(ON_POLYGON_VERTEX, corners.index(point))
+        if not self._contains(point):
             return PointClass(OUTSIDE)
-        for i, facet in enumerate(self.facets()):
-            if point_on_segment(p, *facet.endpoints):
-                return PointClass(ON_FACET, i)
-        j = self.cut_through(p)
+        facets = self._facets_through(point)
+        if facets:
+            return PointClass(ON_FACET, facets[0])
+        j = self._cut_through(point)
         if j is not None:
             return PointClass(ON_BRANCH_CUT, j)
         return PointClass(INTERIOR)
@@ -264,11 +280,12 @@ class BaseDiagram:
         return ff.monodromy(direction, sign=crossing_side)
 
     def facets_through(self, p: Vec) -> List[int]:
-        return [
-            i
-            for i, facet in enumerate(self.facets())
-            if point_on_segment(p, *facet.endpoints)
-        ]
+        """Indices of the facets containing p, in order."""
+        return self._facets_through(homogeneous(p))
+
+    def _facets_through(self, point) -> List[int]:
+        rows, scale = self.facet_rows()
+        return [i for i, row in enumerate(rows) if point_on_row(point, row, scale)]
 
     # -- serialization ------------------------------------------------------
 

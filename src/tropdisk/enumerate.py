@@ -22,6 +22,7 @@ only for completions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .geometry import (
     det2,
     from_homogeneous,
     homogeneous,
-    integer_rows,
+    point_key,
     primitive,
     primitive_and_length,
     ray_point,
@@ -158,8 +159,9 @@ class _Tracer:
     """Exhaustive ray tracing on homogeneous integers.
 
     It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
-    edges as rows of their own.  `trace` is the Vec front end; the recursion
-    `_trace` carries every ray origin, split point and cut crossing as a
+    edges as rows of their own.  `trace` is the Vec front end; the roots call
+    the recursion `_trace` directly from the constraint's homogeneous point.
+    It carries every ray origin, split point and cut crossing as a
     homogeneous (X, Y, W) triple and every direction as an integer pair, so
     each event test is an integer cross product and each comparison of ray
     parameters a cross-multiplication.  Fractions and Vecs are built only for
@@ -176,9 +178,17 @@ class _Tracer:
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
         self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
-        self.lag_rows, self.lag_scale = integer_rows([] if lag is None else [
-            (lag.position(e.endpoints[0]), lag.position(e.endpoints[1])) for e in lag.edges
-        ])
+        self.lag_rows, self.lag_scale = ([], 1) if lag is None else lag.edge_rows()
+        # facet -> its flagged corners that the Lagrangian leaves free, each as
+        # the integer direction of corner - corner_limit (None without a
+        # limit): a rim continuation from the facet aims at one of them
+        self.cap_corners: Dict[int, List[Optional[Tuple[int, int]]]] = {}
+        limit = flags.corner_limit
+        for i, facet in enumerate(self.facets):
+            for c in facet.endpoints:
+                if c in flags.corner_caps and not self._lagrangian_occupies(c):
+                    offset = None if limit is None else homogeneous(c - limit)[:2]
+                    self.cap_corners.setdefault(i, []).append(offset)
 
     # -- event scanning -------------------------------------------------------
 
@@ -297,8 +307,9 @@ class _Tracer:
     def _boundary_end(self, origin, d, prim, boundary) -> List[_Completion]:
         t_num, t_den, facet_ids = boundary
         outward = (-d[0], -d[1])
-        collision = next((i for i in facet_ids if self.diagram.normals()[i] == outward), None)
-        if collision is None and not self.flags.corner_caps:
+        normals = self.diagram.normals()
+        collision = next((i for i in facet_ids if normals[i] == outward), None)
+        if collision is None and not self._may_cap(d, prim, facet_ids):
             return []
         p, dirval = from_homogeneous(origin), Vec(*d)
         point = from_homogeneous(ray_point(origin, prim, t_num, t_den))
@@ -310,6 +321,14 @@ class _Tracer:
                 (_EdgeSpec(p, point, dirval),),
             )
         ]
+
+    def _may_cap(self, d, prim, facet_ids) -> bool:
+        """The integer tests of `_corner_cap` that need no hit point: d is
+        primitive, and a flagged corner on a facet hit is free and, under a
+        corner limit, on the line through the limit along d."""
+        return d == prim and any(
+            offset is None or offset[0] * d[1] - offset[1] * d[0] == 0
+            for i in facet_ids for offset in self.cap_corners.get(i, ()))
 
     def _corner_cap(self, p, dirval, point, facet_ids) -> List[_Completion]:
         """Lemma-4.18 style rim continuation into a flagged corner piece."""
@@ -442,19 +461,19 @@ class _Tracer:
 
 def _build_graph(constraint, root_specs, root_edges, completion: _Completion) -> DiskGraph:
     vertices: List[DiskVertex] = []
-    by_pos: Dict[Tuple, str] = {}
+    by_pos: Dict[Tuple[int, int, int, int], str] = {}
     for spec in list(root_specs) + list(completion.vertices):
         vid = f"v{len(vertices)}"
         vertices.append(DiskVertex(vid, spec.position, spec.kind))
-        key = tuple(spec.position)
+        key = point_key(spec.position)
         if key in by_pos:
             raise GeometryError(f"two graph vertices at {spec.position!r}")
         by_pos[key] = vid
 
     edges = []
     for spec in list(root_edges) + list(completion.edges):
-        a = by_pos[tuple(spec.start)]
-        b = by_pos[tuple(spec.end)]
+        a = by_pos[point_key(spec.start)]
+        b = by_pos[point_key(spec.end)]
         edges.append(DiskEdge((a, b), spec.direction, spec.open))
     return DiskGraph(vertices, edges, constraint)
 
@@ -593,18 +612,9 @@ def _row_reduce(rows, rhs, cols) -> Tuple[int, bool]:
 # -- roots and the public API -----------------------------------------------------
 
 
-def _perp_direction(lam: Vec) -> Vec:
-    return Vec(-lam.y, lam.x)
-
-
-def _direction_candidates(bound: int) -> List[Vec]:
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if x == 0 and y == 0:
-                continue
-            out.append(Vec(x, y))
-    return out
+def _direction_pairs(bound: int):
+    """The nonzero integer pairs in [-bound, bound]^2, x major."""
+    return [d for d in itertools.product(range(-bound, bound + 1), repeat=2) if any(d)]
 
 
 def enumerate_disks(
@@ -628,7 +638,9 @@ def enumerate_disks(
     unique: Dict[Tuple, DiskGraph] = {}
     for g in graphs:
         unique.setdefault(g.signature(), g)
-    ordered = sorted(unique.values(), key=lambda g: g.signature())
+    # the keys are distinct, so the sort never compares graphs, and items()
+    # spares hashing each signature again
+    ordered = [g for _, g in sorted(unique.items())]
 
     out: List[EnumeratedGraph] = []
     for g in ordered:
@@ -649,10 +661,11 @@ def enumerate_disks(
 
 def _fiber_graphs(tracer, constraint, bounds) -> List[DiskGraph]:
     out = []
+    origin = homogeneous(constraint.point)
     root = _VertexSpec(constraint.point, VertexKind(FIBER_ROOT))
-    for d in _direction_candidates(bounds.max_lattice_length):
-        for completion in tracer.trace(
-            constraint.point, d, bounds.max_cut_crossings, bounds.max_splits
+    for d in _direction_pairs(bounds.max_lattice_length):
+        for completion in tracer._trace(
+            origin, d, bounds.max_cut_crossings, bounds.max_splits
         ):
             out.append(_build_graph(constraint, [root], [], completion))
     return out
@@ -660,16 +673,18 @@ def _fiber_graphs(tracer, constraint, bounds) -> List[DiskGraph]:
 
 def _perp_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
     edge = lag.edges[constraint.edge_index]
-    lam = lag.edge_direction(edge)
-    d0 = _perp_direction(lam)
+    lx, ly = lag.edge_direction(edge).as_int_pair()
     q = constraint.point
+    origin = homogeneous(q)
     out = []
     for ell in range(1, bounds.max_lattice_length + 1):
         # collision models require the crossing line on both sides
-        plus = tracer.trace(q, d0 * ell, bounds.max_cut_crossings, bounds.max_splits)
+        plus = tracer._trace(origin, (-ly * ell, lx * ell),
+                             bounds.max_cut_crossings, bounds.max_splits)
         if not plus:
             continue
-        minus = tracer.trace(q, d0 * (-ell), bounds.max_cut_crossings, bounds.max_splits)
+        minus = tracer._trace(origin, (ly * ell, -lx * ell),
+                              bounds.max_cut_crossings, bounds.max_splits)
         if not minus:
             continue
         root = _VertexSpec(q, perp_collision(ell))
@@ -688,9 +703,9 @@ def _pant_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
     lam = primitive(lag.position(b_id) - lag.position(a_id))
     lx, ly = lam.as_int_pair()
     q = constraint.point
+    origin = homogeneous(q)
     out = []
-    for e_black in _direction_candidates(bounds.max_lattice_length):
-        ex, ey = e_black.as_int_pair()
+    for ex, ey in _direction_pairs(bounds.max_lattice_length):
         if ex * ly - ey * lx == 0:
             continue
         # the strip is -<e_black, lam>/<lam, lam> lam: it vanishes when the dot
@@ -701,9 +716,10 @@ def _pant_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
         target_id, seam = (b_id, b_seam) if dot < 0 else (a_id, a_seam)
         if not seam:
             continue
-        closed = tracer.trace(q, e_black, bounds.max_cut_crossings, bounds.max_splits)
+        closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits)
         if not closed:
             continue
+        e_black = Vec(ex, ey)
         target = lag.position(target_id)
         root = [
             _VertexSpec(q, holomorphic_pant(e_black, lam)),

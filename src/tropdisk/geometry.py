@@ -9,8 +9,9 @@ a ray origin is a homogeneous (X, Y, W) triple, a line table is the rows of
 `integer_rows` over the table's own scale, and every decision is an integer
 cross product, so it stays exact.  Ray parameters come back in units of the
 ray direction whatever the scale, so hits on different tables compare
-directly.  `ray_point` moves a homogeneous point along a ray without leaving
-the integers, `from_homogeneous` turns a point back into Fractions, and
+directly.  `point_on_row` locates a homogeneous point on such a row.
+`ray_point` moves a homogeneous point along a ray without leaving the
+integers, `from_homogeneous` turns a point back into Fractions, and
 `ray_segment_intersect` is the Fraction front end.
 """
 
@@ -101,6 +102,12 @@ class Vec:
         ]
 
 
+def point_key(p: Vec) -> Tuple[int, int, int, int]:
+    """The integers (x.num, x.den, y.num, y.den): equal exactly for equal
+    points and cheaper to hash than the Fractions."""
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
 def det2(a: Vec, b: Vec) -> Fraction:
     """Determinant of the 2x2 matrix with columns a, b."""
     return a.x * b.y - a.y * b.x
@@ -117,13 +124,13 @@ def primitive_and_length(v: Vec) -> Tuple[Vec, int]:
 
 
 def primitive(v: Vec) -> Vec:
-    """Primitive integer vector in the direction of v (v may be rational)."""
+    """Primitive integer vector in the direction of v (v may be rational):
+    the homogeneous pair of v divided by its gcd."""
     if not v:
         raise GeometryError("zero vector has no primitive direction")
-    scale = Fraction(v.x.denominator * v.y.denominator)
-    w = v * scale
-    p, _ = primitive_and_length(w)
-    return p
+    X, Y, _ = homogeneous(v)
+    g = math.gcd(X, Y)
+    return Vec(X // g, Y // g)
 
 
 def rational_length(v: Vec, direction: Vec) -> Fraction:
@@ -271,6 +278,26 @@ def ray_point_param(origin, d, q, scale: int) -> Optional[Tuple[int, int]]:
     if dx * ry - dy * rx != 0:
         return None
     return rx * dx + ry * dy, scale * W * (dx * dx + dy * dy)
+
+
+def point_on_row(point, row, scale: int, closed: bool = True) -> bool:
+    """Whether a homogeneous point lies on a segment row, in integers.
+
+    `point` is a homogeneous (X, Y, W) triple and `row` = (ax, ay, ex, ey) the
+    segment (a + s e)/scale of `integer_rows`.  The point is on it when
+    (p - a) x e = 0 and 0 <= (p - a).e <= |e|^2, strictly for the open
+    segment, each side scaled by the positive scale * W; a point row (e = 0)
+    thus holds every point when closed and none when open.
+    """
+    X, Y, W = point
+    ax, ay, ex, ey = row
+    rx, ry = X * scale - ax * W, Y * scale - ay * W
+    if rx * ey != ry * ex:
+        return False
+    dot = rx * ex + ry * ey
+    if closed:
+        return 0 <= dot <= W * (ex * ex + ey * ey)
+    return 0 < dot < W * (ex * ex + ey * ey)
 
 
 def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int, int]]:

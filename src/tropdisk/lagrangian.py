@@ -22,8 +22,10 @@ from .geometry import (
     GeometryError,
     Vec,
     det2,
+    homogeneous,
+    integer_rows,
     lines_intersect,
-    point_on_segment,
+    point_on_row,
     primitive,
     segment_parameter,
 )
@@ -61,6 +63,7 @@ class LagGraph:
             for vid in e.endpoints:
                 if vid not in self._by_id:
                     raise GeometryError(f"edge endpoint {vid!r} not a vertex")
+        self._edge_rows = None
 
     # -- basic combinatorics --------------------------------------------------
 
@@ -75,6 +78,22 @@ class LagGraph:
 
     def adjacent_edges(self, vid: str) -> List[LagEdge]:
         return [e for e in self.edges if vid in e.endpoints]
+
+    def edge_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
+        """The edges as `integer_rows`, over the graph's own scale."""
+        if self._edge_rows is None:
+            self._edge_rows = integer_rows([
+                (self.position(e.endpoints[0]), self.position(e.endpoints[1]))
+                for e in self.edges
+            ])
+        return self._edge_rows
+
+    def edge_through(self, p: Vec) -> Optional[int]:
+        """Index of the first edge whose open segment contains p, or None."""
+        point = homogeneous(p)
+        rows, scale = self.edge_rows()
+        return next((i for i, row in enumerate(rows)
+                     if point_on_row(point, row, scale, closed=False)), None)
 
     def edge_vector(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
         a, b = edge.endpoints
@@ -175,11 +194,11 @@ class LagGraph:
                     violations.append(f"unbalanced:{v.id}")
                 if val == 3 and self.is_balanced(v.id) and self.mikhalkin_det(v.id) != 1:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")
-        for k, e in enumerate(self.edges):
-            a = self.position(e.endpoints[0])
-            b = self.position(e.endpoints[1])
-            for ff in diagram.focus_foci:
-                if point_on_segment(ff.position, a, b, closed=False):
+        rows, scale = self.edge_rows()
+        foci = [homogeneous(ff.position) for ff in diagram.focus_foci]
+        for k, (e, row) in enumerate(zip(self.edges, rows)):
+            for focus in foci:
+                if point_on_row(focus, row, scale, closed=False):
                     violations.append(f"edge_contains_focus:{k}")
             for m, other in enumerate(self.edges):
                 if m <= k:

@@ -16,11 +16,12 @@ record of its multiplicity and its index contribution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, det2, primitive
+from .geometry import GeometryError, Vec, det2, point_key, primitive
 
 CYLINDER = "cylinder"
 PAIR_OF_PANTS = "pair_of_pants"
@@ -191,19 +192,28 @@ def aut_order(graph) -> int:
     permutations of those classes are tried; a bijection counts when it maps
     the edge multiset (with directions and the open/closed flags) to itself.
     Literally identical parallel edges (same endpoints, same data) contribute
-    a factorial of their multiplicity on top.
+    a factorial of their multiplicity on top.  When every class is a single
+    vertex, the identity is the only such bijection and that factor is the
+    order.
     """
     verts = graph.vertices
 
     def edge_key(a_id: str, b_id: str, e) -> tuple:
-        fwd = (a_id, b_id, tuple(e.direction), e.open)
-        rev = (b_id, a_id, tuple(-e.direction), e.open)
+        x, y = e.direction
+        fwd = (a_id, b_id, x.numerator, x.denominator, y.numerator, y.denominator, e.open)
+        rev = (b_id, a_id, -x.numerator, x.denominator, -y.numerator, y.denominator, e.open)
         return min(fwd, rev)
 
     base: Dict[tuple, int] = {}
     for e in graph.edges:
         key = edge_key(e.endpoints[0], e.endpoints[1], e)
         base[key] = base.get(key, 0) + 1
+    extra = 1
+    for m in base.values():
+        extra *= math.factorial(m)
+
+    if len({point_key(v.position) for v in verts}) == len(verts):
+        return extra  # distinct positions: every class is a single vertex
 
     classes: Dict[tuple, List[int]] = {}
     for i, v in enumerate(verts):
@@ -222,10 +232,6 @@ def aut_order(graph) -> int:
             mapped[key] = mapped.get(key, 0) + 1
         if mapped == base:
             count += 1
-    extra = 1
-    for m in base.values():
-        for k in range(2, m + 1):
-            extra *= k
     return count * extra
 
 

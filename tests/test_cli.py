@@ -172,6 +172,25 @@ def test_fixture_constraint_is_validated(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param("point:5,5", id="outside"),
+    pytest.param("point:1,0", id="corner"),
+    pytest.param("point:1/2,1/2", id="on-facet"),
+])
+def test_point_constraint_must_be_strictly_inside(capsys, spec):
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp6", "--constraint", spec)
+    assert code == 1
+    assert err.startswith("error:") and "strictly inside" in err
+    assert out == ""
+
+
+def test_point_constraint_inside_runs(capsys):
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp6",
+                             "--constraint", "point:0,0")
+    assert code == 0 and err == ""
+    assert "total W_L = 6" in out
+
+
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",
                                   "edge:-1@1/2"])
 def test_malformed_constraint_is_validation_error(tmp_path, capsys, spec):

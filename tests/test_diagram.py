@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_geometry import reference_point_on_segment, reference_primitive
 from tropdisk.diagram import (
     AT_FOCUS_FOCUS,
     INTERIOR,
@@ -14,6 +15,7 @@ from tropdisk.diagram import (
     OUTSIDE,
     BaseDiagram,
     FocusFocus,
+    PointClass,
 )
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import (
@@ -23,6 +25,7 @@ from tropdisk.geometry import (
     primitive_and_length,
     ray_segment_intersect,
 )
+from tropdisk.lagrangian import LagGraph, LagVertex
 
 
 @pytest.fixture
@@ -305,3 +308,110 @@ def test_focus_weight_from_covector():
     assert ff.weight() == 15
     ff1 = FocusFocus(Vec(0, 0), pi=Vec(0, 1), sigma=Vec(1, 0))
     assert ff1.weight() == 1
+
+
+# -- integer point location against the Fraction reference ------------------------
+
+
+def reference_facets_through(diagram, p):
+    return [i for i, facet in enumerate(diagram.facets())
+            if reference_point_on_segment(p, *facet.endpoints)]
+
+
+def reference_cut_through(diagram, p):
+    cuts = enumerate(diagram.branch_cuts())
+    return next((j for j, (a, b) in cuts if reference_point_on_segment(p, a, b)), None)
+
+
+def reference_classify_point(diagram, p):
+    """The former body of BaseDiagram.classify_point, on Fraction incidence."""
+    for j, ff in enumerate(diagram.focus_foci):
+        if p == ff.position:
+            return PointClass(AT_FOCUS_FOCUS, j)
+    for i, v in enumerate(diagram.polygon):
+        if p == v:
+            return PointClass(ON_POLYGON_VERTEX, i)
+    if not reference_contains(diagram, p, False):
+        return PointClass(OUTSIDE)
+    facets = reference_facets_through(diagram, p)
+    if facets:
+        return PointClass(ON_FACET, facets[0])
+    j = reference_cut_through(diagram, p)
+    if j is not None:
+        return PointClass(ON_BRANCH_CUT, j)
+    return PointClass(INTERIOR)
+
+
+def reference_edge_through(lag, p):
+    """The first Lagrangian edge whose open segment holds p, in Fractions."""
+    for i, e in enumerate(lag.edges):
+        a, b = (lag.position(v) for v in e.endpoints)
+        if reference_point_on_segment(p, a, b, closed=False):
+            return i
+    return None
+
+
+LOCATED_CASES = [(name, case) for name in FIXTURE_NAMES for case in builtin_fixture(name).cases]
+
+# rationals built from integers: cheaper to draw than st.fractions
+small_rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+unit_rationals = st.integers(0, 12).map(lambda k: F(k, 12)) | st.just(F(1, 3))
+
+
+def _located_case(data):
+    """A fixture case's diagram and Lagrangian moved by a drawn rational."""
+    name, case = data.draw(st.sampled_from(LOCATED_CASES))
+    fx = builtin_fixture(name)
+    shift = Vec(data.draw(st.just(F(0)) | small_rationals),
+                data.draw(st.just(F(0)) | small_rationals))
+    diagram = fx.diagram_for(case)
+    moved = BaseDiagram(diagram.name, [v + shift for v in diagram.polygon], [
+        FocusFocus(ff.position + shift, ff.pi, ff.sigma, ff.cut_sign)
+        for ff in diagram.focus_foci
+    ])
+    lag = fx.lagrangian_for(case)
+    if lag is not None:
+        lag = LagGraph([LagVertex(v.id, v.position + shift, v.anchor, v.anchor_index)
+                        for v in lag.vertices], list(lag.edges))
+    return moved, lag
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_point_location_agrees_with_fraction_reference(data):
+    diagram, lag = _located_case(data)
+    where = ["corner", "facet", "interior", "outside"]
+    if diagram.focus_foci:
+        where += ["focus", "cut"]
+    if lag is not None:
+        where += ["lagrangian"]
+    where = data.draw(st.sampled_from(where))
+    facet = data.draw(st.sampled_from(diagram.facets()))
+    a, b = facet.endpoints
+    if where == "corner":
+        p = a
+    elif where == "facet":
+        p = a + (b - a) * data.draw(unit_rationals)
+    elif where == "outside":
+        p = a + (b - a) * data.draw(unit_rationals) - facet.inward_normal * data.draw(
+            small_rationals.filter(lambda x: x > 0))
+    elif where == "focus":
+        p = data.draw(st.sampled_from(diagram.focus_foci)).position
+    elif where == "cut":
+        start, end = data.draw(st.sampled_from(diagram.branch_cuts()))
+        p = start + (end - start) * data.draw(unit_rationals)
+    elif where == "lagrangian":
+        # on an edge, at its ends or beyond them on its line
+        edge = data.draw(st.sampled_from(lag.edges))
+        a, b = (lag.position(v) for v in edge.endpoints)
+        p = a + (b - a) * (data.draw(unit_rationals) * 2 - F(1, 2))
+    else:
+        p = _interior_point(data, diagram.polygon)
+    assert diagram.facets_through(p) == reference_facets_through(diagram, p)
+    assert diagram.cut_through(p) == reference_cut_through(diagram, p)
+    assert diagram.classify_point(p) == reference_classify_point(diagram, p)
+    if lag is not None:
+        assert lag.edge_through(p) == reference_edge_through(lag, p)
+    for q in [*diagram.polygon, *(ff.position for ff in diagram.focus_foci)]:
+        if p != q:
+            assert primitive(p - q) == reference_primitive(p - q)

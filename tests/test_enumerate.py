@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_diagram import reference_facets_through
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
@@ -270,7 +271,9 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
         d = primitive(corner - origin).as_int_pair()  # exits through a corner
     t_num, t_den, facets = tracer._boundary_hit(homogeneous(origin), d)
     point = from_homogeneous(ray_point(homogeneous(origin), d, t_num, t_den))
+    # both sides read the integer facet rows: the Fraction reference checks them
     assert facets == tracer.diagram.facets_through(point)
+    assert facets == reference_facets_through(tracer.diagram, point)
     if corner is not None:
         assert point == corner and len(facets) == 2
 

@@ -12,7 +12,9 @@ from tropdisk.geometry import (
     apply_matrix,
     det2,
     homogeneous,
+    integer_rows,
     lines_intersect,
+    point_on_row,
     point_on_segment,
     primitive,
     primitive_and_length,
@@ -301,6 +303,28 @@ def test_point_on_segment_agrees_with_fraction_reference(case, closed):
     assert got == reference_point_on_segment(p, a, b, closed)
     if a == b:
         assert got == closed
+
+
+@given(point_segment_cases(), st.booleans())
+def test_point_on_row_agrees_with_fraction_reference(case, closed):
+    p, a, b = case
+    (row,), scale = integer_rows([(a, b)])
+    got = point_on_row(homogeneous(p), row, scale, closed)
+    assert got == reference_point_on_segment(p, a, b, closed)
+
+
+def reference_primitive(v):
+    """The former body of primitive: clear by the product of the denominators,
+    then divide by the gcd."""
+    w = v * (v.x.denominator * v.y.denominator)
+    return primitive_and_length(w)[0]
+
+
+@given(vecs(small_rats).filter(bool))
+def test_primitive_agrees_with_fraction_reference(v):
+    p = primitive(v)
+    assert p == reference_primitive(v)
+    assert primitive_and_length(p)[1] == 1 and det2(p, v) == 0 and p.dot(v) > 0
 
 
 def test_unimodular_guard():

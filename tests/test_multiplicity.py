@@ -178,6 +178,18 @@ def test_aut_order_symmetric_star():
     assert aut_order(g) == 6
 
 
+def test_aut_order_parallel_edges_between_distinct_positions():
+    # every (kind, position) class is one vertex, so the order is the
+    # parallel-edge factor alone; an edge listed reversed is the same edge
+    def doubled(edges):
+        return _graph([(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1))], edges)
+
+    assert aut_order(doubled([(0, 1, Vec(1, 0), False)])) == 1
+    assert aut_order(doubled([(0, 1, Vec(1, 0), False), (1, 0, Vec(-1, 0), False)])) == 2
+    assert aut_order(doubled([(0, 1, Vec(1, 0), False)] * 3)) == 6
+    assert aut_order(doubled([(0, 1, Vec(1, 0), False), (0, 1, Vec(1, 0), True)])) == 1
+
+
 def _aut_reference(graph):
     # independent brute force: try all vertex permutations, demand the edge
     # multiset is preserved exactly

@@ -91,3 +91,51 @@ def test_bench_pairs_claim_needs_nine_pairs_and_a_gap_beyond_the_iqr():
     digests = wall_summary(parent, close, other)["digests"]
     assert digests["equal_on_every_pair"] is False
     assert digests["distinct_prefixes"] == ["sha256:0badc0de", "sha256:de21d787"]
+
+
+def _summary(bench, parent, change, digests=None):
+    parse = bench["parse_run"]
+    digests = digests or ["sha256:de21d787aa"] * len(parent)
+    pairs = [(k, parse(_canned_run(p)), parse(_canned_run(c, digest)))
+             for k, (p, c, digest) in enumerate(zip(parent, change, digests))]
+    bounds = bench["load_bounds"](SCRIPTS.parent / "BENCHMARK.json")
+    return bench["summarise_workload"](pairs, None, bounds)
+
+
+def test_bench_pairs_flags_a_metric_worse_than_its_bound():
+    bench = load_script("bench_pairs.py")
+    bounds = bench["load_bounds"](SCRIPTS.parent / "BENCHMARK.json")
+    assert bounds["wall_s"] == ("lower", 0.25) and bounds["peak_rss_mb"] == ("lower", 0.1)
+    parent = [0.30 + 0.01 * k for k in range(10)]
+    # medians 0.345 and 1.3 * 0.345: beyond the 25% bound
+    slower = _summary(bench, parent, [p * 1.3 for p in parent])["metrics"]
+    assert slower["wall_s"]["regressed"] is True
+    assert slower["peak_rss_mb"]["regressed"] is False
+    # 1.2 times the parent: worse, but inside the bound
+    assert _summary(bench, parent, [p * 1.2 for p in parent])["metrics"]["wall_s"][
+        "regressed"] is False
+    # without bounds nothing counts as regressed
+    parse = bench["parse_run"]
+    pairs = [(k, parse(_canned_run(p)), parse(_canned_run(2 * p)))
+             for k, p in enumerate(parent)]
+    assert bench["summarise_workload"](pairs)["metrics"]["wall_s"]["regressed"] is False
+
+
+def test_bench_pairs_claim_fails_on_a_regression_or_a_digest_mismatch():
+    bench = load_script("bench_pairs.py")
+    parent = [0.30 + 0.01 * k for k in range(10)]
+    faster = [p - 0.1 for p in parent]
+    flat = list(parent)
+    workloads = {"grid": _summary(bench, parent, faster), "sweep": _summary(bench, parent, flat)}
+    assert bench["regressions"](workloads) == []
+    assert bench["claim_report"](workloads, "grid:wall_s") == {
+        "workload": "grid", "metric": "wall_s", "met": True}
+    # a regression on another workload
+    workloads["sweep"] = _summary(bench, parent, [p * 1.3 for p in parent])
+    assert bench["regressions"](workloads) == ["sweep:wall_s"]
+    assert bench["claim_report"](workloads, "grid:wall_s")["met"] is False
+    # digests that differ on one pair of another workload
+    other = ["sha256:de21d787aa"] * 9 + ["sha256:0badc0deff"]
+    workloads["sweep"] = _summary(bench, parent, flat, other)
+    assert bench["regressions"](workloads) == []
+    assert bench["claim_report"](workloads, "grid:wall_s")["met"] is False
