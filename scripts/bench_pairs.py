@@ -12,8 +12,8 @@ the parent commit as a `git worktree` or a clone).  For every workload and
 every seed 0..pairs-1 the script runs `perfbench/run.py --seconds 8 --trace 0`
 once in each checkout, the parent first on even seeds and the change first on odd
 seeds, then one `--trace 1` pass per checkout at seed 0.  Each summary
-metric gets the median and quartiles (`statistics.quantiles`, inclusive) of
-its runs per side, `change_over_parent` (ratio of the medians),
+metric gets its runs per side in seed order, their median and quartiles
+(`statistics.quantiles`, inclusive), `change_over_parent` (ratio of the medians),
 `change_lower_in_pairs`, `parent_iqr` and `regressed`: whether the change's
 median is worse than the parent's by more than the metric's bound in
 `BENCHMARK.json` (of the change checkout).  The report lists every regressed
@@ -41,8 +41,10 @@ TRACED_SECONDS = 1  # length of the traced pass at seed 0
 # traced counters copied into "traced_seed0"
 TRACED = (
     "geometry.vec_new", "geometry.fraction_new", "geometry.calls", "geometry.self_s",
-    "lagrangian.calls", "enumerate.self_s", "enumerate.rigidity.calls",
-    "enumerate.candidates", "enumerate.unique", "enumerate.counted",
+    "diagram.self_s", "lagrangian.calls", "lagrangian.self_s", "enumerate.self_s",
+    "enumerate.rigidity.calls", "enumerate.rigidity.self_s", "enumerate.candidates",
+    "enumerate.unique", "enumerate.counted", "classify.calls", "classify.self_s",
+    "multiplicity.self_s",
 )
 SIDES = ("parent", "change")
 
@@ -95,7 +97,7 @@ def summarise_workload(pairs, traced=None, bounds=None) -> dict:
         entry = {"unit": unit}
         for side in SIDES:
             q1, median, q3 = _quartiles(values[side])
-            entry[side] = {"median": median, "q1": q1, "q3": q3}
+            entry[side] = {"median": median, "q1": q1, "q3": q3, "runs": values[side]}
         lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
         entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
         entry["change_lower_in_pairs"] = f"{lower}/{len(pairs)}"

@@ -7,7 +7,7 @@ diagram and the Lagrangian), which is how result graphs are re-validated.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from .diagram import AT_FOCUS_FOCUS, BaseDiagram, ON_FACET, ON_POLYGON_VERTEX
 from .diskgraph import DiskGraph
@@ -29,26 +29,9 @@ from .multiplicity import (
 )
 
 
-def _lagrangian_edge_through(lag: LagGraph, p: Vec) -> Optional[Tuple[int, Vec]]:
-    """(edge index, primitive direction) of a Lagrangian edge containing p."""
-    if lag is None:
-        return None
-    i = lag.edge_through(p)
-    return None if i is None else (i, lag.edge_direction(lag.edges[i]))
-
-
-def _lagrangian_vertex_at(lag: LagGraph, p: Vec):
-    if lag is None:
-        return None
-    for v in lag.vertices:
-        if v.position == p:
-            return v
-    return None
-
-
-def _cylinder_across_cut(diagram: BaseDiagram, position: Vec, d1: Vec, d2: Vec) -> bool:
-    """Directions equal once one side is transported through the cut."""
-    point = homogeneous(position)
+def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Vec, d2: Vec) -> bool:
+    """Directions equal once one side is transported through a cut through
+    the homogeneous point."""
     rows, scale = diagram.cut_rows()
     for j, row in enumerate(rows):
         if not point_on_row(point, row, scale):
@@ -79,11 +62,11 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
     valence = len(adjacent)
     if valence > 3:
         raise HigherValenceVertex(f"valence {valence} at {vid}")
-    open_edges = [(e, d) for e, d in adjacent if e.open]
-    closed_edges = [(e, d) for e, d in adjacent if not e.open]
-    cls = diagram.classify_point(v.position)
-    lam_edge = _lagrangian_edge_through(lag, v.position)
-    lam_vertex = _lagrangian_vertex_at(lag, v.position)
+    point = homogeneous(v.position)
+    cls = diagram._classify_point(point)
+    lam_edge = None if lag is None else lag._edge_through(point)
+    lam_dir = None if lam_edge is None else lag.edge_direction(lag.edges[lam_edge])
+    lam_vertex = None if lag is None else lag._vertex_at(point)
 
     if valence == 1:
         edge, d = adjacent[0]
@@ -94,12 +77,13 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
                 raise UnclassifiableVertex("focus leg not along the shear direction")
             return focus_cover(ell, cls.index, ff.weight())
         if cls.kind in (ON_FACET, ON_POLYGON_VERTEX) and not edge.open:
-            for i in diagram.facets_through(v.position):
-                if d == diagram.facets()[i].inward_normal:
+            normals = diagram.normals()
+            leg = homogeneous(d)
+            for i in diagram._facets_through(point):
+                if leg == (*normals[i], 1):
                     return boundary_collision(i)
             raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
-        if lam_edge is not None and not edge.open:
-            _, lam_dir = lam_edge
+        if lam_dir is not None and not edge.open:
             if d.dot(lam_dir) == 0:
                 _, ell = primitive_and_length(d)
                 return perp_collision(ell)
@@ -114,11 +98,10 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if not e1.open and not e2.open:
             if d1 == -d2:
                 return cylinder()
-            if _cylinder_across_cut(diagram, v.position, d1, d2):
+            if _cylinder_across_cut(diagram, point, d1, d2):
                 return cylinder()
             raise HigherValenceVertex("bivalent vertex with two closed edges")
-        if e1.open != e2.open and lam_edge is not None:
-            _, lam_dir = lam_edge
+        if e1.open != e2.open and lam_dir is not None:
             (open_d,) = [d for e, d in adjacent if e.open]
             (black_d,) = [d for e, d in adjacent if not e.open]
             mirrored = reflect_over(black_d, lam_dir)

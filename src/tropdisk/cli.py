@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
-from .diagram import BaseDiagram
+from .diagram import AT_FOCUS_FOCUS, BaseDiagram
 from .diskgraph import CONSTRAINT_INTERIOR, Constraint
 from .eigentable import EIGENVALUE_TABLE, eigenvalue_verdict, nonmaximal_integers
 from .enumerate import (
@@ -178,9 +178,14 @@ def cmd_potential(args) -> int:
         print("validation failed:", "; ".join(problems), file=sys.stderr)
         return EXIT_INVALID
     point = constraint.point
-    if constraint.kind == CONSTRAINT_INTERIOR and not diagram.contains(point, strict=True):
-        raise GeometryError(
-            f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
+    if constraint.kind == CONSTRAINT_INTERIOR:
+        if not diagram.contains(point, strict=True):
+            raise GeometryError(
+                f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
+        if diagram.classify_point(point).kind == AT_FOCUS_FOCUS:
+            raise GeometryError(
+                f"constraint point:{point.x},{point.y} is a focus-focus value: its fiber "
+                "is nodal, not a Lagrangian torus")
     result = enumerate_disks(diagram, lag, constraint, bounds, convention, flags)
     if args.convention:
         result.warnings.append(f"pant sign convention overridden from {args.convention}")

@@ -252,8 +252,10 @@ class BaseDiagram:
         return violations
 
     def classify_point(self, p: Vec) -> PointClass:
+        return self._classify_point(homogeneous(p))
+
+    def _classify_point(self, point) -> PointClass:
         # homogeneous triples are canonical, so equal points have equal triples
-        point = homogeneous(p)
         foci, corners = self._homogeneous_points()
         if point in foci:
             return PointClass(AT_FOCUS_FOCUS, foci.index(point))

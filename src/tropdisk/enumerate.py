@@ -47,7 +47,6 @@ from .geometry import (
     primitive,
     primitive_and_length,
     ray_point,
-    ray_point_param,
     ray_segment_hit,
 )
 from .lagrangian import LagGraph
@@ -207,23 +206,40 @@ class _Tracer:
     def _events(self, origin, prim, b_num: int, b_den: int):
         """(focus, cut): the earliest focus on the ray and the earliest cut it
         crosses, each as (t_num, t_den, j) with t at most the boundary's
-        b_num/b_den, or None.  Ties keep the lowest index j."""
+        b_num/b_den, or None.  Ties keep the lowest index j.
+
+        One pass over the cut rows does the work of `ray_point_param` on each
+        focus and `ray_segment_hit` on each cut, from their shared offset
+        (rx, ry) / (scale W) of the focus from the origin.  The cross product
+        of that offset with prim is the numerator of the cut's s, so a focus
+        on the ray's line meets its own cut at s = 0 and is a focus event only.
+        """
         focus = cut = None
+        X, Y, W = origin
         scale = self.cut_scale
         px, py = prim
-        for j, row in enumerate(self.cut_rows):
-            t = ray_point_param(origin, prim, row[:2], scale)
-            if (t is not None and t[0] > 0 and t[0] * b_den <= b_num * t[1]
-                    and (focus is None or t[0] * focus[1] < focus[0] * t[1])):
-                focus = (t[0], t[1], j)
-            if px * row[3] - py * row[2] == 0:
-                continue  # parallel: running along a cut is shear-invariant
-            hit = ray_segment_hit(origin, prim, row, scale)
-            if hit is None or hit[2] == 0:
+        for j, (ax, ay, ex, ey) in enumerate(self.cut_rows):
+            rx, ry = ax * W - X * scale, ay * W - Y * scale
+            cross = py * rx - px * ry
+            if cross == 0:
+                # the focus is on the ray's line, at t = (r . prim) / (scale W |prim|^2)
+                t_num, t_den = rx * px + ry * py, scale * W * (px * px + py * py)
+                if (t_num > 0 and t_num * b_den <= b_num * t_den
+                        and (focus is None or t_num * focus[1] < focus[0] * t_den)):
+                    focus = (t_num, t_den, j)
                 continue  # s = 0: meeting the focus itself is a focus event
-            if (hit[0] * b_den <= b_num * hit[1]
-                    and (cut is None or hit[0] * cut[1] < cut[0] * hit[1])):
-                cut = (hit[0], hit[1], j)
+            denom = px * ey - py * ex
+            if denom == 0:
+                continue  # parallel: running along a cut is shear-invariant
+            t_num = rx * ey - ry * ex
+            if denom < 0:
+                denom, t_num, cross = -denom, -t_num, -cross
+            if t_num <= 0 or cross < 0 or cross > W * denom:
+                continue
+            t_den = scale * W * denom
+            if (t_num * b_den <= b_num * t_den
+                    and (cut is None or t_num * cut[1] < cut[0] * t_den)):
+                cut = (t_num, t_den, j)
         return focus, cut
 
     def _crossed(self, j: int, d, side: int) -> Tuple[int, int]:
@@ -367,9 +383,7 @@ class _Tracer:
         return out
 
     def _lagrangian_occupies(self, corner: Vec) -> bool:
-        if self.lag is None:
-            return False
-        return any(v.position == corner for v in self.lag.vertices)
+        return self.lag is not None and self.lag._vertex_at(homogeneous(corner)) is not None
 
     def _split_completions(self, origin, prim, d, horizon, crossings, splits):
         """Splits at a point w of the ray, pinned by a focus along its shear line.
@@ -435,22 +449,26 @@ class _Tracer:
         X, Y, W = origin
         scale = self.cut_scale
         fx, fy, _, _ = self.cut_rows[focus_j]
-        d = (fx * W - X * scale, fy * W - Y * scale)
+        dx, dy = fx * W - X * scale, fy * W - Y * scale
         reach = scale * W   # t * reach is the fraction of the leg travelled
-        for k, row in enumerate(self.cut_rows):
-            if k == focus_j:
+        # one pass over the cut rows, as in `_events`
+        for k, (ax, ay, ex, ey) in enumerate(self.cut_rows):
+            rx, ry = ax * W - X * scale, ay * W - Y * scale
+            cross = dy * rx - dx * ry
+            if cross == 0 and k != focus_j:
+                t_num = rx * dx + ry * dy
+                if 0 <= t_num <= dx * dx + dy * dy:
+                    return False  # another focus on the leg
+            denom = dx * ey - dy * ex
+            if denom == 0:
                 continue
-            t = ray_point_param(origin, d, row[:2], scale)
-            if t is not None and 0 <= t[0] and t[0] * reach <= t[1]:
-                return False
-        for row in self.cut_rows:
-            if d[0] * row[3] - d[1] * row[2] == 0:
-                continue
-            hit = ray_segment_hit(origin, d, row, scale)
-            if hit is not None and hit[0] * reach < hit[1]:
+            t_num = rx * ey - ry * ex
+            if denom < 0:
+                denom, t_num, cross = -denom, -t_num, -cross
+            if 0 < t_num < denom and 0 <= cross <= W * denom:
                 return False  # a hit at the focus itself is where its own cut starts
         for row in self.lag_rows:
-            hit = ray_segment_hit(origin, d, row, self.lag_scale)
+            hit = ray_segment_hit(origin, (dx, dy), row, self.lag_scale)
             if hit is not None and hit[0] * reach <= hit[1]:
                 return False
         return True
@@ -487,77 +505,90 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
 
     Unknowns are the vertex positions (2 each).  Equations: collinearity of
     each edge with its fixed direction, anchor incidences per vertex kind and
-    the point constraint.  The rational rows go to `_row_reduce`, which
-    finds the rank and solvability exactly in integers.
+    the point constraint, as `_rigidity_rows` writes them; `_echelon_rank`
+    finds the rank and solvability exactly.
     """
-    n = len(graph.vertices)
-    cols = 2 * n
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    cols = 2 * len(graph.vertices)
+    rank, consistent = _echelon_rank(_rigidity_rows(graph, diagram, lag, constraint), cols)
+    if not consistent:
+        return -1
+    return cols - rank
 
-    def add_row(coeffs: Dict[int, Fraction], b) -> None:
-        row = [0] * cols
-        for c, val in coeffs.items():
-            row[c] = val
+
+def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGraph],
+                   constraint: Optional[Constraint]) -> List[List[int]]:
+    """The incidence system of `rigidity_dimension` as integer rows: the 2n
+    coefficients, then the right-hand side.  Each row comes from the
+    homogeneous vertex positions and the integer facet, cut and Lagrangian
+    rows the diagram and the Lagrangian cache, so no Fraction is built.
+    """
+    cols = 2 * len(graph.vertices)
+    rows: List[List[int]] = []
+
+    def add_row(i: int, a: int, b: int, c: int) -> None:
+        """a x_i + b y_i = c."""
+        row = [0] * (cols + 1)
+        row[2 * i], row[2 * i + 1], row[cols] = a, b, c
         rows.append(row)
-        rhs.append(b)
+
+    def add_pin(i: int, point) -> None:
+        X, Y, W = point
+        add_row(i, W, 0, X)
+        add_row(i, 0, W, Y)
+
+    def add_line(i: int, line, scale: int) -> None:
+        """On the line through a/scale along e, for a row (ax, ay, ex, ey)."""
+        ax, ay, ex, ey = line
+        add_row(i, ey * scale, -ex * scale, ey * ax - ex * ay)
+
+    def add_facet(i: int, fi: int) -> None:
+        nx, ny = normals[fi]
+        ax, ay, _, _ = facet_rows[fi]
+        add_row(i, nx * facet_scale, ny * facet_scale, nx * ax + ny * ay)
 
     for e in graph.edges:
         ia = graph.index_of(e.endpoints[0])
         ib = graph.index_of(e.endpoints[1])
-        d = e.direction
-        # det2(pos_b - pos_a, d) = 0
-        add_row(
-            {2 * ib: d.y, 2 * ib + 1: -d.x, 2 * ia: -d.y, 2 * ia + 1: d.x}, 0
-        )
+        # det2(pos_b - pos_a, d) = 0; a half-integral d is scaled by its W
+        dx, dy, _ = homogeneous(e.direction)
+        row = [0] * (cols + 1)
+        row[2 * ib], row[2 * ib + 1], row[2 * ia], row[2 * ia + 1] = dy, -dx, -dy, dx
+        rows.append(row)
 
+    facet_rows, facet_scale = diagram.facet_rows()
+    normals = diagram.normals()
+    foci, _ = diagram._homogeneous_points()
     for v in graph.vertices:
         i = graph.index_of(v.id)
         tag = v.kind.tag
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
-            target = diagram.focus_foci[v.kind.index].position if v.kind.index is not None else v.position
-            add_row({2 * i: 1}, target.x)
-            add_row({2 * i + 1: 1}, target.y)
+            add_pin(i, foci[v.kind.index] if v.kind.index is not None
+                    else homogeneous(v.position))
         elif tag == BOUNDARY_COLLISION:
-            for fi in diagram.facets_through(v.position):
-                facet = diagram.facets()[fi]
-                nrm = facet.inward_normal
-                add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
+            for fi in diagram._facets_through(homogeneous(v.position)):
+                add_facet(i, fi)
         elif tag == CYLINDER:
-            j = diagram.cut_through(v.position)
+            point = homogeneous(v.position)
+            j = diagram._cut_through(point)
             if j is not None:
-                start, end = diagram.branch_cuts()[j]
-                d = end - start
-                # on the cut line: det2(x - start, d) = 0
-                add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * start.x - d.x * start.y)
+                cut_rows, cut_scale = diagram.cut_rows()
+                add_line(i, cut_rows[j], cut_scale)
             else:
-                for fi in diagram.facets_through(v.position):
-                    facet = diagram.facets()[fi]
-                    nrm = facet.inward_normal
-                    add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
-                    break
+                facets = diagram._facets_through(point)
+                if facets:
+                    add_facet(i, facets[0])
         elif tag in (PERP_COLLISION, PANT):
             if lag is not None and constraint is not None and constraint.edge_index is not None:
-                edge = lag.edges[constraint.edge_index]
-                a = lag.position(edge.endpoints[0])
-                b = lag.position(edge.endpoints[1])
-                d = b - a
-                add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * a.x - d.x * a.y)
+                edge_rows, edge_scale = lag.edge_rows()
+                add_line(i, edge_rows[constraint.edge_index], edge_scale)
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
-            add_row({2 * i: 1}, v.position.x)
-            add_row({2 * i + 1: 1}, v.position.y)
+            add_pin(i, homogeneous(v.position))
 
     if constraint is not None:
         root = _root_vertex(graph)
         if root is not None:
-            i = graph.index_of(root.id)
-            add_row({2 * i: 1}, constraint.point.x)
-            add_row({2 * i + 1: 1}, constraint.point.y)
-
-    rank, consistent = _row_reduce(rows, rhs, cols)
-    if not consistent:
-        return -1
-    return cols - rank
+            add_pin(graph.index_of(root.id), homogeneous(constraint.point))
+    return rows
 
 
 def _root_vertex(graph: DiskGraph) -> Optional[DiskVertex]:
@@ -570,25 +601,34 @@ def _root_vertex(graph: DiskGraph) -> Optional[DiskVertex]:
 def _row_reduce(rows, rhs, cols) -> Tuple[int, bool]:
     """Rank of the rational system rows . x = rhs, and whether it is solvable.
 
-    The entries of `rows` and `rhs` are ints or Fractions.  Fraction-free forward elimination (Bareiss 1968): each row, with its
-    right-hand side appended, is scaled once to integers.  Pivoting on row k
-    replaces every row below it by (pv * row - f * top) // prev, where pv is
-    the pivot, f the row's entry in the pivot column and prev the previous
-    pivot (1 at the start); by Sylvester's identity the division is exact.
-    Elimination stops at echelon form, since only the rank is needed.
+    The entries of `rows` and `rhs` are ints or Fractions.  Each row, with
+    its right-hand side appended, is scaled once to integers for
+    `_echelon_rank`.
     """
     matrix = []
     for row, b in zip(rows, rhs):
         entries = [*row, b]
-        den = 1
-        for x in entries:
-            d = x.denominator
-            if den % d:
-                den = den // math.gcd(den, d) * d
+        den = math.lcm(*(x.denominator for x in entries))
         matrix.append([x.numerator * (den // x.denominator) for x in entries])
+    return _echelon_rank(matrix, cols)
+
+
+def _echelon_rank(matrix: List[List[int]], cols: int) -> Tuple[int, bool]:
+    """Rank of an integer system and whether it is solvable.
+
+    Each row of `matrix` holds the `cols` coefficients, then the right-hand
+    side; the rows are rewritten in place.  Fraction-free forward
+    elimination: pivoting on row k replaces every row below it with a
+    nonzero entry f in the pivot column by pv * row - f * top, pv being the
+    pivot, divided by the content (gcd) of the result.  Scaling a row by a
+    nonzero integer keeps the rank and the solvability, so rows that are
+    zero in the pivot column are left alone; Bareiss's exact division by the
+    previous pivot (Bareiss 1968) would need them updated too, and the
+    rigidity rows are sparse.  Elimination stops at echelon form, since only
+    the rank is needed.
+    """
     n = len(matrix)
     rank = 0
-    prev = 1
     for col in range(cols):
         if rank == n:
             break
@@ -601,8 +641,10 @@ def _row_reduce(rows, rhs, cols) -> Tuple[int, bool]:
         for r in range(rank + 1, n):
             row = matrix[r]
             f = row[col]
-            matrix[r] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
-        prev = pv
+            if f:
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                matrix[r] = [x // g for x in row] if g > 1 else row
         rank += 1
     # rows below the rank are zero in every coefficient column
     consistent = all(row[-1] == 0 for row in matrix[rank:])

@@ -64,6 +64,8 @@ class LagGraph:
                 if vid not in self._by_id:
                     raise GeometryError(f"edge endpoint {vid!r} not a vertex")
         self._edge_rows = None
+        self._directions: Optional[Dict[LagEdge, Tuple[Vec, Vec]]] = None
+        self._by_point: Optional[Dict[Tuple[int, int, int], LagVertex]] = None
 
     # -- basic combinatorics --------------------------------------------------
 
@@ -90,10 +92,20 @@ class LagGraph:
 
     def edge_through(self, p: Vec) -> Optional[int]:
         """Index of the first edge whose open segment contains p, or None."""
-        point = homogeneous(p)
+        return self._edge_through(homogeneous(p))
+
+    def _edge_through(self, point) -> Optional[int]:
         rows, scale = self.edge_rows()
         return next((i for i, row in enumerate(rows)
                      if point_on_row(point, row, scale, closed=False)), None)
+
+    def _vertex_at(self, point) -> Optional[LagVertex]:
+        """The first vertex at the homogeneous point, or None."""
+        if self._by_point is None:
+            self._by_point = {}
+            for v in self.vertices:
+                self._by_point.setdefault(homogeneous(v.position), v)
+        return self._by_point.get(point)
 
     def edge_vector(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
         a, b = edge.endpoints
@@ -103,8 +115,19 @@ class LagGraph:
 
     def edge_direction(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
         """Primitive integer direction of an edge, oriented away from from_id."""
-        v = self.edge_vector(edge, from_id)
-        return primitive(v)
+        if self._directions is None:
+            # both orientations of every edge of nonzero length
+            self._directions = {}
+            for e in self.edges:
+                v = self.edge_vector(e)
+                if v:
+                    d = primitive(v)
+                    self._directions[e] = (d, -d)
+        directions = self._directions.get(edge)
+        if directions is None:
+            # not cached: an edge of zero length, for which primitive raises
+            return primitive(self.edge_vector(edge, from_id))
+        return directions[from_id == edge.endpoints[1]]
 
     def edge_integral_vector(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
         """The tropical direction: weight times the primitive direction."""

@@ -191,6 +191,22 @@ def test_point_constraint_inside_runs(capsys):
     assert "total W_L = 6" in out
 
 
+def test_point_constraint_at_a_focus_is_rejected(capsys):
+    # dp5's focus-focus value: its fiber is the nodal fiber, not a torus
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp5",
+                             "--constraint", "point:1/2,1/4")
+    assert code == 1
+    assert err.startswith("error:") and "focus-focus value" in err
+    assert out == ""
+
+
+def test_point_constraint_beside_a_focus_runs(capsys):
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp5",
+                             "--constraint", "point:1/2,1/5")
+    assert code == 0 and err == ""
+    assert "total W_L = 2" in out
+
+
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",
                                   "edge:-1@1/2"])
 def test_malformed_constraint_is_validation_error(tmp_path, capsys, spec):

@@ -1,6 +1,8 @@
 import itertools
 import math
+import pathlib
 import random
+import runpy
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,13 +13,20 @@ from hypothesis import strategies as st
 from test_diagram import reference_facets_through
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
-from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
+from tropdisk.diskgraph import (
+    CONSTRAINT_LAGRANGIAN,
+    Constraint,
+    DiskEdge,
+    DiskGraph,
+    DiskVertex,
+)
 from tropdisk.enumerate import (
     NO_FLAGS,
     FixtureFlags,
     SearchBounds,
     _Completion,
     _EdgeSpec,
+    _rigidity_rows,
     _row_reduce,
     _Tracer,
     _VertexSpec,
@@ -42,9 +51,16 @@ from tropdisk.geometry import (
 )
 from tropdisk.lagrangian import LagGraph, LagVertex
 from tropdisk.multiplicity import (
+    BOUNDARY_COLLISION,
     CORNER_CAP,
+    CYLINDER,
     FIBER_ROOT,
+    FOCUS_COVER,
     FOCUS_COVER_PAIR,
+    PANT,
+    PANT_SEAM,
+    PERP_COLLISION,
+    THREE_STRIP,
     VertexKind,
     boundary_collision,
     cylinder,
@@ -205,6 +221,166 @@ def test_row_reduce_agrees_with_fraction_reference(system):
     assert (rank, consistent) == _row_reduce_reference(rows, rhs, cols)
     if drifted:
         assert not consistent
+
+
+def _reference_rigidity_rows(graph, diagram, lag, constraint):
+    """The former row builder of `rigidity_dimension`: (rows, rhs) in
+    Fractions from the Vec directions, cut segments and facet lines."""
+    cols = 2 * len(graph.vertices)
+    rows, rhs = [], []
+
+    def add_row(coeffs, b):
+        row = [F(0)] * cols
+        for c, val in coeffs.items():
+            row[c] = F(val)
+        rows.append(row)
+        rhs.append(F(b))
+
+    for e in graph.edges:
+        ia = graph.index_of(e.endpoints[0])
+        ib = graph.index_of(e.endpoints[1])
+        d = e.direction
+        add_row({2 * ib: d.y, 2 * ib + 1: -d.x, 2 * ia: -d.y, 2 * ia + 1: d.x}, 0)
+
+    def add_facet(i, fi):
+        facet = diagram.facets()[fi]
+        nrm = facet.inward_normal
+        add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
+
+    def add_line(i, a, d):
+        add_row({2 * i: d.y, 2 * i + 1: -d.x}, d.y * a.x - d.x * a.y)
+
+    def add_pin(i, p):
+        add_row({2 * i: 1}, p.x)
+        add_row({2 * i + 1: 1}, p.y)
+
+    for v in graph.vertices:
+        i = graph.index_of(v.id)
+        tag = v.kind.tag
+        if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
+            add_pin(i, diagram.focus_foci[v.kind.index].position
+                    if v.kind.index is not None else v.position)
+        elif tag == BOUNDARY_COLLISION:
+            for fi in diagram.facets_through(v.position):
+                add_facet(i, fi)
+        elif tag == CYLINDER:
+            j = diagram.cut_through(v.position)
+            if j is not None:
+                start, end = diagram.branch_cuts()[j]
+                add_line(i, start, end - start)
+            else:
+                for fi in diagram.facets_through(v.position)[:1]:
+                    add_facet(i, fi)
+        elif tag in (PERP_COLLISION, PANT):
+            if lag is not None and constraint is not None and constraint.edge_index is not None:
+                edge = lag.edges[constraint.edge_index]
+                a, b = (lag.position(x) for x in edge.endpoints)
+                add_line(i, a, b - a)
+        elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
+            add_pin(i, v.position)
+
+    if constraint is not None:
+        root = next((v for v in graph.vertices
+                     if v.kind.tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP)), None)
+        if root is not None:
+            add_pin(graph.index_of(root.id), constraint.point)
+    return rows, rhs
+
+
+@pytest.fixture(scope="module")
+def solved_graphs():
+    """(diagram, lag, constraint, graph) for every graph of every shipped case,
+    of every shipped case moved by a rational shift (so that the facet, cut
+    and Lagrangian rows need a scale) and of the seed-0 sweep positions of
+    perfbench/workloads.py."""
+    workloads = runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent
+                                   / "perfbench" / "workloads.py"))
+    shift = Vec(F(1, 3), F(-1, 5))
+    runs = []
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        spec, constraint = fx.case(case), fx.constraint(case)
+        runs.append((fx.diagram_for(case), fx.lagrangian_for(case), constraint,
+                     spec.bounds, spec.flags))
+        diagram, lag, flags = _shifted_case(fx, case, shift)
+        if constraint.kind == CONSTRAINT_LAGRANGIAN:
+            moved = Constraint.on_lagrangian(lag, constraint.edge_index, constraint.t)
+        else:
+            moved = Constraint.interior_point(constraint.point + shift)
+        runs.append((diagram, lag, moved, spec.bounds, flags))
+    for name, case, edge, k in workloads["sweep_positions"](0):
+        fx = builtin_fixture(name)
+        lag, spec = fx.lagrangian_for(case), fx.case(case)
+        t = F(k, workloads["SWEEP_DENOMINATOR"])
+        runs.append((fx.diagram_for(case), lag, Constraint.on_lagrangian(lag, edge, t),
+                     spec.bounds, spec.flags))
+    out = []
+    for diagram, lag, constraint, bounds, flags in runs:
+        result = enumerate_disks(diagram, lag, constraint, bounds, flags=flags)
+        out.extend((diagram, lag, constraint, g.graph) for g in result.graphs)
+    return out
+
+
+def test_solved_graphs_cover_every_row_kind(solved_graphs):
+    # cylinders on a cut and on a facet, half-integral open strip directions,
+    # corner caps and scaled rows, so that every row the rigidity solve
+    # writes is checked
+    on_cut = on_facet = half = corner = scaled = 0
+    for diagram, lag, _, graph in solved_graphs:
+        scaled += diagram.facet_rows()[1] > 1 and diagram.cut_rows()[1] > 1 and (
+            lag is None or lag.edge_rows()[1] > 1)
+        for v in graph.vertices:
+            if v.kind.tag == CYLINDER:
+                if diagram.cut_through(v.position) is None:
+                    on_facet += 1
+                else:
+                    on_cut += 1
+            corner += v.kind.tag == CORNER_CAP
+        half += sum(not e.direction.is_integral() for e in graph.edges)
+    assert on_cut and on_facet and half and corner and scaled
+
+
+def _pin_variant(variant, constraint, lag):
+    """The constraint as solved, dropped, or with its point shifted: off the
+    constraint edge's line for a Lagrangian constraint."""
+    if variant == "solved":
+        return constraint
+    if variant == "unpinned":
+        return None
+    if constraint.kind == CONSTRAINT_LAGRANGIAN:
+        a, b = (lag.position(x) for x in lag.edges[constraint.edge_index].endpoints)
+        shift = Vec(a.y - b.y, b.x - a.x) * F(1, 7)
+    else:
+        shift = Vec(F(1, 7), F(1, 11))
+    return Constraint(constraint.kind, constraint.point + shift,
+                      constraint.edge_index, constraint.t)
+
+
+@pytest.mark.parametrize("variant", ["solved", "unpinned", "shifted"])
+def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
+    # row by row, each integer row is a nonzero multiple of the reference's
+    # Fraction row with its right-hand side, and the ranks agree
+    for diagram, lag, constraint, graph in solved_graphs:
+        pin = _pin_variant(variant, constraint, lag)
+        rows = _rigidity_rows(graph, diagram, lag, pin)
+        ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, pin)
+        assert len(rows) == len(ref_rows)
+        for row, ref in zip(rows, (r + [b] for r, b in zip(ref_rows, ref_rhs))):
+            k = next(k for k, x in enumerate(ref) if x)
+            assert row == [x * row[k] / ref[k] for x in ref] and row[k]
+        cols = 2 * len(graph.vertices)
+        rank, consistent = _row_reduce_reference(ref_rows, ref_rhs, cols)
+        dim = rigidity_dimension(graph, diagram, lag, pin)
+        assert dim == (cols - rank if consistent else -1)
+        if variant == "solved":
+            assert dim == 0
+        elif variant == "unpinned":
+            # dropping rows keeps the system solvable; only a pant seam's pin
+            # and the pant's edges can fix the root without the constraint
+            assert dim > 0 or (dim == 0 and any(v.kind.tag == PANT_SEAM
+                                                for v in graph.vertices))
+        elif constraint.kind == CONSTRAINT_LAGRANGIAN:
+            assert dim == -1  # a fiber root moves with its graph instead
 
 
 def test_enumerated_graphs_are_rigid_and_revalidate():
@@ -795,3 +971,58 @@ def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
                 q, d, c.bounds.max_cut_crossings, c.bounds.max_splits), d
             found += len(completions)
     assert found or name == "p1xp1"
+
+
+def _reference_leg_clear(tracer, origin, focus_j):
+    """The former body of `_Tracer._leg_clear`: `ray_point_param` on every
+    other focus, then `ray_segment_hit` on every cut and Lagrangian row."""
+    X, Y, W = origin
+    scale = tracer.cut_scale
+    fx, fy, _, _ = tracer.cut_rows[focus_j]
+    d = (fx * W - X * scale, fy * W - Y * scale)
+    reach = scale * W
+    for k, row in enumerate(tracer.cut_rows):
+        if k == focus_j:
+            continue
+        t = ray_point_param(origin, d, row[:2], scale)
+        if t is not None and 0 <= t[0] and t[0] * reach <= t[1]:
+            return False
+    for row in tracer.cut_rows:
+        if d[0] * row[3] - d[1] * row[2] == 0:
+            continue
+        hit = ray_segment_hit(origin, d, row, scale)
+        if hit is not None and hit[0] * reach < hit[1]:
+            return False
+    for row in tracer.lag_rows:
+        hit = ray_segment_hit(origin, d, row, tracer.lag_scale)
+        if hit is not None and hit[0] * reach <= hit[1]:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leg_clear_agrees_with_ray_kernel_reference(data):
+    # w on the line from focus j through a drawn target, before, at or past
+    # it, so that the leg from w back to the focus meets other foci, cuts and
+    # the Lagrangian at their ends, inside them or just beside them
+    name, case = data.draw(st.sampled_from(NODED_CASES))
+    fx = builtin_fixture(name)
+    offset = st.just(F(0)) | st.fractions(-2, 2, max_denominator=12)
+    diagram, lag, flags = _shifted_case(fx, case, Vec(data.draw(offset), data.draw(offset)))
+    j = data.draw(st.integers(0, len(diagram.focus_foci) - 1))
+    focus = diagram.focus_foci[j].position
+    targets = [ff.position for ff in diagram.focus_foci] + list(diagram.polygon)
+    targets += [a + (b - a) * F(k, 4) for a, b in diagram.branch_cuts() for k in range(5)]
+    if lag is not None:
+        targets += [v.position for v in lag.vertices]
+    q = data.draw(st.sampled_from(targets))
+    nudge = Vec(*(data.draw(st.just(F(0)) | st.fractions(-1, 1, max_denominator=8))
+                  for _ in range(2)))
+    past = data.draw(st.sampled_from([F(1), F(2)]) | st.fractions(F(1, 4), 3, max_denominator=8))
+    w = focus + (q + nudge - focus) * past
+    if w == focus:
+        return
+    tracer = _Tracer(diagram, lag, fx.case(case).bounds, flags)
+    origin = homogeneous(w)
+    assert tracer._leg_clear(origin, j) == _reference_leg_clear(tracer, origin, j)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropdisk.fixtures import builtin_fixture
-from tropdisk.geometry import GeometryError, Vec, apply_matrix
+from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
+from tropdisk.geometry import GeometryError, Vec, apply_matrix, homogeneous, primitive
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph, star_graph
 
 
@@ -219,3 +219,36 @@ def test_file_round_trip(tmp_path):
     loaded = LagGraph.load(path)
     assert [v.position for v in loaded.vertices] == [v.position for v in lag.vertices]
     assert [e.endpoints for e in loaded.edges] == [e.endpoints for e in lag.edges]
+
+
+def _fixture_lagrangians():
+    return [lag for name in FIXTURE_NAMES for lag in builtin_fixture(name).lagrangians.values()]
+
+
+def test_cached_edge_directions_match_primitive_edge_vectors():
+    for lag in _fixture_lagrangians():
+        for e in lag.edges:
+            for end in e.endpoints:
+                assert lag.edge_direction(e, from_id=end) == primitive(lag.edge_vector(e, end))
+            assert lag.edge_direction(e) == primitive(lag.edge_vector(e))
+        for v in lag.vertices:
+            assert lag.leg_directions(v.id) == [
+                primitive(lag.edge_vector(e, v.id)) for e in lag.adjacent_edges(v.id)]
+
+
+def test_zero_length_edge_still_has_no_direction():
+    g = LagGraph([LagVertex("a", Vec(0, 0)), LagVertex("b", Vec(0, 0)),
+                  LagVertex("c", Vec(1, 0))],
+                 [LagEdge(("a", "b")), LagEdge(("a", "c"))])
+    assert g.edge_direction(g.edges[1], from_id="c") == Vec(-1, 0)
+    with pytest.raises(GeometryError):
+        g.edge_direction(g.edges[0])
+
+
+def test_vertex_lookup_finds_the_vertex_at_each_position_only():
+    for lag in _fixture_lagrangians():
+        for v in lag.vertices:
+            assert lag._vertex_at(homogeneous(v.position)) is v
+        for e in lag.edges:
+            a, b = (lag.position(x) for x in e.endpoints)
+            assert lag._vertex_at(homogeneous((a + b) / 2)) is None

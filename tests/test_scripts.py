@@ -51,9 +51,20 @@ def test_bench_pairs_summary_of_canned_runs():
     change = [0.20 + 0.01 * k for k in range(10)]
     pairs = [(k, parse(_canned_run(p)), parse(_canned_run(c)))
              for k, (p, c) in enumerate(zip(parent, change))]
-    summary = bench["summarise_workload"](pairs)
+    # the traced pass's layer metrics: where a saving sits, per side
+    layers = {"parent": {"enumerate.rigidity.self_s": 0.040, "classify.calls": 922,
+                         "classify.self_s": 0.061, "multiplicity.self_s": 0.012},
+              "change": {"enumerate.rigidity.self_s": 0.019, "classify.calls": 922,
+                         "classify.self_s": 0.035, "multiplicity.self_s": 0.012}}
+    summary = bench["summarise_workload"](
+        pairs, {side: {"metrics": metrics} for side, metrics in layers.items()})
+    traced = summary["traced_seed0"]
+    for name in layers["parent"]:
+        assert traced[name] == {side: layers[side][name] for side in layers}
+    assert traced["geometry.vec_new"] == {"parent": None, "change": None}
     wall = summary["metrics"]["wall_s"]
     assert wall["unit"] == "s"
+    assert wall["parent"]["runs"] == parent and wall["change"]["runs"] == change
     assert wall["parent"]["median"] == pytest.approx(0.345)
     assert wall["parent"]["q1"] == pytest.approx(0.3225)
     assert wall["parent"]["q3"] == pytest.approx(0.3675)
