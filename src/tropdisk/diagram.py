@@ -25,7 +25,6 @@ from .geometry import (
     primitive,
     primitive_and_length,
     ray_point,
-    ray_segment_hit,
     shear_apply,
 )
 
@@ -137,20 +136,36 @@ class BaseDiagram:
         """(t_num, t_den, facets) where the open ray origin + t d first meets
         the boundary, or None; origin is homogeneous, d an integer pair and t
         in units of d.  `facets` lists, in order, every facet hit at t: one,
-        or the two that meet at a corner."""
+        or the two that meet at a corner.
+
+        The origin must lie in the closed polygon.  An origin outside it gives
+        None, and so does a ray that leaves the polygon at once from a facet
+        or a corner.  A ray from inside the convex polygon leaves it where it
+        first crosses a facet line it runs outward through (n.d < 0, n the
+        inward normal), so one pass over the half-planes n.x >= n.a finds the
+        hit: t = slack / -n.d with slack = n.p - n.a.
+        """
+        X, Y, W = origin
+        dx, dy = d
         rows, scale = self.facet_rows()
-        best, facets = None, []
-        for i, row in enumerate(rows):
-            hit = ray_segment_hit(origin, d, row, scale)
-            if hit is None:
-                continue
-            if best is None or hit[0] * best[1] < best[0] * hit[1]:
-                best, facets = hit, [i]
-            elif hit[0] * best[1] == best[0] * hit[1]:
+        best_slack, best_rate, facets = 0, 0, []
+        for i, ((ax, ay, _, _), (nx, ny)) in enumerate(zip(rows, self._normals)):
+            # scale * W * (n.p - n.a)
+            slack = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
+            if slack < 0:
+                return None  # the origin is outside the polygon
+            rate = -(nx * dx + ny * dy)
+            if rate <= 0:
+                continue  # the ray does not run outward through this facet line
+            if slack == 0:
+                return None  # leaves at once from a facet or a corner
+            if not facets or slack * best_rate < best_slack * rate:
+                best_slack, best_rate, facets = slack, rate, [i]
+            elif slack * best_rate == best_slack * rate:
                 facets.append(i)
-        if best is None:
+        if not facets:
             return None
-        return best[0], best[1], facets
+        return best_slack, scale * W * best_rate, facets
 
     def _cut_exit(self, ff: FocusFocus) -> Optional[Vec]:
         """Where the branch cut of ff first meets the boundary, or None."""

@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagram import BaseDiagram
@@ -154,6 +155,27 @@ class EnumerationResult:
         return [g.contribution for g in self.graphs]
 
 
+class _Ray:
+    """What a trace computes from its origin and primitive direction alone.
+
+    `focus` is the focus j the ray ends at (along its shear line, first on
+    the ray and not where a cut also meets it), `cut` the (j, side, point) of
+    the cut it crosses first, and `ends` the boundary completions for a
+    primitive direction d == prim (empty when neither a collision nor a
+    corner cap is possible there).  `splits` holds the clear split points
+    (j, sign, w), filled the first time a trace may split.
+    """
+
+    __slots__ = ("horizon", "focus", "cut", "ends", "splits")
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self.focus: Optional[int] = None
+        self.cut = None
+        self.ends: List[_Completion] = []
+        self.splits = None
+
+
 class _Tracer:
     """Exhaustive ray tracing on homogeneous integers.
 
@@ -163,8 +185,12 @@ class _Tracer:
     It carries every ray origin, split point and cut crossing as a
     homogeneous (X, Y, W) triple and every direction as an integer pair, so
     each event test is an integer cross product and each comparison of ray
-    parameters a cross-multiplication.  Fractions and Vecs are built only for
-    completions.
+    parameters a cross-multiplication.
+
+    A tracer serves one enumeration.  Everything a trace finds before its
+    ends depends only on the origin and the primitive direction, so it keeps
+    a `_Ray` per such pair; it also keeps the Vecs it builds for completions,
+    one per point and per direction.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -188,6 +214,25 @@ class _Tracer:
                 if c in flags.corner_caps and not self._lagrangian_occupies(c):
                     offset = None if limit is None else homogeneous(c - limit)[:2]
                     self.cap_corners.setdefault(i, []).append(offset)
+        self._rays: Dict[Tuple, Optional[_Ray]] = {}
+        self._points: Dict[Tuple[int, int, int], Vec] = {}
+        self._directions: Dict[Tuple[int, int], Vec] = {}
+
+    # -- completion Vecs ------------------------------------------------------
+
+    def _point(self, origin) -> Vec:
+        """The Vec of a homogeneous point, built once per tracer."""
+        vec = self._points.get(origin)
+        if vec is None:
+            vec = self._points[origin] = from_homogeneous(origin)
+        return vec
+
+    def _direction(self, d) -> Vec:
+        """The Vec of an integer pair, built once per tracer."""
+        vec = self._directions.get(d)
+        if vec is None:
+            vec = self._directions[d] = Vec(*d)
+        return vec
 
     # -- event scanning -------------------------------------------------------
 
@@ -198,10 +243,6 @@ class _Tracer:
             if hit is not None and hit[0] * t_den <= t_num * hit[1]:
                 return True
         return False
-
-    def _boundary_hit(self, origin, prim) -> Optional[Tuple[int, int, List[int]]]:
-        """(t_num, t_den, facets) of the first boundary meeting, or None."""
-        return self.diagram.boundary_hit(origin, prim)
 
     def _events(self, origin, prim, b_num: int, b_den: int):
         """(focus, cut): the earliest focus on the ray and the earliest cut it
@@ -252,6 +293,48 @@ class _Tracer:
         k = side * (sx * d[0] + sy * d[1])
         return d[0] + k * pix, d[1] + k * piy
 
+    def _ray(self, origin, prim) -> Optional[_Ray]:
+        """The `_Ray` of (origin, prim), or None when no trace along it can
+        complete: it meets no boundary (malformed input) or it meets the
+        Lagrangian graph before its first event."""
+        key = origin + prim
+        if key in self._rays:
+            return self._rays[key]
+        ray = self._rays[key] = self._cast(origin, prim)
+        return ray
+
+    def _cast(self, origin, prim) -> Optional[_Ray]:
+        boundary = self.diagram.boundary_hit(origin, prim)
+        if boundary is None:
+            return None
+        b_num, b_den, facet_ids = boundary
+        focus, cut = self._events(origin, prim, b_num, b_den)
+
+        horizon = (b_num, b_den)
+        for event in (focus, cut):
+            if event is not None and event[0] * horizon[1] < horizon[0] * event[1]:
+                horizon = event[:2]
+        if self._lambda_hit(origin, prim, *horizon):
+            return None
+
+        ray = _Ray(horizon)
+        if focus is not None and (cut is None or focus[0] * cut[1] <= cut[0] * focus[1]):
+            pix, piy = self.shear_table[focus[2]]
+            # no end where cut and focus meet at one point (degenerate), nor
+            # where the ray would run through a nodal fiber (not generic)
+            if ((cut is None or focus[0] * cut[1] != cut[0] * focus[1])
+                    and prim[0] * piy - prim[1] * pix == 0):
+                ray.focus = focus[2]
+        elif cut is not None and cut[0] * b_den < b_num * cut[1]:
+            t_num, t_den, j = cut
+            # a cut row runs along its cut direction
+            _, _, cx, cy = self.cut_rows[j]
+            side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
+            ray.cut = (j, side, ray_point(origin, prim, t_num, t_den))
+        else:
+            ray.ends = self._boundary_end(origin, prim, boundary)
+        return ray
+
     # -- the trace ------------------------------------------------------------
 
     def trace(self, p: Vec, dirval: Vec, crossings: int, splits: int) -> List[_Completion]:
@@ -264,50 +347,31 @@ class _Tracer:
         """`trace` from the homogeneous point origin along the integer pair d."""
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
-        boundary = self._boundary_hit(origin, prim)
-        if boundary is None:
-            return []  # leaves the polygon without meeting it: malformed input
-        b_num, b_den, facet_ids = boundary
-        focus, cut = self._events(origin, prim, b_num, b_den)
-
-        horizon = (b_num, b_den)
-        for event in (focus, cut):
-            if event is not None and event[0] * horizon[1] < horizon[0] * event[1]:
-                horizon = event[:2]
-        if self._lambda_hit(origin, prim, *horizon):
+        ray = self._ray(origin, prim)
+        if ray is None:
             return []
 
-        completions = self._split_completions(origin, prim, d, horizon, crossings, splits)
-
-        if focus is not None and (cut is None or focus[0] * cut[1] <= cut[0] * focus[1]):
-            if cut is not None and focus[0] * cut[1] == cut[0] * focus[1]:
-                return completions  # degenerate: cut and focus at one point
-            return completions + self._focus_end(origin, d, prim, ell, focus[2])
-
-        if cut is not None and cut[0] * b_den < b_num * cut[1]:
+        completions = (self._split_completions(origin, prim, d, ray, crossings, splits)
+                       if splits > 0 else [])
+        if ray.focus is not None:
+            return completions + self._focus_end(origin, d, ell, ray.focus)
+        if ray.cut is not None:
             if crossings <= 0:
                 return completions
-            t_num, t_den, j = cut
-            # a cut row runs along its cut direction
-            _, _, cx, cy = self.cut_rows[j]
-            side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
-            point = ray_point(origin, prim, t_num, t_den)
+            j, side, point = ray.cut
             rest = self._trace(point, self._crossed(j, d, side), crossings - 1, splits)
             if rest:
-                hit = from_homogeneous(point)
+                hit = self._point(point)
                 vertex = _VertexSpec(hit, cylinder())
-                edge = _EdgeSpec(from_homogeneous(origin), hit, Vec(*d))
+                edge = _EdgeSpec(self._point(origin), hit, self._direction(d))
                 completions.extend(c.prepend([vertex], [edge]) for c in rest)
             return completions
+        # normals are primitive, so only a primitive d can end on the boundary
+        return completions + ray.ends if ell == 1 else completions
 
-        return completions + self._boundary_end(origin, d, prim, boundary)
-
-    def _focus_end(self, origin, d, prim, ell, j) -> List[_Completion]:
-        pix, piy = self.shear_table[j]
-        if prim[0] * piy - prim[1] * pix != 0:
-            return []  # the ray would run through a nodal fiber: not generic
+    def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
         ff = self.diagram.focus_foci[j]
-        leg = (_EdgeSpec(from_homogeneous(origin), ff.position, Vec(*d)),)
+        leg = (_EdgeSpec(self._point(origin), ff.position, self._direction(d)),)
         return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
 
     def _focus_vertices(self, j, ell) -> List[_VertexSpec]:
@@ -320,15 +384,16 @@ class _Tracer:
             out.append(_VertexSpec(ff.position, focus_cover_pair(ell, j, w)))
         return out
 
-    def _boundary_end(self, origin, d, prim, boundary) -> List[_Completion]:
+    def _boundary_end(self, origin, prim, boundary) -> List[_Completion]:
+        """The boundary completions of the primitive direction prim."""
         t_num, t_den, facet_ids = boundary
-        outward = (-d[0], -d[1])
+        outward = (-prim[0], -prim[1])
         normals = self.diagram.normals()
         collision = next((i for i in facet_ids if normals[i] == outward), None)
-        if collision is None and not self._may_cap(d, prim, facet_ids):
+        if collision is None and not self._may_cap(prim, facet_ids):
             return []
-        p, dirval = from_homogeneous(origin), Vec(*d)
-        point = from_homogeneous(ray_point(origin, prim, t_num, t_den))
+        p, dirval = self._point(origin), self._direction(prim)
+        point = self._point(ray_point(origin, prim, t_num, t_den))
         if collision is None:
             return self._corner_cap(p, dirval, point, facet_ids)
         return [
@@ -338,12 +403,12 @@ class _Tracer:
             )
         ]
 
-    def _may_cap(self, d, prim, facet_ids) -> bool:
-        """The integer tests of `_corner_cap` that need no hit point: d is
-        primitive, and a flagged corner on a facet hit is free and, under a
-        corner limit, on the line through the limit along d."""
-        return d == prim and any(
-            offset is None or offset[0] * d[1] - offset[1] * d[0] == 0
+    def _may_cap(self, prim, facet_ids) -> bool:
+        """The integer tests of `_corner_cap` that need no hit point: a
+        flagged corner on a facet hit is free and, under a corner limit, on
+        the line through the limit along prim."""
+        return any(
+            offset is None or offset[0] * prim[1] - offset[1] * prim[0] == 0
             for i in facet_ids for offset in self.cap_corners.get(i, ()))
 
     def _corner_cap(self, p, dirval, point, facet_ids) -> List[_Completion]:
@@ -385,20 +450,44 @@ class _Tracer:
     def _lagrangian_occupies(self, corner: Vec) -> bool:
         return self.lag is not None and self.lag._vertex_at(homogeneous(corner)) is not None
 
-    def _split_completions(self, origin, prim, d, horizon, crossings, splits):
-        """Splits at a point w of the ray, pinned by a focus along its shear line.
+    def _split_completions(self, origin, prim, d, ray, crossings, splits):
+        """Splits at the clear split points of the ray: at each, every arrival
+        sub_ell * sign * pi at its focus and the rest d - arrival traced on."""
+        if ray.splits is None:
+            ray.splits = self._split_points(origin, prim, ray.horizon)
+        dx, dy = d
+        out = []
+        for j, sign, w_origin in ray.splits:
+            pix, piy = self.shear_table[j]
+            for sub_ell in range(1, self.bounds.max_lattice_length + 1):
+                m = sub_ell * sign
+                d2 = (dx - pix * m, dy - piy * m)
+                rest = self._trace(w_origin, d2, crossings, splits - 1)
+                if not rest:
+                    continue
+                w = self._point(w_origin)
+                arrival = self._direction((pix * m, piy * m))
+                pants = _VertexSpec(w, pair_of_pants(arrival, self._direction(d2)))
+                legs = [_EdgeSpec(self._point(origin), w, self._direction(d)),
+                        _EdgeSpec(w, self.diagram.focus_foci[j].position, arrival)]
+                focus_vertices = self._focus_vertices(j, sub_ell)
+                for completion in rest:
+                    for fv in focus_vertices:
+                        out.append(completion.prepend([pants, fv], legs))
+        return out
+
+    def _split_points(self, origin, prim, horizon) -> List[Tuple[int, int, Tuple[int, int, int]]]:
+        """The points w of the ray where it may split, pinned by a focus along
+        its shear line, as (j, sign, w).
 
         Every arrival sub_ell * sign * pi at focus j spans the line through the
         focus along pi, so the split point w, its parameter, the one sign that
         puts the focus ahead of w and the clearance of the leg from w to the
         focus are found once per focus.  w stays a homogeneous triple.
         """
-        if splits <= 0:
-            return []
         X, Y, W = origin
         scale = self.cut_scale
         h_num, h_den = horizon
-        dx, dy = d
         out = []
         for j, (pix, piy) in enumerate(self.shear_table):
             cross = prim[0] * piy - prim[1] * pix
@@ -421,23 +510,8 @@ class _Tracer:
             # arrival either
             sign = -1 if u_num > 0 else 1
             w_origin = ray_point(origin, prim, t_num, t_den)
-            if not self._leg_clear(w_origin, j):
-                continue
-            for sub_ell in range(1, self.bounds.max_lattice_length + 1):
-                m = sub_ell * sign
-                d2 = (dx - pix * m, dy - piy * m)
-                rest = self._trace(w_origin, d2, crossings, splits - 1)
-                if not rest:
-                    continue
-                w = from_homogeneous(w_origin)
-                arrival = Vec(pix * m, piy * m)
-                pants = _VertexSpec(w, pair_of_pants(arrival, Vec(*d2)))
-                legs = [_EdgeSpec(from_homogeneous(origin), w, Vec(dx, dy)),
-                        _EdgeSpec(w, self.diagram.focus_foci[j].position, arrival)]
-                focus_vertices = self._focus_vertices(j, sub_ell)
-                for completion in rest:
-                    for fv in focus_vertices:
-                        out.append(completion.prepend([pants, fv], legs))
+            if self._leg_clear(w_origin, j):
+                out.append((j, sign, w_origin))
         return out
 
     def _leg_clear(self, origin, focus_j: int) -> bool:
@@ -667,25 +741,10 @@ def enumerate_disks(
     convention: SignConvention = DEFAULT_CONVENTION,
     flags: FixtureFlags = NO_FLAGS,
 ) -> EnumerationResult:
-    tracer = _Tracer(diagram, lag, bounds, flags)
-    graphs: List[DiskGraph] = []
+    graphs = _candidate_graphs(diagram, lag, constraint, bounds, flags)
     warnings: List[str] = []
-
-    if constraint.kind == CONSTRAINT_INTERIOR:
-        graphs.extend(_fiber_graphs(tracer, constraint, bounds))
-    else:
-        graphs.extend(_perp_graphs(tracer, lag, constraint, bounds))
-        graphs.extend(_pant_graphs(tracer, lag, constraint, bounds))
-
-    unique: Dict[Tuple, DiskGraph] = {}
-    for g in graphs:
-        unique.setdefault(g.signature(), g)
-    # the keys are distinct, so the sort never compares graphs, and items()
-    # spares hashing each signature again
-    ordered = [g for _, g in sorted(unique.items())]
-
     out: List[EnumeratedGraph] = []
-    for g in ordered:
+    for g in _unique_graphs(graphs):
         if len(g.vertices) > bounds.max_vertices:
             warnings.append(f"graph with {len(g.vertices)} vertices exceeds max_vertices")
             continue
@@ -699,6 +758,23 @@ def enumerate_disks(
             warnings.append(f"index diagnostic != 2 for a counted graph ({index})")
         out.append(EnumeratedGraph(g, contribution, dim, aut, weights))
     return EnumerationResult(out, [], warnings)
+
+
+def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[DiskGraph]:
+    """Every graph the roots grow from the constraint, duplicates included."""
+    tracer = _Tracer(diagram, lag, bounds, flags)
+    if constraint.kind == CONSTRAINT_INTERIOR:
+        return _fiber_graphs(tracer, constraint, bounds)
+    return (_perp_graphs(tracer, lag, constraint, bounds)
+            + _pant_graphs(tracer, lag, constraint, bounds))
+
+
+def _unique_graphs(graphs: List[DiskGraph]) -> List[DiskGraph]:
+    """One graph per signature, in signature order: the first candidate of
+    each run of equal signatures after a stable sort, so that signatures are
+    compared but never hashed."""
+    keyed = sorted(((g.signature(), g) for g in graphs), key=itemgetter(0))
+    return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
 
 
 def _fiber_graphs(tracer, constraint, bounds) -> List[DiskGraph]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, det2, point_key, primitive
+from .geometry import GeometryError, Vec, det2, homogeneous, point_key, primitive
 
 CYLINDER = "cylinder"
 PAIR_OF_PANTS = "pair_of_pants"
@@ -122,11 +122,18 @@ def pant_determinant(kind: VertexKind) -> int:
 
 
 def pant_strip_direction(e_black: Vec, lag_dir: Vec) -> Vec:
-    """Strip direction forced by the pant balancing 2w + e_black + r(e_black) = 0."""
-    from .geometry import reflect_over
+    """Strip direction forced by the pant balancing 2w + e_black + r(e_black) = 0.
 
-    mirrored = reflect_over(e_black, lag_dir)
-    return -(e_black + mirrored) / 2
+    r is the reflection fixing lag_dir, so w is the projection
+    -<e_black, lag_dir>/<lag_dir, lag_dir> lag_dir; the coefficient does not
+    depend on the scale of lag_dir, which is read as an integer pair.
+    """
+    ex, ey, ew = homogeneous(e_black)
+    lx, ly, _ = homogeneous(lag_dir)
+    if not (lx or ly):
+        raise GeometryError("the Lagrangian direction of a pant strip must be nonzero")
+    coeff = Fraction(-(ex * lx + ey * ly), ew * (lx * lx + ly * ly))
+    return Vec(coeff * lx, coeff * ly)
 
 
 @dataclass

@@ -21,8 +21,11 @@ from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import (
     Ray,
     Vec,
+    from_homogeneous,
+    homogeneous,
     primitive,
     primitive_and_length,
+    ray_segment_hit,
     ray_segment_intersect,
 )
 from tropdisk.lagrangian import LagGraph, LagVertex
@@ -216,6 +219,62 @@ def test_cut_exits_agree_with_fraction_reference(data):
                     cut_sign=data.draw(st.sampled_from([1, -1])))
     diagram.focus_foci.append(ff)
     assert diagram.branch_cuts() == [(position, reference_cut_exit(diagram, ff))]
+
+
+def reference_boundary_hit(diagram, origin, d):
+    """The former body of BaseDiagram.boundary_hit, kept as the reference:
+    `ray_segment_hit` on every facet row, keeping the least parameter and
+    every facet hit there.  An origin outside the polygon, found by the
+    Fraction `reference_contains`, gives None, as the integer pass documents."""
+    if not reference_contains(diagram, from_homogeneous(origin), False):
+        return None
+    rows, scale = diagram.facet_rows()
+    best, facets = None, []
+    for i, row in enumerate(rows):
+        hit = ray_segment_hit(origin, d, row, scale)
+        if hit is None:
+            continue
+        if best is None or hit[0] * best[1] < best[0] * hit[1]:
+            best, facets = hit, [i]
+        elif hit[0] * best[1] == best[0] * hit[1]:
+            facets.append(i)
+    if best is None:
+        return None
+    return best[0], best[1], facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_boundary_hit_agrees_with_per_row_reference(data):
+    # origins inside, on a facet, at a corner or just outside, and directions
+    # drawn evenly, along the facet or aimed at a corner, so that rays leave
+    # from the boundary, run along a facet and exit through corners
+    diagram = _shifted(data, data.draw(st.sampled_from(FIXTURE_DIAGRAMS)))
+    facet = data.draw(st.sampled_from(diagram.facets()))
+    a, b = facet.endpoints
+    where = data.draw(st.sampled_from(["corner", "facet", "interior", "outside"]))
+    if where == "corner":
+        p = a
+    elif where == "facet":
+        p = a + (b - a) * data.draw(st.fractions(0, 1, max_denominator=12))
+    elif where == "outside":
+        p = a + (b - a) * data.draw(st.fractions(0, 1, max_denominator=12)) - \
+            facet.inward_normal * data.draw(st.fractions(F(1, 12), 2, max_denominator=12))
+    else:
+        p = _interior_point(data, diagram.polygon)
+    aims = [q - p for q in diagram.polygon if q != p] + [b - a, a - b]
+    d = data.draw(st.sampled_from(aims).map(lambda v: primitive(v).as_int_pair())
+                  | st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    origin = homogeneous(p)
+    hit, expected = diagram.boundary_hit(origin, d), reference_boundary_hit(diagram, origin, d)
+    if expected is None:
+        assert hit is None
+    else:
+        assert hit is not None and hit[2] == expected[2]
+        assert F(hit[0], hit[1]) == F(expected[0], expected[1])
+    normals = [diagram.facets()[i].inward_normal for i in diagram.facets_through(p)]
+    if any(n.dot(Vec(*d)) < 0 for n in normals):
+        assert hit is None  # leaves the polygon at once from a facet or a corner
 
 
 def _segment_intersection(s1, s2):

@@ -4,13 +4,14 @@ import pathlib
 import random
 import runpy
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_diagram import reference_facets_through
+from test_diagram import reference_boundary_hit, reference_facets_through
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import (
@@ -24,11 +25,13 @@ from tropdisk.enumerate import (
     NO_FLAGS,
     FixtureFlags,
     SearchBounds,
+    _candidate_graphs,
     _Completion,
     _EdgeSpec,
     _rigidity_rows,
     _row_reduce,
     _Tracer,
+    _unique_graphs,
     _VertexSpec,
     cancellation_report,
     corner_projection,
@@ -423,8 +426,8 @@ def test_corner_mode_reads_the_corner_cap_kind():
 # -- boundary hits ------------------------------------------------------------
 
 
-BOUNDARY_TRACERS = [
-    _Tracer(diagram, None, SearchBounds(), NO_FLAGS)
+BOUNDARY_DIAGRAMS = [
+    diagram
     for fx in map(builtin_fixture, FIXTURE_NAMES)
     for diagram in [fx.diagram, *fx.diagram_variants.values()]
 ]
@@ -434,8 +437,8 @@ BOUNDARY_TRACERS = [
 def test_boundary_hit_facets_are_facets_through_the_hit(data):
     # a ray from an interior point leaves the polygon once, so the facets hit
     # at the smallest parameter are every facet through the exit point
-    tracer = data.draw(st.sampled_from(BOUNDARY_TRACERS))
-    polygon = tracer.diagram.polygon
+    diagram = data.draw(st.sampled_from(BOUNDARY_DIAGRAMS))
+    polygon = diagram.polygon
     weights = data.draw(st.lists(st.integers(1, 8), min_size=len(polygon),
                                  max_size=len(polygon)))
     # all weights positive: strictly inside the convex polygon
@@ -445,11 +448,11 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
         d = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
     else:
         d = primitive(corner - origin).as_int_pair()  # exits through a corner
-    t_num, t_den, facets = tracer._boundary_hit(homogeneous(origin), d)
+    t_num, t_den, facets = diagram.boundary_hit(homogeneous(origin), d)
     point = from_homogeneous(ray_point(homogeneous(origin), d, t_num, t_den))
     # both sides read the integer facet rows: the Fraction reference checks them
-    assert facets == tracer.diagram.facets_through(point)
-    assert facets == reference_facets_through(tracer.diagram, point)
+    assert facets == diagram.facets_through(point)
+    assert facets == reference_facets_through(diagram, point)
     if corner is not None:
         assert point == corner and len(facets) == 2
 
@@ -594,6 +597,34 @@ def test_determinism(name, case):
     assert r1.contributions() == r2.contributions()
 
 
+def _unique_graphs_reference(graphs):
+    """The former dedup of enumerate_disks: a dict keyed by signature that
+    keeps the first candidate, then its items in signature order."""
+    unique = {}
+    for g in graphs:
+        unique.setdefault(g.signature(), g)
+    return [g for _, g in sorted(unique.items())]
+
+
+@pytest.mark.parametrize("name,case,length,splits,counts", [
+    ("dp1", "vertical", 4, 2, (44, 34)),
+    ("dp2", "l2", 4, 1, (26, 16)),
+])
+def test_unique_graphs_agree_with_dict_reference(name, case, length, splits, counts):
+    # searches whose candidates repeat: the same representative of each
+    # signature, in the same order
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    bounds = replace(c.bounds, max_lattice_length=length, max_splits=splits)
+    graphs = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
+                               fx.constraint(case), bounds, c.flags)
+    unique = _unique_graphs(graphs)
+    assert (len(graphs), len(unique)) == counts
+    expected = _unique_graphs_reference(graphs)
+    assert len(unique) == len(expected)
+    assert all(g is h for g, h in zip(unique, expected))
+
+
 def test_constraint_position_independence_dp6_segment():
     fx = builtin_fixture("dp6")
     assert fx.run("segment").total() == fx.run("segment_alt").total()
@@ -721,7 +752,7 @@ class _ReferenceTracer(_Tracer):
         return best
 
     def _boundary_hit(self, origin, prim):
-        hit = self.diagram.boundary_hit(origin, prim)
+        hit = reference_boundary_hit(self.diagram, origin, prim)
         return None if hit is None else _ray_at(origin, prim, hit[0], hit[1]) + (hit[2],)
 
     def _cut_events(self, origin, prim):
@@ -970,6 +1001,28 @@ def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
             assert completions == reference.trace(
                 q, d, c.bounds.max_cut_crossings, c.bounds.max_splits), d
             found += len(completions)
+    assert found or name == "p1xp1"
+
+
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
+def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
+    # one tracer keeps its rays across every direction, lattice length and
+    # budget a search may ask for from the constraint: no state may leak
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+    q = fx.constraint(case).point
+    shared = _Tracer(diagram, lag, c.bounds, c.flags)
+    bound = c.bounds.max_lattice_length
+    found = 0
+    for splits in reversed(range(c.bounds.max_splits + 1)):
+        for crossings in range(c.bounds.max_cut_crossings + 1):
+            for d in itertools.product(range(-bound, bound + 1), repeat=2):
+                if any(d):
+                    completions = shared.trace(q, Vec(*d), crossings, splits)
+                    fresh = _Tracer(diagram, lag, c.bounds, c.flags)
+                    assert completions == fresh.trace(q, Vec(*d), crossings, splits), d
+                    found += len(completions)
     assert found or name == "p1xp1"
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdisk.diskgraph import DiskEdge, DiskGraph, DiskVertex
-from tropdisk.geometry import Vec, apply_matrix
+from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
+from tropdisk.geometry import Vec, apply_matrix, reflect_over
 from tropdisk.multiplicity import (
     CORNER_CAP,
     DEFAULT_CONVENTION,
@@ -62,6 +64,23 @@ def test_pant_strip_direction_balancing():
     assert w == Vec(F(1, 2), F(1, 2))
     w2 = pant_strip_direction(Vec(1, 1), Vec(0, 1))
     assert w2 == Vec(0, -1)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pant_strip_direction_is_the_reflect_form(name):
+    # the projection equals -(e + r(e)) / 2 with r the reflection fixing the
+    # edge, for every e in [-4, 4]^2 and every edge of the fixture, read as
+    # its primitive direction and as its (rational) span
+    fx = builtin_fixture(name)
+    directions = set()
+    for lag in fx.lagrangians.values():
+        for edge in lag.edges:
+            a, b = edge.endpoints
+            directions |= {lag.edge_direction(edge), lag.position(b) - lag.position(a)}
+    for lam in directions:
+        for e in itertools.product(range(-4, 5), repeat=2):
+            e_black = Vec(*e)
+            assert pant_strip_direction(e_black, lam) == -(e_black + reflect_over(e_black, lam)) / 2
 
 
 def test_pant_sign_override():

@@ -150,3 +150,24 @@ def test_bench_pairs_claim_fails_on_a_regression_or_a_digest_mismatch():
     workloads["sweep"] = _summary(bench, parent, flat, other)
     assert bench["regressions"](workloads) == []
     assert bench["claim_report"](workloads, "grid:wall_s")["met"] is False
+
+
+def test_compare_outputs_reports_each_differing_command():
+    compare = load_script("compare_outputs.py")
+    argvs = compare["commands"]([("dp6", "segment")], ["dp6"])
+    assert [" ".join(argv) for argv in argvs] == [
+        "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
+        "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json"]
+    parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
+              "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
+    assert compare["diff_outputs"](parent, parent) == []
+    change = {"table": {"exit": 1, "stdout": "P2  none\nP1xP1 eigenvalue 4\n", "stderr": ""},
+              "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""},
+              "table --json": {"exit": 0, "stdout": "[]\n", "stderr": ""}}
+    differences = dict(compare["diff_outputs"](parent, change))
+    assert list(differences) == ["table", "table --json"]
+    report = differences["table"].splitlines()
+    assert report[0] == "exit 0 -> 1"
+    assert "-P1xP1 eigenvalue 0" in report and "+P1xP1 eigenvalue 4" in report
+    assert " P2  none" in report
+    assert differences["table --json"] == "runs on the change only"
