@@ -49,8 +49,12 @@ def collect(src: str) -> None:
     """Run every command with `tropdisk` from `src` and print one JSON object:
     {command line: {"exit": code, "stdout": text, "stderr": text}}."""
     sys.path.insert(0, src)
+    import tropdisk
     from tropdisk.cli import main
     from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES
+
+    if not Path(tropdisk.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"tropdisk imported from {tropdisk.__file__}, not {src}")
 
     outputs = {}
     for argv in commands(SHIPPED_CASES, FIXTURE_NAMES):
@@ -92,7 +96,7 @@ def diff_outputs(parent: dict, change: dict) -> list:
                 lines.append(f"exit {before} -> {after}")
             else:
                 lines += difflib.unified_diff(
-                    str(before).splitlines(), str(after).splitlines(),
+                    before.splitlines(), after.splitlines(),
                     f"parent {stream}", f"change {stream}", lineterm="")
         if lines:
             out.append((command, "\n".join(lines)))
