@@ -12,10 +12,15 @@ process through `tropdisk.cli.main`:
 * `potential --fixture F --case C` and the same with `--json`, for every
   entry of `SHIPPED_CASES`;
 * `validate --fixture F` and the same with `--json`, for every fixture;
-* `table` and `table --json`.
+* `table` and `table --json`;
+* `validate --diagram F` and `potential --diagram F --constraint point:X,Y`
+  for each of three malformed diagram files in `MALFORMED`: a clockwise
+  polygon, a focus on a facet and a branch cut through another focus.
 
-Each command's exit code, standard output and standard error are compared.
-The command lists come from each checkout's own `SHIPPED_CASES` and
+The malformed files are written to a temporary directory that each side's
+interpreter runs in, so the file names in the error text are the same on
+both sides.  Each command's exit code, standard output and standard error
+are compared.  The command lists come from each checkout's own `SHIPPED_CASES` and
 `FIXTURE_NAMES`, so a command that runs on one side only is a difference too.
 The exit code is 0 when every output is byte-identical and 1 otherwise.
 """
@@ -29,9 +34,36 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 STREAMS = ("exit", "stdout", "stderr")
+
+# the dp6 hexagon, counterclockwise, as [x.num, x.den, y.num, y.den] corners
+HEXAGON = [[1, 1, 0, 1], [0, 1, 1, 1], [-1, 1, 1, 1], [-1, 1, 0, 1], [0, 1, -1, 1],
+           [1, 1, -1, 1]]
+
+
+def _focus(x, y, pi, sigma, sign=1):
+    return {"position": [x, y], "shear_direction": pi, "shear_covector": sigma,
+            "branch_cut_sign": sign}
+
+
+# Diagram files that `BaseDiagram.load` rejects, by file name.
+MALFORMED = {
+    "clockwise.diagram.json": {
+        "name": "clockwise", "polygon": HEXAGON[::-1],
+        "focus_foci": [_focus([0, 1], [0, 1], [1, 0], [0, 1])]},
+    "focus_on_facet.diagram.json": {
+        "name": "focus_on_facet", "polygon": HEXAGON,
+        "focus_foci": [_focus([1, 2], [1, 2], [1, 0], [0, 1])]},
+    # the cut of the focus at (0, 0) runs along +x through the one at (1/2, 0)
+    "cut_through_focus.diagram.json": {
+        "name": "cut_through_focus", "polygon": HEXAGON,
+        "focus_foci": [_focus([0, 1], [0, 1], [1, 0], [0, 1]),
+                       _focus([1, 2], [0, 1], [0, 1], [1, 0])]},
+}
+POINT = "point:1/4,1/4"
 
 
 def commands(shipped_cases, fixture_names) -> list:
@@ -42,6 +74,9 @@ def commands(shipped_cases, fixture_names) -> list:
     for name in fixture_names:
         out += [["validate", "--fixture", name, *flag] for flag in ([], ["--json"])]
     out += [["table"], ["table", "--json"]]
+    for path in MALFORMED:
+        out += [["validate", "--diagram", path],
+                ["potential", "--diagram", path, "--constraint", POINT]]
     return out
 
 
@@ -67,11 +102,15 @@ def collect(src: str) -> None:
 
 
 def run_checkout(checkout: Path) -> dict:
-    """`collect` in a fresh interpreter on the sources of `checkout`."""
+    """`collect` in a fresh interpreter on the sources of `checkout`, run in a
+    temporary directory that holds the `MALFORMED` files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
-    done = subprocess.run([sys.executable, "-c", code], cwd=checkout,
-                          capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in MALFORMED.items():
+            Path(tmp, name).write_text(json.dumps(data))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp,
+                              capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"collecting outputs in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr}")

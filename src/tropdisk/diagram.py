@@ -9,6 +9,7 @@ to the polygon boundary along +/- pi.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -16,14 +17,11 @@ from typing import List, Optional, Tuple
 from .geometry import (
     GeometryError,
     Vec,
-    det2,
     from_homogeneous,
     homogeneous,
     integer_rows,
     point_on_row,
-    point_on_segment,
     primitive,
-    primitive_and_length,
     ray_point,
     shear_apply,
 )
@@ -83,6 +81,7 @@ class BaseDiagram:
 
     def __post_init__(self):
         self._facets: Optional[List[Facet]] = None
+        self._facet_rows = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
         self._points = None
 
@@ -98,13 +97,17 @@ class BaseDiagram:
                 # inward normal: rotate the ccw edge left
                 out.append(Facet((a, b), primitive(Vec(-edge.y, edge.x))))
             self._facets = out
-            self._facet_rows = integer_rows([facet.endpoints for facet in out])
             self._normals = [facet.inward_normal.as_int_pair() for facet in out]
         return self._facets
 
     def facet_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
-        """The facets as `integer_rows`, over the polygon's own scale."""
-        self.facets()
+        """The facets as `integer_rows`, over the polygon's own scale: row i
+        runs from corner i to corner i + 1.  Unlike `facets()`, it needs no
+        normal, so it exists for a polygon that repeats a corner."""
+        if self._facet_rows is None:
+            n = len(self.polygon)
+            self._facet_rows = integer_rows(
+                [(self.polygon[i], self.polygon[(i + 1) % n]) for i in range(n)])
         return self._facet_rows
 
     def normals(self) -> List[Tuple[int, int]]:
@@ -116,13 +119,13 @@ class BaseDiagram:
         """Cut segments (focus position -> boundary exit point)."""
         if self._cuts is None:
             out = []
-            for ff in self.focus_foci:
-                end = self._cut_exit(ff)
+            for j, ff in enumerate(self.focus_foci):
+                end = self._cut_exit(j)
                 if end is None:
                     raise GeometryError(
                         f"branch cut of focus at {ff.position!r} never reaches the boundary"
                     )
-                out.append((ff.position, end))
+                out.append((ff.position, from_homogeneous(end)))
             self._cuts = out
             self._cut_rows = integer_rows(out)
         return self._cuts
@@ -149,7 +152,7 @@ class BaseDiagram:
         dx, dy = d
         rows, scale = self.facet_rows()
         best_slack, best_rate, facets = 0, 0, []
-        for i, ((ax, ay, _, _), (nx, ny)) in enumerate(zip(rows, self._normals)):
+        for i, ((ax, ay, _, _), (nx, ny)) in enumerate(zip(rows, self.normals())):
             # scale * W * (n.p - n.a)
             slack = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
             if slack < 0:
@@ -167,12 +170,13 @@ class BaseDiagram:
             return None
         return best_slack, scale * W * best_rate, facets
 
-    def _cut_exit(self, ff: FocusFocus) -> Optional[Vec]:
-        """Where the branch cut of ff first meets the boundary, or None."""
-        origin = homogeneous(ff.position)
-        d = primitive(ff.cut_direction()).as_int_pair()
+    def _cut_exit(self, j: int):
+        """Where the branch cut of focus j first meets the boundary, as a
+        homogeneous triple, or None."""
+        origin = self._homogeneous_points()[0][j]
+        d = primitive(self.focus_foci[j].cut_direction()).as_int_pair()
         hit = self.boundary_hit(origin, d)
-        return None if hit is None else from_homogeneous(ray_point(origin, d, hit[0], hit[1]))
+        return None if hit is None else ray_point(origin, d, hit[0], hit[1])
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
         return self._contains(homogeneous(p), strict)
@@ -205,66 +209,79 @@ class BaseDiagram:
     # -- spec operations ----------------------------------------------------
 
     def validate(self) -> List[str]:
-        """Machine-readable violation codes; empty list means valid."""
-        violations = []
+        """Machine-readable violation codes; empty list means valid.
+
+        One pass over the integer picture: the facet rows (the corners over
+        their common denominator), the corners' and foci's homogeneous
+        triples and the shear data's.  When every focus's branch cut reaches
+        the boundary, the exits found here become `branch_cuts()` and
+        `cut_rows()`.
+        """
         n = len(self.polygon)
         if n < 3:
-            violations.append("polygon_too_small")
-            return violations
-        area2 = sum(
-            det2(self.polygon[i], self.polygon[(i + 1) % n]) for i in range(n)
-        )
-        if area2 <= 0:
+            return ["polygon_too_small"]
+        violations = []
+        rows, _ = self.facet_rows()
+        # row i is corner a_i and the edge e_i to a_{i+1}, times the scale:
+        # twice the area is the sum of det(a_i, e_i), the turn at a_{i+1}
+        # is det(e_i, e_{i+1})
+        if sum(ax * ey - ay * ex for ax, ay, ex, ey in rows) <= 0:
             violations.append("polygon_not_counterclockwise")
         for i in range(n):
-            a = self.polygon[i]
-            b = self.polygon[(i + 1) % n]
-            c = self.polygon[(i + 2) % n]
-            if det2(b - a, c - b) <= 0:
+            _, _, ex, ey = rows[i]
+            _, _, fx, fy = rows[(i + 1) % n]
+            if ex * fy - ey * fx <= 0:
                 violations.append(f"polygon_not_convex_at:{i}")
-        # a repeated vertex leaves a facet without a normal: skip the focus
+        # homogeneous triples are canonical, so equal points have equal triples
+        foci, corners = self._homogeneous_points()
+        # a repeated corner leaves a facet without a normal: skip the focus
         # checks that read the facets
-        repeats = [i for i in range(n) if self.polygon[i] in self.polygon[:i]]
+        repeats = [i for i in range(n) if corners[i] in corners[:i]]
         violations += [f"polygon_repeats_vertex:{i}" for i in repeats]
-        positions = []
+        codes, exits = [], []
         for j, ff in enumerate(self.focus_foci):
-            prim_ok = True
-            if not ff.pi:
-                violations.append(f"shear_direction_zero:{j}")
-                prim_ok = False
-            elif not ff.pi.is_integral():
-                violations.append(f"shear_direction_not_integral:{j}")
-                prim_ok = False
-            else:
-                _, length = primitive_and_length(ff.pi)
-                if length != 1:
-                    violations.append(f"shear_direction_not_primitive:{j}")
-            if not ff.sigma.is_integral():
-                violations.append(f"shear_covector_not_integral:{j}")
-            if not ff.sigma:
-                violations.append(f"shear_covector_zero:{j}")
-            if ff.sigma.dot(ff.pi) != 0:
-                violations.append(f"shear_not_unipotent:{j}")
+            found = []
+            px, py, pw = homogeneous(ff.pi)
+            sx, sy, sw = homogeneous(ff.sigma)
+            traced = True  # whether the cut can be traced
+            if not (px or py):
+                found.append(f"shear_direction_zero:{j}")
+                traced = False
+            elif pw != 1:
+                found.append(f"shear_direction_not_integral:{j}")
+                traced = False
+            elif math.gcd(px, py) != 1:
+                found.append(f"shear_direction_not_primitive:{j}")
+            if sw != 1:
+                found.append(f"shear_covector_not_integral:{j}")
+            if not (sx or sy):
+                found.append(f"shear_covector_zero:{j}")
+            if px * sx + py * sy != 0:
+                found.append(f"shear_not_unipotent:{j}")
             if ff.cut_sign not in (1, -1):
-                violations.append(f"branch_cut_sign_invalid:{j}")
-                prim_ok = False
+                found.append(f"branch_cut_sign_invalid:{j}")
+                traced = False
             if repeats:
-                prim_ok = False
-            elif not self.contains(ff.position, strict=True):
-                violations.append(f"focus_not_interior:{j}")
-                prim_ok = False
-            if ff.position in positions:
-                violations.append(f"focus_positions_not_distinct:{j}")
-            positions.append(ff.position)
-            if prim_ok:
-                hit = self._cut_exit(ff)
-                if hit is None:
-                    violations.append(f"branch_cut_misses_boundary:{j}")
-                else:
-                    for k, other in enumerate(self.focus_foci):
-                        if k != j and point_on_segment(other.position, ff.position, hit):
-                            violations.append(f"branch_cut_crosses_focus:{j}:{k}")
-        return violations
+                traced = False
+            elif not self._contains(foci[j], strict=True):
+                found.append(f"focus_not_interior:{j}")
+                traced = False
+            if foci[j] in foci[:j]:
+                found.append(f"focus_positions_not_distinct:{j}")
+            end = self._cut_exit(j) if traced else None
+            if traced and end is None:
+                found.append(f"branch_cut_misses_boundary:{j}")
+            codes.append(found)
+            exits.append(end)
+        reached = [j for j, end in enumerate(exits) if end is not None]
+        cuts = [(self.focus_foci[j].position, from_homogeneous(exits[j])) for j in reached]
+        cut_rows = integer_rows(cuts)
+        for j, row in zip(reached, cut_rows[0]):
+            codes[j] += [f"branch_cut_crosses_focus:{j}:{k}" for k, other in enumerate(foci)
+                         if k != j and point_on_row(other, row, cut_rows[1])]
+        if len(cuts) == len(self.focus_foci):
+            self._cuts, self._cut_rows = cuts, cut_rows
+        return violations + [code for found in codes for code in found]
 
     def classify_point(self, p: Vec) -> PointClass:
         return self._classify_point(homogeneous(p))

@@ -354,15 +354,22 @@ SHIPPED_CASES = (
 
 
 def builtin_fixture(name: str) -> Fixture:
+    """The named fixture, with its default diagram and every diagram variant
+    validated once; an invalid one raises GeometryError."""
     if name not in _BUILDERS:
         raise GeometryError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     fixture = _BUILDERS[name]()
+    unchecked = [(f"fixture {name} diagram", fixture.diagram)]
     override_dir = os.environ.get("TROPDISK_FIXTURES")
     if override_dir:
         path = os.path.join(override_dir, f"{name}.diagram.json")
         if os.path.exists(path):
-            fixture.diagram = BaseDiagram.load(path)
-    problems = fixture.diagram.validate()
-    if problems:
-        raise GeometryError(f"fixture {name} diagram invalid: {problems}")
+            fixture.diagram = BaseDiagram.load(path)  # load validates it
+            unchecked = []
+    unchecked += [(f"fixture {name} diagram variant {key}", diagram)
+                  for key, diagram in fixture.diagram_variants.items()]
+    for label, diagram in unchecked:
+        problems = diagram.validate()
+        if problems:
+            raise GeometryError(f"{label} invalid: {problems}")
     return fixture

@@ -228,20 +228,20 @@ def homogeneous(v: Vec) -> Tuple[int, int, int]:
             v.y.numerator * (w // v.y.denominator), w)
 
 
-def scaled(v: Vec, scale: int) -> Tuple[int, int]:
-    """The integer pair scale * v; scale must clear both denominators."""
-    x, y = v.x * scale, v.y * scale
-    if x.denominator != 1 or y.denominator != 1:
-        raise GeometryError(f"{scale} does not clear the denominators of {v!r}")
-    return (x.numerator, y.numerator)
-
-
 def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
     """(rows, scale): row (ax, ay, ex, ey) is the segment [a, b] as (a + s e)/scale,
     s in [0, 1], the form `ray_segment_hit` reads; scale is the least common
     denominator of all the endpoints."""
     scale = math.lcm(*(c.denominator for seg in segments for q in seg for c in q))
-    return [scaled(a, scale) + scaled(b - a, scale) for a, b in segments], scale
+
+    def lift(c: Fraction) -> int:
+        return c.numerator * (scale // c.denominator)
+
+    rows = []
+    for a, b in segments:
+        ax, ay = lift(a.x), lift(a.y)
+        rows.append((ax, ay, lift(b.x) - ax, lift(b.y) - ay))
+    return rows, scale
 
 
 def from_homogeneous(origin) -> Vec:

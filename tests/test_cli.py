@@ -12,8 +12,10 @@ import pytest
 import tropdisk
 from tropdisk import cli
 from tropdisk.cli import main
+from tropdisk.diagram import BaseDiagram
 from tropdisk.enumerate import SearchBounds
 from tropdisk.fixtures import builtin_fixture
+from tropdisk.geometry import GeometryError
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,40 @@ def test_validate_repeated_vertex_names_the_code(tmp_path, capsys):
     assert code == 1
     assert "polygon_repeats_vertex:1" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.fixture
+def invalid_dp2_variant(monkeypatch):
+    """dp2 with its l1 variant turned clockwise; its default diagram stays valid."""
+    fixtures = importlib.import_module("tropdisk.fixtures")
+    build = fixtures._BUILDERS["dp2"]
+
+    def broken():
+        fixture = build()
+        l1 = fixture.diagram_variants["l1"]
+        fixture.diagram_variants["l1"] = BaseDiagram(
+            l1.name, l1.polygon[::-1], list(l1.focus_foci))
+        return fixture
+
+    monkeypatch.setitem(fixtures._BUILDERS, "dp2", broken)
+
+
+def test_builtin_fixture_rejects_an_invalid_variant(invalid_dp2_variant):
+    with pytest.raises(GeometryError, match="variant l1 invalid"):
+        builtin_fixture("dp2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--fixture", "dp2", "--case", "l1"],
+    ["potential", "--fixture", "dp2", "--case", "l2"],
+    ["validate", "--fixture", "dp2"],
+])
+def test_invalid_fixture_variant_exits_1(capsys, invalid_dp2_variant, argv):
+    # the commands do not validate again: builtin_fixture must catch it
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: fixture dp2 diagram variant l1 invalid: "
+                          "['polygon_not_counterclockwise', ")
 
 
 def test_file_driven_potential(tmp_path, capsys):

@@ -19,8 +19,10 @@ from tropdisk.diagram import (
 )
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import (
+    GeometryError,
     Ray,
     Vec,
+    det2,
     from_homogeneous,
     homogeneous,
     primitive,
@@ -105,8 +107,6 @@ def test_classify_point_focus_and_cut():
 
 
 def test_builtin_fixture_unknown_name():
-    from tropdisk.geometry import GeometryError
-
     with pytest.raises(GeometryError):
         builtin_fixture("dp99")
 
@@ -167,6 +167,8 @@ def reference_cut_exit(diagram, ff):
     return min((hit for hit in hits if hit is not None), key=lambda hit: hit[0])[1]
 
 
+NODED_DIAGRAMS = [diagram for diagram in FIXTURE_DIAGRAMS if diagram.focus_foci]
+
 offsets = st.just(0) | st.fractions(-2, 2, max_denominator=12)
 
 
@@ -174,6 +176,14 @@ def _shifted(data, diagram):
     """The polygon moved by a drawn rational shift, so its rows need a scale."""
     shift = Vec(data.draw(offsets), data.draw(offsets))
     return BaseDiagram("shifted", [v + shift for v in diagram.polygon])
+
+
+def _moved(diagram, shift):
+    """A fresh copy of the diagram moved by `shift`, foci and all."""
+    return BaseDiagram(diagram.name, [v + shift for v in diagram.polygon], [
+        FocusFocus(ff.position + shift, ff.pi, ff.sigma, ff.cut_sign)
+        for ff in diagram.focus_foci
+    ])
 
 
 def _interior_point(data, polygon):
@@ -345,8 +355,6 @@ def test_serialization_round_trip(tmp_path):
 
 
 def test_load_rejects_invalid(tmp_path):
-    from tropdisk.geometry import GeometryError
-
     path = tmp_path / "bad.diagram.json"
     path.write_text(json.dumps({
         "name": "bad",
@@ -423,11 +431,7 @@ def _located_case(data):
     fx = builtin_fixture(name)
     shift = Vec(data.draw(st.just(F(0)) | small_rationals),
                 data.draw(st.just(F(0)) | small_rationals))
-    diagram = fx.diagram_for(case)
-    moved = BaseDiagram(diagram.name, [v + shift for v in diagram.polygon], [
-        FocusFocus(ff.position + shift, ff.pi, ff.sigma, ff.cut_sign)
-        for ff in diagram.focus_foci
-    ])
+    moved = _moved(fx.diagram_for(case), shift)
     lag = fx.lagrangian_for(case)
     if lag is not None:
         lag = LagGraph([LagVertex(v.id, v.position + shift, v.anchor, v.anchor_index)
@@ -474,3 +478,215 @@ def test_point_location_agrees_with_fraction_reference(data):
     for q in [*diagram.polygon, *(ff.position for ff in diagram.focus_foci)]:
         if p != q:
             assert primitive(p - q) == reference_primitive(p - q)
+
+
+# -- validation on integers against the Fraction reference ---------------------------
+
+
+def reference_facet_line_exit(diagram, ff):
+    """Where the cut of ff first crosses a facet line outward, in Fractions:
+    the exit that `boundary_hit` defines (t = slack / -n.d over the facets
+    with n.d < 0), or None."""
+    d = primitive(ff.cut_direction())
+    ts = [(facet.inward_normal.dot(ff.position) - facet.line_value()) / -facet.inward_normal.dot(d)
+          for facet in diagram.facets() if facet.inward_normal.dot(d) < 0]
+    return ff.position + d * min(ts) if ts else None
+
+
+def reference_validate(diagram):
+    """The former body of BaseDiagram.validate, on Fraction and Vec arithmetic,
+    kept as the reference; the cut exit and the point tests are the Fraction
+    references above."""
+    violations = []
+    n = len(diagram.polygon)
+    if n < 3:
+        violations.append("polygon_too_small")
+        return violations
+    area2 = sum(
+        det2(diagram.polygon[i], diagram.polygon[(i + 1) % n]) for i in range(n)
+    )
+    if area2 <= 0:
+        violations.append("polygon_not_counterclockwise")
+    for i in range(n):
+        a = diagram.polygon[i]
+        b = diagram.polygon[(i + 1) % n]
+        c = diagram.polygon[(i + 2) % n]
+        if det2(b - a, c - b) <= 0:
+            violations.append(f"polygon_not_convex_at:{i}")
+    # a repeated vertex leaves a facet without a normal: skip the focus
+    # checks that read the facets
+    repeats = [i for i in range(n) if diagram.polygon[i] in diagram.polygon[:i]]
+    violations += [f"polygon_repeats_vertex:{i}" for i in repeats]
+    positions = []
+    for j, ff in enumerate(diagram.focus_foci):
+        prim_ok = True
+        if not ff.pi:
+            violations.append(f"shear_direction_zero:{j}")
+            prim_ok = False
+        elif not ff.pi.is_integral():
+            violations.append(f"shear_direction_not_integral:{j}")
+            prim_ok = False
+        else:
+            _, length = primitive_and_length(ff.pi)
+            if length != 1:
+                violations.append(f"shear_direction_not_primitive:{j}")
+        if not ff.sigma.is_integral():
+            violations.append(f"shear_covector_not_integral:{j}")
+        if not ff.sigma:
+            violations.append(f"shear_covector_zero:{j}")
+        if ff.sigma.dot(ff.pi) != 0:
+            violations.append(f"shear_not_unipotent:{j}")
+        if ff.cut_sign not in (1, -1):
+            violations.append(f"branch_cut_sign_invalid:{j}")
+            prim_ok = False
+        if repeats:
+            prim_ok = False
+        elif not reference_contains(diagram, ff.position, True):
+            violations.append(f"focus_not_interior:{j}")
+            prim_ok = False
+        if ff.position in positions:
+            violations.append(f"focus_positions_not_distinct:{j}")
+        positions.append(ff.position)
+        if prim_ok:
+            hit = reference_facet_line_exit(diagram, ff)
+            if hit is None:
+                violations.append(f"branch_cut_misses_boundary:{j}")
+            else:
+                for k, other in enumerate(diagram.focus_foci):
+                    if k != j and reference_point_on_segment(other.position, ff.position, hit):
+                        violations.append(f"branch_cut_crosses_focus:{j}:{k}")
+    return violations
+
+
+def _with_focus(diagram, j, **changes):
+    foci = list(diagram.focus_foci)
+    ff = foci[j]
+    foci[j] = FocusFocus(changes.get("position", ff.position), changes.get("pi", ff.pi),
+                         changes.get("sigma", ff.sigma), changes.get("cut_sign", ff.cut_sign))
+    return BaseDiagram(diagram.name, list(diagram.polygon), foci)
+
+
+def _reflex(data, polygon, i):
+    """Corner i moved onto the chord of its neighbours or past it, inward."""
+    n = len(polygon)
+    mid = (polygon[i - 1] + polygon[(i + 1) % n]) / 2
+    centre = sum(polygon, Vec(0, 0)) / n
+    return mid + (centre - mid) * data.draw(st.fractions(0, F(9, 10), max_denominator=10))
+
+
+# Each mutation breaks one rule (and may break others as a consequence) and
+# names the code that must appear.  No mutation reaches
+# branch_cut_misses_boundary: a cut is traced only from a focus strictly inside
+# every facet half-plane, and the normals of a closed polygon with no repeated
+# corner sum to zero with positive weights, so some normal always runs against
+# the cut's direction and `boundary_hit` finds a facet line.
+POLYGON_MUTATIONS = ["clockwise", "too_small", "not_convex", "repeated_corner"]
+FOCUS_MUTATIONS = ["pi_zero", "pi_not_integral", "pi_not_primitive", "sigma_zero",
+                   "sigma_not_integral", "not_unipotent", "cut_sign", "focus_on_facet",
+                   "focus_outside", "foci_coincide", "cut_through_focus"]
+
+
+def _mutate(data, diagram, kind):
+    """(mutated copy, code prefix) for one mutation kind."""
+    polygon, n = diagram.polygon, len(diagram.polygon)
+    if kind == "clockwise":
+        return BaseDiagram(diagram.name, polygon[::-1], list(diagram.focus_foci)), \
+            "polygon_not_counterclockwise"
+    if kind == "too_small":
+        return BaseDiagram(diagram.name, polygon[:data.draw(st.integers(0, 2))],
+                           list(diagram.focus_foci)), "polygon_too_small"
+    i = data.draw(st.integers(0, n - 1))
+    if kind == "not_convex":
+        corners = list(polygon)
+        corners[i] = _reflex(data, polygon, i)
+        return BaseDiagram(diagram.name, corners, list(diagram.focus_foci)), \
+            f"polygon_not_convex_at:{(i - 1) % n}"
+    if kind == "repeated_corner":
+        corners = list(polygon)
+        corners.insert(i + 1, polygon[data.draw(st.integers(0, n - 1))])
+        return BaseDiagram(diagram.name, corners, list(diagram.focus_foci)), \
+            "polygon_repeats_vertex:"
+    j = data.draw(st.integers(0, len(diagram.focus_foci) - 1))
+    ff = diagram.focus_foci[j]
+    perp = Vec(-ff.pi.y, ff.pi.x)
+    if kind == "pi_zero":
+        return _with_focus(diagram, j, pi=Vec(0, 0)), f"shear_direction_zero:{j}"
+    if kind == "pi_not_integral":
+        return _with_focus(diagram, j, pi=ff.pi / 2), f"shear_direction_not_integral:{j}"
+    if kind == "pi_not_primitive":
+        return _with_focus(diagram, j, pi=ff.pi * data.draw(st.integers(2, 3))), \
+            f"shear_direction_not_primitive:{j}"
+    if kind == "sigma_zero":
+        return _with_focus(diagram, j, sigma=Vec(0, 0)), f"shear_covector_zero:{j}"
+    if kind == "sigma_not_integral":
+        return _with_focus(diagram, j, sigma=perp * F(1, data.draw(st.integers(2, 3)))), \
+            f"shear_covector_not_integral:{j}"
+    if kind == "not_unipotent":
+        return _with_focus(diagram, j, sigma=ff.sigma + ff.pi * data.draw(
+            st.sampled_from([1, -1, F(1, 2)]))), f"shear_not_unipotent:{j}"
+    if kind == "cut_sign":
+        return _with_focus(diagram, j, cut_sign=data.draw(st.sampled_from([0, 2, -2]))), \
+            f"branch_cut_sign_invalid:{j}"
+    a, b = polygon[i], polygon[(i + 1) % n]
+    on_facet = a + (b - a) * data.draw(st.fractions(0, 1, max_denominator=12))
+    if kind == "focus_on_facet":
+        return _with_focus(diagram, j, position=on_facet), f"focus_not_interior:{j}"
+    if kind == "focus_outside":
+        out = diagram.facets()[i].inward_normal * data.draw(
+            st.fractions(F(1, 12), 2, max_denominator=12))
+        return _with_focus(diagram, j, position=on_facet - out), f"focus_not_interior:{j}"
+    # a new focus with its cut along an axis: at focus j, or on j's cut
+    start, end = diagram.branch_cuts()[j]
+    k = len(diagram.focus_foci)
+    if kind == "foci_coincide":
+        position, code = start, f"focus_positions_not_distinct:{k}"
+    else:
+        position = start + (end - start) * data.draw(st.fractions(F(1, 16), F(15, 16),
+                                                                  max_denominator=16))
+        code = f"branch_cut_crosses_focus:{j}:{k}"
+    # its shear data valid or not, so that its codes come before this one
+    axis = data.draw(st.sampled_from([Vec(1, 0), Vec(0, 1)]))
+    pi = axis * data.draw(st.sampled_from([1, 1, 2, 0, F(1, 2)]))
+    sigma = Vec(-axis.y, axis.x) * data.draw(st.sampled_from([1, 1, 0, F(1, 3)])) + \
+        axis * data.draw(st.sampled_from([0, 0, 1]))
+    extra = FocusFocus(position, pi, sigma, cut_sign=data.draw(st.sampled_from([1, -1, 0])))
+    return BaseDiagram(diagram.name, list(polygon), [*diagram.focus_foci, extra]), code
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_fraction_reference(data):
+    kind = data.draw(st.sampled_from(POLYGON_MUTATIONS + FOCUS_MUTATIONS))
+    diagrams = FIXTURE_DIAGRAMS if kind in POLYGON_MUTATIONS else NODED_DIAGRAMS
+    diagram = _moved(data.draw(st.sampled_from(diagrams)),
+                     Vec(data.draw(offsets), data.draw(offsets)))
+    assert diagram.validate() == reference_validate(diagram) == []
+    bad, code = _mutate(data, diagram, kind)
+    problems = bad.validate()
+    assert problems == reference_validate(bad)
+    assert any(p.startswith(code) for p in problems), (code, problems)
+    # the cuts validate() kept, if any, are those a fresh copy traces
+    fresh = BaseDiagram(bad.name, list(bad.polygon), list(bad.focus_foci))
+    assert _cuts_or_none(bad) == _cuts_or_none(fresh)
+
+
+def _cuts_or_none(diagram):
+    try:
+        return diagram.branch_cuts(), diagram.cut_rows()
+    except GeometryError:
+        return None
+
+
+def test_validated_cuts_match_a_fresh_diagram(monkeypatch):
+    # validate() keeps the exits it found as the cuts: no second tracing
+    for diagram in FIXTURE_DIAGRAMS:
+        validated, fresh = _moved(diagram, Vec(F(1, 3), 0)), _moved(diagram, Vec(F(1, 3), 0))
+        assert validated.validate() == []
+
+        def traced_again(j):
+            raise AssertionError("cut exit traced again after validate()")
+
+        monkeypatch.setattr(validated, "_cut_exit", traced_again)
+        assert validated.branch_cuts() == fresh.branch_cuts()
+        assert validated.cut_rows() == fresh.cut_rows()
+

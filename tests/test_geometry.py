@@ -23,7 +23,6 @@ from tropdisk.geometry import (
     ray_segment_intersect,
     rational_length,
     reflect_over,
-    scaled,
     segment_parameter,
     shear_apply,
     unimodular,
@@ -31,6 +30,13 @@ from tropdisk.geometry import (
 
 ints = st.integers(min_value=-50, max_value=50)
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def scaled(v, scale):
+    """The integer pair scale * v in Fractions: the reference for `integer_rows`."""
+    x, y = v.x * scale, v.y * scale
+    assert x.denominator == 1 and y.denominator == 1
+    return (x.numerator, y.numerator)
 
 
 def vecs(strategy):
@@ -234,9 +240,10 @@ def ray_segment_cases(draw):
 @given(ray_segment_cases())
 def test_integer_ray_segment_agrees_with_fraction_reference(case):
     origin, d, a, b = case
-    scale = math.lcm(*(c.denominator for c in (*a, *b)))
-    hit = ray_segment_hit(homogeneous(origin), d.as_int_pair(),
-                          scaled(a, scale) + scaled(b - a, scale), scale)
+    (row,), scale = integer_rows([(a, b)])
+    assert scale == math.lcm(*(c.denominator for c in (*a, *b)))
+    assert row == scaled(a, scale) + scaled(b - a, scale)
+    hit = ray_segment_hit(homogeneous(origin), d.as_int_pair(), row, scale)
     if a == b:
         assert hit is None  # a point segment is never met
         return

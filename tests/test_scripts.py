@@ -6,6 +6,7 @@ import runpy
 
 import pytest
 
+from tropdisk.cli import main
 from tropdisk.fixtures import SHIPPED_CASES
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -155,9 +156,13 @@ def test_bench_pairs_claim_fails_on_a_regression_or_a_digest_mismatch():
 def test_compare_outputs_reports_each_differing_command():
     compare = load_script("compare_outputs.py")
     argvs = compare["commands"]([("dp6", "segment")], ["dp6"])
+    malformed = [command for name in compare["MALFORMED"] for command in (
+        f"validate --diagram {name}",
+        f"potential --diagram {name} --constraint {compare['POINT']}")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
-        "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json"]
+        "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
+        *malformed]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -171,3 +176,23 @@ def test_compare_outputs_reports_each_differing_command():
     assert "-P1xP1 eigenvalue 0" in report and "+P1xP1 eigenvalue 4" in report
     assert " P2  none" in report
     assert differences["table --json"] == "runs on the change only"
+
+
+def test_compare_outputs_malformed_files_exit_1_with_their_codes(tmp_path, monkeypatch, capsys):
+    compare = load_script("compare_outputs.py")
+    codes = {"clockwise.diagram.json": "'polygon_not_counterclockwise', "
+                                       "'polygon_not_convex_at:0'",
+             "focus_on_facet.diagram.json": "['focus_not_interior:0']",
+             "cut_through_focus.diagram.json": "['branch_cut_crosses_focus:0:1']"}
+    assert list(compare["MALFORMED"]) == list(codes)
+    for name, data in compare["MALFORMED"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    for argv in compare["commands"]([], []):
+        if "--diagram" in argv:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            name = argv[argv.index("--diagram") + 1]
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: invalid diagram {name}: ")
+            assert codes[name] in captured.err
