@@ -1,6 +1,6 @@
 """Exact tropical enumeration of Maslov-two disks on tropical Lagrangians."""
 
-from .geometry import Vec, det2, primitive, primitive_and_length, reflect_over, shear_apply
+from .geometry import Vec, det2, primitive, primitive_and_length, shear_apply
 from .diagram import BaseDiagram, Facet, FocusFocus
 from .lagrangian import LagGraph, LagEdge, LagVertex, segment_graph, star_graph
 from .multiplicity import (
@@ -9,7 +9,6 @@ from .multiplicity import (
     VertexKind,
     aut_order,
     graph_contribution,
-    multiplicity,
 )
 from .diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
 from .enumerate import (

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .diagram import AT_FOCUS_FOCUS, BaseDiagram, ON_FACET, ON_POLYGON_VERTEX
 from .diskgraph import DiskGraph
-from .geometry import Vec, det2, homogeneous, point_on_row, primitive_and_length, reflect_over
+from .geometry import Vec, det2, homogeneous, point_on_row, primitive_and_length
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -23,6 +23,7 @@ from .multiplicity import (
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
+    pant_strip_direction,
     perp_collision,
     three_ended_strip,
     two_ended_strip,
@@ -104,8 +105,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if e1.open != e2.open and lam_dir is not None:
             (open_d,) = [d for e, d in adjacent if e.open]
             (black_d,) = [d for e, d in adjacent if not e.open]
-            mirrored = reflect_over(black_d, lam_dir)
-            if open_d * 2 + black_d + mirrored == Vec(0, 0):
+            if open_d == pant_strip_direction(black_d, lam_dir):
                 return holomorphic_pant(black_d, lam_dir)
             raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
         if e1.open and e2.open and lam_vertex is not None and lag.valence(lam_vertex.id) == 3:

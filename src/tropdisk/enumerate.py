@@ -249,8 +249,8 @@ class _Tracer:
         crosses, each as (t_num, t_den, j) with t at most the boundary's
         b_num/b_den, or None.  Ties keep the lowest index j.
 
-        One pass over the cut rows does the work of `ray_point_param` on each
-        focus and `ray_segment_hit` on each cut, from their shared offset
+        One pass over the cut rows finds each focus's parameter on the ray and
+        does the work of `ray_segment_hit` on each cut, from their shared offset
         (rx, ry) / (scale W) of the focus from the origin.  The cross product
         of that offset with prim is the numerator of the cut's s, so a focus
         on the ray's line meets its own cut at s = 0 and is a focus event only.

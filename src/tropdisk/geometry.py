@@ -4,15 +4,16 @@ Everything downstream (diagrams, graphs, the disk enumeration) runs on the
 primitives in this module.  Coordinates of `Vec` are `fractions.Fraction`;
 there is no floating point and no tolerance anywhere.
 
-Ray incidence has one integer kernel, `ray_segment_hit` and `ray_point_param`:
-a ray origin is a homogeneous (X, Y, W) triple, a line table is the rows of
-`integer_rows` over the table's own scale, and every decision is an integer
-cross product, so it stays exact.  Ray parameters come back in units of the
-ray direction whatever the scale, so hits on different tables compare
-directly.  `point_on_row` locates a homogeneous point on such a row.
-`ray_point` moves a homogeneous point along a ray without leaving the
-integers, `from_homogeneous` turns a point back into Fractions, and
-`ray_segment_intersect` is the Fraction front end.
+Every incidence runs on one integer kernel:
+- `homogeneous` writes a point as an integer (X, Y, W) triple;
+- `integer_rows` writes segments as integer rows over the table's own scale;
+- `ray_segment_hit` meets a ray with a row;
+- `point_on_row` locates a homogeneous point on a row;
+- `ray_point` moves a homogeneous point along a ray without leaving the
+  integers, and `from_homogeneous` turns it back into Fractions.
+Every decision is an integer cross product, so it stays exact.  Ray
+parameters come back in units of the ray direction whatever the scale, so
+hits on different tables compare directly.
 """
 
 from __future__ import annotations
@@ -133,92 +134,11 @@ def primitive(v: Vec) -> Vec:
     return Vec(X // g, Y // g)
 
 
-def rational_length(v: Vec, direction: Vec) -> Fraction:
-    """Lattice length of v measured in units of a primitive `direction`.
-
-    v must be a rational multiple of `direction`; the signed multiple is
-    returned (so the caller keeps orientation information).
-    """
-    if det2(v, direction) != 0:
-        raise GeometryError(f"{v!r} is not parallel to {direction!r}")
-    if direction.x != 0:
-        return v.x / direction.x
-    return v.y / direction.y
-
-
-def reflect_over(v: Vec, axis: Vec) -> Vec:
-    """Linear reflection of v fixing the span of `axis` (exact rational)."""
-    if not axis:
-        raise GeometryError("reflection axis must be nonzero")
-    # r(v) = 2 <v,a>/<a,a> a - v
-    aa = axis.dot(axis)
-    coeff = 2 * v.dot(axis) / aa
-    return axis * coeff - v
-
-
 def shear_apply(sigma: Vec, pi: Vec, v: Vec) -> Vec:
     """Unipotent shear v + <sigma, v> pi; inverse is shear_apply(-sigma, pi, .)."""
     if sigma.dot(pi) != 0:
         raise GeometryError(f"<{sigma!r},{pi!r}> != 0: not a valid shear")
     return v + pi * sigma.dot(v)
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: Vec
-    direction: Vec
-
-    def __post_init__(self):
-        if not self.direction:
-            raise GeometryError("ray direction must be nonzero")
-
-    def at(self, t: Scalar) -> Vec:
-        return self.origin + self.direction * frac(t)
-
-
-def _cleared(u: Fraction, v: Fraction, w: Fraction) -> Tuple[int, int, int]:
-    """u, v and w times the product of their denominators."""
-    du, dv, dw = u.denominator, v.denominator, w.denominator
-    return u.numerator * dv * dw, v.numerator * du * dw, w.numerator * du * dv
-
-
-def point_on_segment(p: Vec, a: Vec, b: Vec, closed: bool = True) -> bool:
-    """Exact test for p on the segment [a, b] (open or closed).
-
-    p is on it when (p - a) x (b - a) = 0 and 0 <= (p - a).(b - a) <= |b - a|^2,
-    strictly for the open segment; a point segment a == b thus holds every p
-    when closed and none when open.  The test runs in integers: x and y are
-    each scaled by the product of their three denominators, an affine change
-    that keeps lines and the order of points along them.
-    """
-    px, ax, bx = _cleared(p.x, a.x, b.x)
-    py, ay, by = _cleared(p.y, a.y, b.y)
-    abx, aby = bx - ax, by - ay
-    apx, apy = px - ax, py - ay
-    if abx * apy != aby * apx:
-        return False
-    dot = apx * abx + apy * aby
-    if closed:
-        return 0 <= dot <= abx * abx + aby * aby
-    return 0 < dot < abx * abx + aby * aby
-
-
-def segment_parameter(p: Vec, a: Vec, b: Vec) -> Optional[Fraction]:
-    """Parameter t with p = a + t(b-a), or None if p is off the line."""
-    ab = b - a
-    ap = p - a
-    if not ab or det2(ab, ap) != 0:
-        return None
-    return rational_length(ap, ab)
-
-
-def lines_intersect(p: Vec, d: Vec, q: Vec, e: Vec) -> Optional[Vec]:
-    """Intersection of the lines p + t d and q + s e, or None if parallel."""
-    denom = det2(d, e)
-    if denom == 0:
-        return None
-    t = det2(q - p, e) / denom
-    return p + d * t
 
 
 def homogeneous(v: Vec) -> Tuple[int, int, int]:
@@ -261,23 +181,6 @@ def ray_point(origin, d, t_num: int, t_den: int) -> Tuple[int, int, int]:
     X, Y, W = X * t_den + d[0] * t_num * W, Y * t_den + d[1] * t_num * W, W * t_den
     g = math.gcd(X, Y, W)
     return X // g, Y // g, W // g
-
-
-def ray_point_param(origin, d, q, scale: int) -> Optional[Tuple[int, int]]:
-    """Parameter of the point q/scale on the line origin + t d, or None.
-
-    `origin` is a homogeneous (X, Y, W) triple, `d` a nonzero integer pair and
-    `q` an integer pair.  The parameter t (of any sign) is returned as
-    (numerator, denominator) with a positive denominator; None means q is off
-    the line.
-    """
-    X, Y, W = origin
-    dx, dy = d
-    rx = q[0] * W - X * scale
-    ry = q[1] * W - Y * scale
-    if dx * ry - dy * rx != 0:
-        return None
-    return rx * dx + ry * dy, scale * W * (dx * dx + dy * dy)
 
 
 def point_on_row(point, row, scale: int, closed: bool = True) -> bool:
@@ -337,33 +240,3 @@ def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int,
     if t_num <= 0 or s_num < 0 or s_num > W * denom:
         return None
     return t_num, scale * W * denom, s_num, W * denom
-
-
-def ray_segment_intersect(ray: Ray, a: Vec, b: Vec) -> Optional[Tuple[Fraction, Vec]]:
-    """First meeting of an open ray (t > 0) with the closed segment [a, b].
-
-    Returns (t, point) or None.  Collinear overlaps return the smallest
-    positive parameter at which the ray enters the segment.  A Fraction
-    front end to `ray_segment_hit`.
-    """
-    dx, dy, k = homogeneous(ray.direction)
-    (row,), scale = integer_rows([(a, b)])
-    hit = ray_segment_hit(homogeneous(ray.origin), (dx, dy), row, scale)
-    if hit is None:
-        return None
-    t = Fraction(hit[0] * k, hit[1])
-    return t, ray.at(t)
-
-
-def unimodular(a: int, b: int, c: int, d: int):
-    """Return the integer matrix [[a, b], [c, d]] as a pair of column Vecs."""
-    m = (Vec(a, c), Vec(b, d))
-    if abs(det2(*m)) != 1:
-        raise GeometryError("matrix is not unimodular")
-    return m
-
-
-def apply_matrix(m, v: Vec) -> Vec:
-    """Apply a matrix given as (column1, column2) to v."""
-    c1, c2 = m
-    return c1 * v.x + c2 * v.y

@@ -22,12 +22,13 @@ from .geometry import (
     GeometryError,
     Vec,
     det2,
+    from_homogeneous,
     homogeneous,
     integer_rows,
-    lines_intersect,
     point_on_row,
     primitive,
-    segment_parameter,
+    ray_point,
+    ray_segment_hit,
 )
 
 ANCHOR_FREE = "free"
@@ -219,14 +220,12 @@ class LagGraph:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")
         rows, scale = self.edge_rows()
         foci = [homogeneous(ff.position) for ff in diagram.focus_foci]
-        for k, (e, row) in enumerate(zip(self.edges, rows)):
+        for k, row in enumerate(rows):
             for focus in foci:
                 if point_on_row(focus, row, scale, closed=False):
                     violations.append(f"edge_contains_focus:{k}")
-            for m, other in enumerate(self.edges):
-                if m <= k:
-                    continue
-                if self._edges_cross(e, other):
+            for m in range(k + 1, len(rows)):
+                if self._edges_cross(k, m):
                     violations.append(f"edges_cross:{k}:{m}")
         return violations
 
@@ -253,17 +252,17 @@ class LagGraph:
             return [f"focus_leg_not_along_shear:{v.id}"]
         return []
 
-    def _edges_cross(self, e1: LagEdge, e2: LagEdge) -> bool:
-        if set(e1.endpoints) & set(e2.endpoints):
+    def _edges_cross(self, k: int, m: int) -> bool:
+        """Whether edges k and m meet at a point interior to both: a ray from
+        edge k's start along the edge meets edge m at 0 < s < 1 before it
+        leaves edge k (t < 1 / scale).  Parallel edges never cross."""
+        if set(self.edges[k].endpoints) & set(self.edges[m].endpoints):
             return False
-        a, b = (self.position(x) for x in e1.endpoints)
-        c, d = (self.position(x) for x in e2.endpoints)
-        hit = lines_intersect(a, b - a, c, d - c)
-        if hit is None:
-            return False
-        t = segment_parameter(hit, a, b)
-        s = segment_parameter(hit, c, d)
-        return t is not None and s is not None and 0 < t < 1 and 0 < s < 1
+        rows, scale = self.edge_rows()
+        ax, ay, ex, ey = rows[k]
+        hit = ray_segment_hit((ax, ay, scale), (ex, ey), rows[m], scale)
+        return (hit is not None and hit[0] * scale < hit[1]
+                and 0 < hit[2] < hit[3])
 
     # -- nodal slide mutation ---------------------------------------------------
 
@@ -280,17 +279,21 @@ class LagGraph:
         slide = new_position - ff.position
         if slide and det2(slide, ff.pi) != 0:
             raise GeometryError("nodal slide must move the focus along its shear line")
+        # a ray from each edge's start along the edge meets the closed slide
+        # row before it leaves the open edge; parallel edges (and a zero
+        # slide or edge) never cross
+        rows, scale = integer_rows(
+            [tuple(map(self.position, e.endpoints)) for e in self.edges]
+            + [(ff.position, new_position)])
+        slide_row = rows.pop()
         crossings = []
-        for k, e in enumerate(self.edges):
-            a = self.position(e.endpoints[0])
-            b = self.position(e.endpoints[1])
-            hit = lines_intersect(a, b - a, ff.position, slide) if slide else None
-            if hit is None:
+        for k, (ax, ay, ex, ey) in enumerate(rows):
+            if ex * slide_row[3] == ey * slide_row[2]:
                 continue
-            t = segment_parameter(hit, a, b)
-            s = segment_parameter(hit, ff.position, new_position)
-            if t is not None and s is not None and 0 < t < 1 and 0 <= s <= 1:
-                crossings.append((k, hit))
+            hit = ray_segment_hit((ax, ay, scale), (ex, ey), slide_row, scale)
+            if hit is not None and hit[0] * scale < hit[1]:
+                point = ray_point((ax, ay, scale), (ex, ey), hit[0], hit[1])
+                crossings.append((k, from_homogeneous(point)))
         new_foci = list(diagram.focus_foci)
         new_foci[focus_index] = FocusFocus(
             position=new_position, pi=ff.pi, sigma=ff.sigma, cut_sign=ff.cut_sign

@@ -15,10 +15,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_geometry import apply_matrix
 from tropdisk.diskgraph import Constraint
 from tropdisk.enumerate import cancellation_report, enumerate_maslov4
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
-from tropdisk.geometry import Vec, apply_matrix, det2, shear_apply
+from tropdisk.geometry import Vec, det2, shear_apply
 from tropdisk.multiplicity import (
     boundary_collision,
     cylinder,

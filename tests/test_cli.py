@@ -172,7 +172,6 @@ def test_report_weights_follow_the_convention(tmp_path, capsys):
 
 
 def test_report_reads_each_aut_order_once(capsys, monkeypatch):
-    # the package re-exports the function `multiplicity` under the module's name
     weights = importlib.import_module("tropdisk.multiplicity")
     calls = []
     real = weights.aut_order

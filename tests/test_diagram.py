@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_geometry import reference_point_on_segment, reference_primitive
+from test_geometry import reference_point_on_segment, reference_primitive, reference_ray_segment
 from tropdisk.diagram import (
     AT_FOCUS_FOCUS,
     INTERIOR,
@@ -20,7 +20,6 @@ from tropdisk.diagram import (
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import (
     GeometryError,
-    Ray,
     Vec,
     det2,
     from_homogeneous,
@@ -28,7 +27,6 @@ from tropdisk.geometry import (
     primitive,
     primitive_and_length,
     ray_segment_hit,
-    ray_segment_intersect,
 )
 from tropdisk.lagrangian import LagGraph, LagVertex
 
@@ -161,9 +159,9 @@ def reference_contains(diagram, p, strict):
 
 
 def reference_cut_exit(diagram, ff):
-    """First hit of the cut ray over the facets, by the Fraction front end."""
-    ray = Ray(ff.position, ff.cut_direction())
-    hits = [ray_segment_intersect(ray, *facet.endpoints) for facet in diagram.facets()]
+    """First hit of the cut ray over the facets, by the Fraction reference."""
+    hits = [reference_ray_segment(ff.position, ff.cut_direction(), *facet.endpoints)
+            for facet in diagram.facets()]
     return min((hit for hit in hits if hit is not None), key=lambda hit: hit[0])[1]
 
 
@@ -288,19 +286,17 @@ def test_boundary_hit_agrees_with_per_row_reference(data):
 
 
 def _segment_intersection(s1, s2):
-    from tropdisk.geometry import lines_intersect, segment_parameter
-
+    """The meeting point of two closed segments in Fractions, or None when
+    they are parallel or miss each other."""
     a, b = s1
     c, d = s2
-    hit = lines_intersect(a, b - a, c, d - c)
-    if hit is None:
+    denom = det2(b - a, d - c)
+    if denom == 0:
         return None
-    t = segment_parameter(hit, a, b)
-    s = segment_parameter(hit, c, d)
-    if t is None or s is None:
-        return None
+    t = det2(c - a, d - c) / denom
+    s = det2(c - a, b - a) / denom
     if 0 <= t <= 1 and 0 <= s <= 1:
-        return hit
+        return a + (b - a) * t
     return None
 
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_diagram import reference_boundary_hit, reference_facets_through
+from test_geometry import apply_matrix, ray_point_param
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import (
@@ -43,13 +44,11 @@ from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import (
     GeometryError,
     Vec,
-    apply_matrix,
     det2,
     from_homogeneous,
     homogeneous,
     primitive,
     ray_point,
-    ray_point_param,
     ray_segment_hit,
 )
 from tropdisk.lagrangian import LagGraph, LagVertex

@@ -7,29 +7,60 @@ from hypothesis import strategies as st
 
 from tropdisk.geometry import (
     GeometryError,
-    Ray,
     Vec,
-    apply_matrix,
     det2,
+    from_homogeneous,
     homogeneous,
     integer_rows,
-    lines_intersect,
     point_on_row,
-    point_on_segment,
     primitive,
     primitive_and_length,
-    ray_point_param,
     ray_segment_hit,
-    ray_segment_intersect,
-    rational_length,
-    reflect_over,
-    segment_parameter,
     shear_apply,
-    unimodular,
 )
 
 ints = st.integers(min_value=-50, max_value=50)
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def unimodular(a: int, b: int, c: int, d: int):
+    """The integer matrix [[a, b], [c, d]] as a pair of column Vecs."""
+    m = (Vec(a, c), Vec(b, d))
+    if abs(det2(*m)) != 1:
+        raise GeometryError("matrix is not unimodular")
+    return m
+
+
+def apply_matrix(m, v):
+    """Apply a matrix given as (column1, column2) to v."""
+    c1, c2 = m
+    return c1 * v.x + c2 * v.y
+
+
+def rational_length(v, direction):
+    """The signed multiple t with v = t * direction, for v parallel to a
+    nonzero `direction`, in Fractions."""
+    assert det2(v, direction) == 0
+    if direction.x != 0:
+        return v.x / direction.x
+    return v.y / direction.y
+
+
+def ray_point_param(origin, d, q, scale):
+    """Parameter of the point q/scale on the line origin + t d, or None: the
+    integer reference for the focus scan of `_Tracer._events`.
+
+    `origin` is a homogeneous (X, Y, W) triple, `d` a nonzero integer pair and
+    `q` an integer pair.  The parameter t (of any sign) is returned as
+    (numerator, denominator) with a positive denominator.
+    """
+    X, Y, W = origin
+    dx, dy = d
+    rx = q[0] * W - X * scale
+    ry = q[1] * W - Y * scale
+    if dx * ry - dy * rx != 0:
+        return None
+    return rx * dx + ry * dy, scale * W * (dx * dx + dy * dy)
 
 
 def scaled(v, scale):
@@ -105,20 +136,6 @@ def test_det2_unimodular_equivariance(a, b, m):
     assert det2(apply_matrix(m, a), apply_matrix(m, b)) == sign * det2(a, b)
 
 
-def test_reflect_over_examples():
-    # reflection over the diagonal swaps coordinates
-    assert reflect_over(Vec(F(3), F(-5)), Vec(1, 1)) == Vec(-5, 3)
-    assert reflect_over(Vec(1, 0), Vec(1, 0)) == Vec(1, 0)
-    assert reflect_over(Vec(1, 0), Vec(1, -1)) == Vec(0, -1)
-
-
-@given(vecs(rats), nonzero_int_vecs())
-@settings(max_examples=1000)
-def test_reflect_involution(v, axis):
-    assert reflect_over(reflect_over(v, axis), axis) == v
-    assert reflect_over(axis * F(1, 3), axis) == axis * F(1, 3)
-
-
 def test_shear_apply_examples():
     assert shear_apply(Vec(0, 1), Vec(1, 0), Vec(0, 1)) == Vec(1, 1)
     assert shear_apply(Vec(0, 1), Vec(1, 0), Vec(1, 0)) == Vec(1, 0)
@@ -140,15 +157,21 @@ def test_shear_round_trip(v, pi, sigma_seed):
 
 
 def test_incidence_examples():
-    assert point_on_segment(Vec(F(1, 2), F(1, 2)), Vec(0, 0), Vec(1, 1))
-    hit = ray_segment_intersect(Ray(Vec(0, 0), Vec(1, 1)), Vec(1, 0), Vec(0, 1))
-    assert hit is not None and hit[1] == Vec(F(1, 2), F(1, 2))
-    assert lines_intersect(Vec(0, 0), Vec(1, 0), Vec(0, 1), Vec(1, 0)) is None
+    (diagonal, anti), scale = integer_rows([(Vec(0, 0), Vec(1, 1)), (Vec(1, 0), Vec(0, 1))])
+    assert scale == 1
+    assert point_on_row(homogeneous(Vec(F(1, 2), F(1, 2))), diagonal, scale)
+    assert not point_on_row(homogeneous(Vec(F(1, 2), F(1, 3))), diagonal, scale)
+    assert not point_on_row((0, 0, 1), diagonal, scale, closed=False)
+    hit = ray_segment_hit((0, 0, 1), (1, 1), anti, scale)
+    assert hit == (1, 2, 1, 2)
+    assert from_homogeneous((1, 1, 2)) == Vec(F(1, 2), F(1, 2))
+    (horizontal,), scale = integer_rows([(Vec(0, 1), Vec(1, 1))])
+    assert ray_segment_hit((0, 0, 1), (1, 0), horizontal, scale) is None  # parallel
 
 
-@given(vecs(rats), vecs(rats), st.fractions(min_value=0, max_value=1, max_denominator=16))
+@given(vecs(rats), vecs(rats), st.fractions(min_value=-1, max_value=2, max_denominator=16))
 @settings(max_examples=1000)
-def test_point_on_segment_vs_parameterization(a, b, t):
+def test_point_on_row_vs_parameterization(a, b, t):
     p = a + (b - a) * t
     if a == b:
         return
@@ -162,57 +185,56 @@ def test_point_on_segment_vs_parameterization(a, b, t):
     oracle = bool(candidates) and all(c == candidates[0] for c in candidates) and (
         0 <= candidates[0] <= 1
     )
-    assert point_on_segment(p, a, b) == oracle
-    assert segment_parameter(p, a, b) == t
+    (row,), scale = integer_rows([(a, b)])
+    assert point_on_row(homogeneous(p), row, scale) == oracle == (0 <= t <= 1)
 
 
 @given(vecs(rats), nonzero_int_vecs(), vecs(rats), vecs(rats))
 @settings(max_examples=1000)
-def test_ray_segment_agrees_with_line_solution(origin, direction, a, b)\
-        :
+def test_ray_segment_agrees_with_line_solution(origin, direction, a, b):
     if a == b:
         return
-    hit = ray_segment_intersect(Ray(origin, direction), a, b)
+    (row,), scale = integer_rows([(a, b)])
+    hit = ray_segment_hit(homogeneous(origin), direction.as_int_pair(), row, scale)
     if hit is None:
         return
-    t, point = hit
-    assert t > 0
-    assert point == origin + direction * t
-    assert point_on_segment(point, a, b)
+    t, s = F(hit[0], hit[1]), F(hit[2], hit[3])
+    assert t > 0 and 0 <= s <= 1
+    assert origin + direction * t == a + (b - a) * s
 
 
-def reference_ray_segment(ray, a, b):
-    """Fraction-only ray-segment intersection, the kernel's former body."""
-    d = ray.direction
+def reference_ray_segment(origin, d, a, b):
+    """Fraction-only first meeting (t, point) of the open ray origin + t d
+    (t > 0) with the closed segment [a, b], or None: the kernel's former body."""
     e = b - a
     denom = det2(d, e)
     if denom == 0:
-        if det2(e, ray.origin - a) != 0:
+        if det2(e, origin - a) != 0:
             return None
         ts = []
         for endpoint in (a, b):
-            t = rational_length(endpoint - ray.origin, d)
+            t = rational_length(endpoint - origin, d)
             if t > 0:
                 ts.append(t)
-        if point_on_segment(ray.origin, a, b):
+        if reference_point_on_segment(origin, a, b):
             ts.append(F(0))
         if not ts:
             return None
         t = min(ts)
-        return (t, ray.at(t)) if t > 0 else None
-    t = det2(a - ray.origin, e) / denom
-    s = det2(a - ray.origin, d) / denom
+        return (t, origin + d * t) if t > 0 else None
+    t = det2(a - origin, e) / denom
+    s = det2(a - origin, d) / denom
     if t <= 0 or s < 0 or s > 1:
         return None
-    return t, ray.at(t)
+    return t, origin + d * t
 
 
-def reference_ray_point(ray, p):
-    """Fraction-only parameter t > 0 with ray(t) = p, or None."""
-    rel = p - ray.origin
-    if det2(ray.direction, rel) != 0:
+def reference_ray_point(origin, d, p):
+    """Fraction-only parameter t > 0 with origin + t d = p, or None."""
+    rel = p - origin
+    if det2(d, rel) != 0:
         return None
-    t = rational_length(rel, ray.direction)
+    t = rational_length(rel, d)
     return t if t > 0 else None
 
 
@@ -247,7 +269,7 @@ def test_integer_ray_segment_agrees_with_fraction_reference(case):
     if a == b:
         assert hit is None  # a point segment is never met
         return
-    expected = reference_ray_segment(Ray(origin, d), a, b)
+    expected = reference_ray_segment(origin, d, a, b)
     if expected is None:
         assert hit is None
         return
@@ -255,7 +277,6 @@ def test_integer_ray_segment_agrees_with_fraction_reference(case):
     t, s = F(hit[0], hit[1]), F(hit[2], hit[3])
     assert t == expected[0]
     assert 0 <= s <= 1 and a + (b - a) * s == expected[1]
-    assert ray_segment_intersect(Ray(origin, d), a, b) == expected
 
 
 @given(vecs(small_rats), vecs(st.integers(-4, 4)).filter(bool), vecs(small_rats),
@@ -265,7 +286,7 @@ def test_integer_ray_point_agrees_with_fraction_reference(origin, d, q, alpha):
         q = origin + d * alpha  # on the ray's line, behind, at or ahead of the origin
     scale = math.lcm(q.x.denominator, q.y.denominator)
     param = ray_point_param(homogeneous(origin), d.as_int_pair(), scaled(q, scale), scale)
-    expected = reference_ray_point(Ray(origin, d), q)
+    expected = reference_ray_point(origin, d, q)
     if param is None:
         assert expected is None and det2(d, q - origin) != 0
         return
@@ -275,7 +296,7 @@ def test_integer_ray_point_agrees_with_fraction_reference(origin, d, q, alpha):
 
 
 def reference_point_on_segment(p, a, b, closed=True):
-    """Fraction-only segment incidence, the former body of point_on_segment."""
+    """Fraction-only segment incidence, the reference for `point_on_row`."""
     ab = b - a
     ap = p - a
     if det2(ab, ap) != 0:
@@ -301,15 +322,6 @@ def point_segment_cases(draw):
     else:
         p = draw(vecs(small_rats))
     return p, a, b
-
-
-@given(point_segment_cases(), st.booleans())
-def test_point_on_segment_agrees_with_fraction_reference(case, closed):
-    p, a, b = case
-    got = point_on_segment(p, a, b, closed)
-    assert got == reference_point_on_segment(p, a, b, closed)
-    if a == b:
-        assert got == closed
 
 
 @given(point_segment_cases(), st.booleans())

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_geometry import apply_matrix, rational_length
+from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
-from tropdisk.geometry import GeometryError, Vec, apply_matrix, homogeneous, primitive
-from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph, star_graph
+from tropdisk.geometry import GeometryError, Vec, det2, homogeneous, primitive
+from tropdisk.lagrangian import (
+    ANCHOR_FOCUS,
+    LagEdge,
+    LagGraph,
+    LagVertex,
+    segment_graph,
+    star_graph,
+)
 
 
 def tripod(legs, center=Vec(0, 0)):
@@ -252,3 +261,162 @@ def test_vertex_lookup_finds_the_vertex_at_each_position_only():
         for e in lag.edges:
             a, b = (lag.position(x) for x in e.endpoints)
             assert lag._vertex_at(homogeneous((a + b) / 2)) is None
+
+
+# -- the integer crossings against their former Fraction bodies -----------------
+
+
+def _lines_intersect(p, d, q, e):
+    """Intersection of the lines p + t d and q + s e, or None if parallel."""
+    denom = det2(d, e)
+    if denom == 0:
+        return None
+    return p + d * (det2(q - p, e) / denom)
+
+
+def _segment_parameter(p, a, b):
+    """Parameter t with p = a + t(b-a), or None if p is off the line."""
+    ab, ap = b - a, p - a
+    if not ab or det2(ab, ap) != 0:
+        return None
+    return rational_length(ap, ab)
+
+
+def reference_edges_cross(lag, e1, e2):
+    """The former Fraction body of `LagGraph._edges_cross`."""
+    if set(e1.endpoints) & set(e2.endpoints):
+        return False
+    a, b = (lag.position(x) for x in e1.endpoints)
+    c, d = (lag.position(x) for x in e2.endpoints)
+    hit = _lines_intersect(a, b - a, c, d - c)
+    if hit is None:
+        return False
+    t = _segment_parameter(hit, a, b)
+    s = _segment_parameter(hit, c, d)
+    return t is not None and s is not None and 0 < t < 1 and 0 < s < 1
+
+
+def reference_slide_crossings(lag, start, end):
+    """The former Fraction crossing search of `mutate_nodal_slide`: (k, point)
+    for each edge k that the closed slide [start, end] meets inside the open
+    edge, parallel edges excluded."""
+    slide = end - start
+    crossings = []
+    for k, e in enumerate(lag.edges):
+        a = lag.position(e.endpoints[0])
+        b = lag.position(e.endpoints[1])
+        hit = _lines_intersect(a, b - a, start, slide) if slide else None
+        if hit is None:
+            continue
+        t = _segment_parameter(hit, a, b)
+        s = _segment_parameter(hit, start, end)
+        if t is not None and s is not None and 0 < t < 1 and 0 <= s <= 1:
+            crossings.append((k, hit))
+    return crossings
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=6)
+inner = st.fractions(min_value=F(1, 6), max_value=F(5, 6), max_denominator=6)
+directions = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda d: Vec(*d))
+
+
+def _vecs():
+    return st.builds(Vec, small, small)
+
+
+@st.composite
+def edge_pairs(draw):
+    """A graph with edges 0 = (a, b) and 1 = (c, d), drawing on purpose
+    crossings, shared endpoints, parallel and collinear edges and T-junctions."""
+    a, b, c, d = (draw(_vecs()) for _ in range(4))
+    kind = draw(st.sampled_from(
+        ["generic", "crossing", "shared", "same_point", "parallel", "collinear",
+         "t_junction", "point"]))
+    ids = ("a", "b", "c", "d")
+    if kind == "crossing":
+        # through an inner point of edge 0, in a drawn direction
+        p, e = a + (b - a) * draw(inner), draw(directions)
+        c, d = p - e * draw(inner), p + e * draw(inner)
+    elif kind == "shared":
+        ids, c = ("a", "b", "a", "d"), a  # one vertex shared by both edges
+    elif kind == "same_point":
+        c = draw(st.sampled_from([a, b]))  # a common position, two vertices
+    elif kind == "parallel":
+        d = c + (b - a) * draw(small)
+    elif kind == "collinear":
+        c, d = a + (b - a) * draw(small), a + (b - a) * draw(small)
+    elif kind == "t_junction":
+        c = a + (b - a) * draw(unit)  # c on edge 0, its ends included
+    elif kind == "point":
+        d = c
+    positions = dict(zip(ids, (a, b, c, d)))
+    edges = [LagEdge(ids[:2]), LagEdge(ids[2:])]
+    if draw(st.booleans()):
+        edges.reverse()
+    return LagGraph([LagVertex(vid, p) for vid, p in positions.items()], edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_pairs())
+def test_edges_cross_agrees_with_fraction_reference(lag):
+    for k, m in ((0, 1), (1, 0)):
+        assert lag._edges_cross(k, m) == reference_edges_cross(lag, lag.edges[k], lag.edges[m])
+
+
+@st.composite
+def slide_cases(draw):
+    """(graph, diagram, new focus position): a slide along the focus's shear
+    line against a graph drawn to include edges crossing the slide, edges
+    through either end of it, edges ending on it, and edges parallel to or
+    along it."""
+    pi = draw(directions.filter(bool))
+    start = draw(_vecs())
+    end = start + pi * draw(small)
+    edges = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(_vecs()), draw(_vecs())
+        kind = draw(st.sampled_from(
+            ["generic", "crossing", "through_start", "through_end", "ends_on_slide",
+             "parallel", "along"]))
+        if kind == "crossing":
+            p, e = start + (end - start) * draw(inner), draw(directions)
+            a, b = p - e * draw(inner), p + e * draw(inner)
+        elif kind == "through_start":
+            a, b = start - (b - start) * draw(unit), b
+        elif kind == "through_end":
+            a, b = end - (b - end) * draw(unit), b
+        elif kind == "ends_on_slide":
+            a = start + (end - start) * draw(unit)
+        elif kind == "parallel":
+            b = a + pi * draw(small)
+        elif kind == "along":
+            a, b = start + pi * draw(small), start + pi * draw(small)
+        edges.append((a, b))
+    vertices = [LagVertex(f"v{i}", p) for i, p in enumerate(q for e in edges for q in e)]
+    lag = LagGraph(vertices, [LagEdge((f"v{2 * i}", f"v{2 * i + 1}")) for i in range(len(edges))])
+    focus = FocusFocus(start, pi=pi, sigma=Vec(-pi.y, pi.x), cut_sign=1)
+    diagram = BaseDiagram("slide", [Vec(-9, -9), Vec(9, -9), Vec(9, 9), Vec(-9, 9)], [focus])
+    return lag, diagram, end
+
+
+@settings(max_examples=500, deadline=None)
+@given(slide_cases())
+def test_mutate_nodal_slide_agrees_with_fraction_reference(case):
+    lag, diagram, end = case
+    crossings = reference_slide_crossings(lag, diagram.focus_foci[0].position, end)
+    if len(crossings) > 1:
+        with pytest.raises(GeometryError, match="more than one edge"):
+            lag.mutate_nodal_slide(diagram, 0, end)
+        return
+    mutated, new_diagram = lag.mutate_nodal_slide(diagram, 0, end)
+    assert new_diagram.focus_foci[0].position == end
+    vertices, edges = list(lag.vertices), list(lag.edges)
+    if crossings:
+        (k, point), = crossings
+        a_id, b_id = edges.pop(k).endpoints
+        vertices += [LagVertex("slide0", point), LagVertex("focus0", end, ANCHOR_FOCUS, 0)]
+        edges += [LagEdge((a_id, "slide0")), LagEdge(("slide0", b_id)),
+                  LagEdge(("slide0", "focus0"))]
+    assert mutated.vertices == vertices
+    assert mutated.edges == edges

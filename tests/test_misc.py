@@ -1,15 +1,20 @@
+import ast
 import json
+import pathlib
+import types
 from fractions import Fraction as F
 
 import pytest
 
+import tropdisk
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
-from tropdisk.diskgraph import Constraint
+from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
 from tropdisk.enumerate import SearchBounds, enumerate_disks
 from tropdisk.fixtures import builtin_fixture
 from tropdisk.geometry import GeometryError, Vec
-from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex
+from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph
+from tropdisk.multiplicity import UnclassifiableVertex, holomorphic_pant
 
 
 def test_fixture_directory_override(tmp_path, monkeypatch):
@@ -86,3 +91,67 @@ def test_open_edge_directions_half_integral_on_diagonal_legs():
         if e.open and e.direction.x.denominator == 2
     ]
     assert halves, "diagonal-leg pants carry half-integral strip directions"
+
+
+def test_multiplicity_submodule_is_a_module():
+    import tropdisk.multiplicity as M
+    from tropdisk.multiplicity import multiplicity
+
+    assert isinstance(M, types.ModuleType)
+    assert tropdisk.multiplicity is M
+    assert multiplicity is M.multiplicity
+
+
+def _pant_vertex(open_d):
+    """A vertex at the origin with a closed leg (1, -3) and an open leg
+    open_d, on a Lagrangian edge of slope (1, 2) inside the dp6 hexagon."""
+    e_black = Vec(1, -3)
+    graph = DiskGraph(
+        [DiskVertex("p", Vec(0, 0), holomorphic_pant(e_black, Vec(1, 2))),
+         DiskVertex("q", e_black, holomorphic_pant(e_black, Vec(1, 2))),
+         DiskVertex("r", open_d, holomorphic_pant(e_black, Vec(1, 2)))],
+        [DiskEdge(("p", "q"), e_black), DiskEdge(("p", "r"), open_d, open=True)],
+    )
+    lag = segment_graph(Vec(F(-1, 4), F(-1, 2)), Vec(F(1, 4), F(1, 2)))
+    return graph, builtin_fixture("dp6").diagram, lag
+
+
+def test_classify_pant_balancing_on_a_non_axis_slope():
+    # 2 w + e + r(e) = 0 with r the reflection fixing (1, 2): w = (1, 2)
+    graph, diagram, lag = _pant_vertex(Vec(1, 2))
+    assert classify_vertex(graph, "p", diagram, lag) == holomorphic_pant(Vec(1, -3), Vec(1, 2))
+    for off in (Vec(1, 0), Vec(0, -1), Vec(-1, -2)):
+        graph, diagram, lag = _pant_vertex(Vec(1, 2) + off)
+        with pytest.raises(UnclassifiableVertex, match="fails pant balancing"):
+            classify_vertex(graph, "p", diagram, lag)
+
+
+# math attributes that compute or name a float
+FLOAT_MATH = {
+    "sqrt", "cbrt", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "pow",
+    "pi", "e", "tau", "inf", "nan", "sin", "cos", "tan", "asin", "acos", "atan",
+    "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh", "hypot", "dist",
+    "isclose", "fsum", "fabs", "fmod", "degrees", "radians",
+}
+
+
+def test_core_has_no_floats():
+    src = pathlib.Path(tropdisk.__file__).parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "render.py")
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{where} float(...)")
+            elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+                  and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                found.append(f"{where} math.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+                  and any(alias.name in FLOAT_MATH for alias in node.names)):
+                found.append(f"{where} from math import")
+    assert found == []
