@@ -44,7 +44,7 @@ TRACED = (
     "diagram.self_s", "lagrangian.calls", "lagrangian.self_s", "enumerate.self_s",
     "enumerate.rigidity.calls", "enumerate.rigidity.self_s", "enumerate.candidates",
     "enumerate.unique", "enumerate.counted", "classify.calls", "classify.self_s",
-    "multiplicity.self_s",
+    "multiplicity.self_s", "diskgraph.calls", "diskgraph.self_s",
 )
 SIDES = ("parent", "change")
 

@@ -15,13 +15,19 @@ process through `tropdisk.cli.main`:
 * `table` and `table --json`;
 * `validate --diagram F` and `potential --diagram F --constraint point:X,Y`
   for each of three malformed diagram files in `MALFORMED`: a clockwise
-  polygon, a focus on a facet and a branch cut through another focus.
+  polygon, a focus on a facet and a branch cut through another focus;
+* `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
+  the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
+  `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
+* `potential --fixture F --case C --json --constraint edge:K@T` at every T
+  of `EDGE_POSITIONS` on every edge of every shipped case with a Lagrangian.
 
 The malformed files are written to a temporary directory that each side's
 interpreter runs in, so the file names in the error text are the same on
 both sides.  Each command's exit code, standard output and standard error
-are compared.  The command lists come from each checkout's own `SHIPPED_CASES` and
-`FIXTURE_NAMES`, so a command that runs on one side only is a difference too.
+are compared.  The command lists come from each checkout's own `SHIPPED_CASES`,
+`FIXTURE_NAMES` and fixtures, so a command that runs on one side only is a
+difference too.
 The exit code is 0 when every output is byte-identical and 1 otherwise.
 """
 
@@ -65,9 +71,17 @@ MALFORMED = {
 }
 POINT = "point:1/4,1/4"
 
+# the cells of the benchmark's `grid` workload
+GRID_CASES = [("dp1", "vertical"), ("dp2", "l2"), ("dp3", "trivalent")]
+GRID_LENGTHS = (3, 4)
+GRID_SPLITS = (1, 2)
+# constraint positions on each Lagrangian edge
+EDGE_POSITIONS = ("3/16", "1/2", "13/16")
 
-def commands(shipped_cases, fixture_names) -> list:
-    """The argv of every compared command, in run order."""
+
+def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
+    """The argv of every compared command, in run order; `builtin_fixture`
+    supplies the grid cases' bounds and the shipped cases' Lagrangians."""
     out = []
     for name, case in shipped_cases:
         out += [["potential", "--fixture", name, "--case", case, *flag] for flag in ([], ["--json"])]
@@ -77,6 +91,19 @@ def commands(shipped_cases, fixture_names) -> list:
     for path in MALFORMED:
         out += [["validate", "--diagram", path],
                 ["potential", "--diagram", path, "--constraint", POINT]]
+    for name, case in GRID_CASES:
+        bounds = builtin_fixture(name).case(case).bounds
+        for length in GRID_LENGTHS:
+            for splits in GRID_SPLITS:
+                spec = (f"{bounds.max_vertices},{length},{bounds.max_cut_crossings},"
+                        f"{splits}")
+                out.append(["potential", "--fixture", name, "--case", case, "--json",
+                            "--bounds", spec])
+    for name, case in shipped_cases:
+        lag = builtin_fixture(name).lagrangian_for(case)
+        for k in range(len(lag.edges) if lag is not None else 0):
+            out += [["potential", "--fixture", name, "--case", case, "--json",
+                     "--constraint", f"edge:{k}@{t}"] for t in EDGE_POSITIONS]
     return out
 
 
@@ -86,13 +113,13 @@ def collect(src: str) -> None:
     sys.path.insert(0, src)
     import tropdisk
     from tropdisk.cli import main
-    from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES
+    from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
 
     if not Path(tropdisk.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"tropdisk imported from {tropdisk.__file__}, not {src}")
 
     outputs = {}
-    for argv in commands(SHIPPED_CASES, FIXTURE_NAMES):
+    for argv in commands(SHIPPED_CASES, FIXTURE_NAMES, builtin_fixture):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
-from .diagram import AT_FOCUS_FOCUS, BaseDiagram
+from .diagram import AT_FOCUS_FOCUS, BaseDiagram, InvalidDiagram
 from .diskgraph import CONSTRAINT_INTERIOR, Constraint
 from .eigentable import EIGENVALUE_TABLE, eigenvalue_verdict, nonmaximal_integers
 from .enumerate import (
@@ -207,7 +207,14 @@ def cmd_potential(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _fixture, _case, diagram, lag, label = _load_inputs(args)
+    try:
+        _fixture, _case, diagram, lag, label = _load_inputs(args)
+    except InvalidDiagram as exc:
+        if not args.json:
+            raise
+        print(json.dumps({"fixture": exc.diagram.name, "violations": exc.violations},
+                         indent=2))
+        return EXIT_INVALID
     # the diagram is valid: BaseDiagram.load and builtin_fixture raise otherwise
     problems = lag.is_allowable(diagram) if lag is not None else []
     if args.json:

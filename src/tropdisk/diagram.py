@@ -72,6 +72,15 @@ class PointClass:
     index: Optional[int] = None
 
 
+class InvalidDiagram(GeometryError):
+    """A diagram file that parses but fails `BaseDiagram.validate()`."""
+
+    def __init__(self, path, diagram: "BaseDiagram", violations: List[str]):
+        super().__init__(f"invalid diagram {path}: {violations}")
+        self.diagram = diagram
+        self.violations = violations
+
+
 @dataclass
 class BaseDiagram:
     name: str
@@ -369,7 +378,7 @@ class BaseDiagram:
                 raise GeometryError(f"malformed diagram file {path}: {exc!r}") from exc
         problems = diagram.validate()
         if problems:
-            raise GeometryError(f"invalid diagram {path}: {problems}")
+            raise InvalidDiagram(path, diagram, problems)
         return diagram
 
 

@@ -44,9 +44,7 @@ from .geometry import (
     det2,
     from_homogeneous,
     homogeneous,
-    point_key,
     primitive,
-    primitive_and_length,
     ray_point,
     ray_segment_hit,
 )
@@ -108,15 +106,15 @@ NO_FLAGS = FixtureFlags()
 
 @dataclass(frozen=True)
 class _VertexSpec:
-    position: Vec
+    position: Tuple[int, int, int]   # homogeneous
     kind: VertexKind
 
 
 @dataclass(frozen=True)
 class _EdgeSpec:
-    start: Vec
-    end: Vec
-    direction: Vec
+    start: Tuple[int, int, int]
+    end: Tuple[int, int, int]
+    direction: Tuple[int, int, int]  # homogeneous, so (dx, dy, 1) for integers
     open: bool = False
 
 
@@ -176,6 +174,10 @@ class _Ray:
         self.splits = None
 
 
+# a leg table's bound where nothing blocks: n * 0 < 1 * den for every den > 0
+_NO_BLOCK = (1, 0)
+
+
 class _Tracer:
     """Exhaustive ray tracing on homogeneous integers.
 
@@ -185,12 +187,14 @@ class _Tracer:
     It carries every ray origin, split point and cut crossing as a
     homogeneous (X, Y, W) triple and every direction as an integer pair, so
     each event test is an integer cross product and each comparison of ray
-    parameters a cross-multiplication.
+    parameters a cross-multiplication.  Its completion specs carry the same
+    triples; `_Candidates` turns them into Vecs.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
-    a `_Ray` per such pair; it also keeps the Vecs it builds for completions,
-    one per point and per direction.
+    a `_Ray` per such pair.  A split leg runs along its focus's shear line,
+    so whether it is clear depends only on where w sits on that line: the
+    tracer keeps one leg table per focus (`_leg_table`).
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -201,6 +205,7 @@ class _Tracer:
         self.flags = flags
         self.facets = diagram.facets()
         self.cut_rows, self.cut_scale = diagram.cut_rows()
+        self.foci, _ = diagram._homogeneous_points()
         self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
         self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
         self.lag_rows, self.lag_scale = ([], 1) if lag is None else lag.edge_rows()
@@ -215,24 +220,7 @@ class _Tracer:
                     offset = None if limit is None else homogeneous(c - limit)[:2]
                     self.cap_corners.setdefault(i, []).append(offset)
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
-        self._points: Dict[Tuple[int, int, int], Vec] = {}
-        self._directions: Dict[Tuple[int, int], Vec] = {}
-
-    # -- completion Vecs ------------------------------------------------------
-
-    def _point(self, origin) -> Vec:
-        """The Vec of a homogeneous point, built once per tracer."""
-        vec = self._points.get(origin)
-        if vec is None:
-            vec = self._points[origin] = from_homogeneous(origin)
-        return vec
-
-    def _direction(self, d) -> Vec:
-        """The Vec of an integer pair, built once per tracer."""
-        vec = self._directions.get(d)
-        if vec is None:
-            vec = self._directions[d] = Vec(*d)
-        return vec
+        self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
 
     # -- event scanning -------------------------------------------------------
 
@@ -361,27 +349,24 @@ class _Tracer:
             j, side, point = ray.cut
             rest = self._trace(point, self._crossed(j, d, side), crossings - 1, splits)
             if rest:
-                hit = self._point(point)
-                vertex = _VertexSpec(hit, cylinder())
-                edge = _EdgeSpec(self._point(origin), hit, self._direction(d))
+                vertex = _VertexSpec(point, cylinder())
+                edge = _EdgeSpec(origin, point, (*d, 1))
                 completions.extend(c.prepend([vertex], [edge]) for c in rest)
             return completions
         # normals are primitive, so only a primitive d can end on the boundary
         return completions + ray.ends if ell == 1 else completions
 
     def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
-        ff = self.diagram.focus_foci[j]
-        leg = (_EdgeSpec(self._point(origin), ff.position, self._direction(d)),)
+        leg = (_EdgeSpec(origin, self.foci[j], (*d, 1)),)
         return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
 
     def _focus_vertices(self, j, ell) -> List[_VertexSpec]:
         """The ell-fold cover of focus j, then for ell >= 2 its desingularized
         partner (the pair nets zero)."""
-        ff = self.diagram.focus_foci[j]
-        w = ff.weight()
-        out = [_VertexSpec(ff.position, focus_cover(ell, j, w))]
+        w = self.diagram.focus_foci[j].weight()
+        out = [_VertexSpec(self.foci[j], focus_cover(ell, j, w))]
         if ell >= 2:
-            out.append(_VertexSpec(ff.position, focus_cover_pair(ell, j, w)))
+            out.append(_VertexSpec(self.foci[j], focus_cover_pair(ell, j, w)))
         return out
 
     def _boundary_end(self, origin, prim, boundary) -> List[_Completion]:
@@ -392,14 +377,13 @@ class _Tracer:
         collision = next((i for i in facet_ids if normals[i] == outward), None)
         if collision is None and not self._may_cap(prim, facet_ids):
             return []
-        p, dirval = self._point(origin), self._direction(prim)
-        point = self._point(ray_point(origin, prim, t_num, t_den))
+        point = ray_point(origin, prim, t_num, t_den)
         if collision is None:
-            return self._corner_cap(p, dirval, point, facet_ids)
+            return self._corner_cap(origin, prim, point, facet_ids)
         return [
             _Completion(
                 (_VertexSpec(point, boundary_collision(collision)),),
-                (_EdgeSpec(p, point, dirval),),
+                (_EdgeSpec(origin, point, (*prim, 1)),),
             )
         ]
 
@@ -411,37 +395,37 @@ class _Tracer:
             offset is None or offset[0] * prim[1] - offset[1] * prim[0] == 0
             for i in facet_ids for offset in self.cap_corners.get(i, ()))
 
-    def _corner_cap(self, p, dirval, point, facet_ids) -> List[_Completion]:
-        """Lemma-4.18 style rim continuation into a flagged corner piece."""
-        prim, ell = primitive_and_length(dirval)
-        if ell != 1:
-            return []  # rim continuations carry primitive directions only
+    def _corner_cap(self, origin, prim, point, facet_ids) -> List[_Completion]:
+        """Lemma-4.18 style rim continuation into a flagged corner piece, for
+        the primitive direction prim from origin to the boundary point."""
+        dirval, hit = Vec(*prim), from_homogeneous(point)
         out = []
         for i in facet_ids:
             facet = self.facets[i]
             for corner in facet.endpoints:
-                if corner not in self.flags.corner_caps or corner == point:
+                if corner not in self.flags.corner_caps or corner == hit:
                     continue
                 if self._lagrangian_occupies(corner):
                     continue
                 if self.flags.corner_limit is not None:
                     if det2(corner - self.flags.corner_limit, dirval) != 0:
                         continue
-                tangent = primitive(corner - point)
+                tangent = primitive(corner - hit)
                 # rim component of the incoming direction must aim at the corner
                 rim = det2(dirval, facet.inward_normal)
                 aim = det2(tangent, facet.inward_normal)
                 if rim == 0 or (rim > 0) != (aim > 0):
                     continue
+                cap = homogeneous(corner)
                 out.append(
                     _Completion(
                         (
                             _VertexSpec(point, cylinder()),
-                            _VertexSpec(corner, VertexKind(CORNER_CAP)),
+                            _VertexSpec(cap, VertexKind(CORNER_CAP)),
                         ),
                         (
-                            _EdgeSpec(p, point, dirval),
-                            _EdgeSpec(point, corner, tangent),
+                            _EdgeSpec(origin, point, (*prim, 1)),
+                            _EdgeSpec(point, cap, homogeneous(tangent)),
                         ),
                     )
                 )
@@ -457,19 +441,18 @@ class _Tracer:
             ray.splits = self._split_points(origin, prim, ray.horizon)
         dx, dy = d
         out = []
-        for j, sign, w_origin in ray.splits:
+        for j, sign, w in ray.splits:
             pix, piy = self.shear_table[j]
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
                 m = sub_ell * sign
                 d2 = (dx - pix * m, dy - piy * m)
-                rest = self._trace(w_origin, d2, crossings, splits - 1)
+                rest = self._trace(w, d2, crossings, splits - 1)
                 if not rest:
                     continue
-                w = self._point(w_origin)
-                arrival = self._direction((pix * m, piy * m))
-                pants = _VertexSpec(w, pair_of_pants(arrival, self._direction(d2)))
-                legs = [_EdgeSpec(self._point(origin), w, self._direction(d)),
-                        _EdgeSpec(w, self.diagram.focus_foci[j].position, arrival)]
+                ax, ay = pix * m, piy * m
+                pants = _VertexSpec(w, pair_of_pants(Vec(ax, ay), Vec(*d2)))
+                legs = [_EdgeSpec(origin, w, (dx, dy, 1)),
+                        _EdgeSpec(w, self.foci[j], (ax, ay, 1))]
                 focus_vertices = self._focus_vertices(j, sub_ell)
                 for completion in rest:
                     for fv in focus_vertices:
@@ -508,66 +491,134 @@ class _Tracer:
             # tau = -u / (sub_ell * sign) > 0 for this sign only; since prim is
             # not parallel to pi, d2 = d - arrival is never parallel to the
             # arrival either
-            sign = -1 if u_num > 0 else 1
-            w_origin = ray_point(origin, prim, t_num, t_den)
-            if self._leg_clear(w_origin, j):
-                out.append((j, sign, w_origin))
+            if self._leg_clear(j, u_num, t_den):
+                sign = -1 if u_num > 0 else 1
+                out.append((j, sign, ray_point(origin, prim, t_num, t_den)))
         return out
 
-    def _leg_clear(self, origin, focus_j: int) -> bool:
-        """The pinned split leg from w to focus_j must meet nothing on the way.
+    # -- split legs -----------------------------------------------------------
 
-        `origin` is w as a homogeneous triple.  The leg direction is
-        (focus - w) * scale * W, so the focus sits at t = 1 / (scale * W).
+    def _leg_clear(self, j: int, v_num: int, v_den: int) -> bool:
+        """Whether the pinned split leg from w = focus_j + (v_num/v_den) pi_j
+        back to the focus meets nothing on the way (v_num != 0, v_den > 0):
+        |v| against the two bounds of `_leg_table` on w's side."""
+        table = self._legs[j]
+        if table is None:
+            table = self._legs[j] = self._leg_table(j)
+        c_num, c_den, o_num, o_den = table[v_num < 0]
+        a = abs(v_num)
+        return a * c_den < c_num * v_den and a * o_den <= o_num * v_den
+
+    def _leg_table(self, j: int):
+        """For w = F + v pi on focus j's shear line (F the focus), the bounds
+        (c_num, c_den, o_num, o_den) on each side, v > 0 then v < 0, with which
+        the leg from w back to F is clear exactly when |v| < c and |v| <= o.
+
+        A leg is blocked by another focus on the closed segment [w, F], by a
+        cut it crosses strictly inside (w, F), and by a Lagrangian edge it
+        meets in (w, F]; a Lagrangian edge along the line blocks only from
+        beyond its nearer end, and a cut along it only through its focus.
+        Each blocker at |v| = b on a side lowers that side's c (a focus) or o
+        (a cut or an edge) to b; one at v = 0 blocks both sides.
         """
-        X, Y, W = origin
         scale = self.cut_scale
-        fx, fy, _, _ = self.cut_rows[focus_j]
-        dx, dy = fx * W - X * scale, fy * W - Y * scale
-        reach = scale * W   # t * reach is the fraction of the leg travelled
-        # one pass over the cut rows, as in `_events`
+        fx, fy, _, _ = self.cut_rows[j]
+        px, py = self.shear_table[j]
+        norm = px * px + py * py
+        closed, opened = [_NO_BLOCK, _NO_BLOCK], [_NO_BLOCK, _NO_BLOCK]
+
+        def block(bounds, side, num, den):
+            """Lower bounds[side] to num/den (num >= 0, den > 0)."""
+            b_num, b_den = bounds[side]
+            if num * b_den < b_num * den:
+                bounds[side] = (num, den)
+
+        def block_at(bounds, v_num, den):
+            """Block from v = v_num/den on, on its side, or on both at v = 0."""
+            for side in ((0, 1) if v_num == 0 else (v_num < 0,)):
+                block(bounds, side, abs(v_num), den)
+
+        # each row (ax, ay, ex, ey) is the segment (a + s e)/row scale, s in
+        # [0, 1]; with g = F - a over the common scale m, a + s e = F + v pi
+        # solves to s = (g x pi)/D and v = (g x e)/(m D) for D = e x pi != 0
         for k, (ax, ay, ex, ey) in enumerate(self.cut_rows):
-            rx, ry = ax * W - X * scale, ay * W - Y * scale
-            cross = dy * rx - dx * ry
-            if cross == 0 and k != focus_j:
-                t_num = rx * dx + ry * dy
-                if 0 <= t_num <= dx * dx + dy * dy:
-                    return False  # another focus on the leg
-            denom = dx * ey - dy * ex
-            if denom == 0:
+            if k == j:
                 continue
-            t_num = rx * ey - ry * ex
-            if denom < 0:
-                denom, t_num, cross = -denom, -t_num, -cross
-            if 0 < t_num < denom and 0 <= cross <= W * denom:
-                return False  # a hit at the focus itself is where its own cut starts
-        for row in self.lag_rows:
-            hit = ray_segment_hit(origin, (dx, dy), row, self.lag_scale)
-            if hit is not None and hit[0] * reach <= hit[1]:
-                return False
-        return True
+            gx, gy = fx - ax, fy - ay
+            if gx * py == gy * px:
+                block_at(closed, -(gx * px + gy * py), scale * norm)  # focus k
+            den = ex * py - ey * px
+            if den == 0:
+                continue
+            s_num, v_num = gx * py - gy * px, gx * ey - gy * ex
+            if den < 0:
+                den, s_num, v_num = -den, -s_num, -v_num
+            if 0 <= s_num <= den and v_num != 0:
+                block_at(opened, v_num, scale * den)
+
+        lag_scale = self.lag_scale
+        m = scale * lag_scale
+        for ax, ay, ex, ey in self.lag_rows:
+            gx, gy = fx * lag_scale - ax * scale, fy * lag_scale - ay * scale
+            s_num = gx * py - gy * px
+            den = ex * py - ey * px
+            if den == 0:
+                if s_num != 0 or not (ex or ey):
+                    continue  # parallel off the line, or a point row
+                # along the line: the ends at v = lo and hi over m |pi|^2
+                start = -(gx * px + gy * py)
+                lo, hi = sorted((start, start + scale * (ex * px + ey * py)))
+                if hi >= 0:
+                    block(opened, 0, hi, m * norm)
+                if lo <= 0:
+                    block(opened, 1, -lo, m * norm)
+                continue
+            v_num = gx * ey - gy * ex
+            if den < 0:
+                den, s_num, v_num = -den, -s_num, -v_num
+            if 0 <= s_num <= scale * den:
+                block_at(opened, v_num, m * den)
+        return tuple(closed[side] + opened[side] for side in (0, 1))
 
 
 # -- graph assembly -------------------------------------------------------------
 
 
-def _build_graph(constraint, root_specs, root_edges, completion: _Completion) -> DiskGraph:
-    vertices: List[DiskVertex] = []
-    by_pos: Dict[Tuple[int, int, int, int], str] = {}
-    for spec in list(root_specs) + list(completion.vertices):
-        vid = f"v{len(vertices)}"
-        vertices.append(DiskVertex(vid, spec.position, spec.kind))
-        key = point_key(spec.position)
-        if key in by_pos:
-            raise GeometryError(f"two graph vertices at {spec.position!r}")
-        by_pos[key] = vid
+class _Candidates:
+    """The candidate graphs of one enumeration, built from completion specs.
 
-    edges = []
-    for spec in list(root_edges) + list(completion.edges):
-        a = by_pos[point_key(spec.start)]
-        b = by_pos[point_key(spec.end)]
-        edges.append(DiskEdge((a, b), spec.direction, spec.open))
-    return DiskGraph(vertices, edges, constraint)
+    Specs carry homogeneous triples for positions and directions alike;
+    `add` builds one Vec per distinct triple for the whole call and keys a
+    graph's vertices by triple.  It keeps each graph's specs, so
+    `_unique_graphs` can write `DiskGraph.signature()` in integers.
+    """
+
+    def __init__(self, constraint: Constraint):
+        self.constraint = constraint
+        self.graphs: List[DiskGraph] = []
+        self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
+        self.vecs: Dict[Tuple[int, int, int], Vec] = {}
+
+    def _vec(self, triple) -> Vec:
+        vec = self.vecs.get(triple)
+        if vec is None:
+            vec = self.vecs[triple] = from_homogeneous(triple)
+        return vec
+
+    def add(self, root_specs, root_edges, completion: _Completion) -> None:
+        vertex_specs = (*root_specs, *completion.vertices)
+        edge_specs = (*root_edges, *completion.edges)
+        vertices: List[DiskVertex] = []
+        by_pos: Dict[Tuple[int, int, int], str] = {}
+        for spec in vertex_specs:
+            if spec.position in by_pos:
+                raise GeometryError(f"two graph vertices at {self._vec(spec.position)!r}")
+            vid = by_pos[spec.position] = f"v{len(vertices)}"
+            vertices.append(DiskVertex(vid, self._vec(spec.position), spec.kind))
+        edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), self._vec(e.direction), e.open)
+                 for e in edge_specs]
+        self.graphs.append(DiskGraph(vertices, edges, self.constraint))
+        self.specs.append((vertex_specs, edge_specs))
 
 
 # -- rigidity ------------------------------------------------------------------
@@ -741,10 +792,10 @@ def enumerate_disks(
     convention: SignConvention = DEFAULT_CONVENTION,
     flags: FixtureFlags = NO_FLAGS,
 ) -> EnumerationResult:
-    graphs = _candidate_graphs(diagram, lag, constraint, bounds, flags)
+    candidates = _candidate_graphs(diagram, lag, constraint, bounds, flags)
     warnings: List[str] = []
     out: List[EnumeratedGraph] = []
-    for g in _unique_graphs(graphs):
+    for g in _unique_graphs(candidates):
         if len(g.vertices) > bounds.max_vertices:
             warnings.append(f"graph with {len(g.vertices)} vertices exceeds max_vertices")
             continue
@@ -760,41 +811,70 @@ def enumerate_disks(
     return EnumerationResult(out, [], warnings)
 
 
-def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[DiskGraph]:
+def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> _Candidates:
     """Every graph the roots grow from the constraint, duplicates included."""
     tracer = _Tracer(diagram, lag, bounds, flags)
+    candidates = _Candidates(constraint)
     if constraint.kind == CONSTRAINT_INTERIOR:
-        return _fiber_graphs(tracer, constraint, bounds)
-    return (_perp_graphs(tracer, lag, constraint, bounds)
-            + _pant_graphs(tracer, lag, constraint, bounds))
+        _fiber_graphs(tracer, candidates, bounds)
+    else:
+        _perp_graphs(tracer, lag, candidates, bounds)
+        _pant_graphs(tracer, lag, candidates, bounds)
+    return candidates
 
 
-def _unique_graphs(graphs: List[DiskGraph]) -> List[DiskGraph]:
+def _unique_graphs(candidates: _Candidates) -> List[DiskGraph]:
     """One graph per signature, in signature order: the first candidate of
-    each run of equal signatures after a stable sort, so that signatures are
-    compared but never hashed."""
-    keyed = sorted(((g.signature(), g) for g in graphs), key=itemgetter(0))
+    each run of equal keys after a stable sort.
+
+    A graph's key is `DiskGraph.signature()` with every position and every
+    edge direction times the least common denominator of all the call's
+    triples.  Scaling by one positive integer keeps the order and the
+    equality of the Fractions, so the keys sort, and group, exactly as the
+    signatures do, and no Fraction is compared.  The kinds' vectors (split
+    arrivals and remainders, e_black) are nonzero integer pairs here, so
+    their numerators stand for them.
+    """
+    den = math.lcm(*(W for _, _, W in candidates.vecs))
+    scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in candidates.vecs}
+    keyed = []
+    for (vertex_specs, edge_specs), graph in zip(candidates.specs, candidates.graphs):
+        verts = []
+        for s in vertex_specs:
+            kind = s.kind
+            verts.append((kind.tag, scaled[s.position], kind.ell, _int_pair(kind.d1),
+                          _int_pair(kind.d2), _int_pair(kind.e_black)))
+        verts.sort()
+        edges = []
+        for e in edge_specs:
+            a, b = scaled[e.start], scaled[e.end]
+            edges.append((a, b, scaled[e.direction], e.open) if a <= b
+                         else (b, a, scaled[e.direction], e.open))
+        edges.sort()
+        keyed.append(((tuple(verts), tuple(edges)), graph))
+    keyed.sort(key=itemgetter(0))
     return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
 
 
-def _fiber_graphs(tracer, constraint, bounds) -> List[DiskGraph]:
-    out = []
-    origin = homogeneous(constraint.point)
-    root = _VertexSpec(constraint.point, VertexKind(FIBER_ROOT))
+def _int_pair(v: Optional[Vec]) -> Optional[Tuple[int, int]]:
+    return None if v is None else (v.x.numerator, v.y.numerator)
+
+
+def _fiber_graphs(tracer, candidates, bounds) -> None:
+    origin = homogeneous(candidates.constraint.point)
+    root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
     for d in _direction_pairs(bounds.max_lattice_length):
         for completion in tracer._trace(
             origin, d, bounds.max_cut_crossings, bounds.max_splits
         ):
-            out.append(_build_graph(constraint, [root], [], completion))
-    return out
+            candidates.add([root], [], completion)
 
 
-def _perp_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
+def _perp_graphs(tracer, lag, candidates, bounds) -> None:
+    constraint = candidates.constraint
     edge = lag.edges[constraint.edge_index]
     lx, ly = lag.edge_direction(edge).as_int_pair()
-    q = constraint.point
-    origin = homogeneous(q)
-    out = []
+    origin = homogeneous(constraint.point)
     for ell in range(1, bounds.max_lattice_length + 1):
         # collision models require the crossing line on both sides
         plus = tracer._trace(origin, (-ly * ell, lx * ell),
@@ -805,24 +885,22 @@ def _perp_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
                               bounds.max_cut_crossings, bounds.max_splits)
         if not minus:
             continue
-        root = _VertexSpec(q, perp_collision(ell))
+        root = _VertexSpec(origin, perp_collision(ell))
         for completion in plus + minus:
-            out.append(_build_graph(constraint, [root], [], completion))
-    return out
+            candidates.add([root], [], completion)
 
 
-def _pant_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
+def _pant_graphs(tracer, lag, candidates, bounds) -> None:
+    constraint = candidates.constraint
     edge = lag.edges[constraint.edge_index]
     a_id, b_id = edge.endpoints
     # the strip must end at a seam on a Lagrangian pair of pants
     a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
     if not (a_seam or b_seam):
-        return []
+        return
     lam = primitive(lag.position(b_id) - lag.position(a_id))
     lx, ly = lam.as_int_pair()
-    q = constraint.point
-    origin = homogeneous(q)
-    out = []
+    origin = homogeneous(constraint.point)
     for ex, ey in _direction_pairs(bounds.max_lattice_length):
         if ex * ly - ey * lx == 0:
             continue
@@ -838,15 +916,15 @@ def _pant_graphs(tracer, lag, constraint, bounds) -> List[DiskGraph]:
         if not closed:
             continue
         e_black = Vec(ex, ey)
-        target = lag.position(target_id)
+        target = homogeneous(lag.position(target_id))
         root = [
-            _VertexSpec(q, holomorphic_pant(e_black, lam)),
+            _VertexSpec(origin, holomorphic_pant(e_black, lam)),
             _VertexSpec(target, pant_seam()),
         ]
-        strip = _EdgeSpec(q, target, pant_strip_direction(e_black, lam), open=True)
+        strip = _EdgeSpec(origin, target, homogeneous(pant_strip_direction(e_black, lam)),
+                          open=True)
         for completion in closed:
-            out.append(_build_graph(constraint, root, [strip], completion))
-    return out
+            candidates.add(root, [strip], completion)
 
 
 def potential(

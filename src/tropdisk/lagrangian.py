@@ -273,7 +273,8 @@ class LagGraph:
 
         If the slide segment crosses an edge of the graph, the mutated graph
         gains a spur from the crossing point to the new focus position, in the
-        shear direction.
+        shear direction.  Raises `GeometryError` naming the violation codes
+        when the new diagram fails `BaseDiagram.validate()`.
         """
         ff = diagram.focus_foci[focus_index]
         slide = new_position - ff.position
@@ -302,13 +303,17 @@ class LagGraph:
             name=diagram.name, polygon=list(diagram.polygon), focus_foci=new_foci,
             metadata=dict(diagram.metadata),
         )
+        if len(crossings) > 1:
+            raise GeometryError("slide crosses more than one edge")
+        problems = new_diagram.validate()
+        if problems:
+            raise GeometryError(f"nodal slide to {new_position!r} gives an invalid "
+                                f"diagram: {problems}")
         if not crossings:
             return (
                 LagGraph(list(self.vertices), list(self.edges), name=self.name),
                 new_diagram,
             )
-        if len(crossings) > 1:
-            raise GeometryError("slide crosses more than one edge")
         k, hit = crossings[0]
         edge = self.edges[k]
         a_id, b_id = edge.endpoints

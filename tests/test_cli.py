@@ -1,6 +1,8 @@
 import importlib
 import json
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -95,6 +97,39 @@ def test_validate_repeated_vertex_names_the_code(tmp_path, capsys):
     assert code == 1
     assert "polygon_repeats_vertex:1" in err
     assert "Traceback" not in err and out == ""
+
+
+MALFORMED = runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent / "scripts"
+                               / "compare_outputs.py"))["MALFORMED"]
+
+
+@pytest.mark.parametrize("name,codes", [
+    ("clockwise.diagram.json", ["polygon_not_counterclockwise", "polygon_not_convex_at:0",
+                                "polygon_not_convex_at:1", "polygon_not_convex_at:2",
+                                "polygon_not_convex_at:3", "polygon_not_convex_at:4",
+                                "polygon_not_convex_at:5", "focus_not_interior:0"]),
+    ("focus_on_facet.diagram.json", ["focus_not_interior:0"]),
+    ("cut_through_focus.diagram.json", ["branch_cut_crosses_focus:0:1"]),
+])
+def test_validate_json_reports_the_violation_codes(tmp_path, capsys, name, codes):
+    # a file that parses but fails validate(): the codes as JSON on stdout
+    path = tmp_path / name
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(path), "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"fixture": MALFORMED[name]["name"], "violations": codes}
+    # text mode still reports them on stderr, as `BaseDiagram.load` words them
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: invalid diagram {path}: {codes}\n"
+
+
+def test_validate_json_on_an_unparsable_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(path), "--json")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: malformed diagram file {path}")
 
 
 @pytest.fixture

@@ -48,6 +48,7 @@ from tropdisk.geometry import (
     from_homogeneous,
     homogeneous,
     primitive,
+    primitive_and_length,
     ray_point,
     ray_segment_hit,
 )
@@ -615,13 +616,56 @@ def test_unique_graphs_agree_with_dict_reference(name, case, length, splits, cou
     fx = builtin_fixture(name)
     c = fx.case(case)
     bounds = replace(c.bounds, max_lattice_length=length, max_splits=splits)
-    graphs = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
-                               fx.constraint(case), bounds, c.flags)
-    unique = _unique_graphs(graphs)
-    assert (len(graphs), len(unique)) == counts
-    expected = _unique_graphs_reference(graphs)
+    assert _unique_graphs_agree(fx.diagram_for(case), fx.lagrangian_for(case),
+                                fx.constraint(case), bounds, c.flags) == counts
+
+
+def _unique_graphs_agree(diagram, lag, constraint, bounds, flags):
+    """Assert that `_unique_graphs` keeps the reference's representative of
+    each signature, in the reference's order; returns the numbers of
+    candidates and of unique graphs."""
+    candidates = _candidate_graphs(diagram, lag, constraint, bounds, flags)
+    unique = _unique_graphs(candidates)
+    expected = _unique_graphs_reference(candidates.graphs)
     assert len(unique) == len(expected)
     assert all(g is h for g, h in zip(unique, expected))
+    return len(candidates.graphs), len(unique)
+
+
+GRID_CELLS = [(name, case, length, splits)
+              for name, case in (("dp1", "vertical"), ("dp2", "l2"), ("dp3", "trivalent"))
+              for length in (3, 4) for splits in (1, 2)]
+
+
+@pytest.mark.parametrize("name,case,length,splits",
+                         [(name, case, None, None) for name, case in SHIPPED_CASES] + GRID_CELLS)
+def test_unique_graphs_agree_with_dict_reference_on_every_case(name, case, length, splits):
+    # every shipped case under its own bounds, then the long searches of the
+    # L x S grid, at bounds the shipped cases never reach
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    bounds = c.bounds if length is None else replace(
+        c.bounds, max_lattice_length=length, max_splits=splits)
+    _unique_graphs_agree(fx.diagram_for(case), fx.lagrangian_for(case),
+                         fx.constraint(case), bounds, c.flags)
+
+
+LAGRANGIAN_CASES = [(name, case) for name, case in SHIPPED_CASES
+                    if builtin_fixture(name).lagrangian_for(case) is not None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unique_graphs_agree_with_dict_reference_at_sweep_positions(data):
+    # the constraint at t = k/64 on any edge of any Lagrangian case
+    name, case = data.draw(st.sampled_from(LAGRANGIAN_CASES))
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    lag = fx.lagrangian_for(case)
+    edge = data.draw(st.integers(0, len(lag.edges) - 1))
+    t = F(data.draw(st.integers(1, 63)), 64)
+    _unique_graphs_agree(fx.diagram_for(case), lag, Constraint.on_lagrangian(lag, edge, t),
+                         c.bounds, c.flags)
 
 
 def test_constraint_position_independence_dp6_segment():
@@ -735,9 +779,16 @@ def _ray_at(origin, d, t_num, t_den):
                                 F(Y * t_den + d[1] * t_num * W, den))
 
 
+def _edge(p, q, d, open=False):
+    """The completion spec of an edge between two Vec points, along the Vec d."""
+    return _EdgeSpec(homogeneous(p), homogeneous(q), homogeneous(d), open)
+
+
 class _ReferenceTracer(_Tracer):
     """The tracer whose recursion builds Fractions and Vecs at every event,
-    kept as the reference: the former bodies of `trace` and its helpers."""
+    kept as the reference: the former bodies of `trace` and its helpers,
+    writing the same specs as the tracer (homogeneous triples) and testing
+    split legs with `_reference_leg_clear`."""
 
     def _lambda_hit(self, origin, prim, limit):
         best = None
@@ -822,8 +873,8 @@ class _ReferenceTracer(_Tracer):
             for completion in rest:
                 completions.append(
                     completion.prepend(
-                        [_VertexSpec(point, cylinder())],
-                        [_EdgeSpec(p, point, dirval)],
+                        [_VertexSpec(homogeneous(point), cylinder())],
+                        [_edge(p, point, dirval)],
                     )
                 )
             return completions
@@ -836,7 +887,7 @@ class _ReferenceTracer(_Tracer):
         pix, piy = self.shear_table[j]
         if prim[0] * piy - prim[1] * pix != 0:
             return []
-        leg = (_EdgeSpec(p, ff.position, dirval),)
+        leg = (_edge(p, ff.position, dirval),)
         return [_Completion((fv,), leg) for fv in self._focus_vertices(j, ell)]
 
     def _boundary_end(self, p, dirval, point, facet_ids):
@@ -844,13 +895,17 @@ class _ReferenceTracer(_Tracer):
             if dirval == -self.facets[i].inward_normal:
                 return [
                     _Completion(
-                        (_VertexSpec(point, boundary_collision(i)),),
-                        (_EdgeSpec(p, point, dirval),),
+                        (_VertexSpec(homogeneous(point), boundary_collision(i)),),
+                        (_edge(p, point, dirval),),
                     )
                 ]
         if not self.flags.corner_caps:
             return []
-        return self._corner_cap(p, dirval, point, facet_ids)
+        prim, ell = primitive_and_length(dirval)
+        if ell != 1:
+            return []  # rim continuations carry primitive directions only
+        return self._corner_cap(homogeneous(p), prim.as_int_pair(), homogeneous(point),
+                                facet_ids)
 
     def _split_completions(self, p, origin, prim, dirval, horizon, crossings, splits):
         if splits <= 0:
@@ -878,7 +933,7 @@ class _ReferenceTracer(_Tracer):
             sign = -1 if u_num > 0 else 1
             w_origin = (X * t_den + prim[0] * t_num * W, Y * t_den + prim[1] * t_num * W,
                         W * t_den)
-            if not self._leg_clear(w_origin, j):
+            if not _reference_leg_clear(self, w_origin, j):
                 continue
             w = Vec(F(w_origin[0], w_origin[2]), F(w_origin[1], w_origin[2]))
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
@@ -888,8 +943,8 @@ class _ReferenceTracer(_Tracer):
                 rest = self.trace(w, d2, crossings, splits - 1)
                 if not rest:
                     continue
-                pants = _VertexSpec(w, pair_of_pants(arrival, d2))
-                legs = [_EdgeSpec(p, w, dirval), _EdgeSpec(w, ff.position, arrival)]
+                pants = _VertexSpec(homogeneous(w), pair_of_pants(arrival, d2))
+                legs = [_edge(p, w, dirval), _edge(w, ff.position, arrival)]
                 focus_vertices = self._focus_vertices(j, sub_ell)
                 for completion in rest:
                     for fv in focus_vertices:
@@ -1054,29 +1109,55 @@ def _reference_leg_clear(tracer, origin, focus_j):
     return True
 
 
+def _shear_line_blockers(diagram, lag, j):
+    """Every v at which focus j's shear line F + v pi meets another focus, a
+    branch cut or a Lagrangian edge (both ends of one that runs along the
+    line), in Fractions."""
+    ff = diagram.focus_foci[j]
+    focus, pi = ff.position, ff.pi
+    out = [(other.position - focus).dot(pi) / pi.dot(pi)
+           for other in diagram.focus_foci if det2(other.position - focus, pi) == 0]
+    segments = list(diagram.branch_cuts())
+    if lag is not None:
+        segments += [tuple(map(lag.position, e.endpoints)) for e in lag.edges]
+    for a, b in segments:
+        e, g = b - a, focus - a
+        den = det2(e, pi)
+        if den != 0:
+            # a + s e = F + v pi
+            if 0 <= det2(g, pi) / den <= 1:
+                out.append(det2(g, e) / den)
+        elif det2(g, pi) == 0:
+            out += [(q - focus).dot(pi) / pi.dot(pi) for q in (a, b)]
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_leg_clear_agrees_with_ray_kernel_reference(data):
-    # w on the line from focus j through a drawn target, before, at or past
-    # it, so that the leg from w back to the focus meets other foci, cuts and
-    # the Lagrangian at their ends, inside them or just beside them
+    # w on focus j's shear line, where `_split_points` puts every split point:
+    # at, just before or just past where the line meets another focus, a cut
+    # or the Lagrangian, on either side of the focus, or anywhere on the line
     name, case = data.draw(st.sampled_from(NODED_CASES))
     fx = builtin_fixture(name)
     offset = st.just(F(0)) | st.fractions(-2, 2, max_denominator=12)
     diagram, lag, flags = _shifted_case(fx, case, Vec(data.draw(offset), data.draw(offset)))
     j = data.draw(st.integers(0, len(diagram.focus_foci) - 1))
-    focus = diagram.focus_foci[j].position
-    targets = [ff.position for ff in diagram.focus_foci] + list(diagram.polygon)
-    targets += [a + (b - a) * F(k, 4) for a, b in diagram.branch_cuts() for k in range(5)]
-    if lag is not None:
-        targets += [v.position for v in lag.vertices]
-    q = data.draw(st.sampled_from(targets))
-    nudge = Vec(*(data.draw(st.just(F(0)) | st.fractions(-1, 1, max_denominator=8))
-                  for _ in range(2)))
-    past = data.draw(st.sampled_from([F(1), F(2)]) | st.fractions(F(1, 4), 3, max_denominator=8))
-    w = focus + (q + nudge - focus) * past
-    if w == focus:
+    blockers = _shear_line_blockers(diagram, lag, j)
+    anywhere = st.fractions(-4, 4, max_denominator=16)
+    # the blockers nearest the focus on each side are the ones that decide
+    nearest = (sorted(b for b in blockers if b >= 0)[:2]
+               + sorted((b for b in blockers if b <= 0), reverse=True)[:2])
+    v = data.draw(st.sampled_from(nearest) | st.sampled_from(blockers)
+                  if blockers else anywhere)
+    nudge = F(data.draw(st.sampled_from([-1, 0, 0, 1])), data.draw(st.integers(1, 64)))
+    v = data.draw(st.sampled_from([1, 1, 1, -1])) * (v + nudge)
+    if data.draw(st.integers(0, 3)) == 0:
+        v = data.draw(anywhere)
+    if v == 0:
         return
+    ff = diagram.focus_foci[j]
+    origin = homogeneous(ff.position + ff.pi * v)
     tracer = _Tracer(diagram, lag, fx.case(case).bounds, flags)
-    origin = homogeneous(w)
-    assert tracer._leg_clear(origin, j) == _reference_leg_clear(tracer, origin, j)
+    assert tracer._leg_clear(j, v.numerator, v.denominator) == _reference_leg_clear(
+        tracer, origin, j)

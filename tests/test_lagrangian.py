@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -213,6 +214,14 @@ def test_mutate_nodal_slide_without_crossing():
     assert new_diagram.focus_foci[0].position == target
 
 
+def test_mutate_nodal_slide_refuses_an_invalid_diagram():
+    # down the shear line past the bottom facet: the focus leaves the polygon
+    fx = builtin_fixture("dp5")
+    lag = fx.lagrangians["segment"]
+    with pytest.raises(GeometryError, match="focus_not_interior:0"):
+        lag.mutate_nodal_slide(fx.diagram, 0, Vec(F(1, 2), -5))
+
+
 def test_mutate_rejects_off_axis_slide():
     fx = builtin_fixture("dp5")
     lag = fx.lagrangians["segment"]
@@ -407,6 +416,15 @@ def test_mutate_nodal_slide_agrees_with_fraction_reference(case):
     crossings = reference_slide_crossings(lag, diagram.focus_foci[0].position, end)
     if len(crossings) > 1:
         with pytest.raises(GeometryError, match="more than one edge"):
+            lag.mutate_nodal_slide(diagram, 0, end)
+        return
+    # a slide that leaves the diagram invalid (the drawn focus may end
+    # outside the square, or its pi may not be primitive) is refused
+    ff = diagram.focus_foci[0]
+    problems = BaseDiagram(diagram.name, diagram.polygon,
+                           [FocusFocus(end, ff.pi, ff.sigma, ff.cut_sign)]).validate()
+    if problems:
+        with pytest.raises(GeometryError, match=re.escape(str(problems))):
             lag.mutate_nodal_slide(diagram, 0, end)
         return
     mutated, new_diagram = lag.mutate_nodal_slide(diagram, 0, end)

@@ -7,7 +7,7 @@ import runpy
 import pytest
 
 from tropdisk.cli import main
-from tropdisk.fixtures import SHIPPED_CASES
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -155,14 +155,24 @@ def test_bench_pairs_claim_fails_on_a_regression_or_a_digest_mismatch():
 
 def test_compare_outputs_reports_each_differing_command():
     compare = load_script("compare_outputs.py")
-    argvs = compare["commands"]([("dp6", "segment")], ["dp6"])
+    argvs = compare["commands"]([("dp6", "segment"), ("dp6", "fiber")], ["dp6"],
+                                builtin_fixture)
     malformed = [command for name in compare["MALFORMED"] for command in (
         f"validate --diagram {name}",
         f"potential --diagram {name} --constraint {compare['POINT']}")]
+    # the grid cells at each case's own vertex and crossing caps
+    grid = [f"potential --fixture {name} --case {case} --json --bounds {v},{length},2,{splits}"
+            for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
+                                  ("dp3", "trivalent", 6))
+            for length in (3, 4) for splits in (1, 2)]
+    # the one edge of the dp6 segment; the fiber case has no Lagrangian
+    edges = [f"potential --fixture dp6 --case segment --json --constraint edge:0@{t}"
+             for t in ("3/16", "1/2", "13/16")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
+        "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed]
+        *malformed, *grid, *edges]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -188,7 +198,7 @@ def test_compare_outputs_malformed_files_exit_1_with_their_codes(tmp_path, monke
     for name, data in compare["MALFORMED"].items():
         (tmp_path / name).write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
-    for argv in compare["commands"]([], []):
+    for argv in compare["commands"]([], [], builtin_fixture):
         if "--diagram" in argv:
             assert main(argv) == 1
             captured = capsys.readouterr()
