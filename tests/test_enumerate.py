@@ -779,9 +779,9 @@ def _ray_at(origin, d, t_num, t_den):
                                 F(Y * t_den + d[1] * t_num * W, den))
 
 
-def _edge(p, q, d, open=False):
+def _edge(p, q, d):
     """The completion spec of an edge between two Vec points, along the Vec d."""
-    return _EdgeSpec(homogeneous(p), homogeneous(q), homogeneous(d), open)
+    return _EdgeSpec(homogeneous(p), homogeneous(q), homogeneous(d))
 
 
 class _ReferenceTracer(_Tracer):
