@@ -87,18 +87,35 @@ class DiskGraph:
         return out
 
     def signature(self):
-        """Canonical hashable form for dedup and deterministic ordering."""
-        verts = sorted(
-            (v.kind.tag, tuple(v.position), v.kind.ell,
-             tuple(v.kind.d1) if v.kind.d1 else None,
-             tuple(v.kind.d2) if v.kind.d2 else None,
-             tuple(v.kind.e_black) if v.kind.e_black else None)
-            for v in self.vertices
-        )
-        edges = sorted(
-            tuple(sorted([tuple(self.position_of(e.endpoints[0])),
-                          tuple(self.position_of(e.endpoints[1]))]))
-            + (tuple(e.direction), e.open)
-            for e in self.edges
-        )
-        return (tuple(verts), tuple(edges))
+        """Canonical hashable form for dedup and deterministic ordering:
+        `_signature_key` with positions and directions as Fraction pairs."""
+        pos = {v.id: tuple(v.position) for v in self.vertices}
+        return _signature_key(
+            [(pos[v.id], v.kind) for v in self.vertices],
+            [(pos[e.endpoints[0]], pos[e.endpoints[1]], tuple(e.direction), e.open)
+             for e in self.edges])
+
+
+def _signature_key(vertices, edges):
+    """The fields of `DiskGraph.signature()`, sorted: each vertex as (tag,
+    position, ell, d1, d2, e_black), each edge as its two end positions in
+    order, then its direction and open flag.
+
+    `vertices` are (position, kind) and `edges` (start, end, direction, open),
+    with positions and directions already written as comparable pairs; a
+    kind's vectors become Fraction pairs, None for a missing or zero one.
+    The enumeration's dedup passes positions and directions as integers
+    over one common denominator, which keeps the order and equality of the
+    Fractions, so both keys group and sort graphs alike.
+    """
+    verts = [(kind.tag, position, kind.ell,
+              _kind_vector(kind.d1), _kind_vector(kind.d2), _kind_vector(kind.e_black))
+             for position, kind in vertices]
+    verts.sort()
+    rows = [(a, b, d, o) if a <= b else (b, a, d, o) for a, b, d, o in edges]
+    rows.sort()
+    return (tuple(verts), tuple(rows))
+
+
+def _kind_vector(v: Optional[Vec]) -> Optional[Tuple[Fraction, Fraction]]:
+    return None if v is None or not v else (v.x, v.y)

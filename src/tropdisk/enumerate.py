@@ -37,6 +37,7 @@ from .diskgraph import (
     DiskEdge,
     DiskGraph,
     DiskVertex,
+    _signature_key,
 )
 from .geometry import (
     GeometryError,
@@ -188,7 +189,8 @@ class _Tracer:
     homogeneous (X, Y, W) triple and every direction as an integer pair, so
     each event test is an integer cross product and each comparison of ray
     parameters a cross-multiplication.  Its completion specs carry the same
-    triples; `_Candidates` turns them into Vecs.
+    triples; `_Candidates` turns them into Vecs from the tracer's one
+    `_Vecs` memo, which the pair-of-pants kinds read too.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
@@ -221,6 +223,9 @@ class _Tracer:
                     self.cap_corners.setdefault(i, []).append(offset)
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
+        # (arrival, remainder) as one integer 4-tuple -> its pair-of-pants kind
+        self._pants: Dict[Tuple[int, int, int, int], VertexKind] = {}
+        self.vecs = _Vecs()
 
     # -- event scanning -------------------------------------------------------
 
@@ -450,7 +455,12 @@ class _Tracer:
                 if not rest:
                     continue
                 ax, ay = pix * m, piy * m
-                pants = _VertexSpec(w, pair_of_pants(Vec(ax, ay), Vec(*d2)))
+                key = (ax, ay, *d2)
+                kind = self._pants.get(key)
+                if kind is None:
+                    kind = self._pants[key] = pair_of_pants(self.vecs[ax, ay, 1],
+                                                            self.vecs[(*d2, 1)])
+                pants = _VertexSpec(w, kind)
                 legs = [_EdgeSpec(origin, w, (dx, dy, 1)),
                         _EdgeSpec(w, self.foci[j], (ax, ay, 1))]
                 focus_vertices = self._focus_vertices(j, sub_ell)
@@ -584,38 +594,42 @@ class _Tracer:
 # -- graph assembly -------------------------------------------------------------
 
 
+class _Vecs(dict):
+    """Homogeneous triple -> its Vec, built on the first lookup: one Vec per
+    distinct triple for a whole enumeration."""
+
+    def __missing__(self, triple) -> Vec:
+        vec = self[triple] = from_homogeneous(triple)
+        return vec
+
+
 class _Candidates:
     """The candidate graphs of one enumeration, built from completion specs.
 
     Specs carry homogeneous triples for positions and directions alike;
-    `add` builds one Vec per distinct triple for the whole call and keys a
-    graph's vertices by triple.  It keeps each graph's specs, so
-    `_unique_graphs` can write `DiskGraph.signature()` in integers.
+    `add` reads their Vecs from the tracer's `_Vecs` and keys a graph's
+    vertices by triple.  It keeps each graph's specs, so `_unique_graphs`
+    can write `DiskGraph.signature()` in integers.
     """
 
-    def __init__(self, constraint: Constraint):
+    def __init__(self, constraint: Constraint, vecs: _Vecs):
         self.constraint = constraint
         self.graphs: List[DiskGraph] = []
         self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
-        self.vecs: Dict[Tuple[int, int, int], Vec] = {}
-
-    def _vec(self, triple) -> Vec:
-        vec = self.vecs.get(triple)
-        if vec is None:
-            vec = self.vecs[triple] = from_homogeneous(triple)
-        return vec
+        self.vecs = vecs
 
     def add(self, root_specs, root_edges, completion: _Completion) -> None:
         vertex_specs = (*root_specs, *completion.vertices)
         edge_specs = (*root_edges, *completion.edges)
+        vecs = self.vecs
         vertices: List[DiskVertex] = []
         by_pos: Dict[Tuple[int, int, int], str] = {}
         for spec in vertex_specs:
             if spec.position in by_pos:
-                raise GeometryError(f"two graph vertices at {self._vec(spec.position)!r}")
+                raise GeometryError(f"two graph vertices at {vecs[spec.position]!r}")
             vid = by_pos[spec.position] = f"v{len(vertices)}"
-            vertices.append(DiskVertex(vid, self._vec(spec.position), spec.kind))
-        edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), self._vec(e.direction), e.open)
+            vertices.append(DiskVertex(vid, vecs[spec.position], spec.kind))
+        edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), vecs[e.direction], e.open)
                  for e in edge_specs]
         self.graphs.append(DiskGraph(vertices, edges, self.constraint))
         self.specs.append((vertex_specs, edge_specs))
@@ -814,7 +828,7 @@ def enumerate_disks(
 def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> _Candidates:
     """Every graph the roots grow from the constraint, duplicates included."""
     tracer = _Tracer(diagram, lag, bounds, flags)
-    candidates = _Candidates(constraint)
+    candidates = _Candidates(constraint, tracer.vecs)
     if constraint.kind == CONSTRAINT_INTERIOR:
         _fiber_graphs(tracer, candidates, bounds)
     else:
@@ -827,37 +841,24 @@ def _unique_graphs(candidates: _Candidates) -> List[DiskGraph]:
     """One graph per signature, in signature order: the first candidate of
     each run of equal keys after a stable sort.
 
-    A graph's key is `DiskGraph.signature()` with every position and every
-    edge direction times the least common denominator of all the call's
-    triples.  Scaling by one positive integer keeps the order and the
+    A graph's key is `diskgraph._signature_key`, the field list of
+    `DiskGraph.signature()`, read off its specs with every position and
+    every edge direction times the least common denominator of all the
+    call's triples.  Scaling by one positive integer keeps the order and the
     equality of the Fractions, so the keys sort, and group, exactly as the
-    signatures do, and no Fraction is compared.  The kinds' vectors (split
-    arrivals and remainders, e_black) are nonzero integer pairs here, so
-    their numerators stand for them.
+    signatures do.  Only the kinds' vectors stay Fractions, and they are
+    compared only where two vertices tie on tag, position and ell.
     """
     den = math.lcm(*(W for _, _, W in candidates.vecs))
     scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in candidates.vecs}
     keyed = []
     for (vertex_specs, edge_specs), graph in zip(candidates.specs, candidates.graphs):
-        verts = []
-        for s in vertex_specs:
-            kind = s.kind
-            verts.append((kind.tag, scaled[s.position], kind.ell, _int_pair(kind.d1),
-                          _int_pair(kind.d2), _int_pair(kind.e_black)))
-        verts.sort()
-        edges = []
-        for e in edge_specs:
-            a, b = scaled[e.start], scaled[e.end]
-            edges.append((a, b, scaled[e.direction], e.open) if a <= b
-                         else (b, a, scaled[e.direction], e.open))
-        edges.sort()
-        keyed.append(((tuple(verts), tuple(edges)), graph))
+        key = _signature_key(
+            [(scaled[s.position], s.kind) for s in vertex_specs],
+            [(scaled[e.start], scaled[e.end], scaled[e.direction], e.open) for e in edge_specs])
+        keyed.append((key, graph))
     keyed.sort(key=itemgetter(0))
     return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
-
-
-def _int_pair(v: Optional[Vec]) -> Optional[Tuple[int, int]]:
-    return None if v is None else (v.x.numerator, v.y.numerator)
 
 
 def _fiber_graphs(tracer, candidates, bounds) -> None:

@@ -597,12 +597,44 @@ def test_determinism(name, case):
     assert r1.contributions() == r2.contributions()
 
 
+def _reference_signature(g):
+    """The former body of `DiskGraph.signature()`, field by field on Fractions."""
+    verts = sorted(
+        (v.kind.tag, tuple(v.position), v.kind.ell,
+         tuple(v.kind.d1) if v.kind.d1 else None,
+         tuple(v.kind.d2) if v.kind.d2 else None,
+         tuple(v.kind.e_black) if v.kind.e_black else None)
+        for v in g.vertices
+    )
+    edges = sorted(
+        tuple(sorted([tuple(g.position_of(e.endpoints[0])),
+                      tuple(g.position_of(e.endpoints[1]))]))
+        + (tuple(e.direction), e.open)
+        for e in g.edges
+    )
+    return (tuple(verts), tuple(edges))
+
+
+def test_signature_agrees_with_former_body(solved_graphs):
+    # the repr is the benchmark's digest, so it must not move either; the
+    # hand-made graph has a zero and a half-integral kind vector and an edge
+    # written from its larger end
+    odd = DiskGraph(
+        [DiskVertex("a", Vec(F(1, 3), 0), VertexKind(PANT, e_black=Vec(0, 0))),
+         DiskVertex("b", Vec(0, 1), VertexKind(THREE_STRIP, d1=Vec(F(1, 2), 1), d2=Vec(2, -1)))],
+        [DiskEdge(("a", "b"), Vec(F(-1, 3), 1), True)])
+    for g in [odd] + [g for _, _, _, g in solved_graphs]:
+        assert g.signature() == _reference_signature(g)
+        assert repr(g.signature()) == repr(_reference_signature(g))
+
+
 def _unique_graphs_reference(graphs):
-    """The former dedup of enumerate_disks: a dict keyed by signature that
-    keeps the first candidate, then its items in signature order."""
+    """The former dedup of enumerate_disks: a dict keyed by the former
+    signature that keeps the first candidate, then its items in signature
+    order."""
     unique = {}
     for g in graphs:
-        unique.setdefault(g.signature(), g)
+        unique.setdefault(_reference_signature(g), g)
     return [g for _, g in sorted(unique.items())]
 
 
