@@ -225,7 +225,7 @@ class _Tracer:
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
         # (arrival, remainder) as one integer 4-tuple -> its pair-of-pants kind
         self._pants: Dict[Tuple[int, int, int, int], VertexKind] = {}
-        self.vecs = _Vecs()
+        self.vecs = _Vecs(zip(self.foci, (ff.position for ff in diagram.focus_foci)))
 
     # -- event scanning -------------------------------------------------------
 
@@ -403,7 +403,7 @@ class _Tracer:
     def _corner_cap(self, origin, prim, point, facet_ids) -> List[_Completion]:
         """Lemma-4.18 style rim continuation into a flagged corner piece, for
         the primitive direction prim from origin to the boundary point."""
-        dirval, hit = Vec(*prim), from_homogeneous(point)
+        dirval, hit = self.vecs[(*prim, 1)], self.vecs[point]
         out = []
         for i in facet_ids:
             facet = self.facets[i]
@@ -617,6 +617,7 @@ class _Candidates:
         self.graphs: List[DiskGraph] = []
         self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
         self.vecs = vecs
+        vecs.setdefault(homogeneous(constraint.point), constraint.point)
 
     def add(self, root_specs, root_edges, completion: _Completion) -> None:
         vertex_specs = (*root_specs, *completion.vertices)
