@@ -20,7 +20,11 @@ process through `tropdisk.cli.main`:
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
 * `potential --fixture F --case C --json --constraint edge:K@T` at every T
-  of `EDGE_POSITIONS` on every edge of every shipped case with a Lagrangian.
+  of `EDGE_POSITIONS` on every edge of every shipped case with a Lagrangian;
+* `potential --fixture F --case C --json --constraint point:X,Y` at every
+  X,Y of `INTERIOR_POINTS` for every shipped case of the node-free fixtures
+  `INTERIOR_FIXTURES`; through dp7 `leg` these reach corner caps from
+  interior origins, which no shipped case does.
 
 The malformed files are written to a temporary directory that each side's
 interpreter runs in, so the file names in the error text are the same on
@@ -77,6 +81,9 @@ GRID_LENGTHS = (3, 4)
 GRID_SPLITS = (1, 2)
 # constraint positions on each Lagrangian edge
 EDGE_POSITIONS = ("3/16", "1/2", "13/16")
+# interior constraint points, for the fixtures without focus-focus values
+INTERIOR_FIXTURES = ("p1xp1", "dp6", "dp7")
+INTERIOR_POINTS = ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")
 
 
 def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
@@ -104,6 +111,10 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
         for k in range(len(lag.edges) if lag is not None else 0):
             out += [["potential", "--fixture", name, "--case", case, "--json",
                      "--constraint", f"edge:{k}@{t}"] for t in EDGE_POSITIONS]
+    for name, case in shipped_cases:
+        if name in INTERIOR_FIXTURES:
+            out += [["potential", "--fixture", name, "--case", case, "--json",
+                     "--constraint", f"point:{xy}"] for xy in INTERIOR_POINTS]
     return out
 
 

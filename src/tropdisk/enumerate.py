@@ -73,7 +73,6 @@ from .multiplicity import (
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
-    pant_strip_direction,
     perp_collision,
 )
 
@@ -175,6 +174,13 @@ class _Ray:
         self.splits = None
 
 
+def _offset(p, q) -> Tuple[int, int]:
+    """q - p, for homogeneous points p and q, as an integer pair: a positive
+    multiple of it."""
+    (X, Y, W), (U, V, Z) = p, q
+    return U * W - X * Z, V * W - Y * Z
+
+
 # a leg table's bound where nothing blocks: n * 0 < 1 * den for every den > 0
 _NO_BLOCK = (1, 0)
 
@@ -190,7 +196,7 @@ class _Tracer:
     each event test is an integer cross product and each comparison of ray
     parameters a cross-multiplication.  Its completion specs carry the same
     triples; `_Candidates` turns them into Vecs from the tracer's one
-    `_Vecs` memo, which the pair-of-pants kinds read too.
+    `_Vecs` memo, which the pair-of-pants and pant kinds read too.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
@@ -204,23 +210,23 @@ class _Tracer:
         self.diagram = diagram
         self.lag = lag
         self.bounds = bounds
-        self.flags = flags
-        self.facets = diagram.facets()
         self.cut_rows, self.cut_scale = diagram.cut_rows()
-        self.foci, _ = diagram._homogeneous_points()
+        self.foci, corners = diagram._homogeneous_points()
         self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
         self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
         self.lag_rows, self.lag_scale = ([], 1) if lag is None else lag.edge_rows()
-        # facet -> its flagged corners that the Lagrangian leaves free, each as
-        # the integer direction of corner - corner_limit (None without a
-        # limit): a rim continuation from the facet aims at one of them
-        self.cap_corners: Dict[int, List[Optional[Tuple[int, int]]]] = {}
-        limit = flags.corner_limit
-        for i, facet in enumerate(self.facets):
-            for c in facet.endpoints:
-                if c in flags.corner_caps and not self._lagrangian_occupies(c):
-                    offset = None if limit is None else homogeneous(c - limit)[:2]
-                    self.cap_corners.setdefault(i, []).append(offset)
+        # facet i (corner i to corner i + 1) -> its flagged corners that the
+        # Lagrangian leaves free, each as (corner, offset), the offset being
+        # `_offset(corner_limit, corner)` (None without a limit): a rim
+        # continuation from the facet aims at one of them
+        flagged = {homogeneous(c) for c in flags.corner_caps}
+        limit = None if flags.corner_limit is None else homogeneous(flags.corner_limit)
+        self.cap_table: Dict[int, List[Tuple]] = {}
+        for i in range(len(corners)):
+            for c in (corners[i], corners[(i + 1) % len(corners)]):
+                if c in flagged and (lag is None or lag._vertex_at(c) is None):
+                    offset = None if limit is None else _offset(limit, c)
+                    self.cap_table.setdefault(i, []).append((c, offset))
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
         # (arrival, remainder) as one integer 4-tuple -> its pair-of-pants kind
@@ -380,8 +386,6 @@ class _Tracer:
         outward = (-prim[0], -prim[1])
         normals = self.diagram.normals()
         collision = next((i for i in facet_ids if normals[i] == outward), None)
-        if collision is None and not self._may_cap(prim, facet_ids):
-            return []
         point = ray_point(origin, prim, t_num, t_den)
         if collision is None:
             return self._corner_cap(origin, prim, point, facet_ids)
@@ -392,52 +396,41 @@ class _Tracer:
             )
         ]
 
-    def _may_cap(self, prim, facet_ids) -> bool:
-        """The integer tests of `_corner_cap` that need no hit point: a
-        flagged corner on a facet hit is free and, under a corner limit, on
-        the line through the limit along prim."""
-        return any(
-            offset is None or offset[0] * prim[1] - offset[1] * prim[0] == 0
-            for i in facet_ids for offset in self.cap_corners.get(i, ()))
-
     def _corner_cap(self, origin, prim, point, facet_ids) -> List[_Completion]:
         """Lemma-4.18 style rim continuation into a flagged corner piece, for
-        the primitive direction prim from origin to the boundary point."""
-        dirval, hit = self.vecs[(*prim, 1)], self.vecs[point]
+        the primitive direction prim from origin to the boundary point: to
+        each corner of `cap_table` on a facet hit, other than the point, on
+        the limit's line along prim, and ahead of prim's rim component."""
+        normals = self.diagram.normals()
+        px, py = prim
         out = []
         for i in facet_ids:
-            facet = self.facets[i]
-            for corner in facet.endpoints:
-                if corner not in self.flags.corner_caps or corner == hit:
+            nx, ny = normals[i]
+            # the rim component of the incoming direction must aim at the corner
+            rim = px * ny - py * nx
+            for corner, offset in self.cap_table.get(i, ()):
+                if corner == point:
                     continue
-                if self._lagrangian_occupies(corner):
+                if offset is not None and offset[0] * py - offset[1] * px != 0:
                     continue
-                if self.flags.corner_limit is not None:
-                    if det2(corner - self.flags.corner_limit, dirval) != 0:
-                        continue
-                tangent = primitive(corner - hit)
-                # rim component of the incoming direction must aim at the corner
-                rim = det2(dirval, facet.inward_normal)
-                aim = det2(tangent, facet.inward_normal)
-                if rim == 0 or (rim > 0) != (aim > 0):
+                tx, ty = _offset(point, corner)
+                g = math.gcd(tx, ty)
+                tx, ty = tx // g, ty // g
+                if rim == 0 or (rim > 0) != (tx * ny - ty * nx > 0):
                     continue
-                cap = homogeneous(corner)
                 out.append(
                     _Completion(
                         (
                             _VertexSpec(point, cylinder()),
-                            _VertexSpec(cap, VertexKind(CORNER_CAP)),
+                            _VertexSpec(corner, VertexKind(CORNER_CAP)),
                         ),
                         (
                             _EdgeSpec(origin, point, (*prim, 1)),
-                            _EdgeSpec(point, cap, homogeneous(tangent)),
+                            _EdgeSpec(point, corner, (tx, ty, 1)),
                         ),
                     )
                 )
         return out
-
-    def _lagrangian_occupies(self, corner: Vec) -> bool:
-        return self.lag is not None and self.lag._vertex_at(homogeneous(corner)) is not None
 
     def _split_completions(self, origin, prim, d, ray, crossings, splits):
         """Splits at the clear split points of the ray: at each, every arrival
@@ -689,7 +682,7 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
     for e in graph.edges:
         ia = graph.index_of(e.endpoints[0])
         ib = graph.index_of(e.endpoints[1])
-        # det2(pos_b - pos_a, d) = 0; a half-integral d is scaled by its W
+        # (pos_b - pos_a) x d = 0; a half-integral d is scaled by its W
         dx, dy, _ = homogeneous(e.direction)
         row = [0] * (cols + 1)
         row[2 * ib], row[2 * ib + 1], row[2 * ia], row[2 * ia + 1] = dy, -dx, -dy, dx
@@ -900,8 +893,8 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
     a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
     if not (a_seam or b_seam):
         return
-    lam = primitive(lag.position(b_id) - lag.position(a_id))
-    lx, ly = lam.as_int_pair()
+    lx, ly = lag.edge_direction(edge).as_int_pair()
+    lam = tracer.vecs[lx, ly, 1]
     origin = homogeneous(constraint.point)
     for ex, ey in _direction_pairs(bounds.max_lattice_length):
         if ex * ly - ey * lx == 0:
@@ -917,14 +910,14 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
         closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits)
         if not closed:
             continue
-        e_black = Vec(ex, ey)
         target = homogeneous(lag.position(target_id))
         root = [
-            _VertexSpec(origin, holomorphic_pant(e_black, lam)),
+            _VertexSpec(origin, holomorphic_pant(tracer.vecs[ex, ey, 1], lam)),
             _VertexSpec(target, pant_seam()),
         ]
-        strip = _EdgeSpec(origin, target, homogeneous(pant_strip_direction(e_black, lam)),
-                          open=True)
+        sx, sy, sw = -dot * lx, -dot * ly, lx * lx + ly * ly
+        g = math.gcd(sx, sy, sw)
+        strip = _EdgeSpec(origin, target, (sx // g, sy // g, sw // g), open=True)
         for completion in closed:
             candidates.add(root, [strip], completion)
 

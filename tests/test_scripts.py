@@ -168,11 +168,15 @@ def test_compare_outputs_reports_each_differing_command():
     # the one edge of the dp6 segment; the fiber case has no Lagrangian
     edges = [f"potential --fixture dp6 --case segment --json --constraint edge:0@{t}"
              for t in ("3/16", "1/2", "13/16")]
+    # the interior points, on both dp6 cases
+    points = [f"potential --fixture dp6 --case {case} --json --constraint point:{xy}"
+              for case in ("segment", "fiber")
+              for xy in ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *edges]
+        *malformed, *grid, *edges, *points]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
