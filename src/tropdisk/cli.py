@@ -29,7 +29,6 @@ from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .geometry import GeometryError, Vec, frac
 from .lagrangian import LagGraph
 from .multiplicity import DEFAULT_CONVENTION, SignConvention
-from .render import render_svg
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -200,6 +199,8 @@ def cmd_potential(args) -> int:
         if pairs:
             print(f"cancelling pairs: {len(pairs)} (net zero)")
     if args.svg:
+        from .render import render_svg
+
         svg = render_svg(diagram, lag, [g.graph for g in result.graphs], constraint)
         with open(args.svg, "w") as fh:
             fh.write(svg)
@@ -237,6 +238,8 @@ def cmd_render(args) -> int:
     if args.with_disks:
         constraint = fixture.constraint(case_name)
         graphs = [g.graph for g in fixture.run(case_name).graphs]
+    from .render import render_svg
+
     svg = render_svg(diagram, lag, graphs, constraint)
     if args.out:
         with open(args.out, "w") as fh:
@@ -293,8 +296,23 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that does not parse; `main` returns EXIT_IO for it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a usage error to `main` instead of
+    exiting with argparse's code 2, which here means an incomplete
+    enumeration.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropdisk",
         description="exact tropical disk potentials on almost toric base diagrams",
     )
@@ -334,9 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing keeps no state in the parser, and the
+# subcommands' `func` defaults bind the cmd_* functions at import.
+PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = PARSER.parse_args(argv)
+    except _UsageError:
+        return EXIT_IO
     try:
         return args.func(args)
     except GeometryError as exc:

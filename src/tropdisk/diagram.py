@@ -91,6 +91,7 @@ class BaseDiagram:
     def __post_init__(self):
         self._facets: Optional[List[Facet]] = None
         self._facet_rows = None
+        self._normals: Optional[List[Tuple[int, int]]] = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
         self._points = None
 
@@ -98,15 +99,9 @@ class BaseDiagram:
 
     def facets(self) -> List[Facet]:
         if self._facets is None:
-            out = []
             n = len(self.polygon)
-            for i in range(n):
-                a, b = self.polygon[i], self.polygon[(i + 1) % n]
-                edge = b - a
-                # inward normal: rotate the ccw edge left
-                out.append(Facet((a, b), primitive(Vec(-edge.y, edge.x))))
-            self._facets = out
-            self._normals = [facet.inward_normal.as_int_pair() for facet in out]
+            self._facets = [Facet((self.polygon[i], self.polygon[(i + 1) % n]), Vec(*normal))
+                            for i, normal in enumerate(self.normals())]
         return self._facets
 
     def facet_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
@@ -120,8 +115,17 @@ class BaseDiagram:
         return self._facet_rows
 
     def normals(self) -> List[Tuple[int, int]]:
-        """The facets' primitive inward normals as integer pairs."""
-        self.facets()
+        """The facets' primitive inward normals as integer pairs: each facet
+        row's edge (ex, ey), a positive multiple of the ccw edge, rotated
+        left to (-ey, ex) and divided by its gcd."""
+        if self._normals is None:
+            normals = []
+            for _, _, ex, ey in self.facet_rows()[0]:
+                g = math.gcd(ex, ey)
+                if not g:
+                    raise GeometryError("zero vector has no primitive direction")
+                normals.append((-ey // g, ex // g))
+            self._normals = normals
         return self._normals
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:

@@ -353,6 +353,8 @@ class LagGraph:
     def from_json_dict(cls, data: dict, name: str = "lagrangian") -> "LagGraph":
         vertices = []
         for entry in data["vertices"]:
+            if not isinstance(entry, dict):
+                raise TypeError(f"vertex entry {entry!r} is not an object")
             anchor = entry.get("anchor", ANCHOR_FREE)
             index = None
             if ":" in anchor:
@@ -367,10 +369,11 @@ class LagGraph:
                     index,
                 )
             )
-        edges = [
-            LagEdge((entry[0], entry[1]), entry[2] if len(entry) > 2 else 1)
-            for entry in data["edges"]
-        ]
+        edges = []
+        for entry in data["edges"]:
+            if len(entry) not in (2, 3):
+                raise ValueError(f"edge entry {entry!r} is not [id, id] or [id, id, weight]")
+            edges.append(LagEdge((entry[0], entry[1]), entry[2] if len(entry) > 2 else 1))
         return cls(vertices, edges, name=name)
 
     def save(self, path) -> None:

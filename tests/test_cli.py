@@ -307,6 +307,63 @@ def test_malformed_convention_is_validation_error(tmp_path, capsys, content):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "--bogus"], [], ["potential", "--fixture", "nope"], ["frobnicate"],
+])
+def test_unparsable_command_line_exits_3(capsys, argv):
+    # argparse's own code 2 would read as an incomplete enumeration
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: tropdisk") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["potential", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropdisk")
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    # the module-level parser and the deferred render import keep no state
+    # between calls: a second round, after a usage error, gives the same
+    svg = tmp_path / "dp6.svg"
+    commands = [
+        ["potential", "--fixture", "dp6"],
+        ["potential", "--fixture", "dp7", "--json"],
+        ["validate", "--fixture", "dp4", "--json"],
+        ["table", "--json"],
+        ["render", "--fixture", "dp5"],
+        ["potential", "--fixture", "dp6", "--case", "trivalent", "--svg", str(svg)],
+    ]
+    rounds = []
+    for _ in range(2):
+        outputs = []
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv)
+            outputs.append((code, out))
+        outputs.append(svg.read_text())
+        rounds.append(outputs)
+        assert run_cli(capsys, "potential", "--bogus")[0] == 3
+    assert rounds[0] == rounds[1]
+    assert [code for code, _ in rounds[0][:-1]] == [0] * len(commands)
+    assert rounds[0][-1].startswith("<svg")
+
+
+def test_cli_import_defers_the_renderer():
+    # only the drawing commands pay for importing render.py
+    src = os.path.dirname(os.path.dirname(tropdisk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tropdisk.cli; assert 'tropdisk.render' not in sys.modules"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_missing_inputs_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "potential")
     assert code == 1
@@ -431,6 +488,10 @@ def test_render_with_disks_needs_fixture(tmp_path, capsys):
     pytest.param(None, json.dumps({"edges": []}), id="lagrangian-without-vertices"),
     pytest.param(None, json.dumps({"vertices": [{"id": "a", "position": [[0, 1]]}],
                                    "edges": []}), id="lagrangian-position-length"),
+    pytest.param(None, json.dumps({"vertices": [1, 2], "edges": []}),
+                 id="lagrangian-vertex-not-an-object"),
+    pytest.param(None, json.dumps({"vertices": [{"id": "v0", "position": [[0, 1], [0, 1]]}],
+                                   "edges": [["v0"]]}), id="lagrangian-edge-entry-length"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
     dpath = tmp_path / "d.json"

@@ -84,6 +84,8 @@ def test_repeated_vertex_flagged():
     problems = bad.validate()
     assert "polygon_repeats_vertex:1" in problems
     assert not any(v.startswith(("focus_not_interior", "branch_cut")) for v in problems)
+    with pytest.raises(GeometryError, match="zero vector has no primitive direction"):
+        bad.normals()
 
 
 def test_classify_point_examples(hexagon):
@@ -664,6 +666,38 @@ def test_validate_agrees_with_fraction_reference(data):
     # the cuts validate() kept, if any, are those a fresh copy traces
     fresh = BaseDiagram(bad.name, list(bad.polygon), list(bad.focus_foci))
     assert _cuts_or_none(bad) == _cuts_or_none(fresh)
+
+
+def reference_normals(diagram):
+    """The facets' inward normals in Fractions: each edge rotated left, made primitive."""
+    polygon, n = diagram.polygon, len(diagram.polygon)
+    edges = [polygon[(i + 1) % n] - polygon[i] for i in range(n)]
+    return [reference_primitive(Vec(-e.y, e.x)).as_int_pair() for e in edges]
+
+
+@pytest.mark.parametrize("diagram", FIXTURE_DIAGRAMS)
+def test_normals_match_the_facets(diagram):
+    assert diagram.normals() == reference_normals(diagram) == [
+        facet.inward_normal.as_int_pair() for facet in diagram.facets()]
+
+
+@given(st.data())
+def test_normals_agree_with_fraction_reference(data):
+    diagram = _moved(data.draw(st.sampled_from(FIXTURE_DIAGRAMS)),
+                     Vec(data.draw(offsets), data.draw(offsets)))
+    kind = data.draw(st.sampled_from(["moved", "clockwise", "not_convex", "repeated_corner"]))
+    if kind != "moved":
+        diagram, _ = _mutate(data, diagram, kind)
+    if kind == "repeated_corner":
+        assert any(p.startswith("polygon_repeats_vertex:") for p in diagram.validate())
+    polygon = diagram.polygon
+    if any(a == b for a, b in zip(polygon, polygon[1:] + polygon[:1])):
+        # a zero edge has no normal, as `primitive` says
+        with pytest.raises(GeometryError, match="zero vector has no primitive direction"):
+            diagram.normals()
+    else:
+        assert diagram.normals() == reference_normals(diagram) == [
+            facet.inward_normal.as_int_pair() for facet in diagram.facets()]
 
 
 def _cuts_or_none(diagram):

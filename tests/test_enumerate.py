@@ -758,7 +758,8 @@ def _transform_all(diagram, lag, constraint, flags, m):
     polygon = [apply_matrix(m, v) for v in diagram.polygon]
     if det < 0:
         polygon = list(reversed(polygon))
-    inv_t = (Vec(m[1].y, -m[0].y) * det, Vec(-m[1].x, m[0].x) * det)
+    # covectors go by the inverse transpose; det is +1 or -1, so / det = * det
+    inv_t = (Vec(m[1].y, -m[1].x) * det, Vec(-m[0].y, m[0].x) * det)
     foci = [
         FocusFocus(apply_matrix(m, ff.position), apply_matrix(m, ff.pi),
                    apply_matrix(inv_t, ff.sigma), ff.cut_sign)
@@ -798,6 +799,59 @@ def test_enumeration_equivariance_under_signed_permutations(name, case):
         assert d2.validate() == []
         result = enumerate_disks(d2, l2, c2, c.bounds, flags=f2)
         assert sorted(result.contributions()) == reference, m
+
+
+# A change of chart M in SL(2, Z) (columns, as `apply_matrix` reads them) gives
+# the same manifold and Lagrangian, so W_L must not move (ROADMAP item 9).
+CHARTS = {
+    "R": (Vec(0, 1), Vec(-1, 0)),  # rotation by 90 degrees
+    "S": (Vec(1, 0), Vec(1, 1)),   # [[1, 1], [0, 1]]
+    "T": (Vec(1, 1), Vec(0, 1)),   # [[1, 0], [1, 1]]
+}
+
+# (fixture, case, chart) -> W_L in that chart, where it differs from the
+# fixture chart's; the engine pairs vectors with covectors by the chart's dot
+# product (ROADMAP item 9)
+CHART_KNOWN_RED = {
+    ("dp7", "leg", "T"): "-1/2",
+    ("dp7", "diag", "S"): "1/2", ("dp7", "diag", "T"): "1/2",
+    ("dp6", "trivalent", "S"): "-1/2", ("dp6", "trivalent", "T"): "-1/2",
+    ("dp5", "segment", "S"): "0", ("dp5", "segment", "T"): "0",
+    ("dp4", "sphere", "S"): "-2", ("dp4", "sphere", "T"): "-2",
+    ("dp3", "trivalent", "S"): "-1", ("dp3", "trivalent", "T"): "-1",
+    ("dp2", "l1", "S"): "-2", ("dp2", "l1", "T"): "-2",
+    ("dp2", "l2", "S"): "0", ("dp2", "l2", "T"): "-2",
+    ("dp1", "vertical", "S"): "0", ("dp1", "vertical", "T"): "-2",
+}
+
+CHART_CASES = [(name, case, chart) for name, case in SHIPPED_CASES for chart in CHARTS]
+
+
+def _in_chart(name, case, chart):
+    """The case's diagram, Lagrangian, constraint and flags in the chart."""
+    fx = builtin_fixture(name)
+    return _transform_all(fx.diagram_for(case), fx.lagrangian_for(case),
+                          fx.constraint(case), fx.case(case).flags, CHARTS[chart])
+
+
+@pytest.mark.parametrize("name,case,chart", CHART_CASES)
+def test_chart_change_keeps_inputs_valid(name, case, chart):
+    diagram, lag, _, _ = _in_chart(name, case, chart)
+    assert diagram.validate() == []
+    assert lag is None or lag.is_allowable(diagram) == []
+
+
+@pytest.mark.parametrize("name,case,chart", [
+    pytest.param(name, case, chart, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"W_L = {CHART_KNOWN_RED[name, case, chart]} in chart {chart}"))
+    if (name, case, chart) in CHART_KNOWN_RED else (name, case, chart)
+    for name, case, chart in CHART_CASES])
+def test_potential_is_chart_invariant(name, case, chart):
+    diagram, lag, constraint, flags = _in_chart(name, case, chart)
+    bounds = builtin_fixture(name).case(case).bounds
+    total = enumerate_disks(diagram, lag, constraint, bounds, flags=flags).total()
+    assert total == builtin_fixture(name).run(case).total()
 
 
 # -- auxiliary operations -------------------------------------------------------
