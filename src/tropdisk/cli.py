@@ -360,10 +360,9 @@ PARSER = build_parser()
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = PARSER.parse_args(argv)
-    except _UsageError:
-        return EXIT_IO
-    try:
         return args.func(args)
+    except _UsageError:
+        return EXIT_IO  # the parser printed the usage and the message
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -373,7 +373,10 @@ class LagGraph:
         for entry in data["edges"]:
             if len(entry) not in (2, 3):
                 raise ValueError(f"edge entry {entry!r} is not [id, id] or [id, id, weight]")
-            edges.append(LagEdge((entry[0], entry[1]), entry[2] if len(entry) > 2 else 1))
+            weight = entry[2] if len(entry) > 2 else 1
+            if type(weight) is not int or weight < 1:
+                raise ValueError(f"edge weight {weight!r} is not a positive integer")
+            edges.append(LagEdge((entry[0], entry[1]), weight))
         return cls(vertices, edges, name=name)
 
     def save(self, path) -> None:

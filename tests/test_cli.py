@@ -492,6 +492,9 @@ def test_render_with_disks_needs_fixture(tmp_path, capsys):
                  id="lagrangian-vertex-not-an-object"),
     pytest.param(None, json.dumps({"vertices": [{"id": "v0", "position": [[0, 1], [0, 1]]}],
                                    "edges": [["v0"]]}), id="lagrangian-edge-entry-length"),
+    pytest.param(None, json.dumps({"vertices": [{"id": "v0", "position": [[0, 1], [0, 1]]},
+                                                {"id": "v1", "position": [[1, 2], [0, 1]]}],
+                                   "edges": [["v0", "v1", "x"]]}), id="lagrangian-edge-weight"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
     dpath = tmp_path / "d.json"
