@@ -3,15 +3,33 @@
 The enumerator tags vertices as it builds them; this module recomputes the
 kind of each vertex from scratch (positions, adjacent edge directions, the
 diagram and the Lagrangian), which is how result graphs are re-validated.
+
+Every decision is an integer test on homogeneous triples: the vertex is a
+homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
+oriented away from the vertex, and the diagram and the Lagrangian are read
+through the integer tables they cache (facet normals and rows, cut rows,
+homogeneous foci, edge rows).  Parallel and perpendicular tests are cross
+and dot products, which a positive scale does not change, so an edge row
+stands for its primitive direction.  Vecs are built only for the kinds that
+carry them (pair of pants, holomorphic pant); the pant balancing is checked
+against `multiplicity.pant_strip_direction`, its one Fraction form.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import List, Optional, Tuple
 
-from .diagram import AT_FOCUS_FOCUS, BaseDiagram, ON_FACET, ON_POLYGON_VERTEX
-from .diskgraph import DiskGraph
-from .geometry import Vec, det2, homogeneous, point_on_row, primitive_and_length
+from .diagram import BaseDiagram
+from .diskgraph import DiskEdge, DiskGraph
+from .geometry import (
+    GeometryError,
+    Vec,
+    from_homogeneous,
+    homogeneous,
+    point_on_row,
+    primitive_and_length,
+)
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -29,24 +47,98 @@ from .multiplicity import (
     two_ended_strip,
 )
 
+Triple = Tuple[int, int, int]
 
-def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Vec, d2: Vec) -> bool:
+
+def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
+    """The edges at vid, each with its direction oriented away from vid as a
+    homogeneous triple, in the order of `DiskGraph.adjacent`."""
+    legs = []
+    for e in graph.edges:
+        if e.endpoints[0] == vid:
+            legs.append((e, homogeneous(e.direction)))
+        elif e.endpoints[1] == vid:
+            X, Y, W = homogeneous(e.direction)
+            legs.append((e, (-X, -Y, W)))
+    return legs
+
+
+def _away(e: DiskEdge, vid: str) -> Vec:
+    """The direction of e oriented away from vid, as `DiskGraph.adjacent` gives it."""
+    return e.direction if e.endpoints[0] == vid else -e.direction
+
+
+def _lattice_length(leg: Triple) -> int:
+    """gcd(X, Y) of an integer direction; a zero or non-integral one raises
+    `primitive_and_length`'s GeometryError."""
+    X, Y, W = leg
+    if W == 1 and (X or Y):
+        return math.gcd(X, Y)
+    return primitive_and_length(from_homogeneous(leg))[1]
+
+
+def _parallel(leg: Triple, d) -> bool:
+    return leg[0] * d[1] - leg[1] * d[0] == 0
+
+
+def _trivalent_legs(lag: Optional[LagGraph], point) -> Optional[List[Tuple[int, int]]]:
+    """The legs of the Lagrangian vertex at the point when it is trivalent,
+    else None: each an integer pair along its edge row, away from the vertex."""
+    v = None if lag is None else lag._vertex_at(point)
+    if v is None:
+        return None
+    rows, _ = lag.edge_rows()
+    legs = []
+    for e, (_, _, ex, ey) in zip(lag.edges, rows):
+        if e.endpoints[0] == v.id:
+            legs.append((ex, ey))
+        elif e.endpoints[1] == v.id:
+            legs.append((-ex, -ey))
+    if len(legs) != 3:
+        return None
+    if not all(ex or ey for ex, ey in legs):
+        raise GeometryError("zero vector has no primitive direction")
+    return legs
+
+
+def _crossed(diagram: BaseDiagram, j: int, d: Triple, side: int) -> Triple:
+    """d carried across cut j, d + side <sigma, d> pi, in lowest terms."""
+    ff = diagram.focus_foci[j]
+    pix, piy = ff.pi.as_int_pair()
+    sx, sy = ff.sigma.as_int_pair()
+    if sx * pix + sy * piy != 0:
+        raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
+    X, Y, W = d
+    k = side * (sx * X + sy * Y)
+    X, Y = X + k * pix, Y + k * piy
+    g = math.gcd(X, Y, W)
+    return X // g, Y // g, W // g
+
+
+def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Triple, d2: Triple) -> bool:
     """Directions equal once one side is transported through a cut through
-    the homogeneous point."""
+    the homogeneous point.
+
+    The side of a crossing is the sign of det(cut direction, arriving
+    direction); a cut row runs along its cut direction.  An arrival from d1
+    along the cut skips the cut; an arrival from d2 along it crosses with
+    side -1.
+    """
     rows, scale = diagram.cut_rows()
     for j, row in enumerate(rows):
         if not point_on_row(point, row, scale):
             continue
-        arriving = -d1
-        cut_dir = diagram.focus_foci[j].cut_direction()
-        if det2(cut_dir, arriving) == 0:
+        _, _, cx, cy = row
+        # det(cut, -d) for d = (X, Y) is cy X - cx Y
+        X, Y, W = d1
+        turn = cy * X - cx * Y
+        if turn == 0:
             continue
-        side = 1 if det2(cut_dir, arriving) > 0 else -1
-        if diagram.cross_branch_cut(j, arriving, side) == d2:
+        if _crossed(diagram, j, (-X, -Y, W), 1 if turn > 0 else -1) == d2:
             return True
-        arriving = -d2
-        side = 1 if det2(cut_dir, arriving) > 0 else -1
-        if diagram.cross_branch_cut(j, arriving, side) == d1:
+        X, Y, W = d2
+        turn = cy * X - cx * Y
+        if _crossed(diagram, j, (-X, -Y, W), 1 if turn > 0 else -1) == d1:
             return True
     return False
 
@@ -56,72 +148,84 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
     """Classify one solved vertex into its multiplicity kind.
 
     Raises UnclassifiableVertex when no case of the decision table applies and
-    HigherValenceVertex for valences outside the computed range.
+    HigherValenceVertex for valences outside the computed range.  The
+    diagram must pass `validate()`: then a focus lies strictly inside the
+    convex polygon, a point on a facet row lies on its boundary, and each
+    shear is integral and unipotent.
     """
     v = graph.vertex(vid)
-    adjacent = graph.adjacent(vid)
-    valence = len(adjacent)
+    legs = _legs(graph, vid)
+    valence = len(legs)
     if valence > 3:
         raise HigherValenceVertex(f"valence {valence} at {vid}")
     point = homogeneous(v.position)
-    cls = diagram._classify_point(point)
-    lam_edge = None if lag is None else lag._edge_through(point)
-    lam_dir = None if lam_edge is None else lag.edge_direction(lag.edges[lam_edge])
-    lam_vertex = None if lag is None else lag._vertex_at(point)
 
     if valence == 1:
-        edge, d = adjacent[0]
-        if cls.kind == AT_FOCUS_FOCUS:
-            ff = diagram.focus_foci[cls.index]
-            prim, ell = primitive_and_length(d)
-            if det2(prim, ff.pi) != 0:
+        ((edge, leg),) = legs
+        foci = diagram._homogeneous_points()[0]
+        if point in foci:
+            # homogeneous triples are canonical, so equal points have equal triples
+            j = foci.index(point)
+            ff = diagram.focus_foci[j]
+            ell = _lattice_length(leg)
+            if not _parallel(leg, homogeneous(ff.pi)):
                 raise UnclassifiableVertex("focus leg not along the shear direction")
-            return focus_cover(ell, cls.index, ff.weight())
-        if cls.kind in (ON_FACET, ON_POLYGON_VERTEX) and not edge.open:
-            normals = diagram.normals()
-            leg = homogeneous(d)
-            for i in diagram._facets_through(point):
-                if leg == (*normals[i], 1):
-                    return boundary_collision(i)
-            raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
-        if lam_dir is not None and not edge.open:
-            if d.dot(lam_dir) == 0:
-                _, ell = primitive_and_length(d)
-                return perp_collision(ell)
-        if lam_vertex is not None and lag.valence(lam_vertex.id) == 3 and edge.open:
-            legs = lag.leg_directions(lam_vertex.id)
-            if any(det2(d, leg) == 0 for leg in legs):
+            return focus_cover(ell, j, ff.weight())
+        if not edge.open:
+            # on the boundary of a convex polygon: at a corner or on a facet
+            facets = diagram._facets_through(point)
+            if facets:
+                normals = diagram.normals()
+                for i in facets:
+                    if leg == (*normals[i], 1):
+                        return boundary_collision(i)
+                raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
+            k = None if lag is None else lag._edge_through(point)
+            if k is not None:
+                _, _, lx, ly = lag.edge_rows()[0][k]
+                if leg[0] * lx + leg[1] * ly == 0:
+                    return perp_collision(_lattice_length(leg))
+        else:
+            lam_legs = _trivalent_legs(lag, point)
+            if lam_legs is not None and any(_parallel(leg, d) for d in lam_legs):
                 return pant_seam()
         raise UnclassifiableVertex(f"univalent vertex at {v.position!r} matches no case")
 
     if valence == 2:
-        (e1, d1), (e2, d2) = adjacent
+        (e1, d1), (e2, d2) = legs
         if not e1.open and not e2.open:
-            if d1 == -d2:
+            if d1 == (-d2[0], -d2[1], d2[2]):
                 return cylinder()
             if _cylinder_across_cut(diagram, point, d1, d2):
                 return cylinder()
             raise HigherValenceVertex("bivalent vertex with two closed edges")
-        if e1.open != e2.open and lam_dir is not None:
-            (open_d,) = [d for e, d in adjacent if e.open]
-            (black_d,) = [d for e, d in adjacent if not e.open]
-            if open_d == pant_strip_direction(black_d, lam_dir):
-                return holomorphic_pant(black_d, lam_dir)
-            raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
-        if e1.open and e2.open and lam_vertex is not None and lag.valence(lam_vertex.id) == 3:
-            legs = lag.leg_directions(lam_vertex.id)
-            if all(any(det2(d, leg) == 0 for leg in legs) for d in (d1, d2)):
+        if e1.open != e2.open:
+            k = None if lag is None else lag._edge_through(point)
+            if k is not None:
+                open_d, black_e = (d1, e2) if e1.open else (d2, e1)
+                black_d = _away(black_e, vid)
+                lam_dir = lag.edge_direction(lag.edges[k])
+                if homogeneous(pant_strip_direction(black_d, lam_dir)) == open_d:
+                    return holomorphic_pant(black_d, lam_dir)
+                raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
+        else:
+            lam_legs = _trivalent_legs(lag, point)
+            if lam_legs is not None and all(any(_parallel(d, leg) for leg in lam_legs)
+                                            for d in (d1, d2)):
                 return two_ended_strip()
         raise UnclassifiableVertex(f"bivalent vertex at {v.position!r} matches no case")
 
     # valence 3
-    if all(not e.open for e, _ in adjacent):
-        total = adjacent[0][1] + adjacent[1][1] + adjacent[2][1]
-        if not total:
-            return pair_of_pants(adjacent[0][1], adjacent[1][1])
+    (e1, (X1, Y1, W1)), (e2, (X2, Y2, W2)), (e3, (X3, Y3, W3)) = legs
+    if not (e1.open or e2.open or e3.open):
+        # the sum over the common denominator W1 W2 W3
+        if (X1 * W2 * W3 + X2 * W1 * W3 + X3 * W1 * W2 == 0
+                and Y1 * W2 * W3 + Y2 * W1 * W3 + Y3 * W1 * W2 == 0):
+            return pair_of_pants(_away(e1, vid), _away(e2, vid))
         raise UnclassifiableVertex("unbalanced trivalent closed vertex")
-    if lam_vertex is not None and lag.valence(lam_vertex.id) == 3 and all(e.open for e, _ in adjacent):
-        legs = lag.leg_directions(lam_vertex.id)
-        if all(any(det2(d, leg) == 0 for leg in legs) for _, d in adjacent):
+    if e1.open and e2.open and e3.open:
+        lam_legs = _trivalent_legs(lag, point)
+        if lam_legs is not None and all(any(_parallel(d, leg) for leg in lam_legs)
+                                        for _, d in legs):
             return three_ended_strip()
     raise UnclassifiableVertex(f"trivalent vertex at {v.position!r} matches no case")

@@ -52,7 +52,7 @@ def _load_inputs(args):
         return (fixture, case_name, fixture.diagram_for(case_name),
                 fixture.lagrangian_for(case_name), f"{fixture.name}:{case_name}")
     if not args.diagram:
-        raise GeometryError("need --fixture NAME or --diagram FILE")
+        args.parser.error("need --fixture NAME or --diagram FILE")
     diagram = BaseDiagram.load(args.diagram)
     lag = LagGraph.load(args.lagrangian) if args.lagrangian else None
     return None, None, diagram, lag, diagram.name
@@ -319,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        # `_load_inputs` reports a missing input through the subcommand's parser
+        p.set_defaults(parser=p)
         p.add_argument("--fixture", choices=FIXTURE_NAMES)
         p.add_argument("--case", help="fixture case name (default per fixture)")
         p.add_argument("--diagram", help="diagram JSON file")

@@ -202,6 +202,7 @@ class LagGraph:
         for v in self.vertices:
             val = self.valence(v.id)
             cls = diagram.classify_point(v.position)
+            violations.extend(self._check_anchor(v, cls))
             if val == 1:
                 if cls.kind == ON_POLYGON_VERTEX:
                     violations.extend(self._check_bisectrice(diagram, v, cls))
@@ -228,6 +229,18 @@ class LagGraph:
                 if self._edges_cross(k, m):
                     violations.append(f"edges_cross:{k}:{m}")
         return violations
+
+    @staticmethod
+    def _check_anchor(v: LagVertex, cls) -> List[str]:
+        """A `focus:J` vertex sits at focus J (any focus without J), a
+        `facet` vertex on the boundary; a `free` vertex may sit anywhere."""
+        if v.anchor not in (ANCHOR_FREE, ANCHOR_FACET, ANCHOR_FOCUS):
+            return [f"anchor_unknown:{v.id}"]
+        if v.anchor == ANCHOR_FOCUS:
+            held = cls.kind == AT_FOCUS_FOCUS and v.anchor_index in (None, cls.index)
+        else:
+            held = v.anchor == ANCHOR_FREE or cls.kind in (ON_FACET, ON_POLYGON_VERTEX)
+        return [] if held else [f"anchor_mismatch:{v.id}"]
 
     def _check_bisectrice(self, diagram, v, cls) -> List[str]:
         edge = self.adjacent_edges(v.id)[0]

@@ -180,6 +180,45 @@ def test_file_driven_potential(tmp_path, capsys):
     assert "total W_L = -2" in out
 
 
+def _validate_with_anchor(tmp_path, capsys, name, case, vid, anchor):
+    """`tropdisk validate` on the case's diagram and Lagrangian files, with
+    vertex vid's anchor replaced."""
+    fx = builtin_fixture(name)
+    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
+    fx.diagram_for(case).save(dpath)
+    data = fx.lagrangian_for(case).to_json_dict()
+    for entry in data["vertices"]:
+        if entry["id"] == vid:
+            entry["anchor"] = anchor
+    lpath.write_text(json.dumps(data))
+    return run_cli(capsys, "validate", "--diagram", str(dpath), "--lagrangian", str(lpath))
+
+
+@pytest.mark.parametrize("name,case,vid,anchor,violation", [
+    ("dp6", "segment", "v0", "focus:3", "anchor_mismatch:v0"),   # dp6 has no focus
+    ("dp6", "segment", "v0", "focus", "anchor_mismatch:v0"),
+    ("dp6", "segment", "v0", "corner:99", "anchor_unknown:v0"),
+    ("dp6", "segment", "v0", "nowhere", "anchor_unknown:v0"),
+    ("dp6", "trivalent", "c", "facet", "anchor_mismatch:c"),    # an interior vertex
+    ("dp2", "l2", "v0", "focus:0", "anchor_mismatch:v0"),       # v0 sits at focus 1
+])
+def test_validate_rejects_a_wrong_anchor(tmp_path, capsys, name, case, vid, anchor, violation):
+    code, out, _ = _validate_with_anchor(tmp_path, capsys, name, case, vid, anchor)
+    assert code == 1
+    assert out.splitlines() == [violation]
+
+
+@pytest.mark.parametrize("name,case,vid,anchor", [
+    ("dp6", "segment", "v0", "facet"),    # a corner is on the boundary
+    ("dp6", "segment", "v0", "facet:2"),
+    ("dp6", "trivalent", "c", "free"),
+    ("dp2", "l2", "v0", "focus:1"),
+    ("dp2", "l2", "v0", "focus"),
+])
+def test_validate_accepts_a_held_anchor(tmp_path, capsys, name, case, vid, anchor):
+    assert _validate_with_anchor(tmp_path, capsys, name, case, vid, anchor)[:2] == (0, "valid\n")
+
+
 def test_convention_override(tmp_path, capsys):
     convention = tmp_path / "signs.json"
     convention.write_text(json.dumps({"pant_sign": [[1, 1]]}))
@@ -365,9 +404,12 @@ def test_cli_import_defers_the_renderer():
 
 
 def test_missing_inputs_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "potential")
-    assert code == 1
-    assert "error" in err
+    for command in ("potential", "validate", "render"):
+        code, out, err = run_cli(capsys, command)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"usage: tropdisk {command}")
+        assert "error: need --fixture NAME or --diagram FILE" in err
 
 
 def test_bounds_override(capsys):

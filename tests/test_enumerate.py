@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_classify import classify_agrees
 from test_diagram import reference_boundary_hit, reference_facets_through
 from test_geometry import apply_matrix, ray_point_param
 from tropdisk.classify import classify_vertex
@@ -406,6 +407,21 @@ def test_enumerated_graphs_are_rigid_and_revalidate():
                 if v.kind.tag == "focus_cover":
                     assert rederived.ell == v.kind.ell
                     assert rederived.weight == v.kind.weight
+
+
+def test_solved_vertices_classify_as_the_fraction_reference(solved_graphs):
+    # every vertex, the kinds and the corner-mode graphs that re-validation
+    # skips included: the same kind, or the same exception and message
+    kinds = Counter()
+    for diagram, lag, _, graph in solved_graphs:
+        for v in graph.vertices:
+            outcome = classify_agrees(graph, v.id, diagram, lag)
+            kinds[outcome.tag if isinstance(outcome, VertexKind) else outcome[0].__name__] += 1
+    # fiber roots match no case; a corner cap's rim piece is a bivalent
+    # vertex with two closed edges
+    assert set(kinds) == {CYLINDER, BOUNDARY_COLLISION, FOCUS_COVER, PANT, PANT_SEAM,
+                          PERP_COLLISION, "pair_of_pants", "UnclassifiableVertex",
+                          "HigherValenceVertex"}, kinds
 
 
 def test_corner_mode_reads_the_corner_cap_kind():

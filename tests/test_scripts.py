@@ -32,7 +32,7 @@ def test_render_figures_writes_one_svg_per_shipped_case(tmp_path, capsys):
         assert (tmp_path / name).read_text().startswith("<svg")
 
 
-def _canned_run(wall_s, digest="sha256:de21d787aa", failed=0):
+def _canned_run(wall_s, digest="sha256:de21d787aa", failed=0, attempted=12):
     """The stdout of one perfbench run, trimmed to the lines the summary reads."""
     metrics = {"wall_s": {"value": wall_s, "unit": "s"},
                "peak_rss_mb": {"value": 24.0, "unit": "MB"}}
@@ -40,7 +40,7 @@ def _canned_run(wall_s, digest="sha256:de21d787aa", failed=0):
         "workload grid  seed 0 (not used)",
         f"digest  {digest}  (3 timed passes compared)",
         f"wall_s         {wall_s:.6f} s",
-        json.dumps({"correct": failed == 0, "attempted": 12, "failed": failed,
+        json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
                     "metrics": metrics}),
     ])
 
@@ -79,6 +79,23 @@ def test_bench_pairs_summary_of_canned_runs():
     assert summary["digests"] == {"equal_on_every_pair": True, "seed0": "sha256:de21d787aa",
                                   "distinct_prefixes": ["sha256:de21d787"]}
     assert bench["claim_met"](wall)
+
+
+def test_bench_pairs_keeps_each_runs_attempted_count_in_seed_order():
+    # a faster change fits more timed passes into each run; peak_rss_mb is
+    # read against these counts
+    bench = load_script("bench_pairs.py")
+    parse = bench["parse_run"]
+    parent = [1200 + k for k in range(10)]
+    change = [1500 - k for k in range(10)]
+    pairs = [(k, parse(_canned_run(0.3, attempted=p)), parse(_canned_run(0.2, attempted=c)))
+             for k, (p, c) in enumerate(zip(parent, change))]
+    summary = bench["summarise_workload"](pairs)
+    assert summary["attempted_runs"] == {"parent": parent, "change": change}
+    assert summary["attempted"] == {"parent": sum(parent), "change": sum(change)}
+    # beside the metrics, in the order of the report
+    keys = list(summary)
+    assert keys.index("attempted_runs") == keys.index("attempted") + 1 < keys.index("metrics")
 
 
 def test_bench_pairs_claim_needs_nine_pairs_and_a_gap_beyond_the_iqr():
