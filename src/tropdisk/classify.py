@@ -8,7 +8,7 @@ Every decision is an integer test on homogeneous triples: the vertex is a
 homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
 oriented away from the vertex, and the diagram and the Lagrangian are read
 through the integer tables they cache (facet normals and rows, cut rows,
-homogeneous foci, edge rows).  Parallel and perpendicular tests are cross
+homogeneous foci, edge rows and primitive edge directions).  Parallel and perpendicular tests are cross
 and dot products, which a positive scale does not change, so an edge row
 stands for its primitive direction.  Vecs are built only for the kinds that
 carry them (pair of pants, holomorphic pant); the pant balancing is checked
@@ -82,23 +82,12 @@ def _parallel(leg: Triple, d) -> bool:
 
 
 def _trivalent_legs(lag: Optional[LagGraph], point) -> Optional[List[Tuple[int, int]]]:
-    """The legs of the Lagrangian vertex at the point when it is trivalent,
-    else None: each an integer pair along its edge row, away from the vertex."""
+    """The primitive legs of the Lagrangian vertex at the point, as integer
+    pairs, when it is trivalent; else None."""
     v = None if lag is None else lag._vertex_at(point)
-    if v is None:
+    if v is None or lag.valence(v.id) != 3:
         return None
-    rows, _ = lag.edge_rows()
-    legs = []
-    for e, (_, _, ex, ey) in zip(lag.edges, rows):
-        if e.endpoints[0] == v.id:
-            legs.append((ex, ey))
-        elif e.endpoints[1] == v.id:
-            legs.append((-ex, -ey))
-    if len(legs) != 3:
-        return None
-    if not all(ex or ey for ex, ey in legs):
-        raise GeometryError("zero vector has no primitive direction")
-    return legs
+    return [d.as_int_pair() for d in lag.leg_directions(v.id)]
 
 
 def _crossed(diagram: BaseDiagram, j: int, d: Triple, side: int) -> Triple:
