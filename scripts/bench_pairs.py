@@ -17,9 +17,10 @@ metric gets its runs per side in seed order, their median and quartiles
 `change_lower_in_pairs`, `parent_iqr` and `regressed`: whether the change's
 median is worse than the parent's by more than the metric's bound in
 `BENCHMARK.json` (of the change checkout).  Beside the metrics, each side's
-`attempted` operations are kept summed and per run (`attempted_runs`, in seed
-order), since `peak_rss_mb` grows with the number of timed passes.  The report lists every regressed
-`W:M` under `regressions`.  A claim `W:M` is met when the change reads lower
+`attempted` operations are kept summed and per run (`attempted_runs`, in
+seed order): perfbench keeps every timed pass's intervals, so `peak_rss_mb`
+grows with the number of passes a faster side fits into a run.  The report
+lists every regressed `W:M` under `regressions`.  A claim `W:M` is met when the change reads lower
 in at least nine of ten pairs (the same share of any other count), its
 median is below the parent's by more than the parent's distance between
 quartiles, the digests agree on every pair of every workload and no metric
@@ -116,9 +117,6 @@ def summarise_workload(pairs, traced=None, bounds=None) -> dict:
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-        # each run's timed operations, in seed order: a faster side fits more
-        # passes into a run, and perfbench keeps every pass's intervals, so
-        # peak_rss_mb reads against these counts
         "attempted_runs": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
     }
     if traced is not None:

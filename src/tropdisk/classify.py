@@ -8,11 +8,12 @@ Every decision is an integer test on homogeneous triples: the vertex is a
 homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
 oriented away from the vertex, and the diagram and the Lagrangian are read
 through the integer tables they cache (facet normals and rows, cut rows,
-homogeneous foci, edge rows and primitive edge directions).  Parallel and perpendicular tests are cross
-and dot products, which a positive scale does not change, so an edge row
-stands for its primitive direction.  Vecs are built only for the kinds that
-carry them (pair of pants, holomorphic pant); the pant balancing is checked
-against `multiplicity.pant_strip_direction`, its one Fraction form.
+homogeneous foci, edge rows and primitive edge directions).  Parallel and
+perpendicular tests are cross and dot products, which a positive scale does
+not change, so a row stands for its primitive direction.  Vecs are built
+only for the kinds that carry them (pair of pants, holomorphic pant); the
+pant balancing is checked against `multiplicity.pant_strip_direction`, its
+one Fraction form.
 """
 
 from __future__ import annotations

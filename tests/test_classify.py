@@ -279,7 +279,8 @@ def test_strips_at_a_trivalent_lagrangian_vertex():
         _raises(_star(origin, skew[:k]), DP6.diagram, lag, UnclassifiableVertex,
                 "matches no case")
     # a Lagrangian leg of zero length has no direction
-    stub = LagGraph(lag.vertices + [LagVertex("z", origin)], lag.edges[:2] + [LagEdge(("c", "z"))])
+    stub = LagGraph(lag.vertices + [LagVertex("z", origin)],
+                    lag.edges[:2] + [LagEdge(("c", "z"))])
     for k in (1, 2, 3):
         _raises(_star(origin, opened[:k]), DP6.diagram, stub, GeometryError,
                 "zero vector has no primitive direction")
@@ -314,7 +315,7 @@ def test_cylinder_across_a_cut_with_a_zero_determinant_on_either_side():
         == cylinder()
 
 
-# -- random vertices at the special points of shipped cases ----------------------
+# -- stars at the special points of shipped cases ------------------------------
 
 
 def _special_points(diagram, lag):
@@ -363,8 +364,8 @@ CASES = [(DP6, "trivalent"), (DP6, "segment"), (DP5, "segment"), (DP3, "trivalen
 
 
 def _vertices_at(diagram, lag, p):
-    """Stars at p: every univalent leg along a direction that matters at p
-    or one of two generic ones, scaled by 1, 2 and 1/2), open or closed;
+    """Stars at p: a univalent leg along each direction that matters at p
+    or one of two generic ones, each scaled by 1, 2 and 1/2, open or closed;
     pairs whose second leg runs straight on, along (1, 0), across each cut at
     p either way, or along the pant strip of the first; and trivalent stars,
     balanced or not.  Incoming and outgoing edges alternate."""
