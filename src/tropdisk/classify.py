@@ -6,14 +6,14 @@ diagram and the Lagrangian), which is how result graphs are re-validated.
 
 Every decision is an integer test on homogeneous triples: the vertex is a
 homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
-oriented away from the vertex, and the diagram and the Lagrangian are read
-through the integer tables they cache (facet normals and rows, cut rows,
-homogeneous foci, edge rows and primitive edge directions).  Parallel and
-perpendicular tests are cross and dot products, which a positive scale does
-not change, so a row stands for its primitive direction.  Vecs are built
-only for the kinds that carry them (pair of pants, holomorphic pant); the
-pant balancing is checked against `multiplicity.pant_strip_direction`, its
-one Fraction form.
+oriented away from the vertex, both read off `DiskGraph.triples()`, and the
+diagram and the Lagrangian are read through the integer tables they cache
+(facet normals and rows, cut rows, homogeneous foci, edge rows and
+primitive edge directions).  Parallel and perpendicular tests are cross and
+dot products, which a positive scale does not change, so a row stands for
+its primitive direction.  Vecs are built only for the kinds that carry them
+(pair of pants, holomorphic pant); the pant balancing is checked against
+`multiplicity.pant_strip_direction`, its one Fraction form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import List, Optional, Tuple
 
 from .diagram import BaseDiagram
-from .diskgraph import DiskEdge, DiskGraph
+from .diskgraph import DiskEdge, DiskGraph, Triple
 from .geometry import (
     GeometryError,
     Vec,
@@ -48,18 +48,16 @@ from .multiplicity import (
     two_ended_strip,
 )
 
-Triple = Tuple[int, int, int]
-
 
 def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
-    """The edges at vid, each with its direction oriented away from vid as a
-    homogeneous triple, in the order of `DiskGraph.adjacent`."""
+    """The edges at vid, each with its direction oriented away from vid as
+    the homogeneous triple of `DiskGraph.triples()`, in the order of
+    `DiskGraph.adjacent`."""
     legs = []
-    for e in graph.edges:
+    for e, (X, Y, W) in zip(graph.edges, graph.triples()[1]):
         if e.endpoints[0] == vid:
-            legs.append((e, homogeneous(e.direction)))
+            legs.append((e, (X, Y, W)))
         elif e.endpoints[1] == vid:
-            X, Y, W = homogeneous(e.direction)
             legs.append((e, (-X, -Y, W)))
     return legs
 
@@ -148,7 +146,9 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
     valence = len(legs)
     if valence > 3:
         raise HigherValenceVertex(f"valence {valence} at {vid}")
-    point = homogeneous(v.position)
+    if valence == 0:
+        raise UnclassifiableVertex(f"isolated vertex at {v.position!r} matches no case")
+    point = graph.triples()[0][graph.index_of(vid)]
 
     if valence == 1:
         ((edge, leg),) = legs

@@ -231,7 +231,7 @@ def cmd_validate(args) -> int:
 
 def cmd_render(args) -> int:
     if args.with_disks and not args.fixture:
-        raise GeometryError("--with-disks needs --fixture")
+        args.parser.error("--with-disks needs --fixture")
     fixture, case_name, diagram, lag, _label = _load_inputs(args)
     graphs = []
     constraint = None
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        # `_load_inputs` reports a missing input through the subcommand's parser
+        # `_load_inputs` and `cmd_render` report usage errors through the subcommand's parser
         p.set_defaults(parser=p)
         p.add_argument("--fixture", choices=FIXTURE_NAMES)
         p.add_argument("--case", help="fixture case name (default per fixture)")

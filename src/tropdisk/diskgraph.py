@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, frac
+from .geometry import GeometryError, Vec, frac, homogeneous
 from .multiplicity import CORNER_CAP, VertexKind
 
 CONSTRAINT_LAGRANGIAN = "lagrangian"
@@ -53,14 +53,33 @@ class DiskEdge:
     open: bool = False
 
 
+Triple = Tuple[int, int, int]
+Triples = Tuple[Tuple[Triple, ...], Tuple[Triple, ...]]  # (points, directions)
+
+
 @dataclass
 class DiskGraph:
+    """A solved graph.  `known_triples` hands over what `triples()` returns,
+    as the enumeration does from its specs; it must hold the canonical
+    triples of the positions and directions."""
+
     vertices: List[DiskVertex]
     edges: List[DiskEdge]
     constraint: Optional[Constraint] = None
+    known_triples: InitVar[Optional[Triples]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_triples):
         self._index: Dict[str, int] = {v.id: i for i, v in enumerate(self.vertices)}
+        self._triples = known_triples
+
+    def triples(self) -> Triples:
+        """(points, directions): the homogeneous triples of the vertex
+        positions and of the edge directions, in vertex and edge order.
+        Built from the Vecs on the first call unless the graph was given them."""
+        if self._triples is None:
+            self._triples = (tuple(homogeneous(v.position) for v in self.vertices),
+                             tuple(homogeneous(e.direction) for e in self.edges))
+        return self._triples
 
     @property
     def corner_mode(self) -> bool:

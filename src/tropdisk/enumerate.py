@@ -600,8 +600,9 @@ class _Candidates:
     """The candidate graphs of one enumeration, built from completion specs.
 
     Specs carry homogeneous triples for positions and directions alike;
-    `add` reads their Vecs from the tracer's `_Vecs` and keys a graph's
-    vertices by triple.  It keeps each graph's specs, so `_unique_graphs`
+    `add` reads their Vecs from the tracer's `_Vecs`, keys a graph's
+    vertices by triple and hands the triples to the graph as its
+    `DiskGraph.triples()`.  It keeps each graph's specs, so `_unique_graphs`
     can write `DiskGraph.signature()` in integers.
     """
 
@@ -625,7 +626,8 @@ class _Candidates:
             vertices.append(DiskVertex(vid, vecs[spec.position], spec.kind))
         edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), vecs[e.direction], e.open)
                  for e in edge_specs]
-        self.graphs.append(DiskGraph(vertices, edges, self.constraint))
+        triples = (tuple(s.position for s in vertex_specs), tuple(e.direction for e in edge_specs))
+        self.graphs.append(DiskGraph(vertices, edges, self.constraint, triples))
         self.specs.append((vertex_specs, edge_specs))
 
 
@@ -651,10 +653,11 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
 def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGraph],
                    constraint: Optional[Constraint]) -> List[List[int]]:
     """The incidence system of `rigidity_dimension` as integer rows: the 2n
-    coefficients, then the right-hand side.  Each row comes from the
-    homogeneous vertex positions and the integer facet, cut and Lagrangian
-    rows the diagram and the Lagrangian cache, so no Fraction is built.
+    coefficients, then the right-hand side.  Each row comes from the graph's
+    `triples()` and the integer facet, cut and Lagrangian rows the diagram
+    and the Lagrangian cache, so no Fraction is built.
     """
+    points, directions = graph.triples()
     cols = 2 * len(graph.vertices)
     rows: List[List[int]] = []
 
@@ -679,11 +682,10 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
         ax, ay, _, _ = facet_rows[fi]
         add_row(i, nx * facet_scale, ny * facet_scale, nx * ax + ny * ay)
 
-    for e in graph.edges:
+    for e, (dx, dy, _) in zip(graph.edges, directions):
         ia = graph.index_of(e.endpoints[0])
         ib = graph.index_of(e.endpoints[1])
         # (pos_b - pos_a) x d = 0; a half-integral d is scaled by its W
-        dx, dy, _ = homogeneous(e.direction)
         row = [0] * (cols + 1)
         row[2 * ib], row[2 * ib + 1], row[2 * ia], row[2 * ia + 1] = dy, -dx, -dy, dx
         rows.append(row)
@@ -691,17 +693,14 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
     facet_rows, facet_scale = diagram.facet_rows()
     normals = diagram.normals()
     foci, _ = diagram._homogeneous_points()
-    for v in graph.vertices:
-        i = graph.index_of(v.id)
+    for i, (v, point) in enumerate(zip(graph.vertices, points)):
         tag = v.kind.tag
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
-            add_pin(i, foci[v.kind.index] if v.kind.index is not None
-                    else homogeneous(v.position))
+            add_pin(i, foci[v.kind.index] if v.kind.index is not None else point)
         elif tag == BOUNDARY_COLLISION:
-            for fi in diagram._facets_through(homogeneous(v.position)):
+            for fi in diagram._facets_through(point):
                 add_facet(i, fi)
         elif tag == CYLINDER:
-            point = homogeneous(v.position)
             j = diagram._cut_through(point)
             if j is not None:
                 cut_rows, cut_scale = diagram.cut_rows()
@@ -715,7 +714,7 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
                 edge_rows, edge_scale = lag.edge_rows()
                 add_line(i, edge_rows[constraint.edge_index], edge_scale)
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
-            add_pin(i, homogeneous(v.position))
+            add_pin(i, point)
 
     if constraint is not None:
         root = _root_vertex(graph)

@@ -103,12 +103,6 @@ class Vec:
         ]
 
 
-def point_key(p: Vec) -> Tuple[int, int, int, int]:
-    """The integers (x.num, x.den, y.num, y.den): equal exactly for equal
-    points and cheaper to hash than the Fractions."""
-    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-
-
 def det2(a: Vec, b: Vec) -> Fraction:
     """Determinant of the 2x2 matrix with columns a, b."""
     return a.x * b.y - a.y * b.x

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, det2, homogeneous, point_key, primitive
+from .geometry import GeometryError, Vec, det2, homogeneous
 
 CYLINDER = "cylinder"
 PAIR_OF_PANTS = "pair_of_pants"
@@ -111,14 +111,19 @@ def three_ended_strip() -> VertexKind:
 
 
 def pant_determinant(kind: VertexKind) -> int:
-    """D = |det(e_black, lambda)| with lambda the primitive Lagrangian direction.
+    """D = |det(e_black, lambda)| with lambda the primitive Lagrangian direction,
+    truncated to an integer; computed on homogeneous triples.
 
     Equivalent to |det(e_black, r(e_black))| once the strip direction is
     normalized to a half-primitive multiple of the edge (the diagonal model);
     this form stays well defined on every edge slope.
     """
-    lam = primitive(kind.lag_dir)
-    return abs(int(det2(kind.e_black, lam)))
+    lx, ly, _ = homogeneous(kind.lag_dir)
+    g = math.gcd(lx, ly)
+    if g == 0:
+        raise GeometryError("zero vector has no primitive direction")
+    ex, ey, ew = homogeneous(kind.e_black)
+    return abs(ex * (ly // g) - ey * (lx // g)) // ew
 
 
 def pant_strip_direction(e_black: Vec, lag_dir: Vec) -> Vec:
@@ -159,33 +164,47 @@ class SignConvention:
 DEFAULT_CONVENTION = SignConvention()
 
 
-def multiplicity(kind: VertexKind, convention: SignConvention = DEFAULT_CONVENTION) -> Fraction:
+_ONE = Fraction(1)  # the multiplicity of every weight-1 kind, built once
+
+_UNIT_KINDS = frozenset((CYLINDER, BOUNDARY_COLLISION, PANT_SEAM, TWO_STRIP, THREE_STRIP,
+                         FIBER_ROOT, CORNER_CAP))
+
+
+def _ratio(kind: VertexKind, convention: SignConvention) -> Tuple[int, int]:
+    """The multiplicity of a kind as integers (numerator, denominator > 0),
+    not necessarily in lowest terms."""
     tag = kind.tag
-    if tag == CYLINDER:
-        return Fraction(1)
+    if tag in _UNIT_KINDS:
+        return 1, 1
     if tag == PAIR_OF_PANTS:
-        value = abs(det2(kind.d1, kind.d2))
-        if value == 0:
+        X1, Y1, W1 = homogeneous(kind.d1)
+        X2, Y2, W2 = homogeneous(kind.d2)
+        det = abs(X1 * Y2 - Y1 * X2)
+        if det == 0:
             raise GeometryError("degenerate pair of pants (parallel directions)")
-        return Fraction(value)
-    if tag == BOUNDARY_COLLISION:
-        return Fraction(1)
+        return det, W1 * W2
     if tag == FOCUS_COVER:
         ell = kind.ell
-        return kind.weight * Fraction((-1) ** (ell - 1), ell * ell)
+        return kind.weight * (-1) ** (ell - 1), ell * ell
     if tag == FOCUS_COVER_PAIR:
         ell = kind.ell
-        return -kind.weight * Fraction((-1) ** (ell - 1), ell * ell)
+        return -kind.weight * (-1) ** (ell - 1), ell * ell
     if tag == PERP_COLLISION:
-        return Fraction((-1) ** kind.ell)
+        return (-1) ** kind.ell, 1
     if tag == PANT:
         d = pant_determinant(kind)
         if d == 0:
             raise GeometryError("pant with closed edge along the Lagrangian")
-        return Fraction(convention.pant_sign(d) * d, 2)
-    if tag in (PANT_SEAM, TWO_STRIP, THREE_STRIP, FIBER_ROOT, CORNER_CAP):
-        return Fraction(1)
+        return convention.pant_sign(d) * d, 2
     raise HigherValenceVertex(f"no multiplicity known for kind {tag!r}")
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return _ONE if num == den == 1 else Fraction(num, den)
+
+
+def multiplicity(kind: VertexKind, convention: SignConvention = DEFAULT_CONVENTION) -> Fraction:
+    return _fraction(*_ratio(kind, convention))
 
 
 # -- graph-level weights ------------------------------------------------------
@@ -204,38 +223,37 @@ def aut_order(graph) -> int:
     order.
     """
     verts = graph.vertices
+    points, directions = graph.triples()
 
-    def edge_key(a_id: str, b_id: str, e) -> tuple:
-        x, y = e.direction
-        fwd = (a_id, b_id, x.numerator, x.denominator, y.numerator, y.denominator, e.open)
-        rev = (b_id, a_id, -x.numerator, x.denominator, -y.numerator, y.denominator, e.open)
-        return min(fwd, rev)
+    def edge_key(a_id: str, b_id: str, d, open_: bool) -> tuple:
+        X, Y, W = d
+        return min((a_id, b_id, X, Y, W, open_), (b_id, a_id, -X, -Y, W, open_))
 
     base: Dict[tuple, int] = {}
-    for e in graph.edges:
-        key = edge_key(e.endpoints[0], e.endpoints[1], e)
+    for e, d in zip(graph.edges, directions):
+        key = edge_key(e.endpoints[0], e.endpoints[1], d, e.open)
         base[key] = base.get(key, 0) + 1
     extra = 1
     for m in base.values():
         extra *= math.factorial(m)
 
-    if len({point_key(v.position) for v in verts}) == len(verts):
+    if len(set(points)) == len(points):
         return extra  # distinct positions: every class is a single vertex
 
     classes: Dict[tuple, List[int]] = {}
-    for i, v in enumerate(verts):
-        classes.setdefault((v.kind, v.position), []).append(i)
+    for i, (v, point) in enumerate(zip(verts, points)):
+        classes.setdefault((v.kind, point), []).append(i)
     groups = list(classes.values())
-    ends = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]), e)
-            for e in graph.edges]
+    ends = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]), d, e.open)
+            for e, d in zip(graph.edges, directions)]
     count = 0
     for images in itertools.product(*(itertools.permutations(g) for g in groups)):
         perm: Dict[int, int] = {}
         for group, image in zip(groups, images):
             perm.update(zip(group, image))
         mapped: Dict[tuple, int] = {}
-        for ia, ib, e in ends:
-            key = edge_key(verts[perm[ia]].id, verts[perm[ib]].id, e)
+        for ia, ib, d, open_ in ends:
+            key = edge_key(verts[perm[ia]].id, verts[perm[ib]].id, d, open_)
             mapped[key] = mapped.get(key, 0) + 1
         if mapped == base:
             count += 1
@@ -245,13 +263,16 @@ def aut_order(graph) -> int:
 def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION
                   ) -> Tuple[int, Tuple[Fraction, ...], Fraction]:
     """The automorphism order, the vertex multiplicities (in vertex order)
-    and the contribution: the product of the multiplicities over the order."""
+    and the contribution: the product of the multiplicities over the order,
+    multiplied out in integers into one Fraction."""
     aut = aut_order(graph)
-    weights = tuple(multiplicity(v.kind, convention) for v in graph.vertices)
-    total = Fraction(1, aut)
-    for m in weights:
-        total *= m
-    return aut, weights, total
+    num, den = 1, aut
+    weights = []
+    for v in graph.vertices:
+        n, d = _ratio(v.kind, convention)
+        num, den = num * n, den * d
+        weights.append(_fraction(n, d))
+    return aut, tuple(weights), Fraction(num, den)
 
 
 def graph_contribution(graph, convention: SignConvention = DEFAULT_CONVENTION) -> Fraction:

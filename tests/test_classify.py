@@ -260,6 +260,15 @@ def test_unbalanced_trivalent_vertex():
     assert classify_agrees(graph, "c", DP6.diagram, None).tag == "pair_of_pants"
 
 
+def test_isolated_vertex_is_unclassifiable():
+    # a vertex with no edges: the reference unpacks no legs and fails with
+    # an IndexError, so only the integer classifier is asked
+    for p in (Vec(0, F(1, 7)), DP5.diagram.focus_foci[0].position, Vec(1, 0)):
+        graph = DiskGraph([DiskVertex("c", p, VertexKind("test"))], [])
+        with pytest.raises(UnclassifiableVertex, match="isolated vertex .* matches no case"):
+            classify_vertex(graph, "c", DP5.diagram, None)
+
+
 def test_valence_four():
     graph = _star(Vec(0, 0), _closed(Vec(1, 0), Vec(-1, 0), Vec(0, 1), Vec(0, -1)))
     _raises(graph, DP6.diagram, None, HigherValenceVertex, "valence 4 at c")

@@ -515,9 +515,11 @@ def test_unknown_case_is_validation_error(capsys, command):
 def test_render_with_disks_needs_fixture(tmp_path, capsys):
     path = tmp_path / "dp6.diagram.json"
     builtin_fixture("dp6").diagram.save(path)
-    code, _, err = run_cli(capsys, "render", "--diagram", str(path), "--with-disks")
-    assert code == 1
-    assert err.startswith("error:") and "--with-disks needs --fixture" in err
+    code, out, err = run_cli(capsys, "render", "--diagram", str(path), "--with-disks")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage: tropdisk render")
+    assert "error: --with-disks needs --fixture" in err
 
 
 @pytest.mark.parametrize("diagram,lagrangian", [

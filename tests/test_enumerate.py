@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_classify import classify_agrees
+from test_classify import _outcome, classify_agrees
 from test_diagram import reference_boundary_hit, reference_facets_through
 from test_geometry import apply_matrix, ray_point_param
 from tropdisk.classify import classify_vertex
@@ -66,9 +66,11 @@ from tropdisk.multiplicity import (
     PERP_COLLISION,
     THREE_STRIP,
     VertexKind,
+    aut_order,
     boundary_collision,
     cylinder,
     focus_cover,
+    graph_weights,
     pair_of_pants,
     perp_collision,
     graph_index_diagnostic,
@@ -422,6 +424,32 @@ def test_solved_vertices_classify_as_the_fraction_reference(solved_graphs):
     assert set(kinds) == {CYLINDER, BOUNDARY_COLLISION, FOCUS_COVER, PANT, PANT_SEAM,
                           PERP_COLLISION, "pair_of_pants", "UnclassifiableVertex",
                           "HigherValenceVertex"}, kinds
+
+
+def test_search_hands_each_graph_its_canonical_triples():
+    # the triples the search hands over are the ones a hand-built copy of
+    # the graph writes from its Vecs on the first call, and both copies
+    # solve, classify and weigh alike
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        diagram, lag, constraint = (fx.diagram_for(case), fx.lagrangian_for(case),
+                                    fx.constraint(case))
+        for g in fx.run(case).graphs:
+            searched = g.graph
+            assert searched._triples is not None
+            points, directions = searched.triples()
+            assert points == tuple(homogeneous(v.position) for v in searched.vertices)
+            assert directions == tuple(homogeneous(e.direction) for e in searched.edges)
+            built = DiskGraph(list(searched.vertices), list(searched.edges), constraint)
+            assert built._triples is None
+            assert rigidity_dimension(built, diagram, lag, constraint) \
+                == rigidity_dimension(searched, diagram, lag, constraint) == 0
+            assert built.triples() == (points, directions)
+            for v in searched.vertices:
+                assert _outcome(classify_vertex, built, v.id, diagram, lag) \
+                    == _outcome(classify_vertex, searched, v.id, diagram, lag)
+            assert aut_order(built) == aut_order(searched) == g.aut_order
+            assert graph_weights(built) == graph_weights(searched)
 
 
 def test_corner_mode_reads_the_corner_cap_kind():

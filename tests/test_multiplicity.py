@@ -1,3 +1,12 @@
+"""Vertex multiplicities, automorphisms and graph weights.
+
+`reference_multiplicity`, `reference_pant_determinant` and
+`reference_graph_weights` are the weights as they were written in
+Fractions: `det2` on Vecs and a running Fraction product.  The integer
+weights must give the same values, or raise the same exception class with
+the same message.
+"""
+
 import itertools
 from fractions import Fraction as F
 
@@ -7,13 +16,24 @@ from hypothesis import strategies as st
 
 from test_geometry import apply_matrix
 from tropdisk.diskgraph import DiskEdge, DiskGraph, DiskVertex
-from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
-from tropdisk.geometry import Vec
+from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
+from tropdisk.geometry import GeometryError, Vec, det2, primitive
 from tropdisk.multiplicity import (
+    BOUNDARY_COLLISION,
     CORNER_CAP,
+    CYLINDER,
     DEFAULT_CONVENTION,
     FIBER_ROOT,
+    FOCUS_COVER,
+    FOCUS_COVER_PAIR,
+    PAIR_OF_PANTS,
+    PANT,
+    PANT_SEAM,
+    PERP_COLLISION,
+    THREE_STRIP,
+    TWO_STRIP,
     HigherValenceVertex,
+    SignConvention,
     VertexKind,
     aut_order,
     boundary_collision,
@@ -21,6 +41,7 @@ from tropdisk.multiplicity import (
     focus_cover,
     focus_cover_pair,
     graph_contribution,
+    graph_weights,
     holomorphic_pant,
     index_diagnostic,
     multiplicity,
@@ -32,6 +53,71 @@ from tropdisk.multiplicity import (
     three_ended_strip,
     two_ended_strip,
 )
+
+
+# -- the Fraction reference ---------------------------------------------------
+
+
+def reference_pant_determinant(kind: VertexKind) -> int:
+    lam = primitive(kind.lag_dir)
+    return abs(int(det2(kind.e_black, lam)))
+
+
+def reference_multiplicity(kind: VertexKind, convention=DEFAULT_CONVENTION) -> F:
+    tag = kind.tag
+    if tag == CYLINDER:
+        return F(1)
+    if tag == PAIR_OF_PANTS:
+        value = abs(det2(kind.d1, kind.d2))
+        if value == 0:
+            raise GeometryError("degenerate pair of pants (parallel directions)")
+        return F(value)
+    if tag == BOUNDARY_COLLISION:
+        return F(1)
+    if tag == FOCUS_COVER:
+        ell = kind.ell
+        return kind.weight * F((-1) ** (ell - 1), ell * ell)
+    if tag == FOCUS_COVER_PAIR:
+        ell = kind.ell
+        return -kind.weight * F((-1) ** (ell - 1), ell * ell)
+    if tag == PERP_COLLISION:
+        return F((-1) ** kind.ell)
+    if tag == PANT:
+        d = reference_pant_determinant(kind)
+        if d == 0:
+            raise GeometryError("pant with closed edge along the Lagrangian")
+        return F(convention.pant_sign(d) * d, 2)
+    if tag in (PANT_SEAM, TWO_STRIP, THREE_STRIP, FIBER_ROOT, CORNER_CAP):
+        return F(1)
+    raise HigherValenceVertex(f"no multiplicity known for kind {tag!r}")
+
+
+def reference_graph_weights(graph, convention=DEFAULT_CONVENTION):
+    aut = aut_order(graph)
+    weights = tuple(reference_multiplicity(v.kind, convention) for v in graph.vertices)
+    total = F(1, aut)
+    for m in weights:
+        total *= m
+    return aut, weights, total
+
+
+def _outcome(function, *args):
+    """The value, or (exception class, message)."""
+    try:
+        return function(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def weights_agree(kind, convention=DEFAULT_CONVENTION):
+    """Assert that the integer multiplicity is the reference's, a Fraction
+    whenever it is a value; returns the outcome."""
+    got = _outcome(multiplicity, kind, convention)
+    assert got == _outcome(reference_multiplicity, kind, convention), kind
+    assert isinstance(got, (F, tuple))
+    if kind.tag == PANT:
+        assert _outcome(pant_determinant, kind) == _outcome(reference_pant_determinant, kind)
+    return got
 
 
 def test_nine_branch_values():
@@ -276,3 +362,67 @@ def test_higher_valence_is_structured_error():
         from tropdisk.multiplicity import VertexKind
 
         multiplicity(VertexKind("mystery"))
+
+
+# -- integer weights against the Fraction reference ---------------------------
+
+
+def test_weights_agree_with_fraction_reference_on_shipped_graphs():
+    # every solved graph of every shipped case, under the default convention
+    # and one that flips the sign of every determinant up to 5
+    flipped = SignConvention({d: -DEFAULT_CONVENTION.pant_sign(d) for d in range(1, 6)})
+    tags = set()
+    for name, case in SHIPPED_CASES:
+        for g in builtin_fixture(name).run(case).graphs:
+            graph = g.graph
+            for convention in (DEFAULT_CONVENTION, flipped):
+                aut, weights, total = graph_weights(graph, convention)
+                assert (aut, weights, total) == reference_graph_weights(graph, convention)
+                assert all(type(w) is F for w in weights) and type(total) is F
+                for v in graph.vertices:
+                    weights_agree(v.kind, convention)
+            assert (g.aut_order, g.weights, g.contribution) == graph_weights(graph)
+            tags |= {v.kind.tag for v in graph.vertices}
+    assert {PAIR_OF_PANTS, PANT, FOCUS_COVER, PERP_COLLISION} <= tags, tags
+
+
+def test_weight_one_kinds_share_one_fraction():
+    ones = [multiplicity(kind) for kind in (cylinder(), boundary_collision(0), pant_seam(),
+                                           two_ended_strip(), three_ended_strip(),
+                                           VertexKind(FIBER_ROOT), VertexKind(CORNER_CAP))]
+    assert all(m is ones[0] for m in ones) and ones[0] == 1
+
+
+def test_pair_of_pants_agrees_with_fraction_reference():
+    # integral, half- and third-integral legs, zero and parallel ones included
+    values = [F(n, 2) for n in range(-3, 4)] + [F(n, 3) for n in (-2, 1, 4)]
+    legs = [Vec(x, y) for x in values for y in values]
+    for d1 in legs:
+        for d2 in legs:
+            weights_agree(pair_of_pants(d1, d2))
+
+
+def test_pant_edge_cases_agree_with_fraction_reference():
+    diag = Vec(1, 1)
+    # a zero Lagrangian direction has no primitive direction
+    for e_black in (Vec(1, 0), Vec(F(1, 2), 3)):
+        kind = holomorphic_pant(e_black, Vec(0, 0))
+        expected = (GeometryError, "zero vector has no primitive direction")
+        assert _outcome(pant_determinant, kind) == expected
+        assert weights_agree(kind) == expected
+    # a non-integral e_black: the determinant is truncated towards zero
+    for e_black, d in ((Vec(F(3, 2), -1), 2), (Vec(F(-3, 2), 1), 2),
+                       (Vec(F(1, 3), F(5, 3)), 1), (Vec(F(7, 4), 0), 1)):
+        kind = holomorphic_pant(e_black, diag)
+        assert pant_determinant(kind) == d
+        assert weights_agree(kind) == F(DEFAULT_CONVENTION.pant_sign(d) * d, 2)
+    # D = 0: along the edge, or truncated to 0
+    for e_black in (Vec(2, 2), Vec(-1, -1), Vec(F(1, 2), 0), Vec(F(-1, 3), F(1, 3))):
+        kind = holomorphic_pant(e_black, diag)
+        assert pant_determinant(kind) == 0
+        assert weights_agree(kind) == (GeometryError,
+                                       "pant with closed edge along the Lagrangian")
+    # a non-primitive, rational Lagrangian direction reads as its primitive one
+    for lam in (Vec(3, 3), Vec(F(1, 2), F(1, 2)), Vec(F(-2, 3), F(-2, 3))):
+        for e in itertools.product(range(-3, 4), repeat=2):
+            weights_agree(holomorphic_pant(Vec(*e), lam))
