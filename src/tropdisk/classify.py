@@ -24,7 +24,6 @@ from typing import List, Optional, Tuple
 from .diagram import BaseDiagram
 from .diskgraph import DiskEdge, DiskGraph, Triple
 from .geometry import (
-    GeometryError,
     Vec,
     from_homogeneous,
     homogeneous,
@@ -89,45 +88,21 @@ def _trivalent_legs(lag: Optional[LagGraph], point) -> Optional[List[Tuple[int, 
     return [d.as_int_pair() for d in lag.leg_directions(v.id)]
 
 
-def _crossed(diagram: BaseDiagram, j: int, d: Triple, side: int) -> Triple:
-    """d carried across cut j, d + side <sigma, d> pi, in lowest terms."""
-    ff = diagram.focus_foci[j]
-    pix, piy = ff.pi.as_int_pair()
-    sx, sy = ff.sigma.as_int_pair()
-    if sx * pix + sy * piy != 0:
-        raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
-    X, Y, W = d
-    k = side * (sx * X + sy * Y)
-    X, Y = X + k * pix, Y + k * piy
-    g = math.gcd(X, Y, W)
-    return X // g, Y // g, W // g
-
-
 def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Triple, d2: Triple) -> bool:
-    """Directions equal once one side is transported through a cut through
-    the homogeneous point.
+    """Whether a path arriving along -d1 leaves along d2 once it crosses a
+    cut through the homogeneous point.
 
-    The side of a crossing is the sign of det(cut direction, arriving
-    direction); a cut row runs along its cut direction.  An arrival from d1
-    along the cut skips the cut; an arrival from d2 along it crosses with
-    side -1.
+    The shear keeps det(pi, .), so this holds exactly when a path arriving
+    along -d2 leaves along d1.
     """
+    X, Y, W = d1
     rows, scale = diagram.cut_rows()
     for j, row in enumerate(rows):
-        if not point_on_row(point, row, scale):
-            continue
-        _, _, cx, cy = row
-        # det(cut, -d) for d = (X, Y) is cy X - cx Y
-        X, Y, W = d1
-        turn = cy * X - cx * Y
-        if turn == 0:
-            continue
-        if _crossed(diagram, j, (-X, -Y, W), 1 if turn > 0 else -1) == d2:
-            return True
-        X, Y, W = d2
-        turn = cy * X - cx * Y
-        if _crossed(diagram, j, (-X, -Y, W), 1 if turn > 0 else -1) == d1:
-            return True
+        if point_on_row(point, row, scale):
+            X2, Y2 = diagram.cross_cut(j, (-X, -Y))
+            g = math.gcd(X2, Y2, W)
+            if (X2 // g, Y2 // g, W // g) == d2:
+                return True
     return False
 
 

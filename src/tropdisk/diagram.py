@@ -3,7 +3,8 @@
 A diagram is drawn in a single affine chart (branch-cut coordinates).  Each
 focus-focus value carries the shear data (pi, sigma) of the monodromy
 nu -> nu + <sigma, nu> pi around it, and a branch cut running from the value
-to the polygon boundary along +/- pi.
+to the polygon boundary along +/- pi.  `BaseDiagram.cross_cut` is the one
+place a direction is carried across a cut.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import (
     point_on_row,
     primitive,
     ray_point,
-    shear_apply,
 )
 
 
@@ -46,9 +46,6 @@ class FocusFocus:
 
     def cut_direction(self) -> Vec:
         return self.pi * self.cut_sign
-
-    def monodromy(self, v: Vec, sign: int = 1) -> Vec:
-        return shear_apply(self.sigma * sign, self.pi, v)
 
     def weight(self) -> int:
         """Stack size: a non-primitive shear covector models coincident nodes."""
@@ -93,6 +90,7 @@ class BaseDiagram:
         self._facet_rows = None
         self._normals: Optional[List[Tuple[int, int]]] = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
+        self._shears = None
         self._points = None
 
     # -- derived geometry ---------------------------------------------------
@@ -316,15 +314,29 @@ class BaseDiagram:
             return PointClass(ON_BRANCH_CUT, j)
         return PointClass(INTERIOR)
 
-    def cross_branch_cut(self, j: int, direction: Vec, crossing_side: int) -> Vec:
-        """Transport a direction across branch cut j.
+    def shears(self) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+        """Each focus's shear data (pi, sigma) as a pair of integer pairs."""
+        if self._shears is None:
+            self._shears = [(ff.pi.as_int_pair(), ff.sigma.as_int_pair())
+                            for ff in self.focus_foci]
+        return self._shears
 
-        crossing_side +1 means the crossing is counterclockwise around the
-        focus value (det(cut direction, travel direction) > 0); -1 the
-        reverse.  Two opposite crossings compose to the identity.
+    def cross_cut(self, j: int, d: Tuple[int, int]) -> Tuple[int, int]:
+        """The direction a path continues with after it crosses branch cut j
+        travelling along the integer pair d: d + side <sigma, d> pi.
+
+        side is +1 when the crossing is counterclockwise around the focus
+        value, det(cut direction, d) > 0, and -1 otherwise.  The shear keeps
+        det(pi, d), so cross_cut(j, -cross_cut(j, d)) == -d, and a direction
+        along the cut, where <sigma, d> = 0, crosses unchanged.
         """
         ff = self.focus_foci[j]
-        return ff.monodromy(direction, sign=crossing_side)
+        (px, py), (sx, sy) = self.shears()[j]
+        side = 1 if ff.cut_sign * (px * d[1] - py * d[0]) > 0 else -1
+        if sx * px + sy * py != 0:
+            raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
+        k = side * (sx * d[0] + sy * d[1])
+        return d[0] + k * px, d[1] + k * py
 
     def facets_through(self, p: Vec) -> List[int]:
         """Indices of the facets containing p, in order."""

@@ -157,8 +157,8 @@ class _Ray:
     """What a trace computes from its origin and primitive direction alone.
 
     `focus` is the focus j the ray ends at (along its shear line, first on
-    the ray and not where a cut also meets it), `cut` the (j, side, point) of
-    the cut it crosses first, and `ends` the boundary completions for a
+    the ray and not where a cut also meets it), `cut` the (j, point) of the
+    cut it crosses first, and `ends` the boundary completions for a
     primitive direction d == prim (empty when neither a collision nor a
     corner cap is possible there).  `splits` holds the clear split points
     (j, sign, w), filled the first time a trace may split.
@@ -189,14 +189,15 @@ class _Tracer:
     """Exhaustive ray tracing on homogeneous integers.
 
     It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
-    edges as rows of their own.  `trace` is the Vec front end; the roots call
-    the recursion `_trace` directly from the constraint's homogeneous point.
-    It carries every ray origin, split point and cut crossing as a
-    homogeneous (X, Y, W) triple and every direction as an integer pair, so
-    each event test is an integer cross product and each comparison of ray
-    parameters a cross-multiplication.  Its completion specs carry the same
-    triples; `_Candidates` turns them into Vecs from the tracer's one
-    `_Vecs` memo, which the pair-of-pants and pant kinds read too.
+    edges as rows of their own.  The roots call `_trace` from the
+    constraint's homogeneous point.  It carries every ray origin, split
+    point and cut crossing as a homogeneous (X, Y, W) triple and every
+    direction as an integer pair, so each event test is an integer cross
+    product and each comparison of ray parameters a cross-multiplication.
+    A direction crosses a cut through `BaseDiagram.cross_cut`.  Its
+    completion specs carry the same triples; `_Candidates` turns them into
+    Vecs from the tracer's one `_Vecs` memo, which the pair-of-pants and
+    pant kinds read too.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
@@ -212,8 +213,7 @@ class _Tracer:
         self.bounds = bounds
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.foci, corners = diagram._homogeneous_points()
-        self.shear_table = [ff.pi.as_int_pair() for ff in diagram.focus_foci]
-        self.sigma_table = [ff.sigma.as_int_pair() for ff in diagram.focus_foci]
+        self.shear_table = [pi for pi, _ in diagram.shears()]
         self.lag_rows, self.lag_scale = ([], 1) if lag is None else lag.edge_rows()
         # facet i (corner i to corner i + 1) -> its flagged corners that the
         # Lagrangian leaves free, each as (corner, offset), the offset being
@@ -282,16 +282,6 @@ class _Tracer:
                 cut = (t_num, t_den, j)
         return focus, cut
 
-    def _crossed(self, j: int, d, side: int) -> Tuple[int, int]:
-        """d carried across cut j: the shear d + side <sigma, d> pi."""
-        pix, piy = self.shear_table[j]
-        sx, sy = self.sigma_table[j]
-        if sx * pix + sy * piy != 0:
-            ff = self.diagram.focus_foci[j]
-            raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
-        k = side * (sx * d[0] + sy * d[1])
-        return d[0] + k * pix, d[1] + k * piy
-
     def _ray(self, origin, prim) -> Optional[_Ray]:
         """The `_Ray` of (origin, prim), or None when no trace along it can
         complete: it meets no boundary (malformed input) or it meets the
@@ -326,24 +316,16 @@ class _Tracer:
                 ray.focus = focus[2]
         elif cut is not None and cut[0] * b_den < b_num * cut[1]:
             t_num, t_den, j = cut
-            # a cut row runs along its cut direction
-            _, _, cx, cy = self.cut_rows[j]
-            side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
-            ray.cut = (j, side, ray_point(origin, prim, t_num, t_den))
+            ray.cut = (j, ray_point(origin, prim, t_num, t_den))
         else:
             ray.ends = self._boundary_end(origin, prim, boundary)
         return ray
 
     # -- the trace ------------------------------------------------------------
 
-    def trace(self, p: Vec, dirval: Vec, crossings: int, splits: int) -> List[_Completion]:
-        """All valid continuations of a closed edge leaving p with value dirval."""
-        if not dirval.is_integral():
-            return []
-        return self._trace(homogeneous(p), dirval.as_int_pair(), crossings, splits)
-
     def _trace(self, origin, d, crossings: int, splits: int) -> List[_Completion]:
-        """`trace` from the homogeneous point origin along the integer pair d."""
+        """All valid continuations of a closed edge leaving the homogeneous
+        point origin along the integer pair d."""
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
         ray = self._ray(origin, prim)
@@ -357,8 +339,8 @@ class _Tracer:
         if ray.cut is not None:
             if crossings <= 0:
                 return completions
-            j, side, point = ray.cut
-            rest = self._trace(point, self._crossed(j, d, side), crossings - 1, splits)
+            j, point = ray.cut
+            rest = self._trace(point, self.diagram.cross_cut(j, d), crossings - 1, splits)
             if rest:
                 vertex = _VertexSpec(point, cylinder())
                 edge = _EdgeSpec(origin, point, (*d, 1))
@@ -728,21 +710,6 @@ def _root_vertex(graph: DiskGraph) -> Optional[DiskVertex]:
         if v.kind.tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP):
             return v
     return None
-
-
-def _row_reduce(rows, rhs, cols) -> Tuple[int, bool]:
-    """Rank of the rational system rows . x = rhs, and whether it is solvable.
-
-    The entries of `rows` and `rhs` are ints or Fractions.  Each row, with
-    its right-hand side appended, is scaled once to integers for
-    `_echelon_rank`.
-    """
-    matrix = []
-    for row, b in zip(rows, rhs):
-        entries = [*row, b]
-        den = math.lcm(*(x.denominator for x in entries))
-        matrix.append([x.numerator * (den // x.denominator) for x in entries])
-    return _echelon_rank(matrix, cols)
 
 
 def _echelon_rank(matrix: List[List[int]], cols: int) -> Tuple[int, bool]:

@@ -7,14 +7,13 @@ ids; directions are always derived from the endpoint positions, never stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diagram import (
     AT_FOCUS_FOCUS,
     BaseDiagram,
-    FocusFocus,
     ON_FACET,
     ON_POLYGON_VERTEX,
 )
@@ -309,9 +308,7 @@ class LagGraph:
                 point = ray_point((ax, ay, scale), (ex, ey), hit[0], hit[1])
                 crossings.append((k, from_homogeneous(point)))
         new_foci = list(diagram.focus_foci)
-        new_foci[focus_index] = FocusFocus(
-            position=new_position, pi=ff.pi, sigma=ff.sigma, cut_sign=ff.cut_sign
-        )
+        new_foci[focus_index] = replace(ff, position=new_position)
         new_diagram = BaseDiagram(
             name=diagram.name, polygon=list(diagram.polygon), focus_foci=new_foci,
             metadata=dict(diagram.metadata),

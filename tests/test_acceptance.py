@@ -205,14 +205,14 @@ def test_criterion_13_property_suites():
         assert shear_apply(-1 * sigma, pi, shear_apply(sigma, pi, v)) == v
 
     # rigidity rank against brute-force minor rank on small systems
-    from tropdisk.enumerate import _row_reduce
-    from test_enumerate import _minor_rank
+    from tropdisk.enumerate import _echelon_rank
+    from test_enumerate import _integer_system, _minor_rank
 
     for _ in range(1000):
         n_rows = rng.randint(1, 4)
         cols = rng.randint(1, 6)  # up to three vertices
         rows = [[F(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(n_rows)]
-        rank, _ = _row_reduce([r[:] for r in rows], [F(0)] * n_rows, cols)
+        rank, _ = _echelon_rank(_integer_system(rows, [F(0)] * n_rows), cols)
         assert rank == _minor_rank(rows, cols)
 
     # automorphism order against an independent brute force on fixture graphs

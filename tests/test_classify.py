@@ -22,6 +22,7 @@ from tropdisk.geometry import (
     homogeneous,
     point_on_row,
     primitive_and_length,
+    shear_apply,
 )
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex
 from tropdisk.multiplicity import (
@@ -49,16 +50,17 @@ def _reference_cylinder_across_cut(diagram: BaseDiagram, point, d1: Vec, d2: Vec
     for j, row in enumerate(rows):
         if not point_on_row(point, row, scale):
             continue
+        ff = diagram.focus_foci[j]
         arriving = -d1
-        cut_dir = diagram.focus_foci[j].cut_direction()
+        cut_dir = ff.cut_direction()
         if det2(cut_dir, arriving) == 0:
             continue
         side = 1 if det2(cut_dir, arriving) > 0 else -1
-        if diagram.cross_branch_cut(j, arriving, side) == d2:
+        if shear_apply(ff.sigma * side, ff.pi, arriving) == d2:
             return True
         arriving = -d2
         side = 1 if det2(cut_dir, arriving) > 0 else -1
-        if diagram.cross_branch_cut(j, arriving, side) == d1:
+        if shear_apply(ff.sigma * side, ff.pi, arriving) == d1:
             return True
     return False
 
@@ -303,23 +305,24 @@ def _on_cut(diagram, j, s):
 def test_cylinder_across_a_cut_with_a_zero_determinant_on_either_side():
     # dp5's cut runs up from (1/2, 1/4); its monodromy is v -> v + side v.x (0, 1)
     diagram = DP5.diagram
+    ff = diagram.focus_foci[0]
     point = _on_cut(diagram, 0, F(1, 2))
     for arriving in (Vec(1, 1), Vec(-1, 1)):
         side = 1 if det2(Vec(0, 1), arriving) > 0 else -1
-        d2 = diagram.cross_branch_cut(0, arriving, side)
+        d2 = shear_apply(ff.sigma * side, ff.pi, arriving)
         assert classify_agrees(_star(point, _closed(-arriving, d2)), "c", diagram, None) \
             == cylinder()
-    # the first side arrives along the cut: the cut is skipped
+    # one side arrives along the cut, where the shear is the identity, and
+    # the other leaves off it: no crossing joins them, either way round
     graph = _star(point, _closed(Vec(0, -1), Vec(1, 2)))
     _raises(graph, diagram, None, HigherValenceVertex, "two closed edges")
-    # the second side arrives along the cut: it crosses with side -1
     graph = _star(point, _closed(Vec(1, 2), Vec(0, -1)))
     _raises(graph, diagram, None, HigherValenceVertex, "two closed edges")
     graph = _star(point, _closed(Vec(1, 2), Vec(0, 1)))
     _raises(graph, diagram, None, HigherValenceVertex, "two closed edges")
     # half-integral legs: the sheared triple is compared in lowest terms
     arriving = Vec(F(1, 2), F(1, 2))
-    d2 = diagram.cross_branch_cut(0, arriving, -1)
+    d2 = shear_apply(ff.sigma * -1, ff.pi, arriving)
     assert classify_agrees(_star(point, _closed(-arriving, d2)), "c", diagram, None) \
         == cylinder()
 
@@ -386,8 +389,9 @@ def _vertices_at(diagram, lag, p):
     flags = [(False, False), (False, True), (True, False), (True, True)]
     stars = [[(d, o, n % 2)] for n, d in enumerate(legs) for o in (False, True)]
     for n, d1 in enumerate(legs):
-        seconds = [-d1, Vec(1, 0)] + [diagram.cross_branch_cut(j, -d1, side)
-                                      for j in cuts for side in (1, -1)]
+        seconds = [-d1, Vec(1, 0)] + [
+            shear_apply(diagram.focus_foci[j].sigma * side, diagram.focus_foci[j].pi, -d1)
+            for j in cuts for side in (1, -1)]
         if lam is not None:
             seconds.append(pant_strip_direction(d1, lam))
         for m, d2 in enumerate(seconds):

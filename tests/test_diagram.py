@@ -27,6 +27,7 @@ from tropdisk.geometry import (
     primitive,
     primitive_and_length,
     ray_segment_hit,
+    shear_apply,
 )
 from tropdisk.lagrangian import LagGraph, LagVertex
 
@@ -303,37 +304,49 @@ def _segment_intersection(s1, s2):
 
 
 def test_cross_branch_cut_round_trip():
+    # dp5's cut runs up from its focus; pi = (0, 1), sigma = (1, 0).
+    # det((0, 1), (3, -2)) = -3 < 0: side -1, so (3, -2) - 3 (0, 1)
     diagram = builtin_fixture("dp5").diagram
-    v = Vec(3, -2)
-    once = diagram.cross_branch_cut(0, v, 1)
-    assert diagram.cross_branch_cut(0, once, -1) == v
+    once = diagram.cross_cut(0, (3, -2))
+    assert once == (3, -5)
+    # back along -(3, -5): det((0, 1), (-3, 5)) = 3 > 0, side +1
+    assert diagram.cross_cut(0, (-3, 5)) == (-3, 2)
 
 
 def test_cross_branch_cut_fixes_shear_direction():
     diagram = builtin_fixture("dp5").diagram
-    pi = diagram.focus_foci[0].pi
-    assert diagram.cross_branch_cut(0, pi, 1) == pi
+    pi = diagram.focus_foci[0].pi.as_int_pair()
+    assert diagram.cross_cut(0, pi) == pi
+    assert diagram.cross_cut(0, (-pi[0], -pi[1])) == (-pi[0], -pi[1])
 
 
 def test_cross_branch_cut_worked_example():
-    diagram = BaseDiagram(
+    # pi = (0, 1), sigma = (1, 0): d -> d + side d.x (0, 1)
+    up, down = (BaseDiagram(
         "shear", [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)],
-        [FocusFocus(Vec(0, 0), pi=Vec(0, 1), sigma=Vec(1, 0), cut_sign=1)],
-    )
-    assert diagram.validate() == []
-    assert diagram.cross_branch_cut(0, Vec(1, 1), 1) == Vec(1, 2)
+        [FocusFocus(Vec(0, 0), pi=Vec(0, 1), sigma=Vec(1, 0), cut_sign=sign)],
+    ) for sign in (1, -1))
+    assert up.validate() == [] and down.validate() == []
+    # the cut runs along (0, 1): det((0, 1), (1, 1)) = -1, side -1
+    assert up.cross_cut(0, (1, 1)) == (1, 0)
+    # det((0, 1), (-1, -1)) = 1, side +1
+    assert up.cross_cut(0, (-1, -1)) == (-1, -2)
+    # the cut runs along (0, -1): det((0, -1), (1, 1)) = 1, side +1
+    assert down.cross_cut(0, (1, 1)) == (1, 2)
 
 
-@given(st.integers(-5, 5), st.integers(-5, 5))
+@given(st.integers(-6, 6), st.integers(-6, 6))
 @settings(max_examples=1000)
 def test_cross_branch_cut_round_trip_property(x, y):
-    diagram = builtin_fixture("dp4").diagram
-    v = Vec(x, y)
-    for j in range(len(diagram.focus_foci)):
-        for side in (1, -1):
-            assert diagram.cross_branch_cut(
-                j, diagram.cross_branch_cut(j, v, side), -side
-            ) == v
+    # every cut of every fixture diagram against the Fraction shear, with
+    # the side taken from d, and crossing back undoes the crossing
+    d = (x, y)
+    for diagram in NODED_DIAGRAMS:
+        for j, ff in enumerate(diagram.focus_foci):
+            side = 1 if det2(ff.cut_direction(), Vec(x, y)) > 0 else -1
+            crossed = diagram.cross_cut(j, d)
+            assert Vec(*crossed) == shear_apply(ff.sigma * side, ff.pi, Vec(x, y))
+            assert diagram.cross_cut(j, (-crossed[0], -crossed[1])) == (-x, -y)
 
 
 def test_serialization_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import runpy
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,9 +30,9 @@ from tropdisk.enumerate import (
     SearchBounds,
     _candidate_graphs,
     _Completion,
+    _echelon_rank,
     _EdgeSpec,
     _rigidity_rows,
-    _row_reduce,
     _Tracer,
     _unique_graphs,
     _VertexSpec,
@@ -52,6 +53,7 @@ from tropdisk.geometry import (
     primitive_and_length,
     ray_point,
     ray_segment_hit,
+    shear_apply,
 )
 from tropdisk.lagrangian import LagGraph, LagVertex
 from tropdisk.multiplicity import (
@@ -158,19 +160,31 @@ def _minor_rank(rows, cols):
     return best
 
 
+def _integer_system(rows, rhs):
+    """The rational system rows . x = rhs as `_echelon_rank` reads it: each
+    row with its right-hand side appended, scaled by the lcm of its
+    denominators to integers."""
+    matrix = []
+    for row, b in zip(rows, rhs):
+        entries = [F(x) for x in (*row, b)]
+        den = math.lcm(*(x.denominator for x in entries))
+        matrix.append([x.numerator * (den // x.denominator) for x in entries])
+    return matrix
+
+
 def test_row_reduce_rank_matches_brute_force_minors():
     rng = random.Random(20260808)
     for _ in range(1000):
         n_rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         rows = [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(n_rows)]
-        rank, consistent = _row_reduce([r[:] for r in rows], [F(0)] * n_rows, cols)
+        rank, consistent = _echelon_rank(_integer_system(rows, [F(0)] * n_rows), cols)
         assert consistent
         assert rank == _minor_rank(rows, cols)
 
 
 def _row_reduce_reference(rows, rhs, cols):
-    """Fraction Gauss-Jordan elimination, the former body of `_row_reduce`."""
+    """Fraction Gauss-Jordan elimination, the reference for `_echelon_rank`."""
     matrix = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     rank = 0
     for col in range(cols):
@@ -223,7 +237,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_row_reduce_agrees_with_fraction_reference(system):
     rows, rhs, cols, drifted = system
-    rank, consistent = _row_reduce(rows, rhs, cols)
+    rank, consistent = _echelon_rank(_integer_system(rows, rhs), cols)
     assert (rank, consistent) == _row_reduce_reference(rows, rhs, cols)
     if drifted:
         assert not consistent
@@ -501,6 +515,14 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
         assert point == corner and len(facets) == 2
 
 
+def _trace_vec(tracer, p, d, crossings, splits):
+    """`_Tracer._trace` from the point p along the Vec d, or [] when d is
+    not integral."""
+    if not d.is_integral():
+        return []
+    return tracer._trace(homogeneous(p), d.as_int_pair(), crossings, splits)
+
+
 def _square_with_focus(sigma):
     return BaseDiagram(
         "shear", [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)],
@@ -511,9 +533,9 @@ def _square_with_focus(sigma):
 def test_tracer_rejects_a_non_unipotent_shear_at_the_crossing():
     # <sigma, pi> = 1: the ray from (-1, 1) along (1, 0) crosses the cut at (0, 1)
     tracer = _Tracer(_square_with_focus(Vec(1, 1)), None, SearchBounds(), NO_FLAGS)
-    assert len(tracer.trace(Vec(-1, 1), Vec(0, -1), 2, 0)) == 1  # crosses no cut
+    assert len(_trace_vec(tracer, Vec(-1, 1), Vec(0, -1), 2, 0)) == 1  # crosses no cut
     with pytest.raises(GeometryError, match="not a valid shear"):
-        tracer.trace(Vec(-1, 1), Vec(1, 0), 2, 0)
+        _trace_vec(tracer, Vec(-1, 1), Vec(1, 0), 2, 0)
 
 
 def test_tracer_rejects_a_non_integral_shear_covector():
@@ -1032,7 +1054,8 @@ class _ReferenceTracer(_Tracer):
                 return completions
             _, _, cx, cy = self.cut_rows[j]
             side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
-            new_dir = self.diagram.cross_branch_cut(j, dirval, side)
+            ff = self.diagram.focus_foci[j]
+            new_dir = shear_apply(ff.sigma * side, ff.pi, dirval)
             rest = self.trace(point, new_dir, crossings - 1, splits)
             for completion in rest:
                 completions.append(
@@ -1201,7 +1224,7 @@ def test_trace_agrees_with_fraction_reference(data):
         start, end = diagram.branch_cuts()[j]
         past = -data.draw(st.sampled_from(diagram.facets())).inward_normal
         side = 1 if det2(ff.cut_direction(), past) > 0 else -1
-        d = diagram.cross_branch_cut(j, past, -side)
+        d = shear_apply(ff.sigma * -side, ff.pi, past)
         p = start + (end - start) * F(data.draw(st.integers(1, 15)), 16) - d * step
     elif where == "vertex" and lag is not None:
         # one step before a vertex of the Lagrangian: the ray meets it, often
@@ -1228,7 +1251,7 @@ def test_trace_agrees_with_fraction_reference(data):
     crossings, splits = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     tracer = _Tracer(diagram, lag, bounds, flags)
     reference = _ReferenceTracer(diagram, lag, bounds, flags)
-    assert tracer.trace(p, d, crossings, splits) == reference.trace(p, d, crossings, splits)
+    assert _trace_vec(tracer, p, d, crossings, splits) == reference.trace(p, d, crossings, splits)
 
 
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)
@@ -1245,7 +1268,8 @@ def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
     for d in itertools.product(range(-4, 5), repeat=2):
         if any(d):
             d = Vec(*d)
-            completions = tracer.trace(q, d, c.bounds.max_cut_crossings, c.bounds.max_splits)
+            completions = _trace_vec(tracer, q, d, c.bounds.max_cut_crossings,
+                                     c.bounds.max_splits)
             assert completions == reference.trace(
                 q, d, c.bounds.max_cut_crossings, c.bounds.max_splits), d
             found += len(completions)
@@ -1260,11 +1284,12 @@ def test_corner_cap_follows_the_rim_towards_the_corner(tracer_class):
     tracer = tracer_class(diagram, None, SearchBounds(),
                           FixtureFlags(corner_caps=(Vec(-1, 1),)))
     p = Vec(F(-1, 2), 0)
+    trace = tracer.trace if tracer_class is _ReferenceTracer else partial(_trace_vec, tracer)
     # the rim component of (1, 3) points away from the corner
-    assert tracer.trace(p, Vec(1, 3), 2, 3) == []
+    assert trace(p, Vec(1, 3), 2, 3) == []
     # that of (-1, 3) points towards it: the rim runs on to the corner
     hit, corner = Vec(F(-5, 6), 1), Vec(-1, 1)
-    assert tracer.trace(p, Vec(-1, 3), 2, 3) == [_Completion(
+    assert trace(p, Vec(-1, 3), 2, 3) == [_Completion(
         (_VertexSpec(homogeneous(hit), cylinder()),
          _VertexSpec(homogeneous(corner), VertexKind(CORNER_CAP))),
         (_edge(p, hit, Vec(-1, 3)), _edge(hit, corner, Vec(-1, 0))))]
@@ -1285,9 +1310,9 @@ def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
         for crossings in range(c.bounds.max_cut_crossings + 1):
             for d in itertools.product(range(-bound, bound + 1), repeat=2):
                 if any(d):
-                    completions = shared.trace(q, Vec(*d), crossings, splits)
+                    completions = _trace_vec(shared, q, Vec(*d), crossings, splits)
                     fresh = _Tracer(diagram, lag, c.bounds, c.flags)
-                    assert completions == fresh.trace(q, Vec(*d), crossings, splits), d
+                    assert completions == _trace_vec(fresh, q, Vec(*d), crossings, splits), d
                     found += len(completions)
     assert found or name == "p1xp1"
 

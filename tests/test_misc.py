@@ -155,3 +155,15 @@ def test_core_has_no_floats():
                   and any(alias.name in FLOAT_MATH for alias in node.names)):
                 found.append(f"{where} from math import")
     assert found == []
+
+
+def test_only_the_diagram_reads_shear_covectors():
+    # a direction crosses a branch cut through `BaseDiagram.cross_cut` alone:
+    # no other module reads a focus's sigma
+    src = pathlib.Path(tropdisk.__file__).parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "diagram.py")
+    assert len(paths) > 10
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "sigma"]
+    assert found == []
