@@ -24,11 +24,15 @@ process through `tropdisk.cli.main`:
 * `potential --fixture F --case C --json --constraint point:X,Y` at every
   X,Y of `INTERIOR_POINTS` for every shipped case of the node-free fixtures
   `INTERIOR_FIXTURES`; through dp7 `leg` these reach corner caps from
-  interior origins, which no shipped case does.
+  interior origins, which no shipped case does;
+* `potential --fixture F --case C --json --convention CONVENTION` for every
+  entry of `SHIPPED_CASES`, under the non-default pant sign table
+  `CONVENTION_TABLE`, so pant labels and multiplicities are compared under
+  an override too.
 
-The malformed files are written to a temporary directory that each side's
-interpreter runs in, so the file names in the error text are the same on
-both sides.  Each command's exit code, standard output and standard error
+The malformed files and the convention file are written to a temporary
+directory that each side's interpreter runs in, so the file names in the
+error text are the same on both sides.  Each command's exit code, standard output and standard error
 are compared.  The command lists come from each checkout's own `SHIPPED_CASES`,
 `FIXTURE_NAMES` and fixtures, so a command that runs on one side only is a
 difference too.
@@ -75,6 +79,10 @@ MALFORMED = {
 }
 POINT = "point:1/4,1/4"
 
+# a pant sign table that differs from the default at D = 1, 2 and 3
+CONVENTION = "flipped.convention.json"
+CONVENTION_TABLE = {"pant_sign": [[1, 1], [2, 1], [3, -1]]}
+
 # the cells of the benchmark's `grid` workload
 GRID_CASES = [("dp1", "vertical"), ("dp2", "l2"), ("dp3", "trivalent")]
 GRID_LENGTHS = (3, 4)
@@ -115,6 +123,8 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
         if name in INTERIOR_FIXTURES:
             out += [["potential", "--fixture", name, "--case", case, "--json",
                      "--constraint", f"point:{xy}"] for xy in INTERIOR_POINTS]
+    out += [["potential", "--fixture", name, "--case", case, "--json", "--convention", CONVENTION]
+            for name, case in shipped_cases]
     return out
 
 
@@ -141,11 +151,11 @@ def collect(src: str) -> None:
 
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
-    temporary directory that holds the `MALFORMED` files."""
+    temporary directory that holds the `MALFORMED` files and `CONVENTION`."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in MALFORMED.items():
+        for name, data in {**MALFORMED, CONVENTION: CONVENTION_TABLE}.items():
             Path(tmp, name).write_text(json.dumps(data))
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp,
                               capture_output=True, text=True)

@@ -11,9 +11,9 @@ diagram and the Lagrangian are read through the integer tables they cache
 (facet normals and rows, cut rows, homogeneous foci, edge rows and
 primitive edge directions).  Parallel and perpendicular tests are cross and
 dot products, which a positive scale does not change, so a row stands for
-its primitive direction.  Vecs are built only for the kinds that carry them
-(pair of pants, holomorphic pant); the pant balancing is checked against
-`multiplicity.pant_strip_direction`, its one Fraction form.
+its primitive direction.  No Vec is built: a kind carries its vectors as
+the same triples, and the pant balancing is checked against
+`multiplicity.pant_strip_direction`, its one integer form.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from typing import List, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import DiskEdge, DiskGraph, Triple
-from .geometry import (
-    Vec,
-    from_homogeneous,
-    homogeneous,
-    point_on_row,
-    primitive_and_length,
-)
+from .geometry import from_homogeneous, point_on_row, primitive_and_length
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -59,11 +53,6 @@ def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
         elif e.endpoints[1] == vid:
             legs.append((e, (-X, -Y, W)))
     return legs
-
-
-def _away(e: DiskEdge, vid: str) -> Vec:
-    """The direction of e oriented away from vid, as `DiskGraph.adjacent` gives it."""
-    return e.direction if e.endpoints[0] == vid else -e.direction
 
 
 def _lattice_length(leg: Triple) -> int:
@@ -131,11 +120,10 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if point in foci:
             # homogeneous triples are canonical, so equal points have equal triples
             j = foci.index(point)
-            ff = diagram.focus_foci[j]
             ell = _lattice_length(leg)
-            if not _parallel(leg, homogeneous(ff.pi)):
+            if not _parallel(leg, diagram.shears()[j][0]):
                 raise UnclassifiableVertex("focus leg not along the shear direction")
-            return focus_cover(ell, j, ff.weight())
+            return focus_cover(ell, j, diagram.focus_foci[j].weight())
         if not edge.open:
             # on the boundary of a convex polygon: at a corner or on a facet
             facets = diagram._facets_through(point)
@@ -167,10 +155,9 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if e1.open != e2.open:
             k = None if lag is None else lag._edge_through(point)
             if k is not None:
-                open_d, black_e = (d1, e2) if e1.open else (d2, e1)
-                black_d = _away(black_e, vid)
-                lam_dir = lag.edge_direction(lag.edges[k])
-                if homogeneous(pant_strip_direction(black_d, lam_dir)) == open_d:
+                open_d, black_d = (d1, d2) if e1.open else (d2, d1)
+                lam_dir = (*lag.edge_direction(lag.edges[k]).as_int_pair(), 1)
+                if pant_strip_direction(black_d, lam_dir) == open_d:
                     return holomorphic_pant(black_d, lam_dir)
                 raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
         else:
@@ -186,7 +173,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         # the sum over the common denominator W1 W2 W3
         if (X1 * W2 * W3 + X2 * W1 * W3 + X3 * W1 * W2 == 0
                 and Y1 * W2 * W3 + Y2 * W1 * W3 + Y3 * W1 * W2 == 0):
-            return pair_of_pants(_away(e1, vid), _away(e2, vid))
+            return pair_of_pants(legs[0][1], legs[1][1])
         raise UnclassifiableVertex("unbalanced trivalent closed vertex")
     if e1.open and e2.open and e3.open:
         lam_legs = _trivalent_legs(lag, point)

@@ -371,15 +371,21 @@ class BaseDiagram:
         polygon = [_vec_from_pairs(entry) for entry in data["polygon"]]
         foci = []
         for ff in data.get("focus_foci", []):
+            cut_sign = ff.get("branch_cut_sign", 1)
+            if type(cut_sign) is not int:
+                raise ValueError(f"branch_cut_sign {cut_sign!r} is not an integer")
             foci.append(
                 FocusFocus(
                     position=_vec_from_pairs(ff["position"]),
                     pi=Vec(*ff["shear_direction"]),
                     sigma=Vec(*ff["shear_covector"]),
-                    cut_sign=int(ff.get("branch_cut_sign", 1)),
+                    cut_sign=cut_sign,
                 )
             )
-        return cls(name=data.get("name", "unnamed"), polygon=polygon, focus_foci=foci)
+        name = data.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ValueError(f"diagram name {name!r} is not a string")
+        return cls(name=name, polygon=polygon, focus_foci=foci)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

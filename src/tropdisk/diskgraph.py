@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import GeometryError, Vec, frac, homogeneous
-from .multiplicity import CORNER_CAP, VertexKind
+from .multiplicity import CORNER_CAP, Triple, VertexKind
 
 CONSTRAINT_LAGRANGIAN = "lagrangian"
 CONSTRAINT_INTERIOR = "interior"
@@ -53,7 +53,6 @@ class DiskEdge:
     open: bool = False
 
 
-Triple = Tuple[int, int, int]
 Triples = Tuple[Tuple[Triple, ...], Tuple[Triple, ...]]  # (points, directions)
 
 
@@ -122,7 +121,7 @@ def _signature_key(vertices, edges):
 
     `vertices` are (position, kind) and `edges` (start, end, direction, open),
     with positions and directions already written as comparable pairs; a
-    kind's vectors become Fraction pairs, None for a missing or zero one.
+    kind's triples become Fraction pairs, None for a missing or zero one.
     The enumeration's dedup passes positions and directions as integers
     over one common denominator, which keeps the order and equality of the
     Fractions, so both keys group and sort graphs alike.
@@ -136,5 +135,7 @@ def _signature_key(vertices, edges):
     return (tuple(verts), tuple(rows))
 
 
-def _kind_vector(v: Optional[Vec]) -> Optional[Tuple[Fraction, Fraction]]:
-    return None if v is None or not v else (v.x, v.y)
+def _kind_vector(v: Optional[Triple]) -> Optional[Tuple[Fraction, Fraction]]:
+    if v is None or not (v[0] or v[1]):
+        return None
+    return Fraction(v[0], v[2]), Fraction(v[1], v[2])

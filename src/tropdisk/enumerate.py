@@ -73,6 +73,7 @@ from .multiplicity import (
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
+    pant_strip_direction,
     perp_collision,
 )
 
@@ -195,9 +196,9 @@ class _Tracer:
     direction as an integer pair, so each event test is an integer cross
     product and each comparison of ray parameters a cross-multiplication.
     A direction crosses a cut through `BaseDiagram.cross_cut`.  Its
-    completion specs carry the same triples; `_Candidates` turns them into
-    Vecs from the tracer's one `_Vecs` memo, which the pair-of-pants and
-    pant kinds read too.
+    completion specs carry the same triples, and so do the kinds it tags;
+    `_Candidates` turns the specs' triples into Vecs from the tracer's one
+    `_Vecs` memo.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
@@ -229,8 +230,6 @@ class _Tracer:
                     self.cap_table.setdefault(i, []).append((c, offset))
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
-        # (arrival, remainder) as one integer 4-tuple -> its pair-of-pants kind
-        self._pants: Dict[Tuple[int, int, int, int], VertexKind] = {}
         self.vecs = _Vecs(zip(self.foci, (ff.position for ff in diagram.focus_foci)))
 
     # -- event scanning -------------------------------------------------------
@@ -430,12 +429,7 @@ class _Tracer:
                 if not rest:
                     continue
                 ax, ay = pix * m, piy * m
-                key = (ax, ay, *d2)
-                kind = self._pants.get(key)
-                if kind is None:
-                    kind = self._pants[key] = pair_of_pants(self.vecs[ax, ay, 1],
-                                                            self.vecs[(*d2, 1)])
-                pants = _VertexSpec(w, kind)
+                pants = _VertexSpec(w, pair_of_pants((ax, ay, 1), (*d2, 1)))
                 legs = [_EdgeSpec(origin, w, (dx, dy, 1)),
                         _EdgeSpec(w, self.foci[j], (ax, ay, 1))]
                 focus_vertices = self._focus_vertices(j, sub_ell)
@@ -860,13 +854,13 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
     if not (a_seam or b_seam):
         return
     lx, ly = lag.edge_direction(edge).as_int_pair()
-    lam = tracer.vecs[lx, ly, 1]
+    lam = (lx, ly, 1)
     origin = homogeneous(constraint.point)
     for ex, ey in _direction_pairs(bounds.max_lattice_length):
         if ex * ly - ey * lx == 0:
             continue
-        # the strip is -<e_black, lam>/<lam, lam> lam: it vanishes when the dot
-        # product is 0 and runs towards b when it is negative
+        # the strip (`pant_strip_direction`) runs along -<e_black, lam> lam: it
+        # vanishes when the dot product is 0 and runs towards b when it is negative
         dot = ex * lx + ey * ly
         if dot == 0:
             continue
@@ -878,12 +872,10 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
             continue
         target = homogeneous(lag.position(target_id))
         root = [
-            _VertexSpec(origin, holomorphic_pant(tracer.vecs[ex, ey, 1], lam)),
+            _VertexSpec(origin, holomorphic_pant((ex, ey, 1), lam)),
             _VertexSpec(target, pant_seam()),
         ]
-        sx, sy, sw = -dot * lx, -dot * ly, lx * lx + ly * ly
-        g = math.gcd(sx, sy, sw)
-        strip = _EdgeSpec(origin, target, (sx // g, sy // g, sw // g), open=True)
+        strip = _EdgeSpec(origin, target, pant_strip_direction((ex, ey, 1), lam), open=True)
         for completion in closed:
             candidates.add(root, [strip], completion)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, det2, homogeneous
+from .geometry import GeometryError
 
 CYLINDER = "cylinder"
 PAIR_OF_PANTS = "pair_of_pants"
@@ -46,14 +46,18 @@ class HigherValenceVertex(GeometryError):
     pass
 
 
+# a direction (X/W, Y/W) as the canonical triple of `geometry.homogeneous`
+Triple = Tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class VertexKind:
     tag: str
     ell: int = 1
-    d1: Optional[Vec] = None
-    d2: Optional[Vec] = None
-    e_black: Optional[Vec] = None
-    lag_dir: Optional[Vec] = None
+    d1: Optional[Triple] = None
+    d2: Optional[Triple] = None
+    e_black: Optional[Triple] = None
+    lag_dir: Optional[Triple] = None
     index: Optional[int] = None
     weight: int = 1                # stack size of the focus-focus value
 
@@ -63,7 +67,7 @@ class VertexKind:
         if self.tag == PANT:
             return f"{self.tag}(D={pant_determinant(self)})"
         if self.tag == PAIR_OF_PANTS:
-            return f"{self.tag}(det={abs(det2(self.d1, self.d2))})"
+            return f"{self.tag}(det={Fraction(*_pants_det(self))})"
         return self.tag
 
 
@@ -71,9 +75,11 @@ def cylinder() -> VertexKind:
     return VertexKind(CYLINDER)
 
 
-def pair_of_pants(d1: Vec, d2: Vec) -> VertexKind:
-    # canonical order: the same split found with swapped legs must compare equal
-    if (d1.x, d1.y) > (d2.x, d2.y):
+def pair_of_pants(d1: Triple, d2: Triple) -> VertexKind:
+    # canonical order: the same split found with swapped legs must compare
+    # equal, so the legs are ordered by value, (x, y) = (X/W, Y/W)
+    (X1, Y1, W1), (X2, Y2, W2) = d1, d2
+    if (X1 * W2, Y1 * W2) > (X2 * W1, Y2 * W1):
         d1, d2 = d2, d1
     return VertexKind(PAIR_OF_PANTS, d1=d1, d2=d2)
 
@@ -94,7 +100,7 @@ def perp_collision(ell: int) -> VertexKind:
     return VertexKind(PERP_COLLISION, ell=ell)
 
 
-def holomorphic_pant(e_black: Vec, lag_dir: Vec) -> VertexKind:
+def holomorphic_pant(e_black: Triple, lag_dir: Triple) -> VertexKind:
     return VertexKind(PANT, e_black=e_black, lag_dir=lag_dir)
 
 
@@ -112,33 +118,35 @@ def three_ended_strip() -> VertexKind:
 
 def pant_determinant(kind: VertexKind) -> int:
     """D = |det(e_black, lambda)| with lambda the primitive Lagrangian direction,
-    truncated to an integer; computed on homogeneous triples.
+    truncated to an integer.
 
     Equivalent to |det(e_black, r(e_black))| once the strip direction is
     normalized to a half-primitive multiple of the edge (the diagonal model);
     this form stays well defined on every edge slope.
     """
-    lx, ly, _ = homogeneous(kind.lag_dir)
+    lx, ly, _ = kind.lag_dir
     g = math.gcd(lx, ly)
     if g == 0:
         raise GeometryError("zero vector has no primitive direction")
-    ex, ey, ew = homogeneous(kind.e_black)
+    ex, ey, ew = kind.e_black
     return abs(ex * (ly // g) - ey * (lx // g)) // ew
 
 
-def pant_strip_direction(e_black: Vec, lag_dir: Vec) -> Vec:
+def pant_strip_direction(e_black: Triple, lag_dir: Triple) -> Triple:
     """Strip direction forced by the pant balancing 2w + e_black + r(e_black) = 0.
 
     r is the reflection fixing lag_dir, so w is the projection
-    -<e_black, lag_dir>/<lag_dir, lag_dir> lag_dir; the coefficient does not
-    depend on the scale of lag_dir, which is read as an integer pair.
+    -<e_black, lag_dir>/<lag_dir, lag_dir> lag_dir, returned as its canonical
+    triple; it does not depend on the scale of lag_dir, read as an integer pair.
     """
-    ex, ey, ew = homogeneous(e_black)
-    lx, ly, _ = homogeneous(lag_dir)
+    ex, ey, ew = e_black
+    lx, ly, _ = lag_dir
     if not (lx or ly):
         raise GeometryError("the Lagrangian direction of a pant strip must be nonzero")
-    coeff = Fraction(-(ex * lx + ey * ly), ew * (lx * lx + ly * ly))
-    return Vec(coeff * lx, coeff * ly)
+    dot = ex * lx + ey * ly
+    sx, sy, sw = -dot * lx, -dot * ly, ew * (lx * lx + ly * ly)
+    g = math.gcd(sx, sy, sw)
+    return sx // g, sy // g, sw // g
 
 
 @dataclass
@@ -170,6 +178,12 @@ _UNIT_KINDS = frozenset((CYLINDER, BOUNDARY_COLLISION, PANT_SEAM, TWO_STRIP, THR
                          FIBER_ROOT, CORNER_CAP))
 
 
+def _pants_det(kind: VertexKind) -> Tuple[int, int]:
+    """|det(d1, d2)| of a pair of pants as integers (numerator, denominator)."""
+    (X1, Y1, W1), (X2, Y2, W2) = kind.d1, kind.d2
+    return abs(X1 * Y2 - Y1 * X2), W1 * W2
+
+
 def _ratio(kind: VertexKind, convention: SignConvention) -> Tuple[int, int]:
     """The multiplicity of a kind as integers (numerator, denominator > 0),
     not necessarily in lowest terms."""
@@ -177,12 +191,10 @@ def _ratio(kind: VertexKind, convention: SignConvention) -> Tuple[int, int]:
     if tag in _UNIT_KINDS:
         return 1, 1
     if tag == PAIR_OF_PANTS:
-        X1, Y1, W1 = homogeneous(kind.d1)
-        X2, Y2, W2 = homogeneous(kind.d2)
-        det = abs(X1 * Y2 - Y1 * X2)
+        det, den = _pants_det(kind)
         if det == 0:
             raise GeometryError("degenerate pair of pants (parallel directions)")
-        return det, W1 * W2
+        return det, den
     if tag == FOCUS_COVER:
         ell = kind.ell
         return kind.weight * (-1) ** (ell - 1), ell * ell

@@ -19,7 +19,7 @@ from test_geometry import apply_matrix
 from tropdisk.diskgraph import Constraint
 from tropdisk.enumerate import cancellation_report, enumerate_maslov4
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
-from tropdisk.geometry import Vec, det2, shear_apply
+from tropdisk.geometry import Vec, det2, homogeneous, shear_apply
 from tropdisk.multiplicity import (
     boundary_collision,
     cylinder,
@@ -136,19 +136,19 @@ def test_criterion_09_dp5():
 
 
 def test_criterion_10_multiplicity_unit_suite():
-    diag = Vec(1, 1)
+    diag = (1, 1, 1)
     checks = [
         (multiplicity(cylinder()), F(1)),
-        (multiplicity(pair_of_pants(Vec(1, 0), Vec(0, 1))), F(1)),
+        (multiplicity(pair_of_pants((1, 0, 1), (0, 1, 1))), F(1)),
         (multiplicity(boundary_collision(0)), F(1)),
         (multiplicity(focus_cover(1)), F(1)),
         (multiplicity(focus_cover(2)), F(-1, 4)),
         (multiplicity(focus_cover(3)), F(1, 9)),
         (multiplicity(perp_collision(1)), F(-1)),
         (multiplicity(perp_collision(2)), F(1)),
-        (multiplicity(holomorphic_pant(Vec(1, 0), diag)), F(-1, 2)),
-        (multiplicity(holomorphic_pant(Vec(1, -1), diag)), F(-1)),
-        (multiplicity(holomorphic_pant(Vec(2, -1), diag)), F(3, 2)),
+        (multiplicity(holomorphic_pant((1, 0, 1), diag)), F(-1, 2)),
+        (multiplicity(holomorphic_pant((1, -1, 1), diag)), F(-1)),
+        (multiplicity(holomorphic_pant((2, -1, 1), diag)), F(3, 2)),
         (multiplicity(pant_seam()), F(1)),
         (multiplicity(two_ended_strip()), F(1)),
         (multiplicity(three_ended_strip()), F(1)),
@@ -191,8 +191,8 @@ def test_criterion_13_property_suites():
         m = (Vec(1, k), Vec(0, 1)) if rng.random() < 0.5 else (Vec(1, 0), Vec(k, 1))
         assert det2(apply_matrix(m, a), apply_matrix(m, b)) == det2(a, b)
         if det2(a, b) != 0:
-            assert multiplicity(pair_of_pants(a, b)) == multiplicity(
-                pair_of_pants(apply_matrix(m, a), apply_matrix(m, b)))
+            assert multiplicity(pair_of_pants(homogeneous(a), homogeneous(b))) == multiplicity(
+                pair_of_pants(homogeneous(apply_matrix(m, a)), homogeneous(apply_matrix(m, b))))
 
     # shear round trips
     for _ in range(1000):

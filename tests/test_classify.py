@@ -3,7 +3,9 @@
 `reference_classify_vertex` is `classify_vertex` as it was written on Vecs:
 Fraction `det2`, `dot` and Vec equality on the adjacent directions.  The
 integer classifier must return the same kind, or raise the same exception
-class with the same message, on every vertex it is given.
+class with the same message, on every vertex it is given.  The reference
+checks the pant balancing with `reference_pant_strip_direction` and hands
+its kinds the homogeneous triples of its Vecs.
 """
 
 from fractions import Fraction as F
@@ -24,6 +26,7 @@ from tropdisk.geometry import (
     primitive_and_length,
     shear_apply,
 )
+from test_multiplicity import reference_pant_strip_direction
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex
 from tropdisk.multiplicity import (
     HigherValenceVertex,
@@ -35,7 +38,6 @@ from tropdisk.multiplicity import (
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
-    pant_strip_direction,
     perp_collision,
     three_ended_strip,
     two_ended_strip,
@@ -114,8 +116,8 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if e1.open != e2.open and lam_dir is not None:
             (open_d,) = [d for e, d in adjacent if e.open]
             (black_d,) = [d for e, d in adjacent if not e.open]
-            if open_d == pant_strip_direction(black_d, lam_dir):
-                return holomorphic_pant(black_d, lam_dir)
+            if open_d == reference_pant_strip_direction(black_d, lam_dir):
+                return holomorphic_pant(homogeneous(black_d), homogeneous(lam_dir))
             raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
         if e1.open and e2.open and lam_vertex is not None and lag.valence(lam_vertex.id) == 3:
             legs = lag.leg_directions(lam_vertex.id)
@@ -127,7 +129,7 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
     if all(not e.open for e, _ in adjacent):
         total = adjacent[0][1] + adjacent[1][1] + adjacent[2][1]
         if not total:
-            return pair_of_pants(adjacent[0][1], adjacent[1][1])
+            return pair_of_pants(homogeneous(adjacent[0][1]), homogeneous(adjacent[1][1]))
         raise UnclassifiableVertex("unbalanced trivalent closed vertex")
     if lam_vertex is not None and lag.valence(lam_vertex.id) == 3 and all(e.open for e, _ in adjacent):
         legs = lag.leg_directions(lam_vertex.id)
@@ -240,11 +242,11 @@ def test_failed_pant_balancing():
     lag = DP6.lagrangian_for("segment")  # along (-1, 1)
     point = Vec(F(1, 4), F(-1, 4))
     black = Vec(1, -3)
-    strip = pant_strip_direction(black, Vec(-1, 1))
+    strip = reference_pant_strip_direction(black, Vec(-1, 1))
     for incoming in (False, True):
         legs = [(black, False, incoming), (strip, True, not incoming)]
         assert classify_agrees(_star(point, legs), "c", DP6.diagram, lag) \
-            == holomorphic_pant(black, Vec(-1, 1))
+            == holomorphic_pant((1, -3, 1), (-1, 1, 1))
         for off in (Vec(1, 0), Vec(0, F(-1, 2))):
             legs = [(strip + off, True, incoming), (black, False, not incoming)]
             _raises(_star(point, legs), DP6.diagram, lag, UnclassifiableVertex,
@@ -255,7 +257,7 @@ def test_unbalanced_trivalent_vertex():
     point = Vec(0, F(1, 7))
     graph = _star(point, [(Vec(1, 0), False, False), (Vec(0, 1), False, True),
                           (Vec(-1, -1), False, False)])
-    assert classify_agrees(graph, "c", DP6.diagram, None) == pair_of_pants(Vec(0, 1), Vec(1, 0))
+    assert classify_agrees(graph, "c", DP6.diagram, None) == pair_of_pants((0, 1, 1), (1, 0, 1))
     graph = _star(point, _closed(Vec(1, 0), Vec(0, 1), Vec(-1, -2)))
     _raises(graph, DP6.diagram, None, UnclassifiableVertex, "unbalanced trivalent")
     graph = _star(point, _closed(Vec(F(1, 2), 0), Vec(0, F(1, 3)), Vec(F(-1, 2), F(-1, 3))))
@@ -393,7 +395,7 @@ def _vertices_at(diagram, lag, p):
             shear_apply(diagram.focus_foci[j].sigma * side, diagram.focus_foci[j].pi, -d1)
             for j in cuts for side in (1, -1)]
         if lam is not None:
-            seconds.append(pant_strip_direction(d1, lam))
+            seconds.append(reference_pant_strip_direction(d1, lam))
         for m, d2 in enumerate(seconds):
             stars += [[(d1, o1, n % 2), (d2, o2, m % 2)] for o1, o2 in flags]
     for n, d1 in enumerate(dirs):

@@ -522,6 +522,14 @@ def test_render_with_disks_needs_fixture(tmp_path, capsys):
     assert "error: --with-disks needs --fixture" in err
 
 
+def _dp5_json(name="dp5", cut_sign=1) -> str:
+    """dp5's diagram file with the given name and branch cut sign."""
+    data = builtin_fixture("dp5").diagram.to_json_dict()
+    data["name"] = name
+    data["focus_foci"][0]["branch_cut_sign"] = cut_sign
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("diagram,lagrangian", [
     pytest.param("{not json", None, id="not-json"),
     pytest.param(json.dumps({"name": "bad"}), None, id="no-polygon"),
@@ -539,6 +547,10 @@ def test_render_with_disks_needs_fixture(tmp_path, capsys):
     pytest.param(None, json.dumps({"vertices": [{"id": "v0", "position": [[0, 1], [0, 1]]},
                                                 {"id": "v1", "position": [[1, 2], [0, 1]]}],
                                    "edges": [["v0", "v1", "x"]]}), id="lagrangian-edge-weight"),
+    *(pytest.param(_dp5_json(name=value), None, id=f"name-{label}")
+      for label, value in (("int", 5), ("null", None), ("object", {"a": 1}))),
+    *(pytest.param(_dp5_json(cut_sign=value), None, id=f"branch-cut-sign-{label}")
+      for label, value in (("float", 1.7), ("bool", True), ("string", "1"))),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
     dpath = tmp_path / "d.json"

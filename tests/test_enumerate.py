@@ -101,7 +101,7 @@ def test_rigidity_free_trivalent_vertex_deformable():
     # facet line), so the exact solution space has dimension two
     fx = builtin_fixture("dp6")
     g = DiskGraph(
-        [DiskVertex("c", Vec(F(1, 8), F(1, 4)), pair_of_pants(Vec(1, 1), Vec(-1, 0))),
+        [DiskVertex("c", Vec(F(1, 8), F(1, 4)), pair_of_pants((1, 1, 1), (-1, 0, 1))),
          DiskVertex("a", Vec(F(7, 16), F(9, 16)), boundary_collision(0)),
          DiskVertex("b", Vec(-1, F(1, 4)), boundary_collision(2)),
          DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
@@ -691,13 +691,18 @@ def test_determinism(name, case):
     assert r1.contributions() == r2.contributions()
 
 
+def _kind_vec(triple):
+    """A kind's homogeneous triple read back as the Vec it was built from."""
+    return None if triple is None else from_homogeneous(triple)
+
+
 def _reference_signature(g):
     """The former body of `DiskGraph.signature()`, field by field on Fractions."""
     verts = sorted(
         (v.kind.tag, tuple(v.position), v.kind.ell,
-         tuple(v.kind.d1) if v.kind.d1 else None,
-         tuple(v.kind.d2) if v.kind.d2 else None,
-         tuple(v.kind.e_black) if v.kind.e_black else None)
+         tuple(_kind_vec(v.kind.d1)) if _kind_vec(v.kind.d1) else None,
+         tuple(_kind_vec(v.kind.d2)) if _kind_vec(v.kind.d2) else None,
+         tuple(_kind_vec(v.kind.e_black)) if _kind_vec(v.kind.e_black) else None)
         for v in g.vertices
     )
     edges = sorted(
@@ -714,8 +719,9 @@ def test_signature_agrees_with_former_body(solved_graphs):
     # hand-made graph has a zero and a half-integral kind vector and an edge
     # written from its larger end
     odd = DiskGraph(
-        [DiskVertex("a", Vec(F(1, 3), 0), VertexKind(PANT, e_black=Vec(0, 0))),
-         DiskVertex("b", Vec(0, 1), VertexKind(THREE_STRIP, d1=Vec(F(1, 2), 1), d2=Vec(2, -1)))],
+        [DiskVertex("a", Vec(F(1, 3), 0), VertexKind(PANT, e_black=homogeneous(Vec(0, 0)))),
+         DiskVertex("b", Vec(0, 1), VertexKind(THREE_STRIP, d1=homogeneous(Vec(F(1, 2), 1)),
+                                               d2=homogeneous(Vec(2, -1))))],
         [DiskEdge(("a", "b"), Vec(F(-1, 3), 1), True)])
     for g in [odd] + [g for _, _, _, g in solved_graphs]:
         assert g.signature() == _reference_signature(g)
@@ -1158,7 +1164,8 @@ class _ReferenceTracer(_Tracer):
                 rest = self.trace(w, d2, crossings, splits - 1)
                 if not rest:
                     continue
-                pants = _VertexSpec(homogeneous(w), pair_of_pants(arrival, d2))
+                pants = _VertexSpec(homogeneous(w),
+                                    pair_of_pants(homogeneous(arrival), homogeneous(d2)))
                 legs = [_edge(p, w, dirval), _edge(w, ff.position, arrival)]
                 focus_vertices = self._focus_vertices(j, sub_ell)
                 for completion in rest:

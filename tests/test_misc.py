@@ -12,7 +12,7 @@ from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
 from tropdisk.enumerate import SearchBounds, enumerate_disks
 from tropdisk.fixtures import builtin_fixture
-from tropdisk.geometry import GeometryError, Vec
+from tropdisk.geometry import GeometryError, Vec, homogeneous
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph
 from tropdisk.multiplicity import UnclassifiableVertex, holomorphic_pant
 
@@ -107,9 +107,9 @@ def _pant_vertex(open_d):
     open_d, on a Lagrangian edge of slope (1, 2) inside the dp6 hexagon."""
     e_black = Vec(1, -3)
     graph = DiskGraph(
-        [DiskVertex("p", Vec(0, 0), holomorphic_pant(e_black, Vec(1, 2))),
-         DiskVertex("q", e_black, holomorphic_pant(e_black, Vec(1, 2))),
-         DiskVertex("r", open_d, holomorphic_pant(e_black, Vec(1, 2)))],
+        [DiskVertex("p", Vec(0, 0), holomorphic_pant(homogeneous(e_black), (1, 2, 1))),
+         DiskVertex("q", e_black, holomorphic_pant(homogeneous(e_black), (1, 2, 1))),
+         DiskVertex("r", open_d, holomorphic_pant(homogeneous(e_black), (1, 2, 1)))],
         [DiskEdge(("p", "q"), e_black), DiskEdge(("p", "r"), open_d, open=True)],
     )
     lag = segment_graph(Vec(F(-1, 4), F(-1, 2)), Vec(F(1, 4), F(1, 2)))
@@ -119,7 +119,7 @@ def _pant_vertex(open_d):
 def test_classify_pant_balancing_on_a_non_axis_slope():
     # 2 w + e + r(e) = 0 with r the reflection fixing (1, 2): w = (1, 2)
     graph, diagram, lag = _pant_vertex(Vec(1, 2))
-    assert classify_vertex(graph, "p", diagram, lag) == holomorphic_pant(Vec(1, -3), Vec(1, 2))
+    assert classify_vertex(graph, "p", diagram, lag) == holomorphic_pant((1, -3, 1), (1, 2, 1))
     for off in (Vec(1, 0), Vec(0, -1), Vec(-1, -2)):
         graph, diagram, lag = _pant_vertex(Vec(1, 2) + off)
         with pytest.raises(UnclassifiableVertex, match="fails pant balancing"):

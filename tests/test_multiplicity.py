@@ -4,7 +4,9 @@
 `reference_graph_weights` are the weights as they were written in
 Fractions: `det2` on Vecs and a running Fraction product.  The integer
 weights must give the same values, or raise the same exception class with
-the same message.
+the same message.  `reference_pant_strip_direction` is the pant balancing
+as it was written in Fractions, on Vecs.  Kinds carry their vectors as
+homogeneous triples, so the references read them back as Vecs.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from test_geometry import apply_matrix
 from tropdisk.diskgraph import DiskEdge, DiskGraph, DiskVertex
 from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
-from tropdisk.geometry import GeometryError, Vec, det2, primitive
+from tropdisk.geometry import GeometryError, Vec, det2, from_homogeneous, homogeneous, primitive
 from tropdisk.multiplicity import (
     BOUNDARY_COLLISION,
     CORNER_CAP,
@@ -59,8 +61,19 @@ from tropdisk.multiplicity import (
 
 
 def reference_pant_determinant(kind: VertexKind) -> int:
-    lam = primitive(kind.lag_dir)
-    return abs(int(det2(kind.e_black, lam)))
+    lam = primitive(from_homogeneous(kind.lag_dir))
+    return abs(int(det2(from_homogeneous(kind.e_black), lam)))
+
+
+def reference_pant_strip_direction(e_black: Vec, lag_dir: Vec) -> Vec:
+    """-<e_black, lag_dir>/<lag_dir, lag_dir> lag_dir with one Fraction
+    coefficient, lag_dir read as an integer pair."""
+    ex, ey, ew = homogeneous(e_black)
+    lx, ly, _ = homogeneous(lag_dir)
+    if not (lx or ly):
+        raise GeometryError("the Lagrangian direction of a pant strip must be nonzero")
+    coeff = F(-(ex * lx + ey * ly), ew * (lx * lx + ly * ly))
+    return Vec(coeff * lx, coeff * ly)
 
 
 def reference_multiplicity(kind: VertexKind, convention=DEFAULT_CONVENTION) -> F:
@@ -68,7 +81,7 @@ def reference_multiplicity(kind: VertexKind, convention=DEFAULT_CONVENTION) -> F
     if tag == CYLINDER:
         return F(1)
     if tag == PAIR_OF_PANTS:
-        value = abs(det2(kind.d1, kind.d2))
+        value = abs(det2(from_homogeneous(kind.d1), from_homogeneous(kind.d2)))
         if value == 0:
             raise GeometryError("degenerate pair of pants (parallel directions)")
         return F(value)
@@ -122,8 +135,8 @@ def weights_agree(kind, convention=DEFAULT_CONVENTION):
 
 def test_nine_branch_values():
     assert multiplicity(cylinder()) == 1
-    assert multiplicity(pair_of_pants(Vec(1, 0), Vec(0, 1))) == 1
-    assert multiplicity(pair_of_pants(Vec(1, 1), Vec(-2, 1))) == 3
+    assert multiplicity(pair_of_pants((1, 0, 1), (0, 1, 1))) == 1
+    assert multiplicity(pair_of_pants((1, 1, 1), (-2, 1, 1))) == 3
     assert multiplicity(boundary_collision(0)) == 1
     assert multiplicity(focus_cover(1)) == 1
     assert multiplicity(focus_cover(2)) == F(-1, 4)
@@ -136,10 +149,10 @@ def test_nine_branch_values():
 
 
 def test_pant_values_by_determinant():
-    diag = Vec(1, 1)
-    d1 = holomorphic_pant(Vec(1, 0), diag)
-    d2 = holomorphic_pant(Vec(1, -1), diag)
-    d3 = holomorphic_pant(Vec(2, -1), diag)
+    diag = (1, 1, 1)
+    d1 = holomorphic_pant((1, 0, 1), diag)
+    d2 = holomorphic_pant((1, -1, 1), diag)
+    d3 = holomorphic_pant((2, -1, 1), diag)
     assert (pant_determinant(d1), multiplicity(d1)) == (1, F(-1, 2))
     assert (pant_determinant(d2), multiplicity(d2)) == (2, F(-1))
     assert (pant_determinant(d3), multiplicity(d3)) == (3, F(3, 2))
@@ -147,10 +160,10 @@ def test_pant_values_by_determinant():
 
 def test_pant_strip_direction_balancing():
     # 2 w + e_black + r(e_black) = 0, w parallel to the edge
-    w = pant_strip_direction(Vec(0, -1), Vec(1, 1))
-    assert w == Vec(F(1, 2), F(1, 2))
-    w2 = pant_strip_direction(Vec(1, 1), Vec(0, 1))
-    assert w2 == Vec(0, -1)
+    w = pant_strip_direction((0, -1, 1), (1, 1, 1))
+    assert w == homogeneous(Vec(F(1, 2), F(1, 2)))
+    w2 = pant_strip_direction((1, 1, 1), (0, 1, 1))
+    assert w2 == homogeneous(Vec(0, -1))
 
 
 def reference_reflect(v, axis):
@@ -173,12 +186,69 @@ def test_pant_strip_direction_is_the_reflect_form(name):
     for lam in directions:
         for e in itertools.product(range(-4, 5), repeat=2):
             e_black = Vec(*e)
-            assert pant_strip_direction(e_black, lam) == -(e_black + reference_reflect(e_black, lam)) / 2
+            assert pant_strip_direction(homogeneous(e_black), homogeneous(lam)) \
+                == homogeneous(-(e_black + reference_reflect(e_black, lam)) / 2)
+
+
+def _triples(draw_pair, denominators):
+    """A strategy for the canonical triple of (X/W, Y/W), with (X, Y) from
+    `draw_pair` and W from `denominators`."""
+    return st.tuples(draw_pair, st.sampled_from(denominators)).map(
+        lambda t: homogeneous(Vec(F(t[0][0], t[1]), F(t[0][1], t[1]))))
+
+
+_small = st.integers(-6, 6)
+_nonzero = st.integers(-6, 6).filter(bool)
+
+
+@given(e=_triples(st.tuples(_small, _small), (1, 2)),
+       lam=st.one_of(st.tuples(_small, _small).filter(any),   # primitive or not
+                     st.tuples(_nonzero, st.just(0)),           # along an axis
+                     st.tuples(st.just(0), _nonzero)))
+@settings(max_examples=500)
+def test_pant_strip_direction_is_the_fraction_form(e, lam):
+    # the one integer strip is the reduced triple of the former Fraction body,
+    # for e with W = 1 and W = 2 and any nonzero integer lam
+    lam = (*lam, 1)
+    expected = homogeneous(reference_pant_strip_direction(from_homogeneous(e), Vec(*lam[:2])))
+    assert pant_strip_direction(e, lam) == expected
+    message = "the Lagrangian direction of a pant strip must be nonzero"
+    with pytest.raises(GeometryError, match=message):
+        pant_strip_direction(e, (0, 0, 1))
+    with pytest.raises(GeometryError, match=message):
+        reference_pant_strip_direction(from_homogeneous(e), Vec(0, 0))
+
+
+@given(st.lists(_triples(st.tuples(_small, _small), (1, 2, 3)), min_size=2, max_size=2))
+def test_pair_of_pants_orders_its_legs_by_value(legs):
+    # the leg with the smaller (x, y) comes first, whichever way round the
+    # legs are given, with mixed denominators compared exactly
+    values = sorted((tuple(from_homogeneous(d)), d) for d in legs)
+    for d1, d2 in (legs, legs[::-1]):
+        kind = pair_of_pants(d1, d2)
+        assert (kind.d1, kind.d2) == (values[0][1], values[1][1])
+
+
+def test_kind_labels():
+    # the labels `--json` and the text report print for each vertex
+    assert holomorphic_pant((1, 0, 1), (1, 1, 1)).label() == "holomorphic_pant(D=1)"
+    assert holomorphic_pant((1, -1, 1), (1, 1, 1)).label() == "holomorphic_pant(D=2)"
+    assert holomorphic_pant((2, -1, 1), (-3, -3, 1)).label() == "holomorphic_pant(D=3)"
+    assert holomorphic_pant((3, -2, 2), (1, 1, 1)).label() == "holomorphic_pant(D=2)"
+    assert pair_of_pants((1, 0, 1), (0, 1, 1)).label() == "pair_of_pants(det=1)"
+    assert pair_of_pants((1, 1, 1), (-2, 1, 1)).label() == "pair_of_pants(det=3)"
+    assert pair_of_pants((-2, 1, 1), (1, 1, 1)).label() == "pair_of_pants(det=3)"
+    # half-integral legs: the determinant prints as a fraction
+    assert pair_of_pants((1, 2, 2), (2, -1, 2)).label() == "pair_of_pants(det=5/4)"
+    assert pair_of_pants((1, 0, 2), (0, 3, 1)).label() == "pair_of_pants(det=3/2)"
+    assert focus_cover(2).label() == "focus_cover(l=2)"
+    assert perp_collision(1).label() == "perp_collision(l=1)"
+    assert cylinder().label() == "cylinder"
 
 
 def test_pant_sign_override():
     convention = DEFAULT_CONVENTION.merged([[3, -1]])
-    kind = holomorphic_pant(Vec(2, -1), Vec(1, 1))
+    kind = holomorphic_pant((2, -1, 1), (1, 1, 1))
     assert multiplicity(kind, convention) == F(-3, 2)
     assert multiplicity(kind) == F(3, 2)
 
@@ -199,7 +269,7 @@ def test_weighted_focus_cover():
 
 
 def test_multiplicity_determinism():
-    kind = holomorphic_pant(Vec(1, 0), Vec(1, 1))
+    kind = holomorphic_pant((1, 0, 1), (1, 1, 1))
     assert multiplicity(kind) == multiplicity(kind)
 
 
@@ -207,7 +277,7 @@ def test_degenerate_pair_of_pants_rejected():
     from tropdisk.geometry import GeometryError
 
     with pytest.raises(GeometryError):
-        multiplicity(pair_of_pants(Vec(1, 0), Vec(2, 0)))
+        multiplicity(pair_of_pants((1, 0, 1), (2, 0, 1)))
 
 
 def test_maslov_contributions():
@@ -216,8 +286,8 @@ def test_maslov_contributions():
                  focus_cover(2), focus_cover_pair(2)):
         assert index_diagnostic(kind) == 2
     assert index_diagnostic(three_ended_strip()) == -2
-    assert index_diagnostic(pair_of_pants(Vec(1, 0), Vec(0, 1))) == -2
-    for kind in (cylinder(), perp_collision(1), holomorphic_pant(Vec(1, 0), Vec(1, 1)),
+    assert index_diagnostic(pair_of_pants((1, 0, 1), (0, 1, 1))) == -2
+    for kind in (cylinder(), perp_collision(1), holomorphic_pant((1, 0, 1), (1, 1, 1)),
                  pant_seam(), two_ended_strip(), VertexKind(FIBER_ROOT)):
         assert index_diagnostic(kind) == 0
     with pytest.raises(HigherValenceVertex):
@@ -246,8 +316,8 @@ def test_pair_of_pants_unimodular_invariance(ax, ay, bx, by, m):
 
     if det2(a, b) == 0:
         return
-    assert multiplicity(pair_of_pants(a, b)) == multiplicity(
-        pair_of_pants(apply_matrix(m, a), apply_matrix(m, b))
+    assert multiplicity(pair_of_pants(homogeneous(a), homogeneous(b))) == multiplicity(
+        pair_of_pants(homogeneous(apply_matrix(m, a)), homogeneous(apply_matrix(m, b)))
     )
 
 
@@ -281,7 +351,7 @@ def test_aut_order_doubled_edge():
 
 def test_aut_order_symmetric_star():
     g = _graph(
-        [(Vec(0, 0), pair_of_pants(Vec(1, 0), Vec(0, 1))),
+        [(Vec(0, 0), pair_of_pants((1, 0, 1), (0, 1, 1))),
          (Vec(1, 0), focus_cover(1)), (Vec(1, 0), focus_cover(1)),
          (Vec(1, 0), focus_cover(1))],
         [(0, 1, Vec(1, 0), False), (0, 2, Vec(1, 0), False),
@@ -399,30 +469,30 @@ def test_pair_of_pants_agrees_with_fraction_reference():
     legs = [Vec(x, y) for x in values for y in values]
     for d1 in legs:
         for d2 in legs:
-            weights_agree(pair_of_pants(d1, d2))
+            weights_agree(pair_of_pants(homogeneous(d1), homogeneous(d2)))
 
 
 def test_pant_edge_cases_agree_with_fraction_reference():
     diag = Vec(1, 1)
     # a zero Lagrangian direction has no primitive direction
     for e_black in (Vec(1, 0), Vec(F(1, 2), 3)):
-        kind = holomorphic_pant(e_black, Vec(0, 0))
+        kind = holomorphic_pant(homogeneous(e_black), homogeneous(Vec(0, 0)))
         expected = (GeometryError, "zero vector has no primitive direction")
         assert _outcome(pant_determinant, kind) == expected
         assert weights_agree(kind) == expected
     # a non-integral e_black: the determinant is truncated towards zero
     for e_black, d in ((Vec(F(3, 2), -1), 2), (Vec(F(-3, 2), 1), 2),
                        (Vec(F(1, 3), F(5, 3)), 1), (Vec(F(7, 4), 0), 1)):
-        kind = holomorphic_pant(e_black, diag)
+        kind = holomorphic_pant(homogeneous(e_black), homogeneous(diag))
         assert pant_determinant(kind) == d
         assert weights_agree(kind) == F(DEFAULT_CONVENTION.pant_sign(d) * d, 2)
     # D = 0: along the edge, or truncated to 0
     for e_black in (Vec(2, 2), Vec(-1, -1), Vec(F(1, 2), 0), Vec(F(-1, 3), F(1, 3))):
-        kind = holomorphic_pant(e_black, diag)
+        kind = holomorphic_pant(homogeneous(e_black), homogeneous(diag))
         assert pant_determinant(kind) == 0
         assert weights_agree(kind) == (GeometryError,
                                        "pant with closed edge along the Lagrangian")
     # a non-primitive, rational Lagrangian direction reads as its primitive one
     for lam in (Vec(3, 3), Vec(F(1, 2), F(1, 2)), Vec(F(-2, 3), F(-2, 3))):
         for e in itertools.product(range(-3, 4), repeat=2):
-            weights_agree(holomorphic_pant(Vec(*e), lam))
+            weights_agree(holomorphic_pant(homogeneous(Vec(*e)), homogeneous(lam)))

@@ -189,11 +189,14 @@ def test_compare_outputs_reports_each_differing_command():
     points = [f"potential --fixture dp6 --case {case} --json --constraint point:{xy}"
               for case in ("segment", "fiber")
               for xy in ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")]
+    # both cases under the flipped pant signs
+    conventions = [f"potential --fixture dp6 --case {case} --json --convention "
+                   f"{compare['CONVENTION']}" for case in ("segment", "fiber")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *edges, *points]
+        *malformed, *grid, *edges, *points, *conventions]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -207,6 +210,22 @@ def test_compare_outputs_reports_each_differing_command():
     assert "-P1xP1 eigenvalue 0" in report and "+P1xP1 eigenvalue 4" in report
     assert " P2  none" in report
     assert differences["table --json"] == "runs on the change only"
+
+
+def test_compare_outputs_convention_flips_the_pant_signs(tmp_path, monkeypatch, capsys):
+    # the convention commands read a table that turns dp7 leg's two pants
+    # of D = 1 from -1/2 to 1/2
+    compare = load_script("compare_outputs.py")
+    (tmp_path / compare["CONVENTION"]).write_text(json.dumps(compare["CONVENTION_TABLE"]))
+    monkeypatch.chdir(tmp_path)
+    (argv,) = [argv for argv in compare["commands"]([("dp7", "leg")], [], builtin_fixture)
+               if "--convention" in argv]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    pants = [v for g in report["graphs"] for v in g["vertices"]
+             if v["kind"].startswith("holomorphic_pant")]
+    assert [(v["kind"], v["multiplicity"]) for v in pants] == [
+        ("holomorphic_pant(D=1)", [1, 2])] * 2
 
 
 def test_compare_outputs_malformed_files_exit_1_with_their_codes(tmp_path, monkeypatch, capsys):
