@@ -1,7 +1,7 @@
 """Exact tropical enumeration of Maslov-two disks on tropical Lagrangians."""
 
 from .geometry import Vec, det2, primitive, primitive_and_length, shear_apply
-from .diagram import BaseDiagram, Facet, FocusFocus
+from .diagram import BaseDiagram, FocusFocus
 from .lagrangian import LagGraph, LagEdge, LagVertex, segment_graph, star_graph
 from .multiplicity import (
     DEFAULT_CONVENTION,

@@ -71,10 +71,10 @@ def _parallel(leg: Triple, d) -> bool:
 def _trivalent_legs(lag: Optional[LagGraph], point) -> Optional[List[Tuple[int, int]]]:
     """The primitive legs of the Lagrangian vertex at the point, as integer
     pairs, when it is trivalent; else None."""
-    v = None if lag is None else lag._vertex_at(point)
+    v = None if lag is None else lag.vertex_at(point)
     if v is None or lag.valence(v.id) != 3:
         return None
-    return [d.as_int_pair() for d in lag.leg_directions(v.id)]
+    return lag.leg_directions(v.id)
 
 
 def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Triple, d2: Triple) -> bool:
@@ -116,7 +116,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
 
     if valence == 1:
         ((edge, leg),) = legs
-        foci = diagram._homogeneous_points()[0]
+        foci = diagram.homogeneous_points()[0]
         if point in foci:
             # homogeneous triples are canonical, so equal points have equal triples
             j = foci.index(point)
@@ -126,14 +126,14 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
             return focus_cover(ell, j, diagram.focus_foci[j].weight())
         if not edge.open:
             # on the boundary of a convex polygon: at a corner or on a facet
-            facets = diagram._facets_through(point)
+            facets = diagram.facets_through(point)
             if facets:
                 normals = diagram.normals()
                 for i in facets:
                     if leg == (*normals[i], 1):
                         return boundary_collision(i)
                 raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
-            k = None if lag is None else lag._edge_through(point)
+            k = None if lag is None else lag.edge_through(point)
             if k is not None:
                 _, _, lx, ly = lag.edge_rows()[0][k]
                 if leg[0] * lx + leg[1] * ly == 0:
@@ -153,10 +153,10 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
                 return cylinder()
             raise HigherValenceVertex("bivalent vertex with two closed edges")
         if e1.open != e2.open:
-            k = None if lag is None else lag._edge_through(point)
+            k = None if lag is None else lag.edge_through(point)
             if k is not None:
                 open_d, black_d = (d1, d2) if e1.open else (d2, d1)
-                lam_dir = (*lag.edge_direction(lag.edges[k]).as_int_pair(), 1)
+                lam_dir = (*lag.edge_direction(lag.edges[k]), 1)
                 if pant_strip_direction(black_d, lam_dir) == open_d:
                     return holomorphic_pant(black_d, lam_dir)
                 raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")

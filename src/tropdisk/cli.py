@@ -26,7 +26,7 @@ from .enumerate import (
     enumerate_disks,
 )
 from .fixtures import FIXTURE_NAMES, builtin_fixture
-from .geometry import GeometryError, Vec, frac
+from .geometry import GeometryError, Vec, frac, homogeneous
 from .lagrangian import LagGraph
 from .multiplicity import DEFAULT_CONVENTION, SignConvention
 
@@ -177,10 +177,11 @@ def cmd_potential(args) -> int:
         return EXIT_INVALID
     point = constraint.point
     if constraint.kind == CONSTRAINT_INTERIOR:
-        if not diagram.contains(point, strict=True):
+        triple = homogeneous(point)
+        if not diagram.contains(triple, strict=True):
             raise GeometryError(
                 f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
-        if diagram.classify_point(point).kind == AT_FOCUS_FOCUS:
+        if diagram.classify_point(triple).kind == AT_FOCUS_FOCUS:
             raise GeometryError(
                 f"constraint point:{point.x},{point.y} is a focus-focus value: its fiber "
                 "is nodal, not a Lagrangian torus")

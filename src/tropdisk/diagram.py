@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .geometry import (
@@ -21,20 +20,11 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
+    json_fraction,
     point_on_row,
     primitive,
     ray_point,
 )
-
-
-@dataclass(frozen=True)
-class Facet:
-    endpoints: Tuple[Vec, Vec]
-    inward_normal: Vec
-
-    def line_value(self) -> Fraction:
-        """c with the facet on <normal, x> = c and the interior on > c."""
-        return self.inward_normal.dot(self.endpoints[0])
 
 
 @dataclass(frozen=True)
@@ -49,8 +39,6 @@ class FocusFocus:
 
     def weight(self) -> int:
         """Stack size: a non-primitive shear covector models coincident nodes."""
-        import math
-
         return math.gcd(abs(int(self.sigma.x)), abs(int(self.sigma.y)))
 
 
@@ -86,7 +74,6 @@ class BaseDiagram:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._facets: Optional[List[Facet]] = None
         self._facet_rows = None
         self._normals: Optional[List[Tuple[int, int]]] = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
@@ -95,17 +82,10 @@ class BaseDiagram:
 
     # -- derived geometry ---------------------------------------------------
 
-    def facets(self) -> List[Facet]:
-        if self._facets is None:
-            n = len(self.polygon)
-            self._facets = [Facet((self.polygon[i], self.polygon[(i + 1) % n]), Vec(*normal))
-                            for i, normal in enumerate(self.normals())]
-        return self._facets
-
     def facet_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
         """The facets as `integer_rows`, over the polygon's own scale: row i
-        runs from corner i to corner i + 1.  Unlike `facets()`, it needs no
-        normal, so it exists for a polygon that repeats a corner."""
+        runs from corner i to corner i + 1.  Unlike `normals()`, it exists for
+        a polygon that repeats a corner."""
         if self._facet_rows is None:
             n = len(self.polygon)
             self._facet_rows = integer_rows(
@@ -184,15 +164,13 @@ class BaseDiagram:
     def _cut_exit(self, j: int):
         """Where the branch cut of focus j first meets the boundary, as a
         homogeneous triple, or None."""
-        origin = self._homogeneous_points()[0][j]
+        origin = self.homogeneous_points()[0][j]
         d = primitive(self.focus_foci[j].cut_direction()).as_int_pair()
         hit = self.boundary_hit(origin, d)
         return None if hit is None else ray_point(origin, d, hit[0], hit[1])
 
-    def contains(self, p: Vec, strict: bool = False) -> bool:
-        return self._contains(homogeneous(p), strict)
-
-    def _contains(self, point, strict: bool = False) -> bool:
+    def contains(self, point, strict: bool = False) -> bool:
+        """Whether the homogeneous point lies in the polygon, in its interior if strict."""
         X, Y, W = point
         rows, scale = self.facet_rows()
         for (ax, ay, _, _), (nx, ny) in zip(rows, self.normals()):
@@ -202,15 +180,12 @@ class BaseDiagram:
                 return False
         return True
 
-    def cut_through(self, p: Vec) -> Optional[int]:
-        """Index of the first branch cut containing p, or None."""
-        return self._cut_through(homogeneous(p))
-
-    def _cut_through(self, point) -> Optional[int]:
+    def cut_through(self, point) -> Optional[int]:
+        """Index of the first branch cut containing the homogeneous point, or None."""
         rows, scale = self.cut_rows()
         return next((j for j, row in enumerate(rows) if point_on_row(point, row, scale)), None)
 
-    def _homogeneous_points(self):
+    def homogeneous_points(self):
         """The foci and the polygon's vertices as homogeneous triples."""
         if self._points is None:
             self._points = ([homogeneous(ff.position) for ff in self.focus_foci],
@@ -244,7 +219,7 @@ class BaseDiagram:
             if ex * fy - ey * fx <= 0:
                 violations.append(f"polygon_not_convex_at:{i}")
         # homogeneous triples are canonical, so equal points have equal triples
-        foci, corners = self._homogeneous_points()
+        foci, corners = self.homogeneous_points()
         # a repeated corner leaves a facet without a normal: skip the focus
         # checks that read the facets
         repeats = [i for i in range(n) if corners[i] in corners[:i]]
@@ -274,7 +249,7 @@ class BaseDiagram:
                 traced = False
             if repeats:
                 traced = False
-            elif not self._contains(foci[j], strict=True):
+            elif not self.contains(foci[j], strict=True):
                 found.append(f"focus_not_interior:{j}")
                 traced = False
             if foci[j] in foci[:j]:
@@ -294,22 +269,19 @@ class BaseDiagram:
             self._cuts, self._cut_rows = cuts, cut_rows
         return violations + [code for found in codes for code in found]
 
-    def classify_point(self, p: Vec) -> PointClass:
-        return self._classify_point(homogeneous(p))
-
-    def _classify_point(self, point) -> PointClass:
+    def classify_point(self, point) -> PointClass:
         # homogeneous triples are canonical, so equal points have equal triples
-        foci, corners = self._homogeneous_points()
+        foci, corners = self.homogeneous_points()
         if point in foci:
             return PointClass(AT_FOCUS_FOCUS, foci.index(point))
         if point in corners:
             return PointClass(ON_POLYGON_VERTEX, corners.index(point))
-        if not self._contains(point):
+        if not self.contains(point):
             return PointClass(OUTSIDE)
-        facets = self._facets_through(point)
+        facets = self.facets_through(point)
         if facets:
             return PointClass(ON_FACET, facets[0])
-        j = self._cut_through(point)
+        j = self.cut_through(point)
         if j is not None:
             return PointClass(ON_BRANCH_CUT, j)
         return PointClass(INTERIOR)
@@ -338,11 +310,8 @@ class BaseDiagram:
         k = side * (sx * d[0] + sy * d[1])
         return d[0] + k * px, d[1] + k * py
 
-    def facets_through(self, p: Vec) -> List[int]:
-        """Indices of the facets containing p, in order."""
-        return self._facets_through(homogeneous(p))
-
-    def _facets_through(self, point) -> List[int]:
+    def facets_through(self, point) -> List[int]:
+        """Indices of the facets containing the homogeneous point, in order."""
         rows, scale = self.facet_rows()
         return [i for i, row in enumerate(rows) if point_on_row(point, row, scale)]
 
@@ -377,8 +346,8 @@ class BaseDiagram:
             foci.append(
                 FocusFocus(
                     position=_vec_from_pairs(ff["position"]),
-                    pi=Vec(*ff["shear_direction"]),
-                    sigma=Vec(*ff["shear_covector"]),
+                    pi=Vec(*map(json_fraction, ff["shear_direction"])),
+                    sigma=Vec(*map(json_fraction, ff["shear_covector"])),
                     cut_sign=cut_sign,
                 )
             )
@@ -407,6 +376,7 @@ class BaseDiagram:
 def _vec_from_pairs(entry) -> Vec:
     # polygon entries are [num, den, num, den] or [[num, den], [num, den]]
     if len(entry) == 4:
-        return Vec(Fraction(entry[0], entry[1]), Fraction(entry[2], entry[3]))
-    (xn, xd), (yn, yd) = entry
-    return Vec(Fraction(xn, xd), Fraction(yn, yd))
+        xn, xd, yn, yd = entry
+    else:
+        (xn, xd), (yn, yd) = entry
+    return Vec(json_fraction(xn, xd), json_fraction(yn, yd))

@@ -111,23 +111,25 @@ class DiskGraph:
         return _signature_key(
             [(pos[v.id], v.kind) for v in self.vertices],
             [(pos[e.endpoints[0]], pos[e.endpoints[1]], tuple(e.direction), e.open)
-             for e in self.edges])
+             for e in self.edges],
+            _kind_vector)
 
 
-def _signature_key(vertices, edges):
+def _signature_key(vertices, edges, vector):
     """The fields of `DiskGraph.signature()`, sorted: each vertex as (tag,
     position, ell, d1, d2, e_black), each edge as its two end positions in
     order, then its direction and open flag.
 
     `vertices` are (position, kind) and `edges` (start, end, direction, open),
-    with positions and directions already written as comparable pairs; a
-    kind's triples become Fraction pairs, None for a missing or zero one.
-    The enumeration's dedup passes positions and directions as integers
-    over one common denominator, which keeps the order and equality of the
-    Fractions, so both keys group and sort graphs alike.
+    with positions and directions already written as comparable pairs;
+    `vector` writes a kind's triple the same way, and None for a missing or
+    zero one.  The signature writes them all as Fraction pairs.  The
+    enumeration's dedup writes them as integers over one common denominator,
+    which keeps the order and equality of the Fractions, so both keys group
+    and sort graphs alike.
     """
     verts = [(kind.tag, position, kind.ell,
-              _kind_vector(kind.d1), _kind_vector(kind.d2), _kind_vector(kind.e_black))
+              vector(kind.d1), vector(kind.d2), vector(kind.e_black))
              for position, kind in vertices]
     verts.sort()
     rows = [(a, b, d, o) if a <= b else (b, a, d, o) for a, b, d, o in edges]

@@ -213,7 +213,7 @@ class _Tracer:
         self.lag = lag
         self.bounds = bounds
         self.cut_rows, self.cut_scale = diagram.cut_rows()
-        self.foci, corners = diagram._homogeneous_points()
+        self.foci, corners = diagram.homogeneous_points()
         self.shear_table = [pi for pi, _ in diagram.shears()]
         self.lag_rows, self.lag_scale = ([], 1) if lag is None else lag.edge_rows()
         # facet i (corner i to corner i + 1) -> its flagged corners that the
@@ -225,7 +225,7 @@ class _Tracer:
         self.cap_table: Dict[int, List[Tuple]] = {}
         for i in range(len(corners)):
             for c in (corners[i], corners[(i + 1) % len(corners)]):
-                if c in flagged and (lag is None or lag._vertex_at(c) is None):
+                if c in flagged and (lag is None or lag.vertex_at(c) is None):
                     offset = None if limit is None else _offset(limit, c)
                     self.cap_table.setdefault(i, []).append((c, offset))
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
@@ -668,21 +668,21 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
 
     facet_rows, facet_scale = diagram.facet_rows()
     normals = diagram.normals()
-    foci, _ = diagram._homogeneous_points()
+    foci, _ = diagram.homogeneous_points()
     for i, (v, point) in enumerate(zip(graph.vertices, points)):
         tag = v.kind.tag
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
             add_pin(i, foci[v.kind.index] if v.kind.index is not None else point)
         elif tag == BOUNDARY_COLLISION:
-            for fi in diagram._facets_through(point):
+            for fi in diagram.facets_through(point):
                 add_facet(i, fi)
         elif tag == CYLINDER:
-            j = diagram._cut_through(point)
+            j = diagram.cut_through(point)
             if j is not None:
                 cut_rows, cut_scale = diagram.cut_rows()
                 add_line(i, cut_rows[j], cut_scale)
             else:
-                facets = diagram._facets_through(point)
+                facets = diagram.facets_through(point)
                 if facets:
                     add_facet(i, facets[0])
         elif tag in (PERP_COLLISION, PANT):
@@ -800,16 +800,23 @@ def _unique_graphs(candidates: _Candidates) -> List[DiskGraph]:
     every edge direction times the least common denominator of all the
     call's triples.  Scaling by one positive integer keeps the order and the
     equality of the Fractions, so the keys sort, and group, exactly as the
-    signatures do.  Only the kinds' vectors stay Fractions, and they are
-    compared only where two vertices tie on tag, position and ell.
+    signatures do.  The kinds' vectors are scaled by the same denominator:
+    every kind the tracer builds holds integer triples (W = 1).
     """
     den = math.lcm(*(W for _, _, W in candidates.vecs))
     scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in candidates.vecs}
+
+    def vector(t):
+        if t is None or not (t[0] or t[1]):
+            return None
+        return t[0] * (den // t[2]), t[1] * (den // t[2])
+
     keyed = []
     for (vertex_specs, edge_specs), graph in zip(candidates.specs, candidates.graphs):
         key = _signature_key(
             [(scaled[s.position], s.kind) for s in vertex_specs],
-            [(scaled[e.start], scaled[e.end], scaled[e.direction], e.open) for e in edge_specs])
+            [(scaled[e.start], scaled[e.end], scaled[e.direction], e.open) for e in edge_specs],
+            vector)
         keyed.append((key, graph))
     keyed.sort(key=itemgetter(0))
     return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
@@ -828,7 +835,7 @@ def _fiber_graphs(tracer, candidates, bounds) -> None:
 def _perp_graphs(tracer, lag, candidates, bounds) -> None:
     constraint = candidates.constraint
     edge = lag.edges[constraint.edge_index]
-    lx, ly = lag.edge_direction(edge).as_int_pair()
+    lx, ly = lag.edge_direction(edge)
     origin = homogeneous(constraint.point)
     for ell in range(1, bounds.max_lattice_length + 1):
         # collision models require the crossing line on both sides
@@ -853,7 +860,7 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
     a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
     if not (a_seam or b_seam):
         return
-    lx, ly = lag.edge_direction(edge).as_int_pair()
+    lx, ly = lag.edge_direction(edge)
     lam = (lx, ly, 1)
     origin = homogeneous(constraint.point)
     for ex, ey in _direction_pairs(bounds.max_lattice_length):

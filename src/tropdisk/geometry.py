@@ -43,6 +43,15 @@ def frac(value) -> Fraction:
     raise GeometryError(f"cannot interpret {value!r} as an exact rational")
 
 
+def json_fraction(num, den=1) -> Fraction:
+    """num/den from JSON numbers that must both be exact integers: a bool, a
+    float or a string raises ValueError, as the file formats require."""
+    for value in (num, den):
+        if type(value) is not int:
+            raise ValueError(f"{value!r} is not an integer")
+    return Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class Vec:
     """Exact rational 2-vector; used for positions and directions alike."""

@@ -7,6 +7,7 @@ ids; directions are always derived from the endpoint positions, never stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -24,8 +25,8 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
+    json_fraction,
     point_on_row,
-    primitive,
     ray_point,
     ray_segment_hit,
 )
@@ -64,7 +65,6 @@ class LagGraph:
                 if vid not in self._by_id:
                     raise GeometryError(f"edge endpoint {vid!r} not a vertex")
         self._edge_rows = None
-        self._directions: Optional[Dict[LagEdge, Tuple[Vec, Vec]]] = None
         self._by_point: Optional[Dict[Tuple[int, int, int], LagVertex]] = None
 
     # -- basic combinatorics --------------------------------------------------
@@ -90,16 +90,14 @@ class LagGraph:
             ])
         return self._edge_rows
 
-    def edge_through(self, p: Vec) -> Optional[int]:
-        """Index of the first edge whose open segment contains p, or None."""
-        return self._edge_through(homogeneous(p))
-
-    def _edge_through(self, point) -> Optional[int]:
+    def edge_through(self, point) -> Optional[int]:
+        """Index of the first edge whose open segment contains the
+        homogeneous point, or None."""
         rows, scale = self.edge_rows()
         return next((i for i, row in enumerate(rows)
                      if point_on_row(point, row, scale, closed=False)), None)
 
-    def _vertex_at(self, point) -> Optional[LagVertex]:
+    def vertex_at(self, point) -> Optional[LagVertex]:
         """The first vertex at the homogeneous point, or None."""
         if self._by_point is None:
             self._by_point = {}
@@ -107,37 +105,24 @@ class LagGraph:
                 self._by_point.setdefault(homogeneous(v.position), v)
         return self._by_point.get(point)
 
-    def edge_vector(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
-        a, b = edge.endpoints
-        if from_id is not None and from_id == b:
-            a, b = b, a
-        return self.position(b) - self.position(a)
+    def edge_direction(self, edge: LagEdge, from_id: Optional[str] = None) -> Tuple[int, int]:
+        """Primitive integer direction of an edge, oriented away from from_id:
+        its `edge_rows()` row divided by the row's gcd."""
+        _, _, ex, ey = self.edge_rows()[0][self.edges.index(edge)]
+        g = math.gcd(ex, ey)
+        if not g:
+            raise GeometryError("zero vector has no primitive direction")
+        if from_id == edge.endpoints[1]:
+            g = -g
+        return ex // g, ey // g
 
-    def edge_direction(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
-        """Primitive integer direction of an edge, oriented away from from_id."""
-        if self._directions is None:
-            # both orientations of every edge of nonzero length
-            self._directions = {}
-            for e in self.edges:
-                v = self.edge_vector(e)
-                if v:
-                    d = primitive(v)
-                    self._directions[e] = (d, -d)
-        directions = self._directions.get(edge)
-        if directions is None:
-            # not cached: an edge of zero length, for which primitive raises
-            return primitive(self.edge_vector(edge, from_id))
-        return directions[from_id == edge.endpoints[1]]
-
-    def edge_integral_vector(self, edge: LagEdge, from_id: Optional[str] = None) -> Vec:
-        """The tropical direction: weight times the primitive direction."""
-        return self.edge_direction(edge, from_id) * edge.weight
-
-    def leg_directions(self, vid: str) -> List[Vec]:
+    def leg_directions(self, vid: str) -> List[Tuple[int, int]]:
         return [self.edge_direction(e, from_id=vid) for e in self.adjacent_edges(vid)]
 
-    def leg_integral_vectors(self, vid: str) -> List[Vec]:
-        return [self.edge_integral_vector(e, from_id=vid) for e in self.adjacent_edges(vid)]
+    def leg_integral_vectors(self, vid: str) -> List[Tuple[int, int]]:
+        """Each leg's tropical direction: weight times the primitive direction."""
+        return [(e.weight * dx, e.weight * dy)
+                for e, (dx, dy) in zip(self.adjacent_edges(vid), self.leg_directions(vid))]
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -159,16 +144,14 @@ class LagGraph:
         legs = self.leg_integral_vectors(vid)
         if len(legs) < 2:
             raise GeometryError("balancing is not defined at univalent vertices")
-        total = Vec(0, 0)
-        for d in legs:
-            total = total + d
-        return not total
+        return sum(x for x, _ in legs) == 0 and sum(y for _, y in legs) == 0
 
     def mikhalkin_det(self, vid: str) -> int:
         legs = self.leg_integral_vectors(vid)
         if len(legs) != 3:
             raise GeometryError("Mikhalkin determinant needs a trivalent vertex")
-        return abs(int(det2(legs[0], legs[1])))
+        (x1, y1), (x2, y2), _ = legs
+        return abs(x1 * y2 - y1 * x2)
 
     def genus(self) -> int:
         if not self.is_connected():
@@ -176,17 +159,15 @@ class LagGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def self_intersection(self) -> Fraction:
-        total = Fraction(0)
-        for v in self.vertices:
-            if self.valence(v.id) == 3:
-                total += Fraction(self.mikhalkin_det(v.id) - 1, 2)
-        return total
+        """The number of tropical double points: (det - 1)/2 summed over the
+        trivalent vertices, det the Mikhalkin determinant.  It is not the
+        homological self-intersection of the sphere, which is -2."""
+        return sum((Fraction(self.mikhalkin_det(v.id) - 1, 2)
+                    for v in self.vertices if self.valence(v.id) == 3), Fraction(0))
 
     def is_primitive(self) -> bool:
-        for e in self.edges:
-            if not self.edge_vector(e):
-                return False
-            if e.weight != 1:
+        for e, (_, _, ex, ey) in zip(self.edges, self.edge_rows()[0]):
+            if not (ex or ey) or e.weight != 1:
                 return False
         for v in self.vertices:
             if self.valence(v.id) > 3:
@@ -194,19 +175,20 @@ class LagGraph:
         return True
 
     def is_allowable(self, diagram: BaseDiagram) -> List[str]:
-        """Violation codes for Def.-style allowability; empty means allowable."""
+        """Violation codes for Def.-style allowability; empty means allowable.
+        The diagram must pass `validate()`."""
         violations = []
         if not self.is_connected():
             violations.append("not_connected")
         for v in self.vertices:
             val = self.valence(v.id)
-            cls = diagram.classify_point(v.position)
+            cls = diagram.classify_point(homogeneous(v.position))
             violations.extend(self._check_anchor(v, cls))
             if val == 1:
                 if cls.kind == ON_POLYGON_VERTEX:
-                    violations.extend(self._check_bisectrice(diagram, v, cls))
+                    violations.extend(self._check_bisectrice(diagram, v, cls.index))
                 elif cls.kind == AT_FOCUS_FOCUS:
-                    violations.extend(self._check_focus_leg(diagram, v, cls))
+                    violations.extend(self._check_focus_leg(diagram, v, cls.index))
                 elif cls.kind == ON_FACET:
                     violations.append(f"univalent_on_facet:{v.id}")
                 else:
@@ -216,10 +198,10 @@ class LagGraph:
                     violations.append(f"valence_exceeds_three:{v.id}")
                 if val >= 2 and not self.is_balanced(v.id):
                     violations.append(f"unbalanced:{v.id}")
-                if val == 3 and self.is_balanced(v.id) and self.mikhalkin_det(v.id) != 1:
+                elif val == 3 and self.mikhalkin_det(v.id) != 1:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")
         rows, scale = self.edge_rows()
-        foci = [homogeneous(ff.position) for ff in diagram.focus_foci]
+        foci = diagram.homogeneous_points()[0]
         for k, row in enumerate(rows):
             for focus in foci:
                 if point_on_row(focus, row, scale, closed=False):
@@ -241,26 +223,19 @@ class LagGraph:
             held = v.anchor == ANCHOR_FREE or cls.kind in (ON_FACET, ON_POLYGON_VERTEX)
         return [] if held else [f"anchor_mismatch:{v.id}"]
 
-    def _check_bisectrice(self, diagram, v, cls) -> List[str]:
-        edge = self.adjacent_edges(v.id)[0]
-        direction = self.edge_direction(edge, from_id=v.id)
-        facets = [
-            f
-            for i, f in enumerate(diagram.facets())
-            if v.position in f.endpoints
-        ]
-        if len(facets) != 2:
-            return [f"corner_facets_missing:{v.id}"]
-        for f in facets:
-            if direction.dot(f.inward_normal) != 1:
-                return [f"not_bisectrice:{v.id}"]
+    def _check_bisectrice(self, diagram, v, i: int) -> List[str]:
+        """The leg from corner i pairs to 1 with both normals there, of facets i - 1 and i."""
+        dx, dy = self.leg_directions(v.id)[0]
+        normals = diagram.normals()
+        if any(nx * dx + ny * dy != 1 for nx, ny in (normals[i - 1], normals[i])):
+            return [f"not_bisectrice:{v.id}"]
         return []
 
-    def _check_focus_leg(self, diagram, v, cls) -> List[str]:
-        edge = self.adjacent_edges(v.id)[0]
-        direction = self.edge_direction(edge, from_id=v.id)
-        ff = diagram.focus_foci[cls.index]
-        if direction != ff.pi and direction != -ff.pi:
+    def _check_focus_leg(self, diagram, v, j: int) -> List[str]:
+        """The leg from focus j runs along its shear direction, either way."""
+        dx, dy = self.leg_directions(v.id)[0]
+        px, py = diagram.shears()[j][0]
+        if (dx, dy) not in ((px, py), (-px, -py)):
             return [f"focus_leg_not_along_shear:{v.id}"]
         return []
 
@@ -371,14 +346,8 @@ class LagGraph:
                 anchor, idx = anchor.split(":")
                 index = int(idx)
             (xn, xd), (yn, yd) = entry["position"]
-            vertices.append(
-                LagVertex(
-                    entry["id"],
-                    Vec(Fraction(xn, xd), Fraction(yn, yd)),
-                    anchor,
-                    index,
-                )
-            )
+            position = Vec(json_fraction(xn, xd), json_fraction(yn, yd))
+            vertices.append(LagVertex(entry["id"], position, anchor, index))
         edges = []
         for entry in data["edges"]:
             if len(entry) not in (2, 3):

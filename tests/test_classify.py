@@ -26,6 +26,7 @@ from tropdisk.geometry import (
     primitive_and_length,
     shear_apply,
 )
+from test_lagrangian import reference_edge_direction, reference_leg_directions
 from test_multiplicity import reference_pant_strip_direction
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex
 from tropdisk.multiplicity import (
@@ -75,10 +76,10 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
     if valence > 3:
         raise HigherValenceVertex(f"valence {valence} at {vid}")
     point = homogeneous(v.position)
-    cls = diagram._classify_point(point)
-    lam_edge = None if lag is None else lag._edge_through(point)
-    lam_dir = None if lam_edge is None else lag.edge_direction(lag.edges[lam_edge])
-    lam_vertex = None if lag is None else lag._vertex_at(point)
+    cls = diagram.classify_point(point)
+    lam_edge = None if lag is None else lag.edge_through(point)
+    lam_dir = None if lam_edge is None else reference_edge_direction(lag, lag.edges[lam_edge])
+    lam_vertex = None if lag is None else lag.vertex_at(point)
 
     if valence == 1:
         edge, d = adjacent[0]
@@ -91,7 +92,7 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         if cls.kind in (ON_FACET, ON_POLYGON_VERTEX) and not edge.open:
             normals = diagram.normals()
             leg = homogeneous(d)
-            for i in diagram._facets_through(point):
+            for i in diagram.facets_through(point):
                 if leg == (*normals[i], 1):
                     return boundary_collision(i)
             raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
@@ -100,7 +101,7 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
                 _, ell = primitive_and_length(d)
                 return perp_collision(ell)
         if lam_vertex is not None and lag.valence(lam_vertex.id) == 3 and edge.open:
-            legs = lag.leg_directions(lam_vertex.id)
+            legs = reference_leg_directions(lag, lam_vertex.id)
             if any(det2(d, leg) == 0 for leg in legs):
                 return pant_seam()
         raise UnclassifiableVertex(f"univalent vertex at {v.position!r} matches no case")
@@ -120,7 +121,7 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
                 return holomorphic_pant(homogeneous(black_d), homogeneous(lam_dir))
             raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")
         if e1.open and e2.open and lam_vertex is not None and lag.valence(lam_vertex.id) == 3:
-            legs = lag.leg_directions(lam_vertex.id)
+            legs = reference_leg_directions(lag, lam_vertex.id)
             if all(any(det2(d, leg) == 0 for leg in legs) for d in (d1, d2)):
                 return two_ended_strip()
         raise UnclassifiableVertex(f"bivalent vertex at {v.position!r} matches no case")
@@ -132,7 +133,7 @@ def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
             return pair_of_pants(homogeneous(adjacent[0][1]), homogeneous(adjacent[1][1]))
         raise UnclassifiableVertex("unbalanced trivalent closed vertex")
     if lam_vertex is not None and lag.valence(lam_vertex.id) == 3 and all(e.open for e, _ in adjacent):
-        legs = lag.leg_directions(lam_vertex.id)
+        legs = reference_leg_directions(lag, lam_vertex.id)
         if all(any(det2(d, leg) == 0 for leg in legs) for _, d in adjacent):
             return three_ended_strip()
     raise UnclassifiableVertex(f"trivalent vertex at {v.position!r} matches no case")
@@ -361,14 +362,14 @@ def _directions_at(diagram, lag, p):
     facets through p, the shear directions of the focus or cuts at p, the
     Lagrangian edge through p and its perpendicular, the Lagrangian legs at
     p, and their negatives."""
-    found = [Vec(*diagram.normals()[i]) for i in diagram.facets_through(p)]
+    found = [Vec(*diagram.normals()[i]) for i in diagram.facets_through(homogeneous(p))]
     found += [diagram.focus_foci[j].pi for j in _cuts_at(diagram, p)]
     if lag is not None:
-        k = lag.edge_through(p)
+        k = lag.edge_through(homogeneous(p))
         if k is not None:
-            lam = lag.edge_direction(lag.edges[k])
+            lam = reference_edge_direction(lag, lag.edges[k])
             found += [lam, Vec(-lam.y, lam.x)]
-        found += [lag.edge_direction(e, from_id=v.id) for v in lag.vertices
+        found += [reference_edge_direction(lag, e, from_id=v.id) for v in lag.vertices
                   if v.position == p for e in lag.adjacent_edges(v.id)]
     return found + [-d for d in found]
 
@@ -386,8 +387,8 @@ def _vertices_at(diagram, lag, p):
     dirs = _directions_at(diagram, lag, p) + [Vec(1, 0), Vec(1, 2)]
     legs = list({d * k: None for d in dirs for k in (1, 2, F(1, 2))})
     cuts = _cuts_at(diagram, p)
-    k = None if lag is None else lag.edge_through(p)
-    lam = None if k is None else lag.edge_direction(lag.edges[k])
+    k = None if lag is None else lag.edge_through(homogeneous(p))
+    lam = None if k is None else reference_edge_direction(lag, lag.edges[k])
     flags = [(False, False), (False, True), (True, False), (True, True)]
     stars = [[(d, o, n % 2)] for n, d in enumerate(legs) for o in (False, True)]
     for n, d1 in enumerate(legs):

@@ -530,6 +530,24 @@ def _dp5_json(name="dp5", cut_sign=1) -> str:
     return json.dumps(data)
 
 
+def _dp5_json_with(value, *path) -> str:
+    """dp5's diagram file with the entry at the key path set to value."""
+    data = builtin_fixture("dp5").diagram.to_json_dict()
+    *parents, last = path
+    entry = data
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    return json.dumps(data)
+
+
+# the dp6 segment's file with a JSON true for the first vertex's x numerator
+BOOL_POSITION_LAGRANGIAN = json.dumps({
+    "vertices": [{"id": "v0", "position": [[True, 1], [-1, 1]]},
+                 {"id": "v1", "position": [[-1, 1], [1, 1]]}],
+    "edges": [["v0", "v1"]]})
+
+
 @pytest.mark.parametrize("diagram,lagrangian", [
     pytest.param("{not json", None, id="not-json"),
     pytest.param(json.dumps({"name": "bad"}), None, id="no-polygon"),
@@ -551,6 +569,17 @@ def _dp5_json(name="dp5", cut_sign=1) -> str:
       for label, value in (("int", 5), ("null", None), ("object", {"a": 1}))),
     *(pytest.param(_dp5_json(cut_sign=value), None, id=f"branch-cut-sign-{label}")
       for label, value in (("float", 1.7), ("bool", True), ("string", "1"))),
+    # JSON true reads as 1 and "0" as 0 unless the loaders insist on integers
+    pytest.param(_dp5_json_with(True, "polygon", 0, 0), None, id="polygon-bool"),
+    pytest.param(_dp5_json_with(True, "focus_foci", 0, "position", 0, 0), None,
+                 id="focus-position-bool"),
+    pytest.param(_dp5_json_with(True, "focus_foci", 0, "shear_direction", 1), None,
+                 id="shear-direction-bool"),
+    pytest.param(_dp5_json_with(True, "focus_foci", 0, "shear_covector", 0), None,
+                 id="shear-covector-bool"),
+    pytest.param(_dp5_json_with(["0", "1"], "focus_foci", 0, "shear_direction"), None,
+                 id="shear-direction-string"),
+    pytest.param(None, BOOL_POSITION_LAGRANGIAN, id="lagrangian-position-bool"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lagrangian):
     dpath = tmp_path / "d.json"

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from typing import NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -90,21 +91,21 @@ def test_repeated_vertex_flagged():
 
 
 def test_classify_point_examples(hexagon):
-    assert hexagon.classify_point(Vec(0, 0)).kind == INTERIOR
-    assert hexagon.classify_point(Vec(1, -1)).kind == ON_POLYGON_VERTEX
-    onfacet = hexagon.classify_point(Vec(F(1, 2), F(1, 2)))
+    assert hexagon.classify_point((0, 0, 1)).kind == INTERIOR
+    assert hexagon.classify_point((1, -1, 1)).kind == ON_POLYGON_VERTEX
+    onfacet = hexagon.classify_point((1, 1, 2))
     assert onfacet.kind == ON_FACET
-    facet = hexagon.facets()[onfacet.index]
+    facet = reference_facets(hexagon)[onfacet.index]
     assert facet.endpoints == (Vec(1, 0), Vec(0, 1))
-    assert hexagon.classify_point(Vec(5, 5)).kind == OUTSIDE
+    assert hexagon.classify_point((5, 5, 1)).kind == OUTSIDE
 
 
 def test_classify_point_focus_and_cut():
     diagram = builtin_fixture("dp5").diagram
     ff = diagram.focus_foci[0]
-    assert diagram.classify_point(ff.position).kind == AT_FOCUS_FOCUS
+    assert diagram.classify_point(homogeneous(ff.position)).kind == AT_FOCUS_FOCUS
     on_cut = ff.position + ff.cut_direction() * F(1, 8)
-    assert diagram.classify_point(on_cut).kind == ON_BRANCH_CUT
+    assert diagram.classify_point(homogeneous(on_cut)).kind == ON_BRANCH_CUT
 
 
 def test_builtin_fixture_unknown_name():
@@ -119,9 +120,9 @@ def test_all_fixture_diagrams_valid(name):
     for diagram in diagrams:
         assert diagram.validate() == []
         # facet normals primitive, consecutive facets share a vertex
-        facets = diagram.facets()
+        facets = reference_facets(diagram)
         for i, facet in enumerate(facets):
-            prim, length = primitive_and_length(facet.inward_normal)
+            prim, length = primitive_and_length(Vec(*diagram.normals()[i]))
             assert length == 1
             nxt = facets[(i + 1) % len(facets)]
             assert facet.endpoints[1] == nxt.endpoints[0]
@@ -142,7 +143,7 @@ def test_branch_cuts_pairwise_disjoint(name):
                 inter = _segment_intersection(seg1, seg2)
                 if inter is not None:
                     # only boundary contact is tolerated
-                    assert not diagram.contains(inter, strict=True)
+                    assert not diagram.contains(homogeneous(inter), strict=True)
 
 
 FIXTURE_DIAGRAMS = [
@@ -152,9 +153,27 @@ FIXTURE_DIAGRAMS = [
 ]
 
 
+class ReferenceFacet(NamedTuple):
+    """A facet in Fractions, as `BaseDiagram` once held it: its two corners
+    and its primitive inward normal from `reference_normals`."""
+
+    endpoints: Tuple[Vec, Vec]
+    inward_normal: Vec
+
+    def line_value(self):
+        """c with the facet on <normal, x> = c and the interior on > c."""
+        return self.inward_normal.dot(self.endpoints[0])
+
+
+def reference_facets(diagram):
+    polygon, n = diagram.polygon, len(diagram.polygon)
+    return [ReferenceFacet((polygon[i], polygon[(i + 1) % n]), Vec(*normal))
+            for i, normal in enumerate(reference_normals(diagram))]
+
+
 def reference_contains(diagram, p, strict):
     """BaseDiagram.contains in Fractions, kept as the reference."""
-    for facet in diagram.facets():
+    for facet in reference_facets(diagram):
         v = facet.inward_normal.dot(p) - facet.line_value()
         if v < 0 or (strict and v == 0):
             return False
@@ -164,7 +183,7 @@ def reference_contains(diagram, p, strict):
 def reference_cut_exit(diagram, ff):
     """First hit of the cut ray over the facets, by the Fraction reference."""
     hits = [reference_ray_segment(ff.position, ff.cut_direction(), *facet.endpoints)
-            for facet in diagram.facets()]
+            for facet in reference_facets(diagram)]
     return min((hit for hit in hits if hit is not None), key=lambda hit: hit[0])[1]
 
 
@@ -197,7 +216,7 @@ def _interior_point(data, polygon):
 @given(st.data())
 def test_contains_agrees_with_fraction_reference(data):
     diagram = _shifted(data, data.draw(st.sampled_from(FIXTURE_DIAGRAMS)))
-    facet = data.draw(st.sampled_from(diagram.facets()))
+    facet = data.draw(st.sampled_from(reference_facets(diagram)))
     a, b = facet.endpoints
     where = data.draw(st.sampled_from(["corner", "facet", "interior"]))
     if where == "corner":
@@ -209,7 +228,7 @@ def test_contains_agrees_with_fraction_reference(data):
     # pushed off the base point along the facet normal: in, on or out
     p = base + facet.inward_normal * data.draw(offsets)
     for strict in (False, True):
-        assert diagram.contains(p, strict) == reference_contains(diagram, p, strict)
+        assert diagram.contains(homogeneous(p), strict) == reference_contains(diagram, p, strict)
 
 
 @given(st.data())
@@ -261,7 +280,7 @@ def test_boundary_hit_agrees_with_per_row_reference(data):
     # drawn evenly, along the facet or aimed at a corner, so that rays leave
     # from the boundary, run along a facet and exit through corners
     diagram = _shifted(data, data.draw(st.sampled_from(FIXTURE_DIAGRAMS)))
-    facet = data.draw(st.sampled_from(diagram.facets()))
+    facet = data.draw(st.sampled_from(reference_facets(diagram)))
     a, b = facet.endpoints
     where = data.draw(st.sampled_from(["corner", "facet", "interior", "outside"]))
     if where == "corner":
@@ -283,7 +302,7 @@ def test_boundary_hit_agrees_with_per_row_reference(data):
     else:
         assert hit is not None and hit[2] == expected[2]
         assert F(hit[0], hit[1]) == F(expected[0], expected[1])
-    normals = [diagram.facets()[i].inward_normal for i in diagram.facets_through(p)]
+    normals = [reference_facets(diagram)[i].inward_normal for i in diagram.facets_through(origin)]
     if any(n.dot(Vec(*d)) < 0 for n in normals):
         assert hit is None  # leaves the polygon at once from a facet or a corner
 
@@ -392,7 +411,7 @@ def test_focus_weight_from_covector():
 
 
 def reference_facets_through(diagram, p):
-    return [i for i, facet in enumerate(diagram.facets())
+    return [i for i, facet in enumerate(reference_facets(diagram))
             if reference_point_on_segment(p, *facet.endpoints)]
 
 
@@ -460,7 +479,7 @@ def test_point_location_agrees_with_fraction_reference(data):
     if lag is not None:
         where += ["lagrangian"]
     where = data.draw(st.sampled_from(where))
-    facet = data.draw(st.sampled_from(diagram.facets()))
+    facet = data.draw(st.sampled_from(reference_facets(diagram)))
     a, b = facet.endpoints
     if where == "corner":
         p = a
@@ -481,11 +500,12 @@ def test_point_location_agrees_with_fraction_reference(data):
         p = a + (b - a) * (data.draw(unit_rationals) * 2 - F(1, 2))
     else:
         p = _interior_point(data, diagram.polygon)
-    assert diagram.facets_through(p) == reference_facets_through(diagram, p)
-    assert diagram.cut_through(p) == reference_cut_through(diagram, p)
-    assert diagram.classify_point(p) == reference_classify_point(diagram, p)
+    point = homogeneous(p)
+    assert diagram.facets_through(point) == reference_facets_through(diagram, p)
+    assert diagram.cut_through(point) == reference_cut_through(diagram, p)
+    assert diagram.classify_point(point) == reference_classify_point(diagram, p)
     if lag is not None:
-        assert lag.edge_through(p) == reference_edge_through(lag, p)
+        assert lag.edge_through(point) == reference_edge_through(lag, p)
     for q in [*diagram.polygon, *(ff.position for ff in diagram.focus_foci)]:
         if p != q:
             assert primitive(p - q) == reference_primitive(p - q)
@@ -500,7 +520,7 @@ def reference_facet_line_exit(diagram, ff):
     with n.d < 0), or None."""
     d = primitive(ff.cut_direction())
     ts = [(facet.inward_normal.dot(ff.position) - facet.line_value()) / -facet.inward_normal.dot(d)
-          for facet in diagram.facets() if facet.inward_normal.dot(d) < 0]
+          for facet in reference_facets(diagram) if facet.inward_normal.dot(d) < 0]
     return ff.position + d * min(ts) if ts else None
 
 
@@ -643,7 +663,7 @@ def _mutate(data, diagram, kind):
     if kind == "focus_on_facet":
         return _with_focus(diagram, j, position=on_facet), f"focus_not_interior:{j}"
     if kind == "focus_outside":
-        out = diagram.facets()[i].inward_normal * data.draw(
+        out = reference_facets(diagram)[i].inward_normal * data.draw(
             st.fractions(F(1, 12), 2, max_denominator=12))
         return _with_focus(diagram, j, position=on_facet - out), f"focus_not_interior:{j}"
     # a new focus with its cut along an axis: at focus j, or on j's cut
@@ -691,7 +711,7 @@ def reference_normals(diagram):
 @pytest.mark.parametrize("diagram", FIXTURE_DIAGRAMS)
 def test_normals_match_the_facets(diagram):
     assert diagram.normals() == reference_normals(diagram) == [
-        facet.inward_normal.as_int_pair() for facet in diagram.facets()]
+        facet.inward_normal.as_int_pair() for facet in reference_facets(diagram)]
 
 
 @given(st.data())
@@ -710,7 +730,7 @@ def test_normals_agree_with_fraction_reference(data):
             diagram.normals()
     else:
         assert diagram.normals() == reference_normals(diagram) == [
-            facet.inward_normal.as_int_pair() for facet in diagram.facets()]
+            facet.inward_normal.as_int_pair() for facet in reference_facets(diagram)]
 
 
 def _cuts_or_none(diagram):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_classify import _outcome, classify_agrees
-from test_diagram import reference_boundary_hit, reference_facets_through
+from test_diagram import reference_boundary_hit, reference_facets, reference_facets_through
 from test_geometry import apply_matrix, ray_point_param
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
@@ -55,7 +55,7 @@ from tropdisk.geometry import (
     ray_segment_hit,
     shear_apply,
 )
-from tropdisk.lagrangian import LagGraph, LagVertex
+from tropdisk.lagrangian import LagGraph, LagVertex, segment_graph
 from tropdisk.multiplicity import (
     BOUNDARY_COLLISION,
     CORNER_CAP,
@@ -263,7 +263,7 @@ def _reference_rigidity_rows(graph, diagram, lag, constraint):
         add_row({2 * ib: d.y, 2 * ib + 1: -d.x, 2 * ia: -d.y, 2 * ia + 1: d.x}, 0)
 
     def add_facet(i, fi):
-        facet = diagram.facets()[fi]
+        facet = reference_facets(diagram)[fi]
         nrm = facet.inward_normal
         add_row({2 * i: nrm.x, 2 * i + 1: nrm.y}, facet.line_value())
 
@@ -281,15 +281,15 @@ def _reference_rigidity_rows(graph, diagram, lag, constraint):
             add_pin(i, diagram.focus_foci[v.kind.index].position
                     if v.kind.index is not None else v.position)
         elif tag == BOUNDARY_COLLISION:
-            for fi in diagram.facets_through(v.position):
+            for fi in diagram.facets_through(homogeneous(v.position)):
                 add_facet(i, fi)
         elif tag == CYLINDER:
-            j = diagram.cut_through(v.position)
+            j = diagram.cut_through(homogeneous(v.position))
             if j is not None:
                 start, end = diagram.branch_cuts()[j]
                 add_line(i, start, end - start)
             else:
-                for fi in diagram.facets_through(v.position)[:1]:
+                for fi in diagram.facets_through(homogeneous(v.position))[:1]:
                     add_facet(i, fi)
         elif tag in (PERP_COLLISION, PANT):
             if lag is not None and constraint is not None and constraint.edge_index is not None:
@@ -351,7 +351,7 @@ def test_solved_graphs_cover_every_row_kind(solved_graphs):
             lag is None or lag.edge_rows()[1] > 1)
         for v in graph.vertices:
             if v.kind.tag == CYLINDER:
-                if diagram.cut_through(v.position) is None:
+                if diagram.cut_through(homogeneous(v.position)) is None:
                     on_facet += 1
                 else:
                     on_cut += 1
@@ -509,7 +509,7 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
     t_num, t_den, facets = diagram.boundary_hit(homogeneous(origin), d)
     point = from_homogeneous(ray_point(homogeneous(origin), d, t_num, t_den))
     # both sides read the integer facet rows: the Fraction reference checks them
-    assert facets == diagram.facets_through(point)
+    assert facets == diagram.facets_through(homogeneous(point))
     assert facets == reference_facets_through(diagram, point)
     if corner is not None:
         assert point == corner and len(facets) == 2
@@ -561,7 +561,7 @@ def test_dp6_fiber_cho_oh_disks():
     res = builtin_fixture("dp6").run("fiber")
     assert res.contributions() == [F(1)] * 6
     # each disk heads along the outward primitive normal of its facet
-    facets = builtin_fixture("dp6").diagram.facets()
+    facets = reference_facets(builtin_fixture("dp6").diagram)
     hit_facets = set()
     for g in res.graphs:
         ends = [v for v in g.graph.vertices if v.kind.tag == "boundary_collision"]
@@ -679,6 +679,19 @@ def test_bounds_saturation_with_one_more_split(name, case):
     if totals != UNSATURATED_IN_SPLITS.get((name, case), totals):
         pytest.fail(f"totals moved from {UNSATURATED_IN_SPLITS[name, case]} to {totals}")
     assert totals[0] == totals[1]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no graph completes: W = 0 (ROADMAP item 13)")
+@pytest.mark.parametrize("t", [F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4)])
+def test_dp7_diagonal_sphere_gives_minus_one(t):
+    # the segment (1, -1) -> (-1, 1) in dp7, with no flag: -1 is the only
+    # integer eigenvalue of c1 quantum multiplication on dp7 = Bl2 P2
+    diagram = builtin_fixture("dp7").diagram
+    lag = segment_graph(Vec(1, -1), Vec(-1, 1))
+    assert lag.is_allowable(diagram) == []
+    result = enumerate_disks(diagram, lag, Constraint.on_lagrangian(lag, 0, t))
+    assert result.total() == -1
 
 
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)
@@ -980,7 +993,7 @@ class _ReferenceTracer(_Tracer):
     def __init__(self, diagram, lag, bounds, flags):
         super().__init__(diagram, lag, bounds, flags)
         self.flags = flags
-        self.facets = diagram.facets()
+        self.facets = reference_facets(diagram)
 
     def _lambda_hit(self, origin, prim, limit):
         best = None
@@ -1106,7 +1119,7 @@ class _ReferenceTracer(_Tracer):
             for corner in facet.endpoints:
                 if corner not in self.flags.corner_caps or corner == hit:
                     continue
-                if self.lag is not None and self.lag._vertex_at(homogeneous(corner)) is not None:
+                if self.lag is not None and self.lag.vertex_at(homogeneous(corner)) is not None:
                     continue
                 if self.flags.corner_limit is not None:
                     if det2(corner - self.flags.corner_limit, dirval) != 0:
@@ -1218,7 +1231,7 @@ def test_trace_agrees_with_fraction_reference(data):
     # outward facet normal plus a multiple of pi: the directions that end on a
     # facet directly, after a split or after a cut crossing
     evenly = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
-    normal = st.sampled_from([-facet.inward_normal for facet in diagram.facets()])
+    normal = st.sampled_from([-facet.inward_normal for facet in reference_facets(diagram)])
     pi = Vec(0, 0) if ff is None else ff.pi
     combined = st.builds(lambda n, a, b: tuple(n * a + pi * b),
                          normal, st.integers(0, 2), st.integers(-2, 2))
@@ -1229,7 +1242,7 @@ def test_trace_agrees_with_fraction_reference(data):
         # past the cut is an outward facet normal (possibly outside [-4, 4]^2)
         j = diagram.focus_foci.index(ff)
         start, end = diagram.branch_cuts()[j]
-        past = -data.draw(st.sampled_from(diagram.facets())).inward_normal
+        past = -data.draw(st.sampled_from(reference_facets(diagram))).inward_normal
         side = 1 if det2(ff.cut_direction(), past) > 0 else -1
         d = shear_apply(ff.sigma * -side, ff.pi, past)
         p = start + (end - start) * F(data.draw(st.integers(1, 15)), 16) - d * step
@@ -1254,7 +1267,7 @@ def test_trace_agrees_with_fraction_reference(data):
                                      max_size=len(polygon)))
         p = sum((v * w for v, w in zip(polygon, weights)), Vec(0, 0)) / sum(weights)
     # a step past the boundary leaves both tracers with no ray to trace
-    assume(diagram.contains(p))
+    assume(diagram.contains(homogeneous(p)))
     crossings, splits = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     tracer = _Tracer(diagram, lag, bounds, flags)
     reference = _ReferenceTracer(diagram, lag, bounds, flags)

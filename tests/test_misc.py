@@ -167,3 +167,23 @@ def test_only_the_diagram_reads_shear_covectors():
              for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "sigma"]
     assert found == []
+
+
+def test_only_their_modules_call_the_diagram_and_lagrangian_private_methods():
+    # every other module asks `BaseDiagram` and `LagGraph` through their
+    # public methods, one per question
+    src = pathlib.Path(tropdisk.__file__).parent
+    private = set()
+    for module, cls in (("diagram.py", "BaseDiagram"), ("lagrangian.py", "LagGraph")):
+        tree = ast.parse((src / module).read_text(), module)
+        (body,) = [node.body for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == cls]
+        private |= {node.name for node in body if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_") and not node.name.endswith("__")}
+    assert private
+    paths = sorted(p for p in src.glob("*.py") if p.name not in ("diagram.py", "lagrangian.py"))
+    assert len(paths) > 9
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []
