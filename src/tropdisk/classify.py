@@ -9,11 +9,13 @@ homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
 oriented away from the vertex, both read off `DiskGraph.triples()`, and the
 diagram and the Lagrangian are read through the integer tables they cache
 (facet normals and rows, cut rows, homogeneous foci, edge rows and
-primitive edge directions).  Parallel and perpendicular tests are cross and
-dot products, which a positive scale does not change, so a row stands for
-its primitive direction.  No Vec is built: a kind carries its vectors as
-the same triples, and the pant balancing is checked against
-`multiplicity.pant_strip_direction`, its one integer form.
+primitive edge directions).  Parallel tests are cross products, which a
+positive scale does not change.  No Vec is built: a kind carries its
+vectors as the same triples.  Where the search applies a rule, this module
+calls the same method: `BaseDiagram.collision_facet` for a boundary
+collision, `LagGraph.edge_normal` for a perpendicular one,
+`BaseDiagram.cross_cut` across a cut and `multiplicity.pant_strip_direction`
+for the pant balancing.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .multiplicity import (
 
 def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
     """The edges at vid, each with its direction oriented away from vid as
-    the homogeneous triple of `DiskGraph.triples()`, in the order of
-    `DiskGraph.adjacent`."""
+    the homogeneous triple of `DiskGraph.triples()`, in edge order."""
     legs = []
     for e, (X, Y, W) in zip(graph.edges, graph.triples()[1]):
         if e.endpoints[0] == vid:
@@ -128,16 +129,13 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
             # on the boundary of a convex polygon: at a corner or on a facet
             facets = diagram.facets_through(point)
             if facets:
-                normals = diagram.normals()
-                for i in facets:
-                    if leg == (*normals[i], 1):
-                        return boundary_collision(i)
+                i = diagram.collision_facet(facets, leg[:2]) if leg[2] == 1 else None
+                if i is not None:
+                    return boundary_collision(i)
                 raise UnclassifiableVertex("boundary leg not along a primitive inward normal")
             k = None if lag is None else lag.edge_through(point)
-            if k is not None:
-                _, _, lx, ly = lag.edge_rows()[0][k]
-                if leg[0] * lx + leg[1] * ly == 0:
-                    return perp_collision(_lattice_length(leg))
+            if k is not None and _parallel(leg, lag.edge_normal(k)):
+                return perp_collision(_lattice_length(leg))
         else:
             lam_legs = _trivalent_legs(lag, point)
             if lam_legs is not None and any(_parallel(leg, d) for d in lam_legs):

@@ -4,7 +4,8 @@ A diagram is drawn in a single affine chart (branch-cut coordinates).  Each
 focus-focus value carries the shear data (pi, sigma) of the monodromy
 nu -> nu + <sigma, nu> pi around it, and a branch cut running from the value
 to the polygon boundary along +/- pi.  `BaseDiagram.cross_cut` is the one
-place a direction is carried across a cut.
+place a direction is carried across a cut, and `BaseDiagram.collision_facet`
+the one place a leg is matched with a facet's normal.
 """
 
 from __future__ import annotations
@@ -107,18 +108,13 @@ class BaseDiagram:
         return self._normals
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
-        """Cut segments (focus position -> boundary exit point)."""
+        """Cut segments (focus position -> boundary exit point): the exits
+        `validate()` traces.  A diagram whose cuts it cannot all trace raises
+        GeometryError naming its violation codes."""
         if self._cuts is None:
-            out = []
-            for j, ff in enumerate(self.focus_foci):
-                end = self._cut_exit(j)
-                if end is None:
-                    raise GeometryError(
-                        f"branch cut of focus at {ff.position!r} never reaches the boundary"
-                    )
-                out.append((ff.position, from_homogeneous(end)))
-            self._cuts = out
-            self._cut_rows = integer_rows(out)
+            problems = self.validate()
+            if self._cuts is None:
+                raise GeometryError(f"branch cuts of an invalid diagram: {problems}")
         return self._cuts
 
     def cut_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
@@ -161,6 +157,14 @@ class BaseDiagram:
             return None
         return best_slack, scale * W * best_rate, facets
 
+    def collision_facet(self, facets: List[int], d: Tuple[int, int]) -> Optional[int]:
+        """The first of `facets` whose primitive inward normal is the integer
+        pair d, or None: a closed leg leaving a boundary point along d is a
+        collision with that facet.  The search and `classify_vertex` both
+        decide a boundary collision here."""
+        normals = self.normals()
+        return next((i for i in facets if normals[i] == d), None)
+
     def _cut_exit(self, j: int):
         """Where the branch cut of focus j first meets the boundary, as a
         homogeneous triple, or None."""
@@ -200,8 +204,8 @@ class BaseDiagram:
         One pass over the integer picture: the facet rows (the corners over
         their common denominator), the corners' and foci's homogeneous
         triples and the shear data's.  When every focus's branch cut reaches
-        the boundary, the exits found here become `branch_cuts()` and
-        `cut_rows()`.
+        the boundary, the exits found here are `branch_cuts()` and
+        `cut_rows()`: no other loop traces a cut exit.
         """
         n = len(self.polygon)
         if n < 3:

@@ -94,16 +94,6 @@ class DiskGraph:
     def position_of(self, vid: str) -> Vec:
         return self.vertex(vid).position
 
-    def adjacent(self, vid: str) -> List[Tuple[DiskEdge, Vec]]:
-        """Adjacent edges with directions oriented away from vid."""
-        out = []
-        for e in self.edges:
-            if e.endpoints[0] == vid:
-                out.append((e, e.direction))
-            elif e.endpoints[1] == vid:
-                out.append((e, -e.direction))
-        return out
-
     def signature(self):
         """Canonical hashable form for dedup and deterministic ordering:
         `_signature_key` with positions and directions as Fraction pairs."""

@@ -17,7 +17,7 @@ deterministic and duplicate-free.  The tracer scans events in integers: it
 reads the diagram's integer facet and branch-cut rows and adds the Lagrangian
 edges as rows of their own.  Its recursion carries points as homogeneous
 integer triples and directions as integer pairs; Fractions and Vecs are built
-only for completions.
+only by `_Candidates`, when it assembles the graphs.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ class _Tracer:
     point and cut crossing as a homogeneous (X, Y, W) triple and every
     direction as an integer pair, so each event test is an integer cross
     product and each comparison of ray parameters a cross-multiplication.
-    A direction crosses a cut through `BaseDiagram.cross_cut`.  Its
-    completion specs carry the same triples, and so do the kinds it tags;
-    `_Candidates` turns the specs' triples into Vecs from the tracer's one
-    `_Vecs` memo.
+    A direction crosses a cut through `BaseDiagram.cross_cut` and meets a
+    facet head-on through `BaseDiagram.collision_facet`.  Its completion
+    specs carry the same triples, and so do the kinds it tags: the tracer
+    builds no Vec.
 
     A tracer serves one enumeration.  Everything a trace finds before its
     ends depends only on the origin and the primitive direction, so it keeps
@@ -230,7 +230,6 @@ class _Tracer:
                     self.cap_table.setdefault(i, []).append((c, offset))
         self._rays: Dict[Tuple, Optional[_Ray]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
-        self.vecs = _Vecs(zip(self.foci, (ff.position for ff in diagram.focus_foci)))
 
     # -- event scanning -------------------------------------------------------
 
@@ -364,9 +363,7 @@ class _Tracer:
     def _boundary_end(self, origin, prim, boundary) -> List[_Completion]:
         """The boundary completions of the primitive direction prim."""
         t_num, t_den, facet_ids = boundary
-        outward = (-prim[0], -prim[1])
-        normals = self.diagram.normals()
-        collision = next((i for i in facet_ids if normals[i] == outward), None)
+        collision = self.diagram.collision_facet(facet_ids, (-prim[0], -prim[1]))
         point = ray_point(origin, prim, t_num, t_den)
         if collision is None:
             return self._corner_cap(origin, prim, point, facet_ids)
@@ -576,18 +573,20 @@ class _Candidates:
     """The candidate graphs of one enumeration, built from completion specs.
 
     Specs carry homogeneous triples for positions and directions alike;
-    `add` reads their Vecs from the tracer's `_Vecs`, keys a graph's
-    vertices by triple and hands the triples to the graph as its
-    `DiskGraph.triples()`.  It keeps each graph's specs, so `_unique_graphs`
-    can write `DiskGraph.signature()` in integers.
+    `add` reads their Vecs from its one `_Vecs` memo, seeded with the foci
+    and the constraint point, keys a graph's vertices by triple and hands
+    the triples to the graph as its `DiskGraph.triples()`.  It keeps each
+    graph's specs, so `_unique_graphs` can write `DiskGraph.signature()` in
+    integers.
     """
 
-    def __init__(self, constraint: Constraint, vecs: _Vecs):
+    def __init__(self, constraint: Constraint, diagram: BaseDiagram):
         self.constraint = constraint
         self.graphs: List[DiskGraph] = []
         self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
-        self.vecs = vecs
-        vecs.setdefault(homogeneous(constraint.point), constraint.point)
+        self.vecs = _Vecs(zip(diagram.homogeneous_points()[0],
+                              (ff.position for ff in diagram.focus_foci)))
+        self.vecs.setdefault(homogeneous(constraint.point), constraint.point)
 
     def add(self, root_specs, root_edges, completion: _Completion) -> None:
         vertex_specs = (*root_specs, *completion.vertices)
@@ -782,7 +781,7 @@ def enumerate_disks(
 def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> _Candidates:
     """Every graph the roots grow from the constraint, duplicates included."""
     tracer = _Tracer(diagram, lag, bounds, flags)
-    candidates = _Candidates(constraint, tracer.vecs)
+    candidates = _Candidates(constraint, diagram)
     if constraint.kind == CONSTRAINT_INTERIOR:
         _fiber_graphs(tracer, candidates, bounds)
     else:
@@ -834,16 +833,15 @@ def _fiber_graphs(tracer, candidates, bounds) -> None:
 
 def _perp_graphs(tracer, lag, candidates, bounds) -> None:
     constraint = candidates.constraint
-    edge = lag.edges[constraint.edge_index]
-    lx, ly = lag.edge_direction(edge)
+    nx, ny = lag.edge_normal(constraint.edge_index)
     origin = homogeneous(constraint.point)
     for ell in range(1, bounds.max_lattice_length + 1):
         # collision models require the crossing line on both sides
-        plus = tracer._trace(origin, (-ly * ell, lx * ell),
+        plus = tracer._trace(origin, (nx * ell, ny * ell),
                              bounds.max_cut_crossings, bounds.max_splits)
         if not plus:
             continue
-        minus = tracer._trace(origin, (ly * ell, -lx * ell),
+        minus = tracer._trace(origin, (-nx * ell, -ny * ell),
                               bounds.max_cut_crossings, bounds.max_splits)
         if not minus:
             continue

@@ -69,9 +69,6 @@ class LagGraph:
 
     # -- basic combinatorics --------------------------------------------------
 
-    def vertex(self, vid: str) -> LagVertex:
-        return self._by_id[vid]
-
     def position(self, vid: str) -> Vec:
         return self._by_id[vid].position
 
@@ -115,6 +112,13 @@ class LagGraph:
         if from_id == edge.endpoints[1]:
             g = -g
         return ex // g, ey // g
+
+    def edge_normal(self, k: int) -> Tuple[int, int]:
+        """Edge k's primitive direction (lx, ly) turned left to (-ly, lx): the
+        direction a perpendicular collision's legs run along, either way.
+        The search and `classify_vertex` both read the perpendicular here."""
+        lx, ly = self.edge_direction(self.edges[k])
+        return -ly, lx
 
     def leg_directions(self, vid: str) -> List[Tuple[int, int]]:
         return [self.edge_direction(e, from_id=vid) for e in self.adjacent_edges(vid)]
@@ -184,7 +188,9 @@ class LagGraph:
             val = self.valence(v.id)
             cls = diagram.classify_point(homogeneous(v.position))
             violations.extend(self._check_anchor(v, cls))
-            if val == 1:
+            if val == 0:
+                violations.append(f"isolated_vertex:{v.id}")
+            elif val == 1:
                 if cls.kind == ON_POLYGON_VERTEX:
                     violations.extend(self._check_bisectrice(diagram, v, cls.index))
                 elif cls.kind == AT_FOCUS_FOCUS:
@@ -196,7 +202,7 @@ class LagGraph:
             else:
                 if val > 3:
                     violations.append(f"valence_exceeds_three:{v.id}")
-                if val >= 2 and not self.is_balanced(v.id):
+                if not self.is_balanced(v.id):
                     violations.append(f"unbalanced:{v.id}")
                 elif val == 3 and self.mikhalkin_det(v.id) != 1:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")

@@ -40,9 +40,7 @@ class _Canvas:
         self.parts: List[str] = []
 
     def pt(self, p: Vec) -> str:
-        x = (p.x - self.xmin) * SCALE + MARGIN
-        y = (self.ymax - p.y) * SCALE + MARGIN
-        return f"{_fmt(x)},{_fmt(y)}"
+        return ",".join(self.xy(p))
 
     def xy(self, p: Vec):
         x = (p.x - self.xmin) * SCALE + MARGIN

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_classify import reference_adjacent
 from test_geometry import apply_matrix
 from tropdisk.diskgraph import Constraint
 from tropdisk.enumerate import cancellation_report, enumerate_maslov4
@@ -95,7 +96,7 @@ def test_criterion_06_dp2_both_spheres():
     for g in res1.graphs:
         root = next(v for v in g.graph.vertices if v.kind.tag == "perp_collision")
         assert multiplicity(root.kind) == -1
-        leg = next(d for e, d in g.graph.adjacent(root.id) if not e.open)
+        leg = next(d for e, d in reference_adjacent(g.graph, root.id) if not e.open)
         sides[leg.y > 0] += g.contribution
     ok1 = ok1 and set(sides.values()) == {F(-6)}
     res2 = builtin_fixture("dp2").run("l2")

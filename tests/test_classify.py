@@ -48,6 +48,17 @@ from tropdisk.multiplicity import (
 # -- the Fraction reference ---------------------------------------------------
 
 
+def reference_adjacent(graph: DiskGraph, vid: str):
+    """The edges at vid, each with its Vec direction oriented away from vid."""
+    out = []
+    for e in graph.edges:
+        if e.endpoints[0] == vid:
+            out.append((e, e.direction))
+        elif e.endpoints[1] == vid:
+            out.append((e, -e.direction))
+    return out
+
+
 def _reference_cylinder_across_cut(diagram: BaseDiagram, point, d1: Vec, d2: Vec) -> bool:
     rows, scale = diagram.cut_rows()
     for j, row in enumerate(rows):
@@ -71,7 +82,7 @@ def _reference_cylinder_across_cut(diagram: BaseDiagram, point, d1: Vec, d2: Vec
 def reference_classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
                               lag: Optional[LagGraph]) -> VertexKind:
     v = graph.vertex(vid)
-    adjacent = graph.adjacent(vid)
+    adjacent = reference_adjacent(graph, vid)
     valence = len(adjacent)
     if valence > 3:
         raise HigherValenceVertex(f"valence {valence} at {vid}")

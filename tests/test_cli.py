@@ -180,6 +180,18 @@ def test_file_driven_potential(tmp_path, capsys):
     assert "total W_L = -2" in out
 
 
+def test_validate_rejects_a_lagrangian_with_no_edges(tmp_path, capsys):
+    dpath, lpath = tmp_path / "dp6.json", tmp_path / "l.json"
+    builtin_fixture("dp6").diagram.save(dpath)
+    lpath.write_text(json.dumps(
+        {"vertices": [{"id": "v0", "position": [[0, 1], [0, 1]]}], "edges": []}))
+    code, out, _ = run_cli(capsys, "validate", "--diagram", str(dpath), "--lagrangian", str(lpath))
+    assert (code, out) == (1, "isolated_vertex:v0\n")
+    code, _, err = run_cli(capsys, "potential", "--diagram", str(dpath), "--lagrangian",
+                           str(lpath), "--constraint", "point:1/3,1/5")
+    assert code == 1 and "isolated_vertex:v0" in err
+
+
 def _validate_with_anchor(tmp_path, capsys, name, case, vid, anchor):
     """`tropdisk validate` on the case's diagram and Lagrangian files, with
     vertex vid's anchor replaced."""

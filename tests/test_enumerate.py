@@ -30,6 +30,7 @@ from tropdisk.enumerate import (
     SearchBounds,
     _candidate_graphs,
     _Completion,
+    _direction_pairs,
     _echelon_rank,
     _EdgeSpec,
     _rigidity_rows,
@@ -67,6 +68,7 @@ from tropdisk.multiplicity import (
     PANT_SEAM,
     PERP_COLLISION,
     THREE_STRIP,
+    UnclassifiableVertex,
     VertexKind,
     aut_order,
     boundary_collision,
@@ -438,6 +440,85 @@ def test_solved_vertices_classify_as_the_fraction_reference(solved_graphs):
     assert set(kinds) == {CYLINDER, BOUNDARY_COLLISION, FOCUS_COVER, PANT, PANT_SEAM,
                           PERP_COLLISION, "pair_of_pants", "UnclassifiableVertex",
                           "HigherValenceVertex"}, kinds
+
+
+def _candidate_vertices(fx, case, tag):
+    """(graph, vertex, leg) for every vertex of the tag among the case's
+    candidate graphs, leg the triple of its first edge oriented away from it."""
+    c = fx.case(case)
+    candidates = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
+                                   fx.constraint(case), c.bounds, c.flags)
+    out = []
+    for g in candidates.graphs:
+        for v in g.vertices:
+            if v.kind.tag == tag:
+                e, (X, Y, W) = next((e, d) for e, d in zip(g.edges, g.triples()[1])
+                                    if v.id in e.endpoints)
+                out.append((g, v, (X, Y, W) if e.endpoints[0] == v.id else (-X, -Y, W)))
+    return out
+
+
+def test_search_and_classifier_follow_one_collision_rule(monkeypatch):
+    # under a rule where every boundary hit collides with its first facet,
+    # the search ends legs off the normals and the classifier accepts them
+    fx = builtin_fixture("p1xp1")
+    diagram = fx.diagram_for("fiber")
+    normals = diagram.normals()
+    monkeypatch.setattr(BaseDiagram, "collision_facet", lambda self, facets, d: facets[0])
+    found = _candidate_vertices(fx, "fiber", BOUNDARY_COLLISION)
+    off_normal = [(g, v) for g, v, leg in found if leg != (*normals[v.kind.index], 1)]
+    assert off_normal
+    for g, v in off_normal:
+        assert classify_vertex(g, v.id, diagram, None) == v.kind
+    monkeypatch.undo()
+    found = _candidate_vertices(fx, "fiber", BOUNDARY_COLLISION)
+    assert found and all(leg == (*normals[v.kind.index], 1) for _, v, leg in found)
+    for g, v in off_normal:
+        with pytest.raises(UnclassifiableVertex, match="not along a primitive inward normal"):
+            classify_vertex(g, v.id, diagram, None)
+
+
+def test_search_and_classifier_follow_one_perpendicular(monkeypatch):
+    # under a rule that calls (1, 0) the antidiagonal's normal, the search
+    # roots its collisions along (+-1, 0) and the classifier accepts them
+    fx = builtin_fixture("p1xp1")
+    diagram, lag = fx.diagram_for("antidiagonal"), fx.lagrangian_for("antidiagonal")
+    assert lag.edge_normal(0) == (1, 1)
+    monkeypatch.setattr(LagGraph, "edge_normal", lambda self, k: (1, 0))
+    found = _candidate_vertices(fx, "antidiagonal", PERP_COLLISION)
+    assert sorted(leg for _, _, leg in found) == [(-1, 0, 1), (1, 0, 1)]
+    for g, v, _ in found:
+        assert classify_vertex(g, v.id, diagram, lag) == v.kind == perp_collision(1)
+    monkeypatch.undo()
+    # along (+-1, +-1) the legs meet corners, where no collision ends them
+    assert _candidate_vertices(fx, "antidiagonal", PERP_COLLISION) == []
+    for g, v, _ in found:
+        with pytest.raises(UnclassifiableVertex, match="matches no case"):
+            classify_vertex(g, v.id, diagram, lag)
+
+
+def test_tracer_builds_no_vec(monkeypatch):
+    # building a tracer and tracing every root direction of every shipped
+    # case builds no Vec: `_Candidates` builds the graphs' Vecs
+    built = []
+    init = Vec.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+        origin = homogeneous(fx.constraint(case).point)
+        monkeypatch.setattr(Vec, "__init__", counted)
+        tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+        traced = [tracer._trace(origin, d, c.bounds.max_cut_crossings, c.bounds.max_splits)
+                  for d in _direction_pairs(c.bounds.max_lattice_length)]
+        monkeypatch.undo()
+        assert any(traced) and not hasattr(tracer, "vecs")
+    assert built == []
 
 
 def test_search_hands_each_graph_its_canonical_triples():

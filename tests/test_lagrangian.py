@@ -159,6 +159,9 @@ ALLOWABILITY_CODES = [
     # three bisectrice legs that sum to (0, 2)
     pytest.param("dp6", star_graph(Vec(0, 0), [Vec(1, 0), Vec(0, 1), Vec(-1, 1)]),
                  ["unbalanced:c"], id="unbalanced"),
+    # one vertex and no edges: connected, but no sphere
+    pytest.param("dp6", LagGraph([LagVertex("v0", Vec(0, 0))], []),
+                 ["isolated_vertex:v0"], id="isolated_vertex"),
 ]
 
 

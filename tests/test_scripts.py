@@ -24,6 +24,27 @@ def test_run_potentials_matches_every_shipped_case(capsys):
         assert row["verdict"].startswith("matches"), row
 
 
+def _score_rows(report):
+    keys = ("oracle", "diagram", "sphere", "edge", "t")
+    return {tuple(row.get(k) for k in keys): row for row in report["rows"]}
+
+
+def test_scorecard_keeps_every_passing_row(tmp_path, capsys):
+    # the ratchet: each row that passes in the newest SCORE_*.json still
+    # passes; a failing row may change either way
+    out = tmp_path / "score.json"
+    assert load_script("scorecard.py")["main"](["--out", str(out)]) == 0
+    assert load_script("scorecard.py")["main"]([]) == 0
+    assert capsys.readouterr().out == out.read_text()  # no timings: the same file twice
+    now = _score_rows(json.loads(out.read_text()))
+    newest = max(SCRIPTS.parent.glob("SCORE_*.json"), key=lambda p: int(p.stem[6:]))
+    passing = [key for key, row in _score_rows(json.loads(newest.read_text())).items()
+               if row["verdict"] == "pass"]
+    assert passing
+    for key in passing:
+        assert now[key]["verdict"] == "pass", key
+
+
 def test_render_figures_writes_one_svg_per_shipped_case(tmp_path, capsys):
     assert load_script("render_figures.py")["main"]([str(tmp_path)]) == 0
     written = sorted(path.name for path in tmp_path.glob("*.svg"))
