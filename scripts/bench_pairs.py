@@ -16,20 +16,23 @@ metric gets its runs per side in seed order, their median and quartiles
 (`statistics.quantiles`, inclusive), `change_over_parent` (ratio of the medians),
 `change_lower_in_pairs`, `parent_iqr` and `regressed`: whether the change's
 median is worse than the parent's by more than the metric's bound in
-`BENCHMARK.json` (of the change checkout).  Beside the metrics, each side's
-`attempted` operations are kept summed and per run (`attempted_runs`, in
-seed order): perfbench keeps every timed pass's intervals, so `peak_rss_mb`
-grows with the number of passes a faster side fits into a run.  The report
-lists every regressed `W:M` under `regressions`.  A claim `W:M` is met when the change reads lower
-in at least nine of ten pairs (the same share of any other count), its
-median is below the parent's by more than the parent's distance between
-quartiles, the digests agree on every pair of every workload and no metric
-regressed.
+`BENCHMARK.json` (of the change checkout).  `parent` names the parent
+checkout's commit, or a digest of its `src/` files when it is not a git
+work tree.  Beside the metrics, each side's `attempted` operations are
+kept summed and per run (`attempted_runs`, in seed order): perfbench
+keeps every timed pass's intervals, so `peak_rss_mb` grows with the
+number of passes a faster side fits into a run.  The report lists every
+regressed `W:M` under `regressions`.  A claim `W:M` is met when the
+change reads lower in at least nine of ten pairs (the same share of any
+other count), its median is below the parent's by more than the parent's
+distance between quartiles, the digests agree on every pair of every
+workload and no metric regressed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -167,10 +170,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return parse_run(done.stdout)
 
 
+def src_digest(checkout: Path) -> str:
+    """sha256 over the checkout's src/ files in path order, each as its path
+    relative to src/ and its bytes; compiled caches are left out."""
+    src = checkout / "src"
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        for part in (path.relative_to(src).as_posix().encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
 def _commit(checkout: Path) -> str:
-    done = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() or "unknown"
+    """The short commit of a checkout at the top of a git work tree; else
+    `src-sha256:` and the first 12 hex digits of `src_digest`, so that a
+    checkout made with `git archive` still names what it ran."""
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.split()
+    at_top = len(lines) == 2 and Path(lines[0]).resolve() == checkout.resolve()
+    if done.returncode == 0 and at_top:
+        return lines[1]
+    return f"src-sha256:{src_digest(checkout)[:12]}"
 
 
 def main(argv=None) -> int:

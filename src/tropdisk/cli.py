@@ -26,7 +26,7 @@ from .enumerate import (
     enumerate_disks,
 )
 from .fixtures import FIXTURE_NAMES, builtin_fixture
-from .geometry import GeometryError, Vec, frac, homogeneous
+from .geometry import GeometryError, Vec, frac
 from .lagrangian import LagGraph
 from .multiplicity import DEFAULT_CONVENTION, SignConvention
 
@@ -44,13 +44,18 @@ def _load_inputs(args):
     """Resolve (fixture, case name, diagram, lagrangian, label) from the arguments.
 
     --fixture/--case name a built-in case; otherwise --diagram and
-    --lagrangian name files, and fixture and case name are None.
+    --lagrangian name files, and fixture and case name are None.  Mixing
+    the two, or --case without --fixture, is a usage error.
     """
     if args.fixture:
+        if args.diagram or args.lagrangian:
+            args.parser.error("--fixture cannot be combined with --diagram or --lagrangian")
         fixture = builtin_fixture(args.fixture)
         case_name = args.case or fixture.default_case
         return (fixture, case_name, fixture.diagram_for(case_name),
                 fixture.lagrangian_for(case_name), f"{fixture.name}:{case_name}")
+    if args.case:
+        args.parser.error("--case needs --fixture")
     if not args.diagram:
         args.parser.error("need --fixture NAME or --diagram FILE")
     diagram = BaseDiagram.load(args.diagram)
@@ -175,9 +180,8 @@ def cmd_potential(args) -> int:
     if problems:
         print("validation failed:", "; ".join(problems), file=sys.stderr)
         return EXIT_INVALID
-    point = constraint.point
+    point, triple = constraint.point, constraint.triple
     if constraint.kind == CONSTRAINT_INTERIOR:
-        triple = homogeneous(point)
         if not diagram.contains(triple, strict=True):
             raise GeometryError(
                 f"constraint point:{point.x},{point.y} is not strictly inside the polygon")

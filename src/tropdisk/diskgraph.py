@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -15,10 +15,17 @@ CONSTRAINT_INTERIOR = "interior"
 
 @dataclass(frozen=True)
 class Constraint:
+    """The point constraint; `triple` is its point as a homogeneous triple,
+    the form the search and the rigidity solve read."""
+
     kind: str
     point: Vec
     edge_index: Optional[int] = None
     t: Optional[Fraction] = None
+    triple: Triple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "triple", homogeneous(self.point))
 
     @classmethod
     def on_lagrangian(cls, lag, edge_index: int, t) -> "Constraint":

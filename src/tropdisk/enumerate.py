@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import (
@@ -586,7 +586,7 @@ class _Candidates:
         self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
         self.vecs = _Vecs(zip(diagram.homogeneous_points()[0],
                               (ff.position for ff in diagram.focus_foci)))
-        self.vecs.setdefault(homogeneous(constraint.point), constraint.point)
+        self.vecs.setdefault(constraint.triple, constraint.point)
 
     def add(self, root_specs, root_edges, completion: _Completion) -> None:
         vertex_specs = (*root_specs, *completion.vertices)
@@ -613,95 +613,165 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
                        lag: Optional[LagGraph], constraint: Optional[Constraint]) -> int:
     """Dimension of the solution space of the incidence system; -1 if empty.
 
-    Unknowns are the vertex positions (2 each).  Equations: collinearity of
-    each edge with its fixed direction, anchor incidences per vertex kind and
-    the point constraint, as `_rigidity_rows` writes them; `_echelon_rank`
-    finds the rank and solvability exactly.
+    Unknowns are the graph's tropical coordinates (`_tropical_frame`): one
+    length t_e per edge with a nonzero direction d_e and one root (x, y) per
+    component of those edges, a vertex sitting at its root plus the sum of
+    t_e d_e along its path in a spanning forest.  Equations: the anchor
+    incidences per vertex kind and the point constraint, and two closing
+    rows per edge off the forest, as `_rigidity_rows` writes them;
+    `_echelon_rank` finds the rank and solvability exactly.  The frame maps
+    the solutions one to one and affinely onto the vertex positions that
+    meet the anchors with each edge along its direction, so the dimension
+    and the solvability are those of that system over two coordinates per
+    vertex.
     """
-    cols = 2 * len(graph.vertices)
-    rank, consistent = _echelon_rank(_rigidity_rows(graph, diagram, lag, constraint), cols)
+    rows, frame = _rigidity_rows(graph, diagram, lag, constraint)
+    rank, consistent = _echelon_rank(rows, frame.cols)
     if not consistent:
         return -1
-    return cols - rank
+    return frame.cols - rank
+
+
+class _Frame(NamedTuple):
+    """Tropical coordinates of a graph over `cols` unknowns.  `places[i]` is
+    (x column of vertex i's root, path): the path holds (column, dx, dy)
+    for each forest edge from the root, and the vertex sits at its root
+    plus t (dx, dy) summed over its path, t the unknown in the column.
+    `closing` holds (column, a, b, dx, dy) for each edge a -> b off the
+    forest."""
+
+    places: List[Tuple[int, Tuple[Tuple[int, int, int], ...]]]
+    closing: List[Tuple[int, int, int, int, int]]
+    cols: int
+
+
+def _tropical_frame(graph: DiskGraph, directions, root: Optional[int]) -> _Frame:
+    """A spanning forest of the edges with a nonzero direction, grown from
+    vertex `root`, if any, by sweeps over the edges; a sweep that reaches
+    no vertex starts a new component at the start of its first edge.  A
+    direction (dx, dy, W) stands for (dx, dy), which only rescales its
+    length.  The m lengths come first: off the forest from column 0 up, on
+    it from column m - 1 down, so that an edge's column precedes its
+    parent's and elimination starts at the leaves.  The roots follow, two
+    columns each."""
+    index = graph.index_of
+    pending = [(index(e.endpoints[0]), index(e.endpoints[1]), dx, dy)
+               for e, (dx, dy, _) in zip(graph.edges, directions) if dx or dy]
+    m = len(pending)
+    places: list = [None] * len(graph.vertices)
+    closing = []
+    cols = m
+    if root is not None:
+        places[root] = (cols, ())
+        cols += 2
+    last = m - 1   # the next forest edge's column
+    while pending:
+        rest = []
+        for end in pending:
+            a, b, dx, dy = end
+            at_a, at_b = places[a], places[b]
+            if at_a is None and at_b is None:
+                rest.append(end)
+            elif at_b is None:
+                places[b] = (at_a[0], (*at_a[1], (last, dx, dy)))
+                last -= 1
+            elif at_a is None:
+                places[a] = (at_b[0], (*at_b[1], (last, -dx, -dy)))
+                last -= 1
+            else:
+                closing.append((len(closing), *end))
+        if len(rest) == len(pending):
+            places[rest[0][0]] = (cols, ())
+            cols += 2
+        pending = rest
+    for i, place in enumerate(places):
+        if place is None:
+            places[i] = (cols, ())
+            cols += 2
+    return _Frame(places, closing, cols)
 
 
 def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGraph],
-                   constraint: Optional[Constraint]) -> List[List[int]]:
-    """The incidence system of `rigidity_dimension` as integer rows: the 2n
-    coefficients, then the right-hand side.  Each row comes from the graph's
-    `triples()` and the integer facet, cut and Lagrangian rows the diagram
-    and the Lagrangian cache, so no Fraction is built.
+                   constraint: Optional[Constraint]) -> Tuple[List[List[int]], _Frame]:
+    """The system of `rigidity_dimension` and the frame of its unknowns: the
+    rows are integer, the coefficients, then the right-hand side.  First
+    one row per anchor, in vertex order and then the constraint's pin: an
+    anchor a x + b y = c at vertex i reads a, b at its root's columns and
+    a dx + b dy at each edge of its path.  Then the x and the y row
+    p_b - p_a - t d = 0 of each edge off the forest.  The anchors come from
+    the graph's `triples()` and the integer facet, cut and Lagrangian rows
+    of the diagram and the Lagrangian cache, so no Fraction is built.
     """
     points, directions = graph.triples()
-    cols = 2 * len(graph.vertices)
-    rows: List[List[int]] = []
-
-    def add_row(i: int, a: int, b: int, c: int) -> None:
-        """a x_i + b y_i = c."""
-        row = [0] * (cols + 1)
-        row[2 * i], row[2 * i + 1], row[cols] = a, b, c
-        rows.append(row)
-
-    def add_pin(i: int, point) -> None:
-        X, Y, W = point
-        add_row(i, W, 0, X)
-        add_row(i, 0, W, Y)
-
-    def add_line(i: int, line, scale: int) -> None:
-        """On the line through a/scale along e, for a row (ax, ay, ex, ey)."""
-        ax, ay, ex, ey = line
-        add_row(i, ey * scale, -ex * scale, ey * ax - ex * ay)
-
-    def add_facet(i: int, fi: int) -> None:
-        nx, ny = normals[fi]
-        ax, ay, _, _ = facet_rows[fi]
-        add_row(i, nx * facet_scale, ny * facet_scale, nx * ax + ny * ay)
-
-    for e, (dx, dy, _) in zip(graph.edges, directions):
-        ia = graph.index_of(e.endpoints[0])
-        ib = graph.index_of(e.endpoints[1])
-        # (pos_b - pos_a) x d = 0; a half-integral d is scaled by its W
-        row = [0] * (cols + 1)
-        row[2 * ib], row[2 * ib + 1], row[2 * ia], row[2 * ia + 1] = dy, -dx, -dy, dx
-        rows.append(row)
-
+    anchors: List[Tuple[int, int, int, int]] = []
     facet_rows, facet_scale = diagram.facet_rows()
-    normals = diagram.normals()
     foci, _ = diagram.homogeneous_points()
     for i, (v, point) in enumerate(zip(graph.vertices, points)):
         tag = v.kind.tag
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
-            add_pin(i, foci[v.kind.index] if v.kind.index is not None else point)
+            anchors += _pin_anchors(i, foci[v.kind.index] if v.kind.index is not None else point)
         elif tag == BOUNDARY_COLLISION:
-            for fi in diagram.facets_through(point):
-                add_facet(i, fi)
+            anchors += [_line_anchor(i, facet_rows[fi], facet_scale)
+                        for fi in diagram.facets_through(point)]
         elif tag == CYLINDER:
             j = diagram.cut_through(point)
             if j is not None:
                 cut_rows, cut_scale = diagram.cut_rows()
-                add_line(i, cut_rows[j], cut_scale)
+                anchors.append(_line_anchor(i, cut_rows[j], cut_scale))
             else:
-                facets = diagram.facets_through(point)
-                if facets:
-                    add_facet(i, facets[0])
+                anchors += [_line_anchor(i, facet_rows[fi], facet_scale)
+                            for fi in diagram.facets_through(point)[:1]]
         elif tag in (PERP_COLLISION, PANT):
             if lag is not None and constraint is not None and constraint.edge_index is not None:
                 edge_rows, edge_scale = lag.edge_rows()
-                add_line(i, edge_rows[constraint.edge_index], edge_scale)
+                anchors.append(_line_anchor(i, edge_rows[constraint.edge_index], edge_scale))
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
-            add_pin(i, point)
+            anchors += _pin_anchors(i, point)
+    root = _root_index(graph)
+    if constraint is not None and root is not None:
+        anchors += _pin_anchors(root, constraint.triple)
 
-    if constraint is not None:
-        root = _root_vertex(graph)
-        if root is not None:
-            add_pin(graph.index_of(root.id), homogeneous(constraint.point))
-    return rows
+    frame = _tropical_frame(graph, directions, root)
+    places, cols = frame.places, frame.cols
+    rows: List[List[int]] = []
+    for i, a, b, c in anchors:
+        root, path = places[i]
+        row = [0] * (cols + 1)
+        row[root], row[root + 1], row[cols] = a, b, c
+        for col, dx, dy in path:
+            row[col] = a * dx + b * dy
+        rows.append(row)
+    for col, a, b, dx, dy in frame.closing:
+        # the roots cancel, a and b being in one component
+        x_row, y_row = [0] * (cols + 1), [0] * (cols + 1)
+        for sign, i in ((1, b), (-1, a)):
+            for c, ex, ey in places[i][1]:
+                x_row[c] += sign * ex
+                y_row[c] += sign * ey
+        x_row[col], y_row[col] = -dx, -dy
+        rows += (x_row, y_row)
+    return rows, frame
 
 
-def _root_vertex(graph: DiskGraph) -> Optional[DiskVertex]:
-    for v in graph.vertices:
+def _pin_anchors(i: int, point) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Vertex i at the homogeneous point (X, Y, W), as two anchors
+    (i, a, b, c), each a x_i + b y_i = c."""
+    X, Y, W = point
+    return (i, W, 0, X), (i, 0, W, Y)
+
+
+def _line_anchor(i: int, line, scale: int) -> Tuple[int, int, int, int]:
+    """Vertex i on the line through a/scale along e, for a row (ax, ay, ex,
+    ey) of `integer_rows`, as the anchor (i, a, b, c): a x_i + b y_i = c."""
+    ax, ay, ex, ey = line
+    return i, ey * scale, -ex * scale, ey * ax - ex * ay
+
+
+def _root_index(graph: DiskGraph) -> Optional[int]:
+    """The index of the vertex that the point constraint pins, if any."""
+    for i, v in enumerate(graph.vertices):
         if v.kind.tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP):
-            return v
+            return i
     return None
 
 
@@ -822,7 +892,7 @@ def _unique_graphs(candidates: _Candidates) -> List[DiskGraph]:
 
 
 def _fiber_graphs(tracer, candidates, bounds) -> None:
-    origin = homogeneous(candidates.constraint.point)
+    origin = candidates.constraint.triple
     root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
     for d in _direction_pairs(bounds.max_lattice_length):
         for completion in tracer._trace(
@@ -834,7 +904,7 @@ def _fiber_graphs(tracer, candidates, bounds) -> None:
 def _perp_graphs(tracer, lag, candidates, bounds) -> None:
     constraint = candidates.constraint
     nx, ny = lag.edge_normal(constraint.edge_index)
-    origin = homogeneous(constraint.point)
+    origin = constraint.triple
     for ell in range(1, bounds.max_lattice_length + 1):
         # collision models require the crossing line on both sides
         plus = tracer._trace(origin, (nx * ell, ny * ell),
@@ -860,7 +930,7 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
         return
     lx, ly = lag.edge_direction(edge)
     lam = (lx, ly, 1)
-    origin = homogeneous(constraint.point)
+    origin = constraint.triple
     for ex, ey in _direction_pairs(bounds.max_lattice_length):
         if ex * ly - ey * lx == 0:
             continue

@@ -424,6 +424,31 @@ def test_missing_inputs_is_usage_error(capsys):
         assert "error: need --fixture NAME or --diagram FILE" in err
 
 
+@pytest.mark.parametrize("command", ["potential", "validate", "render"])
+@pytest.mark.parametrize("option", ["--diagram", "--lagrangian"])
+def test_fixture_with_a_file_is_usage_error(tmp_path, capsys, command, option):
+    # the files are never read: a missing one and a malformed one alike
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    for path in (bad, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, command, "--fixture", "dp5", option, str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"usage: tropdisk {command}")
+        assert "error: --fixture cannot be combined with --diagram or --lagrangian" in err
+
+
+@pytest.mark.parametrize("command", ["potential", "validate", "render"])
+def test_case_without_fixture_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "dp6.diagram.json"
+    builtin_fixture("dp6").diagram.save(path)
+    code, out, err = run_cli(capsys, command, "--diagram", str(path), "--case", "segment")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"usage: tropdisk {command}")
+    assert "error: --case needs --fixture" in err
+
+
 def test_bounds_override(capsys):
     code, out, _ = run_cli(capsys, "potential", "--fixture", "dp6", "--bounds", "6,3")
     assert code == 0

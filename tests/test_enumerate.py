@@ -76,6 +76,7 @@ from tropdisk.multiplicity import (
     focus_cover,
     graph_weights,
     pair_of_pants,
+    pant_seam,
     perp_collision,
     graph_index_diagnostic,
 )
@@ -378,22 +379,72 @@ def _pin_variant(variant, constraint, lag):
                       constraint.edge_index, constraint.t)
 
 
+def _frame_positions(frame):
+    """Vertex i's x and y as coefficient rows over the frame's unknowns: its
+    root's column, and dx, dy at the column of each edge on its path."""
+    positions = []
+    for root, path in frame.places:
+        x, y = [0] * frame.cols, [0] * frame.cols
+        x[root] = y[root + 1] = 1
+        for col, dx, dy in path:
+            x[col], y[col] = dx, dy
+        positions.append((x, y))
+    return positions
+
+
+def _composed(ref_row, b, positions, cols):
+    """A reference row over the 2n vertex coordinates, with its right-hand
+    side b, composed with the frame's vertex positions."""
+    return [sum(ref_row[2 * i] * x[c] + ref_row[2 * i + 1] * y[c]
+                for i, (x, y) in enumerate(positions)) for c in range(cols)] + [b]
+
+
+def _reference_dimension(graph, diagram, lag, constraint):
+    ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, constraint)
+    cols = 2 * len(graph.vertices)
+    rank, consistent = _row_reduce_reference(ref_rows, ref_rhs, cols)
+    return cols - rank if consistent else -1
+
+
+def _assert_rows_compose_reference(graph, diagram, lag, constraint):
+    """Row by row: each anchor row is a nonzero multiple of the reference's
+    Fraction row, with its right-hand side, composed with the frame's
+    vertex positions.  Composed, the reference's row of an edge on the
+    forest or with a zero direction vanishes, since the forest puts the edge
+    along its direction whatever its length; for an edge a -> b off the
+    forest, with direction (dx, dy)/W, it is dy times its x closing row less
+    dx times its y closing row, over W."""
+    rows, frame = _rigidity_rows(graph, diagram, lag, constraint)
+    ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, constraint)
+    positions = _frame_positions(frame)
+    composed = [_composed(r, b, positions, frame.cols) for r, b in zip(ref_rows, ref_rhs)]
+    n_edges, n_closing = len(graph.edges), 2 * len(frame.closing)
+    assert len(rows) == len(ref_rows) - n_edges + n_closing
+    for row, ref in zip(rows, composed[n_edges:]):
+        k = next(k for k, x in enumerate(ref) if x)
+        assert row == [x * row[k] / ref[k] for x in ref] and row[k]
+    edges = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]),
+              *homogeneous(e.direction)) for e in graph.edges]
+    forest = set(range(n_edges))
+    closing_rows = rows[len(rows) - n_closing:]
+    for (col, *end), x_row, y_row in zip(frame.closing, closing_rows[::2], closing_rows[1::2]):
+        k = min(k for k in forest if list(edges[k][:4]) == end)
+        forest.remove(k)
+        dx, dy, w = edges[k][2:]
+        assert x_row[col] == -dx and y_row[col] == -dy
+        assert [w * x for x in composed[k]] == [dy * x - dx * y for x, y in zip(x_row, y_row)]
+    for k in forest:
+        assert not any(composed[k])
+
+
 @pytest.mark.parametrize("variant", ["solved", "unpinned", "shifted"])
 def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
-    # row by row, each integer row is a nonzero multiple of the reference's
-    # Fraction row with its right-hand side, and the ranks agree
+    # the rows compose the reference's, and the dimensions agree
     for diagram, lag, constraint, graph in solved_graphs:
         pin = _pin_variant(variant, constraint, lag)
-        rows = _rigidity_rows(graph, diagram, lag, pin)
-        ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, pin)
-        assert len(rows) == len(ref_rows)
-        for row, ref in zip(rows, (r + [b] for r, b in zip(ref_rows, ref_rhs))):
-            k = next(k for k, x in enumerate(ref) if x)
-            assert row == [x * row[k] / ref[k] for x in ref] and row[k]
-        cols = 2 * len(graph.vertices)
-        rank, consistent = _row_reduce_reference(ref_rows, ref_rhs, cols)
+        _assert_rows_compose_reference(graph, diagram, lag, pin)
         dim = rigidity_dimension(graph, diagram, lag, pin)
-        assert dim == (cols - rank if consistent else -1)
+        assert dim == _reference_dimension(graph, diagram, lag, pin)
         if variant == "solved":
             assert dim == 0
         elif variant == "unpinned":
@@ -403,6 +454,64 @@ def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
                                                 for v in graph.vertices))
         elif constraint.kind == CONSTRAINT_LAGRANGIAN:
             assert dim == -1  # a fiber root moves with its graph instead
+
+
+def _hand_built_graphs():
+    """(graph, lag, constraint, dimension) on dp6, of shapes no search
+    reaches: an edge with a zero direction, cycles (one with a half-integral
+    edge, one of two parallel edges), two components and no constraint."""
+    lag = builtin_fixture("dp6").lagrangians["segment"]
+    on_segment = Constraint.on_lagrangian(lag, 0, F(1, 2))  # at the origin
+    at_origin = Constraint.interior_point(Vec(0, 0))
+    free = pair_of_pants((1, 1, 1), (-1, 0, 1))
+
+    def edge(a, b, x, y):
+        return DiskEdge((a, b), Vec(x, y))
+
+    zero = DiskGraph(
+        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
+         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0)),
+         DiskVertex("z", Vec(F(1, 4), F(-1, 4)), free)],
+        [edge("r", "b", 1, 1), edge("r", "z", 0, 0)])
+    cycle = DiskGraph(
+        [DiskVertex("c", Vec(0, 0), VertexKind(FIBER_ROOT)),
+         DiskVertex("p", Vec(F(1, 4), 0), free),
+         DiskVertex("q", Vec(0, F(1, 4)), free)],
+        [edge("c", "p", F(1, 2), 0), edge("p", "q", -1, 1), edge("q", "c", 0, -1)])
+    parallel = DiskGraph(
+        [DiskVertex("c", Vec(0, 0), VertexKind(FIBER_ROOT)),
+         DiskVertex("p", Vec(F(1, 4), 0), free)],
+        [edge("c", "p", 1, 0), edge("p", "c", -1, 0)])
+    two = DiskGraph(
+        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
+         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0)),
+         DiskVertex("s", Vec(F(-1, 2), 0), pant_seam()),
+         DiskVertex("f", Vec(-1, 0), boundary_collision(2))],
+        [edge("r", "b", 1, 1), edge("s", "f", -1, 0)])
+    trivalent = DiskGraph(
+        [DiskVertex("c", Vec(F(1, 8), F(1, 4)), free),
+         DiskVertex("a", Vec(F(7, 16), F(9, 16)), boundary_collision(0)),
+         DiskVertex("b", Vec(-1, F(1, 4)), boundary_collision(2)),
+         DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
+        [edge("c", "a", 1, 1), edge("c", "b", -1, 0), edge("c", "d", 0, -1)])
+    return [
+        pytest.param(zero, lag, on_segment, 2, id="zero direction"),
+        pytest.param(zero, lag, None, 4, id="zero direction, unpinned"),
+        pytest.param(cycle, None, at_origin, 1, id="cycle"),
+        pytest.param(cycle, None, None, 3, id="cycle, unpinned"),
+        pytest.param(parallel, None, at_origin, 1, id="parallel edges"),
+        pytest.param(two, lag, on_segment, 0, id="two components"),
+        pytest.param(two, lag, None, 2, id="two components, unpinned"),
+        pytest.param(trivalent, None, None, 2, id="no constraint"),
+    ]
+
+
+@pytest.mark.parametrize("graph, lag, constraint, dimension", _hand_built_graphs())
+def test_rigidity_of_hand_built_graphs(graph, lag, constraint, dimension):
+    diagram = builtin_fixture("dp6").diagram
+    _assert_rows_compose_reference(graph, diagram, lag, constraint)
+    assert rigidity_dimension(graph, diagram, lag, constraint) \
+        == _reference_dimension(graph, diagram, lag, constraint) == dimension
 
 
 def test_enumerated_graphs_are_rigid_and_revalidate():

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import runpy
+import subprocess
 
 import pytest
 
@@ -100,6 +101,34 @@ def test_bench_pairs_summary_of_canned_runs():
     assert summary["digests"] == {"equal_on_every_pair": True, "seed0": "sha256:de21d787aa",
                                   "distinct_prefixes": ["sha256:de21d787"]}
     assert bench["claim_met"](wall)
+
+
+def test_bench_pairs_names_a_checkout_outside_git_by_its_src_digest(tmp_path):
+    bench = load_script("bench_pairs.py")
+    commit = bench["_commit"]
+    checkout = tmp_path / "archive"
+    (checkout / "src" / "pkg").mkdir(parents=True)
+    (checkout / "src" / "pkg" / "a.py").write_text("A = 1\n")
+    name = commit(checkout)
+    assert name.startswith("src-sha256:") and len(name) == len("src-sha256:") + 12
+    assert name == f"src-sha256:{bench['src_digest'](checkout)[:12]}"
+    # compiled caches do not count; a source edit does
+    (checkout / "src" / "pkg" / "__pycache__").mkdir()
+    (checkout / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    assert commit(checkout) == name
+    (checkout / "src" / "pkg" / "a.py").write_text("A = 2\n")
+    assert commit(checkout) != name
+    # a git work tree is named by its commit
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(checkout)]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert commit(checkout) == head
+    # a directory inside that work tree is not its top: named by its own src/
+    inner = checkout / "src" / "pkg"
+    (inner / "src").mkdir()
+    assert commit(inner).startswith("src-sha256:")
 
 
 def test_bench_pairs_keeps_each_runs_attempted_count_in_seed_order():
