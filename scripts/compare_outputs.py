@@ -28,11 +28,16 @@ process through `tropdisk.cli.main`:
 * `potential --fixture F --case C --json --convention CONVENTION` for every
   entry of `SHIPPED_CASES`, under the non-default pant sign table
   `CONVENTION_TABLE`, so pant labels and multiplicities are compared under
-  an override too.
+  an override too;
+* `potential --diagram F --json --constraint point:X,Y` at every X,Y of
+  `INTERIOR_POINTS` for each noded diagram file of `FIBER_DIAGRAMS`, so
+  fibers on diagrams with focus-focus values, and the errors some of them
+  end in, are compared too.
 
 The malformed files and the convention file are written to a temporary
-directory that each side's interpreter runs in, so the file names in the
-error text are the same on both sides.  Each command's exit code, standard output and standard error
+directory that each side's interpreter runs in, and each side saves its own
+`FIBER_DIAGRAMS` there, so the file names in the error text are the same on
+both sides.  Each command's exit code, standard output and standard error
 are compared.  The command lists come from each checkout's own `SHIPPED_CASES`,
 `FIXTURE_NAMES` and fixtures, so a command that runs on one side only is a
 difference too.
@@ -92,6 +97,15 @@ EDGE_POSITIONS = ("3/16", "1/2", "13/16")
 # interior constraint points, for the fixtures without focus-focus values
 INTERIOR_FIXTURES = ("p1xp1", "dp6", "dp7")
 INTERIOR_POINTS = ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")
+# diagram files of the noded fixtures, by file name: (fixture, diagram variant)
+FIBER_DIAGRAMS = {
+    "dp5.diagram.json": ("dp5", None),
+    "dp4.diagram.json": ("dp4", None),
+    "dp3.diagram.json": ("dp3", None),
+    "dp2.diagram.json": ("dp2", None),
+    "dp1.diagram.json": ("dp1", None),
+    "dp2_l1.diagram.json": ("dp2", "l1"),
+}
 
 
 def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
@@ -125,7 +139,18 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
                      "--constraint", f"point:{xy}"] for xy in INTERIOR_POINTS]
     out += [["potential", "--fixture", name, "--case", case, "--json", "--convention", CONVENTION]
             for name, case in shipped_cases]
+    for path in FIBER_DIAGRAMS:
+        out += [["potential", "--diagram", path, "--json", "--constraint", f"point:{xy}"]
+                for xy in INTERIOR_POINTS]
     return out
+
+
+def save_fiber_diagrams(builtin_fixture, directory) -> None:
+    """Save each diagram of `FIBER_DIAGRAMS` under its file name in directory."""
+    for path, (name, variant) in FIBER_DIAGRAMS.items():
+        fixture = builtin_fixture(name)
+        diagram = fixture.diagram if variant is None else fixture.diagram_variants[variant]
+        diagram.save(Path(directory, path))
 
 
 def collect(src: str) -> None:
@@ -139,6 +164,7 @@ def collect(src: str) -> None:
     if not Path(tropdisk.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"tropdisk imported from {tropdisk.__file__}, not {src}")
 
+    save_fiber_diagrams(builtin_fixture, ".")
     outputs = {}
     for argv in commands(SHIPPED_CASES, FIXTURE_NAMES, builtin_fixture):
         out, err = io.StringIO(), io.StringIO()
@@ -151,7 +177,8 @@ def collect(src: str) -> None:
 
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
-    temporary directory that holds the `MALFORMED` files and `CONVENTION`."""
+    temporary directory that holds the `MALFORMED` files and `CONVENTION`,
+    where `collect` saves the `FIBER_DIAGRAMS`."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:

@@ -71,7 +71,6 @@ class DiskGraph:
 
     vertices: List[DiskVertex]
     edges: List[DiskEdge]
-    constraint: Optional[Constraint] = None
     known_triples: InitVar[Optional[Triples]] = None
 
     def __post_init__(self, known_triples):

@@ -17,7 +17,7 @@ deterministic and duplicate-free.  The tracer scans events in integers: it
 reads the diagram's integer facet and branch-cut rows and adds the Lagrangian
 edges as rows of their own.  Its recursion carries points as homogeneous
 integer triples and directions as integer pairs; Fractions and Vecs are built
-only by `_Candidates`, when it assembles the graphs.
+only by `_build_graph`, for the graphs that survive dedup.
 """
 
 from __future__ import annotations
@@ -560,50 +560,22 @@ class _Tracer:
 # -- graph assembly -------------------------------------------------------------
 
 
-class _Vecs(dict):
-    """Homogeneous triple -> its Vec, built on the first lookup: one Vec per
-    distinct triple for a whole enumeration."""
-
-    def __missing__(self, triple) -> Vec:
-        vec = self[triple] = from_homogeneous(triple)
-        return vec
-
-
-class _Candidates:
-    """The candidate graphs of one enumeration, built from completion specs.
-
-    Specs carry homogeneous triples for positions and directions alike;
-    `add` reads their Vecs from its one `_Vecs` memo, seeded with the foci
-    and the constraint point, keys a graph's vertices by triple and hands
-    the triples to the graph as its `DiskGraph.triples()`.  It keeps each
-    graph's specs, so `_unique_graphs` can write `DiskGraph.signature()` in
-    integers.
-    """
-
-    def __init__(self, constraint: Constraint, diagram: BaseDiagram):
-        self.constraint = constraint
-        self.graphs: List[DiskGraph] = []
-        self.specs: List[Tuple[Tuple[_VertexSpec, ...], Tuple[_EdgeSpec, ...]]] = []
-        self.vecs = _Vecs(zip(diagram.homogeneous_points()[0],
-                              (ff.position for ff in diagram.focus_foci)))
-        self.vecs.setdefault(constraint.triple, constraint.point)
-
-    def add(self, root_specs, root_edges, completion: _Completion) -> None:
-        vertex_specs = (*root_specs, *completion.vertices)
-        edge_specs = (*root_edges, *completion.edges)
-        vecs = self.vecs
-        vertices: List[DiskVertex] = []
-        by_pos: Dict[Tuple[int, int, int], str] = {}
-        for spec in vertex_specs:
-            if spec.position in by_pos:
-                raise GeometryError(f"two graph vertices at {vecs[spec.position]!r}")
-            vid = by_pos[spec.position] = f"v{len(vertices)}"
-            vertices.append(DiskVertex(vid, vecs[spec.position], spec.kind))
-        edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), vecs[e.direction], e.open)
-                 for e in edge_specs]
-        triples = (tuple(s.position for s in vertex_specs), tuple(e.direction for e in edge_specs))
-        self.graphs.append(DiskGraph(vertices, edges, self.constraint, triples))
-        self.specs.append((vertex_specs, edge_specs))
+def _build_graph(completion: _Completion, vecs: Dict[Tuple[int, int, int], Vec]) -> DiskGraph:
+    """The solved graph of a completion.  Its specs carry homogeneous triples
+    for positions and directions alike: the vertices are keyed by triple,
+    the triples are handed to the graph as its `DiskGraph.triples()`, and
+    their Vecs come from `vecs`, a memo shared by one enumeration's graphs."""
+    points = tuple(s.position for s in completion.vertices)
+    directions = tuple(e.direction for e in completion.edges)
+    for t in points + directions:
+        if t not in vecs:
+            vecs[t] = from_homogeneous(t)
+    by_pos = {p: f"v{i}" for i, p in enumerate(points)}
+    vertices = [DiskVertex(by_pos[s.position], vecs[s.position], s.kind)
+                for s in completion.vertices]
+    edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), vecs[e.direction], e.open)
+             for e in completion.edges]
+    return DiskGraph(vertices, edges, known_triples=(points, directions))
 
 
 # -- rigidity ------------------------------------------------------------------
@@ -829,13 +801,17 @@ def enumerate_disks(
     convention: SignConvention = DEFAULT_CONVENTION,
     flags: FixtureFlags = NO_FLAGS,
 ) -> EnumerationResult:
-    candidates = _candidate_graphs(diagram, lag, constraint, bounds, flags)
+    completions = _candidate_graphs(diagram, lag, constraint, bounds, flags)
     warnings: List[str] = []
     out: List[EnumeratedGraph] = []
-    for g in _unique_graphs(candidates):
-        if len(g.vertices) > bounds.max_vertices:
-            warnings.append(f"graph with {len(g.vertices)} vertices exceeds max_vertices")
+    # the Vecs of the graphs' triples, seeded with the foci and the constraint point
+    vecs = dict(zip(diagram.homogeneous_points()[0], (ff.position for ff in diagram.focus_foci)))
+    vecs[constraint.triple] = constraint.point
+    for completion in _unique_graphs(completions):
+        if len(completion.vertices) > bounds.max_vertices:
+            warnings.append(f"graph with {len(completion.vertices)} vertices exceeds max_vertices")
             continue
+        g = _build_graph(completion, vecs)
         dim = rigidity_dimension(g, diagram, lag, constraint)
         if dim != 0:
             warnings.append(f"dropped non-rigid graph (dim={dim})")
@@ -848,61 +824,71 @@ def enumerate_disks(
     return EnumerationResult(out, [], warnings)
 
 
-def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> _Candidates:
-    """Every graph the roots grow from the constraint, duplicates included."""
+def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[_Completion]:
+    """Every completion the roots grow from the constraint, root specs
+    prepended, duplicates included, in search order."""
     tracer = _Tracer(diagram, lag, bounds, flags)
-    candidates = _Candidates(constraint, diagram)
+    completions: List[_Completion] = []
     if constraint.kind == CONSTRAINT_INTERIOR:
-        _fiber_graphs(tracer, candidates, bounds)
+        _fiber_graphs(tracer, constraint, completions, bounds)
     else:
-        _perp_graphs(tracer, lag, candidates, bounds)
-        _pant_graphs(tracer, lag, candidates, bounds)
-    return candidates
+        _perp_graphs(tracer, lag, constraint, completions, bounds)
+        _pant_graphs(tracer, lag, constraint, completions, bounds)
+    return completions
 
 
-def _unique_graphs(candidates: _Candidates) -> List[DiskGraph]:
-    """One graph per signature, in signature order: the first candidate of
-    each run of equal keys after a stable sort.
+def _unique_graphs(completions: List[_Completion]) -> List[_Completion]:
+    """One completion per graph signature, in signature order: the first
+    completion of each run of equal keys after a stable sort.
 
-    A graph's key is `diskgraph._signature_key`, the field list of
+    A completion's key is `diskgraph._signature_key`, the field list of
     `DiskGraph.signature()`, read off its specs with every position and
     every edge direction times the least common denominator of all the
-    call's triples.  Scaling by one positive integer keeps the order and the
-    equality of the Fractions, so the keys sort, and group, exactly as the
-    signatures do.  The kinds' vectors are scaled by the same denominator:
-    every kind the tracer builds holds integer triples (W = 1).
+    completions' triples.  Scaling by one positive integer keeps the order
+    and the equality of the Fractions, so the keys sort, and group, exactly
+    as the signatures of the graphs would.  The kinds' vectors are scaled by
+    the same denominator: every kind the tracer builds holds integer triples
+    (W = 1).  A completion with two vertices at one point has no graph: the
+    first such one, in search order, raises GeometryError.
     """
-    den = math.lcm(*(W for _, _, W in candidates.vecs))
-    scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in candidates.vecs}
+    triples = set()
+    for c in completions:
+        seen = set()
+        for s in c.vertices:
+            if s.position in seen:
+                raise GeometryError(f"two graph vertices at {from_homogeneous(s.position)!r}")
+            seen.add(s.position)
+        triples |= seen
+        triples.update(e.direction for e in c.edges)
+    den = math.lcm(*(W for _, _, W in triples))
+    scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in triples}
 
     def vector(t):
         if t is None or not (t[0] or t[1]):
             return None
         return t[0] * (den // t[2]), t[1] * (den // t[2])
 
-    keyed = []
-    for (vertex_specs, edge_specs), graph in zip(candidates.specs, candidates.graphs):
-        key = _signature_key(
-            [(scaled[s.position], s.kind) for s in vertex_specs],
-            [(scaled[e.start], scaled[e.end], scaled[e.direction], e.open) for e in edge_specs],
-            vector)
-        keyed.append((key, graph))
+    keyed = [(_signature_key(
+                [(scaled[s.position], s.kind) for s in c.vertices],
+                [(scaled[e.start], scaled[e.end], scaled[e.direction], e.open)
+                 for e in c.edges],
+                vector), c)
+             for c in completions]
     keyed.sort(key=itemgetter(0))
     return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
 
 
-def _fiber_graphs(tracer, candidates, bounds) -> None:
-    origin = candidates.constraint.triple
+def _fiber_graphs(tracer, constraint, completions, bounds) -> None:
+    origin = constraint.triple
     root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
     for d in _direction_pairs(bounds.max_lattice_length):
         for completion in tracer._trace(
             origin, d, bounds.max_cut_crossings, bounds.max_splits
         ):
-            candidates.add([root], [], completion)
+            completions.append(completion.prepend([root], []))
 
 
-def _perp_graphs(tracer, lag, candidates, bounds) -> None:
-    constraint = candidates.constraint
+def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
     nx, ny = lag.edge_normal(constraint.edge_index)
     origin = constraint.triple
     for ell in range(1, bounds.max_lattice_length + 1):
@@ -916,12 +902,10 @@ def _perp_graphs(tracer, lag, candidates, bounds) -> None:
         if not minus:
             continue
         root = _VertexSpec(origin, perp_collision(ell))
-        for completion in plus + minus:
-            candidates.add([root], [], completion)
+        completions.extend(c.prepend([root], []) for c in plus + minus)
 
 
-def _pant_graphs(tracer, lag, candidates, bounds) -> None:
-    constraint = candidates.constraint
+def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
     edge = lag.edges[constraint.edge_index]
     a_id, b_id = edge.endpoints
     # the strip must end at a seam on a Lagrangian pair of pants
@@ -951,8 +935,7 @@ def _pant_graphs(tracer, lag, candidates, bounds) -> None:
             _VertexSpec(target, pant_seam()),
         ]
         strip = _EdgeSpec(origin, target, pant_strip_direction((ex, ey, 1), lam), open=True)
-        for completion in closed:
-            candidates.add(root, [strip], completion)
+        completions.extend(c.prepend(root, [strip]) for c in closed)
 
 
 def potential(

@@ -28,6 +28,7 @@ from tropdisk.enumerate import (
     NO_FLAGS,
     FixtureFlags,
     SearchBounds,
+    _build_graph,
     _candidate_graphs,
     _Completion,
     _direction_pairs,
@@ -93,7 +94,6 @@ def test_rigidity_single_boundary_edge_is_rigid():
         [DiskVertex("r", Vec(0, 0), perp_collision(1)),
          DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0))],
         [DiskEdge(("r", "b"), Vec(1, 1))],
-        constraint,
     )
     assert rigidity_dimension(g, fx.diagram, lag, constraint) == 0
 
@@ -123,7 +123,6 @@ def test_rigidity_inconsistent_system():
         [DiskVertex("r", Vec(0, 0), perp_collision(1)),
          DiskVertex("f", Vec(F(1, 2), F(1, 2)), focus_cover(1, 0))],
         [DiskEdge(("r", "f"), Vec(1, 0))],
-        constraint,
     )
     diagram = BaseDiagram(
         "one-focus", list(fx.diagram.polygon),
@@ -552,13 +551,14 @@ def test_solved_vertices_classify_as_the_fraction_reference(solved_graphs):
 
 
 def _candidate_vertices(fx, case, tag):
-    """(graph, vertex, leg) for every vertex of the tag among the case's
-    candidate graphs, leg the triple of its first edge oriented away from it."""
+    """(graph, vertex, leg) for every vertex of the tag among the graphs of
+    the case's completions, leg the triple of its first edge oriented away
+    from it."""
     c = fx.case(case)
-    candidates = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
-                                   fx.constraint(case), c.bounds, c.flags)
+    completions = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
+                                    fx.constraint(case), c.bounds, c.flags)
     out = []
-    for g in candidates.graphs:
+    for g in (_build_graph(c, {}) for c in completions):
         for v in g.vertices:
             if v.kind.tag == tag:
                 e, (X, Y, W) = next((e, d) for e, d in zip(g.edges, g.triples()[1])
@@ -608,7 +608,7 @@ def test_search_and_classifier_follow_one_perpendicular(monkeypatch):
 
 def test_tracer_builds_no_vec(monkeypatch):
     # building a tracer and tracing every root direction of every shipped
-    # case builds no Vec: `_Candidates` builds the graphs' Vecs
+    # case builds no Vec: `_build_graph` builds the graphs' Vecs
     built = []
     init = Vec.__init__
 
@@ -644,7 +644,7 @@ def test_search_hands_each_graph_its_canonical_triples():
             points, directions = searched.triples()
             assert points == tuple(homogeneous(v.position) for v in searched.vertices)
             assert directions == tuple(homogeneous(e.direction) for e in searched.edges)
-            built = DiskGraph(list(searched.vertices), list(searched.edges), constraint)
+            built = DiskGraph(list(searched.vertices), list(searched.edges))
             assert built._triples is None
             assert rigidity_dimension(built, diagram, lag, constraint) \
                 == rigidity_dimension(searched, diagram, lag, constraint) == 0
@@ -931,14 +931,14 @@ def test_signature_agrees_with_former_body(solved_graphs):
         assert repr(g.signature()) == repr(_reference_signature(g))
 
 
-def _unique_graphs_reference(graphs):
+def _unique_graphs_reference(completions):
     """The former dedup of enumerate_disks: a dict keyed by the former
-    signature that keeps the first candidate, then its items in signature
-    order."""
+    signature of each completion's graph that keeps the first completion,
+    then its items in signature order."""
     unique = {}
-    for g in graphs:
-        unique.setdefault(_reference_signature(g), g)
-    return [g for _, g in sorted(unique.items())]
+    for c in completions:
+        unique.setdefault(_reference_signature(_build_graph(c, {})), c)
+    return [c for _, c in sorted(unique.items())]
 
 
 @pytest.mark.parametrize("name,case,length,splits,counts", [
@@ -958,13 +958,34 @@ def test_unique_graphs_agree_with_dict_reference(name, case, length, splits, cou
 def _unique_graphs_agree(diagram, lag, constraint, bounds, flags):
     """Assert that `_unique_graphs` keeps the reference's representative of
     each signature, in the reference's order; returns the numbers of
-    candidates and of unique graphs."""
-    candidates = _candidate_graphs(diagram, lag, constraint, bounds, flags)
-    unique = _unique_graphs(candidates)
-    expected = _unique_graphs_reference(candidates.graphs)
+    completions and of unique graphs."""
+    completions = _candidate_graphs(diagram, lag, constraint, bounds, flags)
+    unique = _unique_graphs(completions)
+    expected = _unique_graphs_reference(completions)
     assert len(unique) == len(expected)
-    assert all(g is h for g, h in zip(unique, expected))
-    return len(candidates.graphs), len(unique)
+    assert all(c is d for c, d in zip(unique, expected))
+    return len(completions), len(unique)
+
+
+def test_enumeration_builds_only_the_graphs_it_solves(monkeypatch):
+    # of the 44 completions and 34 unique graphs of the dedup test above,
+    # a graph is built for each one that is counted or dropped as non-rigid
+    built = []
+    post_init = DiskGraph.__post_init__
+
+    def counted(self, known_triples):
+        built.append(self)
+        post_init(self, known_triples)
+
+    fx = builtin_fixture("dp1")
+    c = fx.case("vertical")
+    bounds = replace(c.bounds, max_lattice_length=4, max_splits=2)
+    monkeypatch.setattr(DiskGraph, "__post_init__", counted)
+    result = fx.run("vertical", bounds)
+    monkeypatch.undo()
+    dropped = [w for w in result.warnings if w.startswith("dropped non-rigid")]
+    assert result.graphs
+    assert len(built) == len(result.graphs) + len(dropped) < 44
 
 
 GRID_CELLS = [(name, case, length, splits)

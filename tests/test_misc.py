@@ -64,12 +64,18 @@ def test_fiber_ray_through_branch_cut_is_a_cylinder():
                 assert rederived.tag == "cylinder"
 
 
-def test_incomplete_result_raises_in_potential():
+def test_incomplete_result_raises_in_potential(monkeypatch):
     from tropdisk.enumerate import EnumerationResult, potential
 
     # the structured incomplete path: unresolved graphs flag the result
     res = EnumerationResult([], unresolved=["higher valence vertex"])
     assert not res.complete
+    # and potential() refuses to sum an incomplete result
+    monkeypatch.setattr("tropdisk.enumerate.enumerate_disks",
+                        lambda *args, **kwargs: EnumerationResult([], unresolved=["x"]))
+    fx = builtin_fixture("dp6")
+    with pytest.raises(GeometryError, match="enumeration incomplete"):
+        potential(fx.diagram_for("fiber"), None, fx.constraint("fiber"))
 
 
 def test_signature_distinguishes_open_flag():

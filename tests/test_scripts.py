@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 from tropdisk.cli import main
+from tropdisk.diagram import BaseDiagram
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -242,11 +243,16 @@ def test_compare_outputs_reports_each_differing_command():
     # both cases under the flipped pant signs
     conventions = [f"potential --fixture dp6 --case {case} --json --convention "
                    f"{compare['CONVENTION']}" for case in ("segment", "fiber")]
+    # the interior points on each saved noded diagram
+    fibers = [f"potential --diagram {path} --json --constraint point:{xy}"
+              for path in ("dp5.diagram.json", "dp4.diagram.json", "dp3.diagram.json",
+                           "dp2.diagram.json", "dp1.diagram.json", "dp2_l1.diagram.json")
+              for xy in ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *edges, *points, *conventions]
+        *malformed, *grid, *edges, *points, *conventions, *fibers]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -289,10 +295,26 @@ def test_compare_outputs_malformed_files_exit_1_with_their_codes(tmp_path, monke
         (tmp_path / name).write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
     for argv in compare["commands"]([], [], builtin_fixture):
-        if "--diagram" in argv:
+        if "--diagram" in argv and argv[argv.index("--diagram") + 1] in codes:
             assert main(argv) == 1
             captured = capsys.readouterr()
             name = argv[argv.index("--diagram") + 1]
             assert captured.out == ""
             assert captured.err.startswith(f"error: invalid diagram {name}: ")
             assert codes[name] in captured.err
+
+
+def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys):
+    # each saved file loads back as its fixture's diagram, and a fiber
+    # command on it runs from the directory it was saved in
+    compare = load_script("compare_outputs.py")
+    compare["save_fiber_diagrams"](builtin_fixture, tmp_path)
+    for path, (name, variant) in compare["FIBER_DIAGRAMS"].items():
+        fixture = builtin_fixture(name)
+        diagram = fixture.diagram if variant is None else fixture.diagram_variants[variant]
+        assert BaseDiagram.load(tmp_path / path).to_json_dict() == diagram.to_json_dict()
+    monkeypatch.chdir(tmp_path)
+    argv = next(argv for argv in compare["commands"]([], [], builtin_fixture)
+                if "dp5.diagram.json" in argv)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["graphs"]
