@@ -122,6 +122,53 @@ class BaseDiagram:
         self.branch_cuts()
         return self._cut_rows
 
+    def facet_slacks(self, origin) -> Optional[Tuple[List[int], int]]:
+        """(slacks, reach): facet i's slack n.p - n.a of the homogeneous
+        origin p (n the inward normal, a a point of the facet) as the
+        integer slacks[i] / reach, or None when the origin is outside the
+        polygon (a negative slack).  It depends on the origin alone, so rays
+        cast from one origin read it once (`boundary_exit`)."""
+        X, Y, W = origin
+        rows, scale = self.facet_rows()
+        Xs, Ys = X * scale, Y * scale
+        slacks = []
+        for (ax, ay, _, _), (nx, ny) in zip(rows, self.normals()):
+            slack = nx * (Xs - ax * W) + ny * (Ys - ay * W)
+            if slack < 0:
+                return None
+            slacks.append(slack)
+        return slacks, scale * W
+
+    def facet_rates(self, d) -> List[Tuple[int, int]]:
+        """(i, -n.d) for each facet i whose line the integer pair d runs
+        outward through (n the inward normal, n.d < 0), in order.  It
+        depends on the direction alone, so rays cast along one direction
+        read it once (`boundary_exit`)."""
+        dx, dy = d
+        rates = []
+        for i, (nx, ny) in enumerate(self.normals()):
+            rate = -(nx * dx + ny * dy)
+            if rate > 0:
+                rates.append((i, rate))
+        return rates
+
+    def boundary_exit(self, slacks, rates) -> Optional[Tuple[int, int, List[int]]]:
+        """`boundary_hit` from the origin's `facet_slacks` and the
+        direction's `facet_rates`."""
+        values, reach = slacks
+        best_slack, best_rate, facets = 0, 0, []
+        for i, rate in rates:
+            slack = values[i]
+            if slack == 0:
+                return None  # leaves at once from a facet or a corner
+            if not facets or slack * best_rate < best_slack * rate:
+                best_slack, best_rate, facets = slack, rate, [i]
+            elif slack * best_rate == best_slack * rate:
+                facets.append(i)
+        if not facets:
+            return None
+        return best_slack, reach * best_rate, facets
+
     def boundary_hit(self, origin, d) -> Optional[Tuple[int, int, List[int]]]:
         """(t_num, t_den, facets) where the open ray origin + t d first meets
         the boundary, or None; origin is homogeneous, d an integer pair and t
@@ -133,29 +180,12 @@ class BaseDiagram:
         or a corner.  A ray from inside the convex polygon leaves it where it
         first crosses a facet line it runs outward through (n.d < 0, n the
         inward normal), so one pass over the half-planes n.x >= n.a finds the
-        hit: t = slack / -n.d with slack = n.p - n.a.
+        hit: t = slack / -n.d.  The slacks depend on the origin alone and the
+        rates on the direction alone: it is `facet_slacks` and `facet_rates`
+        read by `boundary_exit`.
         """
-        X, Y, W = origin
-        dx, dy = d
-        rows, scale = self.facet_rows()
-        best_slack, best_rate, facets = 0, 0, []
-        for i, ((ax, ay, _, _), (nx, ny)) in enumerate(zip(rows, self.normals())):
-            # scale * W * (n.p - n.a)
-            slack = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
-            if slack < 0:
-                return None  # the origin is outside the polygon
-            rate = -(nx * dx + ny * dy)
-            if rate <= 0:
-                continue  # the ray does not run outward through this facet line
-            if slack == 0:
-                return None  # leaves at once from a facet or a corner
-            if not facets or slack * best_rate < best_slack * rate:
-                best_slack, best_rate, facets = slack, rate, [i]
-            elif slack * best_rate == best_slack * rate:
-                facets.append(i)
-        if not facets:
-            return None
-        return best_slack, scale * W * best_rate, facets
+        slacks = self.facet_slacks(origin)
+        return None if slacks is None else self.boundary_exit(slacks, self.facet_rates(d))
 
     def collision_facet(self, facets: List[int], d: Tuple[int, int]) -> Optional[int]:
         """The first of `facets` whose primitive inward normal is the integer
@@ -163,7 +193,10 @@ class BaseDiagram:
         collision with that facet.  The search and `classify_vertex` both
         decide a boundary collision here."""
         normals = self.normals()
-        return next((i for i in facets if normals[i] == d), None)
+        for i in facets:
+            if normals[i] == d:
+                return i
+        return None
 
     def _cut_exit(self, j: int):
         """Where the branch cut of focus j first meets the boundary, as a
@@ -175,14 +208,8 @@ class BaseDiagram:
 
     def contains(self, point, strict: bool = False) -> bool:
         """Whether the homogeneous point lies in the polygon, in its interior if strict."""
-        X, Y, W = point
-        rows, scale = self.facet_rows()
-        for (ax, ay, _, _), (nx, ny) in zip(rows, self.normals()):
-            # scale * W * (<normal, p> - line_value), a positive multiple
-            v = nx * (X * scale - ax * W) + ny * (Y * scale - ay * W)
-            if v < 0 or (strict and v == 0):
-                return False
-        return True
+        slacks = self.facet_slacks(point)
+        return slacks is not None and not (strict and 0 in slacks[0])
 
     def cut_through(self, point) -> Optional[int]:
         """Index of the first branch cut containing the homogeneous point, or None."""

@@ -45,9 +45,10 @@ from .geometry import (
     det2,
     from_homogeneous,
     homogeneous,
+    offset_hit,
     primitive,
     ray_point,
-    ray_segment_hit,
+    row_offsets,
 )
 from .lagrangian import LagGraph
 from .multiplicity import (
@@ -154,8 +155,39 @@ class EnumerationResult:
         return [g.contribution for g in self.graphs]
 
 
+class _Origin:
+    """What every cast from one origin p shares: the parts of its events that
+    depend on p alone, and the rays cast from it.
+
+    `slacks` is the diagram's `facet_slacks` of p, None when p is outside
+    the polygon, where no ray starts.  `reach` is the cut scale times p's W.
+    `cuts` holds one (ax, ay, bx, by, t_num, o) per cut.  With A = f - p
+    and B = x - p times reach, for the cut's focus f and boundary exit x,
+    and o the sign of A x B (1 where it is 0), (ax, ay) = o A,
+    (bx, by) = o B and t_num = |A x B| / W, the numerator of the parameter
+    at which any ray from p meets the cut's line.  A cut whose line holds p
+    has (bx, by) = (ax, ay), so that no ray crosses it (`_events`).  `lag`
+    holds the Lagrangian rows' `row_offsets`, and `rays` the `_Ray` (or
+    None) of each primitive direction cast so far.  `splits` holds, per
+    focus j, (j, rx, ry, r x pi, pix, piy): its offset r = f - p times
+    reach, the numerator of a split point's parameter and its shear
+    direction pi, filled the first time a ray from p may split.
+    """
+
+    __slots__ = ("slacks", "reach", "cuts", "lag", "splits", "rays")
+
+    def __init__(self, slacks, reach, cuts, lag):
+        self.slacks = slacks
+        self.reach = reach
+        self.cuts = cuts
+        self.lag = lag
+        self.splits: Optional[List[Tuple[int, ...]]] = None
+        self.rays: Dict[Tuple[int, int], Optional[_Ray]] = {}
+
+
 class _Ray:
-    """What a trace computes from its origin and primitive direction alone.
+    """What a trace computes from its origin and primitive direction alone,
+    reading the origin's `_Origin` table and the direction.
 
     `focus` is the focus j the ray ends at (along its shear line, first on
     the ray and not where a cut also meets it), `cut` the (j, point) of the
@@ -200,11 +232,18 @@ class _Tracer:
     specs carry the same triples, and so do the kinds it tags: the tracer
     builds no Vec.
 
-    A tracer serves one enumeration.  Everything a trace finds before its
-    ends depends only on the origin and the primitive direction, so it keeps
-    a `_Ray` per such pair.  A split leg runs along its focus's shear line,
-    so whether it is clear depends only on where w sits on that line: the
-    tracer keeps one leg table per focus (`_leg_table`).
+    A tracer serves one enumeration and keeps its tables for that long
+    only: nothing is stored on the diagram or the Lagrangian.  Every offset
+    a cast reads (to each facet, cut, focus and Lagrangian row) depends on
+    the origin alone, so the first cast from an origin builds its `_Origin`
+    table, and a cast computes only what depends on the direction: the
+    facet rates (`BaseDiagram.facet_rates`, once per direction), the cut
+    and focus cross products and the Lagrangian hit.  Everything a trace
+    finds before its ends depends only on the origin and the primitive
+    direction, so the origin's table keeps a `_Ray` per direction.  A split
+    leg runs along its focus's shear line, so whether it is clear depends
+    only on where w sits on that line: the tracer keeps one leg table per
+    focus (`_leg_table`).
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -228,53 +267,76 @@ class _Tracer:
                 if c in flagged and (lag is None or lag.vertex_at(c) is None):
                     offset = None if limit is None else _offset(limit, c)
                     self.cap_table.setdefault(i, []).append((c, offset))
-        self._rays: Dict[Tuple, Optional[_Ray]] = {}
+        self._origins: Dict[Tuple[int, int, int], _Origin] = {}
+        # each primitive direction's `facet_rates`
+        self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
 
     # -- event scanning -------------------------------------------------------
 
-    def _lambda_hit(self, origin, prim, t_num: int, t_den: int) -> bool:
+    def _origin(self, origin) -> _Origin:
+        """The `_Origin` table of the homogeneous point origin."""
+        X, Y, W = origin
+        scale = self.cut_scale
+        slacks = self.diagram.facet_slacks(origin)
+        if slacks is None:
+            return _Origin(None, scale * W, [], [])
+        Xs, Ys = X * scale, Y * scale
+        cuts = []
+        for ax, ay, ex, ey in self.cut_rows:
+            rx, ry = ax * W - Xs, ay * W - Ys
+            t_num = rx * ey - ry * ex  # A x B / W
+            if t_num > 0:
+                cuts.append((rx, ry, rx + W * ex, ry + W * ey, t_num, 1))
+            elif t_num < 0:
+                cuts.append((-rx, -ry, -rx - W * ex, -ry - W * ey, -t_num, -1))
+            else:
+                cuts.append((rx, ry, rx, ry, 0, 1))
+        lag = row_offsets(origin, self.lag_rows, self.lag_scale)
+        return _Origin(slacks, scale * W, cuts, lag)
+
+    def _lambda_hit(self, table: _Origin, prim, t_num: int, t_den: int) -> bool:
         """Whether the ray meets the Lagrangian graph at some t in (0, t_num/t_den]."""
-        for row in self.lag_rows:
-            hit = ray_segment_hit(origin, prim, row, self.lag_scale)
+        for offset in table.lag:
+            hit = offset_hit(offset, prim)
             if hit is not None and hit[0] * t_den <= t_num * hit[1]:
                 return True
         return False
 
-    def _events(self, origin, prim, b_num: int, b_den: int):
+    def _events(self, table: _Origin, prim, b_num: int, b_den: int):
         """(focus, cut): the earliest focus on the ray and the earliest cut it
         crosses, each as (t_num, t_den, j) with t at most the boundary's
         b_num/b_den, or None.  Ties keep the lowest index j.
 
-        One pass over the cut rows finds each focus's parameter on the ray and
-        does the work of `ray_segment_hit` on each cut, from their shared offset
-        (rx, ry) / (scale W) of the focus from the origin.  The cross product
-        of that offset with prim is the numerator of the cut's s, so a focus
-        on the ray's line meets its own cut at s = 0 and is a focus event only.
+        Each cut is read from the origin's table, its ends' offsets A and B
+        turned by the sign o of A x B.  The ray along prim crosses the cut
+        strictly past its focus exactly when it runs strictly between A and
+        B or through B: (o A) x prim > 0 and prim x (o B) >= 0.  The two
+        cross products then sum to W |prim x e| for the cut's row e, so the
+        crossing is at t = t_num / (scale (their sum)): the meeting
+        `offset_hit` finds with s in (0, 1].  When A x prim = 0
+        the focus is on the ray's line, and meeting it is a focus event
+        only; a cut parallel to the ray is never crossed, as running along a
+        cut is shear-invariant.
         """
         focus = cut = None
-        X, Y, W = origin
-        scale = self.cut_scale
         px, py = prim
-        for j, (ax, ay, ex, ey) in enumerate(self.cut_rows):
-            rx, ry = ax * W - X * scale, ay * W - Y * scale
-            cross = py * rx - px * ry
-            if cross == 0:
-                # the focus is on the ray's line, at t = (r . prim) / (scale W |prim|^2)
-                t_num, t_den = rx * px + ry * py, scale * W * (px * px + py * py)
-                if (t_num > 0 and t_num * b_den <= b_num * t_den
-                        and (focus is None or t_num * focus[1] < focus[0] * t_den)):
-                    focus = (t_num, t_den, j)
-                continue  # s = 0: meeting the focus itself is a focus event
-            denom = px * ey - py * ex
-            if denom == 0:
-                continue  # parallel: running along a cut is shear-invariant
-            t_num = rx * ey - ry * ex
-            if denom < 0:
-                denom, t_num, cross = -denom, -t_num, -cross
-            if t_num <= 0 or cross < 0 or cross > W * denom:
+        scale = self.cut_scale
+        for j, (ax, ay, bx, by, t_num, o) in enumerate(table.cuts):
+            c = ax * py - ay * px
+            if c <= 0:
+                if c == 0:
+                    # the focus is on the ray's line, at t = (A . prim) / (reach |prim|^2)
+                    f_num = o * (ax * px + ay * py)
+                    f_den = table.reach * (px * px + py * py)
+                    if (f_num > 0 and f_num * b_den <= b_num * f_den
+                            and (focus is None or f_num * focus[1] < focus[0] * f_den)):
+                        focus = (f_num, f_den, j)
                 continue
-            t_den = scale * W * denom
+            b = px * by - py * bx
+            if b < 0:
+                continue
+            t_den = scale * (c + b)
             if (t_num * b_den <= b_num * t_den
                     and (cut is None or t_num * cut[1] < cut[0] * t_den)):
                 cut = (t_num, t_den, j)
@@ -282,26 +344,33 @@ class _Tracer:
 
     def _ray(self, origin, prim) -> Optional[_Ray]:
         """The `_Ray` of (origin, prim), or None when no trace along it can
-        complete: it meets no boundary (malformed input) or it meets the
+        complete: its origin is outside the polygon, it leaves the polygon
+        at once or meets no boundary (malformed input), or it meets the
         Lagrangian graph before its first event."""
-        key = origin + prim
-        if key in self._rays:
-            return self._rays[key]
-        ray = self._rays[key] = self._cast(origin, prim)
+        table = self._origins.get(origin)
+        if table is None:
+            table = self._origins[origin] = self._origin(origin)
+        rays = table.rays
+        if prim in rays:
+            return rays[prim]
+        ray = rays[prim] = None if table.slacks is None else self._cast(origin, table, prim)
         return ray
 
-    def _cast(self, origin, prim) -> Optional[_Ray]:
-        boundary = self.diagram.boundary_hit(origin, prim)
+    def _cast(self, origin, table: _Origin, prim) -> Optional[_Ray]:
+        rates = self._rates.get(prim)
+        if rates is None:
+            rates = self._rates[prim] = self.diagram.facet_rates(prim)
+        boundary = self.diagram.boundary_exit(table.slacks, rates)
         if boundary is None:
             return None
         b_num, b_den, facet_ids = boundary
-        focus, cut = self._events(origin, prim, b_num, b_den)
+        focus, cut = self._events(table, prim, b_num, b_den)
 
         horizon = (b_num, b_den)
         for event in (focus, cut):
             if event is not None and event[0] * horizon[1] < horizon[0] * event[1]:
                 horizon = event[:2]
-        if self._lambda_hit(origin, prim, *horizon):
+        if self._lambda_hit(table, prim, *horizon):
             return None
 
         ray = _Ray(horizon)
@@ -364,6 +433,8 @@ class _Tracer:
         """The boundary completions of the primitive direction prim."""
         t_num, t_den, facet_ids = boundary
         collision = self.diagram.collision_facet(facet_ids, (-prim[0], -prim[1]))
+        if collision is None and self.cap_table.keys().isdisjoint(facet_ids):
+            return []  # neither a collision nor a corner to cap
         point = ray_point(origin, prim, t_num, t_den)
         if collision is None:
             return self._corner_cap(origin, prim, point, facet_ids)
@@ -442,24 +513,26 @@ class _Tracer:
         Every arrival sub_ell * sign * pi at focus j spans the line through the
         focus along pi, so the split point w, its parameter, the one sign that
         puts the focus ahead of w and the clearance of the leg from w to the
-        focus are found once per focus.  w stays a homogeneous triple.
+        focus are found once per focus, from the focus's offset in the
+        origin's `_Origin` table.  w stays a homogeneous triple.
         """
-        X, Y, W = origin
-        scale = self.cut_scale
+        table = self._origins[origin]
+        if table.splits is None:
+            table.splits = [(j, o * ax, o * ay, o * (ax * piy - ay * pix), pix, piy)
+                            for j, ((ax, ay, _, _, _, o), (pix, piy))
+                            in enumerate(zip(table.cuts, self.shear_table))]
+        px, py = prim
         h_num, h_den = horizon
         out = []
-        for j, (pix, piy) in enumerate(self.shear_table):
-            cross = prim[0] * piy - prim[1] * pix
+        for j, rx, ry, t_num, pix, piy in table.splits:
+            cross = px * piy - py * pix
             if cross == 0:
                 continue  # the ray runs along the shear line: no split point
-            # focus - origin = (rx, ry) / (scale W); w = origin + t prim = focus + u pi
-            fx, fy, _, _ = self.cut_rows[j]
-            rx, ry = fx * W - X * scale, fy * W - Y * scale
-            t_num = rx * piy - ry * pix
-            u_num = rx * prim[1] - ry * prim[0]
+            # focus - origin = (rx, ry) / reach; w = origin + t prim = focus + u pi
+            u_num = rx * py - ry * px
             if cross < 0:
                 cross, t_num, u_num = -cross, -t_num, -u_num
-            t_den = scale * W * cross
+            t_den = table.reach * cross
             if t_num <= 0 or t_num * h_den >= h_num * t_den:
                 continue  # w must lie strictly between p and the horizon
             if u_num == 0:

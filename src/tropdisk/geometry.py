@@ -7,7 +7,9 @@ there is no floating point and no tolerance anywhere.
 Every incidence runs on one integer kernel:
 - `homogeneous` writes a point as an integer (X, Y, W) triple;
 - `integer_rows` writes segments as integer rows over the table's own scale;
-- `ray_segment_hit` meets a ray with a row;
+- `ray_segment_hit` meets a ray with a row: `row_offsets` is the part that
+  depends on the origin alone and `offset_hit` the part that depends on the
+  direction, so rays cast from one origin share the first;
 - `point_on_row` locates a homogeneous point on a row;
 - `ray_point` moves a homogeneous point along a ray without leaving the
   integers, and `from_homogeneous` turns it back into Fractions.
@@ -206,26 +208,34 @@ def point_on_row(point, row, scale: int, closed: bool = True) -> bool:
     return 0 < dot < W * (ex * ex + ey * ey)
 
 
-def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int, int]]:
-    """First meeting of an open ray (t > 0) with a closed segment, in integers.
+def row_offsets(origin, rows, scale: int) -> List[Tuple[int, int, int, int, int, int, int]]:
+    """Each segment row as a ray from the homogeneous origin meets it, in the
+    part that depends on the origin alone: (rx, ry, t_num, ex, ey, W, scale).
 
-    The ray is origin + t d with `origin` a homogeneous (X, Y, W) triple and
-    `d` a nonzero integer pair.  The segment is (a + s e)/scale, s in [0, 1],
-    given as the integer quadruple seg = (ax, ay, ex, ey) and scale > 0.
-    Returns (t_num, t_den, s_num, s_den) with positive denominators, or None.
-    Collinear overlaps return the smallest positive parameter at which the
-    ray enters the segment (s is then 0 or 1), and None when the origin
-    already lies on the segment.
+    `origin` is an (X, Y, W) triple and each row (ax, ay, ex, ey) the segment
+    (a + s e)/scale of `integer_rows`.  (rx, ry) / (scale W) is the row's
+    start a/scale minus the origin, and t_num = r x e the numerator of the
+    parameter at which any ray from the origin meets the row's line.
+    `offset_hit` finishes the meeting for one direction, so the rays cast
+    from one origin share this part.
     """
     X, Y, W = origin
+    Xs, Ys = X * scale, Y * scale
+    out = []
+    for ax, ay, ex, ey in rows:
+        rx, ry = ax * W - Xs, ay * W - Ys
+        out.append((rx, ry, rx * ey - ry * ex, ex, ey, W, scale))
+    return out
+
+
+def offset_hit(offset, d) -> Optional[Tuple[int, int, int, int]]:
+    """`ray_segment_hit` along the nonzero integer pair d, from a row's
+    entry of `row_offsets` for the ray's origin."""
+    rx, ry, t_num, ex, ey, W, scale = offset
     dx, dy = d
-    ax, ay, ex, ey = seg
-    # a/scale - origin = (rx, ry) / (scale W)
-    rx = ax * W - X * scale
-    ry = ay * W - Y * scale
     denom = dx * ey - dy * ex
     if denom == 0:
-        if ex * ry - ey * rx != 0:
+        if t_num != 0:
             return None
         # collinear: parameters of both endpoints over scale W (d.d)
         ta = rx * dx + ry * dy
@@ -236,10 +246,23 @@ def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int,
             return None  # both endpoints behind the origin
         norm = scale * W * (dx * dx + dy * dy)
         return (ta, norm, 0, 1) if ta <= tb else (tb, norm, 1, 1)
-    t_num = rx * ey - ry * ex
     s_num = rx * dy - ry * dx
     if denom < 0:
         denom, t_num, s_num = -denom, -t_num, -s_num
     if t_num <= 0 or s_num < 0 or s_num > W * denom:
         return None
     return t_num, scale * W * denom, s_num, W * denom
+
+
+def ray_segment_hit(origin, d, seg, scale: int) -> Optional[Tuple[int, int, int, int]]:
+    """First meeting of an open ray (t > 0) with a closed segment, in integers.
+
+    The ray is origin + t d with `origin` a homogeneous (X, Y, W) triple and
+    `d` a nonzero integer pair.  The segment is (a + s e)/scale, s in [0, 1],
+    given as the integer quadruple seg = (ax, ay, ex, ey) and scale > 0.
+    Returns (t_num, t_den, s_num, s_den) with positive denominators, or None.
+    Collinear overlaps return the smallest positive parameter at which the
+    ray enters the segment (s is then 0 or 1), and None when the origin
+    already lies on the segment.  It is `row_offsets` then `offset_hit`.
+    """
+    return offset_hit(row_offsets(origin, (seg,), scale)[0], d)

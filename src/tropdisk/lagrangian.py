@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -346,14 +347,17 @@ class LagGraph:
         for entry in data["vertices"]:
             if not isinstance(entry, dict):
                 raise TypeError(f"vertex entry {entry!r} is not an object")
-            anchor = entry.get("anchor", ANCHOR_FREE)
-            index = None
-            if ":" in anchor:
-                anchor, idx = anchor.split(":")
-                index = int(idx)
-            (xn, xd), (yn, yd) = entry["position"]
-            position = Vec(json_fraction(xn, xd), json_fraction(yn, yd))
-            vertices.append(LagVertex(entry["id"], position, anchor, index))
+            vid = entry["id"]
+            if not isinstance(vid, str):
+                raise ValueError(f"vertex id {vid!r} is not a string")
+            anchor, index = _json_anchor(vid, entry.get("anchor", ANCHOR_FREE))
+            try:
+                (xn, xd), (yn, yd) = entry["position"]
+                position = Vec(json_fraction(xn, xd), json_fraction(yn, yd))
+            except (TypeError, ValueError):
+                raise ValueError(f"vertex {vid} position {entry['position']!r} "
+                                 "is not two [int, int] pairs") from None
+            vertices.append(LagVertex(vid, position, anchor, index))
         edges = []
         for entry in data["edges"]:
             if len(entry) not in (2, 3):
@@ -375,6 +379,18 @@ class LagGraph:
                 return cls.from_json_dict(json.load(fh))
             except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
                 raise GeometryError(f"malformed Lagrangian file {path}: {exc!r}") from exc
+
+
+def _json_anchor(vid: str, anchor) -> Tuple[str, Optional[int]]:
+    """(kind, index) of a vertex's anchor string `kind` or `kind:int`."""
+    if not isinstance(anchor, str):
+        raise ValueError(f"vertex {vid} anchor {anchor!r} is not a string")
+    kind, sep, index = anchor.partition(":")
+    if not sep:
+        return kind, None
+    if not re.fullmatch(r"-?[0-9]+", index):
+        raise ValueError(f"vertex {vid} anchor {anchor!r} is not kind or kind:int")
+    return kind, int(index)
 
 
 def segment_graph(a: Vec, b: Vec, name: str = "segment") -> LagGraph:

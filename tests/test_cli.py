@@ -220,6 +220,37 @@ def test_validate_rejects_a_wrong_anchor(tmp_path, capsys, name, case, vid, anch
     assert out.splitlines() == [violation]
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("id", 5, "vertex id 5 is not a string"),
+    ("id", None, "vertex id None is not a string"),
+    ("anchor", 3, "vertex v0 anchor 3 is not a string"),
+    ("anchor", "focus:x", "vertex v0 anchor 'focus:x' is not kind or kind:int"),
+    ("anchor", "focus:1:2", "vertex v0 anchor 'focus:1:2' is not kind or kind:int"),
+    ("anchor", "focus:", "vertex v0 anchor 'focus:' is not kind or kind:int"),
+    ("position", [[0, 1], [0, 1], [0, 1]], "is not two [int, int] pairs"),
+    ("position", [[0, 1], 0], "is not two [int, int] pairs"),
+    ("position", [[0, 1], [0, "1"]], "is not two [int, int] pairs"),
+    ("position", {"x": 0}, "is not two [int, int] pairs"),
+], ids=["id-int", "id-null", "anchor-int", "anchor-index-not-int", "anchor-two-colons",
+        "anchor-no-index", "position-three-pairs", "position-number", "position-string",
+        "position-object"])
+def test_malformed_lagrangian_vertex_field_is_named(tmp_path, capsys, field, value, named):
+    # a vertex field of the wrong type ends in exit 1 with the field named,
+    # for validate and for a search alike, never in a traceback
+    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
+    fx = builtin_fixture("dp6")
+    fx.diagram.save(dpath)
+    data = fx.lagrangians["segment"].to_json_dict()
+    data["vertices"][0][field] = value
+    lpath.write_text(json.dumps(data))
+    for argv in (["validate"], ["potential", "--constraint", "point:1/3,1/5"]):
+        code, out, err = run_cli(capsys, *argv, "--diagram", str(dpath),
+                                 "--lagrangian", str(lpath))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed Lagrangian file {lpath}")
+        assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,case,vid,anchor", [
     ("dp6", "segment", "v0", "facet"),    # a corner is on the boundary
     ("dp6", "segment", "v0", "facet:2"),

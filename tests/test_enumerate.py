@@ -1548,6 +1548,68 @@ def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
     assert found or name == "p1xp1"
 
 
+def _ray_record(tracer, origin, prim):
+    """The `_Ray` of (origin, prim) as (horizon, focus, cut, ends, splits),
+    its split points found as a trace that may split finds them, or None."""
+    ray = tracer._ray(origin, prim)
+    if ray is None:
+        return None
+    if ray.splits is None:
+        ray.splits = tracer._split_points(origin, prim, ray.horizon)
+    return ray.horizon, ray.focus, ray.cut, ray.ends, ray.splits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_tracer_casts_from_many_origins_as_fresh_tracers_do(data):
+    # one tracer keeps a table per origin: interleaved casts from origins
+    # inside, on a facet, at a corner and outside the polygon must each give
+    # the ray a fresh tracer gives, and the table's boundary exit must be
+    # the per-row reference, which gives None outside the polygon and for a
+    # ray that leaves it at once
+    name, case = data.draw(st.sampled_from(TRACED_CASES))
+    fx = builtin_fixture(name)
+    offset = st.just(F(0)) | st.fractions(-2, 2, max_denominator=12)
+    diagram, lag, flags = _shifted_case(fx, case, Vec(data.draw(offset), data.draw(offset)))
+    bounds = fx.case(case).bounds
+    facets = reference_facets(diagram)
+    origins = []
+    for where in data.draw(st.lists(st.sampled_from(["interior", "facet", "corner", "outside"]),
+                                    min_size=2, max_size=4)):
+        facet = data.draw(st.sampled_from(facets))
+        a, b = facet.endpoints
+        along = data.draw(st.fractions(0, 1, max_denominator=12))
+        if where == "interior":
+            weights = data.draw(st.lists(st.integers(1, 8), min_size=len(diagram.polygon),
+                                         max_size=len(diagram.polygon)))
+            p = sum((v * w for v, w in zip(diagram.polygon, weights)), Vec(0, 0)) / sum(weights)
+        elif where == "facet":
+            p = a + (b - a) * along
+        elif where == "corner":
+            p = a
+        else:
+            p = a + (b - a) * along - facet.inward_normal * data.draw(
+                st.fractions(F(1, 12), 2, max_denominator=12))
+        origins.append(homogeneous(p))
+    bound = bounds.max_lattice_length
+    prims = sorted({(dx // math.gcd(dx, dy), dy // math.gcd(dx, dy))
+                    for dx, dy in _direction_pairs(bound)})
+    shared = _Tracer(diagram, lag, bounds, flags)
+    for prim in prims:
+        for origin in origins:
+            record = _ray_record(shared, origin, prim)
+            assert record == _ray_record(_Tracer(diagram, lag, bounds, flags), origin, prim)
+            table = shared._origins[origin]
+            hit = None if table.slacks is None else diagram.boundary_exit(
+                table.slacks, shared._rates[prim])
+            expected = reference_boundary_hit(diagram, origin, prim)
+            if expected is None:
+                assert hit is None and record is None
+            else:
+                assert hit is not None and hit[2] == expected[2]
+                assert F(hit[0], hit[1]) == F(expected[0], expected[1])
+
+
 def _reference_leg_clear(tracer, origin, focus_j):
     """The former body of `_Tracer._leg_clear`: `ray_point_param` on every
     other focus, then `ray_segment_hit` on every cut and Lagrangian row."""

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import pathlib
 import types
@@ -11,7 +12,7 @@ from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import Constraint, DiskEdge, DiskGraph, DiskVertex
 from tropdisk.enumerate import SearchBounds, enumerate_disks
-from tropdisk.fixtures import builtin_fixture
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import GeometryError, Vec, homogeneous
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph
 from tropdisk.multiplicity import UnclassifiableVertex, holomorphic_pant
@@ -193,3 +194,20 @@ def test_only_their_modules_call_the_diagram_and_lagrangian_private_methods():
              for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr in private]
     assert found == []
+
+
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
+def test_enumerate_disks_leaves_its_inputs_as_they_were(name, case):
+    # a search's tables (per origin, per direction, per ray) live for one
+    # call: kept on the diagram or the Lagrangian, they would turn a repeated
+    # search into cache hits.  The first call may fill the objects' own lazy
+    # geometry (normals, shear pairs, edge rows) but adds no attribute; a
+    # second call changes nothing at all.
+    fx = builtin_fixture(name)
+    objects = [o for o in (fx.diagram_for(case), fx.lagrangian_for(case)) if o is not None]
+    keys = [set(vars(o)) for o in objects]
+    fx.run(case)
+    assert [set(vars(o)) for o in objects] == keys
+    before = [copy.deepcopy(vars(o)) for o in objects]
+    fx.run(case)
+    assert [vars(o) for o in objects] == before
