@@ -19,6 +19,9 @@ process through `tropdisk.cli.main`:
 * `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
+* `potential --fixture F --case C --json --bounds V,L,0,0` for every entry of
+  `SHIPPED_CASES`, with the case's own V and L: no cut crossing and no split,
+  so that no ray is redirected;
 * `potential --fixture F --case C --json --constraint edge:K@T` at every T
   of `EDGE_POSITIONS` on every edge of every shipped case with a Lagrangian;
 * `potential --fixture F --case C --json --constraint point:X,Y` at every
@@ -110,7 +113,8 @@ FIBER_DIAGRAMS = {
 
 def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     """The argv of every compared command, in run order; `builtin_fixture`
-    supplies the grid cases' bounds and the shipped cases' Lagrangians."""
+    supplies the grid and shipped cases' bounds and the shipped cases'
+    Lagrangians."""
     out = []
     for name, case in shipped_cases:
         out += [["potential", "--fixture", name, "--case", case, *flag] for flag in ([], ["--json"])]
@@ -128,6 +132,10 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
                         f"{splits}")
                 out.append(["potential", "--fixture", name, "--case", case, "--json",
                             "--bounds", spec])
+    for name, case in shipped_cases:
+        bounds = builtin_fixture(name).case(case).bounds
+        out.append(["potential", "--fixture", name, "--case", case, "--json", "--bounds",
+                    f"{bounds.max_vertices},{bounds.max_lattice_length},0,0"])
     for name, case in shipped_cases:
         lag = builtin_fixture(name).lagrangian_for(case)
         for k in range(len(lag.edges) if lag is not None else 0):

@@ -106,22 +106,19 @@ class FixtureFlags:
 NO_FLAGS = FixtureFlags()
 
 
-@dataclass(frozen=True)
-class _VertexSpec:
+class _VertexSpec(NamedTuple):
     position: Tuple[int, int, int]   # homogeneous
     kind: VertexKind
 
 
-@dataclass(frozen=True)
-class _EdgeSpec:
+class _EdgeSpec(NamedTuple):
     start: Tuple[int, int, int]
     end: Tuple[int, int, int]
     direction: Tuple[int, int, int]  # homogeneous, so (dx, dy, 1) for integers
     open: bool = False
 
 
-@dataclass(frozen=True)
-class _Completion:
+class _Completion(NamedTuple):
     vertices: Tuple[_VertexSpec, ...]
     edges: Tuple[_EdgeSpec, ...]
 
@@ -214,6 +211,14 @@ def _offset(p, q) -> Tuple[int, int]:
     return U * W - X * Z, V * W - Y * Z
 
 
+def _cap_admits(offset, prim) -> bool:
+    """Whether a flagged corner's cap admits a rim continuation of the
+    primitive direction prim, for the corner's offset from the corner limit
+    (`_Tracer.cap_table`): there is no limit (None), or prim runs along the
+    limit's line through the corner."""
+    return offset is None or offset[0] * prim[1] - offset[1] * prim[0] == 0
+
+
 # a leg table's bound where nothing blocks: n * 0 < 1 * den for every den > 0
 _NO_BLOCK = (1, 0)
 
@@ -244,6 +249,13 @@ class _Tracer:
     leg runs along its focus's shear line, so whether it is clear depends
     only on where w sits on that line: the tracer keeps one leg table per
     focus (`_leg_table`).
+
+    A trace is cast only when something may redirect it (the diagram has
+    foci, and a cut crossing or a split is left) or when its direction can
+    end as it runs straight (`_can_end`, once per direction): at a focus
+    along its shear, or for a primitive direction head-on on a facet or at
+    a flagged corner's cap.  So a search on a diagram with no foci casts
+    only the directions of its possible ends.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -270,6 +282,8 @@ class _Tracer:
         self._origins: Dict[Tuple[int, int, int], _Origin] = {}
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        # each primitive direction's (focus end, boundary end) of `_can_end`
+        self._ends: Dict[Tuple[int, int], Tuple[bool, bool]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
 
     # -- event scanning -------------------------------------------------------
@@ -375,11 +389,10 @@ class _Tracer:
 
         ray = _Ray(horizon)
         if focus is not None and (cut is None or focus[0] * cut[1] <= cut[0] * focus[1]):
-            pix, piy = self.shear_table[focus[2]]
             # no end where cut and focus meet at one point (degenerate), nor
             # where the ray would run through a nodal fiber (not generic)
             if ((cut is None or focus[0] * cut[1] != cut[0] * focus[1])
-                    and prim[0] * piy - prim[1] * pix == 0):
+                    and self._along_shear(focus[2], prim)):
                 ray.focus = focus[2]
         elif cut is not None and cut[0] * b_den < b_num * cut[1]:
             t_num, t_den, j = cut
@@ -392,9 +405,14 @@ class _Tracer:
 
     def _trace(self, origin, d, crossings: int, splits: int) -> List[_Completion]:
         """All valid continuations of a closed edge leaving the homogeneous
-        point origin along the integer pair d."""
+        point origin along the integer pair d.  A trace that no cut crossing
+        or split can redirect (no foci, or no budget for either) runs
+        straight, so it is cast only when its direction can end
+        (`_can_end`)."""
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
+        if (not self.foci or crossings == splits == 0) and not self._can_end(prim, ell):
+            return []
         ray = self._ray(origin, prim)
         if ray is None:
             return []
@@ -415,6 +433,29 @@ class _Tracer:
             return completions
         # normals are primitive, so only a primitive d can end on the boundary
         return completions + ray.ends if ell == 1 else completions
+
+    def _can_end(self, prim, ell) -> bool:
+        """Whether a straight trace along ell * prim may end somewhere, by
+        the rules its ends use: at a focus along its shear (`_along_shear`),
+        at any ell; or, for ell = 1, on the boundary, head-on on some facet
+        (`BaseDiagram.collision_facet` over every facet) or at a flagged
+        corner whose cap admits prim (`_cap_admits`)."""
+        ends = self._ends.get(prim)
+        if ends is None:
+            at_focus = any(self._along_shear(j, prim) for j in range(len(self.foci)))
+            facets = range(len(self.diagram.normals()))
+            on_boundary = (
+                self.diagram.collision_facet(facets, (-prim[0], -prim[1])) is not None
+                or any(_cap_admits(offset, prim)
+                       for caps in self.cap_table.values() for _, offset in caps))
+            ends = self._ends[prim] = (at_focus, on_boundary)
+        return ends[0] or (ell == 1 and ends[1])
+
+    def _along_shear(self, j, prim) -> bool:
+        """Whether prim runs along focus j's shear direction, the one
+        direction in which a ray ends at the focus."""
+        pix, piy = self.shear_table[j]
+        return prim[0] * piy - prim[1] * pix == 0
 
     def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
         leg = (_EdgeSpec(origin, self.foci[j], (*d, 1)),)
@@ -460,7 +501,7 @@ class _Tracer:
             for corner, offset in self.cap_table.get(i, ()):
                 if corner == point:
                     continue
-                if offset is not None and offset[0] * py - offset[1] * px != 0:
+                if not _cap_admits(offset, prim):
                     continue
                 tx, ty = _offset(point, corner)
                 g = math.gcd(tx, ty)

@@ -360,8 +360,10 @@ class LagGraph:
             vertices.append(LagVertex(vid, position, anchor, index))
         edges = []
         for entry in data["edges"]:
-            if len(entry) not in (2, 3):
-                raise ValueError(f"edge entry {entry!r} is not [id, id] or [id, id, weight]")
+            if not (isinstance(entry, list) and len(entry) in (2, 3)
+                    and all(isinstance(vid, str) for vid in entry[:2])):
+                raise ValueError(f"edge entry {entry!r} is not [id, id] or [id, id, weight] "
+                                 "with string ids")
             weight = entry[2] if len(entry) > 2 else 1
             if type(weight) is not int or weight < 1:
                 raise ValueError(f"edge weight {weight!r} is not a positive integer")

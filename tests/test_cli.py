@@ -251,6 +251,30 @@ def test_malformed_lagrangian_vertex_field_is_named(tmp_path, capsys, field, val
         assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edges,named", [
+    ([5], "edge entry 5 is not [id, id] or [id, id, weight] with string ids"),
+    (["ab"], "edge entry 'ab' is not [id, id] or [id, id, weight] with string ids"),
+    ([{"a": 1, "b": 2}],
+     "edge entry {'a': 1, 'b': 2} is not [id, id] or [id, id, weight] with string ids"),
+    ([[0, 1]], "edge entry [0, 1] is not [id, id] or [id, id, weight] with string ids"),
+], ids=["number", "string", "object", "int-ids"])
+def test_malformed_lagrangian_edge_entry_is_named(tmp_path, capsys, edges, named):
+    # an edge entry that is not a list of two string ids (and a weight) ends
+    # in exit 1 with the entry named, never in a traceback
+    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
+    fx = builtin_fixture("dp6")
+    fx.diagram.save(dpath)
+    data = fx.lagrangians["segment"].to_json_dict()
+    data["edges"] = edges
+    lpath.write_text(json.dumps(data))
+    for argv in (["validate"], ["potential", "--constraint", "point:1/3,1/5"]):
+        code, out, err = run_cli(capsys, *argv, "--diagram", str(dpath),
+                                 "--lagrangian", str(lpath))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed Lagrangian file {lpath}")
+        assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,case,vid,anchor", [
     ("dp6", "segment", "v0", "facet"),    # a corner is on the boundary
     ("dp6", "segment", "v0", "facet:2"),

@@ -30,6 +30,7 @@ from tropdisk.enumerate import (
     SearchBounds,
     _build_graph,
     _candidate_graphs,
+    _cap_admits,
     _Completion,
     _direction_pairs,
     _echelon_rank,
@@ -604,6 +605,35 @@ def test_search_and_classifier_follow_one_perpendicular(monkeypatch):
     for g, v, _ in found:
         with pytest.raises(UnclassifiableVertex, match="matches no case"):
             classify_vertex(g, v.id, diagram, lag)
+
+
+def test_node_free_search_casts_only_directions_that_can_end(monkeypatch):
+    # with no focus nothing redirects a ray, so the search casts a direction
+    # only where it can end: head-on on a facet, or at a flagged corner
+    # whose cap admits it (dp7 leg)
+    cast, casts = _Tracer._cast, []
+
+    def recorded(self, origin, table, prim):
+        casts.append((self, prim))
+        return cast(self, origin, table, prim)
+
+    monkeypatch.setattr(_Tracer, "_cast", recorded)
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        diagram = fx.diagram_for(case)
+        if diagram.focus_foci:
+            continue
+        casts.clear()
+        enumerate_disks(diagram, fx.lagrangian_for(case), fx.constraint(case), c.bounds,
+                        flags=c.flags)
+        # the antidiagonal's perpendiculars run into corners and it has no seam
+        assert casts or (name, case) == ("p1xp1", "antidiagonal")
+        facets = range(len(diagram.normals()))
+        for tracer, (px, py) in casts:
+            offsets = [offset for caps in tracer.cap_table.values() for _, offset in caps]
+            assert (diagram.collision_facet(facets, (-px, -py)) is not None
+                    or any(_cap_admits(offset, (px, py)) for offset in offsets)), (case, px, py)
 
 
 def test_tracer_builds_no_vec(monkeypatch):
@@ -1488,23 +1518,25 @@ def test_trace_agrees_with_fraction_reference(data):
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)
 def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
     # every direction a root may take from the case's own constraint point,
-    # under the case's own bounds: the traces the search itself makes
+    # under the case's own bounds (the traces the search itself makes), then
+    # with no crossing or split left, where nothing redirects a ray and the
+    # tracer casts only the directions that can end
     fx = builtin_fixture(name)
     c = fx.case(case)
     diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
     tracer = _Tracer(diagram, lag, c.bounds, c.flags)
     reference = _ReferenceTracer(diagram, lag, c.bounds, c.flags)
     q = fx.constraint(case).point
-    found = 0
-    for d in itertools.product(range(-4, 5), repeat=2):
-        if any(d):
-            d = Vec(*d)
-            completions = _trace_vec(tracer, q, d, c.bounds.max_cut_crossings,
-                                     c.bounds.max_splits)
-            assert completions == reference.trace(
-                q, d, c.bounds.max_cut_crossings, c.bounds.max_splits), d
-            found += len(completions)
-    assert found or name == "p1xp1"
+    found = []
+    for crossings, splits in ((c.bounds.max_cut_crossings, c.bounds.max_splits), (0, 0)):
+        found.append(0)
+        for d in itertools.product(range(-4, 5), repeat=2):
+            if any(d):
+                d = Vec(*d)
+                completions = _trace_vec(tracer, q, d, crossings, splits)
+                assert completions == reference.trace(q, d, crossings, splits), (d, splits)
+                found[-1] += len(completions)
+    assert all(found), found
 
 
 @pytest.mark.parametrize("tracer_class", [_Tracer, _ReferenceTracer])

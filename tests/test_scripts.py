@@ -233,6 +233,9 @@ def test_compare_outputs_reports_each_differing_command():
             for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
                                   ("dp3", "trivalent", 6))
             for length in (3, 4) for splits in (1, 2)]
+    # both cases at their own V and L, with no crossing and no split
+    unbudgeted = [f"potential --fixture dp6 --case {case} --json --bounds 6,3,0,0"
+                  for case in ("segment", "fiber")]
     # the one edge of the dp6 segment; the fiber case has no Lagrangian
     edges = [f"potential --fixture dp6 --case segment --json --constraint edge:0@{t}"
              for t in ("3/16", "1/2", "13/16")]
@@ -252,7 +255,7 @@ def test_compare_outputs_reports_each_differing_command():
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *edges, *points, *conventions, *fibers]
+        *malformed, *grid, *unbudgeted, *edges, *points, *conventions, *fibers]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
