@@ -16,9 +16,7 @@ from .enumerate import (
     FixtureFlags,
     SearchBounds,
     cancellation_report,
-    corner_projection,
     enumerate_disks,
-    enumerate_maslov4,
     potential,
     rigidity_dimension,
 )

@@ -22,6 +22,7 @@ from .geometry import (
     homogeneous,
     integer_rows,
     json_fraction,
+    json_list,
     point_on_row,
     primitive,
     ray_point,
@@ -368,9 +369,11 @@ class BaseDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BaseDiagram":
-        polygon = [_vec_from_pairs(entry) for entry in data["polygon"]]
+        polygon = [_vec_from_pairs(entry) for entry in json_list(data, "polygon")]
         foci = []
-        for ff in data.get("focus_foci", []):
+        for ff in json_list(data, "focus_foci", []):
+            if not isinstance(ff, dict):
+                raise ValueError(f"focus_foci entry {ff!r} is not an object")
             cut_sign = ff.get("branch_cut_sign", 1)
             if type(cut_sign) is not int:
                 raise ValueError(f"branch_cut_sign {cut_sign!r} is not an integer")

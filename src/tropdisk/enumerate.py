@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import (
     CONSTRAINT_INTERIOR,
-    CONSTRAINT_LAGRANGIAN,
     Constraint,
     DiskEdge,
     DiskGraph,
@@ -42,11 +41,9 @@ from .diskgraph import (
 from .geometry import (
     GeometryError,
     Vec,
-    det2,
     from_homogeneous,
     homogeneous,
     offset_hit,
-    primitive,
     ray_point,
     row_offsets,
 )
@@ -1069,21 +1066,6 @@ def potential(
     return result.total()
 
 
-def corner_projection(direction: Vec, facet_normal: Vec, facet_tangent: Vec) -> Vec:
-    """Continued direction along a boundary face, Lemma-4.18 style.
-
-    Projects `direction` modulo the non-divisor normal onto the rim line
-    spanned by the primitive facet tangent; the result is an integer multiple
-    of the tangent (zero means the edge terminates at the face).
-    """
-    tangent = primitive(facet_tangent)
-    denom = det2(tangent, facet_normal)
-    if denom == 0:
-        raise GeometryError("tangent and normal are parallel")
-    coeff = det2(direction, facet_normal) / denom
-    return tangent * coeff
-
-
 def cancellation_report(result: EnumerationResult) -> List[Tuple[EnumeratedGraph, EnumeratedGraph]]:
     """Pairs of cover/desingularized graphs with opposite contributions.
 
@@ -1102,32 +1084,3 @@ def cancellation_report(result: EnumerationResult) -> List[Tuple[EnumeratedGraph
         if len(group) == 2 and group[0].contribution == -group[1].contribution:
             pairs.append((group[0], group[1]))
     return pairs
-
-
-def enumerate_maslov4(
-    diagram: BaseDiagram,
-    lag: LagGraph,
-    constraints: Sequence[Constraint],
-    bounds: SearchBounds = SearchBounds(),
-) -> int:
-    """Count of Maslov-index-four strip disks through three boundary points.
-
-    The relevant graphs are three-ended strips at a trivalent vertex of the
-    Lagrangian whose legs are capped at the univalent ends; rigidity requires
-    one marked point on each leg, so the count is 1 exactly when the three
-    constraints cover the three legs.
-    """
-    trivalent = [v for v in lag.vertices if lag.valence(v.id) == 3]
-    if len(trivalent) != 1 or len(constraints) != 3:
-        return 0
-    center = trivalent[0]
-    legs = lag.adjacent_edges(center.id)
-    covered = set()
-    for c in constraints:
-        if c.kind != CONSTRAINT_LAGRANGIAN:
-            return 0
-        covered.add(c.edge_index)
-    leg_indices = {lag.edges.index(e) for e in legs}
-    if covered != leg_indices:
-        return 0
-    return 1

@@ -10,7 +10,6 @@ says so explicitly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -359,17 +358,10 @@ def builtin_fixture(name: str) -> Fixture:
     if name not in _BUILDERS:
         raise GeometryError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     fixture = _BUILDERS[name]()
-    unchecked = [(f"fixture {name} diagram", fixture.diagram)]
-    override_dir = os.environ.get("TROPDISK_FIXTURES")
-    if override_dir:
-        path = os.path.join(override_dir, f"{name}.diagram.json")
-        if os.path.exists(path):
-            fixture.diagram = BaseDiagram.load(path)  # load validates it
-            unchecked = []
-    unchecked += [(f"fixture {name} diagram variant {key}", diagram)
-                  for key, diagram in fixture.diagram_variants.items()]
-    for label, diagram in unchecked:
+    labelled = [("diagram", fixture.diagram)] + [
+        (f"diagram variant {key}", diagram) for key, diagram in fixture.diagram_variants.items()]
+    for label, diagram in labelled:
         problems = diagram.validate()
         if problems:
-            raise GeometryError(f"{label} invalid: {problems}")
+            raise GeometryError(f"fixture {name} {label} invalid: {problems}")
     return fixture

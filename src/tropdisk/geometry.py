@@ -54,6 +54,20 @@ def json_fraction(num, den=1) -> Fraction:
     return Fraction(num, den)
 
 
+def json_list(data, key: str, default: Optional[list] = None) -> list:
+    """The list under `key` of the JSON object `data`, or `default` when the
+    key is missing and a default is given; ValueError names the field else."""
+    if not isinstance(data, dict):
+        raise ValueError("the top level is not a JSON object")
+    if key not in data and default is not None:
+        return default
+    if key not in data:
+        raise ValueError(f"no {key!r} field")
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key} {data[key]!r} is not a list")
+    return data[key]
+
+
 @dataclass(frozen=True)
 class Vec:
     """Exact rational 2-vector; used for positions and directions alike."""

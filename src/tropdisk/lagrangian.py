@@ -27,6 +27,7 @@ from .geometry import (
     homogeneous,
     integer_rows,
     json_fraction,
+    json_list,
     point_on_row,
     ray_point,
     ray_segment_hit,
@@ -344,7 +345,7 @@ class LagGraph:
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "lagrangian") -> "LagGraph":
         vertices = []
-        for entry in data["vertices"]:
+        for entry in json_list(data, "vertices"):
             if not isinstance(entry, dict):
                 raise TypeError(f"vertex entry {entry!r} is not an object")
             vid = entry["id"]
@@ -359,7 +360,7 @@ class LagGraph:
                                  "is not two [int, int] pairs") from None
             vertices.append(LagVertex(vid, position, anchor, index))
         edges = []
-        for entry in data["edges"]:
+        for entry in json_list(data, "edges"):
             if not (isinstance(entry, list) and len(entry) in (2, 3)
                     and all(isinstance(vid, str) for vid in entry[:2])):
                 raise ValueError(f"edge entry {entry!r} is not [id, id] or [id, id, weight] "

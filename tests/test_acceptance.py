@@ -13,12 +13,9 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-import pytest
-
 from test_classify import reference_adjacent
 from test_geometry import apply_matrix
-from tropdisk.diskgraph import Constraint
-from tropdisk.enumerate import cancellation_report, enumerate_maslov4
+from tropdisk.enumerate import cancellation_report
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import Vec, det2, homogeneous, shear_apply
 from tropdisk.multiplicity import (
@@ -170,15 +167,6 @@ def test_criterion_11_realizability_suite():
     )
     report("11", ok, "dp7 trivalent graph allowable, primitive, genus 0, "
                      "self-intersection 0, Mikhalkin determinant 1")
-
-
-def test_criterion_12_maslov_four():
-    fx = builtin_fixture("dp7")
-    lag = fx.lagrangians["trivalent"]
-    three = [Constraint.on_lagrangian(lag, i, F(1, 2)) for i in range(3)]
-    count = enumerate_maslov4(fx.diagram, lag, three)
-    ok = count == 1
-    report("12", ok, f"three-point Maslov-four count = {count}")
 
 
 def test_criterion_13_property_suites():

@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tropdisk
 from tropdisk import cli
@@ -622,15 +624,22 @@ def _dp5_json(name="dp5", cut_sign=1) -> str:
     return json.dumps(data)
 
 
-def _dp5_json_with(value, *path) -> str:
-    """dp5's diagram file with the entry at the key path set to value."""
-    data = builtin_fixture("dp5").diagram.to_json_dict()
+def _replaced(data, path, value):
+    """A deep copy of the JSON data with the entry at the key path set to value."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
     *parents, last = path
     entry = data
     for key in parents:
         entry = entry[key]
     entry[last] = value
-    return json.dumps(data)
+    return data
+
+
+def _dp5_json_with(value, *path) -> str:
+    """dp5's diagram file with the entry at the key path set to value."""
+    return json.dumps(_replaced(builtin_fixture("dp5").diagram.to_json_dict(), path, value))
 
 
 # the dp6 segment's file with a JSON true for the first vertex's x numerator
@@ -688,3 +697,85 @@ def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lag
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and str(bad) in err
+
+
+def _segment_json_without(key) -> str:
+    """The dp6 segment's Lagrangian file with the key left out."""
+    data = builtin_fixture("dp6").lagrangians["segment"].to_json_dict()
+    del data[key]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("diagram,lagrangian,named", [
+    (_dp5_json_with([[1, 2]], "focus_foci"), None, "focus_foci entry [1, 2] is not an object"),
+    (_dp5_json_with(5, "focus_foci", 0), None, "focus_foci entry 5 is not an object"),
+    (_dp5_json_with(5, "focus_foci"), None, "focus_foci 5 is not a list"),
+    (_dp5_json_with({"a": 1}, "focus_foci"), None, "focus_foci {'a': 1} is not a list"),
+    (_dp5_json_with(None, "polygon"), None, "polygon None is not a list"),
+    (json.dumps([1, 2]), None, "the top level is not a JSON object"),
+    (json.dumps("dp5"), None, "the top level is not a JSON object"),
+    (None, json.dumps({"vertices": 7, "edges": []}), "vertices 7 is not a list"),
+    (None, json.dumps({"vertices": [], "edges": "ab"}), "edges 'ab' is not a list"),
+    (None, _segment_json_without("edges"), "no 'edges' field"),
+    (None, _segment_json_without("vertices"), "no 'vertices' field"),
+    (None, json.dumps([{"vertices": []}]), "the top level is not a JSON object"),
+], ids=["focus-entry-list", "focus-entry-number", "focus-foci-number", "focus-foci-object",
+        "polygon-null", "diagram-list", "diagram-string", "vertices-number", "edges-string",
+        "no-edges", "no-vertices", "lagrangian-list"])
+def test_malformed_file_structure_is_named(tmp_path, capsys, diagram, lagrangian, named):
+    # a file whose top level, list field or focus entry has the wrong JSON
+    # type ends in exit 1 with the field named, never in a traceback
+    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
+    if diagram is None:
+        builtin_fixture("dp6").diagram.save(dpath)
+        lpath.write_text(lagrangian)
+        argv, what, bad = ["--lagrangian", str(lpath)], "Lagrangian", lpath
+    else:
+        dpath.write_text(diagram)
+        argv, what, bad = [], "diagram", dpath
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(dpath), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed {what} file {bad}")
+    assert named in err and "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8)
+
+
+def _json_paths(value, path=()):
+    """The key path of the value and of every entry nested in it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, entry in items:
+        yield from _json_paths(entry, (*path, key))
+
+
+SAVED_FILES = {"diagram": builtin_fixture("dp5").diagram.to_json_dict(),
+               "lagrangian": builtin_fixture("dp6").lagrangians["segment"].to_json_dict()}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), as_json=st.booleans())
+def test_file_loaders_never_raise(tmp_path, capsys, data, as_json):
+    # any one value or entry of the saved dp5 diagram or dp6 segment replaced
+    # by any JSON value: validate returns an exit code, never an exception
+    which = data.draw(st.sampled_from(sorted(SAVED_FILES)))
+    path = data.draw(st.sampled_from(list(_json_paths(SAVED_FILES[which]))))
+    files = dict(SAVED_FILES, **{which: _replaced(SAVED_FILES[which], path,
+                                                   data.draw(JSON_VALUES))})
+    argv = ["validate", "--json"] if as_json else ["validate"]
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

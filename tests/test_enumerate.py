@@ -40,9 +40,7 @@ from tropdisk.enumerate import (
     _unique_graphs,
     _VertexSpec,
     cancellation_report,
-    corner_projection,
     enumerate_disks,
-    enumerate_maslov4,
     rigidity_dimension,
 )
 from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
@@ -1178,34 +1176,6 @@ def test_potential_is_chart_invariant(name, case, chart):
     bounds = builtin_fixture(name).case(case).bounds
     total = enumerate_disks(diagram, lag, constraint, bounds, flags=flags).total()
     assert total == builtin_fixture(name).run(case).total()
-
-
-# -- auxiliary operations -------------------------------------------------------
-
-
-def test_corner_projection_examples():
-    # project (-1,-2) along the non-divisor normal (0,1) onto the rim (1,0)
-    assert corner_projection(Vec(-1, -2), Vec(0, 1), Vec(1, 0)) == Vec(-1, 0)
-    # direction parallel to the normal projects to zero: the edge terminates
-    assert corner_projection(Vec(0, 3), Vec(0, 1), Vec(1, 0)) == Vec(0, 0)
-    assert corner_projection(Vec(2, 1), Vec(1, -1), Vec(1, 1)) == Vec(F(3, 2), F(3, 2))
-
-
-def test_maslov_four_counts():
-    fx = builtin_fixture("dp7")
-    lag = fx.lagrangians["trivalent"]
-    three = [Constraint.on_lagrangian(lag, i, F(1, 2)) for i in range(3)]
-    assert enumerate_maslov4(fx.diagram, lag, three) == 1
-    two_on_same_leg = [
-        Constraint.on_lagrangian(lag, 0, F(1, 4)),
-        Constraint.on_lagrangian(lag, 0, F(1, 2)),
-        Constraint.on_lagrangian(lag, 1, F(1, 2)),
-    ]
-    assert enumerate_maslov4(fx.diagram, lag, two_on_same_leg) == 0
-    seg_fx = builtin_fixture("dp6")
-    seg = seg_fx.lagrangians["segment"]
-    seg_constraints = [Constraint.on_lagrangian(seg, 0, F(i + 1, 5)) for i in range(3)]
-    assert enumerate_maslov4(seg_fx.diagram, seg, seg_constraints) == 0
 
 
 # -- the integer tracer against its Fraction reference ---------------------------

@@ -1,6 +1,5 @@
 import ast
 import copy
-import json
 import pathlib
 import types
 from fractions import Fraction as F
@@ -16,19 +15,6 @@ from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import GeometryError, Vec, homogeneous
 from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph
 from tropdisk.multiplicity import UnclassifiableVertex, holomorphic_pant
-
-
-def test_fixture_directory_override(tmp_path, monkeypatch):
-    fx = builtin_fixture("dp6")
-    stretched = BaseDiagram(
-        "dp6", [v * 2 for v in fx.diagram.polygon], [], dict(fx.diagram.metadata)
-    )
-    stretched.save(tmp_path / "dp6.diagram.json")
-    monkeypatch.setenv("TROPDISK_FIXTURES", str(tmp_path))
-    loaded = builtin_fixture("dp6")
-    assert loaded.diagram.polygon[0] == Vec(2, 0)
-    monkeypatch.delenv("TROPDISK_FIXTURES")
-    assert builtin_fixture("dp6").diagram.polygon[0] == Vec(1, 0)
 
 
 def test_genus_requires_connected():
@@ -161,6 +147,26 @@ def test_core_has_no_floats():
             elif (isinstance(node, ast.ImportFrom) and node.module == "math"
                   and any(alias.name in FLOAT_MATH for alias in node.names)):
                 found.append(f"{where} from math import")
+    assert found == []
+
+
+def test_core_reads_no_environment():
+    # a run depends on its command line and files alone: no environment
+    # variable swaps a fixture or a setting without notice
+    src = pathlib.Path(tropdisk.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 10
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr in reads
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{where} os.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name in reads for alias in node.names)):
+                found.append(f"{where} from os import")
     assert found == []
 
 
