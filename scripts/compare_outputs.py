@@ -35,15 +35,21 @@ process through `tropdisk.cli.main`:
 * `potential --diagram F --json --constraint point:X,Y` at every X,Y of
   `INTERIOR_POINTS` for each noded diagram file of `FIBER_DIAGRAMS`, so
   fibers on diagrams with focus-focus values, and the errors some of them
-  end in, are compared too.
+  end in, are compared too;
+* `validate --diagram D --lagrangian L --json` and `potential --diagram D
+  --lagrangian L --json --constraint edge:K@T`, at the case's own K and T,
+  on the files `case_files` names for every shipped case with a
+  Lagrangian, so the Lagrangian file loader is compared too;
+* `render --fixture F --case C` and the same with `--with-disks`, for
+  every entry of `SHIPPED_CASES`.
 
 The malformed files and the convention file are written to a temporary
 directory that each side's interpreter runs in, and each side saves its own
-`FIBER_DIAGRAMS` there, so the file names in the error text are the same on
-both sides.  Each command's exit code, standard output and standard error
-are compared.  The command lists come from each checkout's own `SHIPPED_CASES`,
-`FIXTURE_NAMES` and fixtures, so a command that runs on one side only is a
-difference too.
+`FIBER_DIAGRAMS` and case files there, so the file names in the error text
+are the same on both sides.  Each command's exit code, standard output and
+standard error are compared.  The command lists come from each checkout's
+own `SHIPPED_CASES`, `FIXTURE_NAMES` and fixtures, so a command that runs on
+one side only is a difference too.
 The exit code is 0 when every output is byte-identical and 1 otherwise.
 """
 
@@ -114,7 +120,7 @@ FIBER_DIAGRAMS = {
 def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     """The argv of every compared command, in run order; `builtin_fixture`
     supplies the grid and shipped cases' bounds and the shipped cases'
-    Lagrangians."""
+    Lagrangians and constraints."""
     out = []
     for name, case in shipped_cases:
         out += [["potential", "--fixture", name, "--case", case, *flag] for flag in ([], ["--json"])]
@@ -150,7 +156,24 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for path in FIBER_DIAGRAMS:
         out += [["potential", "--diagram", path, "--json", "--constraint", f"point:{xy}"]
                 for xy in INTERIOR_POINTS]
+    for name, case in shipped_cases:
+        fixture = builtin_fixture(name)
+        if fixture.lagrangian_for(case) is not None:
+            constraint = fixture.constraint(case)
+            diagram_path, lag_path = case_files(name, case)
+            files = ["--diagram", diagram_path, "--lagrangian", lag_path, "--json"]
+            out += [["validate", *files],
+                    ["potential", *files, "--constraint",
+                     f"edge:{constraint.edge_index}@{constraint.t}"]]
+    for name, case in shipped_cases:
+        out += [["render", "--fixture", name, "--case", case, *flag]
+                for flag in ([], ["--with-disks"])]
     return out
+
+
+def case_files(name, case) -> tuple:
+    """The file names of a shipped case's diagram and Lagrangian."""
+    return f"{name}_{case}.diagram.json", f"{name}_{case}.lagrangian.json"
 
 
 def save_fiber_diagrams(builtin_fixture, directory) -> None:
@@ -159,6 +182,18 @@ def save_fiber_diagrams(builtin_fixture, directory) -> None:
         fixture = builtin_fixture(name)
         diagram = fixture.diagram if variant is None else fixture.diagram_variants[variant]
         diagram.save(Path(directory, path))
+
+
+def save_case_files(shipped_cases, builtin_fixture, directory) -> None:
+    """Save the diagram and the Lagrangian of every shipped case with a
+    Lagrangian under its `case_files` names in directory."""
+    for name, case in shipped_cases:
+        fixture = builtin_fixture(name)
+        lag = fixture.lagrangian_for(case)
+        if lag is not None:
+            diagram_path, lag_path = case_files(name, case)
+            fixture.diagram_for(case).save(Path(directory, diagram_path))
+            lag.save(Path(directory, lag_path))
 
 
 def collect(src: str) -> None:
@@ -173,6 +208,7 @@ def collect(src: str) -> None:
         raise SystemExit(f"tropdisk imported from {tropdisk.__file__}, not {src}")
 
     save_fiber_diagrams(builtin_fixture, ".")
+    save_case_files(SHIPPED_CASES, builtin_fixture, ".")
     outputs = {}
     for argv in commands(SHIPPED_CASES, FIXTURE_NAMES, builtin_fixture):
         out, err = io.StringIO(), io.StringIO()
@@ -186,7 +222,7 @@ def collect(src: str) -> None:
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
     temporary directory that holds the `MALFORMED` files and `CONVENTION`,
-    where `collect` saves the `FIBER_DIAGRAMS`."""
+    where `collect` saves the `FIBER_DIAGRAMS` and the case files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:

@@ -255,7 +255,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = []
+    rows, lines = [], []
     fixtures = {}  # each fixture built once per call
 
     def computed(name, case_name):
@@ -264,40 +264,23 @@ def cmd_table(args) -> int:
         return fixtures[name].run(case_name).total()
 
     for entry in EIGENVALUE_TABLE:
+        excluded = [v for v, _, is_max in entry.integer_eigenvalues if is_max]
         integers = nonmaximal_integers(entry)
         if not integers:
             rows.append({"surface": entry.surface, "eigenvalues": "none"})
-            if not args.json:
-                excluded = [
-                    f"{v} (maximal)" for v, _, m in entry.integer_eigenvalues if m
-                ]
-                extra = f"; excluded: {', '.join(excluded)}" if excluded else ""
-                print(f"{entry.surface:8s} none{extra}")
-            continue
-        excluded = [v for v, _, is_max in entry.integer_eigenvalues if is_max]
-        if excluded and not args.json:
-            print(f"{entry.surface:8s} excluded (maximal modulus): "
-                  f"{', '.join(str(v) for v in excluded)}")
+            extra = ", ".join(f"{v} (maximal)" for v in excluded)
+            lines.append(f"{entry.surface:8s} none" + (f"; excluded: {extra}" if extra else ""))
+        elif excluded:
+            lines.append(f"{entry.surface:8s} excluded (maximal modulus): "
+                         f"{', '.join(str(v) for v in excluded)}")
         for value in integers:
-            realized = [
-                (fx, case) for v, fx, case in entry.realizations if v == value
-            ]
-            status = [(fx, case_name, computed(fx, case_name)) for fx, case_name in realized]
-            rows.append({
-                "surface": entry.surface,
-                "eigenvalue": value,
-                "realized_by": [
-                    {"fixture": fx, "case": c, "computed": _rat(total)}
-                    for fx, c, total in status
-                ],
-            })
-            if not args.json:
-                detail = ", ".join(
-                    f"{fx}:{c} -> {total}" for fx, c, total in status
-                ) or "no fixture shipped"
-                print(f"{entry.surface:8s} eigenvalue {value:4d}  {detail}")
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
+            status = [(fx, c, computed(fx, c)) for v, fx, c in entry.realizations if v == value]
+            rows.append({"surface": entry.surface, "eigenvalue": value, "realized_by": [
+                {"fixture": fx, "case": c, "computed": _rat(total)} for fx, c, total in status]})
+            detail = ", ".join(f"{fx}:{c} -> {total}" for fx, c, total in status)
+            lines.append(f"{entry.surface:8s} eigenvalue {value:4d}  "
+                         f"{detail or 'no fixture shipped'}")
+    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else "\n".join(lines))
     return EXIT_OK
 
 

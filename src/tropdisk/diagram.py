@@ -369,19 +369,23 @@ class BaseDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BaseDiagram":
-        polygon = [_vec_from_pairs(entry) for entry in json_list(data, "polygon")]
+        polygon = [_json_point(f"polygon entry {i}", entry)
+                   for i, entry in enumerate(json_list(data, "polygon"))]
         foci = []
-        for ff in json_list(data, "focus_foci", []):
+        for i, ff in enumerate(json_list(data, "focus_foci", [])):
             if not isinstance(ff, dict):
                 raise ValueError(f"focus_foci entry {ff!r} is not an object")
+            for key in ("position", "shear_direction", "shear_covector"):
+                if key not in ff:
+                    raise ValueError(f"focus_foci entry {i} has no {key!r} field")
             cut_sign = ff.get("branch_cut_sign", 1)
             if type(cut_sign) is not int:
                 raise ValueError(f"branch_cut_sign {cut_sign!r} is not an integer")
             foci.append(
                 FocusFocus(
-                    position=_vec_from_pairs(ff["position"]),
-                    pi=Vec(*map(json_fraction, ff["shear_direction"])),
-                    sigma=Vec(*map(json_fraction, ff["shear_covector"])),
+                    position=_json_point(f"focus_foci entry {i} position", ff["position"]),
+                    pi=_json_pair(f"focus_foci entry {i} shear_direction", ff["shear_direction"]),
+                    sigma=_json_pair(f"focus_foci entry {i} shear_covector", ff["shear_covector"]),
                     cut_sign=cut_sign,
                 )
             )
@@ -407,10 +411,20 @@ class BaseDiagram:
         return diagram
 
 
-def _vec_from_pairs(entry) -> Vec:
-    # polygon entries are [num, den, num, den] or [[num, den], [num, den]]
-    if len(entry) == 4:
-        xn, xd, yn, yd = entry
-    else:
-        (xn, xd), (yn, yd) = entry
-    return Vec(json_fraction(xn, xd), json_fraction(yn, yd))
+def _json_point(where: str, value) -> Vec:
+    """The point of [num, den, num, den] or [[num, den], [num, den]];
+    ValueError names `where` otherwise."""
+    if isinstance(value, list) and len(value) == 2 and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        value = value[0] + value[1]
+    if not (isinstance(value, list) and len(value) == 4):
+        raise ValueError(f"{where} {value!r} is not [num, den, num, den] "
+                         "or [[num, den], [num, den]]")
+    return Vec(json_fraction(*value[:2]), json_fraction(*value[2:]))
+
+
+def _json_pair(where: str, value) -> Vec:
+    """The vector of an [int, int] pair; ValueError names `where` otherwise."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{where} {value!r} is not an [int, int] pair")
+    return Vec(json_fraction(value[0]), json_fraction(value[1]))

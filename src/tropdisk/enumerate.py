@@ -697,11 +697,11 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
     """Dimension of the solution space of the incidence system; -1 if empty.
 
     Unknowns are the graph's tropical coordinates (`_tropical_frame`): one
-    length t_e per edge with a nonzero direction d_e and one root (x, y) per
-    component of those edges, a vertex sitting at its root plus the sum of
-    t_e d_e along its path in a spanning forest.  Equations: the anchor
-    incidences per vertex kind and the point constraint, and two closing
-    rows per edge off the forest, as `_rigidity_rows` writes them;
+    length t_e per edge, along its direction d_e, and one root (x, y), a
+    vertex sitting at the root plus the sum of t_e d_e along its path in a
+    spanning tree.  Equations: the anchor incidences per vertex kind and the
+    point constraint, and two closing rows per edge off the tree, as
+    `_rigidity_rows` writes them;
     `_echelon_rank` finds the rank and solvability exactly.  The frame maps
     the solutions one to one and affinely onto the vertex positions that
     meet the anchors with each edge along its direction, so the dimension
@@ -716,62 +716,62 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
 
 
 class _Frame(NamedTuple):
-    """Tropical coordinates of a graph over `cols` unknowns.  `places[i]` is
-    (x column of vertex i's root, path): the path holds (column, dx, dy)
-    for each forest edge from the root, and the vertex sits at its root
-    plus t (dx, dy) summed over its path, t the unknown in the column.
+    """Tropical coordinates of a graph over `cols` unknowns, the root's x
+    and y in the last two columns.  `paths[i]` holds (column, dx, dy) for
+    each tree edge from the root to vertex i, which sits at the root plus
+    t (dx, dy) summed over its path, t the unknown in the column.
     `closing` holds (column, a, b, dx, dy) for each edge a -> b off the
-    forest."""
+    tree."""
 
-    places: List[Tuple[int, Tuple[Tuple[int, int, int], ...]]]
+    paths: List[Tuple[Tuple[int, int, int], ...]]
     closing: List[Tuple[int, int, int, int, int]]
     cols: int
 
 
 def _tropical_frame(graph: DiskGraph, directions, root: Optional[int]) -> _Frame:
-    """A spanning forest of the edges with a nonzero direction, grown from
-    vertex `root`, if any, by sweeps over the edges; a sweep that reaches
-    no vertex starts a new component at the start of its first edge.  A
-    direction (dx, dy, W) stands for (dx, dy), which only rescales its
-    length.  The m lengths come first: off the forest from column 0 up, on
-    it from column m - 1 down, so that an edge's column precedes its
-    parent's and elimination starts at the leaves.  The roots follow, two
-    columns each."""
+    """A spanning tree of a connected disk graph, grown by sweeps over the
+    edges from vertex `root`, or from the start of the first edge when
+    there is no root.  A direction (dx, dy, W) stands for (dx, dy), which
+    only rescales its length.  The m lengths come first: off the tree from
+    column 0 up, on it from column m - 1 down, so that an edge's column
+    precedes its parent's and elimination starts at the leaves.  An edge
+    with no direction, or a vertex that no edge reaches, raises
+    GeometryError."""
     index = graph.index_of
-    pending = [(index(e.endpoints[0]), index(e.endpoints[1]), dx, dy)
-               for e, (dx, dy, _) in zip(graph.edges, directions) if dx or dy]
+    pending = []
+    for e, (dx, dy, _) in zip(graph.edges, directions):
+        if not (dx or dy):
+            raise GeometryError(f"graph edge {e.endpoints} has no direction")
+        pending.append((index(e.endpoints[0]), index(e.endpoints[1]), dx, dy))
     m = len(pending)
-    places: list = [None] * len(graph.vertices)
+    paths: list = [None] * len(graph.vertices)
+    if root is None:
+        root = pending[0][0] if pending else 0
+    paths[root] = ()
     closing = []
-    cols = m
-    if root is not None:
-        places[root] = (cols, ())
-        cols += 2
-    last = m - 1   # the next forest edge's column
+    last = m - 1   # the next tree edge's column
     while pending:
         rest = []
         for end in pending:
             a, b, dx, dy = end
-            at_a, at_b = places[a], places[b]
+            at_a, at_b = paths[a], paths[b]
             if at_a is None and at_b is None:
                 rest.append(end)
             elif at_b is None:
-                places[b] = (at_a[0], (*at_a[1], (last, dx, dy)))
+                paths[b] = (*at_a, (last, dx, dy))
                 last -= 1
             elif at_a is None:
-                places[a] = (at_b[0], (*at_b[1], (last, -dx, -dy)))
+                paths[a] = (*at_b, (last, -dx, -dy))
                 last -= 1
             else:
                 closing.append((len(closing), *end))
         if len(rest) == len(pending):
-            places[rest[0][0]] = (cols, ())
-            cols += 2
+            break   # no edge of the rest reaches the tree
         pending = rest
-    for i, place in enumerate(places):
-        if place is None:
-            places[i] = (cols, ())
-            cols += 2
-    return _Frame(places, closing, cols)
+    if None in paths:
+        raise GeometryError(f"graph vertex {graph.vertices[paths.index(None)].id} "
+                            "is not joined to the others by edges")
+    return _Frame(paths, closing, m + 2)
 
 
 def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -779,9 +779,9 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
     """The system of `rigidity_dimension` and the frame of its unknowns: the
     rows are integer, the coefficients, then the right-hand side.  First
     one row per anchor, in vertex order and then the constraint's pin: an
-    anchor a x + b y = c at vertex i reads a, b at its root's columns and
+    anchor a x + b y = c at vertex i reads a, b at the root's columns and
     a dx + b dy at each edge of its path.  Then the x and the y row
-    p_b - p_a - t d = 0 of each edge off the forest.  The anchors come from
+    p_b - p_a - t d = 0 of each edge off the tree.  The anchors come from
     the graph's `triples()` and the integer facet, cut and Lagrangian rows
     of the diagram and the Lagrangian cache, so no Fraction is built.
     """
@@ -815,20 +815,19 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
         anchors += _pin_anchors(root, constraint.triple)
 
     frame = _tropical_frame(graph, directions, root)
-    places, cols = frame.places, frame.cols
+    paths, cols = frame.paths, frame.cols
     rows: List[List[int]] = []
     for i, a, b, c in anchors:
-        root, path = places[i]
         row = [0] * (cols + 1)
-        row[root], row[root + 1], row[cols] = a, b, c
-        for col, dx, dy in path:
+        row[cols - 2], row[cols - 1], row[cols] = a, b, c
+        for col, dx, dy in paths[i]:
             row[col] = a * dx + b * dy
         rows.append(row)
     for col, a, b, dx, dy in frame.closing:
-        # the roots cancel, a and b being in one component
+        # the root cancels
         x_row, y_row = [0] * (cols + 1), [0] * (cols + 1)
         for sign, i in ((1, b), (-1, a)):
-            for c, ex, ey in places[i][1]:
+            for c, ex, ey in paths[i]:
                 x_row[c] += sign * ex
                 y_row[c] += sign * ey
         x_row[col], y_row[col] = -dx, -dy

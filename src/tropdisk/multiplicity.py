@@ -15,11 +15,10 @@ record of its multiplicity and its index contribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .geometry import GeometryError
 
@@ -225,51 +224,27 @@ def multiplicity(kind: VertexKind, convention: SignConvention = DEFAULT_CONVENTI
 def aut_order(graph) -> int:
     """Order of the automorphism group of a solved disk graph.
 
-    A vertex bijection preserving position and kind permutes each class of
-    vertices with equal (kind, position) within itself, so only products of
-    permutations of those classes are tried; a bijection counts when it maps
-    the edge multiset (with directions and the open/closed flags) to itself.
-    Literally identical parallel edges (same endpoints, same data) contribute
-    a factorial of their multiplicity on top.  When every class is a single
-    vertex, the identity is the only such bijection and that factor is the
-    order.
+    An automorphism keeps each vertex's position, and the vertices of a disk
+    graph sit at distinct points, so it fixes every vertex and can only
+    permute literally identical parallel edges (same endpoints, direction
+    and open/closed flag): the order is the product of the factorials of
+    their multiplicities.  Two vertices at one point raise GeometryError.
     """
-    verts = graph.vertices
     points, directions = graph.triples()
-
-    def edge_key(a_id: str, b_id: str, d, open_: bool) -> tuple:
-        X, Y, W = d
-        return min((a_id, b_id, X, Y, W, open_), (b_id, a_id, -X, -Y, W, open_))
-
-    base: Dict[tuple, int] = {}
-    for e, d in zip(graph.edges, directions):
-        key = edge_key(e.endpoints[0], e.endpoints[1], d, e.open)
-        base[key] = base.get(key, 0) + 1
-    extra = 1
-    for m in base.values():
-        extra *= math.factorial(m)
-
-    if len(set(points)) == len(points):
-        return extra  # distinct positions: every class is a single vertex
-
-    classes: Dict[tuple, List[int]] = {}
-    for i, (v, point) in enumerate(zip(verts, points)):
-        classes.setdefault((v.kind, point), []).append(i)
-    groups = list(classes.values())
-    ends = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]), d, e.open)
-            for e, d in zip(graph.edges, directions)]
-    count = 0
-    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm: Dict[int, int] = {}
-        for group, image in zip(groups, images):
-            perm.update(zip(group, image))
-        mapped: Dict[tuple, int] = {}
-        for ia, ib, d, open_ in ends:
-            key = edge_key(verts[perm[ia]].id, verts[perm[ib]].id, d, open_)
-            mapped[key] = mapped.get(key, 0) + 1
-        if mapped == base:
-            count += 1
-    return count * extra
+    seen = set()
+    for v, point in zip(graph.vertices, points):
+        if point in seen:
+            raise GeometryError(f"two graph vertices at {v.position!r}")
+        seen.add(point)
+    counts: Dict[tuple, int] = {}
+    for e, (X, Y, W) in zip(graph.edges, directions):
+        a, b = e.endpoints
+        key = min((a, b, X, Y, W, e.open), (b, a, -X, -Y, W, e.open))
+        counts[key] = counts.get(key, 0) + 1
+    order = 1
+    for m in counts.values():
+        order *= math.factorial(m)
+    return order
 
 
 def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION

@@ -719,12 +719,26 @@ def _segment_json_without(key) -> str:
     (None, _segment_json_without("edges"), "no 'edges' field"),
     (None, _segment_json_without("vertices"), "no 'vertices' field"),
     (None, json.dumps([{"vertices": []}]), "the top level is not a JSON object"),
+    (_dp5_json_with(5, "polygon", 0), None, "polygon entry 0 5 is not [num, den, num, den]"),
+    (_dp5_json_with(5, "focus_foci", 0, "position"), None,
+     "focus_foci entry 0 position 5 is not [num, den, num, den]"),
+    (_dp5_json_with([[0, 1]] * 3, "focus_foci", 0, "position"), None,
+     "focus_foci entry 0 position [[0, 1], [0, 1], [0, 1]] is not"),
+    (_dp5_json_with({"shear_direction": [0, 1], "shear_covector": [1, 0]}, "focus_foci", 0),
+     None, "focus_foci entry 0 has no 'position' field"),
+    (_dp5_json_with([0, 1, 0], "focus_foci", 0, "shear_direction"), None,
+     "focus_foci entry 0 shear_direction [0, 1, 0] is not an [int, int] pair"),
+    (_dp5_json_with(7, "focus_foci", 0, "shear_covector"), None,
+     "focus_foci entry 0 shear_covector 7 is not an [int, int] pair"),
 ], ids=["focus-entry-list", "focus-entry-number", "focus-foci-number", "focus-foci-object",
         "polygon-null", "diagram-list", "diagram-string", "vertices-number", "edges-string",
-        "no-edges", "no-vertices", "lagrangian-list"])
+        "no-edges", "no-vertices", "lagrangian-list", "polygon-entry-number",
+        "position-number", "position-three-pairs", "no-position", "shear-direction-triple",
+        "shear-covector-number"])
 def test_malformed_file_structure_is_named(tmp_path, capsys, diagram, lagrangian, named):
-    # a file whose top level, list field or focus entry has the wrong JSON
-    # type ends in exit 1 with the field named, never in a traceback
+    # a file whose top level, list field, point, pair or focus entry has the
+    # wrong JSON type or shape ends in exit 1 with the field named, never in
+    # a traceback
     dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
     if diagram is None:
         builtin_fixture("dp6").diagram.save(dpath)
@@ -763,19 +777,28 @@ SAVED_FILES = {"diagram": builtin_fixture("dp5").diagram.to_json_dict(),
                "lagrangian": builtin_fixture("dp6").lagrangians["segment"].to_json_dict()}
 
 
-@settings(max_examples=300, deadline=None,
+# every command that loads the files: the search at an edge and at a point
+# and the drawing go on from a loaded file, so a file they accept can still
+# raise there
+FILE_COMMANDS = (["validate"], ["validate", "--json"],
+                 ["potential", "--constraint", "edge:0@1/2", "--json"],
+                 ["potential", "--constraint", "point:1/7,-1/5", "--json"], ["render"])
+
+
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), as_json=st.booleans())
-def test_file_loaders_never_raise(tmp_path, capsys, data, as_json):
+@given(data=st.data())
+def test_file_loaders_never_raise(tmp_path, capsys, data):
     # any one value or entry of the saved dp5 diagram or dp6 segment replaced
-    # by any JSON value: validate returns an exit code, never an exception
+    # by any JSON value: each command returns an exit code, never an exception
     which = data.draw(st.sampled_from(sorted(SAVED_FILES)))
     path = data.draw(st.sampled_from(list(_json_paths(SAVED_FILES[which]))))
     files = dict(SAVED_FILES, **{which: _replaced(SAVED_FILES[which], path,
                                                    data.draw(JSON_VALUES))})
-    argv = ["validate", "--json"] if as_json else ["validate"]
+    options = []
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
-    assert main(argv) in (0, 1, 2, 3)
+        options += [f"--{name}", str(tmp_path / f"{name}.json")]
+    for argv in FILE_COMMANDS:
+        assert main(argv + options) in (0, 1, 2, 3)
     capsys.readouterr()

@@ -378,12 +378,12 @@ def _pin_variant(variant, constraint, lag):
 
 
 def _frame_positions(frame):
-    """Vertex i's x and y as coefficient rows over the frame's unknowns: its
-    root's column, and dx, dy at the column of each edge on its path."""
+    """Vertex i's x and y as coefficient rows over the frame's unknowns: the
+    root's columns, and dx, dy at the column of each edge on its path."""
     positions = []
-    for root, path in frame.places:
+    for path in frame.paths:
         x, y = [0] * frame.cols, [0] * frame.cols
-        x[root] = y[root + 1] = 1
+        x[-2] = y[-1] = 1
         for col, dx, dy in path:
             x[col], y[col] = dx, dy
         positions.append((x, y))
@@ -408,10 +408,10 @@ def _assert_rows_compose_reference(graph, diagram, lag, constraint):
     """Row by row: each anchor row is a nonzero multiple of the reference's
     Fraction row, with its right-hand side, composed with the frame's
     vertex positions.  Composed, the reference's row of an edge on the
-    forest or with a zero direction vanishes, since the forest puts the edge
-    along its direction whatever its length; for an edge a -> b off the
-    forest, with direction (dx, dy)/W, it is dy times its x closing row less
-    dx times its y closing row, over W."""
+    tree vanishes, since the tree puts the edge along its direction
+    whatever its length; for an edge a -> b off the tree, with direction
+    (dx, dy)/W, it is dy times its x closing row less dx times its y
+    closing row, over W."""
     rows, frame = _rigidity_rows(graph, diagram, lag, constraint)
     ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, constraint)
     positions = _frame_positions(frame)
@@ -423,15 +423,15 @@ def _assert_rows_compose_reference(graph, diagram, lag, constraint):
         assert row == [x * row[k] / ref[k] for x in ref] and row[k]
     edges = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]),
               *homogeneous(e.direction)) for e in graph.edges]
-    forest = set(range(n_edges))
+    tree = set(range(n_edges))
     closing_rows = rows[len(rows) - n_closing:]
     for (col, *end), x_row, y_row in zip(frame.closing, closing_rows[::2], closing_rows[1::2]):
-        k = min(k for k in forest if list(edges[k][:4]) == end)
-        forest.remove(k)
+        k = min(k for k in tree if list(edges[k][:4]) == end)
+        tree.remove(k)
         dx, dy, w = edges[k][2:]
         assert x_row[col] == -dx and y_row[col] == -dy
         assert [w * x for x in composed[k]] == [dy * x - dx * y for x, y in zip(x_row, y_row)]
-    for k in forest:
+    for k in tree:
         assert not any(composed[k])
 
 
@@ -456,8 +456,10 @@ def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
 
 def _hand_built_graphs():
     """(graph, lag, constraint, dimension) on dp6, of shapes no search
-    reaches: an edge with a zero direction, cycles (one with a half-integral
-    edge, one of two parallel edges), two components and no constraint."""
+    reaches: cycles (one with a half-integral edge, one of two parallel
+    edges) and no constraint.  An edge with a zero direction and two
+    components are no disk graph: for them `dimension` is the text of the
+    GeometryError the solve raises, pinned or not."""
     lag = builtin_fixture("dp6").lagrangians["segment"]
     on_segment = Constraint.on_lagrangian(lag, 0, F(1, 2))  # at the origin
     at_origin = Constraint.interior_point(Vec(0, 0))
@@ -493,13 +495,14 @@ def _hand_built_graphs():
          DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
         [edge("c", "a", 1, 1), edge("c", "b", -1, 0), edge("c", "d", 0, -1)])
     return [
-        pytest.param(zero, lag, on_segment, 2, id="zero direction"),
-        pytest.param(zero, lag, None, 4, id="zero direction, unpinned"),
+        pytest.param(zero, lag, on_segment, "has no direction", id="zero direction"),
+        pytest.param(zero, lag, None, "has no direction", id="zero direction, unpinned"),
         pytest.param(cycle, None, at_origin, 1, id="cycle"),
         pytest.param(cycle, None, None, 3, id="cycle, unpinned"),
         pytest.param(parallel, None, at_origin, 1, id="parallel edges"),
-        pytest.param(two, lag, on_segment, 0, id="two components"),
-        pytest.param(two, lag, None, 2, id="two components, unpinned"),
+        pytest.param(two, lag, on_segment, "is not joined to the others", id="two components"),
+        pytest.param(two, lag, None, "is not joined to the others",
+                     id="two components, unpinned"),
         pytest.param(trivalent, None, None, 2, id="no constraint"),
     ]
 
@@ -507,6 +510,11 @@ def _hand_built_graphs():
 @pytest.mark.parametrize("graph, lag, constraint, dimension", _hand_built_graphs())
 def test_rigidity_of_hand_built_graphs(graph, lag, constraint, dimension):
     diagram = builtin_fixture("dp6").diagram
+    if isinstance(dimension, str):
+        # a disk graph is connected and each of its edges has a direction
+        with pytest.raises(GeometryError, match=dimension):
+            rigidity_dimension(graph, diagram, lag, constraint)
+        return
     _assert_rows_compose_reference(graph, diagram, lag, constraint)
     assert rigidity_dimension(graph, diagram, lag, constraint) \
         == _reference_dimension(graph, diagram, lag, constraint) == dimension

@@ -341,28 +341,35 @@ def test_aut_order_trivial():
 
 
 def test_aut_order_doubled_edge():
+    # two focus vertices at one point are no disk graph; one focus vertex
+    # with the same two legs has order 2
+    legs = [(0, 1, Vec(1, 0), False), (0, 2, Vec(1, 0), False)]
     g = _graph(
         [(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1)),
-         (Vec(1, 0), focus_cover(1))],
-        [(0, 1, Vec(1, 0), False), (0, 2, Vec(1, 0), False)],
-    )
+         (Vec(1, 0), focus_cover(1))], legs)
+    with pytest.raises(GeometryError, match="two graph vertices at"):
+        aut_order(g)
+    g = _graph([(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1))],
+               [(0, 1, d, open_) for _, _, d, open_ in legs])
     assert aut_order(g) == 2
 
 
 def test_aut_order_symmetric_star():
-    g = _graph(
-        [(Vec(0, 0), pair_of_pants((1, 0, 1), (0, 1, 1))),
-         (Vec(1, 0), focus_cover(1)), (Vec(1, 0), focus_cover(1)),
-         (Vec(1, 0), focus_cover(1))],
-        [(0, 1, Vec(1, 0), False), (0, 2, Vec(1, 0), False),
-         (0, 3, Vec(1, 0), False)],
-    )
+    # three focus vertices at one point are no disk graph; one focus vertex
+    # with the same three legs has order 3! = 6
+    star = (Vec(0, 0), pair_of_pants((1, 0, 1), (0, 1, 1)))
+    legs = [(0, k, Vec(1, 0), False) for k in (1, 2, 3)]
+    g = _graph([star] + [(Vec(1, 0), focus_cover(1))] * 3, legs)
+    with pytest.raises(GeometryError, match="two graph vertices at"):
+        aut_order(g)
+    g = _graph([star, (Vec(1, 0), focus_cover(1))],
+               [(0, 1, d, open_) for _, _, d, open_ in legs])
     assert aut_order(g) == 6
 
 
 def test_aut_order_parallel_edges_between_distinct_positions():
-    # every (kind, position) class is one vertex, so the order is the
-    # parallel-edge factor alone; an edge listed reversed is the same edge
+    # the order is the factorial of each class of identical parallel edges;
+    # an edge listed reversed is the same edge
     def doubled(edges):
         return _graph([(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1))], edges)
 
@@ -419,10 +426,10 @@ def test_aut_order_matches_reference_on_fixture_graphs():
 
 
 def test_graph_contribution_uses_aut():
+    # one focus vertex and two identical legs: -1 * 1 over an order of 2
     g = _graph(
-        [(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1)),
-         (Vec(1, 0), focus_cover(1))],
-        [(0, 1, Vec(1, 0), False), (0, 2, Vec(1, 0), False)],
+        [(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1))],
+        [(0, 1, Vec(1, 0), False), (0, 1, Vec(1, 0), False)],
     )
     assert graph_contribution(g) == F(-1, 2)
 

@@ -10,6 +10,7 @@ import pytest
 from tropdisk.cli import main
 from tropdisk.diagram import BaseDiagram
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
+from tropdisk.lagrangian import LagGraph
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -251,11 +252,17 @@ def test_compare_outputs_reports_each_differing_command():
               for path in ("dp5.diagram.json", "dp4.diagram.json", "dp3.diagram.json",
                            "dp2.diagram.json", "dp1.diagram.json", "dp2_l1.diagram.json")
               for xy in ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")]
+    # the saved files of the segment case, at its own edge and t
+    files = "--diagram dp6_segment.diagram.json --lagrangian dp6_segment.lagrangian.json --json"
+    case_files = [f"validate {files}", f"potential {files} --constraint edge:0@1/2"]
+    renders = [f"render --fixture dp6 --case {case}{flag}"
+               for case in ("segment", "fiber") for flag in ("", " --with-disks")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *unbudgeted, *edges, *points, *conventions, *fibers]
+        *malformed, *grid, *unbudgeted, *edges, *points, *conventions, *fibers, *case_files,
+        *renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -321,3 +328,27 @@ def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys)
                 if "dp5.diagram.json" in argv)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["graphs"]
+
+
+def test_compare_outputs_saves_the_case_files(tmp_path, monkeypatch, capsys):
+    # each shipped case with a Lagrangian is saved as two files that load
+    # back as its diagram and Lagrangian, and its file commands run on them
+    compare = load_script("compare_outputs.py")
+    compare["save_case_files"](SHIPPED_CASES, builtin_fixture, tmp_path)
+    saved = [case for case in SHIPPED_CASES
+             if builtin_fixture(case[0]).lagrangian_for(case[1]) is not None]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        path for case in saved for path in compare["case_files"](*case))
+    monkeypatch.chdir(tmp_path)
+    for name, case in saved:
+        fixture = builtin_fixture(name)
+        diagram_path, lag_path = compare["case_files"](name, case)
+        assert BaseDiagram.load(diagram_path).to_json_dict() \
+            == fixture.diagram_for(case).to_json_dict()
+        assert LagGraph.load(lag_path).to_json_dict() \
+            == fixture.lagrangian_for(case).to_json_dict()
+    for argv in compare["commands"](saved, [], builtin_fixture):
+        if "--lagrangian" in argv:
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.get("violations", []) == []
