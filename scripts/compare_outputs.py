@@ -16,6 +16,10 @@ process through `tropdisk.cli.main`:
 * `validate --diagram F` and `potential --diagram F --constraint point:X,Y`
   for each of three malformed diagram files in `MALFORMED`: a clockwise
   polygon, a focus on a facet and a branch cut through another focus;
+* `UNREADABLE_COMMANDS`, one per JSON reader, on files that fail to parse:
+  a diagram with a `true` shear direction entry and one with a zero
+  denominator, a Lagrangian vertex without an `id`, and a pant sign table
+  with a float D;
 * `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
@@ -43,8 +47,8 @@ process through `tropdisk.cli.main`:
 * `render --fixture F --case C` and the same with `--with-disks`, for
   every entry of `SHIPPED_CASES`.
 
-The malformed files and the convention file are written to a temporary
-directory that each side's interpreter runs in, and each side saves its own
+The malformed and unreadable files and the convention file are written to a
+temporary directory that each side's interpreter runs in, and each side saves its own
 `FIBER_DIAGRAMS` and case files there, so the file names in the error text
 are the same on both sides.  Each command's exit code, standard output and
 standard error are compared.  The command lists come from each checkout's
@@ -93,6 +97,25 @@ MALFORMED = {
 }
 POINT = "point:1/4,1/4"
 
+# Files that a JSON reader refuses before any geometry is checked, by file
+# name, and the commands that read them.
+UNREADABLE = {
+    "bool_shear.diagram.json": {
+        "name": "bool_shear", "polygon": HEXAGON,
+        "focus_foci": [_focus([0, 1], [0, 1], [True, 0], [0, 1])]},
+    "zero_denominator.diagram.json": {
+        "name": "zero_denominator", "polygon": [[1, 0, 0, 1], *HEXAGON[1:]]},
+    "no_vertex_id.lagrangian.json": {
+        "vertices": [{"position": [[0, 1], [0, 1]]}], "edges": []},
+    "float_d.convention.json": {"pant_sign": [[1.9, 1]]},
+}
+UNREADABLE_COMMANDS = [
+    ["validate", "--diagram", "bool_shear.diagram.json"],
+    ["validate", "--diagram", "zero_denominator.diagram.json"],
+    ["validate", "--diagram", "dp5.diagram.json", "--lagrangian", "no_vertex_id.lagrangian.json"],
+    ["potential", "--fixture", "dp7", "--convention", "float_d.convention.json"],
+]
+
 # a pant sign table that differs from the default at D = 1, 2 and 3
 CONVENTION = "flipped.convention.json"
 CONVENTION_TABLE = {"pant_sign": [[1, 1], [2, 1], [3, -1]]}
@@ -130,6 +153,7 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for path in MALFORMED:
         out += [["validate", "--diagram", path],
                 ["potential", "--diagram", path, "--constraint", POINT]]
+    out += UNREADABLE_COMMANDS
     for name, case in GRID_CASES:
         bounds = builtin_fixture(name).case(case).bounds
         for length in GRID_LENGTHS:
@@ -221,12 +245,13 @@ def collect(src: str) -> None:
 
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
-    temporary directory that holds the `MALFORMED` files and `CONVENTION`,
-    where `collect` saves the `FIBER_DIAGRAMS` and the case files."""
+    temporary directory that holds the `MALFORMED` and `UNREADABLE` files and
+    `CONVENTION`, where `collect` saves the `FIBER_DIAGRAMS` and the case
+    files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in {**MALFORMED, CONVENTION: CONVENTION_TABLE}.items():
+        for name, data in {**MALFORMED, **UNREADABLE, CONVENTION: CONVENTION_TABLE}.items():
             Path(tmp, name).write_text(json.dumps(data))
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp,
                               capture_output=True, text=True)

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import DiskEdge, DiskGraph, Triple
-from .geometry import from_homogeneous, point_on_row, primitive_and_length
+from .geometry import from_homogeneous, point_on_row, primitive_and_length, primitive_pair
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -58,10 +58,10 @@ def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
 
 def _lattice_length(leg: Triple) -> int:
     """gcd(X, Y) of an integer direction; a zero or non-integral one raises
-    `primitive_and_length`'s GeometryError."""
+    GeometryError."""
     X, Y, W = leg
-    if W == 1 and (X or Y):
-        return math.gcd(X, Y)
+    if W == 1:
+        return primitive_pair(X, Y)[2]
     return primitive_and_length(from_homogeneous(leg))[1]
 
 

@@ -26,7 +26,7 @@ from .enumerate import (
     enumerate_disks,
 )
 from .fixtures import FIXTURE_NAMES, builtin_fixture
-from .geometry import GeometryError, Vec, frac
+from .geometry import GeometryError, Vec, frac, json_list, json_pair, load_json
 from .lagrangian import LagGraph
 from .multiplicity import DEFAULT_CONVENTION, SignConvention
 
@@ -104,14 +104,15 @@ def _parse_constraint(spec: Optional[str], lag: Optional[LagGraph]) -> Constrain
 
 def _load_convention(path) -> SignConvention:
     """DEFAULT_CONVENTION merged with a JSON file {"pant_sign": [[D, sign], ...]}."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-            if not isinstance(data, dict):
-                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-            return DEFAULT_CONVENTION.merged(data.get("pant_sign", []))
-        except (ValueError, TypeError) as exc:
-            raise GeometryError(f"malformed convention file {path}: {exc!r}") from exc
+    def parse(data) -> SignConvention:
+        entries = json_list(data, "pant_sign", [])
+        for key in data:
+            if key != "pant_sign":
+                raise ValueError(f"unknown field {key!r}")
+        return DEFAULT_CONVENTION.merged(
+            json_pair(f"pant_sign entry {i}", entry) for i, entry in enumerate(entries))
+
+    return load_json(path, "convention", parse)
 
 
 def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:

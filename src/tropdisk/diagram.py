@@ -21,10 +21,14 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
-    json_fraction,
     json_list,
+    json_object,
+    json_pair,
+    json_point,
+    load_json,
     point_on_row,
     primitive,
+    primitive_pair,
     ray_point,
 )
 
@@ -99,13 +103,7 @@ class BaseDiagram:
         row's edge (ex, ey), a positive multiple of the ccw edge, rotated
         left to (-ey, ex) and divided by its gcd."""
         if self._normals is None:
-            normals = []
-            for _, _, ex, ey in self.facet_rows()[0]:
-                g = math.gcd(ex, ey)
-                if not g:
-                    raise GeometryError("zero vector has no primitive direction")
-                normals.append((-ey // g, ex // g))
-            self._normals = normals
+            self._normals = [primitive_pair(-ey, ex)[:2] for _, _, ex, ey in self.facet_rows()[0]]
         return self._normals
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
@@ -369,26 +367,20 @@ class BaseDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BaseDiagram":
-        polygon = [_json_point(f"polygon entry {i}", entry)
+        polygon = [json_point(f"polygon entry {i}", entry)
                    for i, entry in enumerate(json_list(data, "polygon"))]
         foci = []
         for i, ff in enumerate(json_list(data, "focus_foci", [])):
-            if not isinstance(ff, dict):
-                raise ValueError(f"focus_foci entry {ff!r} is not an object")
-            for key in ("position", "shear_direction", "shear_covector"):
-                if key not in ff:
-                    raise ValueError(f"focus_foci entry {i} has no {key!r} field")
+            where = f"focus_foci entry {i}"
+            ff = json_object(where, ff, ("position", "shear_direction", "shear_covector"))
             cut_sign = ff.get("branch_cut_sign", 1)
             if type(cut_sign) is not int:
                 raise ValueError(f"branch_cut_sign {cut_sign!r} is not an integer")
-            foci.append(
-                FocusFocus(
-                    position=_json_point(f"focus_foci entry {i} position", ff["position"]),
-                    pi=_json_pair(f"focus_foci entry {i} shear_direction", ff["shear_direction"]),
-                    sigma=_json_pair(f"focus_foci entry {i} shear_covector", ff["shear_covector"]),
-                    cut_sign=cut_sign,
-                )
-            )
+            foci.append(FocusFocus(
+                position=json_point(f"{where} position", ff["position"]),
+                pi=Vec(*json_pair(f"{where} shear_direction", ff["shear_direction"])),
+                sigma=Vec(*json_pair(f"{where} shear_covector", ff["shear_covector"])),
+                cut_sign=cut_sign))
         name = data.get("name", "unnamed")
         if not isinstance(name, str):
             raise ValueError(f"diagram name {name!r} is not a string")
@@ -400,31 +392,8 @@ class BaseDiagram:
 
     @classmethod
     def load(cls, path) -> "BaseDiagram":
-        with open(path) as fh:
-            try:
-                diagram = cls.from_json_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-                raise GeometryError(f"malformed diagram file {path}: {exc!r}") from exc
+        diagram = load_json(path, "diagram", cls.from_json_dict)
         problems = diagram.validate()
         if problems:
             raise InvalidDiagram(path, diagram, problems)
         return diagram
-
-
-def _json_point(where: str, value) -> Vec:
-    """The point of [num, den, num, den] or [[num, den], [num, den]];
-    ValueError names `where` otherwise."""
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(pair, list) and len(pair) == 2 for pair in value):
-        value = value[0] + value[1]
-    if not (isinstance(value, list) and len(value) == 4):
-        raise ValueError(f"{where} {value!r} is not [num, den, num, den] "
-                         "or [[num, den], [num, den]]")
-    return Vec(json_fraction(*value[:2]), json_fraction(*value[2:]))
-
-
-def _json_pair(where: str, value) -> Vec:
-    """The vector of an [int, int] pair; ValueError names `where` otherwise."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{where} {value!r} is not an [int, int] pair")
-    return Vec(json_fraction(value[0]), json_fraction(value[1]))

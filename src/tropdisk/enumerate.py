@@ -44,6 +44,7 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     offset_hit,
+    primitive_pair,
     ray_point,
     row_offsets,
 )
@@ -500,9 +501,7 @@ class _Tracer:
                     continue
                 if not _cap_admits(offset, prim):
                     continue
-                tx, ty = _offset(point, corner)
-                g = math.gcd(tx, ty)
-                tx, ty = tx // g, ty // g
+                tx, ty, _ = primitive_pair(*_offset(point, corner))
                 if rim == 0 or (rim > 0) != (tx * ny - ty * nx > 0):
                     continue
                 out.append(

@@ -20,6 +20,7 @@ hits on different tables compare directly.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,25 +34,22 @@ class GeometryError(ValueError):
 
 
 def frac(value) -> Fraction:
-    """Coerce ints, Fractions, strings like '1/2', or (num, den) pairs."""
+    """Coerce ints, Fractions or strings like '1/2'."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
     raise GeometryError(f"cannot interpret {value!r} as an exact rational")
 
 
-def json_fraction(num, den=1) -> Fraction:
-    """num/den from JSON numbers that must both be exact integers: a bool, a
-    float or a string raises ValueError, as the file formats require."""
-    for value in (num, den):
-        if type(value) is not int:
-            raise ValueError(f"{value!r} is not an integer")
-    return Fraction(num, den)
+def load_json(path, what: str, parse):
+    """parse(data) of the JSON file at path; a ValueError (bad JSON too), KeyError,
+    TypeError or ZeroDivisionError becomes a GeometryError naming the file."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise GeometryError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
 def json_list(data, key: str, default: Optional[list] = None) -> list:
@@ -66,6 +64,38 @@ def json_list(data, key: str, default: Optional[list] = None) -> list:
     if not isinstance(data[key], list):
         raise ValueError(f"{key} {data[key]!r} is not a list")
     return data[key]
+
+
+def json_object(where: str, value, keys) -> dict:
+    """The JSON object `value`, holding every one of `keys`; ValueError
+    names `where` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} {value!r} is not an object")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{where} has no {key!r} field")
+    return value
+
+
+def json_point(where: str, value) -> Vec:
+    """The point of [num, den, num, den] or [[num, den], [num, den]] of JSON integers,
+    dens nonzero; ValueError names `where` and the value as written otherwise."""
+    flat = value
+    if isinstance(value, list) and len(value) == 2 and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        flat = value[0] + value[1]
+    if not (isinstance(flat, list) and len(flat) == 4
+            and all(type(c) is int for c in flat) and flat[1] and flat[3]):
+        raise ValueError(f"{where} {value!r} is not [num, den, num, den] or "
+                         "[[num, den], [num, den]] of integers with nonzero dens")
+    return Vec(Fraction(flat[0], flat[1]), Fraction(flat[2], flat[3]))
+
+
+def json_pair(where: str, value) -> Tuple[int, int]:
+    """The JSON integers of an [int, int] pair; ValueError names `where` otherwise."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(c) is int for c in value)):
+        raise ValueError(f"{where} {value!r} is not an [int, int] pair")
+    return value[0], value[1]
 
 
 @dataclass(frozen=True)
@@ -133,24 +163,28 @@ def det2(a: Vec, b: Vec) -> Fraction:
     return a.x * b.y - a.y * b.x
 
 
+def primitive_pair(x: int, y: int) -> Tuple[int, int, int]:
+    """(x/g, y/g, g) for the nonzero integer pair (x, y) and g = gcd(x, y)."""
+    g = math.gcd(x, y)
+    if not g:
+        raise GeometryError("zero vector has no primitive direction")
+    return x // g, y // g, g
+
+
 def primitive_and_length(v: Vec) -> Tuple[Vec, int]:
     """Factor a nonzero integer vector as (primitive vector, lattice length)."""
-    if not v:
-        raise GeometryError("zero vector has no primitive direction")
     if not v.is_integral():
         raise GeometryError(f"{v!r} is not an integer vector")
-    g = math.gcd(abs(int(v.x)), abs(int(v.y)))
-    return Vec(v.x / g, v.y / g), g
+    x, y, g = primitive_pair(int(v.x), int(v.y))
+    return Vec(x, y), g
 
 
 def primitive(v: Vec) -> Vec:
     """Primitive integer vector in the direction of v (v may be rational):
     the homogeneous pair of v divided by its gcd."""
-    if not v:
-        raise GeometryError("zero vector has no primitive direction")
     X, Y, _ = homogeneous(v)
-    g = math.gcd(X, Y)
-    return Vec(X // g, Y // g)
+    x, y, _ = primitive_pair(X, Y)
+    return Vec(x, y)
 
 
 def shear_apply(sigma: Vec, pi: Vec, v: Vec) -> Vec:

@@ -7,7 +7,6 @@ ids; directions are always derived from the endpoint positions, never stored.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -26,9 +25,12 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
-    json_fraction,
     json_list,
+    json_object,
+    json_point,
+    load_json,
     point_on_row,
+    primitive_pair,
     ray_point,
     ray_segment_hit,
 )
@@ -108,12 +110,8 @@ class LagGraph:
         """Primitive integer direction of an edge, oriented away from from_id:
         its `edge_rows()` row divided by the row's gcd."""
         _, _, ex, ey = self.edge_rows()[0][self.edges.index(edge)]
-        g = math.gcd(ex, ey)
-        if not g:
-            raise GeometryError("zero vector has no primitive direction")
-        if from_id == edge.endpoints[1]:
-            g = -g
-        return ex // g, ey // g
+        lx, ly, _ = primitive_pair(ex, ey)
+        return (-lx, -ly) if from_id == edge.endpoints[1] else (lx, ly)
 
     def edge_normal(self, k: int) -> Tuple[int, int]:
         """Edge k's primitive direction (lx, ly) turned left to (-ly, lx): the
@@ -345,19 +343,13 @@ class LagGraph:
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "lagrangian") -> "LagGraph":
         vertices = []
-        for entry in json_list(data, "vertices"):
-            if not isinstance(entry, dict):
-                raise TypeError(f"vertex entry {entry!r} is not an object")
+        for i, entry in enumerate(json_list(data, "vertices")):
+            entry = json_object(f"vertex entry {i}", entry, ("id", "position"))
             vid = entry["id"]
             if not isinstance(vid, str):
                 raise ValueError(f"vertex id {vid!r} is not a string")
             anchor, index = _json_anchor(vid, entry.get("anchor", ANCHOR_FREE))
-            try:
-                (xn, xd), (yn, yd) = entry["position"]
-                position = Vec(json_fraction(xn, xd), json_fraction(yn, yd))
-            except (TypeError, ValueError):
-                raise ValueError(f"vertex {vid} position {entry['position']!r} "
-                                 "is not two [int, int] pairs") from None
+            position = json_point(f"vertex {vid} position", entry["position"])
             vertices.append(LagVertex(vid, position, anchor, index))
         edges = []
         for entry in json_list(data, "edges"):
@@ -377,11 +369,7 @@ class LagGraph:
 
     @classmethod
     def load(cls, path) -> "LagGraph":
-        with open(path) as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-                raise GeometryError(f"malformed Lagrangian file {path}: {exc!r}") from exc
+        return load_json(path, "Lagrangian", cls.from_json_dict)
 
 
 def _json_anchor(vid: str, anchor) -> Tuple[str, Optional[int]]:

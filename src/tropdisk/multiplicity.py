@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .geometry import GeometryError
+from .geometry import GeometryError, primitive_pair
 
 CYLINDER = "cylinder"
 PAIR_OF_PANTS = "pair_of_pants"
@@ -123,12 +123,9 @@ def pant_determinant(kind: VertexKind) -> int:
     normalized to a half-primitive multiple of the edge (the diagonal model);
     this form stays well defined on every edge slope.
     """
-    lx, ly, _ = kind.lag_dir
-    g = math.gcd(lx, ly)
-    if g == 0:
-        raise GeometryError("zero vector has no primitive direction")
+    lx, ly, _ = primitive_pair(*kind.lag_dir[:2])
     ex, ey, ew = kind.e_black
-    return abs(ex * (ly // g) - ey * (lx // g)) // ew
+    return abs(ex * ly - ey * lx) // ew
 
 
 def pant_strip_direction(e_black: Triple, lag_dir: Triple) -> Triple:
@@ -150,9 +147,9 @@ def pant_strip_direction(e_black: Triple, lag_dir: Triple) -> Triple:
 
 @dataclass
 class SignConvention:
-    """Pant sign table, D -> +/-1; defaults follow the worked potentials."""
+    """Pant sign table, D -> +/-1, over the default rule: +1 when D = 3 mod 4, else -1."""
 
-    pant_signs: Dict[int, int] = field(default_factory=lambda: {1: -1, 2: -1, 3: 1})
+    pant_signs: Dict[int, int] = field(default_factory=dict)
 
     def pant_sign(self, d: int) -> int:
         if d in self.pant_signs:
@@ -160,11 +157,12 @@ class SignConvention:
         return 1 if d % 4 == 3 else -1
 
     def merged(self, overrides) -> "SignConvention":
+        """This table with each (D, sign) of overrides set: D >= 1, sign +/-1."""
         table = dict(self.pant_signs)
-        for d, sign in overrides:
-            if sign not in (1, -1):
-                raise GeometryError(f"pant sign must be +/-1, got {sign}")
-            table[int(d)] = int(sign)
+        for i, (d, sign) in enumerate(overrides):
+            if d < 1 or sign not in (1, -1):
+                raise GeometryError(f"pant_sign entry {i} {[d, sign]} is not [D >= 1, +/-1]")
+            table[d] = sign
         return SignConvention(table)
 
 

@@ -229,10 +229,12 @@ def test_validate_rejects_a_wrong_anchor(tmp_path, capsys, name, case, vid, anch
     ("anchor", "focus:x", "vertex v0 anchor 'focus:x' is not kind or kind:int"),
     ("anchor", "focus:1:2", "vertex v0 anchor 'focus:1:2' is not kind or kind:int"),
     ("anchor", "focus:", "vertex v0 anchor 'focus:' is not kind or kind:int"),
-    ("position", [[0, 1], [0, 1], [0, 1]], "is not two [int, int] pairs"),
-    ("position", [[0, 1], 0], "is not two [int, int] pairs"),
-    ("position", [[0, 1], [0, "1"]], "is not two [int, int] pairs"),
-    ("position", {"x": 0}, "is not two [int, int] pairs"),
+    ("position", [[0, 1], [0, 1], [0, 1]],
+     "vertex v0 position [[0, 1], [0, 1], [0, 1]] is not [num, den, num, den]"),
+    ("position", [[0, 1], 0], "vertex v0 position [[0, 1], 0] is not [num, den, num, den]"),
+    ("position", [[0, 1], [0, "1"]],
+     "vertex v0 position [[0, 1], [0, '1']] is not [num, den, num, den]"),
+    ("position", {"x": 0}, "vertex v0 position {'x': 0} is not [num, den, num, den]"),
 ], ids=["id-int", "id-null", "anchor-int", "anchor-index-not-int", "anchor-two-colons",
         "anchor-no-index", "position-three-pairs", "position-number", "position-string",
         "position-object"])
@@ -295,6 +297,11 @@ def test_convention_override(tmp_path, capsys):
                            "--convention", str(convention))
     assert code == 0
     assert "total W_L = 1" in out  # both half pants flipped to +1/2
+    convention.write_text("{}")
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp7",
+                           "--convention", str(convention))
+    assert code == 0
+    assert "total W_L = -1" in out  # an empty table keeps the default signs
 
 
 def test_report_weights_follow_the_convention(tmp_path, capsys):
@@ -413,6 +420,34 @@ def test_malformed_convention_is_validation_error(tmp_path, capsys, content):
     assert code == 1
     assert err.startswith("error:") and str(convention) in err
     assert out == ""
+
+
+@pytest.mark.parametrize("table,named", [
+    pytest.param({"pant_sign": [[1.9, 1]]},
+                 "pant_sign entry 0 [1.9, 1] is not an [int, int] pair", id="float-d"),
+    pytest.param({"pant_sign": [["1", 1]]},
+                 "pant_sign entry 0 ['1', 1] is not an [int, int] pair", id="string-d"),
+    pytest.param({"pant_sign": [[1, True]]},
+                 "pant_sign entry 0 [1, True] is not an [int, int] pair", id="bool-sign"),
+    pytest.param({"pant_sign": [[1, 1], [0, 1]]}, "pant_sign entry 1 [0, 1] is not [D >= 1, +/-1]",
+                 id="zero-d"),
+    pytest.param({"pant_sign": [[-1, 1]]}, "pant_sign entry 0 [-1, 1] is not [D >= 1, +/-1]",
+                 id="negative-d"),
+    pytest.param({"pant_sign": [[3, 0]]}, "pant_sign entry 0 [3, 0] is not [D >= 1, +/-1]",
+                 id="zero-sign"),
+    pytest.param({"pant_signs": [[1, 1]]}, "unknown field 'pant_signs'", id="misspelled-key"),
+])
+def test_misread_convention_is_named(tmp_path, capsys, table, named):
+    # a convention entry that is not an [int, int] pair with D >= 1 and a
+    # sign of +/-1, or a field other than pant_sign, ends in exit 1 with the
+    # entry or the field named; none is read as a flipped or an ignored sign
+    convention = tmp_path / "signs.json"
+    convention.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "potential", "--fixture", "dp7",
+                             "--convention", str(convention))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed convention file {convention}")
+    assert named in err and not any(text in err for text in RAW_EXCEPTIONS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -699,16 +734,48 @@ def test_malformed_input_file_is_validation_error(tmp_path, capsys, diagram, lag
     assert err.startswith("error:") and str(bad) in err
 
 
-def _segment_json_without(key) -> str:
-    """The dp6 segment's Lagrangian file with the key left out."""
+def _segment_json_without(*path) -> str:
+    """The dp6 segment's Lagrangian file with the entry at the key path left out."""
     data = builtin_fixture("dp6").lagrangians["segment"].to_json_dict()
-    del data[key]
+    *parents, last = path
+    entry = data
+    for key in parents:
+        entry = entry[key]
+    del entry[last]
     return json.dumps(data)
 
 
+def _segment_json_with(value, *path) -> str:
+    """The dp6 segment's Lagrangian file with the entry at the key path set to value."""
+    return json.dumps(_replaced(
+        builtin_fixture("dp6").lagrangians["segment"].to_json_dict(), path, value))
+
+
+# the texts of exceptions that escaped the file readers' own checks
+RAW_EXCEPTIONS = ("KeyError(", "TypeError(", "ZeroDivisionError(", "Traceback")
+
+
+def _validate_malformed(tmp_path, capsys, diagram, lagrangian) -> str:
+    """`validate` on the diagram file, or on dp6's diagram and the Lagrangian
+    file: it exits 1 naming the malformed file, and its error text."""
+    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
+    if diagram is None:
+        builtin_fixture("dp6").diagram.save(dpath)
+        lpath.write_text(lagrangian)
+        argv, what, bad = ["--lagrangian", str(lpath)], "Lagrangian", lpath
+    else:
+        dpath.write_text(diagram)
+        argv, what, bad = [], "diagram", dpath
+    code, out, err = run_cli(capsys, "validate", "--diagram", str(dpath), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed {what} file {bad}")
+    assert not any(text in err for text in RAW_EXCEPTIONS), err
+    return err
+
+
 @pytest.mark.parametrize("diagram,lagrangian,named", [
-    (_dp5_json_with([[1, 2]], "focus_foci"), None, "focus_foci entry [1, 2] is not an object"),
-    (_dp5_json_with(5, "focus_foci", 0), None, "focus_foci entry 5 is not an object"),
+    (_dp5_json_with([[1, 2]], "focus_foci"), None, "focus_foci entry 0 [1, 2] is not an object"),
+    (_dp5_json_with(5, "focus_foci", 0), None, "focus_foci entry 0 5 is not an object"),
     (_dp5_json_with(5, "focus_foci"), None, "focus_foci 5 is not a list"),
     (_dp5_json_with({"a": 1}, "focus_foci"), None, "focus_foci {'a': 1} is not a list"),
     (_dp5_json_with(None, "polygon"), None, "polygon None is not a list"),
@@ -739,18 +806,43 @@ def test_malformed_file_structure_is_named(tmp_path, capsys, diagram, lagrangian
     # a file whose top level, list field, point, pair or focus entry has the
     # wrong JSON type or shape ends in exit 1 with the field named, never in
     # a traceback
-    dpath, lpath = tmp_path / "d.json", tmp_path / "l.json"
-    if diagram is None:
-        builtin_fixture("dp6").diagram.save(dpath)
-        lpath.write_text(lagrangian)
-        argv, what, bad = ["--lagrangian", str(lpath)], "Lagrangian", lpath
-    else:
-        dpath.write_text(diagram)
-        argv, what, bad = [], "diagram", dpath
-    code, out, err = run_cli(capsys, "validate", "--diagram", str(dpath), *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: malformed {what} file {bad}")
-    assert named in err and "Traceback" not in err
+    assert named in _validate_malformed(tmp_path, capsys, diagram, lagrangian)
+
+
+# a dp5 diagram number by the key path of its first entry, and the field it
+# is read in
+DIAGRAM_NUMBERS = {
+    "polygon-entry": (("polygon", 0, 0), "polygon entry 0 "),
+    "focus-position": (("focus_foci", 0, "position", 0, 0), "focus_foci entry 0 position "),
+    "shear-direction": (("focus_foci", 0, "shear_direction", 1),
+                        "focus_foci entry 0 shear_direction "),
+    "shear-covector": (("focus_foci", 0, "shear_covector", 0),
+                       "focus_foci entry 0 shear_covector "),
+}
+
+
+@pytest.mark.parametrize("diagram,lagrangian,named", [
+    *(pytest.param(_dp5_json_with(value, *path), None, named, id=f"{field}-{label}")
+      for field, (path, named) in DIAGRAM_NUMBERS.items()
+      for label, value in (("bool", True), ("float", 1.5), ("string", "1"))),
+    pytest.param(_dp5_json_with(0, "polygon", 0, 1), None, "polygon entry 0 [1, 0, 0, 1] is not",
+                 id="polygon-entry-zero-den"),
+    pytest.param(_dp5_json_with(0, "focus_foci", 0, "position", 1, 1), None,
+                 "focus_foci entry 0 position [[1, 2], [1, 0]] is not",
+                 id="focus-position-zero-den"),
+    pytest.param(None, _segment_json_with(0, "vertices", 0, "position", 0, 1),
+                 "vertex v0 position [[1, 0], [-1, 1]] is not", id="lagrangian-position-zero-den"),
+    pytest.param(None, _segment_json_without("vertices", 0, "id"),
+                 "vertex entry 0 has no 'id' field", id="no-vertex-id"),
+    pytest.param(None, _segment_json_without("vertices", 1, "position"),
+                 "vertex entry 1 has no 'position' field", id="no-vertex-position"),
+])
+def test_malformed_file_number_or_vertex_field_is_named(tmp_path, capsys, diagram, lagrangian,
+                                                         named):
+    # a number that is not a JSON integer, a zero denominator or a missing
+    # vertex field ends in exit 1 with the field and its entry named, never
+    # in a KeyError, TypeError or ZeroDivisionError
+    assert named in _validate_malformed(tmp_path, capsys, diagram, lagrangian)
 
 
 JSON_VALUES = st.recursive(
@@ -774,7 +866,8 @@ def _json_paths(value, path=()):
 
 
 SAVED_FILES = {"diagram": builtin_fixture("dp5").diagram.to_json_dict(),
-               "lagrangian": builtin_fixture("dp6").lagrangians["segment"].to_json_dict()}
+               "lagrangian": builtin_fixture("dp6").lagrangians["segment"].to_json_dict(),
+               "convention": {"pant_sign": [[1, 1], [3, -1]]}}
 
 
 # every command that loads the files: the search at an edge and at a point
@@ -789,16 +882,20 @@ FILE_COMMANDS = (["validate"], ["validate", "--json"],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_file_loaders_never_raise(tmp_path, capsys, data):
-    # any one value or entry of the saved dp5 diagram or dp6 segment replaced
-    # by any JSON value: each command returns an exit code, never an exception
+    # any one value or entry of the saved dp5 diagram, dp6 segment or pant
+    # sign table replaced by any JSON value: each command returns an exit
+    # code, never an exception, and no error is a raw exception's text
     which = data.draw(st.sampled_from(sorted(SAVED_FILES)))
     path = data.draw(st.sampled_from(list(_json_paths(SAVED_FILES[which]))))
     files = dict(SAVED_FILES, **{which: _replaced(SAVED_FILES[which], path,
                                                    data.draw(JSON_VALUES))})
-    options = []
+    options = {}
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        options += [f"--{name}", str(tmp_path / f"{name}.json")]
+        options[name] = [f"--{name}", str(tmp_path / f"{name}.json")]
     for argv in FILE_COMMANDS:
-        assert main(argv + options) in (0, 1, 2, 3)
-    capsys.readouterr()
+        # only a search reads the pant signs
+        names = files if argv[0] == "potential" else ("diagram", "lagrangian")
+        assert main(argv + [opt for name in names for opt in options[name]]) in (0, 1, 2, 3)
+        err = capsys.readouterr().err
+        assert not any(text in err for text in RAW_EXCEPTIONS), err

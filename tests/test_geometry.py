@@ -15,6 +15,7 @@ from tropdisk.geometry import (
     point_on_row,
     primitive,
     primitive_and_length,
+    primitive_pair,
     ray_segment_hit,
     shear_apply,
 )
@@ -114,6 +115,17 @@ def test_primitive_idempotent(v):
     p, length = primitive_and_length(v)
     assert primitive_and_length(p) == (p, 1)
     assert p * length == v
+
+
+@given(ints, ints)
+def test_primitive_pair_divides_by_the_gcd(x, y):
+    if (x, y) == (0, 0):
+        with pytest.raises(GeometryError, match="zero vector has no primitive direction"):
+            primitive_pair(x, y)
+        return
+    px, py, g = primitive_pair(x, y)
+    assert g == math.gcd(x, y) > 0 and (px * g, py * g) == (x, y)
+    assert primitive_pair(px, py) == (px, py, 1)
 
 
 def test_det2_examples():

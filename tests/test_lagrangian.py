@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -307,6 +308,18 @@ def test_file_round_trip(tmp_path):
     loaded = LagGraph.load(path)
     assert [v.position for v in loaded.vertices] == [v.position for v in lag.vertices]
     assert [e.endpoints for e in loaded.edges] == [e.endpoints for e in lag.edges]
+
+
+def test_flat_position_loads_the_same_graph(tmp_path):
+    # a Lagrangian position may be written [num, den, num, den], as a
+    # diagram point is, as well as [[num, den], [num, den]]
+    lag = builtin_fixture("dp7").lagrangians["trivalent"]
+    data = lag.to_json_dict()
+    for entry in data["vertices"]:
+        entry["position"] = entry["position"][0] + entry["position"][1]
+    path = tmp_path / "flat.lag.json"
+    path.write_text(json.dumps(data))
+    assert LagGraph.load(path).to_json_dict() == lag.to_json_dict()
 
 
 def _fixture_lagrangians():

@@ -170,6 +170,26 @@ def test_core_reads_no_environment():
     assert found == []
 
 
+def test_only_geometry_reads_json():
+    # each JSON shape has one reader, in geometry.py: no other module parses
+    # JSON text itself
+    src = pathlib.Path(tropdisk.__file__).parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "geometry.py")
+    assert len(paths) > 10
+    reads = {"load", "loads"}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr in reads
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{where} json.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(alias.name in reads for alias in node.names)):
+                found.append(f"{where} from json import")
+    assert found == []
+
+
 def test_only_the_diagram_reads_shear_covectors():
     # a direction crosses a branch cut through `BaseDiagram.cross_cut` alone:
     # no other module reads a focus's sigma

@@ -229,6 +229,11 @@ def test_compare_outputs_reports_each_differing_command():
     malformed = [command for name in compare["MALFORMED"] for command in (
         f"validate --diagram {name}",
         f"potential --diagram {name} --constraint {compare['POINT']}")]
+    # one file each JSON reader refuses
+    unreadable = ["validate --diagram bool_shear.diagram.json",
+                  "validate --diagram zero_denominator.diagram.json",
+                  "validate --diagram dp5.diagram.json --lagrangian no_vertex_id.lagrangian.json",
+                  "potential --fixture dp7 --convention float_d.convention.json"]
     # the grid cells at each case's own vertex and crossing caps
     grid = [f"potential --fixture {name} --case {case} --json --bounds {v},{length},2,{splits}"
             for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
@@ -261,8 +266,8 @@ def test_compare_outputs_reports_each_differing_command():
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *grid, *unbudgeted, *edges, *points, *conventions, *fibers, *case_files,
-        *renders]
+        *malformed, *unreadable, *grid, *unbudgeted, *edges, *points, *conventions, *fibers,
+        *case_files, *renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -285,7 +290,7 @@ def test_compare_outputs_convention_flips_the_pant_signs(tmp_path, monkeypatch, 
     (tmp_path / compare["CONVENTION"]).write_text(json.dumps(compare["CONVENTION_TABLE"]))
     monkeypatch.chdir(tmp_path)
     (argv,) = [argv for argv in compare["commands"]([("dp7", "leg")], [], builtin_fixture)
-               if "--convention" in argv]
+               if "--convention" in argv and argv not in compare["UNREADABLE_COMMANDS"]]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     pants = [v for g in report["graphs"] for v in g["vertices"]
@@ -314,6 +319,28 @@ def test_compare_outputs_malformed_files_exit_1_with_their_codes(tmp_path, monke
             assert codes[name] in captured.err
 
 
+def test_compare_outputs_unreadable_files_exit_1_naming_the_field(tmp_path, monkeypatch,
+                                                                 capsys):
+    # each JSON reader refuses its file with exit 1 and names the field
+    compare = load_script("compare_outputs.py")
+    for name, data in compare["UNREADABLE"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    compare["save_fiber_diagrams"](builtin_fixture, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    named = ["malformed diagram file bool_shear.diagram.json: ValueError('focus_foci entry 0 "
+             "shear_direction [True, 0] is not an [int, int] pair')",
+             "malformed diagram file zero_denominator.diagram.json: ValueError('polygon entry 0 "
+             "[1, 0, 0, 1] is not",
+             "malformed Lagrangian file no_vertex_id.lagrangian.json: ValueError(\"vertex entry 0 "
+             "has no 'id' field\")",
+             "malformed convention file float_d.convention.json: ValueError('pant_sign entry 0 "
+             "[1.9, 1] is not an [int, int] pair')"]
+    for argv, field in zip(compare["UNREADABLE_COMMANDS"], named, strict=True):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {field}")
+
+
 def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys):
     # each saved file loads back as its fixture's diagram, and a fiber
     # command on it runs from the directory it was saved in
@@ -325,7 +352,7 @@ def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys)
         assert BaseDiagram.load(tmp_path / path).to_json_dict() == diagram.to_json_dict()
     monkeypatch.chdir(tmp_path)
     argv = next(argv for argv in compare["commands"]([], [], builtin_fixture)
-                if "dp5.diagram.json" in argv)
+                if "dp5.diagram.json" in argv and argv not in compare["UNREADABLE_COMMANDS"])
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["graphs"]
 
@@ -348,7 +375,7 @@ def test_compare_outputs_saves_the_case_files(tmp_path, monkeypatch, capsys):
         assert LagGraph.load(lag_path).to_json_dict() \
             == fixture.lagrangian_for(case).to_json_dict()
     for argv in compare["commands"](saved, [], builtin_fixture):
-        if "--lagrangian" in argv:
+        if "--lagrangian" in argv and argv not in compare["UNREADABLE_COMMANDS"]:
             assert main(argv) == 0
             report = json.loads(capsys.readouterr().out)
             assert report.get("violations", []) == []
