@@ -20,6 +20,10 @@ process through `tropdisk.cli.main`:
   a diagram with a `true` shear direction entry and one with a zero
   denominator, a Lagrangian vertex without an `id`, and a pant sign table
   with a float D;
+* `FOCUS_LEG_COMMANDS`: `validate --diagram dp5.diagram.json --lagrangian
+  L --json` and its text form on the `OFF_SHEAR` Lagrangian file, whose
+  leg leaves dp5's focus off its shear line, so the allowability code
+  `focus_leg_not_along_shear` is compared too;
 * `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
@@ -47,7 +51,7 @@ process through `tropdisk.cli.main`:
 * `render --fixture F --case C` and the same with `--with-disks`, for
   every entry of `SHIPPED_CASES`.
 
-The malformed and unreadable files and the convention file are written to a
+The malformed, unreadable and off-shear files and the convention file are written to a
 temporary directory that each side's interpreter runs in, and each side saves its own
 `FIBER_DIAGRAMS` and case files there, so the file names in the error text
 are the same on both sides.  Each command's exit code, standard output and
@@ -116,6 +120,19 @@ UNREADABLE_COMMANDS = [
     ["potential", "--fixture", "dp7", "--convention", "float_d.convention.json"],
 ]
 
+# A Lagrangian segment on the saved dp5 diagram from its focus (1/2, 1/4) to
+# the corner (1, 0): the leg runs along (2, -1), off the shear direction
+# (0, 1), and meets the corner off its bisectrice.
+OFF_SHEAR = {
+    "off_shear.lagrangian.json": {
+        "vertices": [{"id": "v0", "position": [[1, 2], [1, 4]]},
+                     {"id": "v1", "position": [[1, 1], [0, 1]]}],
+        "edges": [["v0", "v1"]]},
+}
+FOCUS_LEG_COMMANDS = [
+    ["validate", "--diagram", "dp5.diagram.json", "--lagrangian", "off_shear.lagrangian.json",
+     *flag] for flag in (["--json"], [])]
+
 # a pant sign table that differs from the default at D = 1, 2 and 3
 CONVENTION = "flipped.convention.json"
 CONVENTION_TABLE = {"pant_sign": [[1, 1], [2, 1], [3, -1]]}
@@ -153,7 +170,7 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for path in MALFORMED:
         out += [["validate", "--diagram", path],
                 ["potential", "--diagram", path, "--constraint", POINT]]
-    out += UNREADABLE_COMMANDS
+    out += UNREADABLE_COMMANDS + FOCUS_LEG_COMMANDS
     for name, case in GRID_CASES:
         bounds = builtin_fixture(name).case(case).bounds
         for length in GRID_LENGTHS:
@@ -245,13 +262,14 @@ def collect(src: str) -> None:
 
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
-    temporary directory that holds the `MALFORMED` and `UNREADABLE` files and
-    `CONVENTION`, where `collect` saves the `FIBER_DIAGRAMS` and the case
+    temporary directory that holds the `MALFORMED`, `UNREADABLE` and
+    `OFF_SHEAR` files and `CONVENTION`, where `collect` saves the `FIBER_DIAGRAMS` and the case
     files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in {**MALFORMED, **UNREADABLE, CONVENTION: CONVENTION_TABLE}.items():
+        for name, data in {**MALFORMED, **UNREADABLE, **OFF_SHEAR,
+                           CONVENTION: CONVENTION_TABLE}.items():
             Path(tmp, name).write_text(json.dumps(data))
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp,
                               capture_output=True, text=True)

@@ -122,7 +122,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
             # homogeneous triples are canonical, so equal points have equal triples
             j = foci.index(point)
             ell = _lattice_length(leg)
-            if not _parallel(leg, diagram.shears()[j][0]):
+            if not diagram.along_shear(j, leg[:2]):
                 raise UnclassifiableVertex("focus leg not along the shear direction")
             return focus_cover(ell, j, diagram.focus_foci[j].weight())
         if not edge.open:

@@ -5,7 +5,8 @@ focus-focus value carries the shear data (pi, sigma) of the monodromy
 nu -> nu + <sigma, nu> pi around it, and a branch cut running from the value
 to the polygon boundary along +/- pi.  `BaseDiagram.cross_cut` is the one
 place a direction is carried across a cut, and `BaseDiagram.collision_facet`
-the one place a leg is matched with a facet's normal.
+and `BaseDiagram.along_shear` the one places a leg is matched with a
+facet's normal and with a focus's shear line.
 """
 
 from __future__ import annotations
@@ -339,6 +340,13 @@ class BaseDiagram:
             raise GeometryError(f"<{ff.sigma * side!r},{ff.pi!r}> != 0: not a valid shear")
         k = side * (sx * d[0] + sy * d[1])
         return d[0] + k * px, d[1] + k * py
+
+    def along_shear(self, j: int, d: Tuple[int, int]) -> bool:
+        """Whether the integer pair d runs along focus j's shear direction pi,
+        either way, as a leg ending at the focus must: the search,
+        `classify_vertex` and `LagGraph.is_allowable` all decide it here."""
+        px, py = self.shears()[j][0]
+        return d[0] * py - d[1] * px == 0
 
     def facets_through(self, point) -> List[int]:
         """Indices of the facets containing the homogeneous point, in order."""

@@ -250,10 +250,10 @@ class _Tracer:
 
     A trace is cast only when something may redirect it (the diagram has
     foci, and a cut crossing or a split is left) or when its direction can
-    end as it runs straight (`_can_end`, once per direction): at a focus
-    along its shear, or for a primitive direction head-on on a facet or at
-    a flagged corner's cap.  So a search on a diagram with no foci casts
-    only the directions of its possible ends.
+    end as it runs straight (`_can_end`): at a focus along its shear
+    (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
+    facet or at a flagged corner's cap.  So a search on a diagram with no
+    foci casts only the directions of its possible ends.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -280,8 +280,6 @@ class _Tracer:
         self._origins: Dict[Tuple[int, int, int], _Origin] = {}
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        # each primitive direction's (focus end, boundary end) of `_can_end`
-        self._ends: Dict[Tuple[int, int], Tuple[bool, bool]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
 
     # -- event scanning -------------------------------------------------------
@@ -390,7 +388,7 @@ class _Tracer:
             # no end where cut and focus meet at one point (degenerate), nor
             # where the ray would run through a nodal fiber (not generic)
             if ((cut is None or focus[0] * cut[1] != cut[0] * focus[1])
-                    and self._along_shear(focus[2], prim)):
+                    and self.diagram.along_shear(focus[2], prim)):
                 ray.focus = focus[2]
         elif cut is not None and cut[0] * b_den < b_num * cut[1]:
             t_num, t_den, j = cut
@@ -434,26 +432,18 @@ class _Tracer:
 
     def _can_end(self, prim, ell) -> bool:
         """Whether a straight trace along ell * prim may end somewhere, by
-        the rules its ends use: at a focus along its shear (`_along_shear`),
+        the rules its ends use: at a focus along its shear (`along_shear`),
         at any ell; or, for ell = 1, on the boundary, head-on on some facet
-        (`BaseDiagram.collision_facet` over every facet) or at a flagged
-        corner whose cap admits prim (`_cap_admits`)."""
-        ends = self._ends.get(prim)
-        if ends is None:
-            at_focus = any(self._along_shear(j, prim) for j in range(len(self.foci)))
-            facets = range(len(self.diagram.normals()))
-            on_boundary = (
-                self.diagram.collision_facet(facets, (-prim[0], -prim[1])) is not None
-                or any(_cap_admits(offset, prim)
-                       for caps in self.cap_table.values() for _, offset in caps))
-            ends = self._ends[prim] = (at_focus, on_boundary)
-        return ends[0] or (ell == 1 and ends[1])
-
-    def _along_shear(self, j, prim) -> bool:
-        """Whether prim runs along focus j's shear direction, the one
-        direction in which a ray ends at the focus."""
-        pix, piy = self.shear_table[j]
-        return prim[0] * piy - prim[1] * pix == 0
+        (`collision_facet` over every facet) or at a flagged corner whose
+        cap admits prim (`_cap_admits`)."""
+        diagram = self.diagram
+        if any(diagram.along_shear(j, prim) for j in range(len(self.foci))):
+            return True
+        facets = range(len(diagram.normals()))
+        return ell == 1 and (
+            diagram.collision_facet(facets, (-prim[0], -prim[1])) is not None
+            or any(_cap_admits(offset, prim)
+                   for caps in self.cap_table.values() for _, offset in caps))
 
     def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
         leg = (_EdgeSpec(origin, self.foci[j], (*d, 1)),)

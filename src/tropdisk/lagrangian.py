@@ -69,6 +69,7 @@ class LagGraph:
                 if vid not in self._by_id:
                     raise GeometryError(f"edge endpoint {vid!r} not a vertex")
         self._edge_rows = None
+        self._directions: Optional[List[Optional[Tuple[int, int]]]] = None
         self._by_point: Optional[Dict[Tuple[int, int, int], LagVertex]] = None
 
     # -- basic combinatorics --------------------------------------------------
@@ -89,6 +90,9 @@ class LagGraph:
                 (self.position(e.endpoints[0]), self.position(e.endpoints[1]))
                 for e in self.edges
             ])
+            # each edge's primitive direction, None for a zero-length edge
+            self._directions = [primitive_pair(ex, ey)[:2] if ex or ey else None
+                                for _, _, ex, ey in self._edge_rows[0]]
         return self._edge_rows
 
     def edge_through(self, point) -> Optional[int]:
@@ -108,9 +112,12 @@ class LagGraph:
 
     def edge_direction(self, edge: LagEdge, from_id: Optional[str] = None) -> Tuple[int, int]:
         """Primitive integer direction of an edge, oriented away from from_id:
-        its `edge_rows()` row divided by the row's gcd."""
-        _, _, ex, ey = self.edge_rows()[0][self.edges.index(edge)]
-        lx, ly, _ = primitive_pair(ex, ey)
+        its `edge_rows()` row divided by the row's gcd, reduced once per edge."""
+        self.edge_rows()
+        direction = self._directions[self.edges.index(edge)]
+        if direction is None:
+            raise GeometryError("zero vector has no primitive direction")
+        lx, ly = direction
         return (-lx, -ly) if from_id == edge.endpoints[1] else (lx, ly)
 
     def edge_normal(self, k: int) -> Tuple[int, int]:
@@ -162,7 +169,7 @@ class LagGraph:
             raise GeometryError("genus requires a connected graph")
         return len(self.edges) - len(self.vertices) + 1
 
-    def self_intersection(self) -> Fraction:
+    def tropical_double_points(self) -> Fraction:
         """The number of tropical double points: (det - 1)/2 summed over the
         trivalent vertices, det the Mikhalkin determinant.  It is not the
         homological self-intersection of the sphere, which is -2."""
@@ -194,7 +201,9 @@ class LagGraph:
                 if cls.kind == ON_POLYGON_VERTEX:
                     violations.extend(self._check_bisectrice(diagram, v, cls.index))
                 elif cls.kind == AT_FOCUS_FOCUS:
-                    violations.extend(self._check_focus_leg(diagram, v, cls.index))
+                    # the leg is primitive, as pi is: parallel means equal to +/- pi
+                    if not diagram.along_shear(cls.index, self.leg_directions(v.id)[0]):
+                        violations.append(f"focus_leg_not_along_shear:{v.id}")
                 elif cls.kind == ON_FACET:
                     violations.append(f"univalent_on_facet:{v.id}")
                 else:
@@ -235,14 +244,6 @@ class LagGraph:
         normals = diagram.normals()
         if any(nx * dx + ny * dy != 1 for nx, ny in (normals[i - 1], normals[i])):
             return [f"not_bisectrice:{v.id}"]
-        return []
-
-    def _check_focus_leg(self, diagram, v, j: int) -> List[str]:
-        """The leg from focus j runs along its shear direction, either way."""
-        dx, dy = self.leg_directions(v.id)[0]
-        px, py = diagram.shears()[j][0]
-        if (dx, dy) not in ((px, py), (-px, -py)):
-            return [f"focus_leg_not_along_shear:{v.id}"]
         return []
 
     def _edges_cross(self, k: int, m: int) -> bool:

@@ -162,7 +162,7 @@ def test_criterion_11_realizability_suite():
         lag.is_allowable(fx.diagram) == []
         and lag.is_primitive()
         and lag.genus() == 0
-        and lag.self_intersection() == 0
+        and lag.tropical_double_points() == 0
         and lag.mikhalkin_det("c") == 1
     )
     report("11", ok, "dp7 trivalent graph allowable, primitive, genus 0, "

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from test_classify import _outcome, classify_agrees
 from test_diagram import reference_boundary_hit, reference_facets, reference_facets_through
 from test_geometry import apply_matrix, ray_point_param
+from test_lagrangian import ALLOWABILITY_CODES
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import (
@@ -592,6 +593,54 @@ def test_search_and_classifier_follow_one_collision_rule(monkeypatch):
     for g, v in off_normal:
         with pytest.raises(UnclassifiableVertex, match="not along a primitive inward normal"):
             classify_vertex(g, v.id, diagram, None)
+
+
+def test_search_classifier_and_allowability_follow_one_focus_leg_rule(monkeypatch):
+    # under a rule where every direction runs along the shear, the search
+    # ends a fiber's leg at dp5's focus along (1, 2), off its shear (0, 1),
+    # the classifier accepts it, and allowability stops reporting the
+    # Lagrangian whose leg leaves the focus off the shear line
+    diagram = builtin_fixture("dp5").diagram
+    assert [ff.pi for ff in diagram.focus_foci] == [Vec(0, 1)]
+    constraint = Constraint.interior_point(Vec(F(1, 4), F(-1, 4)))
+
+    def focus_legs(graphs):
+        return [(g, v, e.direction) for g in graphs for v in g.vertices
+                if v.kind.tag == FOCUS_COVER for e in g.edges if v.id in e.endpoints]
+
+    (param,) = [p for p in ALLOWABILITY_CODES if p.id == "focus_leg_not_along_shear"]
+    name, lag, codes = param.values
+    assert name == "dp5" and "focus_leg_not_along_shear:v0" in codes
+    monkeypatch.setattr(BaseDiagram, "along_shear", lambda self, j, d: True)
+    graphs = [eg.graph for eg in enumerate_disks(diagram, None, constraint).graphs]
+    assert len(graphs) == 6
+    off_shear = [(g, v, d) for g, v, d in focus_legs(graphs) if d.x != 0]
+    assert [d for _, _, d in off_shear] == [Vec(1, 2)]
+    for g, v, _ in off_shear:
+        assert classify_vertex(g, v.id, diagram, None) == v.kind
+    assert lag.is_allowable(diagram) == [c for c in codes if not c.startswith("focus_leg")]
+    monkeypatch.undo()
+    graphs = [eg.graph for eg in enumerate_disks(diagram, None, constraint).graphs]
+    assert len(graphs) == 5
+    assert all(d.x == 0 for _, _, d in focus_legs(graphs))
+    for g, v, _ in off_shear:
+        with pytest.raises(UnclassifiableVertex, match="focus leg not along the shear"):
+            classify_vertex(g, v.id, diagram, None)
+    assert lag.is_allowable(diagram) == codes
+
+
+def test_along_shear_is_the_cross_product_with_pi():
+    # every focus of every fixture diagram, every nonzero pair in [-4, 4]^2
+    diagrams = []
+    for name in FIXTURE_NAMES:
+        fx = builtin_fixture(name)
+        diagrams += [fx.diagram, *fx.diagram_variants.values()]
+    assert sum(len(d.focus_foci) for d in diagrams) > 5
+    pairs = [d for d in itertools.product(range(-4, 5), repeat=2) if d != (0, 0)]
+    for diagram in diagrams:
+        for j, ff in enumerate(diagram.focus_foci):
+            assert [diagram.along_shear(j, d) for d in pairs] == [
+                det2(Vec(*d), ff.pi) == 0 for d in pairs]
 
 
 def test_search_and_classifier_follow_one_perpendicular(monkeypatch):

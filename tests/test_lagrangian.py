@@ -85,11 +85,11 @@ def test_mikhalkin_det_leg_permutation_invariance():
 def test_genus_and_self_intersection():
     seg = segment_graph(Vec(0, 0), Vec(1, 0))
     assert seg.genus() == 0
-    assert seg.self_intersection() == 0
+    assert seg.tropical_double_points() == 0
     tri = tripod([Vec(1, 0), Vec(0, 1), Vec(-1, -1)])
     assert tri.genus() == 0
-    assert tri.self_intersection() == 0
-    assert tripod([Vec(2, 1), Vec(-1, 1), Vec(-1, -2)]).self_intersection() == 1
+    assert tri.tropical_double_points() == 0
+    assert tripod([Vec(2, 1), Vec(-1, 1), Vec(-1, -2)]).tropical_double_points() == 1
     cycle = LagGraph(
         [LagVertex("a", Vec(0, 0)), LagVertex("b", Vec(1, 0)), LagVertex("c", Vec(0, 1))],
         [LagEdge(("a", "b")), LagEdge(("b", "c")), LagEdge(("c", "a"))],
@@ -120,7 +120,7 @@ def test_dp7_trivalent_allowable_and_invariants():
     assert lag.is_allowable(fx.diagram) == []
     assert lag.is_primitive()
     assert lag.genus() == 0
-    assert lag.self_intersection() == 0
+    assert lag.tropical_double_points() == 0
     assert lag.mikhalkin_det("c") == 1
 
 
@@ -238,7 +238,7 @@ def test_allowability_invariant_under_unimodular_maps(m):
     assert lag2.is_allowable(diagram2) == []
     assert lag2.is_primitive()
     assert lag2.genus() == lag.genus()
-    assert lag2.self_intersection() == lag.self_intersection()
+    assert lag2.tropical_double_points() == lag.tropical_double_points()
 
 
 def test_mutate_nodal_slide_adds_spur():

@@ -202,6 +202,19 @@ def test_only_the_diagram_reads_shear_covectors():
     assert found == []
 
 
+def test_only_the_diagram_and_the_tracer_read_shear_pairs():
+    # a leg ends at a focus by `BaseDiagram.along_shear` alone: besides the
+    # diagram, only the tracer reads `shears()`, for its split points and
+    # leg tables
+    src = pathlib.Path(tropdisk.__file__).parent
+    paths = sorted(p for p in src.glob("*.py") if p.name not in ("diagram.py", "enumerate.py"))
+    assert len(paths) > 9
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "shears"]
+    assert found == []
+
+
 def test_only_their_modules_call_the_diagram_and_lagrangian_private_methods():
     # every other module asks `BaseDiagram` and `LagGraph` through their
     # public methods, one per question

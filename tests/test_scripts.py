@@ -234,6 +234,9 @@ def test_compare_outputs_reports_each_differing_command():
                   "validate --diagram zero_denominator.diagram.json",
                   "validate --diagram dp5.diagram.json --lagrangian no_vertex_id.lagrangian.json",
                   "potential --fixture dp7 --convention float_d.convention.json"]
+    # a Lagrangian whose focus leg leaves the shear line, in both forms
+    off_shear = "validate --diagram dp5.diagram.json --lagrangian off_shear.lagrangian.json"
+    focus_leg = [f"{off_shear} --json", off_shear]
     # the grid cells at each case's own vertex and crossing caps
     grid = [f"potential --fixture {name} --case {case} --json --bounds {v},{length},2,{splits}"
             for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
@@ -266,8 +269,8 @@ def test_compare_outputs_reports_each_differing_command():
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *unreadable, *grid, *unbudgeted, *edges, *points, *conventions, *fibers,
-        *case_files, *renders]
+        *malformed, *unreadable, *focus_leg, *grid, *unbudgeted, *edges, *points, *conventions,
+        *fibers, *case_files, *renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -341,6 +344,22 @@ def test_compare_outputs_unreadable_files_exit_1_naming_the_field(tmp_path, monk
         assert captured.out == "" and captured.err.startswith(f"error: {field}")
 
 
+def test_compare_outputs_off_shear_lagrangian_fails_its_focus_leg(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the leg from dp5's focus runs along (2, -1), off the shear (0, 1)
+    compare = load_script("compare_outputs.py")
+    for name, data in compare["OFF_SHEAR"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    compare["save_fiber_diagrams"](builtin_fixture, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    json_argv, text_argv = compare["FOCUS_LEG_COMMANDS"]
+    assert main(json_argv) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "focus_leg_not_along_shear:v0", "not_bisectrice:v1"]
+    assert main(text_argv) == 1
+    assert capsys.readouterr().out == "focus_leg_not_along_shear:v0\nnot_bisectrice:v1\n"
+
+
 def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys):
     # each saved file loads back as its fixture's diagram, and a fiber
     # command on it runs from the directory it was saved in
@@ -351,8 +370,9 @@ def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys)
         diagram = fixture.diagram if variant is None else fixture.diagram_variants[variant]
         assert BaseDiagram.load(tmp_path / path).to_json_dict() == diagram.to_json_dict()
     monkeypatch.chdir(tmp_path)
+    failing = compare["UNREADABLE_COMMANDS"] + compare["FOCUS_LEG_COMMANDS"]
     argv = next(argv for argv in compare["commands"]([], [], builtin_fixture)
-                if "dp5.diagram.json" in argv and argv not in compare["UNREADABLE_COMMANDS"])
+                if "dp5.diagram.json" in argv and argv not in failing)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["graphs"]
 
@@ -374,8 +394,9 @@ def test_compare_outputs_saves_the_case_files(tmp_path, monkeypatch, capsys):
             == fixture.diagram_for(case).to_json_dict()
         assert LagGraph.load(lag_path).to_json_dict() \
             == fixture.lagrangian_for(case).to_json_dict()
+    failing = compare["UNREADABLE_COMMANDS"] + compare["FOCUS_LEG_COMMANDS"]
     for argv in compare["commands"](saved, [], builtin_fixture):
-        if "--lagrangian" in argv and argv not in compare["UNREADABLE_COMMANDS"]:
+        if "--lagrangian" in argv and argv not in failing:
             assert main(argv) == 0
             report = json.loads(capsys.readouterr().out)
             assert report.get("violations", []) == []
