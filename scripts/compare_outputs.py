@@ -51,11 +51,11 @@ process through `tropdisk.cli.main`:
 * `render --fixture F --case C` and the same with `--with-disks`, for
   every entry of `SHIPPED_CASES`.
 
-The malformed, unreadable and off-shear files and the convention file are written to a
-temporary directory that each side's interpreter runs in, and each side saves its own
-`FIBER_DIAGRAMS` and case files there, so the file names in the error text
-are the same on both sides.  Each command's exit code, standard output and
-standard error are compared.  The command lists come from each checkout's
+The malformed, unreadable and off-shear files and the convention file are
+written to a temporary directory that each side's interpreter runs in, and
+each side saves its own `FIBER_DIAGRAMS` and case files there, so the file
+names in the error text are the same on both sides.  Each command's exit
+code, standard output and standard error are compared.  The command lists come from each checkout's
 own `SHIPPED_CASES`, `FIXTURE_NAMES` and fixtures, so a command that runs on
 one side only is a difference too.
 The exit code is 0 when every output is byte-identical and 1 otherwise.
@@ -263,8 +263,8 @@ def collect(src: str) -> None:
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
     temporary directory that holds the `MALFORMED`, `UNREADABLE` and
-    `OFF_SHEAR` files and `CONVENTION`, where `collect` saves the `FIBER_DIAGRAMS` and the case
-    files."""
+    `OFF_SHEAR` files and `CONVENTION`, where `collect` saves the
+    `FIBER_DIAGRAMS` and the case files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:
