@@ -24,6 +24,10 @@ process through `tropdisk.cli.main`:
   L --json` and its text form on the `OFF_SHEAR` Lagrangian file, whose
   leg leaves dp5's focus off its shear line, so the allowability code
   `focus_leg_not_along_shear` is compared too;
+* `EDGE_CODE_COMMANDS`: the same two forms on the saved dp6 segment case
+  diagram with each Lagrangian file of `BAD_EDGES`, the dp6 segment with
+  its edge of weight 2 and with a zero-length edge at its end, so the
+  codes `edge_weight_not_one` and `zero_length_edge` are compared too;
 * `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
@@ -51,14 +55,14 @@ process through `tropdisk.cli.main`:
 * `render --fixture F --case C` and the same with `--with-disks`, for
   every entry of `SHIPPED_CASES`.
 
-The malformed, unreadable and off-shear files and the convention file are
-written to a temporary directory that each side's interpreter runs in, and
-each side saves its own `FIBER_DIAGRAMS` and case files there, so the file
-names in the error text are the same on both sides.  Each command's exit
-code, standard output and standard error are compared.  The command lists come from each checkout's
-own `SHIPPED_CASES`, `FIXTURE_NAMES` and fixtures, so a command that runs on
-one side only is a difference too.
-The exit code is 0 when every output is byte-identical and 1 otherwise.
+The malformed, unreadable, off-shear and bad-edge files and the convention
+file are written to a temporary directory that each side's interpreter runs
+in, and each side saves its own `FIBER_DIAGRAMS` and case files there, so the
+file names in the error text are the same on both sides.  Each command's exit
+code, standard output and standard error are compared.  The command lists
+come from each checkout's own `SHIPPED_CASES`, `FIXTURE_NAMES` and fixtures,
+so a command that runs on one side only is a difference too.  The exit code
+is 0 when every output is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -133,6 +137,22 @@ FOCUS_LEG_COMMANDS = [
     ["validate", "--diagram", "dp5.diagram.json", "--lagrangian", "off_shear.lagrangian.json",
      *flag] for flag in (["--json"], [])]
 
+# The dp6 segment from the corner (1, -1) to (-1, 1), on the saved diagram of
+# the dp6 segment case: with its edge of weight 2, which the search would
+# read as primitive, and with a second vertex at (-1, 1), whose edge has no
+# direction.
+_SEGMENT_ENDS = [{"id": "v0", "position": [[1, 1], [-1, 1]]},
+                 {"id": "v1", "position": [[-1, 1], [1, 1]]}]
+BAD_EDGES = {
+    "weighted.lagrangian.json": {"vertices": _SEGMENT_ENDS, "edges": [["v0", "v1", 2]]},
+    "zero_length.lagrangian.json": {
+        "vertices": [*_SEGMENT_ENDS, {"id": "v2", "position": [[-1, 1], [1, 1]]}],
+        "edges": [["v0", "v1"], ["v1", "v2"]]},
+}
+EDGE_CODE_COMMANDS = [
+    ["validate", "--diagram", "dp6_segment.diagram.json", "--lagrangian", path, *flag]
+    for path in BAD_EDGES for flag in (["--json"], [])]
+
 # a pant sign table that differs from the default at D = 1, 2 and 3
 CONVENTION = "flipped.convention.json"
 CONVENTION_TABLE = {"pant_sign": [[1, 1], [2, 1], [3, -1]]}
@@ -170,7 +190,7 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for path in MALFORMED:
         out += [["validate", "--diagram", path],
                 ["potential", "--diagram", path, "--constraint", POINT]]
-    out += UNREADABLE_COMMANDS + FOCUS_LEG_COMMANDS
+    out += UNREADABLE_COMMANDS + FOCUS_LEG_COMMANDS + EDGE_CODE_COMMANDS
     for name, case in GRID_CASES:
         bounds = builtin_fixture(name).case(case).bounds
         for length in GRID_LENGTHS:
@@ -262,13 +282,13 @@ def collect(src: str) -> None:
 
 def run_checkout(checkout: Path) -> dict:
     """`collect` in a fresh interpreter on the sources of `checkout`, run in a
-    temporary directory that holds the `MALFORMED`, `UNREADABLE` and
-    `OFF_SHEAR` files and `CONVENTION`, where `collect` saves the
-    `FIBER_DIAGRAMS` and the case files."""
+    temporary directory that holds the `MALFORMED`, `UNREADABLE`,
+    `OFF_SHEAR` and `BAD_EDGES` files and `CONVENTION`, where `collect` saves
+    the `FIBER_DIAGRAMS` and the case files."""
     code = (f"import runpy; runpy.run_path({str(Path(__file__).resolve())!r})"
             f"['collect']({str(checkout / 'src')!r})")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in {**MALFORMED, **UNREADABLE, **OFF_SHEAR,
+        for name, data in {**MALFORMED, **UNREADABLE, **OFF_SHEAR, **BAD_EDGES,
                            CONVENTION: CONVENTION_TABLE}.items():
             Path(tmp, name).write_text(json.dumps(data))
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp,

@@ -15,16 +15,10 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
-from .diagram import AT_FOCUS_FOCUS, BaseDiagram, InvalidDiagram
-from .diskgraph import CONSTRAINT_INTERIOR, Constraint
+from .diagram import BaseDiagram, InvalidDiagram
+from .diskgraph import Constraint
 from .eigentable import EIGENVALUE_TABLE, eigenvalue_verdict, nonmaximal_integers
-from .enumerate import (
-    NO_FLAGS,
-    EnumerationResult,
-    SearchBounds,
-    cancellation_report,
-    enumerate_disks,
-)
+from .enumerate import EnumerationResult, SearchBounds, cancellation_report, enumerate_disks
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .geometry import GeometryError, Vec, frac, json_list, json_pair, load_json
 from .lagrangian import LagGraph
@@ -166,13 +160,12 @@ def _print_text_report(report: dict) -> None:
 def cmd_potential(args) -> int:
     fixture, case_name, diagram, lag, label = _load_inputs(args)
     if fixture is not None:
-        case = fixture.case(case_name)
-        bounds, flags = case.bounds, case.flags
+        bounds = fixture.case(case_name).bounds
         constraint = (fixture.constraint(case_name) if args.constraint is None
                       else _parse_constraint(args.constraint, lag))
     else:
         constraint = _parse_constraint(args.constraint, lag)
-        bounds, flags = SearchBounds(), NO_FLAGS
+        bounds = SearchBounds()
     if args.bounds is not None:
         bounds = _parse_bounds(args.bounds, bounds)
     convention = _load_convention(args.convention) if args.convention else DEFAULT_CONVENTION
@@ -181,16 +174,11 @@ def cmd_potential(args) -> int:
     if problems:
         print("validation failed:", "; ".join(problems), file=sys.stderr)
         return EXIT_INVALID
-    point, triple = constraint.point, constraint.triple
-    if constraint.kind == CONSTRAINT_INTERIOR:
-        if not diagram.contains(triple, strict=True):
-            raise GeometryError(
-                f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
-        if diagram.classify_point(triple).kind == AT_FOCUS_FOCUS:
-            raise GeometryError(
-                f"constraint point:{point.x},{point.y} is a focus-focus value: its fiber "
-                "is nodal, not a Lagrangian torus")
-    result = enumerate_disks(diagram, lag, constraint, bounds, convention, flags)
+    # enumerate_disks refuses a point constraint off a regular fiber
+    if fixture is not None:
+        result = fixture.run(case_name, bounds, constraint, convention)
+    else:
+        result = enumerate_disks(diagram, lag, constraint, bounds, convention)
     if args.convention:
         result.warnings.append(f"pant sign convention overridden from {args.convention}")
     fixture_family = label.split(":")[0]

@@ -78,7 +78,6 @@ class BaseDiagram:
     name: str
     polygon: List[Vec]                      # counterclockwise vertices
     focus_foci: List[FocusFocus] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._facet_rows = None

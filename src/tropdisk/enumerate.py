@@ -900,12 +900,30 @@ def enumerate_disks(
     convention: SignConvention = DEFAULT_CONVENTION,
     flags: FixtureFlags = NO_FLAGS,
 ) -> EnumerationResult:
+    """Every rigid disk graph through the constraint, with its weights.
+
+    Raises GeometryError before any search for an interior constraint that
+    is not strictly inside the polygon or is a focus-focus value, whose
+    fiber is nodal, and for an edge constraint with no Lagrangian.
+    """
+    foci = diagram.homogeneous_points()[0]
+    point, triple = constraint.point, constraint.triple
+    if constraint.kind != CONSTRAINT_INTERIOR:
+        if lag is None:
+            raise GeometryError("edge constraints need a Lagrangian")
+    elif not diagram.contains(triple, strict=True):
+        raise GeometryError(
+            f"constraint point:{point.x},{point.y} is not strictly inside the polygon")
+    elif triple in foci:
+        raise GeometryError(
+            f"constraint point:{point.x},{point.y} is a focus-focus value: its fiber "
+            "is nodal, not a Lagrangian torus")
     completions = _candidate_graphs(diagram, lag, constraint, bounds, flags)
     warnings: List[str] = []
     out: List[EnumeratedGraph] = []
     # the Vecs of the graphs' triples, seeded with the foci and the constraint point
-    vecs = dict(zip(diagram.homogeneous_points()[0], (ff.position for ff in diagram.focus_foci)))
-    vecs[constraint.triple] = constraint.point
+    vecs = dict(zip(foci, (ff.position for ff in diagram.focus_foci)))
+    vecs[triple] = point
     for completion in _unique_graphs(completions):
         if len(completion.vertices) > bounds.max_vertices:
             warnings.append(f"graph with {len(completion.vertices)} vertices exceeds max_vertices")

@@ -3,9 +3,9 @@
 Coordinates for the degree-6/7 diagrams follow the printed hulls; lower
 degrees are reconstructions: the polygon is a reflexive model of the surface
 and the focus-focus data is placed so that the enumeration reproduces the
-published disk potentials.  Each fixture records its provenance.  Where the
-node inventory deviates from the classical almost toric picture the metadata
-says so explicitly.
+published disk potentials.  A comment above each builder records the
+fixture's provenance, and says so where the node inventory deviates from the
+classical almost toric picture.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .enumerate import (
 )
 from .geometry import GeometryError, Vec
 from .lagrangian import LagGraph, segment_graph, star_graph
-from .multiplicity import DEFAULT_CONVENTION
+from .multiplicity import DEFAULT_CONVENTION, SignConvention
 
 F = Fraction
 
@@ -50,7 +50,6 @@ class Fixture:
     lagrangians: Dict[str, LagGraph]
     cases: Dict[str, FixtureCase]
     default_case: str
-    provenance: str = ""
     diagram_variants: Dict[str, BaseDiagram] = field(default_factory=dict)
 
     def case(self, case_name: Optional[str] = None) -> FixtureCase:
@@ -82,16 +81,19 @@ class Fixture:
         return self.lagrangians[case.lagrangian]
 
     def run(self, case_name: Optional[str] = None,
-            bounds: Optional[SearchBounds] = None) -> EnumerationResult:
+            bounds: Optional[SearchBounds] = None,
+            constraint: Optional[Constraint] = None,
+            convention: SignConvention = DEFAULT_CONVENTION) -> EnumerationResult:
         """Enumerate one case with its own inputs, bounds and flags.
 
         `bounds` replaces the case's bounds (the saturation checks pass
-        `case.bounds.bumped()`).
+        `case.bounds.bumped()`); `tropdisk potential` also passes the
+        constraint and the pant sign convention of its options.
         """
         case = self.case(case_name)
         return enumerate_disks(
             self.diagram_for(case_name), self.lagrangian_for(case_name),
-            self.constraint(case_name), bounds or case.bounds, DEFAULT_CONVENTION,
+            constraint or self.constraint(case_name), bounds or case.bounds, convention,
             case.flags,
         )
 
@@ -115,30 +117,30 @@ def _square() -> List[Vec]:
     return [Vec(1, 1), Vec(-1, 1), Vec(-1, -1), Vec(1, -1)]
 
 
+# The Ex. 1.6 hull, the hexagon printed in the degree-6 example; the trivalent
+# graph sits on the (1,0)/(-1,1)/(0,-1) corner triple (a coordinate change of
+# the three-fixed-point sphere).
 def _dp6() -> Fixture:
-    diagram = BaseDiagram("dp6", _hexagon1(), [], {"provenance": "Ex. 1.6 hull"})
-    segment = segment_graph(Vec(1, -1), Vec(-1, 1), name="segment")
-    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(-1, 1), Vec(0, -1)], name="trivalent")
+    diagram = BaseDiagram("dp6", _hexagon1())
+    segment = segment_graph(Vec(1, -1), Vec(-1, 1))
+    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(-1, 1), Vec(0, -1)])
     cases = {
         "segment": FixtureCase("segment", edge_index=0, t=F(1, 2)),
         "segment_alt": FixtureCase("segment", edge_index=0, t=F(5, 16)),
         "trivalent": FixtureCase("trivalent", edge_index=1, t=F(1, 4)),
         "fiber": FixtureCase(None, point=Vec(0, 0)),
     }
-    return Fixture(
-        "dp6", diagram, {"segment": segment, "trivalent": trivalent},
-        cases, "segment",
-        provenance="hexagon printed in the degree-6 example; trivalent graph on "
-        "the (1,0)/(-1,1)/(0,-1) corner triple (coordinate change of the "
-        "three-fixed-point sphere)",
-    )
+    return Fixture("dp6", diagram, {"segment": segment, "trivalent": trivalent}, cases,
+                   "segment")
 
 
+# The degree-7 trivalent sphere.  The printed hull repeats (-1,1); the fifth
+# vertex is reconstructed as (-1,-1) to host the third leg.  Corner caps on
+# the two free corners realize the rim continuation of the boundary-collision
+# lemma.
 def _dp7() -> Fixture:
-    diagram = BaseDiagram("dp7", _pentagon(), [], {
-        "provenance": "printed hull repeats (-1,1); fifth vertex reconstructed "
-        "as (-1,-1) to host the third leg"})
-    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(0, 1), Vec(-1, -1)], name="trivalent")
+    diagram = BaseDiagram("dp7", _pentagon())
+    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(0, 1), Vec(-1, -1)])
     corner = FixtureFlags(
         corner_caps=(Vec(-1, 1), Vec(1, -1)), corner_limit=Vec(0, 0)
     )
@@ -149,65 +151,57 @@ def _dp7() -> Fixture:
         # constraint on the diagonal leg at (-1/8,-1/8); plain cutting data
         "diag": FixtureCase("trivalent", edge_index=2, t=F(1, 8)),
     }
-    return Fixture(
-        "dp7", diagram, {"trivalent": trivalent}, cases, "leg",
-        provenance="degree-7 trivalent sphere; corner caps on the two free "
-        "corners realize the rim continuation of the boundary-collision lemma",
-    )
+    return Fixture("dp7", diagram, {"trivalent": trivalent}, cases, "leg")
 
 
+# The A4-chain segment sphere on the hexagon plus one node (an almost toric
+# blow-up of the degree-6 chart; Euler count 6 corners + 1 node = 7, degree
+# 5); one split station pinned by the node reproduces the third disk.
 def _dp5() -> Fixture:
     foci = [
         FocusFocus(Vec(F(1, 2), F(1, 4)), pi=Vec(0, 1), sigma=Vec(1, 0), cut_sign=1),
     ]
-    diagram = BaseDiagram("dp5", _hexagon1(), foci, {
-        "provenance": "hexagon plus one node (almost toric blow-up of the "
-        "degree-6 chart); Euler count 6 corners + 1 node = 7, degree 5"})
-    segment = segment_graph(Vec(1, -1), Vec(-1, 1), name="segment")
+    diagram = BaseDiagram("dp5", _hexagon1(), foci)
+    segment = segment_graph(Vec(1, -1), Vec(-1, 1))
     cases = {
         "segment": FixtureCase("segment", edge_index=0, t=F(3, 8)),
         "segment_alt": FixtureCase("segment", edge_index=0, t=F(5, 16)),
     }
-    return Fixture(
-        "dp5", diagram, {"segment": segment}, cases, "segment",
-        provenance="A4-chain segment sphere; one split station pinned by the "
-        "node reproduces the third disk",
-    )
+    return Fixture("dp5", diagram, {"segment": segment}, cases, "segment")
 
 
+# A corner-to-corner sphere on the hexagon chart with two nodes (Euler 6+2 =
+# 8, degree 4), standing in for the quadrilateral Vianna picture; the two
+# nodes pin the two split disks of the four-disk count.
 def _dp4() -> Fixture:
     foci = [
         FocusFocus(Vec(F(1, 2), F(-1, 4)), pi=Vec(0, 1), sigma=Vec(1, 0), cut_sign=-1),
         FocusFocus(Vec(F(-1, 4), F(1, 2)), pi=Vec(1, 0), sigma=Vec(0, 1), cut_sign=-1),
     ]
-    diagram = BaseDiagram("dp4", _hexagon2(), foci, {
-        "provenance": "hexagon chart with two nodes (Euler 6+2 = 8, degree 4); "
-        "stands in for the quadrilateral Vianna picture"})
-    segment = segment_graph(Vec(-1, -1), Vec(1, 1), name="sphere")
+    diagram = BaseDiagram("dp4", _hexagon2(), foci)
+    segment = segment_graph(Vec(-1, -1), Vec(1, 1))
     cases = {
         "sphere": FixtureCase("sphere", edge_index=0, t=F(11, 16)),
         "sphere_alt": FixtureCase("sphere", edge_index=0, t=F(23, 32)),
     }
-    return Fixture(
-        "dp4", diagram, {"sphere": segment}, cases, "sphere",
-        provenance="corner-to-corner sphere; the two nodes pin the two split "
-        "disks of the four-disk count",
-    )
+    return Fixture("dp4", diagram, {"sphere": segment}, cases, "sphere")
 
 
+# The anti-diagonal sphere in the product square; it bounds no Maslov-two
+# disks (minimal Maslov 4).
 def _p1xp1() -> Fixture:
-    diagram = BaseDiagram("p1xp1", _square(), [], {"provenance": "product square"})
-    antidiag = segment_graph(Vec(-1, 1), Vec(1, -1), name="antidiagonal")
+    diagram = BaseDiagram("p1xp1", _square())
+    antidiag = segment_graph(Vec(-1, 1), Vec(1, -1))
     cases = {
         "antidiagonal": FixtureCase("antidiagonal", edge_index=0, t=F(1, 2)),
         "fiber": FixtureCase(None, point=Vec(0, 0)),
     }
-    return Fixture(
-        "p1xp1", diagram, {"antidiagonal": antidiag}, cases, "antidiagonal",
-        provenance="anti-diagonal sphere; no Maslov-two disks (minimal Maslov 4)",
-    )
+    return Fixture("p1xp1", diagram, {"antidiagonal": antidiag}, cases, "antidiagonal")
 
 
+# The cubic surface's trivalent sphere (E6 system); it reproduces the
+# {3/2 x2, -1 x6, -1/2 x6} contribution multiset.  The node inventory is
+# chosen for enumeration fidelity and exceeds the cubic's fibration budget.
 def _dp3() -> Fixture:
     # hexagon chart of the cubic with ten nodes: two D=3 pant stations (A, B),
     # four perpendicular split stations (C, D, E, F) and four D=1 pant
@@ -225,10 +219,8 @@ def _dp3() -> Fixture:
         FocusFocus(Vec(F(-1, 2), F(5, 8)), pi=Vec(-2, 3), sigma=Vec(3, 2), cut_sign=1),  # P3
         FocusFocus(Vec(F(-5, 8), F(1, 2)), pi=Vec(-3, 2), sigma=Vec(2, 3), cut_sign=1),  # P4
     ]
-    diagram = BaseDiagram("dp3", _hexagon1(), foci, {
-        "provenance": "hexagon chart; node inventory chosen for enumeration "
-        "fidelity (exceeds the cubic's fibration budget, see notes)"})
-    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(-1, 1), Vec(0, -1)], name="trivalent")
+    diagram = BaseDiagram("dp3", _hexagon1(), foci)
+    trivalent = star_graph(Vec(0, 0), [Vec(1, 0), Vec(-1, 1), Vec(0, -1)])
     cases = {
         "trivalent": FixtureCase(
             "trivalent", edge_index=1, t=F(1, 4),
@@ -236,13 +228,12 @@ def _dp3() -> Fixture:
                                 max_cut_crossings=2, max_splits=1),
         ),
     }
-    return Fixture(
-        "dp3", diagram, {"trivalent": trivalent}, cases, "trivalent",
-        provenance="cubic-surface trivalent sphere (E6 system); reproduces the "
-        "{3/2 x2, -1 x6, -1/2 x6} contribution multiset",
-    )
+    return Fixture("dp3", diagram, {"trivalent": trivalent}, cases, "trivalent")
 
 
+# The degree-two spheres, long segments in the Vianna diagram: a vertical
+# sphere on a variant with eight focus-focus entries and a horizontal one on a
+# variant with four.  Station stacks model the Vianna node multiplicities.
 def _dp2() -> Fixture:
     # Two diagram variants on the square chart, one per sphere class.  Each
     # station is a node stack (stack size = gcd of the shear covector) pinned
@@ -268,12 +259,10 @@ def _dp2() -> Fixture:
         FocusFocus(Vec(F(1, 16), F(5, 16)), pi=Vec(1, 1), sigma=Vec(5, -5), cut_sign=1),
         FocusFocus(Vec(F(-1, 16), F(-5, 16)), pi=Vec(1, 1), sigma=Vec(5, -5), cut_sign=-1),
     ]
-    l2_diagram = BaseDiagram("dp2", _square(), l2_foci, {
-        "provenance": "vertical-sphere variant; eight focus-focus entries"})
-    l1_diagram = BaseDiagram("dp2_l1", _square(), l1_foci, {
-        "provenance": "horizontal-sphere variant; four focus-focus entries"})
-    vertical = segment_graph(Vec(0, F(-1, 2)), Vec(0, F(1, 2)), name="vertical")
-    horizontal = segment_graph(Vec(F(-1, 2), 0), Vec(F(1, 2), 0), name="horizontal")
+    l2_diagram = BaseDiagram("dp2", _square(), l2_foci)
+    l1_diagram = BaseDiagram("dp2_l1", _square(), l1_foci)
+    vertical = segment_graph(Vec(0, F(-1, 2)), Vec(0, F(1, 2)))
+    horizontal = segment_graph(Vec(F(-1, 2), 0), Vec(F(1, 2), 0))
     bounds = SearchBounds(max_vertices=8, max_lattice_length=3,
                           max_cut_crossings=2, max_splits=1)
     cases = {
@@ -281,15 +270,13 @@ def _dp2() -> Fixture:
         "l1": FixtureCase("horizontal", edge_index=0, t=F(1, 2), bounds=bounds,
                           diagram="l1"),
     }
-    return Fixture(
-        "dp2", l2_diagram, {"vertical": vertical, "horizontal": horizontal},
-        cases, "l2",
-        provenance="degree-two spheres (long segments in the Vianna diagram); "
-        "station stacks model the Vianna node multiplicities",
-        diagram_variants={"l1": l1_diagram},
-    )
+    return Fixture("dp2", l2_diagram, {"vertical": vertical, "horizontal": horizontal},
+                   cases, "l2", diagram_variants={"l1": l1_diagram})
 
 
+# The degree-one sphere on the square chart.  Stacks of 15 model the large
+# node multiplicities of the degree-one diagram, and cover pairs are enabled
+# so the cancelling double-cover graphs appear in the report.
 def _dp1() -> Fixture:
     # One sphere, both perpendicular families; station stacks of size 15 plus
     # unit stations U (on the ray, hosting the double-cover pair), M3 and S*
@@ -310,10 +297,8 @@ def _dp1() -> Fixture:
         FocusFocus(Vec(F(-13, 16), F(-5, 16)), pi=Vec(1, 1), sigma=Vec(1, -1), cut_sign=-1),
         FocusFocus(Vec(F(-3, 4), 0), pi=Vec(1, 0), sigma=Vec(0, 1), cut_sign=-1),
     ]
-    diagram = BaseDiagram("dp1", _square(), foci, {
-        "provenance": "square chart; stacks of 15 model the large node "
-        "multiplicities of the degree-one diagram"})
-    vertical = segment_graph(Vec(0, F(-1, 2)), Vec(0, F(1, 2)), name="vertical")
+    diagram = BaseDiagram("dp1", _square(), foci)
+    vertical = segment_graph(Vec(0, F(-1, 2)), Vec(0, F(1, 2)))
     cases = {
         "vertical": FixtureCase(
             "vertical", edge_index=0, t=F(1, 2),
@@ -321,11 +306,7 @@ def _dp1() -> Fixture:
                                 max_cut_crossings=2, max_splits=1),
         ),
     }
-    return Fixture(
-        "dp1", diagram, {"vertical": vertical}, cases, "vertical",
-        provenance="degree-one sphere; cover pairs enabled so the cancelling "
-        "double-cover graphs appear in the report",
-    )
+    return Fixture("dp1", diagram, {"vertical": vertical}, cases, "vertical")
 
 
 _BUILDERS = {

@@ -58,7 +58,6 @@ class LagEdge:
 class LagGraph:
     vertices: List[LagVertex]
     edges: List[LagEdge]
-    name: str = "lagrangian"
 
     def __post_init__(self):
         self._by_id: Dict[str, LagVertex] = {v.id: v for v in self.vertices}
@@ -187,10 +186,15 @@ class LagGraph:
 
     def is_allowable(self, diagram: BaseDiagram) -> List[str]:
         """Violation codes for Def.-style allowability; empty means allowable.
-        The diagram must pass `validate()`."""
+        The diagram must pass `validate()`.  A zero-length edge has no
+        direction, so its code ends the checks."""
         violations = []
         if not self.is_connected():
             violations.append("not_connected")
+        rows, scale = self.edge_rows()
+        zero = [f"zero_length_edge:{k}" for k, d in enumerate(self._directions) if d is None]
+        if zero:
+            return violations + zero
         for v in self.vertices:
             val = self.valence(v.id)
             cls = diagram.classify_point(homogeneous(v.position))
@@ -215,9 +219,10 @@ class LagGraph:
                     violations.append(f"unbalanced:{v.id}")
                 elif val == 3 and self.mikhalkin_det(v.id) != 1:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")
-        rows, scale = self.edge_rows()
         foci = diagram.homogeneous_points()[0]
         for k, row in enumerate(rows):
+            if self.edges[k].weight != 1:  # the search reads every edge as primitive
+                violations.append(f"edge_weight_not_one:{k}")
             for focus in foci:
                 if point_on_row(focus, row, scale, closed=False):
                     violations.append(f"edge_contains_focus:{k}")
@@ -291,10 +296,7 @@ class LagGraph:
                 crossings.append((k, from_homogeneous(point)))
         new_foci = list(diagram.focus_foci)
         new_foci[focus_index] = replace(ff, position=new_position)
-        new_diagram = BaseDiagram(
-            name=diagram.name, polygon=list(diagram.polygon), focus_foci=new_foci,
-            metadata=dict(diagram.metadata),
-        )
+        new_diagram = BaseDiagram(diagram.name, list(diagram.polygon), new_foci)
         if len(crossings) > 1:
             raise GeometryError("slide crosses more than one edge")
         problems = new_diagram.validate()
@@ -302,10 +304,7 @@ class LagGraph:
             raise GeometryError(f"nodal slide to {new_position!r} gives an invalid "
                                 f"diagram: {problems}")
         if not crossings:
-            return (
-                LagGraph(list(self.vertices), list(self.edges), name=self.name),
-                new_diagram,
-            )
+            return LagGraph(list(self.vertices), list(self.edges)), new_diagram
         k, hit = crossings[0]
         edge = self.edges[k]
         a_id, b_id = edge.endpoints
@@ -320,7 +319,7 @@ class LagGraph:
             LagEdge((mid_id, b_id)),
             LagEdge((mid_id, spur_id)),
         ]
-        return LagGraph(new_vertices, new_edges, name=self.name), new_diagram
+        return LagGraph(new_vertices, new_edges), new_diagram
 
     # -- serialization ------------------------------------------------------------
 
@@ -342,7 +341,7 @@ class LagGraph:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict, name: str = "lagrangian") -> "LagGraph":
+    def from_json_dict(cls, data: dict) -> "LagGraph":
         vertices = []
         for i, entry in enumerate(json_list(data, "vertices")):
             entry = json_object(f"vertex entry {i}", entry, ("id", "position"))
@@ -362,7 +361,7 @@ class LagGraph:
             if type(weight) is not int or weight < 1:
                 raise ValueError(f"edge weight {weight!r} is not a positive integer")
             edges.append(LagEdge((entry[0], entry[1]), weight))
-        return cls(vertices, edges, name=name)
+        return cls(vertices, edges)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -385,19 +384,15 @@ def _json_anchor(vid: str, anchor) -> Tuple[str, Optional[int]]:
     return kind, int(index)
 
 
-def segment_graph(a: Vec, b: Vec, name: str = "segment") -> LagGraph:
-    return LagGraph(
-        [LagVertex("v0", a), LagVertex("v1", b)],
-        [LagEdge(("v0", "v1"))],
-        name=name,
-    )
+def segment_graph(a: Vec, b: Vec) -> LagGraph:
+    return LagGraph([LagVertex("v0", a), LagVertex("v1", b)], [LagEdge(("v0", "v1"))])
 
 
-def star_graph(center: Vec, tips: List[Vec], name: str = "star") -> LagGraph:
+def star_graph(center: Vec, tips: List[Vec]) -> LagGraph:
     vertices = [LagVertex("c", center)]
     edges = []
     for i, tip in enumerate(tips):
         vid = f"t{i}"
         vertices.append(LagVertex(vid, tip))
         edges.append(LagEdge(("c", vid)))
-    return LagGraph(vertices, edges, name=name)
+    return LagGraph(vertices, edges)

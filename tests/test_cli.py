@@ -18,7 +18,7 @@ from tropdisk import cli
 from tropdisk.cli import main
 from tropdisk.diagram import BaseDiagram
 from tropdisk.enumerate import SearchBounds
-from tropdisk.fixtures import builtin_fixture
+from tropdisk.fixtures import Fixture, builtin_fixture
 from tropdisk.geometry import GeometryError
 
 
@@ -390,6 +390,21 @@ def test_point_constraint_beside_a_focus_runs(capsys):
                              "--constraint", "point:1/2,1/5")
     assert code == 0 and err == ""
     assert "total W_L = 2" in out
+
+
+def test_potential_runs_a_fixture_case_through_fixture_run(tmp_path, capsys, monkeypatch):
+    # --bounds, --constraint and --convention reach the case's one run path
+    convention = tmp_path / "signs.json"
+    convention.write_text(json.dumps({"pant_sign": [[1, 1]]}))
+    calls, run = [], Fixture.run
+    monkeypatch.setattr(Fixture, "run", lambda self, *args: calls.append(args) or run(self, *args))
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp7", "--case", "leg", "--bounds",
+                           "5,2", "--constraint", "edge:1@3/16", "--convention", str(convention))
+    assert code == 0 and "pant sign convention overridden" in out
+    ((case, bounds, constraint, signs),) = calls
+    assert case == "leg" and bounds == replace(builtin_fixture("dp7").case("leg").bounds,
+                                               max_vertices=5, max_lattice_length=2)
+    assert (constraint.edge_index, constraint.t, signs.pant_sign(1)) == (1, F(3, 16), 1)
 
 
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",

@@ -42,6 +42,7 @@ from tropdisk.enumerate import (
     _VertexSpec,
     cancellation_report,
     enumerate_disks,
+    potential,
     rigidity_dimension,
 )
 from tropdisk.fixtures import FIXTURE_NAMES, SHIPPED_CASES, builtin_fixture
@@ -641,6 +642,38 @@ def test_along_shear_is_the_cross_product_with_pi():
         for j, ff in enumerate(diagram.focus_foci):
             assert [diagram.along_shear(j, d) for d in pairs] == [
                 det2(Vec(*d), ff.pi) == 0 for d in pairs]
+
+
+REFUSED_CONSTRAINTS = [
+    pytest.param(Vec(F(1, 2), F(1, 4)), "constraint point:1/2,1/4 is a focus-focus value: "
+                 "its fiber is nodal, not a Lagrangian torus", id="focus"),
+    pytest.param(Vec(1, 0), "constraint point:1,0 is not strictly inside the polygon",
+                 id="corner"),
+    pytest.param(Vec(5, 5), "constraint point:5,5 is not strictly inside the polygon",
+                 id="outside"),
+]
+
+
+@pytest.mark.parametrize("point,text", REFUSED_CONSTRAINTS)
+def test_library_calls_refuse_a_point_off_a_regular_fiber(point, text):
+    # on dp5, with no Lagrangian: the search would count 4 graphs at the
+    # focus and 5 at the corner, and W = 0 outside the polygon
+    fx = builtin_fixture("dp5")
+    constraint = Constraint.interior_point(point)
+    runs = [partial(enumerate_disks, fx.diagram, None), partial(potential, fx.diagram, None),
+            partial(fx.run, "segment", None)]
+    for run in runs:
+        with pytest.raises(GeometryError) as raised:
+            run(constraint)
+        assert str(raised.value) == text
+
+
+def test_library_calls_refuse_an_edge_constraint_with_no_lagrangian():
+    fx = builtin_fixture("dp5")
+    for run in (enumerate_disks, potential):
+        with pytest.raises(GeometryError) as raised:
+            run(fx.diagram, None, fx.constraint("segment"))
+        assert str(raised.value) == "edge constraints need a Lagrangian"
 
 
 def test_search_and_classifier_follow_one_perpendicular(monkeypatch):

@@ -153,7 +153,18 @@ ALLOWABILITY_CODES = [
         [LagVertex("c", Vec(0, 0)), LagVertex("t0", Vec(1, 0)),
          LagVertex("t1", Vec(-1, 1)), LagVertex("t2", Vec(-1, -1))],
         [LagEdge(("c", "t0"), 2), LagEdge(("c", "t1")), LagEdge(("c", "t2"))]),
-        ["mikhalkin_det_not_one:c"], id="mikhalkin_det_not_one"),
+        ["mikhalkin_det_not_one:c", "edge_weight_not_one:0"], id="mikhalkin_det_not_one"),
+    # the dp6 segment written with weight 2: the search reads every edge as
+    # primitive, and counted W = -2 on it
+    pytest.param("dp6", LagGraph(
+        [LagVertex("v0", Vec(1, -1)), LagVertex("v1", Vec(-1, 1))], [LagEdge(("v0", "v1"), 2)]),
+        ["edge_weight_not_one:0"], id="edge_weight_not_one"),
+    # the dp6 segment with a second vertex at its end: edge 1 has no
+    # direction, so no balancing or bisectrice check runs
+    pytest.param("dp6", LagGraph(
+        [LagVertex("v0", Vec(1, -1)), LagVertex("v1", Vec(-1, 1)), LagVertex("v2", Vec(-1, 1))],
+        [LagEdge(("v0", "v1")), LagEdge(("v1", "v2"))]),
+        ["zero_length_edge:1"], id="zero_length_edge"),
     # four balanced legs to the corners on the axes
     pytest.param("dp6", star_graph(Vec(0, 0), [Vec(1, 0), Vec(0, 1), Vec(-1, 0), Vec(0, -1)]),
                  ["valence_exceeds_three:c"], id="valence_exceeds_three"),

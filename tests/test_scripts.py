@@ -237,6 +237,10 @@ def test_compare_outputs_reports_each_differing_command():
     # a Lagrangian whose focus leg leaves the shear line, in both forms
     off_shear = "validate --diagram dp5.diagram.json --lagrangian off_shear.lagrangian.json"
     focus_leg = [f"{off_shear} --json", off_shear]
+    # the dp6 segment with a weight-2 edge and with a zero-length edge, in both forms
+    edge_codes = [f"validate --diagram dp6_segment.diagram.json --lagrangian {path}{flag}"
+                  for path in ("weighted.lagrangian.json", "zero_length.lagrangian.json")
+                  for flag in (" --json", "")]
     # the grid cells at each case's own vertex and crossing caps
     grid = [f"potential --fixture {name} --case {case} --json --bounds {v},{length},2,{splits}"
             for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
@@ -269,8 +273,8 @@ def test_compare_outputs_reports_each_differing_command():
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
-        *malformed, *unreadable, *focus_leg, *grid, *unbudgeted, *edges, *points, *conventions,
-        *fibers, *case_files, *renders]
+        *malformed, *unreadable, *focus_leg, *edge_codes, *grid, *unbudgeted, *edges, *points,
+        *conventions, *fibers, *case_files, *renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -360,6 +364,24 @@ def test_compare_outputs_off_shear_lagrangian_fails_its_focus_leg(tmp_path, monk
     assert capsys.readouterr().out == "focus_leg_not_along_shear:v0\nnot_bisectrice:v1\n"
 
 
+def test_compare_outputs_bad_edge_lagrangians_name_their_codes(tmp_path, monkeypatch, capsys):
+    # on the saved dp6 segment diagram: a weight-2 edge, which the search
+    # would count as primitive, and a zero-length edge, which has no direction
+    compare = load_script("compare_outputs.py")
+    for name, data in compare["BAD_EDGES"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    compare["save_case_files"]([("dp6", "segment")], builtin_fixture, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    codes = ["edge_weight_not_one:0", "zero_length_edge:1"]
+    argvs = compare["EDGE_CODE_COMMANDS"]
+    assert len(argvs) == 2 * len(codes)
+    for (json_argv, text_argv), code in zip(zip(argvs[::2], argvs[1::2]), codes):
+        assert main(json_argv) == 1
+        assert json.loads(capsys.readouterr().out) == {"fixture": "dp6", "violations": [code]}
+        assert main(text_argv) == 1
+        assert capsys.readouterr().out == f"{code}\n"
+
+
 def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys):
     # each saved file loads back as its fixture's diagram, and a fiber
     # command on it runs from the directory it was saved in
@@ -394,7 +416,8 @@ def test_compare_outputs_saves_the_case_files(tmp_path, monkeypatch, capsys):
             == fixture.diagram_for(case).to_json_dict()
         assert LagGraph.load(lag_path).to_json_dict() \
             == fixture.lagrangian_for(case).to_json_dict()
-    failing = compare["UNREADABLE_COMMANDS"] + compare["FOCUS_LEG_COMMANDS"]
+    failing = (compare["UNREADABLE_COMMANDS"] + compare["FOCUS_LEG_COMMANDS"]
+               + compare["EDGE_CODE_COMMANDS"])
     for argv in compare["commands"](saved, [], builtin_fixture):
         if "--lagrangian" in argv and argv not in failing:
             assert main(argv) == 0
