@@ -44,6 +44,7 @@ from .geometry import (
     from_homogeneous,
     homogeneous,
     offset_hit,
+    point_on_row,
     primitive_pair,
     ray_point,
     row_offsets,
@@ -686,14 +687,15 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
     """Dimension of the solution space of the incidence system; -1 if empty.
 
     Unknowns are the graph's tropical coordinates (`_tropical_frame`): one
-    length t_e per edge, along its direction d_e, and one root (x, y), a
-    vertex sitting at the root plus the sum of t_e d_e along its path in a
-    spanning tree.  Equations: the anchor incidences per vertex kind and the
-    point constraint, and two closing rows per edge off the tree, as
-    `_rigidity_rows` writes them;
-    `_echelon_rank` finds the rank and solvability exactly.  The frame maps
-    the solutions one to one and affinely onto the vertex positions that
-    meet the anchors with each edge along its direction, so the dimension
+    length t_e per edge, along its direction d_e, a vertex sitting at the
+    root plus the sum of t_e d_e along its path in a spanning tree.  When
+    the constraint pins the root, the root is its point and the m lengths
+    are the only unknowns; otherwise the root's (x, y) are two more.
+    Equations: the anchor incidences per vertex kind, and two closing rows
+    per edge off the tree, as `_rigidity_rows` writes them; `_echelon_rank`
+    finds the rank and solvability exactly.  The frame maps the solutions
+    one to one and affinely onto the vertex positions that meet the anchors
+    and the constraint with each edge along its direction, so the dimension
     and the solvability are those of that system over two coordinates per
     vertex.
     """
@@ -705,26 +707,31 @@ def rigidity_dimension(graph: DiskGraph, diagram: BaseDiagram,
 
 
 class _Frame(NamedTuple):
-    """Tropical coordinates of a graph over `cols` unknowns, the root's x
-    and y in the last two columns.  `paths[i]` holds (column, dx, dy) for
-    each tree edge from the root to vertex i, which sits at the root plus
-    t (dx, dy) summed over its path, t the unknown in the column.
-    `closing` holds (column, a, b, dx, dy) for each edge a -> b off the
-    tree."""
+    """Tropical coordinates of a graph over `cols` unknowns: vertex i sits
+    at `origin`, a homogeneous point (X, Y, W), plus t (dx, dy) summed over
+    `paths[i]`, the tree edges from the root to it, t the unknown in the
+    column of each (column, dx, dy).  A pinned root's origin is the
+    constraint's point and the lengths are the only unknowns; a free
+    root's is (0, 0, 1), and every path starts with the root's x and y,
+    the last two columns, along (1, 0) and (0, 1).  `closing` holds
+    (column, a, b, dx, dy) for each edge a -> b off the tree."""
 
     paths: List[Tuple[Tuple[int, int, int], ...]]
     closing: List[Tuple[int, int, int, int, int]]
     cols: int
+    origin: Tuple[int, int, int]
 
 
-def _tropical_frame(graph: DiskGraph, directions, root: Optional[int]) -> _Frame:
+def _tropical_frame(graph: DiskGraph, directions, root: Optional[int],
+                    origin: Optional[Tuple[int, int, int]]) -> _Frame:
     """A spanning tree of a connected disk graph, grown by sweeps over the
     edges from vertex `root`, or from the start of the first edge when
-    there is no root.  A direction (dx, dy, W) stands for (dx, dy), which
-    only rescales its length.  The m lengths come first: off the tree from
-    column 0 up, on it from column m - 1 down, so that an edge's column
-    precedes its parent's and elimination starts at the leaves.  An edge
-    with no direction, or a vertex that no edge reaches, raises
+    there is no root; the root is pinned at the homogeneous `origin`, or
+    free when it is None.  A direction (dx, dy, W) stands for (dx, dy),
+    which only rescales its length.  The m lengths come first: off the
+    tree from column 0 up, on it from column m - 1 down, so that an edge's
+    column precedes its parent's and elimination starts at the leaves.  An
+    edge with no direction, or a vertex that no edge reaches, raises
     GeometryError."""
     index = graph.index_of
     pending = []
@@ -736,7 +743,10 @@ def _tropical_frame(graph: DiskGraph, directions, root: Optional[int]) -> _Frame
     paths: list = [None] * len(graph.vertices)
     if root is None:
         root = pending[0][0] if pending else 0
-    paths[root] = ()
+    if origin is None:
+        paths[root], origin, cols = ((m, 1, 0), (m + 1, 0, 1)), (0, 0, 1), m + 2
+    else:
+        paths[root], cols = (), m
     closing = []
     last = m - 1   # the next tree edge's column
     while pending:
@@ -760,19 +770,22 @@ def _tropical_frame(graph: DiskGraph, directions, root: Optional[int]) -> _Frame
     if None in paths:
         raise GeometryError(f"graph vertex {graph.vertices[paths.index(None)].id} "
                             "is not joined to the others by edges")
-    return _Frame(paths, closing, m + 2)
+    return _Frame(paths, closing, cols, origin)
 
 
 def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGraph],
                    constraint: Optional[Constraint]) -> Tuple[List[List[int]], _Frame]:
     """The system of `rigidity_dimension` and the frame of its unknowns: the
     rows are integer, the coefficients, then the right-hand side.  First
-    one row per anchor, in vertex order and then the constraint's pin: an
-    anchor a x + b y = c at vertex i reads a, b at the root's columns and
-    a dx + b dy at each edge of its path.  Then the x and the y row
-    p_b - p_a - t d = 0 of each edge off the tree.  The anchors come from
-    the graph's `triples()` and the integer facet, cut and Lagrangian rows
-    of the diagram and the Lagrangian cache, so no Fraction is built.
+    one row per anchor, in vertex order: with the frame's origin (X, Y, W),
+    an anchor a x + b y = c at vertex i reads W (a dx + b dy) at each
+    column of its path and W c - a X - b Y on the right.  The constraint
+    pins the root, if the graph has one, at the origin, so a free root's
+    anchor reads a, b at its columns and c on the right.  Then the x and
+    the y row p_b - p_a - t d = 0 of each edge off the tree, in which the
+    root cancels.  The anchors come from the graph's `triples()` and the
+    integer facet, cut and Lagrangian rows of the diagram and the
+    Lagrangian cache, so no Fraction is built.
     """
     points, directions = graph.triples()
     anchors: List[Tuple[int, int, int, int]] = []
@@ -800,17 +813,16 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
             anchors += _pin_anchors(i, point)
     root = _root_index(graph)
-    if constraint is not None and root is not None:
-        anchors += _pin_anchors(root, constraint.triple)
-
-    frame = _tropical_frame(graph, directions, root)
+    pinned = constraint is not None and root is not None
+    frame = _tropical_frame(graph, directions, root, constraint.triple if pinned else None)
     paths, cols = frame.paths, frame.cols
+    X, Y, W = frame.origin
     rows: List[List[int]] = []
     for i, a, b, c in anchors:
         row = [0] * (cols + 1)
-        row[cols - 2], row[cols - 1], row[cols] = a, b, c
         for col, dx, dy in paths[i]:
-            row[col] = a * dx + b * dy
+            row[col] = W * (a * dx + b * dy)
+        row[cols] = W * c - a * X - b * Y
         rows.append(row)
     for col, a, b, dx, dy in frame.closing:
         # the root cancels
@@ -865,8 +877,10 @@ def _echelon_rank(matrix: List[List[int]], cols: int) -> Tuple[int, bool]:
     for col in range(cols):
         if rank == n:
             break
-        pivot = next((r for r in range(rank, n) if matrix[r][col]), None)
-        if pivot is None:
+        for pivot in range(rank, n):
+            if matrix[pivot][col]:
+                break
+        else:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
         top = matrix[rank]
@@ -904,13 +918,22 @@ def enumerate_disks(
 
     Raises GeometryError before any search for an interior constraint that
     is not strictly inside the polygon or is a focus-focus value, whose
-    fiber is nodal, and for an edge constraint with no Lagrangian.
+    fiber is nodal, and for an edge constraint with no Lagrangian, with an
+    edge the Lagrangian lacks or off its edge's open segment.
     """
     foci = diagram.homogeneous_points()[0]
     point, triple = constraint.point, constraint.triple
     if constraint.kind != CONSTRAINT_INTERIOR:
         if lag is None:
             raise GeometryError("edge constraints need a Lagrangian")
+        k = constraint.edge_index
+        edge_rows, scale = lag.edge_rows()
+        if k is None or not 0 <= k < len(edge_rows):
+            raise GeometryError(f"constraint edge {k} out of range: the Lagrangian has "
+                                f"{len(edge_rows)} edge(s)")
+        if not point_on_row(triple, edge_rows[k], scale, closed=False):
+            raise GeometryError(
+                f"constraint point:{point.x},{point.y} is not on edge {k} of the Lagrangian")
     elif not diagram.contains(triple, strict=True):
         raise GeometryError(
             f"constraint point:{point.x},{point.y} is not strictly inside the polygon")

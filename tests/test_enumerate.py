@@ -77,6 +77,7 @@ from tropdisk.multiplicity import (
     cylinder,
     focus_cover,
     graph_weights,
+    holomorphic_pant,
     pair_of_pants,
     pant_seam,
     perp_collision,
@@ -302,12 +303,19 @@ def _reference_rigidity_rows(graph, diagram, lag, constraint):
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
             add_pin(i, v.position)
 
-    if constraint is not None:
-        root = next((v for v in graph.vertices
-                     if v.kind.tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP)), None)
-        if root is not None:
-            add_pin(graph.index_of(root.id), constraint.point)
+    if _pinned_root(graph, constraint):
+        root = next(v for v in graph.vertices if v.kind.tag in ROOT_KINDS)
+        add_pin(graph.index_of(root.id), constraint.point)
     return rows, rhs
+
+
+ROOT_KINDS = (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP)
+
+
+def _pinned_root(graph, constraint):
+    """Whether the constraint pins a vertex of the graph: its first of a
+    root kind."""
+    return constraint is not None and any(v.kind.tag in ROOT_KINDS for v in graph.vertices)
 
 
 @pytest.fixture(scope="module")
@@ -379,24 +387,28 @@ def _pin_variant(variant, constraint, lag):
                       constraint.edge_index, constraint.t)
 
 
-def _frame_positions(frame):
-    """Vertex i's x and y as coefficient rows over the frame's unknowns: the
-    root's columns, and dx, dy at the column of each edge on its path."""
+def _frame_positions(frame, origin):
+    """Vertex i's x and y as rows over the frame's unknowns and a constant:
+    dx, dy at the column of each entry of its path, which starts with a
+    free root's x and y, and the origin's x and y, the constraint's point
+    when it pins the root, else (0, 0)."""
     positions = []
     for path in frame.paths:
-        x, y = [0] * frame.cols, [0] * frame.cols
-        x[-2] = y[-1] = 1
+        x, y = [0] * frame.cols + [origin.x], [0] * frame.cols + [origin.y]
         for col, dx, dy in path:
             x[col], y[col] = dx, dy
         positions.append((x, y))
     return positions
 
 
-def _composed(ref_row, b, positions, cols):
+def _composed(ref_row, b, positions):
     """A reference row over the 2n vertex coordinates, with its right-hand
-    side b, composed with the frame's vertex positions."""
-    return [sum(ref_row[2 * i] * x[c] + ref_row[2 * i + 1] * y[c]
-                for i, (x, y) in enumerate(positions)) for c in range(cols)] + [b]
+    side b, composed with the frame's vertex positions: their constant
+    moves to the right-hand side."""
+    *coeffs, const = [sum(ref_row[2 * i] * x[c] + ref_row[2 * i + 1] * y[c]
+                          for i, (x, y) in enumerate(positions))
+                      for c in range(len(positions[0][0]))]
+    return coeffs + [b - const]
 
 
 def _reference_dimension(graph, diagram, lag, constraint):
@@ -409,20 +421,30 @@ def _reference_dimension(graph, diagram, lag, constraint):
 def _assert_rows_compose_reference(graph, diagram, lag, constraint):
     """Row by row: each anchor row is a nonzero multiple of the reference's
     Fraction row, with its right-hand side, composed with the frame's
-    vertex positions.  Composed, the reference's row of an edge on the
-    tree vanishes, since the tree puts the edge along its direction
-    whatever its length; for an edge a -> b off the tree, with direction
-    (dx, dy)/W, it is dy times its x closing row less dx times its y
-    closing row, over W."""
+    vertex positions (a zero row of a zero one).  A constraint that pins
+    the root fixes it at its point: the lengths are the only unknowns, and
+    the reference's two pin rows compose to 0 = 0.  Composed, the
+    reference's row of an edge on the tree vanishes, since the tree puts
+    the edge along its direction whatever its length; for an edge a -> b
+    off the tree, with direction (dx, dy)/W, it is dy times its x closing
+    row less dx times its y closing row, over W."""
     rows, frame = _rigidity_rows(graph, diagram, lag, constraint)
     ref_rows, ref_rhs = _reference_rigidity_rows(graph, diagram, lag, constraint)
-    positions = _frame_positions(frame)
-    composed = [_composed(r, b, positions, frame.cols) for r, b in zip(ref_rows, ref_rhs)]
     n_edges, n_closing = len(graph.edges), 2 * len(frame.closing)
-    assert len(rows) == len(ref_rows) - n_edges + n_closing
-    for row, ref in zip(rows, composed[n_edges:]):
-        k = next(k for k, x in enumerate(ref) if x)
-        assert row == [x * row[k] / ref[k] for x in ref] and row[k]
+    pinned = _pinned_root(graph, constraint)
+    assert frame.cols == n_edges + (0 if pinned else 2)
+    positions = _frame_positions(frame, constraint.point if pinned else Vec(0, 0))
+    composed = [_composed(r, b, positions) for r, b in zip(ref_rows, ref_rhs)]
+    n_anchors = len(ref_rows) - n_edges - (2 if pinned else 0)
+    assert len(rows) == n_anchors + n_closing
+    for pin in composed[n_edges + n_anchors:]:
+        assert not any(pin)
+    for row, ref in zip(rows, composed[n_edges:n_edges + n_anchors]):
+        k = next((k for k, x in enumerate(ref) if x), None)
+        if k is None:
+            assert not any(row)
+        else:
+            assert row == [x * row[k] / ref[k] for x in ref] and row[k]
     edges = [(graph.index_of(e.endpoints[0]), graph.index_of(e.endpoints[1]),
               *homogeneous(e.direction)) for e in graph.edges]
     tree = set(range(n_edges))
@@ -456,12 +478,31 @@ def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
             assert dim == -1  # a fiber root moves with its graph instead
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=12), st.booleans())
+def test_rigidity_with_a_moved_constraint_agrees_with_fraction_reference(solved_graphs, s, off):
+    # the constraint moved along its edge's line or off it, for an interior
+    # one along (1, 0) or (0, 1): the root moves with it
+    for diagram, lag, constraint, graph in solved_graphs:
+        if constraint.kind == CONSTRAINT_LAGRANGIAN:
+            a, b = (lag.position(x) for x in lag.edges[constraint.edge_index].endpoints)
+            along = b - a
+        else:
+            along = Vec(1, 0)
+        step = Vec(-along.y, along.x) if off else along
+        moved = Constraint(constraint.kind, constraint.point + step * s,
+                           constraint.edge_index, constraint.t)
+        assert rigidity_dimension(graph, diagram, lag, moved) \
+            == _reference_dimension(graph, diagram, lag, moved)
+
+
 def _hand_built_graphs():
     """(graph, lag, constraint, dimension) on dp6, of shapes no search
     reaches: cycles (one with a half-integral edge, one of two parallel
-    edges) and no constraint.  An edge with a zero direction and two
-    components are no disk graph: for them `dimension` is the text of the
-    GeometryError the solve raises, pinned or not."""
+    edges), no constraint, and anchors that the pinned root cannot meet.
+    An edge with a zero direction and two components are no disk graph:
+    for them `dimension` is the text of the GeometryError the solve
+    raises, pinned or not."""
     lag = builtin_fixture("dp6").lagrangians["segment"]
     on_segment = Constraint.on_lagrangian(lag, 0, F(1, 2))  # at the origin
     at_origin = Constraint.interior_point(Vec(0, 0))
@@ -496,7 +537,21 @@ def _hand_built_graphs():
          DiskVertex("b", Vec(-1, F(1, 4)), boundary_collision(2)),
          DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
         [edge("c", "a", 1, 1), edge("c", "b", -1, 0), edge("c", "d", 0, -1)])
+    # the shifted constraint pins the pant root off the segment's line, so
+    # its anchor row has zero coefficients and a nonzero right-hand side
+    pant_root = DiskGraph(
+        [DiskVertex("r", Vec(0, 0), holomorphic_pant((1, 1, 1), (-1, 1, 1))),
+         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0))],
+        [edge("r", "b", 1, 1)])
+    off_segment = Constraint(CONSTRAINT_LAGRANGIAN, Vec(F(1, 8), F(1, 8)), 0, F(1, 2))
+    # from the root at the origin no length reaches the seam's pin
+    seam = DiskGraph(
+        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
+         DiskVertex("s", Vec(F(-1, 2), F(1, 4)), pant_seam())],
+        [edge("r", "s", -1, 0)])
     return [
+        pytest.param(pant_root, lag, off_segment, -1, id="pant root off its line"),
+        pytest.param(seam, lag, on_segment, -1, id="seam pin against the constraint"),
         pytest.param(zero, lag, on_segment, "has no direction", id="zero direction"),
         pytest.param(zero, lag, None, "has no direction", id="zero direction, unpinned"),
         pytest.param(cycle, None, at_origin, 1, id="cycle"),
@@ -674,6 +729,28 @@ def test_library_calls_refuse_an_edge_constraint_with_no_lagrangian():
         with pytest.raises(GeometryError) as raised:
             run(fx.diagram, None, fx.constraint("segment"))
         assert str(raised.value) == "edge constraints need a Lagrangian"
+
+
+def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
+    # dp6's segment constraint at t = 1/3 lies on no edge of the trivalent
+    # Lagrangian (the search would return W = 0 as complete), and the
+    # segment has no edge 2 (the search would raise IndexError)
+    fx = builtin_fixture("dp6")
+    segment, trivalent = fx.lagrangians["segment"], fx.lagrangians["trivalent"]
+    at_third = Constraint.on_lagrangian(segment, 0, F(1, 3))
+    cases = [
+        (trivalent, "trivalent", at_third,
+         "constraint point:1/3,-1/3 is not on edge 0 of the Lagrangian"),
+        (segment, "segment", replace(at_third, edge_index=2),
+         "constraint edge 2 out of range: the Lagrangian has 1 edge(s)"),
+    ]
+    for lag, case, constraint, text in cases:
+        runs = [partial(enumerate_disks, fx.diagram, lag), partial(potential, fx.diagram, lag),
+                partial(fx.run, case, None)]
+        for run in runs:
+            with pytest.raises(GeometryError) as raised:
+                run(constraint)
+            assert str(raised.value) == text
 
 
 def test_search_and_classifier_follow_one_perpendicular(monkeypatch):
