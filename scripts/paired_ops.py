@@ -3,23 +3,23 @@
 
 Usage, from anywhere:
 
-    python3 scripts/paired_ops.py --parent ../parent --change . \\
-        --workload revalidate --seed 0 --rounds 15
+    python3 scripts/paired_ops.py --parent ../parent --change . --workload revalidate
 
 `--parent` and `--change` are two checkouts of the repository.  Each one's
 `src/tropdisk` is loaded under a package name of its own (`tropdisk_parent`,
-`tropdisk_change`), and the workload of `perfbench/workloads.py` (of the
-change checkout) is set up once per side, bound to that side's modules.
-`--ops N` keeps the first N operations.  One untimed pass per side checks
-the outputs: when the two digests differ the script prints both and exits 1
-before timing anything.  Then every round runs each operation once per
-side under `time.process_time`, the two sides alternating op by op (which
-side goes first flips from one operation to the next and from one round to
-the next), and the script prints the median and the quartiles over the
-rounds of the change's summed time over the parent's.  Timing in one
-process cancels most of the drift of a shared machine that separate runs
-of `perfbench/run.py` see; `scripts/bench_pairs.py` stays the harness of
-record for `BENCH_*.json`.
+`tropdisk_change`), and the workload of `perfbench/workloads.py`, read from
+the checkout that holds this script, is set up at seed 0 once per side,
+bound to that side's modules.  One untimed pass per side checks the
+outputs: when the two digests differ the script prints both and exits 1
+before timing anything.  Then each of 15 rounds runs each operation once
+per side under `time.process_time`, the two sides alternating op by op
+(which side goes first flips from one operation to the next and from one
+round to the next), and the script prints the median and the quartiles
+over the rounds of the change's summed time over the parent's.  Timing in
+one process cancels most of the drift of a shared machine that separate
+runs of `perfbench/run.py` see, but `scripts/bench_pairs.py` is the
+harness of record: a gain is claimed from a `BENCH_*.json`, not from this
+script.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 SIDES = ("parent", "change")
+SEED = 0
+ROUNDS = 15
 
 
 def load_tree(checkout: Path, alias: str):
@@ -77,11 +79,11 @@ def run_pass(ops) -> list:
     return results
 
 
-def timed_rounds(ops_of: dict, rounds: int) -> list:
+def timed_rounds(ops_of: dict) -> list:
     """The change's summed process time over the parent's, per round."""
     n = len(ops_of["parent"])
     ratios = []
-    for r in range(rounds):
+    for r in range(ROUNDS):
         spent = dict.fromkeys(SIDES, 0.0)
         for i in range(n):
             for side in (SIDES if (i + r) % 2 == 0 else SIDES[::-1]):
@@ -101,9 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default=ROOT, type=Path)
     parser.add_argument("--workload", required=True,
                         choices=("fixtures", "grid", "sweep", "revalidate"))
-    parser.add_argument("--seed", default=0, type=int)
-    parser.add_argument("--rounds", default=15, type=int)
-    parser.add_argument("--ops", type=int, help="keep the first N operations")
     args = parser.parse_args(argv)
 
     ops_of, digests = {}, {}
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
         alias = f"tropdisk_{side}"
         load_tree(getattr(args, side).resolve(), alias)
         workloads = bound_workloads(alias)
-        ops = workloads["SETUPS"][args.workload](args.seed).ops[:args.ops]
+        ops = workloads["SETUPS"][args.workload](SEED).ops
         _, digests[side] = workloads["evaluate"](ops, run_pass(ops))
         ops_of[side] = ops
     if digests["parent"] != digests["change"]:
@@ -119,10 +118,9 @@ def main(argv=None) -> int:
               f"change sha256:{digests['change']}", file=sys.stderr)
         return 1
 
-    ratios = timed_rounds(ops_of, args.rounds)
-    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                      if len(ratios) > 1 else ratios * 3)
-    print(f"{args.workload} seed {args.seed}: {len(ops_of['change'])} operations, "
+    ratios = timed_rounds(ops_of)
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"{args.workload} seed {SEED}: {len(ops_of['change'])} operations, "
           f"digest sha256:{digests['change'][:8]}…")
     print(f"change/parent process time over {len(ratios)} rounds: median {median:.3f}, "
           f"quartiles {q1:.3f}-{q3:.3f}")

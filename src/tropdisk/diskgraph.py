@@ -32,11 +32,7 @@ class Constraint:
         t = frac(t)
         if not (0 < t < 1):
             raise GeometryError("constraint parameter must be strictly inside the edge")
-        if not (0 <= edge_index < len(lag.edges)):
-            raise GeometryError(
-                f"constraint edge {edge_index} out of range: the Lagrangian has "
-                f"{len(lag.edges)} edge(s)")
-        edge = lag.edges[edge_index]
+        edge = lag.edges[check_edge_index(edge_index, len(lag.edges))]
         a = lag.position(edge.endpoints[0])
         b = lag.position(edge.endpoints[1])
         return cls(CONSTRAINT_LAGRANGIAN, a + (b - a) * t, edge_index, t)
@@ -44,6 +40,17 @@ class Constraint:
     @classmethod
     def interior_point(cls, point: Vec) -> "Constraint":
         return cls(CONSTRAINT_INTERIOR, point)
+
+
+def check_edge_index(edge_index: Optional[int], edges: int) -> int:
+    """`edge_index`, checked to name one of the `edges` edges of an edge
+    constraint's Lagrangian; raises GeometryError otherwise."""
+    if edge_index is None:
+        raise GeometryError("an edge constraint needs an edge index")
+    if not 0 <= edge_index < edges:
+        raise GeometryError(
+            f"constraint edge {edge_index} out of range: the Lagrangian has {edges} edge(s)")
+    return edge_index
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .diskgraph import (
     DiskGraph,
     DiskVertex,
     _signature_key,
+    check_edge_index,
 )
 from .geometry import (
     GeometryError,
@@ -918,19 +919,16 @@ def enumerate_disks(
 
     Raises GeometryError before any search for an interior constraint that
     is not strictly inside the polygon or is a focus-focus value, whose
-    fiber is nodal, and for an edge constraint with no Lagrangian, with an
-    edge the Lagrangian lacks or off its edge's open segment.
+    fiber is nodal, and for an edge constraint with no Lagrangian, with no
+    edge index or one the Lagrangian lacks, or off its edge's open segment.
     """
     foci = diagram.homogeneous_points()[0]
     point, triple = constraint.point, constraint.triple
     if constraint.kind != CONSTRAINT_INTERIOR:
         if lag is None:
             raise GeometryError("edge constraints need a Lagrangian")
-        k = constraint.edge_index
         edge_rows, scale = lag.edge_rows()
-        if k is None or not 0 <= k < len(edge_rows):
-            raise GeometryError(f"constraint edge {k} out of range: the Lagrangian has "
-                                f"{len(edge_rows)} edge(s)")
+        k = check_edge_index(constraint.edge_index, len(edge_rows))
         if not point_on_row(triple, edge_rows[k], scale, closed=False):
             raise GeometryError(
                 f"constraint point:{point.x},{point.y} is not on edge {k} of the Lagrangian")

@@ -733,8 +733,9 @@ def test_library_calls_refuse_an_edge_constraint_with_no_lagrangian():
 
 def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
     # dp6's segment constraint at t = 1/3 lies on no edge of the trivalent
-    # Lagrangian (the search would return W = 0 as complete), and the
-    # segment has no edge 2 (the search would raise IndexError)
+    # Lagrangian (the search would return W = 0 as complete), the segment
+    # has no edge 2 (the search would raise IndexError), and an edge
+    # constraint built with no edge index names none
     fx = builtin_fixture("dp6")
     segment, trivalent = fx.lagrangians["segment"], fx.lagrangians["trivalent"]
     at_third = Constraint.on_lagrangian(segment, 0, F(1, 3))
@@ -743,6 +744,8 @@ def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
          "constraint point:1/3,-1/3 is not on edge 0 of the Lagrangian"),
         (segment, "segment", replace(at_third, edge_index=2),
          "constraint edge 2 out of range: the Lagrangian has 1 edge(s)"),
+        (segment, "segment", replace(at_third, edge_index=None),
+         "an edge constraint needs an edge index"),
     ]
     for lag, case, constraint, text in cases:
         runs = [partial(enumerate_disks, fx.diagram, lag), partial(potential, fx.diagram, lag),
