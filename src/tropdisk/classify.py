@@ -6,7 +6,7 @@ diagram and the Lagrangian), which is how result graphs are re-validated.
 
 Every decision is an integer test on homogeneous triples: the vertex is a
 homogeneous (X, Y, W) point, each adjacent direction an (X, Y, W) triple
-oriented away from the vertex, both read off `DiskGraph.triples()`, and the
+oriented away from the vertex, both as the graph stores them, and the
 diagram and the Lagrangian are read through the integer tables they cache
 (facet normals and rows, cut rows, homogeneous foci, edge rows and
 primitive edge directions).  Parallel tests are cross products, which a
@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import DiskEdge, DiskGraph, Triple
-from .geometry import from_homogeneous, point_on_row, primitive_and_length, primitive_pair
+from .geometry import GeometryError, from_homogeneous, point_on_row, primitive_pair
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -46,9 +46,10 @@ from .multiplicity import (
 
 def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
     """The edges at vid, each with its direction oriented away from vid as
-    the homogeneous triple of `DiskGraph.triples()`, in edge order."""
+    the homogeneous triple the edge stores, in edge order."""
     legs = []
-    for e, (X, Y, W) in zip(graph.edges, graph.triples()[1]):
+    for e in graph.edges:
+        X, Y, W = e.triple
         if e.endpoints[0] == vid:
             legs.append((e, (X, Y, W)))
         elif e.endpoints[1] == vid:
@@ -57,12 +58,12 @@ def _legs(graph: DiskGraph, vid: str) -> List[Tuple[DiskEdge, Triple]]:
 
 
 def _lattice_length(leg: Triple) -> int:
-    """gcd(X, Y) of an integer direction; a zero or non-integral one raises
-    GeometryError."""
+    """gcd(X, Y) of an integer direction; a zero or non-integral one (a
+    canonical triple with W > 1) raises GeometryError."""
     X, Y, W = leg
-    if W == 1:
-        return primitive_pair(X, Y)[2]
-    return primitive_and_length(from_homogeneous(leg))[1]
+    if W != 1:
+        raise GeometryError(f"{from_homogeneous(leg)!r} is not an integer vector")
+    return primitive_pair(X, Y)[2]
 
 
 def _parallel(leg: Triple, d) -> bool:
@@ -113,7 +114,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
         raise HigherValenceVertex(f"valence {valence} at {vid}")
     if valence == 0:
         raise UnclassifiableVertex(f"isolated vertex at {v.position!r} matches no case")
-    point = graph.triples()[0][graph.index_of(vid)]
+    point = v.triple
 
     if valence == 1:
         ((edge, leg),) = legs

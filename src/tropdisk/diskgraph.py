@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, frac, homogeneous
+from .geometry import GeometryError, Vec, frac, from_homogeneous, homogeneous
 from .multiplicity import CORNER_CAP, Triple, VertexKind
 
 CONSTRAINT_LAGRANGIAN = "lagrangian"
@@ -55,43 +55,47 @@ def check_edge_index(edge_index: Optional[int], edges: int) -> int:
 
 @dataclass(frozen=True)
 class DiskVertex:
+    """A solved vertex at `triple`, canonical as `geometry.homogeneous` writes
+    it (gcd 1, W > 0); `position` is that point as a Vec, built on first read."""
+
     id: str
-    position: Vec
+    triple: Triple
     kind: VertexKind
+    _position: Optional[Vec] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def position(self) -> Vec:
+        if self._position is None:
+            object.__setattr__(self, "_position", from_homogeneous(self.triple))
+        return self._position
 
 
 @dataclass(frozen=True)
 class DiskEdge:
+    """A solved edge along the canonical triple of its direction, oriented
+    endpoints[0] -> endpoints[1]; `direction` reads it as a Vec, built on first read."""
+
     endpoints: Tuple[str, str]
-    direction: Vec           # oriented endpoints[0] -> endpoints[1]
+    triple: Triple
     open: bool = False
+    _direction: Optional[Vec] = field(default=None, init=False, repr=False, compare=False)
 
-
-Triples = Tuple[Tuple[Triple, ...], Tuple[Triple, ...]]  # (points, directions)
+    @property
+    def direction(self) -> Vec:
+        if self._direction is None:
+            object.__setattr__(self, "_direction", from_homogeneous(self.triple))
+        return self._direction
 
 
 @dataclass
 class DiskGraph:
-    """A solved graph.  `known_triples` hands over what `triples()` returns,
-    as the enumeration does from its specs; it must hold the canonical
-    triples of the positions and directions."""
+    """A solved graph."""
 
     vertices: List[DiskVertex]
     edges: List[DiskEdge]
-    known_triples: InitVar[Optional[Triples]] = None
 
-    def __post_init__(self, known_triples):
+    def __post_init__(self):
         self._index: Dict[str, int] = {v.id: i for i, v in enumerate(self.vertices)}
-        self._triples = known_triples
-
-    def triples(self) -> Triples:
-        """(points, directions): the homogeneous triples of the vertex
-        positions and of the edge directions, in vertex and edge order.
-        Built from the Vecs on the first call unless the graph was given them."""
-        if self._triples is None:
-            self._triples = (tuple(homogeneous(v.position) for v in self.vertices),
-                             tuple(homogeneous(e.direction) for e in self.edges))
-        return self._triples
 
     @property
     def corner_mode(self) -> bool:

@@ -16,8 +16,8 @@ normal direction.  Everything is exact rational arithmetic; results are
 deterministic and duplicate-free.  The tracer scans events in integers: it
 reads the diagram's integer facet and branch-cut rows and adds the Lagrangian
 edges as rows of their own.  Its recursion carries points as homogeneous
-integer triples and directions as integer pairs; Fractions and Vecs are built
-only by `_build_graph`, for the graphs that survive dedup.
+integer triples and directions as integer pairs, and the solved graphs store
+the same triples, so the search builds no Vec.
 """
 
 from __future__ import annotations
@@ -594,8 +594,8 @@ class _Tracer:
 
         A leg is blocked by another focus on the closed segment [w, F], by a
         cut it crosses strictly inside (w, F), and by a Lagrangian edge it
-        meets in (w, F]; a Lagrangian edge along the line blocks only from
-        beyond its nearer end, and a cut along it only through its focus.
+        meets in (w, F]; a Lagrangian edge along the line blocks only beyond
+        its farther end, and a cut along it only through its focus.
         Each blocker at |v| = b on a side lowers that side's c (a focus) or o
         (a cut or an edge) to b; one at v = 0 blocks both sides.
         """
@@ -662,22 +662,16 @@ class _Tracer:
 # -- graph assembly -------------------------------------------------------------
 
 
-def _build_graph(completion: _Completion, vecs: Dict[Tuple[int, int, int], Vec]) -> DiskGraph:
-    """The solved graph of a completion.  Its specs carry homogeneous triples
-    for positions and directions alike: the vertices are keyed by triple,
-    the triples are handed to the graph as its `DiskGraph.triples()`, and
-    their Vecs come from `vecs`, a memo shared by one enumeration's graphs."""
-    points = tuple(s.position for s in completion.vertices)
-    directions = tuple(e.direction for e in completion.edges)
-    for t in points + directions:
-        if t not in vecs:
-            vecs[t] = from_homogeneous(t)
-    by_pos = {p: f"v{i}" for i, p in enumerate(points)}
-    vertices = [DiskVertex(by_pos[s.position], vecs[s.position], s.kind)
+def _build_graph(completion: _Completion) -> DiskGraph:
+    """The solved graph of a completion.  Its specs carry the canonical
+    homogeneous triples of positions and directions alike, which the graph
+    stores as they are; the vertices are keyed by triple."""
+    by_pos = {s.position: f"v{i}" for i, s in enumerate(completion.vertices)}
+    vertices = [DiskVertex(by_pos[s.position], s.position, s.kind)
                 for s in completion.vertices]
-    edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), vecs[e.direction], e.open)
+    edges = [DiskEdge((by_pos[e.start], by_pos[e.end]), e.direction, e.open)
              for e in completion.edges]
-    return DiskGraph(vertices, edges, known_triples=(points, directions))
+    return DiskGraph(vertices, edges)
 
 
 # -- rigidity ------------------------------------------------------------------
@@ -723,12 +717,12 @@ class _Frame(NamedTuple):
     origin: Tuple[int, int, int]
 
 
-def _tropical_frame(graph: DiskGraph, directions, root: Optional[int],
+def _tropical_frame(graph: DiskGraph, root: Optional[int],
                     origin: Optional[Tuple[int, int, int]]) -> _Frame:
     """A spanning tree of a connected disk graph, grown by sweeps over the
     edges from vertex `root`, or from the start of the first edge when
     there is no root; the root is pinned at the homogeneous `origin`, or
-    free when it is None.  A direction (dx, dy, W) stands for (dx, dy),
+    free when it is None.  An edge's triple (dx, dy, W) stands for (dx, dy),
     which only rescales its length.  The m lengths come first: off the
     tree from column 0 up, on it from column m - 1 down, so that an edge's
     column precedes its parent's and elimination starts at the leaves.  An
@@ -736,7 +730,8 @@ def _tropical_frame(graph: DiskGraph, directions, root: Optional[int],
     GeometryError."""
     index = graph.index_of
     pending = []
-    for e, (dx, dy, _) in zip(graph.edges, directions):
+    for e in graph.edges:
+        dx, dy, _ = e.triple
         if not (dx or dy):
             raise GeometryError(f"graph edge {e.endpoints} has no direction")
         pending.append((index(e.endpoints[0]), index(e.endpoints[1]), dx, dy))
@@ -784,16 +779,15 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
     pins the root, if the graph has one, at the origin, so a free root's
     anchor reads a, b at its columns and c on the right.  Then the x and
     the y row p_b - p_a - t d = 0 of each edge off the tree, in which the
-    root cancels.  The anchors come from the graph's `triples()` and the
-    integer facet, cut and Lagrangian rows of the diagram and the
+    root cancels.  The anchors come from the triples the graph stores and
+    the integer facet, cut and Lagrangian rows of the diagram and the
     Lagrangian cache, so no Fraction is built.
     """
-    points, directions = graph.triples()
     anchors: List[Tuple[int, int, int, int]] = []
     facet_rows, facet_scale = diagram.facet_rows()
     foci, _ = diagram.homogeneous_points()
-    for i, (v, point) in enumerate(zip(graph.vertices, points)):
-        tag = v.kind.tag
+    for i, v in enumerate(graph.vertices):
+        point, tag = v.triple, v.kind.tag
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
             anchors += _pin_anchors(i, foci[v.kind.index] if v.kind.index is not None else point)
         elif tag == BOUNDARY_COLLISION:
@@ -815,7 +809,7 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
             anchors += _pin_anchors(i, point)
     root = _root_index(graph)
     pinned = constraint is not None and root is not None
-    frame = _tropical_frame(graph, directions, root, constraint.triple if pinned else None)
+    frame = _tropical_frame(graph, root, constraint.triple if pinned else None)
     paths, cols = frame.paths, frame.cols
     X, Y, W = frame.origin
     rows: List[List[int]] = []
@@ -942,14 +936,11 @@ def enumerate_disks(
     completions = _candidate_graphs(diagram, lag, constraint, bounds, flags)
     warnings: List[str] = []
     out: List[EnumeratedGraph] = []
-    # the Vecs of the graphs' triples, seeded with the foci and the constraint point
-    vecs = dict(zip(foci, (ff.position for ff in diagram.focus_foci)))
-    vecs[triple] = point
     for completion in _unique_graphs(completions):
         if len(completion.vertices) > bounds.max_vertices:
             warnings.append(f"graph with {len(completion.vertices)} vertices exceeds max_vertices")
             continue
-        g = _build_graph(completion, vecs)
+        g = _build_graph(completion)
         dim = rigidity_dimension(g, diagram, lag, constraint)
         if dim != 0:
             warnings.append(f"dropped non-rigid graph (dim={dim})")

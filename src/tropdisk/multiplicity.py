@@ -228,15 +228,15 @@ def aut_order(graph) -> int:
     and open/closed flag): the order is the product of the factorials of
     their multiplicities.  Two vertices at one point raise GeometryError.
     """
-    points, directions = graph.triples()
     seen = set()
-    for v, point in zip(graph.vertices, points):
-        if point in seen:
+    for v in graph.vertices:
+        if v.triple in seen:
             raise GeometryError(f"two graph vertices at {v.position!r}")
-        seen.add(point)
+        seen.add(v.triple)
     counts: Dict[tuple, int] = {}
-    for e, (X, Y, W) in zip(graph.edges, directions):
+    for e in graph.edges:
         a, b = e.endpoints
+        X, Y, W = e.triple
         key = min((a, b, X, Y, W, e.open), (b, a, -X, -Y, W, e.open))
         counts[key] = counts.get(key, 0) + 1
     order = 1

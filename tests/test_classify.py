@@ -172,15 +172,15 @@ def _star(center: Vec, legs, kind=VertexKind("test")):
     """A vertex "c" at center with one edge per (direction, open, incoming)
     leg; an incoming edge is stored from its tip, so that its direction
     away from "c" is still `direction`."""
-    vertices = [DiskVertex("c", center, kind)]
+    vertices = [DiskVertex("c", homogeneous(center), kind)]
     edges = []
     for i, (d, is_open, incoming) in enumerate(legs):
         tip = f"t{i}"
-        vertices.append(DiskVertex(tip, center + d, kind))
+        vertices.append(DiskVertex(tip, homogeneous(center + d), kind))
         if incoming:
-            edges.append(DiskEdge((tip, "c"), -d, is_open))
+            edges.append(DiskEdge((tip, "c"), homogeneous(-d), is_open))
         else:
-            edges.append(DiskEdge(("c", tip), d, is_open))
+            edges.append(DiskEdge(("c", tip), homogeneous(d), is_open))
     return DiskGraph(vertices, edges)
 
 
@@ -280,7 +280,7 @@ def test_isolated_vertex_is_unclassifiable():
     # a vertex with no edges: the reference unpacks no legs and fails with
     # an IndexError, so only the integer classifier is asked
     for p in (Vec(0, F(1, 7)), DP5.diagram.focus_foci[0].position, Vec(1, 0)):
-        graph = DiskGraph([DiskVertex("c", p, VertexKind("test"))], [])
+        graph = DiskGraph([DiskVertex("c", homogeneous(p), VertexKind("test"))], [])
         with pytest.raises(UnclassifiableVertex, match="isolated vertex .* matches no case"):
             classify_vertex(graph, "c", DP5.diagram, None)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_classify import _outcome, classify_agrees
+from test_classify import classify_agrees
 from test_diagram import reference_boundary_hit, reference_facets, reference_facets_through
 from test_geometry import apply_matrix, ray_point_param
 from test_lagrangian import ALLOWABILITY_CODES
@@ -72,11 +72,9 @@ from tropdisk.multiplicity import (
     THREE_STRIP,
     UnclassifiableVertex,
     VertexKind,
-    aut_order,
     boundary_collision,
     cylinder,
     focus_cover,
-    graph_weights,
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
@@ -93,9 +91,9 @@ def test_rigidity_single_boundary_edge_is_rigid():
     lag = fx.lagrangians["segment"]
     constraint = Constraint.on_lagrangian(lag, 0, F(1, 2))
     g = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
-         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0))],
-        [DiskEdge(("r", "b"), Vec(1, 1))],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
+         DiskVertex("b", homogeneous(Vec(F(1, 2), F(1, 2))), boundary_collision(0))],
+        [DiskEdge(("r", "b"), homogeneous(Vec(1, 1)))],
     )
     assert rigidity_dimension(g, fx.diagram, lag, constraint) == 0
 
@@ -106,12 +104,13 @@ def test_rigidity_free_trivalent_vertex_deformable():
     # facet line), so the exact solution space has dimension two
     fx = builtin_fixture("dp6")
     g = DiskGraph(
-        [DiskVertex("c", Vec(F(1, 8), F(1, 4)), pair_of_pants((1, 1, 1), (-1, 0, 1))),
-         DiskVertex("a", Vec(F(7, 16), F(9, 16)), boundary_collision(0)),
-         DiskVertex("b", Vec(-1, F(1, 4)), boundary_collision(2)),
-         DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
-        [DiskEdge(("c", "a"), Vec(1, 1)), DiskEdge(("c", "b"), Vec(-1, 0)),
-         DiskEdge(("c", "d"), Vec(0, -1))],
+        [DiskVertex("c", homogeneous(Vec(F(1, 8), F(1, 4))), pair_of_pants((1, 1, 1), (-1, 0, 1))),
+         DiskVertex("a", homogeneous(Vec(F(7, 16), F(9, 16))), boundary_collision(0)),
+         DiskVertex("b", homogeneous(Vec(-1, F(1, 4))), boundary_collision(2)),
+         DiskVertex("d", homogeneous(Vec(F(1, 8), -1)), boundary_collision(4))],
+        [DiskEdge(("c", "a"), homogeneous(Vec(1, 1))),
+         DiskEdge(("c", "b"), homogeneous(Vec(-1, 0))),
+         DiskEdge(("c", "d"), homogeneous(Vec(0, -1)))],
     )
     assert rigidity_dimension(g, fx.diagram, None, None) == 2
 
@@ -122,9 +121,9 @@ def test_rigidity_inconsistent_system():
     constraint = Constraint.on_lagrangian(lag, 0, F(1, 2))
     # edge direction cannot reach the claimed focus anchor: inconsistent rows
     g = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
-         DiskVertex("f", Vec(F(1, 2), F(1, 2)), focus_cover(1, 0))],
-        [DiskEdge(("r", "f"), Vec(1, 0))],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
+         DiskVertex("f", homogeneous(Vec(F(1, 2), F(1, 2))), focus_cover(1, 0))],
+        [DiskEdge(("r", "f"), homogeneous(Vec(1, 0)))],
     )
     diagram = BaseDiagram(
         "one-focus", list(fx.diagram.polygon),
@@ -509,45 +508,45 @@ def _hand_built_graphs():
     free = pair_of_pants((1, 1, 1), (-1, 0, 1))
 
     def edge(a, b, x, y):
-        return DiskEdge((a, b), Vec(x, y))
+        return DiskEdge((a, b), homogeneous(Vec(x, y)))
 
     zero = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
-         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0)),
-         DiskVertex("z", Vec(F(1, 4), F(-1, 4)), free)],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
+         DiskVertex("b", homogeneous(Vec(F(1, 2), F(1, 2))), boundary_collision(0)),
+         DiskVertex("z", homogeneous(Vec(F(1, 4), F(-1, 4))), free)],
         [edge("r", "b", 1, 1), edge("r", "z", 0, 0)])
     cycle = DiskGraph(
-        [DiskVertex("c", Vec(0, 0), VertexKind(FIBER_ROOT)),
-         DiskVertex("p", Vec(F(1, 4), 0), free),
-         DiskVertex("q", Vec(0, F(1, 4)), free)],
+        [DiskVertex("c", homogeneous(Vec(0, 0)), VertexKind(FIBER_ROOT)),
+         DiskVertex("p", homogeneous(Vec(F(1, 4), 0)), free),
+         DiskVertex("q", homogeneous(Vec(0, F(1, 4))), free)],
         [edge("c", "p", F(1, 2), 0), edge("p", "q", -1, 1), edge("q", "c", 0, -1)])
     parallel = DiskGraph(
-        [DiskVertex("c", Vec(0, 0), VertexKind(FIBER_ROOT)),
-         DiskVertex("p", Vec(F(1, 4), 0), free)],
+        [DiskVertex("c", homogeneous(Vec(0, 0)), VertexKind(FIBER_ROOT)),
+         DiskVertex("p", homogeneous(Vec(F(1, 4), 0)), free)],
         [edge("c", "p", 1, 0), edge("p", "c", -1, 0)])
     two = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
-         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0)),
-         DiskVertex("s", Vec(F(-1, 2), 0), pant_seam()),
-         DiskVertex("f", Vec(-1, 0), boundary_collision(2))],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
+         DiskVertex("b", homogeneous(Vec(F(1, 2), F(1, 2))), boundary_collision(0)),
+         DiskVertex("s", homogeneous(Vec(F(-1, 2), 0)), pant_seam()),
+         DiskVertex("f", homogeneous(Vec(-1, 0)), boundary_collision(2))],
         [edge("r", "b", 1, 1), edge("s", "f", -1, 0)])
     trivalent = DiskGraph(
-        [DiskVertex("c", Vec(F(1, 8), F(1, 4)), free),
-         DiskVertex("a", Vec(F(7, 16), F(9, 16)), boundary_collision(0)),
-         DiskVertex("b", Vec(-1, F(1, 4)), boundary_collision(2)),
-         DiskVertex("d", Vec(F(1, 8), -1), boundary_collision(4))],
+        [DiskVertex("c", homogeneous(Vec(F(1, 8), F(1, 4))), free),
+         DiskVertex("a", homogeneous(Vec(F(7, 16), F(9, 16))), boundary_collision(0)),
+         DiskVertex("b", homogeneous(Vec(-1, F(1, 4))), boundary_collision(2)),
+         DiskVertex("d", homogeneous(Vec(F(1, 8), -1)), boundary_collision(4))],
         [edge("c", "a", 1, 1), edge("c", "b", -1, 0), edge("c", "d", 0, -1)])
     # the shifted constraint pins the pant root off the segment's line, so
     # its anchor row has zero coefficients and a nonzero right-hand side
     pant_root = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), holomorphic_pant((1, 1, 1), (-1, 1, 1))),
-         DiskVertex("b", Vec(F(1, 2), F(1, 2)), boundary_collision(0))],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), holomorphic_pant((1, 1, 1), (-1, 1, 1))),
+         DiskVertex("b", homogeneous(Vec(F(1, 2), F(1, 2))), boundary_collision(0))],
         [edge("r", "b", 1, 1)])
     off_segment = Constraint(CONSTRAINT_LAGRANGIAN, Vec(F(1, 8), F(1, 8)), 0, F(1, 2))
     # from the root at the origin no length reaches the seam's pin
     seam = DiskGraph(
-        [DiskVertex("r", Vec(0, 0), perp_collision(1)),
-         DiskVertex("s", Vec(F(-1, 2), F(1, 4)), pant_seam())],
+        [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
+         DiskVertex("s", homogeneous(Vec(F(-1, 2), F(1, 4))), pant_seam())],
         [edge("r", "s", -1, 0)])
     return [
         pytest.param(pant_root, lag, off_segment, -1, id="pant root off its line"),
@@ -622,11 +621,11 @@ def _candidate_vertices(fx, case, tag):
     completions = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case),
                                     fx.constraint(case), c.bounds, c.flags)
     out = []
-    for g in (_build_graph(c, {}) for c in completions):
+    for g in (_build_graph(c) for c in completions):
         for v in g.vertices:
             if v.kind.tag == tag:
-                e, (X, Y, W) = next((e, d) for e, d in zip(g.edges, g.triples()[1])
-                                    if v.id in e.endpoints)
+                e = next(e for e in g.edges if v.id in e.endpoints)
+                X, Y, W = e.triple
                 out.append((g, v, (X, Y, W) if e.endpoints[0] == v.id else (-X, -Y, W)))
     return out
 
@@ -806,7 +805,7 @@ def test_node_free_search_casts_only_directions_that_can_end(monkeypatch):
 
 def test_tracer_builds_no_vec(monkeypatch):
     # building a tracer and tracing every root direction of every shipped
-    # case builds no Vec: `_build_graph` builds the graphs' Vecs
+    # case builds no Vec
     built = []
     init = Vec.__init__
 
@@ -828,42 +827,51 @@ def test_tracer_builds_no_vec(monkeypatch):
     assert built == []
 
 
-def test_search_hands_each_graph_its_canonical_triples():
-    # the triples the search hands over are the ones a hand-built copy of
-    # the graph writes from its Vecs on the first call, and both copies
-    # solve, classify and weigh alike
+def test_enumeration_builds_no_vec(monkeypatch):
+    # a whole enumeration of every shipped case, from its checks of the
+    # constraint to the weights of its graphs, builds no Vec: the graphs
+    # store the search's triples
+    built, graphs = [], 0
+    init = Vec.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
     for name, case in SHIPPED_CASES:
         fx = builtin_fixture(name)
+        c = fx.case(case)
         diagram, lag, constraint = (fx.diagram_for(case), fx.lagrangian_for(case),
                                     fx.constraint(case))
-        for g in fx.run(case).graphs:
-            searched = g.graph
-            assert searched._triples is not None
-            points, directions = searched.triples()
-            assert points == tuple(homogeneous(v.position) for v in searched.vertices)
-            assert directions == tuple(homogeneous(e.direction) for e in searched.edges)
-            built = DiskGraph(list(searched.vertices), list(searched.edges))
-            assert built._triples is None
-            assert rigidity_dimension(built, diagram, lag, constraint) \
-                == rigidity_dimension(searched, diagram, lag, constraint) == 0
-            assert built.triples() == (points, directions)
-            for v in searched.vertices:
-                assert _outcome(classify_vertex, built, v.id, diagram, lag) \
-                    == _outcome(classify_vertex, searched, v.id, diagram, lag)
-            assert aut_order(built) == aut_order(searched) == g.aut_order
-            assert graph_weights(built) == graph_weights(searched)
+        monkeypatch.setattr(Vec, "__init__", counted)
+        result = enumerate_disks(diagram, lag, constraint, c.bounds, flags=c.flags)
+        monkeypatch.undo()
+        graphs += len(result.graphs)
+    assert graphs and built == []
+
+
+def test_search_hands_each_graph_its_canonical_triples():
+    # every vertex and edge triple of every searched graph is canonical:
+    # gcd(X, Y, W) = 1 and W > 0, as `homogeneous` writes it, so equal
+    # points and directions have equal triples
+    for name, case in SHIPPED_CASES:
+        for g in builtin_fixture(name).run(case).graphs:
+            triples = [v.triple for v in g.graph.vertices] + [e.triple for e in g.graph.edges]
+            for X, Y, W in triples:
+                assert W > 0 and math.gcd(X, Y, W) == 1, (name, case, (X, Y, W))
 
 
 def test_corner_mode_reads_the_corner_cap_kind():
-    root = DiskVertex("v0", Vec(0, 0), perp_collision(1))
+    root = DiskVertex("v0", homogeneous(Vec(0, 0)), perp_collision(1))
     plain = DiskGraph(
-        [root, DiskVertex("v1", Vec(1, 0), boundary_collision(0))],
-        [DiskEdge(("v0", "v1"), Vec(1, 0))],
+        [root, DiskVertex("v1", homogeneous(Vec(1, 0)), boundary_collision(0))],
+        [DiskEdge(("v0", "v1"), homogeneous(Vec(1, 0)))],
     )
     corner = DiskGraph(
-        [root, DiskVertex("v1", Vec(1, 0), cylinder()),
-         DiskVertex("v2", Vec(1, 1), VertexKind(CORNER_CAP))],
-        [DiskEdge(("v0", "v1"), Vec(1, 0)), DiskEdge(("v1", "v2"), Vec(0, 1))],
+        [root, DiskVertex("v1", homogeneous(Vec(1, 0)), cylinder()),
+         DiskVertex("v2", homogeneous(Vec(1, 1)), VertexKind(CORNER_CAP))],
+        [DiskEdge(("v0", "v1"), homogeneous(Vec(1, 0))),
+         DiskEdge(("v1", "v2"), homogeneous(Vec(0, 1)))],
     )
     assert plain.corner_mode is False
     assert corner.corner_mode is True
@@ -1120,10 +1128,12 @@ def test_signature_agrees_with_former_body(solved_graphs):
     # hand-made graph has a zero and a half-integral kind vector and an edge
     # written from its larger end
     odd = DiskGraph(
-        [DiskVertex("a", Vec(F(1, 3), 0), VertexKind(PANT, e_black=homogeneous(Vec(0, 0)))),
-         DiskVertex("b", Vec(0, 1), VertexKind(THREE_STRIP, d1=homogeneous(Vec(F(1, 2), 1)),
-                                               d2=homogeneous(Vec(2, -1))))],
-        [DiskEdge(("a", "b"), Vec(F(-1, 3), 1), True)])
+        [DiskVertex("a", homogeneous(Vec(F(1, 3), 0)),
+                    VertexKind(PANT, e_black=homogeneous(Vec(0, 0)))),
+         DiskVertex("b", homogeneous(Vec(0, 1)),
+                    VertexKind(THREE_STRIP, d1=homogeneous(Vec(F(1, 2), 1)),
+                               d2=homogeneous(Vec(2, -1))))],
+        [DiskEdge(("a", "b"), homogeneous(Vec(F(-1, 3), 1)), True)])
     for g in [odd] + [g for _, _, _, g in solved_graphs]:
         assert g.signature() == _reference_signature(g)
         assert repr(g.signature()) == repr(_reference_signature(g))
@@ -1135,7 +1145,7 @@ def _unique_graphs_reference(completions):
     then its items in signature order."""
     unique = {}
     for c in completions:
-        unique.setdefault(_reference_signature(_build_graph(c, {})), c)
+        unique.setdefault(_reference_signature(_build_graph(c)), c)
     return [c for _, c in sorted(unique.items())]
 
 
@@ -1171,9 +1181,9 @@ def test_enumeration_builds_only_the_graphs_it_solves(monkeypatch):
     built = []
     post_init = DiskGraph.__post_init__
 
-    def counted(self, known_triples):
+    def counted(self):
         built.append(self)
-        post_init(self, known_triples)
+        post_init(self)
 
     fx = builtin_fixture("dp1")
     c = fx.case("vertical")
@@ -1861,3 +1871,24 @@ def test_leg_clear_agrees_with_ray_kernel_reference(data):
     tracer = _Tracer(diagram, lag, fx.case(case).bounds, flags)
     assert tracer._leg_clear(j, v.numerator, v.denominator) == _reference_leg_clear(
         tracer, origin, j)
+
+
+def test_leg_clear_along_a_lagrangian_edge_on_the_shear_line():
+    # dp2 `l2`: the Lagrangian runs along focus 1's shear line from the
+    # focus, at v = 0, to focus 0, at v = 1.  A w on the edge is clear; the
+    # edge blocks from beyond its farther end, and on the other side of the
+    # focus from its end at the focus.  The test above draws this case only
+    # by chance.
+    fx = builtin_fixture("dp2")
+    c = fx.case("l2")
+    diagram, lag = fx.diagram_for("l2"), fx.lagrangian_for("l2")
+    ff = diagram.focus_foci[1]
+    assert (ff.position, ff.pi) == (Vec(0, F(-1, 2)), Vec(0, 1))
+    assert [tuple(map(lag.position, e.endpoints)) for e in lag.edges] == [
+        (Vec(0, F(-1, 2)), Vec(0, F(1, 2)))]
+    tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+    for v, clear in [(F(1, 2), True), (F(1, 4), True),
+                     (F(-1, 2), False), (F(3, 2), False), (F(1), False)]:
+        assert tracer._leg_clear(1, v.numerator, v.denominator) is clear, v
+        origin = homogeneous(ff.position + ff.pi * v)
+        assert _reference_leg_clear(tracer, origin, 1) is clear, v

@@ -99,11 +99,13 @@ def _pant_vertex(open_d):
     """A vertex at the origin with a closed leg (1, -3) and an open leg
     open_d, on a Lagrangian edge of slope (1, 2) inside the dp6 hexagon."""
     e_black = Vec(1, -3)
+    pant = holomorphic_pant(homogeneous(e_black), (1, 2, 1))
     graph = DiskGraph(
-        [DiskVertex("p", Vec(0, 0), holomorphic_pant(homogeneous(e_black), (1, 2, 1))),
-         DiskVertex("q", e_black, holomorphic_pant(homogeneous(e_black), (1, 2, 1))),
-         DiskVertex("r", open_d, holomorphic_pant(homogeneous(e_black), (1, 2, 1)))],
-        [DiskEdge(("p", "q"), e_black), DiskEdge(("p", "r"), open_d, open=True)],
+        [DiskVertex("p", homogeneous(Vec(0, 0)), pant),
+         DiskVertex("q", homogeneous(e_black), pant),
+         DiskVertex("r", homogeneous(open_d), pant)],
+        [DiskEdge(("p", "q"), homogeneous(e_black)),
+         DiskEdge(("p", "r"), homogeneous(open_d), open=True)],
     )
     lag = segment_graph(Vec(F(-1, 4), F(-1, 2)), Vec(F(1, 4), F(1, 2)))
     return graph, builtin_fixture("dp6").diagram, lag

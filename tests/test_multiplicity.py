@@ -326,8 +326,8 @@ def test_pair_of_pants_unimodular_invariance(ax, ay, bx, by, m):
 
 def _graph(vertices, edges):
     return DiskGraph(
-        [DiskVertex(f"v{i}", pos, kind) for i, (pos, kind) in enumerate(vertices)],
-        [DiskEdge((f"v{a}", f"v{b}"), d, open_) for a, b, d, open_ in edges],
+        [DiskVertex(f"v{i}", homogeneous(pos), kind) for i, (pos, kind) in enumerate(vertices)],
+        [DiskEdge((f"v{a}", f"v{b}"), homogeneous(d), open_) for a, b, d, open_ in edges],
     )
 
 

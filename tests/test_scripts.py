@@ -446,3 +446,14 @@ def test_paired_ops_refuses_two_trees_whose_outputs_differ(tmp_path):
     assert "error: the outputs differ: parent sha256:" in refused.stderr
     assert ", change sha256:" in refused.stderr
     assert "change/parent" not in refused.stderr
+
+
+def test_paired_ops_times_one_checkout_against_itself():
+    # the same tree on both sides: equal digests, so the script times the
+    # rounds and prints the ratio line; its value is the harness's own bias
+    ran = subprocess.run(
+        [sys.executable, str(SCRIPTS / "paired_ops.py"), "--parent", str(SCRIPTS.parent),
+         "--change", str(SCRIPTS.parent), "--workload", "fixtures"],
+        capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    assert "change/parent process time over 15 rounds: median " in ran.stdout
