@@ -27,7 +27,10 @@ process through `tropdisk.cli.main`:
 * `EDGE_CODE_COMMANDS`: the same two forms on the saved dp6 segment case
   diagram with each Lagrangian file of `BAD_EDGES`, the dp6 segment with
   its edge of weight 2 and with a zero-length edge at its end, so the
-  codes `edge_weight_not_one` and `zero_length_edge` are compared too;
+  codes `edge_weight_not_one` and `zero_length_edge` are compared too,
+  and `potential --diagram D --lagrangian L --constraint edge:0@1/2
+  --json` on each, which the CLI refuses with the same code before the
+  search would refuse the weighted edge itself;
 * `potential --fixture F --case C --json --bounds V,L,C,S` on the cells of
   the benchmark's bound grid (`GRID_CASES`, each case's own V and C, L in
   `GRID_LENGTHS`, S in `GRID_SPLITS`), bounds the shipped cases never reach;
@@ -150,8 +153,10 @@ BAD_EDGES = {
         "edges": [["v0", "v1"], ["v1", "v2"]]},
 }
 EDGE_CODE_COMMANDS = [
-    ["validate", "--diagram", "dp6_segment.diagram.json", "--lagrangian", path, *flag]
-    for path in BAD_EDGES for flag in (["--json"], [])]
+    [command, "--diagram", "dp6_segment.diagram.json", "--lagrangian", path, *flags]
+    for path in BAD_EDGES
+    for command, flags in (("validate", ["--json"]), ("validate", []),
+                           ("potential", ["--constraint", "edge:0@1/2", "--json"]))]
 
 # a pant sign table that differs from the default at D = 1, 2 and 3
 CONVENTION = "flipped.convention.json"

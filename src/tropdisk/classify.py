@@ -155,7 +155,7 @@ def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,
             k = None if lag is None else lag.edge_through(point)
             if k is not None:
                 open_d, black_d = (d1, d2) if e1.open else (d2, d1)
-                lam_dir = (*lag.edge_direction(lag.edges[k]), 1)
+                lam_dir = (*lag.edge_direction(k), 1)
                 if pant_strip_direction(black_d, lam_dir) == open_d:
                     return holomorphic_pant(black_d, lam_dir)
                 raise UnclassifiableVertex("bivalent open/closed vertex fails pant balancing")

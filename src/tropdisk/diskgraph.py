@@ -9,16 +9,13 @@ from typing import Dict, List, Optional, Tuple
 from .geometry import GeometryError, Vec, frac, from_homogeneous, homogeneous
 from .multiplicity import CORNER_CAP, Triple, VertexKind
 
-CONSTRAINT_LAGRANGIAN = "lagrangian"
-CONSTRAINT_INTERIOR = "interior"
-
 
 @dataclass(frozen=True)
 class Constraint:
-    """The point constraint; `triple` is its point as a homogeneous triple,
-    the form the search and the rigidity solve read."""
+    """The point constraint: on Lagrangian edge `edge_index` at parameter `t`,
+    or an interior point when `edge_index` is None.  `triple` is its point
+    as a homogeneous triple, the form the search and the rigidity solve read."""
 
-    kind: str
     point: Vec
     edge_index: Optional[int] = None
     t: Optional[Fraction] = None
@@ -35,11 +32,11 @@ class Constraint:
         edge = lag.edges[check_edge_index(edge_index, len(lag.edges))]
         a = lag.position(edge.endpoints[0])
         b = lag.position(edge.endpoints[1])
-        return cls(CONSTRAINT_LAGRANGIAN, a + (b - a) * t, edge_index, t)
+        return cls(a + (b - a) * t, edge_index, t)
 
     @classmethod
     def interior_point(cls, point: Vec) -> "Constraint":
-        return cls(CONSTRAINT_INTERIOR, point)
+        return cls(point)
 
 
 def check_edge_index(edge_index: Optional[int], edges: int) -> int:

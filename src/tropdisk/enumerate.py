@@ -31,7 +31,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import (
-    CONSTRAINT_INTERIOR,
     Constraint,
     DiskEdge,
     DiskGraph,
@@ -261,7 +260,6 @@ class _Tracer:
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
                  bounds: SearchBounds, flags: FixtureFlags):
         self.diagram = diagram
-        self.lag = lag
         self.bounds = bounds
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.foci, corners = diagram.homogeneous_points()
@@ -911,14 +909,27 @@ def enumerate_disks(
 ) -> EnumerationResult:
     """Every rigid disk graph through the constraint, with its weights.
 
-    Raises GeometryError before any search for an interior constraint that
-    is not strictly inside the polygon or is a focus-focus value, whose
-    fiber is nodal, and for an edge constraint with no Lagrangian, with no
-    edge index or one the Lagrangian lacks, or off its edge's open segment.
+    Raises GeometryError before any search for a vertex or lattice length
+    bound below 1 or a cut-crossing or split bound below 0, for a Lagrangian
+    edge of weight other than 1 (the search reads every edge as primitive),
+    for an interior constraint (one with no edge index) that is not strictly
+    inside the polygon or is a focus-focus value, whose fiber is nodal, and
+    for an edge constraint with no Lagrangian, with an edge index the
+    Lagrangian lacks, or off its edge's open segment.
     """
+    for name, least in (("max_vertices", 1), ("max_lattice_length", 1),
+                        ("max_cut_crossings", 0), ("max_splits", 0)):
+        value = getattr(bounds, name)
+        if value < least:
+            raise GeometryError(f"search bound {name} is {value}, below {least}")
+    heavy = [] if lag is None else [
+        f"edge_weight_not_one:{k}" for k, e in enumerate(lag.edges) if e.weight != 1]
+    if heavy:
+        raise GeometryError("the search reads every Lagrangian edge as primitive: "
+                            + "; ".join(heavy))
     foci = diagram.homogeneous_points()[0]
     point, triple = constraint.point, constraint.triple
-    if constraint.kind != CONSTRAINT_INTERIOR:
+    if constraint.edge_index is not None:
         if lag is None:
             raise GeometryError("edge constraints need a Lagrangian")
         edge_rows, scale = lag.edge_rows()
@@ -958,7 +969,7 @@ def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[_Completi
     prepended, duplicates included, in search order."""
     tracer = _Tracer(diagram, lag, bounds, flags)
     completions: List[_Completion] = []
-    if constraint.kind == CONSTRAINT_INTERIOR:
+    if constraint.edge_index is None:
         _fiber_graphs(tracer, constraint, completions, bounds)
     else:
         _perp_graphs(tracer, lag, constraint, completions, bounds)
@@ -1035,13 +1046,13 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
 
 
 def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
-    edge = lag.edges[constraint.edge_index]
-    a_id, b_id = edge.endpoints
+    k = constraint.edge_index
+    a_id, b_id = lag.edges[k].endpoints
     # the strip must end at a seam on a Lagrangian pair of pants
     a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
     if not (a_seam or b_seam):
         return
-    lx, ly = lag.edge_direction(edge)
+    lx, ly = lag.edge_direction(k)
     lam = (lx, ly, 1)
     origin = constraint.triple
     for ex, ey in _direction_pairs(bounds.max_lattice_length):

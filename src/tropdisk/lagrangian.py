@@ -67,9 +67,18 @@ class LagGraph:
             for vid in e.endpoints:
                 if vid not in self._by_id:
                     raise GeometryError(f"edge endpoint {vid!r} not a vertex")
-        self._edge_rows = None
-        self._directions: Optional[List[Optional[Tuple[int, int]]]] = None
-        self._by_point: Optional[Dict[Tuple[int, int, int], LagVertex]] = None
+        # the integer picture every edge and location question reads: the
+        # edge rows, each edge's primitive direction (None for a zero-length
+        # edge) and the first vertex at each homogeneous point
+        self._edge_rows = integer_rows([
+            (self.position(e.endpoints[0]), self.position(e.endpoints[1]))
+            for e in self.edges
+        ])
+        self._directions = [primitive_pair(ex, ey)[:2] if ex or ey else None
+                            for _, _, ex, ey in self._edge_rows[0]]
+        self._by_point: Dict[Tuple[int, int, int], LagVertex] = {}
+        for v in self.vertices:
+            self._by_point.setdefault(homogeneous(v.position), v)
 
     # -- basic combinatorics --------------------------------------------------
 
@@ -84,14 +93,6 @@ class LagGraph:
 
     def edge_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
         """The edges as `integer_rows`, over the graph's own scale."""
-        if self._edge_rows is None:
-            self._edge_rows = integer_rows([
-                (self.position(e.endpoints[0]), self.position(e.endpoints[1]))
-                for e in self.edges
-            ])
-            # each edge's primitive direction, None for a zero-length edge
-            self._directions = [primitive_pair(ex, ey)[:2] if ex or ey else None
-                                for _, _, ex, ey in self._edge_rows[0]]
         return self._edge_rows
 
     def edge_through(self, point) -> Optional[int]:
@@ -103,31 +104,27 @@ class LagGraph:
 
     def vertex_at(self, point) -> Optional[LagVertex]:
         """The first vertex at the homogeneous point, or None."""
-        if self._by_point is None:
-            self._by_point = {}
-            for v in self.vertices:
-                self._by_point.setdefault(homogeneous(v.position), v)
         return self._by_point.get(point)
 
-    def edge_direction(self, edge: LagEdge, from_id: Optional[str] = None) -> Tuple[int, int]:
-        """Primitive integer direction of an edge, oriented away from from_id:
-        its `edge_rows()` row divided by the row's gcd, reduced once per edge."""
-        self.edge_rows()
-        direction = self._directions[self.edges.index(edge)]
+    def edge_direction(self, k: int, from_id: Optional[str] = None) -> Tuple[int, int]:
+        """Primitive integer direction of edge k, oriented away from from_id:
+        its `edge_rows()` row divided by the row's gcd."""
+        direction = self._directions[k]
         if direction is None:
             raise GeometryError("zero vector has no primitive direction")
         lx, ly = direction
-        return (-lx, -ly) if from_id == edge.endpoints[1] else (lx, ly)
+        return (-lx, -ly) if from_id == self.edges[k].endpoints[1] else (lx, ly)
 
     def edge_normal(self, k: int) -> Tuple[int, int]:
         """Edge k's primitive direction (lx, ly) turned left to (-ly, lx): the
         direction a perpendicular collision's legs run along, either way.
         The search and `classify_vertex` both read the perpendicular here."""
-        lx, ly = self.edge_direction(self.edges[k])
+        lx, ly = self.edge_direction(k)
         return -ly, lx
 
     def leg_directions(self, vid: str) -> List[Tuple[int, int]]:
-        return [self.edge_direction(e, from_id=vid) for e in self.adjacent_edges(vid)]
+        return [self.edge_direction(k, from_id=vid)
+                for k, e in enumerate(self.edges) if vid in e.endpoints]
 
     def leg_integral_vectors(self, vid: str) -> List[Tuple[int, int]]:
         """Each leg's tropical direction: weight times the primitive direction."""

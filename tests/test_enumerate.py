@@ -19,7 +19,6 @@ from test_lagrangian import ALLOWABILITY_CODES
 from tropdisk.classify import classify_vertex
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import (
-    CONSTRAINT_LAGRANGIAN,
     Constraint,
     DiskEdge,
     DiskGraph,
@@ -58,7 +57,7 @@ from tropdisk.geometry import (
     ray_segment_hit,
     shear_apply,
 )
-from tropdisk.lagrangian import LagGraph, LagVertex, segment_graph
+from tropdisk.lagrangian import LagEdge, LagGraph, LagVertex, segment_graph
 from tropdisk.multiplicity import (
     BOUNDARY_COLLISION,
     CORNER_CAP,
@@ -333,7 +332,7 @@ def solved_graphs():
         runs.append((fx.diagram_for(case), fx.lagrangian_for(case), constraint,
                      spec.bounds, spec.flags))
         diagram, lag, flags = _shifted_case(fx, case, shift)
-        if constraint.kind == CONSTRAINT_LAGRANGIAN:
+        if constraint.edge_index is not None:
             moved = Constraint.on_lagrangian(lag, constraint.edge_index, constraint.t)
         else:
             moved = Constraint.interior_point(constraint.point + shift)
@@ -377,13 +376,12 @@ def _pin_variant(variant, constraint, lag):
         return constraint
     if variant == "unpinned":
         return None
-    if constraint.kind == CONSTRAINT_LAGRANGIAN:
+    if constraint.edge_index is not None:
         a, b = (lag.position(x) for x in lag.edges[constraint.edge_index].endpoints)
         shift = Vec(a.y - b.y, b.x - a.x) * F(1, 7)
     else:
         shift = Vec(F(1, 7), F(1, 11))
-    return Constraint(constraint.kind, constraint.point + shift,
-                      constraint.edge_index, constraint.t)
+    return Constraint(constraint.point + shift, constraint.edge_index, constraint.t)
 
 
 def _frame_positions(frame, origin):
@@ -473,7 +471,7 @@ def test_rigidity_agrees_with_fraction_reference(solved_graphs, variant):
             # and the pant's edges can fix the root without the constraint
             assert dim > 0 or (dim == 0 and any(v.kind.tag == PANT_SEAM
                                                 for v in graph.vertices))
-        elif constraint.kind == CONSTRAINT_LAGRANGIAN:
+        elif constraint.edge_index is not None:
             assert dim == -1  # a fiber root moves with its graph instead
 
 
@@ -483,14 +481,13 @@ def test_rigidity_with_a_moved_constraint_agrees_with_fraction_reference(solved_
     # the constraint moved along its edge's line or off it, for an interior
     # one along (1, 0) or (0, 1): the root moves with it
     for diagram, lag, constraint, graph in solved_graphs:
-        if constraint.kind == CONSTRAINT_LAGRANGIAN:
+        if constraint.edge_index is not None:
             a, b = (lag.position(x) for x in lag.edges[constraint.edge_index].endpoints)
             along = b - a
         else:
             along = Vec(1, 0)
         step = Vec(-along.y, along.x) if off else along
-        moved = Constraint(constraint.kind, constraint.point + step * s,
-                           constraint.edge_index, constraint.t)
+        moved = Constraint(constraint.point + step * s, constraint.edge_index, constraint.t)
         assert rigidity_dimension(graph, diagram, lag, moved) \
             == _reference_dimension(graph, diagram, lag, moved)
 
@@ -542,7 +539,7 @@ def _hand_built_graphs():
         [DiskVertex("r", homogeneous(Vec(0, 0)), holomorphic_pant((1, 1, 1), (-1, 1, 1))),
          DiskVertex("b", homogeneous(Vec(F(1, 2), F(1, 2))), boundary_collision(0))],
         [edge("r", "b", 1, 1)])
-    off_segment = Constraint(CONSTRAINT_LAGRANGIAN, Vec(F(1, 8), F(1, 8)), 0, F(1, 2))
+    off_segment = Constraint(Vec(F(1, 8), F(1, 8)), 0, F(1, 2))
     # from the root at the origin no length reaches the seam's pin
     seam = DiskGraph(
         [DiskVertex("r", homogeneous(Vec(0, 0)), perp_collision(1)),
@@ -732,9 +729,10 @@ def test_library_calls_refuse_an_edge_constraint_with_no_lagrangian():
 
 def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
     # dp6's segment constraint at t = 1/3 lies on no edge of the trivalent
-    # Lagrangian (the search would return W = 0 as complete), the segment
-    # has no edge 2 (the search would raise IndexError), and an edge
-    # constraint built with no edge index names none
+    # Lagrangian (the search would return W = 0 as complete) and the segment
+    # has no edge 2 (the search would raise IndexError); a constraint with
+    # no edge index is an interior point, so an edge constraint is refused
+    # one when it is built
     fx = builtin_fixture("dp6")
     segment, trivalent = fx.lagrangians["segment"], fx.lagrangians["trivalent"]
     at_third = Constraint.on_lagrangian(segment, 0, F(1, 3))
@@ -743,9 +741,9 @@ def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
          "constraint point:1/3,-1/3 is not on edge 0 of the Lagrangian"),
         (segment, "segment", replace(at_third, edge_index=2),
          "constraint edge 2 out of range: the Lagrangian has 1 edge(s)"),
-        (segment, "segment", replace(at_third, edge_index=None),
-         "an edge constraint needs an edge index"),
     ]
+    with pytest.raises(GeometryError, match="^an edge constraint needs an edge index$"):
+        Constraint.on_lagrangian(segment, None, F(1, 3))
     for lag, case, constraint, text in cases:
         runs = [partial(enumerate_disks, fx.diagram, lag), partial(potential, fx.diagram, lag),
                 partial(fx.run, case, None)]
@@ -753,6 +751,61 @@ def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
             with pytest.raises(GeometryError) as raised:
                 run(constraint)
             assert str(raised.value) == text
+
+
+REFUSED_BOUNDS = [
+    pytest.param(SearchBounds(6, 0, 2, 3), "search bound max_lattice_length is 0, below 1",
+                 id="L=0"),
+    pytest.param(SearchBounds(6, -2, 2, 3), "search bound max_lattice_length is -2, below 1",
+                 id="L=-2"),
+    pytest.param(SearchBounds(0, 3, 2, 3), "search bound max_vertices is 0, below 1",
+                 id="V=0"),
+    pytest.param(SearchBounds(6, 3, -1, 3), "search bound max_cut_crossings is -1, below 0",
+                 id="C=-1"),
+    pytest.param(SearchBounds(6, 3, 2, -1), "search bound max_splits is -1, below 0",
+                 id="S=-1"),
+]
+
+
+@pytest.mark.parametrize("bounds,text", REFUSED_BOUNDS)
+def test_library_calls_refuse_a_bound_the_cli_refuses(bounds, text):
+    # on dp6's segment the search would return W = 0 as complete for L <= 0,
+    # warn twice that a graph exceeds max_vertices for V = 0, and read a
+    # negative C or S as 0
+    fx = builtin_fixture("dp6")
+    diagram, lag, constraint = fx.diagram, fx.lagrangian_for("segment"), fx.constraint("segment")
+    runs = [partial(enumerate_disks, diagram, lag, constraint),
+            partial(potential, diagram, lag, constraint), partial(fx.run, "segment")]
+    for run in runs:
+        with pytest.raises(GeometryError) as raised:
+            run(bounds)
+        assert str(raised.value) == text
+    assert fx.run("segment", SearchBounds(1, 1, 0, 0)).complete
+
+
+def test_library_calls_refuse_a_lagrangian_edge_of_weight_two():
+    # the search reads every Lagrangian edge as primitive: through it, dp6's
+    # segment with its edge of weight 2 would give W = -2 as complete.  A
+    # zero-length edge off the constraint never enters the search.
+    fx = builtin_fixture("dp6")
+    segment = fx.lagrangians["segment"]
+    heavy = LagGraph(list(segment.vertices), [replace(segment.edges[0], weight=2)])
+    assert heavy.is_allowable(fx.diagram) == ["edge_weight_not_one:0"]
+    heavy_fx = replace(fx, lagrangians={**fx.lagrangians, "segment": heavy})
+    text = "the search reads every Lagrangian edge as primitive: edge_weight_not_one:0"
+    for constraint in (Constraint.on_lagrangian(heavy, 0, F(1, 2)),
+                       Constraint.interior_point(Vec(F(1, 3), F(1, 5)))):
+        runs = [partial(enumerate_disks, fx.diagram, heavy),
+                partial(potential, fx.diagram, heavy), partial(heavy_fx.run, "segment", None)]
+        for run in runs:
+            with pytest.raises(GeometryError) as raised:
+                run(constraint)
+            assert str(raised.value) == text
+    end = segment.vertices[1]
+    zero = LagGraph([*segment.vertices, replace(end, id="v2")],
+                    [*segment.edges, LagEdge((end.id, "v2"))])
+    assert zero.is_allowable(fx.diagram) == ["zero_length_edge:1"]
+    assert potential(fx.diagram, zero, Constraint.on_lagrangian(zero, 0, F(1, 2))) == -2
 
 
 def test_search_and_classifier_follow_one_perpendicular(monkeypatch):
@@ -1038,6 +1091,58 @@ def test_p1xp1_no_disks():
     assert res.total() == 0
 
 
+# -- the area of a counted graph (ROADMAP item 10) ----------------------------
+
+
+def _area(graph):
+    """The sum over the graph's edges, open strips included, of <d, b - a> in
+    Fractions: d the edge's direction, a and b its end points."""
+    point = {v.id: from_homogeneous(v.triple) for v in graph.vertices}
+    total = F(0)
+    for e in graph.edges:
+        a, b = (point[vid] for vid in e.endpoints)
+        total += from_homogeneous(e.triple).dot(b - a)
+    return total
+
+
+CORNER_CAP_AREA = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 15: the corner-cap graph has area 2")
+NODE_FREE_SPHERES = [
+    ("p1xp1", "antidiagonal"),
+    pytest.param("dp7", "leg", marks=CORNER_CAP_AREA),
+    pytest.param("dp7", "leg_alt", marks=CORNER_CAP_AREA),
+    ("dp7", "diag"), ("dp6", "segment"), ("dp6", "segment_alt"), ("dp6", "trivalent"),
+]
+
+
+@pytest.mark.parametrize("name,case", NODE_FREE_SPHERES)
+def test_node_free_sphere_graphs_have_area_one(name, case):
+    # on a monotone diagram every Maslov-two disk on a sphere has the area of
+    # the central fiber's Cho-Oh disks, 1 on p1xp1, dp7 and dp6
+    assert [_area(g.graph) for g in builtin_fixture(name).run(case).graphs
+            if _area(g.graph) != 1] == []
+
+
+FIBER_POINTS = [Vec(0, 0), Vec(F(1, 16), F(1, 32)), Vec(F(-1, 5), F(1, 7)),
+                Vec(F(1, 7), F(-1, 5)), Vec(F(1, 3), F(1, 5)), Vec(F(-1, 3), F(-1, 9))]
+
+
+@pytest.mark.parametrize("name", ["p1xp1", "dp7", "dp6"])
+def test_fiber_graphs_have_the_area_of_their_facet_distance(name):
+    # a fiber disk ending on facet i has area l_i(p), the lattice distance
+    # from the constraint point p to facet i
+    diagram = builtin_fixture(name).diagram
+    facets = reference_facets(diagram)
+    counted = 0
+    for p in FIBER_POINTS:
+        for g in enumerate_disks(diagram, None, Constraint.interior_point(p)).graphs:
+            (end,) = [v for v in g.graph.vertices if v.kind.tag == BOUNDARY_COLLISION]
+            facet = facets[end.kind.index]
+            assert _area(g.graph) == facet.inward_normal.dot(p) - facet.line_value()
+            counted += 1
+    assert counted >= len(FIBER_POINTS)
+
+
 # -- stability properties -----------------------------------------------------
 
 
@@ -1277,8 +1382,8 @@ def _transform_all(diagram, lag, constraint, flags, m):
              for v in lag.vertices],
             list(lag.edges),
         )
-    constraint2 = Constraint(constraint.kind, apply_matrix(m, constraint.point),
-                             constraint.edge_index, constraint.t)
+    constraint2 = Constraint(apply_matrix(m, constraint.point), constraint.edge_index,
+                             constraint.t)
     flags2 = FixtureFlags(
         corner_caps=tuple(apply_matrix(m, c) for c in flags.corner_caps),
         corner_limit=(apply_matrix(m, flags.corner_limit)
@@ -1383,6 +1488,7 @@ class _ReferenceTracer(_Tracer):
 
     def __init__(self, diagram, lag, bounds, flags):
         super().__init__(diagram, lag, bounds, flags)
+        self.lag = lag
         self.flags = flags
         self.facets = reference_facets(diagram)
 

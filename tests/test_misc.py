@@ -241,14 +241,18 @@ def test_only_their_modules_call_the_diagram_and_lagrangian_private_methods():
 def test_enumerate_disks_leaves_its_inputs_as_they_were(name, case):
     # a search's tables (per origin, per direction, per ray) live for one
     # call: kept on the diagram or the Lagrangian, they would turn a repeated
-    # search into cache hits.  The first call may fill the objects' own lazy
-    # geometry (normals, shear pairs, edge rows) but adds no attribute; a
-    # second call changes nothing at all.
+    # search into cache hits.  The first call may fill the diagram's lazy
+    # geometry (normals, shear pairs), which `validate()` must be able to
+    # refuse, but adds no attribute; it leaves the Lagrangian, whose integer
+    # picture is built with it, as it was.  A second call changes nothing.
     fx = builtin_fixture(name)
-    objects = [o for o in (fx.diagram_for(case), fx.lagrangian_for(case)) if o is not None]
+    lag = fx.lagrangian_for(case)
+    objects = [o for o in (fx.diagram_for(case), lag) if o is not None]
     keys = [set(vars(o)) for o in objects]
+    lag_before = copy.deepcopy(vars(lag)) if lag is not None else None
     fx.run(case)
     assert [set(vars(o)) for o in objects] == keys
+    assert (vars(lag) if lag is not None else None) == lag_before
     before = [copy.deepcopy(vars(o)) for o in objects]
     fx.run(case)
     assert [vars(o) for o in objects] == before

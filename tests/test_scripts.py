@@ -239,10 +239,12 @@ def test_compare_outputs_reports_each_differing_command():
     # a Lagrangian whose focus leg leaves the shear line, in both forms
     off_shear = "validate --diagram dp5.diagram.json --lagrangian off_shear.lagrangian.json"
     focus_leg = [f"{off_shear} --json", off_shear]
-    # the dp6 segment with a weight-2 edge and with a zero-length edge, in both forms
-    edge_codes = [f"validate --diagram dp6_segment.diagram.json --lagrangian {path}{flag}"
+    # the dp6 segment with a weight-2 edge and with a zero-length edge, in both
+    # validate forms and through potential
+    edge_codes = [f"{command} --diagram dp6_segment.diagram.json --lagrangian {path}{flags}"
                   for path in ("weighted.lagrangian.json", "zero_length.lagrangian.json")
-                  for flag in (" --json", "")]
+                  for command, flags in (("validate", " --json"), ("validate", ""),
+                                         ("potential", " --constraint edge:0@1/2 --json"))]
     # the grid cells at each case's own vertex and crossing caps
     grid = [f"potential --fixture {name} --case {case} --json --bounds {v},{length},2,{splits}"
             for name, case, v in (("dp1", "vertical", 8), ("dp2", "l2", 8),
@@ -368,7 +370,8 @@ def test_compare_outputs_off_shear_lagrangian_fails_its_focus_leg(tmp_path, monk
 
 def test_compare_outputs_bad_edge_lagrangians_name_their_codes(tmp_path, monkeypatch, capsys):
     # on the saved dp6 segment diagram: a weight-2 edge, which the search
-    # would count as primitive, and a zero-length edge, which has no direction
+    # would count as primitive, and a zero-length edge, which has no
+    # direction; `potential` answers with the same code before any search
     compare = load_script("compare_outputs.py")
     for name, data in compare["BAD_EDGES"].items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -376,12 +379,16 @@ def test_compare_outputs_bad_edge_lagrangians_name_their_codes(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     codes = ["edge_weight_not_one:0", "zero_length_edge:1"]
     argvs = compare["EDGE_CODE_COMMANDS"]
-    assert len(argvs) == 2 * len(codes)
-    for (json_argv, text_argv), code in zip(zip(argvs[::2], argvs[1::2]), codes):
+    assert len(argvs) == 3 * len(codes)
+    for (json_argv, text_argv, potential_argv), code in zip(
+            zip(argvs[::3], argvs[1::3], argvs[2::3]), codes):
         assert main(json_argv) == 1
         assert json.loads(capsys.readouterr().out) == {"fixture": "dp6", "violations": [code]}
         assert main(text_argv) == 1
         assert capsys.readouterr().out == f"{code}\n"
+        assert potential_argv[0] == "potential"
+        assert main(potential_argv) == 1
+        assert capsys.readouterr() == ("", f"validation failed: {code}\n")
 
 
 def test_compare_outputs_saves_the_fiber_diagrams(tmp_path, monkeypatch, capsys):
