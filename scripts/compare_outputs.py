@@ -49,8 +49,11 @@ process through `tropdisk.cli.main`:
   an override too;
 * `potential --diagram F --json --constraint point:X,Y` at every X,Y of
   `INTERIOR_POINTS` for each noded diagram file of `FIBER_DIAGRAMS`, so
-  fibers on diagrams with focus-focus values, and the errors some of them
-  end in, are compared too;
+  fibers on diagrams with focus-focus values are compared too; under the
+  default bounds each of them finishes;
+* `COINCIDENT_FIBER`, a dp3 fiber at one vertex over the default cap,
+  where the search builds a graph with two vertices at one focus, so the
+  error it ends in (ROADMAP item 5) is compared too;
 * `validate --diagram D --lagrangian L --json` and `potential --diagram D
   --lagrangian L --json --constraint edge:K@T`, at the case's own K and T,
   on the files `case_files` names for every shipped case with a
@@ -182,6 +185,11 @@ FIBER_DIAGRAMS = {
 }
 
 
+# a dp3 fiber at V = 7, whose search reaches one focus twice in one graph
+COINCIDENT_FIBER = ["potential", "--diagram", "dp3.diagram.json", "--json",
+                    "--constraint", "point:1/16,1/32", "--bounds", "7,3,2,3"]
+
+
 def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     """The argv of every compared command, in run order; `builtin_fixture`
     supplies the grid and shipped cases' bounds and the shipped cases'
@@ -222,6 +230,7 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for path in FIBER_DIAGRAMS:
         out += [["potential", "--diagram", path, "--json", "--constraint", f"point:{xy}"]
                 for xy in INTERIOR_POINTS]
+    out.append(COINCIDENT_FIBER)
     for name, case in shipped_cases:
         fixture = builtin_fixture(name)
         if fixture.lagrangian_for(case) is not None:

@@ -15,7 +15,13 @@ before timing anything.  Then each of 15 rounds runs each operation once
 per side under `time.process_time`, the two sides alternating op by op
 (which side goes first flips from one operation to the next and from one
 round to the next), and the script prints the median and the quartiles
-over the rounds of the change's summed time over the parent's.  Timing in
+over the rounds of the change's summed time over the parent's.  It also
+prints the change's `op_p50` and `op_p90` over the parent's, each side's
+read as perfbench/run.py reads them (`statistics.median` and
+`statistics.quantiles(n=10)[8]`) over that side's per-operation median
+process times, so that it shows which percentile a change moves before a
+claim names one: a summed gain can leave the median operation where it
+was.  Timing in
 one process cancels most of the drift of a shared machine that separate
 runs of `perfbench/run.py` see, but `scripts/bench_pairs.py` is the
 harness of record: a gain is claimed from a `BENCH_*.json`, not from this
@@ -81,12 +87,11 @@ def run_pass(ops) -> list:
     return results
 
 
-def timed_rounds(ops_of: dict) -> list:
-    """The change's summed process time over the parent's, per round."""
+def timed_rounds(ops_of: dict) -> dict:
+    """Each side's process times, per operation, then per round."""
     n = len(ops_of["parent"])
-    ratios = []
+    times = {side: [[] for _ in range(n)] for side in SIDES}
     for r in range(ROUNDS):
-        spent = dict.fromkeys(SIDES, 0.0)
         for i in range(n):
             for side in (SIDES if (i + r) % 2 == 0 else SIDES[::-1]):
                 start = time.process_time()
@@ -94,9 +99,16 @@ def timed_rounds(ops_of: dict) -> list:
                     ops_of[side][i].run()
                 except Exception:  # the checked pass counted it already
                     pass
-                spent[side] += time.process_time() - start
-        ratios.append(spent["change"] / spent["parent"])
-    return ratios
+                times[side][i].append(time.process_time() - start)
+    return times
+
+
+def percentiles(op_times: list) -> tuple:
+    """(op_p50, op_p90) of one side, by perfbench/run.py's definitions, over
+    the median time of each operation."""
+    medians = [statistics.median(t) for t in op_times]
+    p90 = statistics.quantiles(medians, n=10)[8] if len(medians) > 1 else medians[0]
+    return statistics.median(medians), p90
 
 
 def main(argv=None) -> int:
@@ -120,12 +132,16 @@ def main(argv=None) -> int:
               f"change sha256:{digests['change']}", file=sys.stderr)
         return 1
 
-    ratios = timed_rounds(ops_of)
+    times = timed_rounds(ops_of)
+    ratios = [sum(c) / sum(p) for c, p in zip(zip(*times["change"]), zip(*times["parent"]))]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    (c50, c90), (p50, p90) = percentiles(times["change"]), percentiles(times["parent"])
     print(f"{args.workload} seed {SEED}: {len(ops_of['change'])} operations, "
           f"digest sha256:{digests['change'][:8]}…")
     print(f"change/parent process time over {len(ratios)} rounds: median {median:.3f}, "
           f"quartiles {q1:.3f}-{q3:.3f}")
+    print(f"change/parent over the per-operation medians: op_p50 {c50 / p50:.3f}, "
+          f"op_p90 {c90 / p90:.3f}")
     return 0
 
 

@@ -58,18 +58,19 @@ def _load_inputs(args):
 
 
 def _parse_bounds(spec: str, bounds: SearchBounds) -> SearchBounds:
-    """V,L[,C,S] over `bounds`: vertex cap and lattice length cap (each >= 1),
-    then optionally the cut-crossing and split caps (each >= 0)."""
+    """V,L[,C,S] over `bounds`: vertex cap and lattice length cap, then
+    optionally the cut-crossing and split caps, each at least its
+    `SearchBounds.MINIMA`."""
     try:
         values = [int(part) for part in spec.split(",")]
     except ValueError:
         values = []
-    if len(values) not in (2, 4) or min(values[:2]) < 1 or min(values) < 0:
+    minima = SearchBounds.MINIMA
+    if len(values) not in (2, 4) or any(v < least for v, least in zip(values, minima.values())):
         raise GeometryError(
             f"--bounds takes V,L or V,L,C,S: V and L positive, C and S "
             f"non-negative integers, not {spec!r}")
-    fields = ("max_vertices", "max_lattice_length", "max_cut_crossings", "max_splits")
-    return replace(bounds, **dict(zip(fields, values)))
+    return replace(bounds, **dict(zip(minima, values)))
 
 
 def _parse_constraint(spec: Optional[str], lag: Optional[LagGraph]) -> Constraint:

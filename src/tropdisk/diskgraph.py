@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -107,6 +108,21 @@ class DiskGraph:
 
     def position_of(self, vid: str) -> Vec:
         return self.vertex(vid).position
+
+    def area(self) -> Fraction:
+        """The sum over the edges, open strips included, of <d, b - a>: d the
+        edge's direction, a and b its end points, in the chart's dot product.
+        The terms are summed as integers over one common denominator."""
+        num, den = 0, 1
+        for e in self.edges:
+            (X, Y, W), (U, V, Z) = (self.vertex(vid).triple for vid in e.endpoints)
+            dx, dy, dw = e.triple
+            term_den = dw * W * Z
+            common = math.lcm(den, term_den)
+            num = (num * (common // den)
+                   + (dx * (U * W - X * Z) + dy * (V * W - Y * Z)) * (common // term_den))
+            den = common
+        return Fraction(num, den)
 
     def signature(self):
         """Canonical hashable form for dedup and deterministic ordering:

@@ -85,6 +85,12 @@ class SearchBounds:
     max_cut_crossings: int = 2
     max_splits: int = 3
 
+    # each bound's least value, in the order of the CLI's V,L,C,S: a search
+    # needs a vertex and a lattice length, and may neither cross a cut nor
+    # split.  Unannotated, so that it is a class attribute and not a field.
+    MINIMA = {"max_vertices": 1, "max_lattice_length": 1,
+              "max_cut_crossings": 0, "max_splits": 0}
+
     def bumped(self) -> "SearchBounds":
         return SearchBounds(
             self.max_vertices + 1,
@@ -281,6 +287,8 @@ class _Tracer:
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
+        # set by a trace that dropped a continuation for its room
+        self.pruned = False
 
     # -- event scanning -------------------------------------------------------
 
@@ -399,12 +407,24 @@ class _Tracer:
 
     # -- the trace ------------------------------------------------------------
 
-    def _trace(self, origin, d, crossings: int, splits: int) -> List[_Completion]:
+    def _trace(self, origin, d, crossings: int, splits: int, room: int) -> List[_Completion]:
         """All valid continuations of a closed edge leaving the homogeneous
-        point origin along the integer pair d.  A trace that no cut crossing
-        or split can redirect (no foci, or no budget for either) runs
-        straight, so it is cast only when its direction can end
-        (`_can_end`)."""
+        point origin along the integer pair d that add at most room
+        vertices.  A cut crossing adds one vertex (its cylinder) and a split
+        two (its pants and focus vertex) before the rest of the edge, which
+        adds at least one, so a trace with room < 2 neither crosses nor
+        splits and one with room < 3 does not split.  A trace that no cut
+        crossing or split can redirect (no foci, or no budget for either)
+        runs straight, so it is cast only when its direction can end
+        (`_can_end`).  A trace whose room may have dropped a continuation
+        sets `pruned`."""
+        if room < 3:
+            budgets = (crossings if room > 1 else 0, 0)
+            if room < 1 or budgets != (crossings, splits):
+                self.pruned = True
+                if room < 1:
+                    return []
+            crossings, splits = budgets
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
         if (not self.foci or crossings == splits == 0) and not self._can_end(prim, ell):
@@ -413,7 +433,7 @@ class _Tracer:
         if ray is None:
             return []
 
-        completions = (self._split_completions(origin, prim, d, ray, crossings, splits)
+        completions = (self._split_completions(origin, prim, d, ray, crossings, splits, room)
                        if splits > 0 else [])
         if ray.focus is not None:
             return completions + self._focus_end(origin, d, ell, ray.focus)
@@ -421,14 +441,23 @@ class _Tracer:
             if crossings <= 0:
                 return completions
             j, point = ray.cut
-            rest = self._trace(point, self.diagram.cross_cut(j, d), crossings - 1, splits)
+            rest = self._trace(point, self.diagram.cross_cut(j, d), crossings - 1, splits,
+                               room - 1)
             if rest:
                 vertex = _VertexSpec(point, cylinder())
                 edge = _EdgeSpec(origin, point, (*d, 1))
                 completions.extend(c.prepend([vertex], [edge]) for c in rest)
             return completions
         # normals are primitive, so only a primitive d can end on the boundary
-        return completions + ray.ends if ell == 1 else completions
+        if ell != 1 or not ray.ends:
+            return completions
+        if room > 1:
+            return completions + ray.ends
+        # a corner cap brings two vertices
+        ends = [c for c in ray.ends if len(c.vertices) == 1]
+        if len(ends) < len(ray.ends):
+            self.pruned = True
+        return completions + ends
 
     def _can_end(self, prim, ell) -> bool:
         """Whether a straight trace along ell * prim may end somewhere, by
@@ -508,9 +537,10 @@ class _Tracer:
                 )
         return out
 
-    def _split_completions(self, origin, prim, d, ray, crossings, splits):
+    def _split_completions(self, origin, prim, d, ray, crossings, splits, room):
         """Splits at the clear split points of the ray: at each, every arrival
-        sub_ell * sign * pi at its focus and the rest d - arrival traced on."""
+        sub_ell * sign * pi at its focus and the rest d - arrival traced on,
+        with room for two vertices fewer."""
         if ray.splits is None:
             ray.splits = self._split_points(origin, prim, ray.horizon)
         dx, dy = d
@@ -520,7 +550,7 @@ class _Tracer:
             for sub_ell in range(1, self.bounds.max_lattice_length + 1):
                 m = sub_ell * sign
                 d2 = (dx - pix * m, dy - piy * m)
-                rest = self._trace(w, d2, crossings, splits - 1)
+                rest = self._trace(w, d2, crossings, splits - 1, room - 2)
                 if not rest:
                     continue
                 ax, ay = pix * m, piy * m
@@ -907,7 +937,8 @@ def enumerate_disks(
     convention: SignConvention = DEFAULT_CONVENTION,
     flags: FixtureFlags = NO_FLAGS,
 ) -> EnumerationResult:
-    """Every rigid disk graph through the constraint, with its weights.
+    """Every rigid disk graph through the constraint with at most
+    `bounds.max_vertices` vertices, with its weights.
 
     Raises GeometryError before any search for a vertex or lattice length
     bound below 1 or a cut-crossing or split bound below 0, for a Lagrangian
@@ -917,16 +948,14 @@ def enumerate_disks(
     for an edge constraint with no Lagrangian, with an edge index the
     Lagrangian lacks, or off its edge's open segment.
     """
-    for name, least in (("max_vertices", 1), ("max_lattice_length", 1),
-                        ("max_cut_crossings", 0), ("max_splits", 0)):
+    for name, least in SearchBounds.MINIMA.items():
         value = getattr(bounds, name)
         if value < least:
             raise GeometryError(f"search bound {name} is {value}, below {least}")
-    heavy = [] if lag is None else [
-        f"edge_weight_not_one:{k}" for k, e in enumerate(lag.edges) if e.weight != 1]
+    heavy = {} if lag is None else lag.weight_violations()
     if heavy:
         raise GeometryError("the search reads every Lagrangian edge as primitive: "
-                            + "; ".join(heavy))
+                            + "; ".join(heavy.values()))
     foci = diagram.homogeneous_points()[0]
     point, triple = constraint.point, constraint.triple
     if constraint.edge_index is not None:
@@ -948,9 +977,6 @@ def enumerate_disks(
     warnings: List[str] = []
     out: List[EnumeratedGraph] = []
     for completion in _unique_graphs(completions):
-        if len(completion.vertices) > bounds.max_vertices:
-            warnings.append(f"graph with {len(completion.vertices)} vertices exceeds max_vertices")
-            continue
         g = _build_graph(completion)
         dim = rigidity_dimension(g, diagram, lag, constraint)
         if dim != 0:
@@ -1023,7 +1049,7 @@ def _fiber_graphs(tracer, constraint, completions, bounds) -> None:
     root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
     for d in _direction_pairs(bounds.max_lattice_length):
         for completion in tracer._trace(
-            origin, d, bounds.max_cut_crossings, bounds.max_splits
+            origin, d, bounds.max_cut_crossings, bounds.max_splits, bounds.max_vertices - 1
         ):
             completions.append(completion.prepend([root], []))
 
@@ -1031,18 +1057,25 @@ def _fiber_graphs(tracer, constraint, completions, bounds) -> None:
 def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
     nx, ny = lag.edge_normal(constraint.edge_index)
     origin = constraint.triple
+    crossings, splits = bounds.max_cut_crossings, bounds.max_splits
+    room = bounds.max_vertices - 1
+    # a trace adds at most a vertex per crossing, two per split and two at its end
+    unbounded = crossings + 2 * splits + 2
     for ell in range(1, bounds.max_lattice_length + 1):
-        # collision models require the crossing line on both sides
-        plus = tracer._trace(origin, (nx * ell, ny * ell),
-                             bounds.max_cut_crossings, bounds.max_splits)
-        if not plus:
-            continue
-        minus = tracer._trace(origin, (-nx * ell, -ny * ell),
-                              bounds.max_cut_crossings, bounds.max_splits)
-        if not minus:
-            continue
-        root = _VertexSpec(origin, perp_collision(ell))
-        completions.extend(c.prepend([root], []) for c in plus + minus)
+        sides = []
+        for d in ((nx * ell, ny * ell), (-nx * ell, -ny * ell)):
+            tracer.pruned = False
+            fitting = tracer._trace(origin, d, crossings, splits, room)
+            # collision models require the crossing line on both sides, at any
+            # number of vertices: a side whose room dropped every continuation
+            # is traced again with a room that never binds
+            if not (fitting or tracer.pruned
+                    and tracer._trace(origin, d, crossings, splits, unbounded)):
+                break
+            sides.append(fitting)
+        else:
+            root = _VertexSpec(origin, perp_collision(ell))
+            completions.extend(c.prepend([root], []) for c in sides[0] + sides[1])
 
 
 def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
@@ -1066,7 +1099,8 @@ def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
         target_id, seam = (b_id, b_seam) if dot < 0 else (a_id, a_seam)
         if not seam:
             continue
-        closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits)
+        closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits,
+                               bounds.max_vertices - 2)
         if not closed:
             continue
         target = homogeneous(lag.position(target_id))

@@ -181,6 +181,12 @@ class LagGraph:
                 return False
         return True
 
+    def weight_violations(self) -> Dict[int, str]:
+        """The code `edge_weight_not_one:<k>` of each edge k of weight other
+        than 1, by k: the search reads every edge as primitive, so
+        `is_allowable` reports these codes and `enumerate_disks` refuses them."""
+        return {k: f"edge_weight_not_one:{k}" for k, e in enumerate(self.edges) if e.weight != 1}
+
     def is_allowable(self, diagram: BaseDiagram) -> List[str]:
         """Violation codes for Def.-style allowability; empty means allowable.
         The diagram must pass `validate()`.  A zero-length edge has no
@@ -217,9 +223,10 @@ class LagGraph:
                 elif val == 3 and self.mikhalkin_det(v.id) != 1:
                     violations.append(f"mikhalkin_det_not_one:{v.id}")
         foci = diagram.homogeneous_points()[0]
+        heavy = self.weight_violations()
         for k, row in enumerate(rows):
-            if self.edges[k].weight != 1:  # the search reads every edge as primitive
-                violations.append(f"edge_weight_not_one:{k}")
+            if k in heavy:
+                violations.append(heavy[k])
             for focus in foci:
                 if point_on_row(focus, row, scale, closed=False):
                     violations.append(f"edge_contains_focus:{k}")

@@ -769,9 +769,9 @@ REFUSED_BOUNDS = [
 
 @pytest.mark.parametrize("bounds,text", REFUSED_BOUNDS)
 def test_library_calls_refuse_a_bound_the_cli_refuses(bounds, text):
-    # on dp6's segment the search would return W = 0 as complete for L <= 0,
-    # warn twice that a graph exceeds max_vertices for V = 0, and read a
-    # negative C or S as 0
+    # on dp6's segment the search would return W = 0 as complete for L <= 0
+    # or V <= 0, where no root has room for a vertex, and read a negative C
+    # or S as 0
     fx = builtin_fixture("dp6")
     diagram, lag, constraint = fx.diagram, fx.lagrangian_for("segment"), fx.constraint("segment")
     runs = [partial(enumerate_disks, diagram, lag, constraint),
@@ -873,7 +873,8 @@ def test_tracer_builds_no_vec(monkeypatch):
         origin = homogeneous(fx.constraint(case).point)
         monkeypatch.setattr(Vec, "__init__", counted)
         tracer = _Tracer(diagram, lag, c.bounds, c.flags)
-        traced = [tracer._trace(origin, d, c.bounds.max_cut_crossings, c.bounds.max_splits)
+        traced = [tracer._trace(origin, d, c.bounds.max_cut_crossings, c.bounds.max_splits,
+                                c.bounds.max_vertices - 1)
                   for d in _direction_pairs(c.bounds.max_lattice_length)]
         monkeypatch.undo()
         assert any(traced) and not hasattr(tracer, "vecs")
@@ -964,12 +965,16 @@ def test_boundary_hit_facets_are_facets_through_the_hit(data):
         assert point == corner and len(facets) == 2
 
 
-def _trace_vec(tracer, p, d, crossings, splits):
+# a vertex budget that no trace reaches, so that it never binds
+NO_CAP = 64
+
+
+def _trace_vec(tracer, p, d, crossings, splits, room):
     """`_Tracer._trace` from the point p along the Vec d, or [] when d is
     not integral."""
     if not d.is_integral():
         return []
-    return tracer._trace(homogeneous(p), d.as_int_pair(), crossings, splits)
+    return tracer._trace(homogeneous(p), d.as_int_pair(), crossings, splits, room)
 
 
 def _square_with_focus(sigma):
@@ -982,9 +987,9 @@ def _square_with_focus(sigma):
 def test_tracer_rejects_a_non_unipotent_shear_at_the_crossing():
     # <sigma, pi> = 1: the ray from (-1, 1) along (1, 0) crosses the cut at (0, 1)
     tracer = _Tracer(_square_with_focus(Vec(1, 1)), None, SearchBounds(), NO_FLAGS)
-    assert len(_trace_vec(tracer, Vec(-1, 1), Vec(0, -1), 2, 0)) == 1  # crosses no cut
+    assert len(_trace_vec(tracer, Vec(-1, 1), Vec(0, -1), 2, 0, NO_CAP)) == 1  # crosses no cut
     with pytest.raises(GeometryError, match="not a valid shear"):
-        _trace_vec(tracer, Vec(-1, 1), Vec(1, 0), 2, 0)
+        _trace_vec(tracer, Vec(-1, 1), Vec(1, 0), 2, 0, NO_CAP)
 
 
 def test_tracer_rejects_a_non_integral_shear_covector():
@@ -1095,8 +1100,9 @@ def test_p1xp1_no_disks():
 
 
 def _area(graph):
-    """The sum over the graph's edges, open strips included, of <d, b - a> in
-    Fractions: d the edge's direction, a and b its end points."""
+    """The reference of `DiskGraph.area()`: the sum over the graph's edges,
+    open strips included, of <d, b - a> in Fractions, d the edge's
+    direction, a and b its end points."""
     point = {v.id: from_homogeneous(v.triple) for v in graph.vertices}
     total = F(0)
     for e in graph.edges:
@@ -1119,8 +1125,8 @@ NODE_FREE_SPHERES = [
 def test_node_free_sphere_graphs_have_area_one(name, case):
     # on a monotone diagram every Maslov-two disk on a sphere has the area of
     # the central fiber's Cho-Oh disks, 1 on p1xp1, dp7 and dp6
-    assert [_area(g.graph) for g in builtin_fixture(name).run(case).graphs
-            if _area(g.graph) != 1] == []
+    assert [g.graph.area() for g in builtin_fixture(name).run(case).graphs
+            if g.graph.area() != 1] == []
 
 
 FIBER_POINTS = [Vec(0, 0), Vec(F(1, 16), F(1, 32)), Vec(F(-1, 5), F(1, 7)),
@@ -1138,7 +1144,7 @@ def test_fiber_graphs_have_the_area_of_their_facet_distance(name):
         for g in enumerate_disks(diagram, None, Constraint.interior_point(p)).graphs:
             (end,) = [v for v in g.graph.vertices if v.kind.tag == BOUNDARY_COLLISION]
             facet = facets[end.kind.index]
-            assert _area(g.graph) == facet.inward_normal.dot(p) - facet.line_value()
+            assert g.graph.area() == facet.inward_normal.dot(p) - facet.line_value()
             counted += 1
     assert counted >= len(FIBER_POINTS)
 
@@ -1319,6 +1325,94 @@ def test_unique_graphs_agree_with_dict_reference_on_every_case(name, case, lengt
                          fx.constraint(case), bounds, c.flags)
 
 
+def test_area_agrees_with_fraction_reference(solved_graphs):
+    # every graph of every shipped case, moved by a shift and at the sweep
+    # positions, then every graph of the grid cells
+    graphs = [graph for _, _, _, graph in solved_graphs]
+    for name, case, length, splits in GRID_CELLS:
+        bounds = replace(builtin_fixture(name).case(case).bounds,
+                         max_lattice_length=length, max_splits=splits)
+        graphs += [g.graph for g in builtin_fixture(name).run(case, bounds).graphs]
+    assert graphs
+    for graph in graphs:
+        assert graph.area() == _area(graph)
+
+
+def _budget_inputs():
+    """(id, diagram, lag, constraint, bounds, flags) of the searches whose
+    vertex budget is pinned: every shipped case at its own bounds and at
+    V = 1, 2 and 3, the grid cells, the dp3 and dp1 fibers at two of the
+    five points, and dp3's trivalent sphere at V = 2 and t = 5/8 on edge 0,
+    where one perpendicular side ends at once and the other only past a
+    cut, so the root counts by a side that does not fit."""
+    out = []
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        for v in (c.bounds.max_vertices, 1, 2, 3):
+            out.append((f"{name}-{case}-V{v}", fx.diagram_for(case), fx.lagrangian_for(case),
+                        fx.constraint(case), replace(c.bounds, max_vertices=v), c.flags))
+    for name, case, length, splits in GRID_CELLS:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        out.append((f"{name}-{case}-L{length}S{splits}", fx.diagram_for(case),
+                    fx.lagrangian_for(case), fx.constraint(case),
+                    replace(c.bounds, max_lattice_length=length, max_splits=splits), c.flags))
+    for name in ("dp3", "dp1"):
+        for p in (Vec(F(1, 16), F(1, 32)), Vec(F(1, 7), F(-1, 5))):
+            out.append((f"{name}-fiber-{p.x},{p.y}", builtin_fixture(name).diagram, None,
+                        Constraint.interior_point(p), SearchBounds(), NO_FLAGS))
+    fx = builtin_fixture("dp3")
+    lag = fx.lagrangian_for("trivalent")
+    out.append(("dp3-trivalent-edge0@5/8-V2", fx.diagram_for("trivalent"), lag,
+                Constraint.on_lagrangian(lag, 0, F(5, 8)),
+                replace(fx.case("trivalent").bounds, max_vertices=2), NO_FLAGS))
+    return [pytest.param(*entry[1:], id=entry[0]) for entry in out]
+
+
+@pytest.mark.parametrize("diagram,lag,constraint,bounds,flags", _budget_inputs())
+def test_vertex_budget_drops_only_graphs_over_the_cap(diagram, lag, constraint, bounds, flags):
+    # the search under the cap V gives, in order, the completions of at most
+    # V vertices of the search whose vertex budget never binds
+    v = bounds.max_vertices
+    capped = _candidate_graphs(diagram, lag, constraint, bounds, flags)
+    lifted = _candidate_graphs(diagram, lag, constraint,
+                               replace(bounds, max_vertices=NO_CAP), flags)
+    assert capped == [c for c in lifted if len(c.vertices) <= v]
+    assert all(len(c.vertices) <= v for c in capped)
+
+
+# (fixture, diagram variant, point): the fibers that built a completion
+# with two vertices at one focus before the vertex budget pruned the search;
+# each such completion had 7 to 10 vertices against the cap of 6
+NODED_FIBERS = (
+    [("dp3", None, p) for p in FIBER_POINTS[1:]]
+    + [("dp1", None, p) for p in FIBER_POINTS[1:]]
+    + [("dp2", "l1", p) for p in FIBER_POINTS[4:]])
+
+
+@pytest.mark.parametrize("name,variant,point", NODED_FIBERS)
+def test_noded_fibers_finish_under_the_default_bounds(name, variant, point):
+    fx = builtin_fixture(name)
+    diagram = fx.diagram if variant is None else fx.diagram_variants[variant]
+    result = enumerate_disks(diagram, None, Constraint.interior_point(point))
+    assert result.graphs and result.complete
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="two graph vertices at (1/8, 3/8) (ROADMAP item 5)")
+def test_dp3_fiber_finishes_at_seven_vertices():
+    # one vertex more than the default cap builds a completion that reaches
+    # a focus twice
+    diagram = builtin_fixture("dp3").diagram
+    try:
+        enumerate_disks(diagram, None, Constraint.interior_point(Vec(F(1, 16), F(1, 32))),
+                        SearchBounds(max_vertices=7))
+    except GeometryError as error:
+        assert str(error).startswith("two graph vertices")
+        raise
+
+
 LAGRANGIAN_CASES = [(name, case) for name, case in SHIPPED_CASES
                     if builtin_fixture(name).lagrangian_for(case) is not None]
 
@@ -1484,7 +1578,9 @@ class _ReferenceTracer(_Tracer):
     kept as the reference: the former bodies of `trace` and its helpers,
     writing the same specs as the tracer (homogeneous triples), testing
     split legs with `_reference_leg_clear` and capping corners on the
-    diagram's Fraction facets and the flags it was given."""
+    diagram's Fraction facets and the flags it was given.  Its recursion
+    knows no vertex budget: `trace` keeps the completions that fit in the
+    room, which is what the tracer's pruning must give."""
 
     def __init__(self, diagram, lag, bounds, flags):
         super().__init__(diagram, lag, bounds, flags)
@@ -1527,7 +1623,11 @@ class _ReferenceTracer(_Tracer):
                 events.append((F(*t), j))
         return events
 
-    def trace(self, p, dirval, crossings, splits):
+    def trace(self, p, dirval, crossings, splits, room):
+        return [c for c in self._trace_all(p, dirval, crossings, splits)
+                if len(c.vertices) <= room]
+
+    def _trace_all(self, p, dirval, crossings, splits):
         if not dirval.is_integral():
             return []
         dx, dy = dirval.as_int_pair()
@@ -1572,7 +1672,7 @@ class _ReferenceTracer(_Tracer):
             side = 1 if cx * prim[1] - cy * prim[0] > 0 else -1
             ff = self.diagram.focus_foci[j]
             new_dir = shear_apply(ff.sigma * side, ff.pi, dirval)
-            rest = self.trace(point, new_dir, crossings - 1, splits)
+            rest = self._trace_all(point, new_dir, crossings - 1, splits)
             for completion in rest:
                 completions.append(
                     completion.prepend(
@@ -1671,7 +1771,7 @@ class _ReferenceTracer(_Tracer):
                 m = sub_ell * sign
                 arrival = Vec(pix * m, piy * m)
                 d2 = Vec(dx - pix * m, dy - piy * m)
-                rest = self.trace(w, d2, crossings, splits - 1)
+                rest = self._trace_all(w, d2, crossings, splits - 1)
                 if not rest:
                     continue
                 pants = _VertexSpec(homogeneous(w),
@@ -1766,31 +1866,37 @@ def test_trace_agrees_with_fraction_reference(data):
     # a step past the boundary leaves both tracers with no ray to trace
     assume(diagram.contains(homogeneous(p)))
     crossings, splits = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    # from no room to what a trace of these budgets adds at most: a vertex
+    # per crossing, two per split and two at a corner cap
+    room = data.draw(st.integers(0, 8))
     tracer = _Tracer(diagram, lag, bounds, flags)
     reference = _ReferenceTracer(diagram, lag, bounds, flags)
-    assert _trace_vec(tracer, p, d, crossings, splits) == reference.trace(p, d, crossings, splits)
+    assert (_trace_vec(tracer, p, d, crossings, splits, room)
+            == reference.trace(p, d, crossings, splits, room))
 
 
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)
 def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
     # every direction a root may take from the case's own constraint point,
-    # under the case's own bounds (the traces the search itself makes), then
-    # with no crossing or split left, where nothing redirects a ray and the
-    # tracer casts only the directions that can end
+    # under the case's own bounds and the room of a one-vertex root (the
+    # traces the search itself makes), then with no crossing or split left,
+    # where nothing redirects a ray and the tracer casts only the directions
+    # that can end
     fx = builtin_fixture(name)
     c = fx.case(case)
     diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
     tracer = _Tracer(diagram, lag, c.bounds, c.flags)
     reference = _ReferenceTracer(diagram, lag, c.bounds, c.flags)
     q = fx.constraint(case).point
+    room = c.bounds.max_vertices - 1
     found = []
     for crossings, splits in ((c.bounds.max_cut_crossings, c.bounds.max_splits), (0, 0)):
         found.append(0)
         for d in itertools.product(range(-4, 5), repeat=2):
             if any(d):
                 d = Vec(*d)
-                completions = _trace_vec(tracer, q, d, crossings, splits)
-                assert completions == reference.trace(q, d, crossings, splits), (d, splits)
+                completions = _trace_vec(tracer, q, d, crossings, splits, room)
+                assert completions == reference.trace(q, d, crossings, splits, room), (d, splits)
                 found[-1] += len(completions)
     assert all(found), found
 
@@ -1805,10 +1911,12 @@ def test_corner_cap_follows_the_rim_towards_the_corner(tracer_class):
     p = Vec(F(-1, 2), 0)
     trace = tracer.trace if tracer_class is _ReferenceTracer else partial(_trace_vec, tracer)
     # the rim component of (1, 3) points away from the corner
-    assert trace(p, Vec(1, 3), 2, 3) == []
-    # that of (-1, 3) points towards it: the rim runs on to the corner
+    assert trace(p, Vec(1, 3), 2, 3, NO_CAP) == []
+    # that of (-1, 3) points towards it: the rim runs on to the corner, with
+    # two vertices, so not within the room of one
+    assert trace(p, Vec(-1, 3), 2, 3, 1) == []
     hit, corner = Vec(F(-5, 6), 1), Vec(-1, 1)
-    assert trace(p, Vec(-1, 3), 2, 3) == [_Completion(
+    assert trace(p, Vec(-1, 3), 2, 3, 2) == [_Completion(
         (_VertexSpec(homogeneous(hit), cylinder()),
          _VertexSpec(homogeneous(corner), VertexKind(CORNER_CAP))),
         (_edge(p, hit, Vec(-1, 3)), _edge(hit, corner, Vec(-1, 0))))]
@@ -1817,7 +1925,8 @@ def test_corner_cap_follows_the_rim_towards_the_corner(tracer_class):
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)
 def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
     # one tracer keeps its rays across every direction, lattice length and
-    # budget a search may ask for from the constraint: no state may leak
+    # budget a search may ask for from the constraint, the vertex budget of
+    # each root included: no state may leak
     fx = builtin_fixture(name)
     c = fx.case(case)
     diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
@@ -1827,12 +1936,14 @@ def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
     found = 0
     for splits in reversed(range(c.bounds.max_splits + 1)):
         for crossings in range(c.bounds.max_cut_crossings + 1):
-            for d in itertools.product(range(-bound, bound + 1), repeat=2):
-                if any(d):
-                    completions = _trace_vec(shared, q, Vec(*d), crossings, splits)
-                    fresh = _Tracer(diagram, lag, c.bounds, c.flags)
-                    assert completions == _trace_vec(fresh, q, Vec(*d), crossings, splits), d
-                    found += len(completions)
+            for room in (c.bounds.max_vertices - 1, c.bounds.max_vertices - 2):
+                for d in itertools.product(range(-bound, bound + 1), repeat=2):
+                    if any(d):
+                        completions = _trace_vec(shared, q, Vec(*d), crossings, splits, room)
+                        fresh = _Tracer(diagram, lag, c.bounds, c.flags)
+                        assert completions == _trace_vec(fresh, q, Vec(*d), crossings, splits,
+                                                         room), d
+                        found += len(completions)
     assert found or name == "p1xp1"
 
 

@@ -268,6 +268,9 @@ def test_compare_outputs_reports_each_differing_command():
               for path in ("dp5.diagram.json", "dp4.diagram.json", "dp3.diagram.json",
                            "dp2.diagram.json", "dp1.diagram.json", "dp2_l1.diagram.json")
               for xy in ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")]
+    # the dp3 fiber one vertex over the default cap, where item 5's error remains
+    coincident = ["potential --diagram dp3.diagram.json --json --constraint point:1/16,1/32 "
+                  "--bounds 7,3,2,3"]
     # the saved files of the segment case, at its own edge and t
     files = "--diagram dp6_segment.diagram.json --lagrangian dp6_segment.lagrangian.json --json"
     case_files = [f"validate {files}", f"potential {files} --constraint edge:0@1/2"]
@@ -278,7 +281,7 @@ def test_compare_outputs_reports_each_differing_command():
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
         *malformed, *unreadable, *focus_leg, *edge_codes, *grid, *unbudgeted, *edges, *points,
-        *conventions, *fibers, *case_files, *renders]
+        *conventions, *fibers, *coincident, *case_files, *renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
@@ -457,10 +460,13 @@ def test_paired_ops_refuses_two_trees_whose_outputs_differ(tmp_path):
 
 def test_paired_ops_times_one_checkout_against_itself():
     # the same tree on both sides: equal digests, so the script times the
-    # rounds and prints the ratio line; its value is the harness's own bias
+    # rounds and prints the summed ratio and the percentile ratios; their
+    # values are the harness's own bias
     ran = subprocess.run(
         [sys.executable, str(SCRIPTS / "paired_ops.py"), "--parent", str(SCRIPTS.parent),
          "--change", str(SCRIPTS.parent), "--workload", "fixtures"],
         capture_output=True, text=True)
     assert ran.returncode == 0, ran.stderr
     assert "change/parent process time over 15 rounds: median " in ran.stdout
+    assert "change/parent over the per-operation medians: op_p50 " in ran.stdout
+    assert ", op_p90 " in ran.stdout
