@@ -21,7 +21,9 @@ read as perfbench/run.py reads them (`statistics.median` and
 `statistics.quantiles(n=10)[8]`) over that side's per-operation median
 process times, so that it shows which percentile a change moves before a
 claim names one: a summed gain can leave the median operation where it
-was.  Timing in
+was.  A last line names, for each side, the operation whose median time
+is nearest its `op_p50` and the one nearest its `op_p90`, so that a claim
+can name the operation that moves.  Timing in
 one process cancels most of the drift of a shared machine that separate
 runs of `perfbench/run.py` see, but `scripts/bench_pairs.py` is the
 harness of record: a gain is claimed from a `BENCH_*.json`, not from this
@@ -105,10 +107,13 @@ def timed_rounds(ops_of: dict) -> dict:
 
 def percentiles(op_times: list) -> tuple:
     """(op_p50, op_p90) of one side, by perfbench/run.py's definitions, over
-    the median time of each operation."""
+    the median time of each operation, and the indices of the operations
+    whose median times are nearest each."""
     medians = [statistics.median(t) for t in op_times]
+    p50 = statistics.median(medians)
     p90 = statistics.quantiles(medians, n=10)[8] if len(medians) > 1 else medians[0]
-    return statistics.median(medians), p90
+    nearest = [min(range(len(medians)), key=lambda i: abs(medians[i] - p)) for p in (p50, p90)]
+    return p50, p90, nearest
 
 
 def main(argv=None) -> int:
@@ -135,13 +140,17 @@ def main(argv=None) -> int:
     times = timed_rounds(ops_of)
     ratios = [sum(c) / sum(p) for c, p in zip(zip(*times["change"]), zip(*times["parent"]))]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    (c50, c90), (p50, p90) = percentiles(times["change"]), percentiles(times["parent"])
+    (c50, c90, c_at), (p50, p90, p_at) = percentiles(times["change"]), percentiles(times["parent"])
+    parent_ops, change_ops = ops_of["parent"], ops_of["change"]
     print(f"{args.workload} seed {SEED}: {len(ops_of['change'])} operations, "
           f"digest sha256:{digests['change'][:8]}…")
     print(f"change/parent process time over {len(ratios)} rounds: median {median:.3f}, "
           f"quartiles {q1:.3f}-{q3:.3f}")
     print(f"change/parent over the per-operation medians: op_p50 {c50 / p50:.3f}, "
           f"op_p90 {c90 / p90:.3f}")
+    print(f"operations nearest op_p50: parent {parent_ops[p_at[0]].label}, "
+          f"change {change_ops[c_at[0]].label}; op_p90: parent {parent_ops[p_at[1]].label}, "
+          f"change {change_ops[c_at[1]].label}")
     return 0
 
 

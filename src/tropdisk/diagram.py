@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import (
     GeometryError,
@@ -82,6 +82,7 @@ class BaseDiagram:
     def __post_init__(self):
         self._facet_rows = None
         self._normals: Optional[List[Tuple[int, int]]] = None
+        self._facets_of_normal: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
         self._shears = None
         self._points = None
@@ -101,9 +102,14 @@ class BaseDiagram:
     def normals(self) -> List[Tuple[int, int]]:
         """The facets' primitive inward normals as integer pairs: each facet
         row's edge (ex, ey), a positive multiple of the ccw edge, rotated
-        left to (-ey, ex) and divided by its gcd."""
+        left to (-ey, ex) and divided by its gcd.  It also indexes the facets
+        by normal, in order, for `collision_facet`."""
         if self._normals is None:
-            self._normals = [primitive_pair(-ey, ex)[:2] for _, _, ex, ey in self.facet_rows()[0]]
+            normals = [primitive_pair(-ey, ex)[:2] for _, _, ex, ey in self.facet_rows()[0]]
+            self._facets_of_normal = {}
+            for i, n in enumerate(normals):
+                self._facets_of_normal.setdefault(n, []).append(i)
+            self._normals = normals
         return self._normals
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
@@ -190,11 +196,14 @@ class BaseDiagram:
         """The first of `facets` whose primitive inward normal is the integer
         pair d, or None: a closed leg leaving a boundary point along d is a
         collision with that facet.  The search and `classify_vertex` both
-        decide a boundary collision here."""
-        normals = self.normals()
-        for i in facets:
-            if normals[i] == d:
-                return i
+        decide a boundary collision here.  A d that is no facet's normal is
+        one dictionary miss."""
+        self.normals()
+        ids = self._facets_of_normal.get(d)
+        if ids is not None:
+            for i in facets:
+                if i in ids:
+                    return i
         return None
 
     def _cut_exit(self, j: int):

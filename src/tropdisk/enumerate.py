@@ -22,6 +22,7 @@ the same triples, so the search builds no Vec.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from .multiplicity import (
     PERP_COLLISION,
     THREE_STRIP,
     SignConvention,
+    Triple,
     VertexKind,
     boundary_collision,
     cylinder,
@@ -102,10 +104,19 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class FixtureFlags:
-    """Per-fixture enumeration switches (cutting-data choices)."""
+    """Per-fixture enumeration switches (cutting-data choices).  `cap_triples`
+    and `limit_triple` are the corners and the limit as homogeneous triples,
+    the form the search reads."""
 
     corner_caps: Tuple[Vec, ...] = ()
     corner_limit: Optional[Vec] = None
+    cap_triples: Tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+    limit_triple: Optional[Triple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cap_triples", tuple(homogeneous(c) for c in self.corner_caps))
+        object.__setattr__(self, "limit_triple", None if self.corner_limit is None
+                           else homogeneous(self.corner_limit))
 
 
 NO_FLAGS = FixtureFlags()
@@ -260,7 +271,11 @@ class _Tracer:
     end as it runs straight (`_can_end`): at a focus along its shear
     (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
     facet or at a flagged corner's cap.  So a search on a diagram with no
-    foci casts only the directions of its possible ends.
+    foci casts only the directions of its possible ends.  The tracer fixes
+    what that test scans when it is built (the focus and facet ids, and each
+    flagged corner's offset once, from the flags' triples), so a test
+    re-derives nothing, and with no foci and no caps it is one dictionary
+    lookup.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
@@ -275,14 +290,18 @@ class _Tracer:
         # Lagrangian leaves free, each as (corner, offset), the offset being
         # `_offset(corner_limit, corner)` (None without a limit): a rim
         # continuation from the facet aims at one of them
-        flagged = {homogeneous(c) for c in flags.corner_caps}
-        limit = None if flags.corner_limit is None else homogeneous(flags.corner_limit)
+        flagged, limit = set(flags.cap_triples), flags.limit_triple
         self.cap_table: Dict[int, List[Tuple]] = {}
         for i in range(len(corners)):
             for c in (corners[i], corners[(i + 1) % len(corners)]):
                 if c in flagged and (lag is None or lag.vertex_at(c) is None):
                     offset = None if limit is None else _offset(limit, c)
                     self.cap_table.setdefault(i, []).append((c, offset))
+        # what `_can_end` scans: each flagged corner's offset once
+        self._cap_offsets = tuple(dict.fromkeys(
+            offset for caps in self.cap_table.values() for _, offset in caps))
+        self._focus_ids = range(len(self.foci))
+        self._facet_ids = range(len(diagram.normals()))
         self._origins: Dict[Tuple[int, int, int], _Origin] = {}
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -464,15 +483,18 @@ class _Tracer:
         the rules its ends use: at a focus along its shear (`along_shear`),
         at any ell; or, for ell = 1, on the boundary, head-on on some facet
         (`collision_facet` over every facet) or at a flagged corner whose
-        cap admits prim (`_cap_admits`)."""
+        cap admits prim (`_cap_admits`).  With no foci and no caps it is
+        one `collision_facet` call, a dictionary miss unless -prim is a
+        facet's normal."""
         diagram = self.diagram
-        if any(diagram.along_shear(j, prim) for j in range(len(self.foci))):
+        if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
             return True
-        facets = range(len(diagram.normals()))
-        return ell == 1 and (
-            diagram.collision_facet(facets, (-prim[0], -prim[1])) is not None
-            or any(_cap_admits(offset, prim)
-                   for caps in self.cap_table.values() for _, offset in caps))
+        if ell != 1:
+            return False
+        if diagram.collision_facet(self._facet_ids, (-prim[0], -prim[1])) is not None:
+            return True
+        return bool(self._cap_offsets) and any(
+            _cap_admits(offset, prim) for offset in self._cap_offsets)
 
     def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
         leg = (_EdgeSpec(origin, self.foci[j], (*d, 1)),)
@@ -924,9 +946,11 @@ def _echelon_rank(matrix: List[List[int]], cols: int) -> Tuple[int, bool]:
 # -- roots and the public API -----------------------------------------------------
 
 
-def _direction_pairs(bound: int):
-    """The nonzero integer pairs in [-bound, bound]^2, x major."""
-    return [d for d in itertools.product(range(-bound, bound + 1), repeat=2) if any(d)]
+@functools.lru_cache(maxsize=None)
+def _direction_pairs(bound: int) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero integer pairs in [-bound, bound]^2, x major, built once
+    per bound."""
+    return tuple(d for d in itertools.product(range(-bound, bound + 1), repeat=2) if any(d))
 
 
 def enumerate_disks(

@@ -733,6 +733,35 @@ def test_normals_agree_with_fraction_reference(data):
             facet.inward_normal.as_int_pair() for facet in reference_facets(diagram)]
 
 
+# a pentagon whose first two facets lie on one line: both have the normal (0, 1)
+COLLINEAR = BaseDiagram("collinear", [Vec(0, 0), Vec(1, 0), Vec(2, 0), Vec(2, 2), Vec(0, 2)])
+
+
+@pytest.mark.parametrize("diagram", FIXTURE_DIAGRAMS + [COLLINEAR])
+def test_collision_facet_agrees_with_a_linear_scan(diagram):
+    # d over +- every normal and pairs that are no normal; facets as a range,
+    # in order, reversed and as a subset
+    normals = reference_normals(diagram)
+    n = len(normals)
+    pairs = {p for nx, ny in normals for p in ((nx, ny), (-nx, -ny))}
+    others = {(0, 0), (2, 0), (1, 2), (-3, 1), (2, -2), (1, -1)} - set(normals)
+    assert others
+    orders = [range(n), list(range(n)), list(range(n))[::-1], list(range(1, n, 2)), []]
+    for d in sorted(pairs | others):
+        for facets in orders:
+            assert diagram.collision_facet(facets, d) == next(
+                (i for i in facets if normals[i] == d), None), (d, facets)
+
+
+def test_collision_facet_takes_the_first_of_two_collinear_facets():
+    assert COLLINEAR.normals()[:2] == [(0, 1), (0, 1)]
+    assert COLLINEAR.collision_facet(range(5), (0, 1)) == 0
+    assert COLLINEAR.collision_facet([1, 0], (0, 1)) == 1
+    assert COLLINEAR.collision_facet([4, 3, 1, 0], (0, 1)) == 1
+    assert COLLINEAR.collision_facet([2, 3, 4], (0, 1)) is None
+    assert COLLINEAR.collision_facet([0, 1], (0, -1)) is None
+
+
 def _cuts_or_none(diagram):
     try:
         return diagram.branch_cuts(), diagram.cut_rows()

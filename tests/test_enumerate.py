@@ -4,7 +4,7 @@ import pathlib
 import random
 import runpy
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from functools import partial
 
@@ -53,6 +53,7 @@ from tropdisk.geometry import (
     homogeneous,
     primitive,
     primitive_and_length,
+    primitive_pair,
     ray_point,
     ray_segment_hit,
     shear_apply,
@@ -854,6 +855,71 @@ def test_node_free_search_casts_only_directions_that_can_end(monkeypatch):
             offsets = [offset for caps in tracer.cap_table.values() for _, offset in caps]
             assert (diagram.collision_facet(facets, (-px, -py)) is not None
                     or any(_cap_admits(offset, (px, py)) for offset in offsets)), (case, px, py)
+
+
+def _reference_can_end(tracer, prim, ell):
+    """`_Tracer._can_end` as a scan of every focus, every facet's normal and
+    every corner of `cap_table`, kept as the reference."""
+    diagram = tracer.diagram
+    if any(diagram.along_shear(j, prim) for j in range(len(tracer.foci))):
+        return True
+    return ell == 1 and (
+        (-prim[0], -prim[1]) in diagram.normals()
+        or any(_cap_admits(offset, prim)
+               for caps in tracer.cap_table.values() for _, offset in caps))
+
+
+def test_can_end_agrees_with_a_reference_scan():
+    # every shipped case with its own flags, and with two hand-built caps on
+    # its first corners: one whose corner is the limit (offset (0, 0), which
+    # admits every direction) and two with no limit (offset None)
+    offsets = set()
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+        corners = diagram.polygon
+        at_limit = FixtureFlags(corner_caps=(corners[0],), corner_limit=corners[0])
+        no_limit = FixtureFlags(corner_caps=tuple(corners[:2]))
+        bound = c.bounds.max_lattice_length
+        prims = {primitive_pair(*d)[:2] for d in _direction_pairs(bound)}
+        if lag is not None:
+            for k in range(len(lag.edges)):
+                nx, ny = lag.edge_normal(k)
+                prims |= {(nx, ny), (-nx, -ny)}
+        for flags in (c.flags, at_limit, no_limit):
+            tracer = _Tracer(diagram, lag, c.bounds, flags)
+            offsets |= {offset for caps in tracer.cap_table.values() for _, offset in caps}
+            for prim in sorted(prims):
+                for ell in range(1, bound + 1):
+                    assert tracer._can_end(prim, ell) == _reference_can_end(tracer, prim, ell), \
+                        (name, case, flags, prim, ell)
+    assert {(0, 0), None} <= offsets
+
+
+def test_fixture_flags_store_their_triples():
+    # the triples are derived fields: equal to `homogeneous` of each Vec,
+    # outside ==, hash and repr, and rebuilt by `replace`
+    caps, limit = (Vec(-1, 1), Vec(F(1, 2), F(-1, 3))), Vec(F(1, 3), 0)
+    flags = FixtureFlags(corner_caps=caps, corner_limit=limit)
+    assert flags.cap_triples == ((-1, 1, 1), (3, -2, 6))
+    assert flags.limit_triple == homogeneous(limit) == (1, 0, 3)
+    assert (NO_FLAGS.cap_triples, NO_FLAGS.limit_triple) == ((), None)
+    for name, case in SHIPPED_CASES:
+        shipped = builtin_fixture(name).case(case).flags
+        assert shipped.cap_triples == tuple(homogeneous(c) for c in shipped.corner_caps)
+        assert shipped.limit_triple == (None if shipped.corner_limit is None
+                                        else homogeneous(shipped.corner_limit))
+    assert [f.name for f in fields(FixtureFlags) if f.compare or f.repr or f.init] == [
+        "corner_caps", "corner_limit"]
+    same = FixtureFlags(corner_caps=tuple(caps), corner_limit=Vec(F(2, 6), 0))
+    assert same == flags and hash(same) == hash(flags) == hash((caps, limit))
+    assert flags != FixtureFlags(corner_caps=caps)
+    assert repr(flags) == f"FixtureFlags(corner_caps={caps!r}, corner_limit={limit!r})"
+    moved = replace(flags, corner_caps=(Vec(2, -3),), corner_limit=None)
+    assert (moved.cap_triples, moved.limit_triple) == (((2, -3, 1),), None)
+    assert replace(flags).cap_triples == flags.cap_triples
+    assert replace(NO_FLAGS, corner_limit=limit).limit_triple == (1, 0, 3)
 
 
 def test_tracer_builds_no_vec(monkeypatch):

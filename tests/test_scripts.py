@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import runpy
 import shutil
 import subprocess
@@ -460,8 +461,9 @@ def test_paired_ops_refuses_two_trees_whose_outputs_differ(tmp_path):
 
 def test_paired_ops_times_one_checkout_against_itself():
     # the same tree on both sides: equal digests, so the script times the
-    # rounds and prints the summed ratio and the percentile ratios; their
-    # values are the harness's own bias
+    # rounds and prints the summed ratio, the percentile ratios and the
+    # operations nearest each side's percentiles; their values are the
+    # harness's own bias
     ran = subprocess.run(
         [sys.executable, str(SCRIPTS / "paired_ops.py"), "--parent", str(SCRIPTS.parent),
          "--change", str(SCRIPTS.parent), "--workload", "fixtures"],
@@ -470,3 +472,9 @@ def test_paired_ops_times_one_checkout_against_itself():
     assert "change/parent process time over 15 rounds: median " in ran.stdout
     assert "change/parent over the per-operation medians: op_p50 " in ran.stdout
     assert ", op_p90 " in ran.stdout
+    # every fixtures label is name:case; each side names one per percentile
+    (line,) = [ln for ln in ran.stdout.splitlines() if ln.startswith("operations nearest op_p50: ")]
+    p50, p90 = line[len("operations nearest "):].split("; ")
+    for part, percentile in ((p50, "op_p50"), (p90, "op_p90")):
+        head, parent, change = re.fullmatch(r"(\w+): parent (\S+), change (\S+)", part).groups()
+        assert head == percentile and ":" in parent and ":" in change
