@@ -16,14 +16,17 @@ per side under `time.process_time`, the two sides alternating op by op
 (which side goes first flips from one operation to the next and from one
 round to the next), and the script prints the median and the quartiles
 over the rounds of the change's summed time over the parent's.  It also
-prints the change's `op_p50` and `op_p90` over the parent's, each side's
-read as perfbench/run.py reads them (`statistics.median` and
-`statistics.quantiles(n=10)[8]`) over that side's per-operation median
-process times, so that it shows which percentile a change moves before a
-claim names one: a summed gain can leave the median operation where it
-was.  A last line names, for each side, the operation whose median time
-is nearest its `op_p50` and the one nearest its `op_p90`, so that a claim
-can name the operation that moves.  Timing in
+prints the median and the quartiles over the rounds of the change's
+`op_p50` and `op_p90` over the parent's, each side's read in each round as
+perfbench/run.py reads them (`statistics.median` and
+`statistics.quantiles(n=10)[8]`) over that round's operation times, so
+that it shows which percentile a change moves before a claim names one: a
+summed gain can leave the median operation where it was, and on a
+workload of few operations the quartiles show how much one operation's
+noise moves a percentile.  A last line names, for each side, the operation
+whose median time over the rounds is nearest the `op_p50` of those
+medians and the one nearest their `op_p90`, so that a claim can name the
+operation that moves.  Timing in
 one process cancels most of the drift of a shared machine that separate
 runs of `perfbench/run.py` see, but `scripts/bench_pairs.py` is the
 harness of record: a gain is claimed from a `BENCH_*.json`, not from this
@@ -105,15 +108,25 @@ def timed_rounds(ops_of: dict) -> dict:
     return times
 
 
-def percentiles(op_times: list) -> tuple:
-    """(op_p50, op_p90) of one side, by perfbench/run.py's definitions, over
-    the median time of each operation, and the indices of the operations
-    whose median times are nearest each."""
+def percentiles(times: list) -> tuple:
+    """(op_p50, op_p90) of one time per operation, by perfbench/run.py's
+    definitions."""
+    p90 = statistics.quantiles(times, n=10)[8] if len(times) > 1 else times[0]
+    return statistics.median(times), p90
+
+
+def nearest(op_times: list) -> list:
+    """The indices of the operations whose median times are nearest the
+    `op_p50` and the `op_p90` of those medians."""
     medians = [statistics.median(t) for t in op_times]
-    p50 = statistics.median(medians)
-    p90 = statistics.quantiles(medians, n=10)[8] if len(medians) > 1 else medians[0]
-    nearest = [min(range(len(medians)), key=lambda i: abs(medians[i] - p)) for p in (p50, p90)]
-    return p50, p90, nearest
+    return [min(range(len(medians)), key=lambda i: abs(medians[i] - p))
+            for p in percentiles(medians)]
+
+
+def spread(ratios: list) -> str:
+    """The median and the quartiles of ratios."""
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}"
 
 
 def main(argv=None) -> int:
@@ -138,16 +151,17 @@ def main(argv=None) -> int:
         return 1
 
     times = timed_rounds(ops_of)
-    ratios = [sum(c) / sum(p) for c, p in zip(zip(*times["change"]), zip(*times["parent"]))]
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    (c50, c90, c_at), (p50, p90, p_at) = percentiles(times["change"]), percentiles(times["parent"])
+    rounds = list(zip(zip(*times["change"]), zip(*times["parent"])))
+    summed = [sum(c) / sum(p) for c, p in rounds]
+    p50s, p90s = zip(*[[x / y for x, y in zip(percentiles(c), percentiles(p))]
+                       for c, p in rounds])
+    c_at, p_at = nearest(times["change"]), nearest(times["parent"])
     parent_ops, change_ops = ops_of["parent"], ops_of["change"]
     print(f"{args.workload} seed {SEED}: {len(ops_of['change'])} operations, "
           f"digest sha256:{digests['change'][:8]}…")
-    print(f"change/parent process time over {len(ratios)} rounds: median {median:.3f}, "
-          f"quartiles {q1:.3f}-{q3:.3f}")
-    print(f"change/parent over the per-operation medians: op_p50 {c50 / p50:.3f}, "
-          f"op_p90 {c90 / p90:.3f}")
+    print(f"change/parent process time over {len(summed)} rounds: {spread(summed)}")
+    print(f"change/parent percentiles over the rounds: op_p50 {spread(p50s)}; "
+          f"op_p90 {spread(p90s)}")
     print(f"operations nearest op_p50: parent {parent_ops[p_at[0]].label}, "
           f"change {change_ops[c_at[0]].label}; op_p90: parent {parent_ops[p_at[1]].label}, "
           f"change {change_ops[c_at[1]].label}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import (
@@ -75,11 +75,13 @@ class InvalidDiagram(GeometryError):
 
 @dataclass
 class BaseDiagram:
+    """Its tuples refuse in-place edits; a reassigned field would outdate its tables."""
     name: str
-    polygon: List[Vec]                      # counterclockwise vertices
-    focus_foci: List[FocusFocus] = field(default_factory=list)
+    polygon: Tuple[Vec, ...]                # counterclockwise vertices
+    focus_foci: Tuple[FocusFocus, ...] = ()
 
     def __post_init__(self):
+        self.polygon, self.focus_foci = tuple(self.polygon), tuple(self.focus_foci)
         self._facet_rows = None
         self._normals: Optional[List[Tuple[int, int]]] = None
         self._facets_of_normal: Optional[Dict[Tuple[int, int], List[int]]] = None

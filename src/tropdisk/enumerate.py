@@ -306,8 +306,6 @@ class _Tracer:
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
-        # set by a trace that dropped a continuation for its room
-        self.pruned = False
 
     # -- event scanning -------------------------------------------------------
 
@@ -435,15 +433,11 @@ class _Tracer:
         splits and one with room < 3 does not split.  A trace that no cut
         crossing or split can redirect (no foci, or no budget for either)
         runs straight, so it is cast only when its direction can end
-        (`_can_end`).  A trace whose room may have dropped a continuation
-        sets `pruned`."""
+        (`_can_end`)."""
         if room < 3:
-            budgets = (crossings if room > 1 else 0, 0)
-            if room < 1 or budgets != (crossings, splits):
-                self.pruned = True
-                if room < 1:
-                    return []
-            crossings, splits = budgets
+            if room < 1:
+                return []
+            crossings, splits = (crossings if room > 1 else 0), 0
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
         if (not self.foci or crossings == splits == 0) and not self._can_end(prim, ell):
@@ -473,10 +467,7 @@ class _Tracer:
         if room > 1:
             return completions + ray.ends
         # a corner cap brings two vertices
-        ends = [c for c in ray.ends if len(c.vertices) == 1]
-        if len(ends) < len(ray.ends):
-            self.pruned = True
-        return completions + ends
+        return completions + [c for c in ray.ends if len(c.vertices) == 1]
 
     def _can_end(self, prim, ell) -> bool:
         """Whether a straight trace along ell * prim may end somewhere, by
@@ -1083,17 +1074,17 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
     origin = constraint.triple
     crossings, splits = bounds.max_cut_crossings, bounds.max_splits
     room = bounds.max_vertices - 1
-    # a trace adds at most a vertex per crossing, two per split and two at its end
-    unbounded = crossings + 2 * splits + 2
+    # a room that never binds: a trace adds a vertex per cut crossing and two
+    # per split, both only with foci, and at most two at its end (a corner cap)
+    unbounded = (crossings + 2 * splits if tracer.foci else 0) + 2
     for ell in range(1, bounds.max_lattice_length + 1):
         sides = []
         for d in ((nx * ell, ny * ell), (-nx * ell, -ny * ell)):
-            tracer.pruned = False
             fitting = tracer._trace(origin, d, crossings, splits, room)
             # collision models require the crossing line on both sides, at any
-            # number of vertices: a side whose room dropped every continuation
-            # is traced again with a room that never binds
-            if not (fitting or tracer.pruned
+            # number of vertices: a side with nothing in the room is traced
+            # again in the room that never binds, if the room can bind
+            if not (fitting or room < unbounded
                     and tracer._trace(origin, d, crossings, splits, unbounded)):
                 break
             sides.append(fitting)

@@ -56,10 +56,12 @@ class LagEdge:
 
 @dataclass
 class LagGraph:
-    vertices: List[LagVertex]
-    edges: List[LagEdge]
+    """Its tuples refuse in-place edits; a reassigned field would outdate its tables."""
+    vertices: Tuple[LagVertex, ...]
+    edges: Tuple[LagEdge, ...]
 
     def __post_init__(self):
+        self.vertices, self.edges = tuple(self.vertices), tuple(self.edges)
         self._by_id: Dict[str, LagVertex] = {v.id: v for v in self.vertices}
         if len(self._by_id) != len(self.vertices):
             raise GeometryError("duplicate vertex ids")
@@ -300,7 +302,7 @@ class LagGraph:
                 crossings.append((k, from_homogeneous(point)))
         new_foci = list(diagram.focus_foci)
         new_foci[focus_index] = replace(ff, position=new_position)
-        new_diagram = BaseDiagram(diagram.name, list(diagram.polygon), new_foci)
+        new_diagram = BaseDiagram(diagram.name, diagram.polygon, new_foci)
         if len(crossings) > 1:
             raise GeometryError("slide crosses more than one edge")
         problems = new_diagram.validate()
@@ -308,7 +310,7 @@ class LagGraph:
             raise GeometryError(f"nodal slide to {new_position!r} gives an invalid "
                                 f"diagram: {problems}")
         if not crossings:
-            return LagGraph(list(self.vertices), list(self.edges)), new_diagram
+            return LagGraph(self.vertices, self.edges), new_diagram
         k, hit = crossings[0]
         edge = self.edges[k]
         a_id, b_id = edge.endpoints

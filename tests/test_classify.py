@@ -304,8 +304,8 @@ def test_strips_at_a_trivalent_lagrangian_vertex():
         _raises(_star(origin, skew[:k]), DP6.diagram, lag, UnclassifiableVertex,
                 "matches no case")
     # a Lagrangian leg of zero length has no direction
-    stub = LagGraph(lag.vertices + [LagVertex("z", origin)],
-                    lag.edges[:2] + [LagEdge(("c", "z"))])
+    stub = LagGraph(lag.vertices + (LagVertex("z", origin),),
+                    lag.edges[:2] + (LagEdge(("c", "z")),))
     for k in (1, 2, 3):
         _raises(_star(origin, opened[:k]), DP6.diagram, stub, GeometryError,
                 "zero vector has no primitive direction")

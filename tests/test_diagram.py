@@ -153,6 +153,18 @@ FIXTURE_DIAGRAMS = [
 ]
 
 
+def test_inputs_of_the_cached_tables_are_tuples():
+    # the tables are built once from the polygon, the foci and the
+    # Lagrangian's vertices and edges, so none of them can be edited in place
+    lags = [lag for fx in map(builtin_fixture, FIXTURE_NAMES) for lag in fx.lagrangians.values()]
+    held = ([d.polygon for d in FIXTURE_DIAGRAMS] + [d.focus_foci for d in FIXTURE_DIAGRAMS]
+            + [lag.vertices for lag in lags] + [lag.edges for lag in lags])
+    for items in held:
+        assert type(items) is tuple
+        with pytest.raises(AttributeError):
+            items.append(items[0] if items else None)
+
+
 class ReferenceFacet(NamedTuple):
     """A facet in Fractions, as `BaseDiagram` once held it: its two corners
     and its primitive inward normal from `reference_normals`."""
@@ -247,7 +259,7 @@ def test_cut_exits_agree_with_fraction_reference(data):
         pi = primitive(corner - position)
     ff = FocusFocus(position, pi=pi, sigma=Vec(pi.y, -pi.x),
                     cut_sign=data.draw(st.sampled_from([1, -1])))
-    diagram.focus_foci.append(ff)
+    diagram = BaseDiagram(diagram.name, diagram.polygon, [ff])
     assert diagram.branch_cuts() == [(position, reference_cut_exit(diagram, ff))]
 
 

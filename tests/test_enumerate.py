@@ -1448,6 +1448,48 @@ def test_vertex_budget_drops_only_graphs_over_the_cap(diagram, lag, constraint, 
     assert all(len(c.vertices) <= v for c in capped)
 
 
+@pytest.mark.parametrize(
+    "name,case,length,splits",
+    [(name, case, None, None) for name, case in SHIPPED_CASES
+     if builtin_fixture(name).constraint(case).edge_index is not None] + GRID_CELLS)
+def test_perpendicular_side_is_traced_again_only_when_its_room_can_bind(
+        monkeypatch, name, case, length, splits):
+    # the perpendicular root traces each side along +-ell n at the room
+    # V - 1, and an empty side once more, at the room that never binds, only
+    # when V - 1 is below it: C + 2S + 2 with foci, 2 (a corner cap) without.
+    # The pant root skips these directions, for <n, lambda> = 0.
+    fx = builtin_fixture(name)
+    c = fx.case(case)
+    bounds = c.bounds if length is None else replace(
+        c.bounds, max_lattice_length=length, max_splits=splits)
+    diagram, lag, constraint = fx.diagram_for(case), fx.lagrangian_for(case), fx.constraint(case)
+    nx, ny = lag.edge_normal(constraint.edge_index)
+    sides = {(s * ell * nx, s * ell * ny)
+             for ell in range(1, bounds.max_lattice_length + 1) for s in (1, -1)}
+    traced = {}
+    trace = _Tracer._trace
+
+    def recording(tracer, origin, d, crossings, splits, room):
+        out = trace(tracer, origin, d, crossings, splits, room)
+        if origin == constraint.triple and d in sides:
+            traced.setdefault(d, []).append((room, bool(out)))
+        return out
+
+    monkeypatch.setattr(_Tracer, "_trace", recording)
+    _candidate_graphs(diagram, lag, constraint, bounds, c.flags)
+    room = bounds.max_vertices - 1
+    unbounded = (bounds.max_cut_crossings + 2 * bounds.max_splits
+                 if diagram.focus_foci else 0) + 2
+    assert traced
+    for d, calls in traced.items():
+        assert calls[0][0] == room, d
+        assert len(calls) <= 2, d
+        if len(calls) == 2:
+            assert not calls[0][1] and room < unbounded and calls[1][0] == unbounded, d
+    if not diagram.focus_foci:  # p1xp1, dp7 and dp6
+        assert all(len(calls) == 1 for calls in traced.values())
+
+
 # (fixture, diagram variant, point): the fibers that built a completion
 # with two vertices at one focus before the vertex budget pruned the search;
 # each such completion had 7 to 10 vertices against the cap of 6

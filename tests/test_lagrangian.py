@@ -527,5 +527,5 @@ def test_mutate_nodal_slide_agrees_with_fraction_reference(case):
         vertices += [LagVertex("slide0", point), LagVertex("focus0", end, ANCHOR_FOCUS, 0)]
         edges += [LagEdge((a_id, "slide0")), LagEdge(("slide0", b_id)),
                   LagEdge(("slide0", "focus0"))]
-    assert mutated.vertices == vertices
-    assert mutated.edges == edges
+    assert mutated.vertices == tuple(vertices)
+    assert mutated.edges == tuple(edges)

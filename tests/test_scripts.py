@@ -26,8 +26,11 @@ def test_run_potentials_matches_every_shipped_case(capsys):
     assert load_script("run_potentials.py")["main"](["--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["fixture"] for row in rows] == [f"{n}:{c}" for n, c in SHIPPED_CASES]
-    for row in rows:
+    for row, (name, case) in zip(rows, SHIPPED_CASES):
         assert row["verdict"].startswith("matches"), row
+        areas = [g.graph.area() for g in builtin_fixture(name).run(case).graphs]
+        assert row["areas"] == [[a.numerator, a.denominator] for a in areas], row
+    assert {row["fixture"]: row for row in rows}["p1xp1:antidiagonal"]["areas"] == []
 
 
 def _score_rows(report):
@@ -461,17 +464,19 @@ def test_paired_ops_refuses_two_trees_whose_outputs_differ(tmp_path):
 
 def test_paired_ops_times_one_checkout_against_itself():
     # the same tree on both sides: equal digests, so the script times the
-    # rounds and prints the summed ratio, the percentile ratios and the
-    # operations nearest each side's percentiles; their values are the
-    # harness's own bias
+    # rounds and prints the summed ratio, the percentile ratios with their
+    # quartiles over the rounds and the operations nearest each side's
+    # percentiles; their values are the harness's own bias
     ran = subprocess.run(
         [sys.executable, str(SCRIPTS / "paired_ops.py"), "--parent", str(SCRIPTS.parent),
          "--change", str(SCRIPTS.parent), "--workload", "fixtures"],
         capture_output=True, text=True)
     assert ran.returncode == 0, ran.stderr
     assert "change/parent process time over 15 rounds: median " in ran.stdout
-    assert "change/parent over the per-operation medians: op_p50 " in ran.stdout
-    assert ", op_p90 " in ran.stdout
+    (line,) = [ln for ln in ran.stdout.splitlines()
+               if ln.startswith("change/parent percentiles over the rounds: ")]
+    spread = r"median \d+\.\d{3}, quartiles \d+\.\d{3}-\d+\.\d{3}"
+    assert re.fullmatch(rf".*: op_p50 {spread}; op_p90 {spread}", line), line
     # every fixtures label is name:case; each side names one per percentile
     (line,) = [ln for ln in ran.stdout.splitlines() if ln.startswith("operations nearest op_p50: ")]
     p50, p90 = line[len("operations nearest "):].split("; ")
