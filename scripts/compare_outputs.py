@@ -59,7 +59,10 @@ process through `tropdisk.cli.main`:
   on the files `case_files` names for every shipped case with a
   Lagrangian, so the Lagrangian file loader is compared too;
 * `render --fixture F --case C` and the same with `--with-disks`, for
-  every entry of `SHIPPED_CASES`.
+  every entry of `SHIPPED_CASES`;
+* `render --diagram F` for each noded diagram file of `FIBER_DIAGRAMS`, so
+  the branch cuts of a loaded diagram, built on the first read after its
+  validation, are compared too.
 
 The malformed, unreadable, off-shear and bad-edge files and the convention
 file are written to a temporary directory that each side's interpreter runs
@@ -243,6 +246,7 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     for name, case in shipped_cases:
         out += [["render", "--fixture", name, "--case", case, *flag]
                 for flag in ([], ["--with-disks"])]
+    out += [["render", "--diagram", path] for path in FIBER_DIAGRAMS]
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +33,13 @@ EXIT_IO = 3
 
 def _rat(value: Fraction):
     return [value.numerator, value.denominator]
+
+
+def _point(triple):
+    """The homogeneous point (X, Y, W) as `_rat` pairs [[x, w], [y, w']] in lowest terms."""
+    X, Y, W = triple
+    gx, gy = math.gcd(X, W), math.gcd(Y, W)
+    return [[X // gx, W // gx], [Y // gy, W // gy]]
 
 
 def _load_inputs(args):
@@ -117,7 +125,7 @@ def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:
             "vertices": [
                 {
                     "kind": v.kind.label(),
-                    "position": [_rat(v.position.x), _rat(v.position.y)],
+                    "position": _point(v.triple),
                     "multiplicity": _rat(weight),
                 }
                 for v, weight in zip(g.graph.vertices, g.weights)
@@ -188,7 +196,8 @@ def cmd_potential(args) -> int:
     pairs = cancellation_report(result)
     report["cancelling_pairs"] = len(pairs)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # the report is a tree built here: no cycle to check for
+        print(json.dumps(report, indent=2, sort_keys=True, check_circular=False))
     else:
         _print_text_report(report)
         if pairs:

@@ -28,7 +28,6 @@ from .geometry import (
     json_point,
     load_json,
     point_on_row,
-    primitive,
     primitive_pair,
     ray_point,
 )
@@ -85,6 +84,8 @@ class BaseDiagram:
         self._facet_rows = None
         self._normals: Optional[List[Tuple[int, int]]] = None
         self._facets_of_normal: Optional[Dict[Tuple[int, int], List[int]]] = None
+        self._exits = None
+        self._cut_rows = None
         self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
         self._shears = None
         self._points = None
@@ -96,9 +97,9 @@ class BaseDiagram:
         runs from corner i to corner i + 1.  Unlike `normals()`, it exists for
         a polygon that repeats a corner."""
         if self._facet_rows is None:
-            n = len(self.polygon)
+            corners = self.homogeneous_points()[1]
             self._facet_rows = integer_rows(
-                [(self.polygon[i], self.polygon[(i + 1) % n]) for i in range(n)])
+                [(a, corners[(i + 1) % len(corners)]) for i, a in enumerate(corners)])
         return self._facet_rows
 
     def normals(self) -> List[Tuple[int, int]]:
@@ -116,17 +117,23 @@ class BaseDiagram:
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
         """Cut segments (focus position -> boundary exit point): the exits
-        `validate()` traces.  A diagram whose cuts it cannot all trace raises
-        GeometryError naming its violation codes."""
+        `validate()` traces, as Vecs built on the first read.  A diagram
+        whose cuts it cannot all trace raises GeometryError naming its
+        violation codes."""
         if self._cuts is None:
-            problems = self.validate()
-            if self._cuts is None:
-                raise GeometryError(f"branch cuts of an invalid diagram: {problems}")
+            self.cut_rows()
+            self._cuts = [(ff.position, from_homogeneous(end))
+                          for ff, end in zip(self.focus_foci, self._exits)]
         return self._cuts
 
     def cut_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
-        """The cuts as `integer_rows`, over the cuts' own scale; row[:2] is the focus."""
-        self.branch_cuts()
+        """The cuts as `integer_rows`, over the cuts' own scale; row[:2] is the
+        focus.  A diagram whose cuts `validate()` cannot all trace raises
+        GeometryError naming its violation codes."""
+        if self._cut_rows is None:
+            problems = self.validate()
+            if self._cut_rows is None:
+                raise GeometryError(f"branch cuts of an invalid diagram: {problems}")
         return self._cut_rows
 
     def facet_slacks(self, origin) -> Optional[Tuple[List[int], int]]:
@@ -208,11 +215,13 @@ class BaseDiagram:
                     return i
         return None
 
-    def _cut_exit(self, j: int):
-        """Where the branch cut of focus j first meets the boundary, as a
-        homogeneous triple, or None."""
+    def _cut_exit(self, j: int, px: int, py: int):
+        """Where the branch cut of focus j, along cut_sign times its integer
+        shear pair (px, py), first meets the boundary, as a homogeneous
+        triple, or None."""
         origin = self.homogeneous_points()[0][j]
-        d = primitive(self.focus_foci[j].cut_direction()).as_int_pair()
+        sign = self.focus_foci[j].cut_sign
+        d = primitive_pair(px * sign, py * sign)[:2]
         hit = self.boundary_hit(origin, d)
         return None if hit is None else ray_point(origin, d, hit[0], hit[1])
 
@@ -241,8 +250,9 @@ class BaseDiagram:
         One pass over the integer picture: the facet rows (the corners over
         their common denominator), the corners' and foci's homogeneous
         triples and the shear data's.  When every focus's branch cut reaches
-        the boundary, the exits found here are `branch_cuts()` and
-        `cut_rows()`: no other loop traces a cut exit.
+        the boundary, the exits found here are `cut_rows()` and, read as
+        Vecs, `branch_cuts()`: no other loop traces a cut exit.  It builds no
+        Vec.
         """
         n = len(self.polygon)
         if n < 3:
@@ -295,19 +305,18 @@ class BaseDiagram:
                 traced = False
             if foci[j] in foci[:j]:
                 found.append(f"focus_positions_not_distinct:{j}")
-            end = self._cut_exit(j) if traced else None
+            end = self._cut_exit(j, px, py) if traced else None
             if traced and end is None:
                 found.append(f"branch_cut_misses_boundary:{j}")
             codes.append(found)
             exits.append(end)
         reached = [j for j, end in enumerate(exits) if end is not None]
-        cuts = [(self.focus_foci[j].position, from_homogeneous(exits[j])) for j in reached]
-        cut_rows = integer_rows(cuts)
+        cut_rows = integer_rows([(foci[j], exits[j]) for j in reached])
         for j, row in zip(reached, cut_rows[0]):
             codes[j] += [f"branch_cut_crosses_focus:{j}:{k}" for k, other in enumerate(foci)
                          if k != j and point_on_row(other, row, cut_rows[1])]
-        if len(cuts) == len(self.focus_foci):
-            self._cuts, self._cut_rows = cuts, cut_rows
+        if len(reached) == len(self.focus_foci):
+            self._exits, self._cut_rows = exits, cut_rows
         return violations + [code for found in codes for code in found]
 
     def classify_point(self, point) -> PointClass:

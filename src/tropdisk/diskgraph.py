@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, frac, from_homogeneous, homogeneous
+from .geometry import GeometryError, Vec, frac, from_homogeneous, homogeneous, ray_point
 from .multiplicity import CORNER_CAP, Triple, VertexKind
 
 
@@ -30,10 +30,12 @@ class Constraint:
         t = frac(t)
         if not (0 < t < 1):
             raise GeometryError("constraint parameter must be strictly inside the edge")
-        edge = lag.edges[check_edge_index(edge_index, len(lag.edges))]
-        a = lag.position(edge.endpoints[0])
-        b = lag.position(edge.endpoints[1])
-        return cls(a + (b - a) * t, edge_index, t)
+        rows, scale = lag.edge_rows()
+        ax, ay, ex, ey = rows[check_edge_index(edge_index, len(lag.edges))]
+        # the edge is (a + s e)/scale for s in [0, 1], a ray from a/scale
+        # along e that reaches s = t at the ray parameter t/scale
+        point = ray_point((ax, ay, scale), (ex, ey), t.numerator, t.denominator * scale)
+        return cls(from_homogeneous(point), edge_index, t)
 
     @classmethod
     def interior_point(cls, point: Vec) -> "Constraint":

@@ -1148,13 +1148,14 @@ def cancellation_report(result: EnumerationResult) -> List[Tuple[EnumeratedGraph
     """Pairs of cover/desingularized graphs with opposite contributions.
 
     Graphs are grouped by each multiple cover (ell >= 2) they contain, keyed
-    by "cover_pair:{focus}:{ell}" and the positions and ells of all their
-    focus vertices; a group of two with opposite contributions is a pair.
+    by "cover_pair:{focus}:{ell}" and the positions (canonical triples) and
+    ells of all their focus vertices; a group of two with opposite
+    contributions is a pair.
     """
     groups: Dict[Tuple, List[EnumeratedGraph]] = {}
     for g in result.graphs:
         covers = [v for v in g.graph.vertices if v.kind.tag in (FOCUS_COVER, FOCUS_COVER_PAIR)]
-        geometry = tuple(sorted((tuple(v.position), v.kind.ell) for v in covers))
+        geometry = tuple(sorted((v.triple, v.kind.ell) for v in covers))
         for k in (v.kind for v in covers if v.kind.ell >= 2):
             groups.setdefault((f"cover_pair:{k.index}:{k.ell}", geometry), []).append(g)
     pairs = []

@@ -6,7 +6,8 @@ there is no floating point and no tolerance anywhere.
 
 Every incidence runs on one integer kernel:
 - `homogeneous` writes a point as an integer (X, Y, W) triple;
-- `integer_rows` writes segments as integer rows over the table's own scale;
+- `integer_rows` writes segments between homogeneous triples as integer rows
+  over the table's own scale;
 - `ray_segment_hit` meets a ray with a row: `row_offsets` is the part that
   depends on the origin alone and `offset_hit` the part that depends on the
   direction, so rays cast from one origin share the first;
@@ -15,7 +16,9 @@ Every incidence runs on one integer kernel:
   integers, and `from_homogeneous` turns it back into Fractions.
 Every decision is an integer cross product, so it stays exact.  Ray
 parameters come back in units of the ray direction whatever the scale, so
-hits on different tables compare directly.
+hits on different tables compare directly.  `Vec` is the form of the inputs
+and of views built on first read: a diagram's validation, the disk search
+and the CLI report run on triples and build none.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ class GeometryError(ValueError):
 
 def frac(value) -> Fraction:
     """Coerce ints, Fractions or strings like '1/2'."""
+    # the exact types first: `isinstance` against Fraction goes through the
+    # ABC machinery, and every Vec coordinate comes through here
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
@@ -202,18 +211,17 @@ def homogeneous(v: Vec) -> Tuple[int, int, int]:
 
 
 def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
-    """(rows, scale): row (ax, ay, ex, ey) is the segment [a, b] as (a + s e)/scale,
-    s in [0, 1], the form `ray_segment_hit` reads; scale is the least common
-    denominator of all the endpoints."""
-    scale = math.lcm(*(c.denominator for seg in segments for q in seg for c in q))
-
-    def lift(c: Fraction) -> int:
-        return c.numerator * (scale // c.denominator)
-
+    """(rows, scale): each segment (a, b) is a pair of homogeneous triples, and
+    row (ax, ay, ex, ey) is the segment as (a + s e)/scale, s in [0, 1], the
+    form `ray_segment_hit` reads; scale is the lcm of the endpoints' W, which
+    for canonical triples is the least common denominator of all the
+    endpoints' coordinates."""
+    scale = math.lcm(*(W for seg in segments for _, _, W in seg))
     rows = []
-    for a, b in segments:
-        ax, ay = lift(a.x), lift(a.y)
-        rows.append((ax, ay, lift(b.x) - ax, lift(b.y) - ay))
+    for (X, Y, W), (U, V, Z) in segments:
+        a, b = scale // W, scale // Z
+        ax, ay = X * a, Y * a
+        rows.append((ax, ay, U * b - ax, V * b - ay))
     return rows, scale
 
 

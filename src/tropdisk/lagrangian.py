@@ -72,15 +72,14 @@ class LagGraph:
         # the integer picture every edge and location question reads: the
         # edge rows, each edge's primitive direction (None for a zero-length
         # edge) and the first vertex at each homogeneous point
-        self._edge_rows = integer_rows([
-            (self.position(e.endpoints[0]), self.position(e.endpoints[1]))
-            for e in self.edges
-        ])
+        triples = {v.id: homogeneous(v.position) for v in self.vertices}
+        self._edge_rows = integer_rows([tuple(map(triples.get, e.endpoints))
+                                        for e in self.edges])
         self._directions = [primitive_pair(ex, ey)[:2] if ex or ey else None
                             for _, _, ex, ey in self._edge_rows[0]]
         self._by_point: Dict[Tuple[int, int, int], LagVertex] = {}
         for v in self.vertices:
-            self._by_point.setdefault(homogeneous(v.position), v)
+            self._by_point.setdefault(triples[v.id], v)
 
     # -- basic combinatorics --------------------------------------------------
 
@@ -289,8 +288,8 @@ class LagGraph:
         # row before it leaves the open edge; parallel edges (and a zero
         # slide or edge) never cross
         rows, scale = integer_rows(
-            [tuple(map(self.position, e.endpoints)) for e in self.edges]
-            + [(ff.position, new_position)])
+            [tuple(homogeneous(self.position(vid)) for vid in e.endpoints) for e in self.edges]
+            + [(homogeneous(ff.position), homogeneous(new_position))])
         slide_row = rows.pop()
         crossings = []
         for k, (ax, ay, ex, ey) in enumerate(rows):

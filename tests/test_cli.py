@@ -17,9 +17,10 @@ import tropdisk
 from tropdisk import cli
 from tropdisk.cli import main
 from tropdisk.diagram import BaseDiagram
+from tropdisk.diskgraph import Constraint
 from tropdisk.enumerate import SearchBounds
-from tropdisk.fixtures import Fixture, builtin_fixture
-from tropdisk.geometry import GeometryError
+from tropdisk.fixtures import SHIPPED_CASES, Fixture, builtin_fixture
+from tropdisk.geometry import GeometryError, Vec
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +46,40 @@ def test_potential_json_exact_rationals(capsys):
     assert contribs == [(-1, 2), (-1, 2)]
     for g in data["graphs"]:
         assert g["rigidity_dimension"] == 0
+
+
+def test_potential_builds_vecs_only_in_the_fixture_builders(monkeypatch, capsys):
+    # after builtin_fixture returns, a potential report builds no Vec outside
+    # Constraint.on_lagrangian: the run, the allowability checks, the report
+    # and its cancellation pairs read triples
+    built, counting = [], [False]
+    init, build, on_lagrangian = Vec.__init__, cli.builtin_fixture, Constraint.on_lagrangian
+
+    def counted(self, x, y):
+        if counting[0]:
+            built.append((x, y))
+        init(self, x, y)
+
+    def built_fixture(name):
+        fixture = build(name)
+        counting[0] = True
+        return fixture
+
+    def edge_constraint(cls, *args):
+        counting[0] = False
+        try:
+            return on_lagrangian(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(Vec, "__init__", counted)
+    monkeypatch.setattr(cli, "builtin_fixture", built_fixture)
+    monkeypatch.setattr(Constraint, "on_lagrangian", classmethod(edge_constraint))
+    for name, case in SHIPPED_CASES:
+        counting[0] = False
+        assert main(["potential", "--fixture", name, "--case", case, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fixture"] == f"{name}:{case}"
+        assert counting[0] and built == [], (name, case, built)
 
 
 def test_potential_case_selection(capsys):

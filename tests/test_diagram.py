@@ -263,6 +263,27 @@ def test_cut_exits_agree_with_fraction_reference(data):
     assert diagram.branch_cuts() == [(position, reference_cut_exit(diagram, ff))]
 
 
+def test_validate_builds_no_vec(monkeypatch):
+    # validating a fresh copy of every fixture diagram traces its cuts on
+    # triples; the Vec cuts are built on the first read of branch_cuts()
+    built = []
+    init = Vec.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    for diagram in FIXTURE_DIAGRAMS:
+        fresh = BaseDiagram(diagram.name, diagram.polygon, diagram.focus_foci)
+        monkeypatch.setattr(Vec, "__init__", counted)
+        problems = fresh.validate()
+        fresh.cut_rows()
+        monkeypatch.undo()
+        assert problems == [] and built == [], diagram.name
+        assert fresh.branch_cuts() == [(ff.position, reference_cut_exit(fresh, ff))
+                                       for ff in fresh.focus_foci]
+
+
 def reference_boundary_hit(diagram, origin, d):
     """The former body of BaseDiagram.boundary_hit, kept as the reference:
     `ray_segment_hit` on every facet row, keeping the least parameter and

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from tropdisk.geometry import (
     GeometryError,
     Vec,
     det2,
+    frac,
     from_homogeneous,
     homogeneous,
     integer_rows,
@@ -168,8 +170,32 @@ def test_shear_round_trip(v, pi, sigma_seed):
     assert shear_apply(-1 * sigma, pi, forward) == v
 
 
+class _Half(F):
+    """A Fraction subclass: `frac` hands it back as it is."""
+
+
+def test_frac_answers_by_type():
+    half = _Half(1, 2)
+    answers = [(3, F(3)), (-2, F(-2)), (True, F(1)), (False, F(0)), ("3/4", F(3, 4)),
+               ("-2", F(-2)), ("1.5", F(3, 2)), (F(5, 7), F(5, 7)), (half, half)]
+    for value, expected in answers:
+        got = frac(value)
+        assert got == expected and type(got) is type(expected), value
+    assert frac(half) is half and frac(answers[7][0]) is answers[7][0]
+    for refused in (0.5, 2.0, Decimal("0.5"), Decimal(2), None, [1, 2]):
+        with pytest.raises(GeometryError, match="as an exact rational"):
+            frac(refused)
+    for malformed, error in (("x", ValueError), ("1.5e", ValueError), ("1/0", ZeroDivisionError)):
+        with pytest.raises(error) as raised:
+            frac(malformed)
+        assert type(raised.value) is error, malformed
+
+
 def test_incidence_examples():
-    (diagonal, anti), scale = integer_rows([(Vec(0, 0), Vec(1, 1)), (Vec(1, 0), Vec(0, 1))])
+    (diagonal, anti), scale = integer_rows([
+        (homogeneous(Vec(0, 0)), homogeneous(Vec(1, 1))),
+        (homogeneous(Vec(1, 0)), homogeneous(Vec(0, 1))),
+    ])
     assert scale == 1
     assert point_on_row(homogeneous(Vec(F(1, 2), F(1, 2))), diagonal, scale)
     assert not point_on_row(homogeneous(Vec(F(1, 2), F(1, 3))), diagonal, scale)
@@ -177,7 +203,7 @@ def test_incidence_examples():
     hit = ray_segment_hit((0, 0, 1), (1, 1), anti, scale)
     assert hit == (1, 2, 1, 2)
     assert from_homogeneous((1, 1, 2)) == Vec(F(1, 2), F(1, 2))
-    (horizontal,), scale = integer_rows([(Vec(0, 1), Vec(1, 1))])
+    (horizontal,), scale = integer_rows([(homogeneous(Vec(0, 1)), homogeneous(Vec(1, 1)))])
     assert ray_segment_hit((0, 0, 1), (1, 0), horizontal, scale) is None  # parallel
 
 
@@ -197,7 +223,7 @@ def test_point_on_row_vs_parameterization(a, b, t):
     oracle = bool(candidates) and all(c == candidates[0] for c in candidates) and (
         0 <= candidates[0] <= 1
     )
-    (row,), scale = integer_rows([(a, b)])
+    (row,), scale = integer_rows([(homogeneous(a), homogeneous(b))])
     assert point_on_row(homogeneous(p), row, scale) == oracle == (0 <= t <= 1)
 
 
@@ -206,7 +232,7 @@ def test_point_on_row_vs_parameterization(a, b, t):
 def test_ray_segment_agrees_with_line_solution(origin, direction, a, b):
     if a == b:
         return
-    (row,), scale = integer_rows([(a, b)])
+    (row,), scale = integer_rows([(homogeneous(a), homogeneous(b))])
     hit = ray_segment_hit(homogeneous(origin), direction.as_int_pair(), row, scale)
     if hit is None:
         return
@@ -274,7 +300,7 @@ def ray_segment_cases(draw):
 @given(ray_segment_cases())
 def test_integer_ray_segment_agrees_with_fraction_reference(case):
     origin, d, a, b = case
-    (row,), scale = integer_rows([(a, b)])
+    (row,), scale = integer_rows([(homogeneous(a), homogeneous(b))])
     assert scale == math.lcm(*(c.denominator for c in (*a, *b)))
     assert row == scaled(a, scale) + scaled(b - a, scale)
     hit = ray_segment_hit(homogeneous(origin), d.as_int_pair(), row, scale)
@@ -339,7 +365,7 @@ def point_segment_cases(draw):
 @given(point_segment_cases(), st.booleans())
 def test_point_on_row_agrees_with_fraction_reference(case, closed):
     p, a, b = case
-    (row,), scale = integer_rows([(a, b)])
+    (row,), scale = integer_rows([(homogeneous(a), homogeneous(b))])
     got = point_on_row(homogeneous(p), row, scale, closed)
     assert got == reference_point_on_segment(p, a, b, closed)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from test_geometry import apply_matrix, rational_length, reference_primitive
 from tropdisk.diagram import BaseDiagram, FocusFocus
+from tropdisk.diskgraph import Constraint
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import GeometryError, Vec, det2, homogeneous
 from tropdisk.lagrangian import (
@@ -347,6 +348,34 @@ def test_cached_edge_directions_match_primitive_edge_vectors():
         for v in lag.vertices:
             assert lag.leg_directions(v.id) == [
                 d.as_int_pair() for d in reference_leg_directions(lag, v.id)]
+
+
+# the constraint positions that scripts/compare_outputs.py runs on every edge
+EDGE_POSITIONS = (F(3, 16), F(1, 2), F(13, 16))
+
+
+def test_edge_constraint_point_is_the_fraction_point(monkeypatch):
+    # Constraint.on_lagrangian finds the point on the edge row in integers and
+    # builds the one Vec of its point: a + (b - a) t in Fractions
+    built = []
+    init = Vec.__init__
+
+    def counted(self, x, y):
+        built.append((x, y))
+        init(self, x, y)
+
+    for lag in _fixture_lagrangians():
+        for k, e in enumerate(lag.edges):
+            a, b = (lag.position(vid) for vid in e.endpoints)
+            for t in EDGE_POSITIONS:
+                monkeypatch.setattr(Vec, "__init__", counted)
+                constraint = Constraint.on_lagrangian(lag, k, t)
+                monkeypatch.undo()
+                assert constraint.point == a + (b - a) * t
+                assert (constraint.edge_index, constraint.t) == (k, t)
+                assert constraint.triple == homogeneous(constraint.point)
+                assert len(built) == 1
+                built.clear()
 
 
 def test_zero_length_edge_still_has_no_direction():

@@ -280,12 +280,16 @@ def test_compare_outputs_reports_each_differing_command():
     case_files = [f"validate {files}", f"potential {files} --constraint edge:0@1/2"]
     renders = [f"render --fixture dp6 --case {case}{flag}"
                for case in ("segment", "fiber") for flag in ("", " --with-disks")]
+    # each saved noded diagram, whose cuts are built after its validation
+    diagram_renders = [f"render --diagram {path}"
+                       for path in ("dp5.diagram.json", "dp4.diagram.json", "dp3.diagram.json",
+                                    "dp2.diagram.json", "dp1.diagram.json", "dp2_l1.diagram.json")]
     assert [" ".join(argv) for argv in argvs] == [
         "potential --fixture dp6 --case segment", "potential --fixture dp6 --case segment --json",
         "potential --fixture dp6 --case fiber", "potential --fixture dp6 --case fiber --json",
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
         *malformed, *unreadable, *focus_leg, *edge_codes, *grid, *unbudgeted, *edges, *points,
-        *conventions, *fibers, *coincident, *case_files, *renders]
+        *conventions, *fibers, *coincident, *case_files, *renders, *diagram_renders]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
