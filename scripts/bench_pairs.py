@@ -16,13 +16,17 @@ metric gets its runs per side in seed order, their median and quartiles
 (`statistics.quantiles`, inclusive), `change_over_parent` (ratio of the medians),
 `change_lower_in_pairs`, `parent_iqr` and `regressed`: whether the change's
 median is worse than the parent's by more than the metric's bound in
-`BENCHMARK.json` (of the change checkout).  `parent` names the parent
+`BENCHMARK.json` (of the change checkout), and `unresolved`: whether the
+parent's own spread, (q3 - q1) / median, is wider than that bound while
+some change run is no better than some parent run, so that the medians
+cannot tell a change within the bound from noise.  `parent` names the parent
 checkout's commit, or a digest of its `src/` files when it is not a git
 work tree.  Beside the metrics, each side's `attempted` operations are
 kept summed and per run (`attempted_runs`, in seed order): perfbench
 keeps every timed pass's intervals, so `peak_rss_mb` grows with the
 number of passes a faster side fits into a run.  The report lists every
-regressed `W:M` under `regressions`.  A claim `W:M` is met when the
+regressed `W:M` under `regressions` and every unresolved one under
+`unresolved`.  A claim `W:M` is met when the
 change reads lower in at least nine of ten pairs (the same share of any
 other count), its median is below the parent's by more than the parent's
 distance between quartiles, the digests agree on every pair of every
@@ -90,11 +94,22 @@ def regressed(parent_median: float, change_median: float, better: str, bound: fl
     return change_median < parent_median * (1 - bound)
 
 
+def too_noisy(entry: dict, better: str, bound: float) -> bool:
+    """The parent's (q3 - q1) / median wider than the bound, unless every
+    change run is better than every parent run."""
+    parent, change = entry["parent"]["runs"], entry["change"]["runs"]
+    if better == "lower":
+        apart = max(change) < min(parent)
+    else:
+        apart = min(change) > max(parent)
+    return entry["parent_iqr"] > bound * entry["parent"]["median"] and not apart
+
+
 def summarise_workload(pairs, traced=None, bounds=None) -> dict:
     """Summary of one workload: `pairs` lists (seed, parent run, change run)
     with runs as `parse_run` returns them; `traced` maps each side to its
     traced run at seed 0, or is None; `bounds` is `load_bounds`'s map, and a
-    metric without a bound never counts as regressed."""
+    metric without a bound never counts as regressed or unresolved."""
     seeds = [seed for seed, *_ in pairs]
     runs = {"parent": [p[1] for p in pairs], "change": [p[2] for p in pairs]}
     metrics = {}
@@ -111,6 +126,7 @@ def summarise_workload(pairs, traced=None, bounds=None) -> dict:
         bound = (bounds or {}).get(name)
         entry["regressed"] = bound is not None and regressed(
             entry["parent"]["median"], entry["change"]["median"], *bound)
+        entry["unresolved"] = bound is not None and too_noisy(entry, *bound)
         metrics[name] = entry
     digests = [r["digest"] for side in SIDES for r in runs[side]]
     out = {
@@ -148,6 +164,12 @@ def regressions(workloads: dict) -> list:
     """Every `W:M` whose metric regressed, in report order."""
     return [f"{workload}:{name}" for workload, summary in workloads.items()
             for name, entry in summary["metrics"].items() if entry["regressed"]]
+
+
+def unresolved(workloads: dict) -> list:
+    """Every `W:M` whose metric is unresolved, in report order."""
+    return [f"{workload}:{name}" for workload, summary in workloads.items()
+            for name, entry in summary["metrics"].items() if entry["unresolved"]]
 
 
 def claim_report(workloads: dict, claim: str) -> dict:
@@ -236,6 +258,7 @@ def main(argv=None) -> int:
     if args.claim:
         report["claim"] = claim_report(workloads, args.claim)
     report["regressions"] = regressions(workloads)
+    report["unresolved"] = unresolved(workloads)
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

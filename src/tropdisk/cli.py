@@ -188,11 +188,11 @@ def cmd_potential(args) -> int:
         result = fixture.run(case_name, bounds, constraint, convention)
     else:
         result = enumerate_disks(diagram, lag, constraint, bounds, convention)
-    if args.convention:
-        result.warnings.append(f"pant sign convention overridden from {args.convention}")
     fixture_family = label.split(":")[0]
     verdict = eigenvalue_verdict(fixture_family, result.total())
     report = _report_dict(label, result, verdict)
+    if args.convention:
+        report["warnings"].append(f"pant sign convention overridden from {args.convention}")
     pairs = cancellation_report(result)
     report["cancelling_pairs"] = len(pairs)
     if args.json:

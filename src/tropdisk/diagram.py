@@ -74,21 +74,100 @@ class InvalidDiagram(GeometryError):
 
 @dataclass
 class BaseDiagram:
-    """Its tuples refuse in-place edits; a reassigned field would outdate its tables."""
+    """Construction builds the integer picture and the violation codes once,
+    and the readers return them; only `branch_cuts()` builds a view, on its
+    first read.  Its tuples refuse in-place edits; a reassigned field would
+    outdate its tables."""
     name: str
     polygon: Tuple[Vec, ...]                # counterclockwise vertices
     focus_foci: Tuple[FocusFocus, ...] = ()
 
     def __post_init__(self):
         self.polygon, self.focus_foci = tuple(self.polygon), tuple(self.focus_foci)
-        self._facet_rows = None
-        self._normals: Optional[List[Tuple[int, int]]] = None
-        self._facets_of_normal: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self._exits = None
-        self._cut_rows = None
-        self._cuts: Optional[List[Tuple[Vec, Vec]]] = None
-        self._shears = None
-        self._points = None
+        foci = [homogeneous(ff.position) for ff in self.focus_foci]
+        corners = [homogeneous(v) for v in self.polygon]
+        self._points = foci, corners
+        self._facet_rows = integer_rows(
+            [(a, corners[(i + 1) % len(corners)]) for i, a in enumerate(corners)])
+        # a repeated corner next to itself leaves a facet with a zero edge and no normal
+        edges = [(ex, ey) for _, _, ex, ey in self._facet_rows[0]]
+        self._normals = None if (0, 0) in edges else [
+            primitive_pair(-ey, ex)[:2] for ex, ey in edges]
+        self._facets_of_normal: Dict[Tuple[int, int], List[int]] = {}
+        for i, n in enumerate(self._normals or ()):
+            self._facets_of_normal.setdefault(n, []).append(i)
+        shears = [(homogeneous(ff.pi), homogeneous(ff.sigma)) for ff in self.focus_foci]
+        self._shears = None if any(pw != 1 or sw != 1 for (_, _, pw), (_, _, sw) in shears) \
+            else [(pi[:2], sigma[:2]) for pi, sigma in shears]
+        self._exits = self._cut_rows = self._cuts = None
+        self._violations = self._check(shears)
+
+    def _check(self, shears) -> List[str]:
+        """The violation codes, from one pass over the facet rows and the
+        triples.  When every cut reaches the boundary it keeps the exits and
+        their rows: no other loop traces a cut exit."""
+        n = len(self.polygon)
+        if n < 3:
+            return ["polygon_too_small"]
+        violations = []
+        rows, _ = self._facet_rows
+        # row i is corner a_i and the edge e_i to a_{i+1}, times the scale:
+        # twice the area is the sum of det(a_i, e_i), the turn at a_{i+1}
+        # is det(e_i, e_{i+1})
+        if sum(ax * ey - ay * ex for ax, ay, ex, ey in rows) <= 0:
+            violations.append("polygon_not_counterclockwise")
+        for i in range(n):
+            _, _, ex, ey = rows[i]
+            _, _, fx, fy = rows[(i + 1) % n]
+            if ex * fy - ey * fx <= 0:
+                violations.append(f"polygon_not_convex_at:{i}")
+        # homogeneous triples are canonical, so equal points have equal triples
+        foci, corners = self._points
+        # a repeated corner may leave a facet without a normal: skip the
+        # focus checks that read the facets
+        repeats = [i for i in range(n) if corners[i] in corners[:i]]
+        violations += [f"polygon_repeats_vertex:{i}" for i in repeats]
+        codes, exits = [], []
+        for j, (ff, ((px, py, pw), (sx, sy, sw))) in enumerate(zip(self.focus_foci, shears)):
+            found = []
+            traced = True  # whether the cut can be traced
+            if not (px or py):
+                found.append(f"shear_direction_zero:{j}")
+                traced = False
+            elif pw != 1:
+                found.append(f"shear_direction_not_integral:{j}")
+                traced = False
+            elif math.gcd(px, py) != 1:
+                found.append(f"shear_direction_not_primitive:{j}")
+            if sw != 1:
+                found.append(f"shear_covector_not_integral:{j}")
+            if not (sx or sy):
+                found.append(f"shear_covector_zero:{j}")
+            if px * sx + py * sy != 0:
+                found.append(f"shear_not_unipotent:{j}")
+            if ff.cut_sign not in (1, -1):
+                found.append(f"branch_cut_sign_invalid:{j}")
+                traced = False
+            if repeats:
+                traced = False
+            elif not self.contains(foci[j], strict=True):
+                found.append(f"focus_not_interior:{j}")
+                traced = False
+            if foci[j] in foci[:j]:
+                found.append(f"focus_positions_not_distinct:{j}")
+            end = self._cut_exit(j, px, py) if traced else None
+            if traced and end is None:
+                found.append(f"branch_cut_misses_boundary:{j}")
+            codes.append(found)
+            exits.append(end)
+        reached = [j for j, end in enumerate(exits) if end is not None]
+        cut_rows = integer_rows([(foci[j], exits[j]) for j in reached])
+        for j, row in zip(reached, cut_rows[0]):
+            codes[j] += [f"branch_cut_crosses_focus:{j}:{k}" for k, other in enumerate(foci)
+                         if k != j and point_on_row(other, row, cut_rows[1])]
+        if len(reached) == len(self.focus_foci):
+            self._exits, self._cut_rows = exits, cut_rows
+        return violations + [code for found in codes for code in found]
 
     # -- derived geometry ---------------------------------------------------
 
@@ -96,30 +175,21 @@ class BaseDiagram:
         """The facets as `integer_rows`, over the polygon's own scale: row i
         runs from corner i to corner i + 1.  Unlike `normals()`, it exists for
         a polygon that repeats a corner."""
-        if self._facet_rows is None:
-            corners = self.homogeneous_points()[1]
-            self._facet_rows = integer_rows(
-                [(a, corners[(i + 1) % len(corners)]) for i, a in enumerate(corners)])
         return self._facet_rows
 
     def normals(self) -> List[Tuple[int, int]]:
         """The facets' primitive inward normals as integer pairs: each facet
         row's edge (ex, ey), a positive multiple of the ccw edge, rotated
-        left to (-ey, ex) and divided by its gcd.  It also indexes the facets
-        by normal, in order, for `collision_facet`."""
+        left to (-ey, ex) and divided by its gcd.  A facet with a zero edge
+        has none: GeometryError."""
         if self._normals is None:
-            normals = [primitive_pair(-ey, ex)[:2] for _, _, ex, ey in self.facet_rows()[0]]
-            self._facets_of_normal = {}
-            for i, n in enumerate(normals):
-                self._facets_of_normal.setdefault(n, []).append(i)
-            self._normals = normals
+            raise GeometryError("zero vector has no primitive direction")
         return self._normals
 
     def branch_cuts(self) -> List[Tuple[Vec, Vec]]:
-        """Cut segments (focus position -> boundary exit point): the exits
-        `validate()` traces, as Vecs built on the first read.  A diagram
-        whose cuts it cannot all trace raises GeometryError naming its
-        violation codes."""
+        """Cut segments (focus position -> boundary exit point): the traced
+        exits, as Vecs built on the first read.  A diagram whose cuts are
+        not all traced raises GeometryError naming its violation codes."""
         if self._cuts is None:
             self.cut_rows()
             self._cuts = [(ff.position, from_homogeneous(end))
@@ -128,12 +198,10 @@ class BaseDiagram:
 
     def cut_rows(self) -> Tuple[List[Tuple[int, int, int, int]], int]:
         """The cuts as `integer_rows`, over the cuts' own scale; row[:2] is the
-        focus.  A diagram whose cuts `validate()` cannot all trace raises
-        GeometryError naming its violation codes."""
+        focus.  A diagram whose cuts are not all traced raises GeometryError
+        naming its violation codes."""
         if self._cut_rows is None:
-            problems = self.validate()
-            if self._cut_rows is None:
-                raise GeometryError(f"branch cuts of an invalid diagram: {problems}")
+            raise GeometryError(f"branch cuts of an invalid diagram: {self._violations}")
         return self._cut_rows
 
     def facet_slacks(self, origin) -> Optional[Tuple[List[int], int]]:
@@ -207,7 +275,6 @@ class BaseDiagram:
         collision with that facet.  The search and `classify_vertex` both
         decide a boundary collision here.  A d that is no facet's normal is
         one dictionary miss."""
-        self.normals()
         ids = self._facets_of_normal.get(d)
         if ids is not None:
             for i in facets:
@@ -219,7 +286,7 @@ class BaseDiagram:
         """Where the branch cut of focus j, along cut_sign times its integer
         shear pair (px, py), first meets the boundary, as a homogeneous
         triple, or None."""
-        origin = self.homogeneous_points()[0][j]
+        origin = self._points[0][j]
         sign = self.focus_foci[j].cut_sign
         d = primitive_pair(px * sign, py * sign)[:2]
         hit = self.boundary_hit(origin, d)
@@ -237,87 +304,14 @@ class BaseDiagram:
 
     def homogeneous_points(self):
         """The foci and the polygon's vertices as homogeneous triples."""
-        if self._points is None:
-            self._points = ([homogeneous(ff.position) for ff in self.focus_foci],
-                            [homogeneous(v) for v in self.polygon])
         return self._points
 
     # -- spec operations ----------------------------------------------------
 
     def validate(self) -> List[str]:
-        """Machine-readable violation codes; empty list means valid.
-
-        One pass over the integer picture: the facet rows (the corners over
-        their common denominator), the corners' and foci's homogeneous
-        triples and the shear data's.  When every focus's branch cut reaches
-        the boundary, the exits found here are `cut_rows()` and, read as
-        Vecs, `branch_cuts()`: no other loop traces a cut exit.  It builds no
-        Vec.
-        """
-        n = len(self.polygon)
-        if n < 3:
-            return ["polygon_too_small"]
-        violations = []
-        rows, _ = self.facet_rows()
-        # row i is corner a_i and the edge e_i to a_{i+1}, times the scale:
-        # twice the area is the sum of det(a_i, e_i), the turn at a_{i+1}
-        # is det(e_i, e_{i+1})
-        if sum(ax * ey - ay * ex for ax, ay, ex, ey in rows) <= 0:
-            violations.append("polygon_not_counterclockwise")
-        for i in range(n):
-            _, _, ex, ey = rows[i]
-            _, _, fx, fy = rows[(i + 1) % n]
-            if ex * fy - ey * fx <= 0:
-                violations.append(f"polygon_not_convex_at:{i}")
-        # homogeneous triples are canonical, so equal points have equal triples
-        foci, corners = self.homogeneous_points()
-        # a repeated corner leaves a facet without a normal: skip the focus
-        # checks that read the facets
-        repeats = [i for i in range(n) if corners[i] in corners[:i]]
-        violations += [f"polygon_repeats_vertex:{i}" for i in repeats]
-        codes, exits = [], []
-        for j, ff in enumerate(self.focus_foci):
-            found = []
-            px, py, pw = homogeneous(ff.pi)
-            sx, sy, sw = homogeneous(ff.sigma)
-            traced = True  # whether the cut can be traced
-            if not (px or py):
-                found.append(f"shear_direction_zero:{j}")
-                traced = False
-            elif pw != 1:
-                found.append(f"shear_direction_not_integral:{j}")
-                traced = False
-            elif math.gcd(px, py) != 1:
-                found.append(f"shear_direction_not_primitive:{j}")
-            if sw != 1:
-                found.append(f"shear_covector_not_integral:{j}")
-            if not (sx or sy):
-                found.append(f"shear_covector_zero:{j}")
-            if px * sx + py * sy != 0:
-                found.append(f"shear_not_unipotent:{j}")
-            if ff.cut_sign not in (1, -1):
-                found.append(f"branch_cut_sign_invalid:{j}")
-                traced = False
-            if repeats:
-                traced = False
-            elif not self.contains(foci[j], strict=True):
-                found.append(f"focus_not_interior:{j}")
-                traced = False
-            if foci[j] in foci[:j]:
-                found.append(f"focus_positions_not_distinct:{j}")
-            end = self._cut_exit(j, px, py) if traced else None
-            if traced and end is None:
-                found.append(f"branch_cut_misses_boundary:{j}")
-            codes.append(found)
-            exits.append(end)
-        reached = [j for j, end in enumerate(exits) if end is not None]
-        cut_rows = integer_rows([(foci[j], exits[j]) for j in reached])
-        for j, row in zip(reached, cut_rows[0]):
-            codes[j] += [f"branch_cut_crosses_focus:{j}:{k}" for k, other in enumerate(foci)
-                         if k != j and point_on_row(other, row, cut_rows[1])]
-        if len(reached) == len(self.focus_foci):
-            self._exits, self._cut_rows = exits, cut_rows
-        return violations + [code for found in codes for code in found]
+        """Machine-readable violation codes, found at construction; empty
+        list means valid."""
+        return list(self._violations)
 
     def classify_point(self, point) -> PointClass:
         # homogeneous triples are canonical, so equal points have equal triples
@@ -337,10 +331,10 @@ class BaseDiagram:
         return PointClass(INTERIOR)
 
     def shears(self) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """Each focus's shear data (pi, sigma) as a pair of integer pairs."""
+        """Each focus's shear data (pi, sigma) as a pair of integer pairs.  A
+        diagram with a non-integral shear raises GeometryError."""
         if self._shears is None:
-            self._shears = [(ff.pi.as_int_pair(), ff.sigma.as_int_pair())
-                            for ff in self.focus_foci]
+            raise GeometryError(f"non-integral shear data: {self._violations}")
         return self._shears
 
     def cross_cut(self, j: int, d: Tuple[int, int]) -> Tuple[int, int]:

@@ -955,7 +955,8 @@ def enumerate_disks(
     """Every rigid disk graph through the constraint with at most
     `bounds.max_vertices` vertices, with its weights.
 
-    Raises GeometryError before any search for a vertex or lattice length
+    Raises GeometryError before any search for a diagram with violation
+    codes (`BaseDiagram.validate()`), for a vertex or lattice length
     bound below 1 or a cut-crossing or split bound below 0, for a Lagrangian
     edge of weight other than 1 (the search reads every edge as primitive),
     for an interior constraint (one with no edge index) that is not strictly
@@ -963,6 +964,9 @@ def enumerate_disks(
     for an edge constraint with no Lagrangian, with an edge index the
     Lagrangian lacks, or off its edge's open segment.
     """
+    problems = diagram.validate()
+    if problems:
+        raise GeometryError(f"invalid diagram {diagram.name}: {problems}")
     for name, least in SearchBounds.MINIMA.items():
         value = getattr(bounds, name)
         if value < least:

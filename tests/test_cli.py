@@ -442,6 +442,31 @@ def test_potential_runs_a_fixture_case_through_fixture_run(tmp_path, capsys, mon
     assert (constraint.edge_index, constraint.t, signs.pant_sign(1)) == (1, F(3, 16), 1)
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_potential_report_adds_the_convention_warning_not_the_result(
+        tmp_path, capsys, monkeypatch, json_flag):
+    convention = tmp_path / "signs.json"
+    convention.write_text(json.dumps({"pant_sign": [[1, 1]]}))
+    returned, run = [], Fixture.run
+
+    def kept(self, *args):
+        result = run(self, *args)
+        returned.append((result, list(result.warnings)))
+        return result
+
+    monkeypatch.setattr(Fixture, "run", kept)
+    code, out, _ = run_cli(capsys, "potential", "--fixture", "dp7", "--case", "leg",
+                           "--convention", str(convention), *json_flag)
+    ((result, warnings),) = returned
+    assert code == 0 and result.warnings == warnings
+    line = f"pant sign convention overridden from {convention}"
+    if json_flag:
+        assert json.loads(out)["warnings"] == warnings + [line]
+    else:
+        assert out.splitlines()[-len(warnings) - 1:] == [
+            *(f"warning: {w}" for w in warnings), f"warning: {line}"]
+
+
 @pytest.mark.parametrize("spec", ["edge:0", "point:a,0", "point:1/0,0", "edge:5@1/2",
                                   "edge:-1@1/2"])
 def test_malformed_constraint_is_validation_error(tmp_path, capsys, spec):

@@ -1,5 +1,7 @@
+import copy
 import json
 from fractions import Fraction as F
+from functools import partial
 from typing import NamedTuple, Tuple
 
 import pytest
@@ -264,8 +266,9 @@ def test_cut_exits_agree_with_fraction_reference(data):
 
 
 def test_validate_builds_no_vec(monkeypatch):
-    # validating a fresh copy of every fixture diagram traces its cuts on
-    # triples; the Vec cuts are built on the first read of branch_cuts()
+    # building and validating a fresh copy of every fixture diagram traces
+    # its cuts on triples; the Vec cuts are built on the first read of
+    # branch_cuts()
     built = []
     init = Vec.__init__
 
@@ -274,8 +277,8 @@ def test_validate_builds_no_vec(monkeypatch):
         init(self, x, y)
 
     for diagram in FIXTURE_DIAGRAMS:
-        fresh = BaseDiagram(diagram.name, diagram.polygon, diagram.focus_foci)
         monkeypatch.setattr(Vec, "__init__", counted)
+        fresh = BaseDiagram(diagram.name, diagram.polygon, diagram.focus_foci)
         problems = fresh.validate()
         fresh.cut_rows()
         monkeypatch.undo()
@@ -729,7 +732,7 @@ def test_validate_agrees_with_fraction_reference(data):
     problems = bad.validate()
     assert problems == reference_validate(bad)
     assert any(p.startswith(code) for p in problems), (code, problems)
-    # the cuts validate() kept, if any, are those a fresh copy traces
+    # the cuts construction kept, if any, are those a fresh copy traces
     fresh = BaseDiagram(bad.name, list(bad.polygon), list(bad.focus_foci))
     assert _cuts_or_none(bad) == _cuts_or_none(fresh)
 
@@ -803,7 +806,7 @@ def _cuts_or_none(diagram):
 
 
 def test_validated_cuts_match_a_fresh_diagram(monkeypatch):
-    # validate() keeps the exits it found as the cuts: no second tracing
+    # construction keeps the exits it found as the cuts: no second tracing
     for diagram in FIXTURE_DIAGRAMS:
         validated, fresh = _moved(diagram, Vec(F(1, 3), 0)), _moved(diagram, Vec(F(1, 3), 0))
         assert validated.validate() == []
@@ -815,3 +818,68 @@ def test_validated_cuts_match_a_fresh_diagram(monkeypatch):
         assert validated.branch_cuts() == fresh.branch_cuts()
         assert validated.cut_rows() == fresh.cut_rows()
 
+
+
+def _read_everything(diagram):
+    """Call every public reader that applies, each refusal included."""
+    foci, corners = diagram.homogeneous_points()
+    points = [*foci, *corners, (0, 0, 1), (1, 1, 3)]
+    facets = range(len(diagram.polygon))
+    readers = [diagram.validate, diagram.facet_rows, diagram.normals, diagram.cut_rows,
+               diagram.branch_cuts, diagram.shears, diagram.to_json_dict,
+               partial(diagram.collision_facet, facets, (0, 1))]
+    for p in points:
+        readers += [partial(diagram.facet_slacks, p), partial(diagram.contains, p),
+                    partial(diagram.contains, p, True), partial(diagram.cut_through, p),
+                    partial(diagram.classify_point, p), partial(diagram.facets_through, p)]
+        for d in [(1, 0), (-1, 2)]:
+            readers += [partial(diagram.boundary_hit, p, d), partial(diagram.facet_rates, d)]
+    for j in range(len(diagram.focus_foci)):
+        readers += [partial(diagram.cross_cut, j, (1, 0)), partial(diagram.along_shear, j, (0, 1))]
+    for read in readers:
+        try:
+            read()
+        except GeometryError:
+            pass
+
+
+# a repeated corner, a non-integral shear covector and a focus outside the
+# polygon; the cut is traced on the second only
+INVALID_DIAGRAMS = [
+    BaseDiagram("repeated", [Vec(0, 0), Vec(0, 0), Vec(2, 0), Vec(0, 2)],
+                [FocusFocus(Vec(F(1, 2), F(1, 2)), pi=Vec(1, 0), sigma=Vec(0, 1))]),
+    BaseDiagram("covector", [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)],
+                [FocusFocus(Vec(0, 0), pi=Vec(0, 1), sigma=Vec(F(1, 2), 0))]),
+    BaseDiagram("outside", [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)],
+                [FocusFocus(Vec(3, 0), pi=Vec(0, 1), sigma=Vec(1, 0))]),
+]
+
+
+@pytest.mark.parametrize("diagram", FIXTURE_DIAGRAMS + INVALID_DIAGRAMS)
+def test_readers_leave_the_diagram_as_construction_built_it(diagram):
+    fresh = BaseDiagram(diagram.name, diagram.polygon, diagram.focus_foci)
+    built = copy.deepcopy(vars(fresh))
+    _read_everything(fresh)
+    _read_everything(fresh)
+    # only branch_cuts() fills a view, and only where the cuts were traced
+    read = dict(vars(fresh))
+    assert built.pop("_cuts") is None
+    assert (read.pop("_cuts") is None) == (diagram.name in ("repeated", "outside"))
+    assert read == built
+
+
+def test_construction_traces_each_cut_once(monkeypatch):
+    traced = []
+    cut_exit = BaseDiagram._cut_exit
+
+    def counted(self, j, px, py):
+        traced.append(j)
+        return cut_exit(self, j, px, py)
+
+    monkeypatch.setattr(BaseDiagram, "_cut_exit", counted)
+    for diagram in FIXTURE_DIAGRAMS:
+        traced.clear()
+        fresh = BaseDiagram(diagram.name, diagram.polygon, diagram.focus_foci)
+        assert traced == list(range(len(diagram.focus_foci))), diagram.name
+        fresh.validate(), fresh.cut_rows(), fresh.branch_cuts()
+        assert traced == list(range(len(diagram.focus_foci))), diagram.name

@@ -754,6 +754,43 @@ def test_library_calls_refuse_an_edge_constraint_off_its_lagrangian():
             assert str(raised.value) == text
 
 
+SQUARE = [Vec(2, -2), Vec(2, 2), Vec(-2, 2), Vec(-2, -2)]
+
+INVALID_DIAGRAMS = [
+    # without the check the search gives W = 4 at (1/2, 1/3) and W = 3 at (-1, 1/5)
+    pytest.param(BaseDiagram("shear", SQUARE, [FocusFocus(Vec(0, 0), Vec(0, 2), Vec(1, 0))]),
+                 Vec(F(1, 2), F(1, 3)), "shear_direction_not_primitive:0", id="pi=(0,2)"),
+    # without the check the search gives W = 4
+    pytest.param(BaseDiagram("twin", SQUARE, [FocusFocus(Vec(0, 0), Vec(0, 1), Vec(1, 0)),
+                                              FocusFocus(Vec(0, 0), Vec(1, 0), Vec(0, 1))]),
+                 Vec(F(1, 2), F(1, 3)), "branch_cut_crosses_focus:0:1", id="foci_coincide"),
+    # without the check the point is refused as not strictly inside the polygon
+    pytest.param(BaseDiagram("dent", [Vec(0, 0), Vec(2, 0), Vec(1, F(1, 4)), Vec(2, 2),
+                                      Vec(0, 2)]),
+                 Vec(F(1, 2), F(3, 2)), "polygon_not_convex_at:1", id="not_convex"),
+    # without the check the search raises "not a valid shear" at the crossing
+    pytest.param(BaseDiagram("shear", SQUARE, [FocusFocus(Vec(0, 0), Vec(0, 1), Vec(1, 1))]),
+                 Vec(F(1, 2), F(1, 3)), "shear_not_unipotent:0", id="not_unipotent"),
+]
+
+
+@pytest.mark.parametrize("diagram,point,code", INVALID_DIAGRAMS)
+def test_library_calls_refuse_an_invalid_diagram_before_any_search(
+        monkeypatch, diagram, point, code):
+    def searched(*args):
+        raise AssertionError("the search ran on an invalid diagram")
+
+    monkeypatch.setattr("tropdisk.enumerate._candidate_graphs", searched)
+    assert diagram.validate()[0] == code
+    fx = replace(builtin_fixture("dp6"), diagram=diagram)
+    constraint = Constraint.interior_point(point)
+    runs = [partial(enumerate_disks, diagram, None), partial(potential, diagram, None),
+            partial(fx.run, "fiber", None)]
+    for run in runs:
+        with pytest.raises(GeometryError, match=f"invalid diagram {diagram.name}: \\['{code}'"):
+            run(constraint)
+
+
 REFUSED_BOUNDS = [
     pytest.param(SearchBounds(6, 0, 2, 3), "search bound max_lattice_length is 0, below 1",
                  id="L=0"),

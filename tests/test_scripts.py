@@ -208,6 +208,30 @@ def test_bench_pairs_flags_a_metric_worse_than_its_bound():
     assert bench["summarise_workload"](pairs)["metrics"]["wall_s"]["regressed"] is False
 
 
+def test_bench_pairs_reports_a_metric_noisier_than_its_bound_as_unresolved():
+    bench = load_script("bench_pairs.py")
+    # quartiles 0.1625 and 0.3375 about a median of 0.25: 70% of it, wider than 25%
+    noisy = [0.10 + 0.05 * k for k in range(7)] * 2
+    narrow = [0.30 + 0.01 * k for k in range(10)]
+    same = _summary(bench, noisy, list(noisy))["metrics"]["wall_s"]
+    assert same["unresolved"] is True and same["regressed"] is False
+    # every change run better than every parent run: resolved, however noisy
+    assert _summary(bench, noisy, [0.05] * 14)["metrics"]["wall_s"]["unresolved"] is False
+    # one change run no better than the best parent run: unresolved again
+    assert _summary(bench, noisy, [0.05] * 13 + [0.10])["metrics"]["wall_s"]["unresolved"]
+    # a narrow parent, or no bound: never unresolved
+    assert _summary(bench, narrow, [p * 1.2 for p in narrow])["metrics"]["wall_s"][
+        "unresolved"] is False
+    parse = bench["parse_run"]
+    pairs = [(k, parse(_canned_run(p)), parse(_canned_run(p))) for k, p in enumerate(noisy)]
+    assert bench["summarise_workload"](pairs)["metrics"]["wall_s"]["unresolved"] is False
+    # listed beside the regressions, which it leaves alone
+    workloads = {"grid": _summary(bench, narrow, narrow),
+                 "sweep": _summary(bench, noisy, [p * 1.3 for p in noisy])}
+    assert bench["unresolved"](workloads) == ["sweep:wall_s"]
+    assert bench["regressions"](workloads) == ["sweep:wall_s"]
+
+
 def test_bench_pairs_claim_fails_on_a_regression_or_a_digest_mismatch():
     bench = load_script("bench_pairs.py")
     parent = [0.30 + 0.01 * k for k in range(10)]
