@@ -71,7 +71,11 @@ file names in the error text are the same on both sides.  Each command's exit
 code, standard output and standard error are compared.  The command lists
 come from each checkout's own `SHIPPED_CASES`, `FIXTURE_NAMES` and fixtures,
 so a command that runs on one side only is a difference too.  The exit code
-is 0 when every output is byte-identical and 1 otherwise.
+is 0 when every output is byte-identical and 1 otherwise.  A differing
+standard output that parses as JSON on both sides is shown as a diff of its
+indented, key-sorted form, so a one-line `--json` report still diffs key by
+key.  Whether it differs is still decided on the raw text: a report that
+parses to the same value but is written differently is listed as such.
 """
 
 from __future__ import annotations
@@ -317,9 +321,20 @@ def run_checkout(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def _json_forms(before: str, after: str):
+    """Both texts indented with sorted keys when both parse as JSON, else as
+    they are."""
+    try:
+        return tuple(json.dumps(json.loads(text), indent=2, sort_keys=True)
+                     for text in (before, after))
+    except ValueError:
+        return before, after
+
+
 def diff_outputs(parent: dict, change: dict) -> list:
     """(command, report) for every command whose outputs differ, in order;
-    the report names the differing streams with a unified diff of each."""
+    the report names the differing streams with a unified diff of each, of
+    a JSON stdout in its `_json_forms`."""
     out = []
     for command in list(parent) + [c for c in change if c not in parent]:
         if command not in parent or command not in change:
@@ -333,10 +348,15 @@ def diff_outputs(parent: dict, change: dict) -> list:
                 continue
             if stream == "exit":
                 lines.append(f"exit {before} -> {after}")
-            else:
-                lines += difflib.unified_diff(
-                    before.splitlines(), after.splitlines(),
-                    f"parent {stream}", f"change {stream}", lineterm="")
+                continue
+            if stream == "stdout":
+                before, after = _json_forms(before, after)
+                if before == after:
+                    lines.append("stdout: the same JSON value, written differently")
+                    continue
+            lines += difflib.unified_diff(
+                before.splitlines(), after.splitlines(),
+                f"parent {stream}", f"change {stream}", lineterm="")
         if lines:
             out.append((command, "\n".join(lines)))
     return out

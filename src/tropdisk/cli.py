@@ -31,6 +31,13 @@ EXIT_INCOMPLETE = 2
 EXIT_IO = 3
 
 
+def _print_json(value) -> None:
+    """One line with sorted keys: with no indent, `json` encodes through its C
+    encoder, not the pure-Python one.  The value is a tree built here: no
+    cycle to check for."""
+    print(json.dumps(value, sort_keys=True, check_circular=False))
+
+
 def _rat(value: Fraction):
     return [value.numerator, value.denominator]
 
@@ -196,8 +203,7 @@ def cmd_potential(args) -> int:
     pairs = cancellation_report(result)
     report["cancelling_pairs"] = len(pairs)
     if args.json:
-        # the report is a tree built here: no cycle to check for
-        print(json.dumps(report, indent=2, sort_keys=True, check_circular=False))
+        _print_json(report)
     else:
         _print_text_report(report)
         if pairs:
@@ -217,13 +223,12 @@ def cmd_validate(args) -> int:
     except InvalidDiagram as exc:
         if not args.json:
             raise
-        print(json.dumps({"fixture": exc.diagram.name, "violations": exc.violations},
-                         indent=2))
+        _print_json({"fixture": exc.diagram.name, "violations": exc.violations})
         return EXIT_INVALID
     # the diagram is valid: BaseDiagram.load and builtin_fixture raise otherwise
     problems = lag.is_allowable(diagram) if lag is not None else []
     if args.json:
-        print(json.dumps({"fixture": label, "violations": problems}, indent=2))
+        _print_json({"fixture": label, "violations": problems})
     else:
         if problems:
             for p in problems:
@@ -279,7 +284,10 @@ def cmd_table(args) -> int:
             detail = ", ".join(f"{fx}:{c} -> {total}" for fx, c, total in status)
             lines.append(f"{entry.surface:8s} eigenvalue {value:4d}  "
                          f"{detail or 'no fixture shipped'}")
-    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    if args.json:
+        _print_json(rows)
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -312,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", help="fixture case name (default per fixture)")
         p.add_argument("--diagram", help="diagram JSON file")
         p.add_argument("--lagrangian", help="Lagrangian JSON file")
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("potential", help="enumerate disks and sum the potential")
     add_common(p)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--constraint", help="edge:K@T or point:X,Y; with --fixture it replaces "
                    "the case's constraint (same diagram, Lagrangian, bounds, flags)")
     p.add_argument("--bounds", help="V,L[,C,S] search bounds: vertex cap, lattice "
@@ -326,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check diagram and Lagrangian validity")
     add_common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("render", help="render a fixture or files to SVG")

@@ -169,6 +169,37 @@ def test_validate_json_on_an_unparsable_file_is_an_error(tmp_path, capsys):
     assert err.startswith(f"error: malformed diagram file {path}")
 
 
+def test_json_reports_are_one_sorted_line_from_the_c_encoder(tmp_path, monkeypatch, capsys):
+    # every --json writer: a fixture case and a diagram file through potential,
+    # a valid case and an invalid file (the InvalidDiagram path) through
+    # validate, and the table
+    fx = builtin_fixture("dp6")
+    dpath, invalid = tmp_path / "dp6.diagram.json", tmp_path / "invalid.diagram.json"
+    fx.diagram.save(dpath)
+    invalid.write_text(json.dumps(MALFORMED["focus_on_facet.diagram.json"]))
+    commands = [
+        (["potential", "--fixture", "dp6", "--case", "segment", "--json"], 0),
+        (["potential", "--diagram", str(dpath), "--constraint", "point:1/16,1/32", "--json"], 0),
+        (["validate", "--fixture", "dp4", "--json"], 0),
+        (["validate", "--diagram", str(invalid), "--json"], 1),
+        (["table", "--json"], 0),
+    ]
+    outputs = []
+    for argv, exit_code in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code and err == "", argv
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+        outputs.append(out)
+
+    # the pure-Python encoder, which any indent would select, is never used
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    for (argv, exit_code), before in zip(commands, outputs):
+        assert run_cli(capsys, *argv) == (exit_code, before, ""), argv
+
+
 @pytest.fixture
 def invalid_dp2_variant(monkeypatch):
     """dp2 with its l1 variant turned clockwise; its default diagram stays valid."""
@@ -527,6 +558,7 @@ def test_misread_convention_is_named(tmp_path, capsys, table, named):
 
 @pytest.mark.parametrize("argv", [
     ["potential", "--bogus"], [], ["potential", "--fixture", "nope"], ["frobnicate"],
+    ["render", "--fixture", "dp6", "--json"],
 ])
 def test_unparsable_command_line_exits_3(capsys, argv):
     # argparse's own code 2 would read as an incomplete enumeration

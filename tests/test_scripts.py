@@ -327,6 +327,22 @@ def test_compare_outputs_reports_each_differing_command():
     assert "-P1xP1 eigenvalue 0" in report and "+P1xP1 eigenvalue 4" in report
     assert " P2  none" in report
     assert differences["table --json"] == "runs on the change only"
+    # a one-line JSON report diffs key by key; a rewrite of the same value
+    # still differs, since equality is on the raw text
+    report = {"fixture": "dp6:segment", "total_integer": -1, "verdict": "matches"}
+    parent = {"potential --json": {"exit": 0, "stdout": json.dumps(report) + "\n",
+                                   "stderr": ""},
+              "validate --json": {"exit": 0, "stdout": '{"violations": []}\n', "stderr": ""}}
+    change = {"potential --json": {"exit": 0, "stdout": json.dumps(
+                  dict(report, total_integer=2), sort_keys=True) + "\n", "stderr": ""},
+              "validate --json": {"exit": 0, "stdout": '{\n  "violations": []\n}\n',
+                                  "stderr": ""}}
+    differences = dict(compare["diff_outputs"](parent, change))
+    assert list(differences) == ["potential --json", "validate --json"]
+    report = differences["potential --json"].splitlines()
+    assert '-  "total_integer": -1,' in report and '+  "total_integer": 2,' in report
+    assert '   "fixture": "dp6:segment",' in report
+    assert differences["validate --json"] == "stdout: the same JSON value, written differently"
 
 
 def test_compare_outputs_convention_flips_the_pant_signs(tmp_path, monkeypatch, capsys):
