@@ -54,7 +54,8 @@ TRACED = (
     "diagram.self_s", "lagrangian.calls", "lagrangian.self_s", "enumerate.self_s",
     "enumerate.rigidity.calls", "enumerate.rigidity.self_s", "enumerate.candidates",
     "enumerate.unique", "enumerate.counted", "classify.calls", "classify.self_s",
-    "multiplicity.self_s", "diskgraph.calls", "diskgraph.self_s",
+    "multiplicity.self_s", "diskgraph.calls", "diskgraph.self_s", "fixtures.calls",
+    "fixtures.self_s", "cli.self_s",
 )
 SIDES = ("parent", "change")
 

@@ -125,7 +125,9 @@ def _load_convention(path) -> SignConvention:
     return load_json(path, "convention", parse)
 
 
-def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:
+def _report_dict(label, result: EnumerationResult, total: Fraction, verdict: str) -> dict:
+    """The report of a run: its graphs, `total` (the run's `result.total()`)
+    and the verdict on it."""
     graphs = []
     for g in result.graphs:
         graphs.append({
@@ -141,7 +143,6 @@ def _report_dict(label, result: EnumerationResult, verdict: str) -> dict:
             "contribution": _rat(g.contribution),
             "rigidity_dimension": g.rigidity,
         })
-    total = result.total()
     out = {
         "fixture": label,
         "graphs": graphs,
@@ -196,8 +197,8 @@ def cmd_potential(args) -> int:
     else:
         result = enumerate_disks(diagram, lag, constraint, bounds, convention)
     fixture_family = label.split(":")[0]
-    verdict = eigenvalue_verdict(fixture_family, result.total())
-    report = _report_dict(label, result, verdict)
+    total = result.total()
+    report = _report_dict(label, result, total, eigenvalue_verdict(fixture_family, total))
     if args.convention:
         report["warnings"].append(f"pant sign convention overridden from {args.convention}")
     pairs = cancellation_report(result)

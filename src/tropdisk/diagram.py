@@ -45,7 +45,8 @@ class FocusFocus:
 
     def weight(self) -> int:
         """Stack size: a non-primitive shear covector models coincident nodes."""
-        return math.gcd(abs(int(self.sigma.x)), abs(int(self.sigma.y)))
+        X, Y, _ = homogeneous(self.sigma)
+        return math.gcd(X, Y)
 
 
 # classification results for classify_point

@@ -7,23 +7,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import GeometryError, Vec, frac, from_homogeneous, homogeneous, ray_point
+from .geometry import GeometryError, Vec, frac, from_homogeneous, ray_point
 from .multiplicity import CORNER_CAP, Triple, VertexKind
 
 
 @dataclass(frozen=True)
 class Constraint:
     """The point constraint: on Lagrangian edge `edge_index` at parameter `t`,
-    or an interior point when `edge_index` is None.  `triple` is its point
-    as a homogeneous triple, the form the search and the rigidity solve read."""
+    or an interior point when `edge_index` is None."""
 
     point: Vec
     edge_index: Optional[int] = None
     t: Optional[Fraction] = None
-    triple: Triple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "triple", homogeneous(self.point))
+    @property
+    def triple(self) -> Triple:
+        """The point's homogeneous triple, the form the search and the
+        rigidity solve read."""
+        return self.point.triple
 
     @classmethod
     def on_lagrangian(cls, lag, edge_index: int, t) -> "Constraint":
@@ -129,12 +130,17 @@ class DiskGraph:
     def signature(self):
         """Canonical hashable form for dedup and deterministic ordering:
         `_signature_key` with positions and directions as Fraction pairs."""
-        pos = {v.id: tuple(v.position) for v in self.vertices}
+        pos = {v.id: _xy(v.position) for v in self.vertices}
         return _signature_key(
             [(pos[v.id], v.kind) for v in self.vertices],
-            [(pos[e.endpoints[0]], pos[e.endpoints[1]], tuple(e.direction), e.open)
+            [(pos[e.endpoints[0]], pos[e.endpoints[1]], _xy(e.direction), e.open)
              for e in self.edges],
             _kind_vector)
+
+
+def _xy(v: Vec) -> Tuple[Fraction, Fraction]:
+    """v's Fraction views, read without the generator of `Vec.__iter__`."""
+    return v.x, v.y
 
 
 def _signature_key(vertices, edges, vector):

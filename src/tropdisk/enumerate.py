@@ -104,19 +104,20 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class FixtureFlags:
-    """Per-fixture enumeration switches (cutting-data choices).  `cap_triples`
-    and `limit_triple` are the corners and the limit as homogeneous triples,
-    the form the search reads."""
+    """Per-fixture enumeration switches (cutting-data choices)."""
 
     corner_caps: Tuple[Vec, ...] = ()
     corner_limit: Optional[Vec] = None
-    cap_triples: Tuple[Triple, ...] = field(init=False, repr=False, compare=False)
-    limit_triple: Optional[Triple] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cap_triples", tuple(homogeneous(c) for c in self.corner_caps))
-        object.__setattr__(self, "limit_triple", None if self.corner_limit is None
-                           else homogeneous(self.corner_limit))
+    @property
+    def cap_triples(self) -> Tuple[Triple, ...]:
+        """The corners as homogeneous triples, the form the search reads."""
+        return tuple(homogeneous(c) for c in self.corner_caps)
+
+    @property
+    def limit_triple(self) -> Optional[Triple]:
+        """The limit as a homogeneous triple, or None."""
+        return None if self.corner_limit is None else homogeneous(self.corner_limit)
 
 
 NO_FLAGS = FixtureFlags()
@@ -162,7 +163,16 @@ class EnumerationResult:
         return not self.unresolved
 
     def total(self) -> Fraction:
-        return sum((g.contribution for g in self.graphs), Fraction(0))
+        """The sum of the contributions, in integers over one common
+        denominator: one Fraction is built, the sum."""
+        num, den = 0, 1
+        for g in self.graphs:
+            n, d = g.contribution.numerator, g.contribution.denominator
+            if d != den:
+                common = math.lcm(den, d)
+                num, n, den = num * (common // den), n * (common // d), common
+            num += n
+        return Fraction(num, den)
 
     def contributions(self) -> List[Fraction]:
         return [g.contribution for g in self.graphs]

@@ -1,11 +1,13 @@
 """Exact rational 2D lattice geometry.
 
 Everything downstream (diagrams, graphs, the disk enumeration) runs on the
-primitives in this module.  Coordinates of `Vec` are `fractions.Fraction`;
-there is no floating point and no tolerance anywhere.
+primitives in this module.  A `Vec` is the canonical homogeneous triple
+(X, Y, W) of its point (X/W, Y/W), integers with gcd 1 and W > 0; its
+coordinates `x` and `y` are `fractions.Fraction` views of the triple, built on
+their first read.  There is no floating point and no tolerance anywhere.
 
 Every incidence runs on one integer kernel:
-- `homogeneous` writes a point as an integer (X, Y, W) triple;
+- `homogeneous` reads a Vec's integer (X, Y, W) triple;
 - `integer_rows` writes segments between homogeneous triples as integer rows
   over the table's own scale;
 - `ray_segment_hit` meets a ray with a row: `row_offsets` is the part that
@@ -13,19 +15,20 @@ Every incidence runs on one integer kernel:
   direction, so rays cast from one origin share the first;
 - `point_on_row` locates a homogeneous point on a row;
 - `ray_point` moves a homogeneous point along a ray without leaving the
-  integers, and `from_homogeneous` turns it back into Fractions.
+  integers, and `from_homogeneous` turns it back into a Vec.
 Every decision is an integer cross product, so it stays exact.  Ray
 parameters come back in units of the ray direction whatever the scale, so
 hits on different tables compare directly.  `Vec` is the form of the inputs
-and of views built on first read: a diagram's validation, the disk search
-and the CLI report run on triples and build none.
+and of views built on first read; `homogeneous` reads its triple.  A
+diagram's validation, the disk search and the CLI report run on triples and
+build no Vec.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -39,7 +42,7 @@ class GeometryError(ValueError):
 def frac(value) -> Fraction:
     """Coerce ints, Fractions or strings like '1/2'."""
     # the exact types first: `isinstance` against Fraction goes through the
-    # ABC machinery, and every Vec coordinate comes through here
+    # ABC machinery
     if type(value) is Fraction:
         return value
     if type(value) is int:
@@ -107,40 +110,115 @@ def json_pair(where: str, value) -> Tuple[int, int]:
     return value[0], value[1]
 
 
-@dataclass(frozen=True)
-class Vec:
-    """Exact rational 2-vector; used for positions and directions alike."""
+class _Coordinate:
+    """A coordinate of `Vec` as a Fraction, built from the triple on its first
+    read and kept as an instance attribute.  It defines no `__set__`, so every
+    later read finds the instance attribute first."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("index", "name")
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, v, owner=None):
+        if v is None:
+            return self
+        X, W = v.triple[self.index], v.triple[2]
+        value = Fraction(X) if W == 1 else Fraction(X, W)
+        object.__setattr__(v, self.name, value)
+        return value
+
+
+def _ratio(value: Scalar) -> Tuple[int, int]:
+    """(numerator, denominator) of an int, Fraction or string in lowest
+    terms, the denominator positive; an int builds no Fraction."""
+    if type(value) is int:
+        return value, 1
+    value = frac(value)
+    return value.numerator, value.denominator
+
+
+class Vec:
+    """Exact rational 2-vector; used for positions and directions alike.
+
+    Its one state is `triple`, the canonical homogeneous triple (X, Y, W) of
+    the point (X/W, Y/W): integers with gcd 1 and W > 0, so that equal vectors
+    have equal triples.  `x` and `y` are Fraction views of it, built on their
+    first read.  A Vec is immutable: copies are the Vec itself, and the
+    arithmetic runs on the triples.  Every Vec, arithmetic results and
+    unpickled ones included, is built through `__init__`.
+    """
+
+    x = _Coordinate(0)
+    y = _Coordinate(1)
 
     def __init__(self, x: Scalar, y: Scalar):
-        object.__setattr__(self, "x", frac(x))
-        object.__setattr__(self, "y", frac(y))
+        if type(x) is int and type(y) is int:
+            triple = (x, y, 1)
+        else:
+            (a, b), (c, d) = _ratio(x), _ratio(y)
+            w = math.lcm(b, d)
+            triple = (a * (w // b), c * (w // d), w)
+        object.__setattr__(self, "triple", triple)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.triple == other.triple
+
+    def __hash__(self):
+        return hash(self.triple)
+
+    def __copy__(self) -> "Vec":
+        return self
+
+    def __deepcopy__(self, memo) -> "Vec":
+        return self
+
+    def __reduce__(self):
+        return from_homogeneous, (self.triple,)
 
     def __add__(self, other: "Vec") -> "Vec":
-        return Vec(self.x + other.x, self.y + other.y)
+        X, Y, W = self.triple
+        U, V, Z = other.triple
+        return from_homogeneous((X * Z + U * W, Y * Z + V * W, W * Z))
 
     def __sub__(self, other: "Vec") -> "Vec":
-        return Vec(self.x - other.x, self.y - other.y)
+        X, Y, W = self.triple
+        U, V, Z = other.triple
+        return from_homogeneous((X * Z - U * W, Y * Z - V * W, W * Z))
 
     def __neg__(self) -> "Vec":
-        return Vec(-self.x, -self.y)
+        X, Y, W = self.triple
+        return from_homogeneous((-X, -Y, W))
 
     def __mul__(self, s: Scalar) -> "Vec":
-        s = frac(s)
-        return Vec(self.x * s, self.y * s)
+        p, q = _ratio(s)
+        X, Y, W = self.triple
+        return from_homogeneous((X * p, Y * p, W * q))
 
     __rmul__ = __mul__
 
     def __truediv__(self, s: Scalar) -> "Vec":
-        s = frac(s)
-        if s == 0:
+        p, q = _ratio(s)
+        if p == 0:
             raise GeometryError("division of a vector by zero")
-        return Vec(self.x / s, self.y / s)
+        if p < 0:
+            p, q = -p, -q
+        X, Y, W = self.triple
+        return from_homogeneous((X * q, Y * q, W * p))
 
     def __bool__(self) -> bool:
-        return self.x != 0 or self.y != 0
+        return self.triple[0] != 0 or self.triple[1] != 0
 
     def __iter__(self):
         yield self.x
@@ -150,15 +228,17 @@ class Vec:
         return f"Vec({self.x}, {self.y})"
 
     def dot(self, other: "Vec") -> Fraction:
-        return self.x * other.x + self.y * other.y
+        X, Y, W = self.triple
+        U, V, Z = other.triple
+        return Fraction(X * U + Y * V, W * Z)
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.triple[2] == 1
 
     def as_int_pair(self) -> Tuple[int, int]:
         if not self.is_integral():
             raise GeometryError(f"{self!r} is not an integer vector")
-        return (int(self.x), int(self.y))
+        return self.triple[:2]
 
     def as_rational_pairs(self):
         return [
@@ -169,7 +249,9 @@ class Vec:
 
 def det2(a: Vec, b: Vec) -> Fraction:
     """Determinant of the 2x2 matrix with columns a, b."""
-    return a.x * b.y - a.y * b.x
+    X, Y, W = a.triple
+    U, V, Z = b.triple
+    return Fraction(X * V - Y * U, W * Z)
 
 
 def primitive_pair(x: int, y: int) -> Tuple[int, int, int]:
@@ -182,9 +264,7 @@ def primitive_pair(x: int, y: int) -> Tuple[int, int, int]:
 
 def primitive_and_length(v: Vec) -> Tuple[Vec, int]:
     """Factor a nonzero integer vector as (primitive vector, lattice length)."""
-    if not v.is_integral():
-        raise GeometryError(f"{v!r} is not an integer vector")
-    x, y, g = primitive_pair(int(v.x), int(v.y))
+    x, y, g = primitive_pair(*v.as_int_pair())
     return Vec(x, y), g
 
 
@@ -204,10 +284,9 @@ def shear_apply(sigma: Vec, pi: Vec, v: Vec) -> Vec:
 
 
 def homogeneous(v: Vec) -> Tuple[int, int, int]:
-    """Integers (X, Y, W) with W > 0 and v = (X/W, Y/W)."""
-    w = math.lcm(v.x.denominator, v.y.denominator)
-    return (v.x.numerator * (w // v.x.denominator),
-            v.y.numerator * (w // v.y.denominator), w)
+    """The canonical integers (X, Y, W) of v = (X/W, Y/W): gcd 1 and W > 0,
+    the triple the Vec stores."""
+    return v.triple
 
 
 def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
@@ -226,9 +305,15 @@ def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
 
 
 def from_homogeneous(origin) -> Vec:
-    """The point (X/W, Y/W) of a homogeneous triple, as exact rationals."""
+    """The Vec of the point (X/W, Y/W) of a homogeneous triple, W nonzero;
+    an integer point builds no Fraction."""
     X, Y, W = origin
-    return Vec(Fraction(X, W), Fraction(Y, W))
+    if W != 1:
+        g = math.gcd(X, Y, W)
+        if W != g:
+            return Vec(Fraction(X, W), Fraction(Y, W))
+        X, Y = X // g, Y // g
+    return Vec(X, Y)
 
 
 def ray_point(origin, d, t_num: int, t_den: int) -> Tuple[int, int, int]:

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropdisk.enumerate import EnumeratedGraph, EnumerationResult
+from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import (
     GeometryError,
     Vec,
@@ -389,3 +394,106 @@ def test_unimodular_guard():
         unimodular(2, 0, 0, 2)
     m = unimodular(1, 1, 0, 1)
     assert apply_matrix(m, Vec(0, 1)) == Vec(1, 1)
+
+
+@contextlib.contextmanager
+def built_fractions():
+    """The arguments of every Fraction built inside the block, in order."""
+    raw = vars(F)["__new__"]
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return raw.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counted)
+    try:
+        yield built
+    finally:
+        F.__new__ = raw
+
+
+def reference_triple(x: F, y: F):
+    """The former body of `homogeneous`: the point over the lcm of the
+    coordinates' denominators."""
+    w = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+
+
+coordinates = st.one_of(ints, rats, rats.map(str))
+
+
+@given(coordinates, coordinates, coordinates, coordinates, rats.filter(bool))
+def test_vec_agrees_with_a_fraction_reference(a, b, c, d, s):
+    v, w = Vec(a, b), Vec(c, d)
+    x, y, u, t = F(a), F(b), F(c), F(d)
+    X, Y, W = v.triple
+    assert homogeneous(v) == v.triple == reference_triple(x, y)
+    assert W > 0 and math.gcd(X, Y, W) == 1
+    # the views: the same Fractions, kept in the instance after the first read
+    assert (v.x, v.y) == (x, y) and type(v.x) is type(v.y) is F
+    assert vars(v)["x"] is v.x and vars(v)["y"] is v.y
+    assert tuple(v) == (x, y) and repr(v) == f"Vec({x}, {y})"
+    # equality is the point's, whatever form its coordinates came in
+    for same in (Vec(x, y), Vec(str(x), str(y)), from_homogeneous(v.triple)):
+        assert same == v and hash(same) == hash(v) and same.triple == v.triple
+    assert (v == w) == ((x, y) == (u, t)) and (v != w) == ((x, y) != (u, t))
+    assert v != (x, y) and v != v.triple
+    # immutable, and a copy is the Vec itself
+    for name in ("x", "y", "triple"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert copy.copy(v) is v and copy.deepcopy(v) is v
+    assert copy.deepcopy({"v": [v]}) == {"v": [v]}
+    restored = pickle.loads(pickle.dumps(v))
+    assert restored == v and restored.triple == v.triple and repr(restored) == repr(v)
+    # the arithmetic on triples against the Fractions
+    assert (v + w).triple == reference_triple(x + u, y + t)
+    assert (v - w).triple == reference_triple(x - u, y - t)
+    assert (-v).triple == reference_triple(-x, -y)
+    for scalar in (s, str(s), s.numerator):
+        k = F(scalar)
+        assert (v * scalar).triple == (scalar * v).triple == reference_triple(x * k, y * k)
+        assert (v / scalar).triple == reference_triple(x / k, y / k)
+    assert v.dot(w) == x * u + y * t and det2(v, w) == x * t - y * u
+    assert bool(v) == bool(x or y) and v.is_integral() == (x.denominator == y.denominator == 1)
+    with pytest.raises(GeometryError, match="division of a vector by zero"):
+        v / 0
+
+
+def test_integer_vecs_build_no_fraction():
+    with built_fractions() as built:
+        v, w = Vec(3, -4), from_homogeneous((1, 2, 1))
+        sums = [v + w, v - w, -v, v * 2, 2 * v, Vec(6, -8) / 2, primitive(v)]
+        pickle.loads(pickle.dumps(v))
+        assert (homogeneous(v), v.as_int_pair(), v.is_integral(), bool(v)) == (
+            (3, -4, 1), (3, -4), True, True)
+        assert v == Vec(3, -4) and hash(v) == hash(Vec(3, -4)) and copy.deepcopy(v) is v
+    assert built == [] and [u.triple for u in sums] == [
+        (4, -2, 1), (2, -6, 1), (-3, 4, 1), (6, -8, 1), (6, -8, 1), (3, -4, 1), (3, -4, 1)]
+    # a view is built on its first read only
+    with built_fractions() as built:
+        assert (v.x, v.x, v.y) == (3, 3, -4)
+    assert built == [(3,), (-4,)]
+
+
+@pytest.mark.parametrize("name,case", SHIPPED_CASES)
+def test_total_sums_the_contributions_into_one_fraction(name, case):
+    result = builtin_fixture(name).run(case)
+    with built_fractions() as built:
+        total = result.total()
+    assert total == sum(result.contributions(), F(0)) and type(total) is F
+    assert len(built) == 1
+
+
+def test_total_over_mixed_denominators():
+    def result(*contributions):
+        return EnumerationResult([EnumeratedGraph(None, c, 0, 1, ()) for c in contributions])
+
+    assert result().total() == 0
+    for contributions in ((F(1, 2), F(-1, 3), F(5, 6), F(2)), (F(-3), F(7, 4), F(1, 4)),
+                          (F(1, 6), F(1, 6), F(2, 3))):
+        total = result(*contributions).total()
+        assert total == sum(contributions, F(0)) and type(total) is F

@@ -1,6 +1,7 @@
 import ast
 import copy
 import pathlib
+import runpy
 import types
 from fractions import Fraction as F
 
@@ -256,3 +257,26 @@ def test_enumerate_disks_leaves_its_inputs_as_they_were(name, case):
     before = [copy.deepcopy(vars(o)) for o in objects]
     fx.run(case)
     assert [vars(o) for o in objects] == before
+
+
+def test_the_benchmark_counters_see_the_constructors_they_hook():
+    # perfbench/tracing.py counts Vec and Fraction constructions through
+    # `Vec.__init__` and `Fraction.__new__`, and candidate graphs through
+    # `DiskGraph.__post_init__`, each read from its class dict: a refactor
+    # that moves one of them would leave `--trace 1` reading zeros
+    assert "__init__" in vars(Vec) and "__post_init__" in vars(DiskGraph)
+    tracing = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"))
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        fx = builtin_fixture("dp6")
+        Constraint.on_lagrangian(fx.lagrangian_for("segment"), 0, F(1, 3))
+        fx.run("segment")
+    finally:
+        tracer.remove()
+    counts = tracer.counts
+    assert counts["geometry.vec_new"] > 0 and counts["geometry.fraction_new"] > 0
+    assert counts["enumerate.candidates"] > 0
+    # removed: the classes hold their own methods again
+    assert vars(Vec)["__init__"].__qualname__ == "Vec.__init__"
+    assert vars(DiskGraph)["__post_init__"].__qualname__ == "DiskGraph.__post_init__"

@@ -84,9 +84,13 @@ def test_bench_pairs_summary_of_canned_runs():
              for k, (p, c) in enumerate(zip(parent, change))]
     # the traced pass's layer metrics: where a saving sits, per side
     layers = {"parent": {"enumerate.rigidity.self_s": 0.040, "classify.calls": 922,
-                         "classify.self_s": 0.061, "multiplicity.self_s": 0.012},
+                         "classify.self_s": 0.061, "multiplicity.self_s": 0.012,
+                         "fixtures.calls": 270, "fixtures.self_s": 0.0033,
+                         "cli.self_s": 0.0026},
               "change": {"enumerate.rigidity.self_s": 0.019, "classify.calls": 922,
-                         "classify.self_s": 0.035, "multiplicity.self_s": 0.012}}
+                         "classify.self_s": 0.035, "multiplicity.self_s": 0.012,
+                         "fixtures.calls": 270, "fixtures.self_s": 0.0029,
+                         "cli.self_s": 0.0025}}
     summary = bench["summarise_workload"](
         pairs, {side: {"metrics": metrics} for side, metrics in layers.items()})
     traced = summary["traced_seed0"]
@@ -492,9 +496,9 @@ def test_paired_ops_refuses_two_trees_whose_outputs_differ(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     enumerate_py = tmp_path / "src" / "tropdisk" / "enumerate.py"
     text = enumerate_py.read_text()
-    total = "return sum((g.contribution for g in self.graphs), Fraction(0))"
-    assert total in text
-    enumerate_py.write_text(text.replace(total, total.replace("Fraction(0)", "Fraction(1)")))
+    total = "        return Fraction(num, den)\n"   # the last line of EnumerationResult.total
+    assert text.count(total) == 1
+    enumerate_py.write_text(text.replace(total, total.replace("num, den", "num + den, den")))
 
     refused = subprocess.run(
         [sys.executable, str(SCRIPTS / "paired_ops.py"), "--parent", str(SCRIPTS.parent),
