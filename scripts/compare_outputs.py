@@ -64,6 +64,17 @@ process through `tropdisk.cli.main`:
   the branch cuts of a loaded diagram, built on the first read after its
   validation, are compared too.
 
+Every command builds its fixture afresh, so none of them runs two searches on
+one diagram.  After the commands, the same interpreter runs an in-process
+section (`reuse_runs`): every edge of every shipped case with a Lagrangian at
+every T of `EDGE_POSITIONS`, T major and the cases interleaved, through
+`Fixture.run` on one fixture object per name.  So consecutive searches on
+one case reuse what the search keeps across calls on the same diagram,
+Lagrangian and flags, and switching cases (dp7 `leg` to `diag`, dp2 `l1` to
+`l2`) makes it build that again.  Each search's `[label, total, sorted
+signatures]` line is compared like a command's standard output, under the
+key `in-process LABEL`.
+
 The malformed, unreadable, off-shear and bad-edge files and the convention
 file are written to a temporary directory that each side's interpreter runs
 in, and each side saves its own `FIBER_DIAGRAMS` and case files there, so the
@@ -88,6 +99,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 STREAMS = ("exit", "stdout", "stderr")
@@ -254,6 +266,45 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     return out
 
 
+def reuse_runs(shipped_cases, builtin_fixture) -> list:
+    """(label, fixture, case, edge, t) of the in-process section, in run
+    order: every edge of every shipped case with a Lagrangian at each t of
+    `EDGE_POSITIONS`, t major, on one fixture object per name."""
+    fixtures, out = {}, []
+    for t in EDGE_POSITIONS:
+        for name, case in shipped_cases:
+            if name not in fixtures:
+                fixtures[name] = builtin_fixture(name)
+            lag = fixtures[name].lagrangian_for(case)
+            for k in range(len(lag.edges) if lag is not None else 0):
+                out.append((f"{name}:{case}#{k}@{t}", fixtures[name], case, k, t))
+    return out
+
+
+def reuse_outputs(runs) -> dict:
+    """{"in-process LABEL": {"exit", "stdout", "stderr"}} for `reuse_runs`,
+    from the `tropdisk` that built their fixtures: stdout is the search's
+    `[label, [num, den], sorted signatures]` line, or stderr a
+    GeometryError's text with exit 1."""
+    from tropdisk.diskgraph import Constraint
+    from tropdisk.geometry import GeometryError
+
+    outputs = {}
+    for label, fixture, case, k, t in runs:
+        constraint = Constraint.on_lagrangian(fixture.lagrangian_for(case), k, Fraction(t))
+        try:
+            result = fixture.run(case, None, constraint)
+        except GeometryError as error:
+            outputs[f"in-process {label}"] = {"exit": 1, "stdout": "", "stderr": str(error)}
+            continue
+        total = result.total()
+        line = [label, [total.numerator, total.denominator],
+                sorted(repr(g.graph.signature()) for g in result.graphs)]
+        outputs[f"in-process {label}"] = {"exit": 0, "stdout": json.dumps(line) + "\n",
+                                          "stderr": ""}
+    return outputs
+
+
 def case_files(name, case) -> tuple:
     """The file names of a shipped case's diagram and Lagrangian."""
     return f"{name}_{case}.diagram.json", f"{name}_{case}.lagrangian.json"
@@ -280,8 +331,9 @@ def save_case_files(shipped_cases, builtin_fixture, directory) -> None:
 
 
 def collect(src: str) -> None:
-    """Run every command with `tropdisk` from `src` and print one JSON object:
-    {command line: {"exit": code, "stdout": text, "stderr": text}}."""
+    """Run every command with `tropdisk` from `src`, then the in-process
+    section, and print one JSON object: {command line or "in-process LABEL":
+    {"exit": code, "stdout": text, "stderr": text}}."""
     sys.path.insert(0, src)
     import tropdisk
     from tropdisk.cli import main
@@ -299,6 +351,7 @@ def collect(src: str) -> None:
             code = main(argv)
         outputs[" ".join(argv)] = {"exit": code, "stdout": out.getvalue(),
                                    "stderr": err.getvalue()}
+    outputs.update(reuse_outputs(reuse_runs(SHIPPED_CASES, builtin_fixture)))
     print(json.dumps(outputs))
 
 

@@ -249,49 +249,23 @@ def _cap_admits(offset, prim) -> bool:
 _NO_BLOCK = (1, 0)
 
 
-class _Tracer:
-    """Exhaustive ray tracing on homogeneous integers.
+class _Standing:
+    """What the tracer reads that depends on the diagram, the Lagrangian and
+    the flags alone, never on the constraint.
 
-    It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
-    edges as rows of their own.  The roots call `_trace` from the
-    constraint's homogeneous point.  It carries every ray origin, split
-    point and cut crossing as a homogeneous (X, Y, W) triple and every
-    direction as an integer pair, so each event test is an integer cross
-    product and each comparison of ray parameters a cross-multiplication.
-    A direction crosses a cut through `BaseDiagram.cross_cut` and meets a
-    facet head-on through `BaseDiagram.collision_facet`.  Its completion
-    specs carry the same triples, and so do the kinds it tags: the tracer
-    builds no Vec.
-
-    A tracer serves one enumeration and keeps its tables for that long
-    only: nothing is stored on the diagram or the Lagrangian.  Every offset
-    a cast reads (to each facet, cut, focus and Lagrangian row) depends on
-    the origin alone, so the first cast from an origin builds its `_Origin`
-    table, and a cast computes only what depends on the direction: the
-    facet rates (`BaseDiagram.facet_rates`, once per direction), the cut
-    and focus cross products and the Lagrangian hit.  Everything a trace
-    finds before its ends depends only on the origin and the primitive
-    direction, so the origin's table keeps a `_Ray` per direction.  A split
-    leg runs along its focus's shear line, so whether it is clear depends
-    only on where w sits on that line: the tracer keeps one leg table per
-    focus (`_leg_table`).
-
-    A trace is cast only when something may redirect it (the diagram has
-    foci, and a cut crossing or a split is left) or when its direction can
-    end as it runs straight (`_can_end`): at a focus along its shear
-    (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
-    facet or at a flagged corner's cap.  So a search on a diagram with no
-    foci casts only the directions of its possible ends.  The tracer fixes
-    what that test scans when it is built (the focus and facet ids, and each
-    flagged corner's offset once, from the flags' triples), so a test
-    re-derives nothing, and with no foci and no caps it is one dictionary
-    lookup.
+    Built at once: the cut, shear and Lagrangian rows, the cap table and its
+    offsets, and the focus and facet ids the end test scans.  Filled as
+    searches ask: the facet rates per primitive direction (`_rates`), the
+    leg table per focus (`_legs`), each Lagrangian edge's pant-root
+    directions per lattice length (`_pant_roots`) and, from the standing's
+    second search on, the end test per direction (`_ends`): a search on
+    freshly built objects asks each direction about once, so keeping its
+    answers would only cost.  Nothing in it is keyed by a point, so its
+    size is bounded by the directions, the foci and the edges.
     """
 
-    def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph],
-                 bounds: SearchBounds, flags: FixtureFlags):
-        self.diagram = diagram
-        self.bounds = bounds
+    def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph], flags: FixtureFlags):
+        self.diagram, self.lag, self.flags = diagram, lag, flags
         self.cut_rows, self.cut_scale = diagram.cut_rows()
         self.foci, corners = diagram.homogeneous_points()
         self.shear_table = [pi for pi, _ in diagram.shears()]
@@ -312,10 +286,73 @@ class _Tracer:
             offset for caps in self.cap_table.values() for _, offset in caps))
         self._focus_ids = range(len(self.foci))
         self._facet_ids = range(len(diagram.normals()))
-        self._origins: Dict[Tuple[int, int, int], _Origin] = {}
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        # each direction ell * prim's `_can_end(prim, ell)`, a dict once the
+        # standing is reused (`_candidate_graphs`)
+        self._ends: Optional[Dict[Tuple[int, int], bool]] = None
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
+        # (edge index, lattice length bound) -> `_pant_root_directions`
+        self._pant_roots: Dict[Tuple[int, int], Tuple[Tuple[int, int, str], ...]] = {}
+
+
+class _Tracer:
+    """Exhaustive ray tracing on homogeneous integers.
+
+    It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
+    edges as rows of their own.  The roots call `_trace` from the
+    constraint's homogeneous point.  It carries every ray origin, split
+    point and cut crossing as a homogeneous (X, Y, W) triple and every
+    direction as an integer pair, so each event test is an integer cross
+    product and each comparison of ray parameters a cross-multiplication.
+    A direction crosses a cut through `BaseDiagram.cross_cut` and meets a
+    facet head-on through `BaseDiagram.collision_facet`.  Its completion
+    specs carry the same triples, and so do the kinds it tags: the tracer
+    builds no Vec.
+
+    A tracer serves one enumeration, and what depends on the constraint
+    lives in it for that long only: the `_Origin` table of each point a
+    cast starts from, and the `_Ray`s in it.  Everything else is its
+    `_Standing`, which `_candidate_graphs` keeps for the next enumeration on
+    the same diagram and Lagrangian objects under equal flags; nothing is
+    stored on the diagram or the Lagrangian.  Every offset a cast reads (to each facet, cut, focus and Lagrangian row) depends on the
+    origin alone, so the first cast from an origin builds its `_Origin`
+    table, and a cast computes only what depends on the direction: the
+    facet rates (`BaseDiagram.facet_rates`, once per direction in the
+    standing), the cut and focus cross products and the Lagrangian hit.
+    Everything a trace finds before its ends depends only on the origin and
+    the primitive direction, so the origin's table keeps a `_Ray` per
+    direction.  A split leg runs along its focus's shear line, so whether it
+    is clear depends only on where w sits on that line: the standing keeps
+    one leg table per focus (`_leg_table`).  The memos read the diagram's
+    rules (`along_shear`, `collision_facet`) when they are filled, so a test
+    that swaps a rule method must run its search on freshly built objects.
+
+    A trace is cast only when something may redirect it (the diagram has
+    foci, and a cut crossing or a split is left) or when its direction can
+    end as it runs straight (`_can_end`): at a focus along its shear
+    (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
+    facet or at a flagged corner's cap.  So a search on a diagram with no
+    foci casts only the directions of its possible ends.  The standing
+    fixes what that test scans when it is built (the focus and facet ids,
+    and each flagged corner's offset once, from the flags' triples), and a
+    reused standing keeps each answer, so a test re-derives nothing.
+    """
+
+    def __init__(self, standing: _Standing, bounds: SearchBounds):
+        # the standing's tables as the tracer's own attributes, which its
+        # loops read; the memos are shared, so what this enumeration fills
+        # in them stays for the next
+        self.diagram = standing.diagram
+        self.cut_rows, self.cut_scale = standing.cut_rows, standing.cut_scale
+        self.foci, self.shear_table = standing.foci, standing.shear_table
+        self.lag_rows, self.lag_scale = standing.lag_rows, standing.lag_scale
+        self.cap_table, self._cap_offsets = standing.cap_table, standing._cap_offsets
+        self._focus_ids, self._facet_ids = standing._focus_ids, standing._facet_ids
+        self._rates, self._ends, self._legs = standing._rates, standing._ends, standing._legs
+        self._pant_roots = standing._pant_roots
+        self.bounds = bounds
+        self._origins: Dict[Tuple[int, int, int], _Origin] = {}
 
     # -- event scanning -------------------------------------------------------
 
@@ -450,8 +487,15 @@ class _Tracer:
             crossings, splits = (crossings if room > 1 else 0), 0
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
-        if (not self.foci or crossings == splits == 0) and not self._can_end(prim, ell):
-            return []
+        if not self.foci or crossings == splits == 0:
+            ends = self._ends
+            can = None if ends is None else ends.get(d)
+            if can is None:
+                can = self._can_end(prim, ell)
+                if ends is not None:
+                    ends[d] = can
+            if not can:
+                return []
         ray = self._ray(origin, prim)
         if ray is None:
             return []
@@ -484,9 +528,8 @@ class _Tracer:
         the rules its ends use: at a focus along its shear (`along_shear`),
         at any ell; or, for ell = 1, on the boundary, head-on on some facet
         (`collision_facet` over every facet) or at a flagged corner whose
-        cap admits prim (`_cap_admits`).  With no foci and no caps it is
-        one `collision_facet` call, a dictionary miss unless -prim is a
-        facet's normal."""
+        cap admits prim (`_cap_admits`).  `_trace` keeps each answer in a
+        reused standing, per direction ell * prim."""
         diagram = self.diagram
         if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
             return True
@@ -1019,10 +1062,23 @@ def enumerate_disks(
     return EnumerationResult(out, [], warnings)
 
 
+# the `_Standing` of the last search, the one entry kept: the next search
+# reuses it when it runs on the same diagram and Lagrangian objects (`is`)
+# under equal flags, and otherwise replaces it
+_last_standing: Optional[_Standing] = None
+
+
 def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[_Completion]:
     """Every completion the roots grow from the constraint, root specs
     prepended, duplicates included, in search order."""
-    tracer = _Tracer(diagram, lag, bounds, flags)
+    global _last_standing
+    standing = _last_standing
+    if (standing is None or standing.diagram is not diagram or standing.lag is not lag
+            or standing.flags != flags):
+        standing = _last_standing = _Standing(diagram, lag, flags)
+    elif standing._ends is None:
+        standing._ends = {}
+    tracer = _Tracer(standing, bounds)
     completions: List[_Completion] = []
     if constraint.edge_index is None:
         _fiber_graphs(tracer, constraint, completions, bounds)
@@ -1109,25 +1165,15 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
 
 def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
     k = constraint.edge_index
-    a_id, b_id = lag.edges[k].endpoints
-    # the strip must end at a seam on a Lagrangian pair of pants
-    a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
-    if not (a_seam or b_seam):
+    key = (k, bounds.max_lattice_length)
+    roots = tracer._pant_roots.get(key)
+    if roots is None:
+        roots = tracer._pant_roots[key] = _pant_root_directions(lag, *key)
+    if not roots:
         return
-    lx, ly = lag.edge_direction(k)
-    lam = (lx, ly, 1)
+    lam = (*lag.edge_direction(k), 1)
     origin = constraint.triple
-    for ex, ey in _direction_pairs(bounds.max_lattice_length):
-        if ex * ly - ey * lx == 0:
-            continue
-        # the strip (`pant_strip_direction`) runs along -<e_black, lam> lam: it
-        # vanishes when the dot product is 0 and runs towards b when it is negative
-        dot = ex * lx + ey * ly
-        if dot == 0:
-            continue
-        target_id, seam = (b_id, b_seam) if dot < 0 else (a_id, a_seam)
-        if not seam:
-            continue
+    for ex, ey, target_id in roots:
         closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits,
                                bounds.max_vertices - 2)
         if not closed:
@@ -1139,6 +1185,31 @@ def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
         ]
         strip = _EdgeSpec(origin, target, pant_strip_direction((ex, ey, 1), lam), open=True)
         completions.extend(c.prepend(root, [strip]) for c in closed)
+
+
+def _pant_root_directions(lag, k, bound) -> Tuple[Tuple[int, int, str], ...]:
+    """(ex, ey, target id) for each e_black in `_direction_pairs(bound)`, in
+    order, whose strip from Lagrangian edge k ends at a seam: the vertex it
+    runs to is trivalent.  It depends on the edge and the bound alone."""
+    a_id, b_id = lag.edges[k].endpoints
+    # the strip must end at a seam on a Lagrangian pair of pants
+    a_seam, b_seam = lag.valence(a_id) == 3, lag.valence(b_id) == 3
+    if not (a_seam or b_seam):
+        return ()
+    lx, ly = lag.edge_direction(k)
+    out = []
+    for ex, ey in _direction_pairs(bound):
+        if ex * ly - ey * lx == 0:
+            continue
+        # the strip (`pant_strip_direction`) runs along -<e_black, lam> lam: it
+        # vanishes when the dot product is 0 and runs towards b when it is negative
+        dot = ex * lx + ey * ly
+        if dot == 0:
+            continue
+        target_id, seam = (b_id, b_seam) if dot < 0 else (a_id, a_seam)
+        if seam:
+            out.append((ex, ey, target_id))
+    return tuple(out)
 
 
 def potential(

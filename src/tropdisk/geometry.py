@@ -91,7 +91,8 @@ def json_object(where: str, value, keys) -> dict:
 
 def json_point(where: str, value) -> Vec:
     """The point of [num, den, num, den] or [[num, den], [num, den]] of JSON integers,
-    dens nonzero; ValueError names `where` and the value as written otherwise."""
+    dens nonzero; ValueError names `where` and the value as written otherwise.
+    The point is reduced in integers (`from_homogeneous`): no Fraction is built."""
     flat = value
     if isinstance(value, list) and len(value) == 2 and all(
             isinstance(pair, list) and len(pair) == 2 for pair in value):
@@ -100,7 +101,8 @@ def json_point(where: str, value) -> Vec:
             and all(type(c) is int for c in flat) and flat[1] and flat[3]):
         raise ValueError(f"{where} {value!r} is not [num, den, num, den] or "
                          "[[num, den], [num, den]] of integers with nonzero dens")
-    return Vec(Fraction(flat[0], flat[1]), Fraction(flat[2], flat[3]))
+    a, b, c, d = flat
+    return from_homogeneous((a * d, c * b, b * d))
 
 
 def json_pair(where: str, value) -> Tuple[int, int]:
@@ -149,7 +151,9 @@ class Vec:
     have equal triples.  `x` and `y` are Fraction views of it, built on their
     first read.  A Vec is immutable: copies are the Vec itself, and the
     arithmetic runs on the triples.  Every Vec, arithmetic results and
-    unpickled ones included, is built through `__init__`.
+    unpickled ones included, is built through `__init__`; `from_homogeneous`
+    builds one of a non-integer point as its integer point (X, Y) and then
+    stores its own triple, so that it builds no Fraction.
     """
 
     x = _Coordinate(0)
@@ -305,15 +309,24 @@ def integer_rows(segments) -> Tuple[List[Tuple[int, int, int, int]], int]:
 
 
 def from_homogeneous(origin) -> Vec:
-    """The Vec of the point (X/W, Y/W) of a homogeneous triple, W nonzero;
-    an integer point builds no Fraction."""
+    """The Vec of the point (X/W, Y/W) of a homogeneous triple, W nonzero.
+    Its canonical triple is the given one over the gcd of its entries,
+    signed so that W > 0, as `Fraction` reduces a ratio: found in integers,
+    so no Fraction is built."""
     X, Y, W = origin
     if W != 1:
+        if not W:
+            raise ZeroDivisionError(f"homogeneous triple {origin!r} has W = 0")
         g = math.gcd(X, Y, W)
-        if W != g:
-            return Vec(Fraction(X, W), Fraction(Y, W))
-        X, Y = X // g, Y // g
-    return Vec(X, Y)
+        if W < 0:
+            g = -g
+        X, Y, W = X // g, Y // g, W // g
+    v = Vec(X, Y)
+    if W != 1:
+        # the Vec of the integer point (X, Y), given its own W: the views
+        # are built from the triple on their first read
+        object.__setattr__(v, "triple", (X, Y, W))
+    return v
 
 
 def ray_point(origin, d, t_num: int, t_den: int) -> Tuple[int, int, int]:

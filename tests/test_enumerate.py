@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import pathlib
 import random
 import runpy
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -24,6 +26,7 @@ from tropdisk.diskgraph import (
     DiskGraph,
     DiskVertex,
 )
+import tropdisk.enumerate as enumerate_module
 from tropdisk.enumerate import (
     NO_FLAGS,
     FixtureFlags,
@@ -36,6 +39,7 @@ from tropdisk.enumerate import (
     _echelon_rank,
     _EdgeSpec,
     _rigidity_rows,
+    _Standing,
     _Tracer,
     _unique_graphs,
     _VertexSpec,
@@ -925,7 +929,7 @@ def test_can_end_agrees_with_a_reference_scan():
                 nx, ny = lag.edge_normal(k)
                 prims |= {(nx, ny), (-nx, -ny)}
         for flags in (c.flags, at_limit, no_limit):
-            tracer = _Tracer(diagram, lag, c.bounds, flags)
+            tracer = _fresh_tracer(diagram, lag, c.bounds, flags)
             offsets |= {offset for caps in tracer.cap_table.values() for _, offset in caps}
             for prim in sorted(prims):
                 for ell in range(1, bound + 1):
@@ -975,7 +979,7 @@ def test_tracer_builds_no_vec(monkeypatch):
         diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
         origin = homogeneous(fx.constraint(case).point)
         monkeypatch.setattr(Vec, "__init__", counted)
-        tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+        tracer = _fresh_tracer(diagram, lag, c.bounds, c.flags)
         traced = [tracer._trace(origin, d, c.bounds.max_cut_crossings, c.bounds.max_splits,
                                 c.bounds.max_vertices - 1)
                   for d in _direction_pairs(c.bounds.max_lattice_length)]
@@ -1089,7 +1093,7 @@ def _square_with_focus(sigma):
 
 def test_tracer_rejects_a_non_unipotent_shear_at_the_crossing():
     # <sigma, pi> = 1: the ray from (-1, 1) along (1, 0) crosses the cut at (0, 1)
-    tracer = _Tracer(_square_with_focus(Vec(1, 1)), None, SearchBounds(), NO_FLAGS)
+    tracer = _fresh_tracer(_square_with_focus(Vec(1, 1)), None, SearchBounds(), NO_FLAGS)
     assert len(_trace_vec(tracer, Vec(-1, 1), Vec(0, -1), 2, 0, NO_CAP)) == 1  # crosses no cut
     with pytest.raises(GeometryError, match="not a valid shear"):
         _trace_vec(tracer, Vec(-1, 1), Vec(1, 0), 2, 0, NO_CAP)
@@ -1097,7 +1101,7 @@ def test_tracer_rejects_a_non_unipotent_shear_at_the_crossing():
 
 def test_tracer_rejects_a_non_integral_shear_covector():
     with pytest.raises(GeometryError):
-        _Tracer(_square_with_focus(Vec(F(1, 2), 0)), None, SearchBounds(), NO_FLAGS)
+        _fresh_tracer(_square_with_focus(Vec(F(1, 2), 0)), None, SearchBounds(), NO_FLAGS)
 
 
 # -- fixture enumerations -----------------------------------------------------
@@ -1718,6 +1722,11 @@ def _edge(p, q, d):
     return _EdgeSpec(homogeneous(p), homogeneous(q), homogeneous(d))
 
 
+def _fresh_tracer(diagram, lag, bounds, flags):
+    """A tracer on a `_Standing` of its own, which no search shares."""
+    return _Tracer(_Standing(diagram, lag, flags), bounds)
+
+
 class _ReferenceTracer(_Tracer):
     """The tracer whose recursion builds Fractions and Vecs at every event,
     kept as the reference: the former bodies of `trace` and its helpers,
@@ -1728,7 +1737,7 @@ class _ReferenceTracer(_Tracer):
     room, which is what the tracer's pruning must give."""
 
     def __init__(self, diagram, lag, bounds, flags):
-        super().__init__(diagram, lag, bounds, flags)
+        super().__init__(_Standing(diagram, lag, flags), bounds)
         self.lag = lag
         self.flags = flags
         self.facets = reference_facets(diagram)
@@ -2014,7 +2023,7 @@ def test_trace_agrees_with_fraction_reference(data):
     # from no room to what a trace of these budgets adds at most: a vertex
     # per crossing, two per split and two at a corner cap
     room = data.draw(st.integers(0, 8))
-    tracer = _Tracer(diagram, lag, bounds, flags)
+    tracer = _fresh_tracer(diagram, lag, bounds, flags)
     reference = _ReferenceTracer(diagram, lag, bounds, flags)
     assert (_trace_vec(tracer, p, d, crossings, splits, room)
             == reference.trace(p, d, crossings, splits, room))
@@ -2030,7 +2039,7 @@ def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
     fx = builtin_fixture(name)
     c = fx.case(case)
     diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
-    tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+    tracer = _fresh_tracer(diagram, lag, c.bounds, c.flags)
     reference = _ReferenceTracer(diagram, lag, c.bounds, c.flags)
     q = fx.constraint(case).point
     room = c.bounds.max_vertices - 1
@@ -2046,7 +2055,8 @@ def test_trace_agrees_with_fraction_reference_at_the_constraint(name, case):
     assert all(found), found
 
 
-@pytest.mark.parametrize("tracer_class", [_Tracer, _ReferenceTracer])
+@pytest.mark.parametrize("tracer_class", [pytest.param(_fresh_tracer, id="_Tracer"),
+                                          _ReferenceTracer])
 def test_corner_cap_follows_the_rim_towards_the_corner(tracer_class):
     # dp7 without a Lagrangian, (-1, 1) flagged and no corner limit: both rays
     # from (-1/2, 0) meet the top facet, which ends at the corner (-1, 1)
@@ -2076,7 +2086,7 @@ def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
     c = fx.case(case)
     diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
     q = fx.constraint(case).point
-    shared = _Tracer(diagram, lag, c.bounds, c.flags)
+    shared = _fresh_tracer(diagram, lag, c.bounds, c.flags)
     bound = c.bounds.max_lattice_length
     found = 0
     for splits in reversed(range(c.bounds.max_splits + 1)):
@@ -2085,7 +2095,7 @@ def test_one_tracer_agrees_with_a_fresh_tracer_per_call(name, case):
                 for d in itertools.product(range(-bound, bound + 1), repeat=2):
                     if any(d):
                         completions = _trace_vec(shared, q, Vec(*d), crossings, splits, room)
-                        fresh = _Tracer(diagram, lag, c.bounds, c.flags)
+                        fresh = _fresh_tracer(diagram, lag, c.bounds, c.flags)
                         assert completions == _trace_vec(fresh, q, Vec(*d), crossings, splits,
                                                          room), d
                         found += len(completions)
@@ -2138,11 +2148,12 @@ def test_one_tracer_casts_from_many_origins_as_fresh_tracers_do(data):
     bound = bounds.max_lattice_length
     prims = sorted({(dx // math.gcd(dx, dy), dy // math.gcd(dx, dy))
                     for dx, dy in _direction_pairs(bound)})
-    shared = _Tracer(diagram, lag, bounds, flags)
+    shared = _fresh_tracer(diagram, lag, bounds, flags)
     for prim in prims:
         for origin in origins:
             record = _ray_record(shared, origin, prim)
-            assert record == _ray_record(_Tracer(diagram, lag, bounds, flags), origin, prim)
+            fresh = _fresh_tracer(diagram, lag, bounds, flags)
+            assert record == _ray_record(fresh, origin, prim)
             table = shared._origins[origin]
             hit = None if table.slacks is None else diagram.boundary_exit(
                 table.slacks, shared._rates[prim])
@@ -2230,7 +2241,7 @@ def test_leg_clear_agrees_with_ray_kernel_reference(data):
         return
     ff = diagram.focus_foci[j]
     origin = homogeneous(ff.position + ff.pi * v)
-    tracer = _Tracer(diagram, lag, fx.case(case).bounds, flags)
+    tracer = _fresh_tracer(diagram, lag, fx.case(case).bounds, flags)
     assert tracer._leg_clear(j, v.numerator, v.denominator) == _reference_leg_clear(
         tracer, origin, j)
 
@@ -2248,9 +2259,131 @@ def test_leg_clear_along_a_lagrangian_edge_on_the_shear_line():
     assert (ff.position, ff.pi) == (Vec(0, F(-1, 2)), Vec(0, 1))
     assert [tuple(map(lag.position, e.endpoints)) for e in lag.edges] == [
         (Vec(0, F(-1, 2)), Vec(0, F(1, 2)))]
-    tracer = _Tracer(diagram, lag, c.bounds, c.flags)
+    tracer = _fresh_tracer(diagram, lag, c.bounds, c.flags)
     for v, clear in [(F(1, 2), True), (F(1, 4), True),
                      (F(-1, 2), False), (F(3, 2), False), (F(1), False)]:
         assert tracer._leg_clear(1, v.numerator, v.denominator) is clear, v
         origin = homogeneous(ff.position + ff.pi * v)
         assert _reference_leg_clear(tracer, origin, 1) is clear, v
+
+
+# -- the standing, reused across searches --------------------------------------
+
+LAGRANGIAN_CASES = [(name, case) for name, case in SHIPPED_CASES
+                    if builtin_fixture(name).case(case).lagrangian is not None]
+
+
+def _search_record(fx, case, edge, t):
+    """(total, sorted signatures) of the case's search with its constraint at
+    t on the edge, or the GeometryError it raises."""
+    lag = fx.lagrangian_for(case)
+    try:
+        result = fx.run(case, None, Constraint.on_lagrangian(lag, edge, t))
+    except GeometryError as error:
+        return "raised", str(error)
+    return result.total(), sorted(repr(g.graph.signature()) for g in result.graphs)
+
+
+def _counted_standings(monkeypatch):
+    """The (diagram, lag, flags) of every `_Standing` built from now on."""
+    built = []
+    init = _Standing.__init__
+
+    def counted(self, diagram, lag, flags):
+        built.append((diagram, lag, flags))
+        init(self, diagram, lag, flags)
+
+    monkeypatch.setattr(_Standing, "__init__", counted)
+    return built
+
+
+def test_reused_objects_enumerate_as_fresh_ones(monkeypatch):
+    # every edge of every shipped Lagrangian case at t = k/16, on one fixture
+    # object per name, against freshly built objects per search.  The cases
+    # are interleaved, in reverse order on every other t, so that dp7 leg and
+    # diag (one diagram and Lagrangian, other flags) and dp2 l1 and l2 (a
+    # variant diagram) follow each other both ways
+    runs = []
+    for k in range(1, 16):
+        for name, case in (LAGRANGIAN_CASES if k % 2 else LAGRANGIAN_CASES[::-1]):
+            edges = len(builtin_fixture(name).lagrangian_for(case).edges)
+            runs += [(name, case, edge, F(k, 16)) for edge in range(edges)]
+    expected = [_search_record(builtin_fixture(name), case, edge, t)
+                for name, case, edge, t in runs]
+    shared = {name: builtin_fixture(name) for name, _ in LAGRANGIAN_CASES}
+    built = _counted_standings(monkeypatch)
+    for run, record in zip(runs, expected):
+        name, case, edge, t = run
+        assert _search_record(shared[name], case, edge, t) == record, run
+    # a standing per run of consecutive searches on one case
+    cases = [key for key, _ in itertools.groupby(runs, key=lambda run: run[:2])]
+    assert len(built) == len(cases) < len(runs)
+
+
+def test_standing_is_built_once_per_diagram_lagrangian_and_flags(monkeypatch):
+    # a run of searches on one triple builds one standing, whatever the
+    # position, the bounds and whether the flags are the same object; a new
+    # flags value, a Lagrangian or a diagram that is another object (though
+    # equal) builds another
+    dp7 = builtin_fixture("dp7")
+    diagram, lag = dp7.diagram, dp7.lagrangians["trivalent"]
+    leg, diag = dp7.case("leg").flags, dp7.case("diag").flags
+    same_leg = FixtureFlags(corner_caps=tuple(leg.corner_caps), corner_limit=leg.corner_limit)
+    assert same_leg == leg and same_leg is not leg and diag != leg
+    again = builtin_fixture("dp7")
+    other_diagram, other_lag = again.diagram, again.lagrangians["trivalent"]
+    assert other_diagram == diagram and other_lag == lag
+
+    def search(diagram, lag, flags, t=F(1, 8), bounds=SearchBounds()):
+        enumerate_disks(diagram, lag, Constraint.on_lagrangian(lag, 1, t), bounds, flags=flags)
+
+    built = _counted_standings(monkeypatch)
+    for t in (F(1, 8), F(1, 4), F(3, 8)):
+        search(diagram, lag, leg, t)
+    search(diagram, lag, same_leg)
+    search(diagram, lag, leg, bounds=SearchBounds(max_lattice_length=2))
+    assert built == [(diagram, lag, leg)]
+    search(diagram, lag, diag)
+    search(diagram, lag, diag, F(1, 4))
+    search(diagram, other_lag, diag)
+    search(other_diagram, other_lag, diag)
+    search(other_diagram, other_lag, diag, F(1, 4))
+    search(diagram, lag, leg)
+    assert [(d is diagram, l is lag, f) for d, l, f in built] == [
+        (True, True, leg), (True, True, diag), (True, False, diag), (False, False, diag),
+        (True, True, leg)]
+
+
+@pytest.mark.parametrize("name,case", LAGRANGIAN_CASES)
+def test_second_pass_adds_no_standing_entry(name, case):
+    # the memos are keyed by directions, foci and edges, never by a point: a
+    # second pass over the positions of the first fills nothing new
+    fx = builtin_fixture(name)
+    lag = fx.lagrangian_for(case)
+    positions = [(edge, F(k, 16)) for edge in range(len(lag.edges)) for k in range(1, 16)]
+
+    def one_pass():
+        for edge, t in positions:
+            _search_record(fx, case, edge, t)
+        s = enumerate_module._last_standing
+        return s, (len(s._rates), len(s._ends), sum(leg is not None for leg in s._legs),
+                   len(s._pant_roots))
+
+    first, counts = one_pass()
+    second, again = one_pass()
+    assert second is first and first.diagram is fx.diagram_for(case)
+    assert again == counts and counts[3] == len(lag.edges)
+
+
+def test_standing_lets_a_dropped_diagram_go():
+    # the kept standing is the last search's only: once a search runs on
+    # another diagram, nothing holds the first one but its caller
+    fx = builtin_fixture("dp6")
+    fx.run("segment")
+    ref = weakref.ref(fx.diagram)
+    del fx
+    gc.collect()
+    assert ref() is not None  # the last search's standing holds it
+    builtin_fixture("dp5").run("segment")
+    gc.collect()
+    assert ref() is None

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdisk.enumerate import EnumeratedGraph, EnumerationResult
+from tropdisk import diagram as diagram_module
+from tropdisk import lagrangian as lagrangian_module
+from tropdisk.diagram import BaseDiagram
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.geometry import (
     GeometryError,
@@ -19,6 +22,7 @@ from tropdisk.geometry import (
     from_homogeneous,
     homogeneous,
     integer_rows,
+    json_point,
     point_on_row,
     primitive,
     primitive_and_length,
@@ -477,6 +481,67 @@ def test_integer_vecs_build_no_fraction():
     with built_fractions() as built:
         assert (v.x, v.x, v.y) == (3, 3, -4)
     assert built == [(3,), (-4,)]
+
+
+nonzero = st.integers(min_value=-60, max_value=60).filter(bool)
+
+
+@given(ints, nonzero, ints, nonzero, st.booleans())
+def test_json_point_agrees_with_a_fraction_reference(a, b, c, d, nested):
+    # either shape, denominators of either sign, reduced or not: the Vec of
+    # the Fractions a/b and c/d, reduced in integers, with no Fraction built
+    value = [[a, b], [c, d]] if nested else [a, b, c, d]
+    with built_fractions() as built:
+        v = json_point("point", value)
+    assert built == []
+    reference = Vec(F(a, b), F(c, d))
+    assert v == reference and v.triple == reference.triple and repr(v) == repr(reference)
+
+
+@given(ints, ints, nonzero)
+def test_from_homogeneous_reduces_a_triple_as_fractions_do(X, Y, W):
+    with built_fractions() as built:
+        v = from_homogeneous((X, Y, W))
+    assert built == [] and v.triple == Vec(F(X, W), F(Y, W)).triple
+    assert (v.x, v.y) == (F(X, W), F(Y, W))
+
+
+def test_from_homogeneous_refuses_a_triple_at_infinity():
+    with pytest.raises(ZeroDivisionError):
+        from_homogeneous((1, 2, 0))
+
+
+def test_loading_saved_case_files_builds_no_fraction_in_json_point(tmp_path, monkeypatch):
+    # every diagram and Lagrangian of the dp3 and dp6 cases, saved and loaded
+    # again: each point the loaders read goes through json_point, which
+    # builds no Fraction, and comes back as the point that was saved
+    inside, calls = [], []
+
+    def counted(where, value):
+        with built_fractions() as built:
+            point = json_point(where, value)
+        inside.extend(built)
+        calls.append(point)
+        return point
+
+    for module in (diagram_module, lagrangian_module):
+        monkeypatch.setattr(module, "json_point", counted)
+    for name in ("dp3", "dp6"):
+        fx = builtin_fixture(name)
+        for case in fx.cases:
+            diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+            diagram.save(tmp_path / "d.json")
+            loaded = BaseDiagram.load(tmp_path / "d.json")
+            assert loaded.polygon == diagram.polygon
+            assert [ff.position for ff in loaded.focus_foci] == [
+                ff.position for ff in diagram.focus_foci]
+            if lag is not None:
+                lag.save(tmp_path / "l.json")
+                loaded_lag = lagrangian_module.LagGraph.load(tmp_path / "l.json")
+                assert [v.position for v in loaded_lag.vertices] == [
+                    v.position for v in lag.vertices]
+    assert any(not p.is_integral() for p in calls)
+    assert inside == []
 
 
 @pytest.mark.parametrize("name,case", SHIPPED_CASES)

@@ -7,11 +7,13 @@ import runpy
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 from tropdisk.cli import main
 from tropdisk.diagram import BaseDiagram
+from tropdisk.diskgraph import Constraint
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
 from tropdisk.lagrangian import LagGraph
 
@@ -318,6 +320,23 @@ def test_compare_outputs_reports_each_differing_command():
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
         *malformed, *unreadable, *focus_leg, *edge_codes, *grid, *unbudgeted, *edges, *points,
         *conventions, *fibers, *coincident, *case_files, *renders, *diagram_renders]
+    # the in-process section: each edge case at each t, t major, the cases
+    # interleaved on one fixture object per name
+    runs = compare["reuse_runs"]([("dp7", "leg"), ("dp7", "diag"), ("dp6", "fiber")],
+                                 builtin_fixture)
+    assert [label for label, *_ in runs] == [
+        f"dp7:{case}#{k}@{t}" for t in ("3/16", "1/2", "13/16")
+        for case in ("leg", "diag") for k in range(3)]
+    assert len({id(fixture) for _, fixture, *_ in runs}) == 1
+    outputs = compare["reuse_outputs"](runs[:2])
+    assert list(outputs) == ["in-process dp7:leg#0@3/16", "in-process dp7:leg#1@3/16"]
+    for (label, fixture, case, k, t), output in zip(runs, outputs.values()):
+        assert output["exit"] == 0 and output["stderr"] == ""
+        line = json.loads(output["stdout"])
+        result = fixture.run(case, None, Constraint.on_lagrangian(
+            fixture.lagrangian_for(case), k, F(t)))
+        assert line == [label, [result.total().numerator, result.total().denominator],
+                        sorted(repr(g.graph.signature()) for g in result.graphs)]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
               "validate --fixture dp6": {"exit": 0, "stdout": "valid\n", "stderr": ""}}
     assert compare["diff_outputs"](parent, parent) == []
