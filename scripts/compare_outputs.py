@@ -66,14 +66,21 @@ process through `tropdisk.cli.main`:
 
 Every command builds its fixture afresh, so none of them runs two searches on
 one diagram.  After the commands, the same interpreter runs an in-process
-section (`reuse_runs`): every edge of every shipped case with a Lagrangian at
-every T of `EDGE_POSITIONS`, T major and the cases interleaved, through
-`Fixture.run` on one fixture object per name.  So consecutive searches on
-one case reuse what the search keeps across calls on the same diagram,
-Lagrangian and flags, and switching cases (dp7 `leg` to `diag`, dp2 `l1` to
-`l2`) makes it build that again.  Each search's `[label, total, sorted
-signatures]` line is compared like a command's standard output, under the
-key `in-process LABEL`.
+section of three passes, each through `Fixture.run` on one fixture object
+per name:
+
+* `reuse_runs`: every edge of every shipped case with a Lagrangian at every
+  T of `EDGE_POSITIONS`, T major and the cases interleaved, so switching
+  cases (dp7 `leg` to `diag`, dp2 `l1` to `l2`) makes the search build what
+  it keeps across calls on the same diagram, Lagrangian and flags again;
+* `case_major_runs`: the same searches case major, each case's edges and
+  positions in a row, as a run of positions on one case (a sweep of T)
+  asks them, so every search after a case's first reuses what it keeps;
+* `fiber_runs`: every shipped case of `INTERIOR_FIXTURES` at every X,Y of
+  `INTERIOR_POINTS`, case major, so the fiber root reuses it too.
+
+Each search's `[label, total, sorted signatures]` line is compared like a
+command's standard output, under the key `in-process LABEL`.
 
 The malformed, unreadable, off-shear and bad-edge files and the convention
 file are written to a temporary directory that each side's interpreter runs
@@ -266,32 +273,70 @@ def commands(shipped_cases, fixture_names, builtin_fixture) -> list:
     return out
 
 
+def _edge_runs(shipped_cases, builtin_fixture, prefix, t_major) -> list:
+    """(label, fixture, case, constraint) of every edge of every shipped case
+    with a Lagrangian at each t of `EDGE_POSITIONS`, on one fixture object
+    per name: t major, or case major with each edge's positions in a row.
+    Each label starts with prefix."""
+    from tropdisk.diskgraph import Constraint
+
+    fixtures, cells = {}, []
+    for name, case in shipped_cases:
+        if name not in fixtures:
+            fixtures[name] = builtin_fixture(name)
+        lag = fixtures[name].lagrangian_for(case)
+        cells += [(i, t, name, case, lag, k)
+                  for k in range(len(lag.edges) if lag is not None else 0)
+                  for i, t in enumerate(EDGE_POSITIONS)]
+    if t_major:
+        cells.sort(key=lambda cell: cell[0])
+    return [(f"{prefix}{name}:{case}#{k}@{t}", fixtures[name], case,
+             Constraint.on_lagrangian(lag, k, Fraction(t)))
+            for _, t, name, case, lag, k in cells]
+
+
 def reuse_runs(shipped_cases, builtin_fixture) -> list:
-    """(label, fixture, case, edge, t) of the in-process section, in run
-    order: every edge of every shipped case with a Lagrangian at each t of
-    `EDGE_POSITIONS`, t major, on one fixture object per name."""
+    """(label, fixture, case, constraint) of the first in-process pass, in
+    run order: every edge of every shipped case with a Lagrangian at each t
+    of `EDGE_POSITIONS`, t major, on one fixture object per name."""
+    return _edge_runs(shipped_cases, builtin_fixture, "", t_major=True)
+
+
+def case_major_runs(shipped_cases, builtin_fixture) -> list:
+    """The searches of `reuse_runs`, case major: each case's edges in turn,
+    each at every t in a row, on one fixture object per name."""
+    return _edge_runs(shipped_cases, builtin_fixture, "case-major ", t_major=False)
+
+
+def fiber_runs(shipped_cases, builtin_fixture) -> list:
+    """(label, fixture, case, constraint) of every shipped case of
+    `INTERIOR_FIXTURES` at each point of `INTERIOR_POINTS`, case major, on
+    one fixture object per name."""
+    from tropdisk.diskgraph import Constraint
+    from tropdisk.geometry import Vec
+
     fixtures, out = {}, []
-    for t in EDGE_POSITIONS:
-        for name, case in shipped_cases:
-            if name not in fixtures:
-                fixtures[name] = builtin_fixture(name)
-            lag = fixtures[name].lagrangian_for(case)
-            for k in range(len(lag.edges) if lag is not None else 0):
-                out.append((f"{name}:{case}#{k}@{t}", fixtures[name], case, k, t))
+    for name, case in shipped_cases:
+        if name not in INTERIOR_FIXTURES:
+            continue
+        if name not in fixtures:
+            fixtures[name] = builtin_fixture(name)
+        for xy in INTERIOR_POINTS:
+            x, y = xy.split(",")
+            out.append((f"fiber {name}:{case}@{xy}", fixtures[name], case,
+                        Constraint.interior_point(Vec(Fraction(x), Fraction(y)))))
     return out
 
 
 def reuse_outputs(runs) -> dict:
-    """{"in-process LABEL": {"exit", "stdout", "stderr"}} for `reuse_runs`,
-    from the `tropdisk` that built their fixtures: stdout is the search's
-    `[label, [num, den], sorted signatures]` line, or stderr a
+    """{"in-process LABEL": {"exit", "stdout", "stderr"}} for in-process
+    runs, from the `tropdisk` that built their fixtures: stdout is the
+    search's `[label, [num, den], sorted signatures]` line, or stderr a
     GeometryError's text with exit 1."""
-    from tropdisk.diskgraph import Constraint
     from tropdisk.geometry import GeometryError
 
     outputs = {}
-    for label, fixture, case, k, t in runs:
-        constraint = Constraint.on_lagrangian(fixture.lagrangian_for(case), k, Fraction(t))
+    for label, fixture, case, constraint in runs:
         try:
             result = fixture.run(case, None, constraint)
         except GeometryError as error:
@@ -351,7 +396,8 @@ def collect(src: str) -> None:
             code = main(argv)
         outputs[" ".join(argv)] = {"exit": code, "stdout": out.getvalue(),
                                    "stderr": err.getvalue()}
-    outputs.update(reuse_outputs(reuse_runs(SHIPPED_CASES, builtin_fixture)))
+    for runs in (reuse_runs, case_major_runs, fiber_runs):
+        outputs.update(reuse_outputs(runs(SHIPPED_CASES, builtin_fixture)))
     print(json.dumps(outputs))
 
 

@@ -254,14 +254,18 @@ class _Standing:
     the flags alone, never on the constraint.
 
     Built at once: the cut, shear and Lagrangian rows, the cap table and its
-    offsets, and the focus and facet ids the end test scans.  Filled as
-    searches ask: the facet rates per primitive direction (`_rates`), the
-    leg table per focus (`_legs`), each Lagrangian edge's pant-root
-    directions per lattice length (`_pant_roots`) and, from the standing's
-    second search on, the end test per direction (`_ends`): a search on
-    freshly built objects asks each direction about once, so keeping its
-    answers would only cost.  Nothing in it is keyed by a point, so its
-    size is bounded by the directions, the foci and the edges.
+    offsets, and the focus and facet ids the end test (`_can_end`) scans.
+    Filled as searches ask: the facet rates per primitive direction
+    (`_rates`), the leg table per focus (`_legs`), the pant-root and
+    fiber-root directions per edge and lattice length (`roots`) and, from
+    the standing's second search on, the end test per direction (`_ends`):
+    a search on freshly built objects asks each direction about once, so
+    keeping its answers would only cost.  With no foci nothing redirects a
+    trace, so `_trace` refuses every direction that `_can_end` rejects,
+    whatever the budgets, and the root tables keep only the directions
+    that pass it; with foci they are unfiltered.  Nothing in it is keyed by
+    a point, so its size is bounded by the directions, the foci and the
+    edges.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph], flags: FixtureFlags):
@@ -292,8 +296,45 @@ class _Standing:
         # standing is reused (`_candidate_graphs`)
         self._ends: Optional[Dict[Tuple[int, int], bool]] = None
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
-        # (edge index, lattice length bound) -> `_pant_root_directions`
-        self._pant_roots: Dict[Tuple[int, int], Tuple[Tuple[int, int, str], ...]] = {}
+        # (edge index, lattice length bound) -> the pant root's directions,
+        # and (None, bound) -> the fiber root's (`roots`)
+        self._roots: Dict[Tuple[Optional[int], int], Tuple[Tuple, ...]] = {}
+
+    def roots(self, k: Optional[int], bound: int) -> Tuple[Tuple, ...]:
+        """The pant root's directions on Lagrangian edge k
+        (`_pant_root_directions`), or the fiber root's when k is None
+        (`_direction_pairs`), in order; with no foci only those that pass
+        `_can_end`."""
+        roots = self._roots.get((k, bound))
+        if roots is None:
+            roots = (_direction_pairs(bound) if k is None
+                     else _pant_root_directions(self.lag, k, bound))
+            if not self.foci:
+                kept = []
+                for root in roots:
+                    ell = math.gcd(root[0], root[1])
+                    if self._can_end((root[0] // ell, root[1] // ell), ell):
+                        kept.append(root)
+                roots = tuple(kept)
+            self._roots[(k, bound)] = roots
+        return roots
+
+    def _can_end(self, prim, ell) -> bool:
+        """Whether a straight trace along ell * prim may end somewhere, by
+        the rules its ends use: at a focus along its shear (`along_shear`),
+        at any ell; or, for ell = 1, on the boundary, head-on on some facet
+        (`collision_facet` over every facet) or at a flagged corner whose
+        cap admits prim (`_cap_admits`).  `_Tracer._trace` keeps each
+        answer in a reused standing, per direction ell * prim."""
+        diagram = self.diagram
+        if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
+            return True
+        if ell != 1:
+            return False
+        if diagram.collision_facet(self._facet_ids, (-prim[0], -prim[1])) is not None:
+            return True
+        return bool(self._cap_offsets) and any(
+            _cap_admits(offset, prim) for offset in self._cap_offsets)
 
 
 class _Tracer:
@@ -315,9 +356,10 @@ class _Tracer:
     cast starts from, and the `_Ray`s in it.  Everything else is its
     `_Standing`, which `_candidate_graphs` keeps for the next enumeration on
     the same diagram and Lagrangian objects under equal flags; nothing is
-    stored on the diagram or the Lagrangian.  Every offset a cast reads (to each facet, cut, focus and Lagrangian row) depends on the
-    origin alone, so the first cast from an origin builds its `_Origin`
-    table, and a cast computes only what depends on the direction: the
+    stored on the diagram or the Lagrangian.  Every offset a cast reads (to
+    each facet, cut, focus and Lagrangian row) depends on the origin alone,
+    so the first cast from an origin builds its `_Origin` table, and a
+    cast computes only what depends on the direction: the
     facet rates (`BaseDiagram.facet_rates`, once per direction in the
     standing), the cut and focus cross products and the Lagrangian hit.
     Everything a trace finds before its ends depends only on the origin and
@@ -334,9 +376,12 @@ class _Tracer:
     (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
     facet or at a flagged corner's cap.  So a search on a diagram with no
     foci casts only the directions of its possible ends.  The standing
-    fixes what that test scans when it is built (the focus and facet ids,
-    and each flagged corner's offset once, from the flags' triples), and a
-    reused standing keeps each answer, so a test re-derives nothing.
+    owns that test and fixes what it scans when it is built (the focus and
+    facet ids, and each flagged corner's offset once, from the flags'
+    triples), and a reused standing keeps each answer, so a test re-derives
+    nothing.  With no foci the roots trace no direction that fails it: the
+    standing's root tables (`_Standing.roots`) drop them, and the
+    perpendicular root traces lattice length 1 only.
     """
 
     def __init__(self, standing: _Standing, bounds: SearchBounds):
@@ -347,10 +392,8 @@ class _Tracer:
         self.cut_rows, self.cut_scale = standing.cut_rows, standing.cut_scale
         self.foci, self.shear_table = standing.foci, standing.shear_table
         self.lag_rows, self.lag_scale = standing.lag_rows, standing.lag_scale
-        self.cap_table, self._cap_offsets = standing.cap_table, standing._cap_offsets
-        self._focus_ids, self._facet_ids = standing._focus_ids, standing._facet_ids
+        self.cap_table, self._can_end = standing.cap_table, standing._can_end
         self._rates, self._ends, self._legs = standing._rates, standing._ends, standing._legs
-        self._pant_roots = standing._pant_roots
         self.bounds = bounds
         self._origins: Dict[Tuple[int, int, int], _Origin] = {}
 
@@ -522,23 +565,6 @@ class _Tracer:
             return completions + ray.ends
         # a corner cap brings two vertices
         return completions + [c for c in ray.ends if len(c.vertices) == 1]
-
-    def _can_end(self, prim, ell) -> bool:
-        """Whether a straight trace along ell * prim may end somewhere, by
-        the rules its ends use: at a focus along its shear (`along_shear`),
-        at any ell; or, for ell = 1, on the boundary, head-on on some facet
-        (`collision_facet` over every facet) or at a flagged corner whose
-        cap admits prim (`_cap_admits`).  `_trace` keeps each answer in a
-        reused standing, per direction ell * prim."""
-        diagram = self.diagram
-        if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
-            return True
-        if ell != 1:
-            return False
-        if diagram.collision_facet(self._facet_ids, (-prim[0], -prim[1])) is not None:
-            return True
-        return bool(self._cap_offsets) and any(
-            _cap_admits(offset, prim) for offset in self._cap_offsets)
 
     def _focus_end(self, origin, d, ell, j) -> List[_Completion]:
         leg = (_EdgeSpec(origin, self.foci[j], (*d, 1)),)
@@ -822,13 +848,13 @@ def _tropical_frame(graph: DiskGraph, root: Optional[int],
     column precedes its parent's and elimination starts at the leaves.  An
     edge with no direction, or a vertex that no edge reaches, raises
     GeometryError."""
-    index = graph.index_of
+    index = graph._index
     pending = []
     for e in graph.edges:
         dx, dy, _ = e.triple
         if not (dx or dy):
             raise GeometryError(f"graph edge {e.endpoints} has no direction")
-        pending.append((index(e.endpoints[0]), index(e.endpoints[1]), dx, dy))
+        pending.append((index[e.endpoints[0]], index[e.endpoints[1]], dx, dy))
     m = len(pending)
     paths: list = [None] * len(graph.vertices)
     if root is None:
@@ -875,13 +901,17 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
     the y row p_b - p_a - t d = 0 of each edge off the tree, in which the
     root cancels.  The anchors come from the triples the graph stores and
     the integer facet, cut and Lagrangian rows of the diagram and the
-    Lagrangian cache, so no Fraction is built.
+    Lagrangian cache, so no Fraction is built.  The same pass finds the
+    root: the first vertex of a kind that the point constraint pins.
     """
     anchors: List[Tuple[int, int, int, int]] = []
     facet_rows, facet_scale = diagram.facet_rows()
     foci, _ = diagram.homogeneous_points()
+    root = None
     for i, v in enumerate(graph.vertices):
         point, tag = v.triple, v.kind.tag
+        if root is None and tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP):
+            root = i
         if tag in (FOCUS_COVER, FOCUS_COVER_PAIR):
             anchors += _pin_anchors(i, foci[v.kind.index] if v.kind.index is not None else point)
         elif tag == BOUNDARY_COLLISION:
@@ -901,7 +931,6 @@ def _rigidity_rows(graph: DiskGraph, diagram: BaseDiagram, lag: Optional[LagGrap
                 anchors.append(_line_anchor(i, edge_rows[constraint.edge_index], edge_scale))
         elif tag in (CORNER_CAP, PANT_SEAM, THREE_STRIP):
             anchors += _pin_anchors(i, point)
-    root = _root_index(graph)
     pinned = constraint is not None and root is not None
     frame = _tropical_frame(graph, root, constraint.triple if pinned else None)
     paths, cols = frame.paths, frame.cols
@@ -937,14 +966,6 @@ def _line_anchor(i: int, line, scale: int) -> Tuple[int, int, int, int]:
     ey) of `integer_rows`, as the anchor (i, a, b, c): a x_i + b y_i = c."""
     ax, ay, ex, ey = line
     return i, ey * scale, -ex * scale, ey * ax - ex * ay
-
-
-def _root_index(graph: DiskGraph) -> Optional[int]:
-    """The index of the vertex that the point constraint pins, if any."""
-    for i, v in enumerate(graph.vertices):
-        if v.kind.tag in (PERP_COLLISION, PANT, FIBER_ROOT, THREE_STRIP):
-            return i
-    return None
 
 
 def _echelon_rank(matrix: List[List[int]], cols: int) -> Tuple[int, bool]:
@@ -1080,11 +1101,12 @@ def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[_Completi
         standing._ends = {}
     tracer = _Tracer(standing, bounds)
     completions: List[_Completion] = []
+    roots = standing.roots(constraint.edge_index, bounds.max_lattice_length)
     if constraint.edge_index is None:
-        _fiber_graphs(tracer, constraint, completions, bounds)
+        _fiber_graphs(tracer, constraint, completions, bounds, roots)
     else:
         _perp_graphs(tracer, lag, constraint, completions, bounds)
-        _pant_graphs(tracer, lag, constraint, completions, bounds)
+        _pant_graphs(tracer, lag, constraint, completions, bounds, roots)
     return completions
 
 
@@ -1100,7 +1122,8 @@ def _unique_graphs(completions: List[_Completion]) -> List[_Completion]:
     as the signatures of the graphs would.  The kinds' vectors are scaled by
     the same denominator: every kind the tracer builds holds integer triples
     (W = 1).  A completion with two vertices at one point has no graph: the
-    first such one, in search order, raises GeometryError.
+    first such one, in search order, raises GeometryError.  A lone
+    completion needs no key.
     """
     triples = set()
     for c in completions:
@@ -1111,6 +1134,8 @@ def _unique_graphs(completions: List[_Completion]) -> List[_Completion]:
             seen.add(s.position)
         triples |= seen
         triples.update(e.direction for e in c.edges)
+    if len(completions) < 2:
+        return completions
     den = math.lcm(*(W for _, _, W in triples))
     scaled = {t: (t[0] * (den // t[2]), t[1] * (den // t[2])) for t in triples}
 
@@ -1129,10 +1154,10 @@ def _unique_graphs(completions: List[_Completion]) -> List[_Completion]:
     return [next(run)[1] for _, run in itertools.groupby(keyed, key=itemgetter(0))]
 
 
-def _fiber_graphs(tracer, constraint, completions, bounds) -> None:
+def _fiber_graphs(tracer, constraint, completions, bounds, roots) -> None:
     origin = constraint.triple
     root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
-    for d in _direction_pairs(bounds.max_lattice_length):
+    for d in roots:
         for completion in tracer._trace(
             origin, d, bounds.max_cut_crossings, bounds.max_splits, bounds.max_vertices - 1
         ):
@@ -1147,7 +1172,8 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
     # a room that never binds: a trace adds a vertex per cut crossing and two
     # per split, both only with foci, and at most two at its end (a corner cap)
     unbounded = (crossings + 2 * splits if tracer.foci else 0) + 2
-    for ell in range(1, bounds.max_lattice_length + 1):
+    # with no focus only a primitive direction can end (`_can_end`)
+    for ell in range(1, bounds.max_lattice_length + 1 if tracer.foci else 2):
         sides = []
         for d in ((nx * ell, ny * ell), (-nx * ell, -ny * ell)):
             fitting = tracer._trace(origin, d, crossings, splits, room)
@@ -1163,15 +1189,10 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
             completions.extend(c.prepend([root], []) for c in sides[0] + sides[1])
 
 
-def _pant_graphs(tracer, lag, constraint, completions, bounds) -> None:
-    k = constraint.edge_index
-    key = (k, bounds.max_lattice_length)
-    roots = tracer._pant_roots.get(key)
-    if roots is None:
-        roots = tracer._pant_roots[key] = _pant_root_directions(lag, *key)
+def _pant_graphs(tracer, lag, constraint, completions, bounds, roots) -> None:
     if not roots:
         return
-    lam = (*lag.edge_direction(k), 1)
+    lam = (*lag.edge_direction(constraint.edge_index), 1)
     origin = constraint.triple
     for ex, ey, target_id in roots:
         closed = tracer._trace(origin, (ex, ey), bounds.max_cut_crossings, bounds.max_splits,

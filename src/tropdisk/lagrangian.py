@@ -80,6 +80,9 @@ class LagGraph:
         self._by_point: Dict[Tuple[int, int, int], LagVertex] = {}
         for v in self.vertices:
             self._by_point.setdefault(triples[v.id], v)
+        # the weight codes, which `weight_violations` copies
+        self._weight_codes = {k: f"edge_weight_not_one:{k}"
+                              for k, e in enumerate(self.edges) if e.weight != 1}
 
     # -- basic combinatorics --------------------------------------------------
 
@@ -184,9 +187,10 @@ class LagGraph:
 
     def weight_violations(self) -> Dict[int, str]:
         """The code `edge_weight_not_one:<k>` of each edge k of weight other
-        than 1, by k: the search reads every edge as primitive, so
-        `is_allowable` reports these codes and `enumerate_disks` refuses them."""
-        return {k: f"edge_weight_not_one:{k}" for k, e in enumerate(self.edges) if e.weight != 1}
+        than 1, by k, found at construction: the search reads every edge as
+        primitive, so `is_allowable` reports these codes and `enumerate_disks`
+        refuses them."""
+        return dict(self._weight_codes)
 
     def is_allowable(self, diagram: BaseDiagram) -> List[str]:
         """Violation codes for Def.-style allowability; empty means allowable.

@@ -16,6 +16,7 @@ record of its multiplicity and its index contribution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -226,23 +227,24 @@ def aut_order(graph) -> int:
     graph sit at distinct points, so it fixes every vertex and can only
     permute literally identical parallel edges (same endpoints, direction
     and open/closed flag): the order is the product of the factorials of
-    their multiplicities.  Two vertices at one point raise GeometryError.
+    their multiplicities, each edge keyed by the lesser of its readings a ->
+    b along d and b -> a along -d.  Two vertices at one point raise
+    GeometryError.
     """
     seen = set()
     for v in graph.vertices:
         if v.triple in seen:
             raise GeometryError(f"two graph vertices at {v.position!r}")
         seen.add(v.triple)
-    counts: Dict[tuple, int] = {}
+    keys = []
     for e in graph.edges:
         a, b = e.endpoints
         X, Y, W = e.triple
-        key = min((a, b, X, Y, W, e.open), (b, a, -X, -Y, W, e.open))
-        counts[key] = counts.get(key, 0) + 1
-    order = 1
-    for m in counts.values():
-        order *= math.factorial(m)
-    return order
+        keys.append((a, b, X, Y, W, e.open) if a < b or a == b and (X, Y) <= (-X, -Y)
+                    else (b, a, -X, -Y, W, e.open))
+    if len(set(keys)) == len(keys):
+        return 1
+    return math.prod(map(math.factorial, Counter(keys).values()))
 
 
 def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION
@@ -254,6 +256,9 @@ def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION
     num, den = 1, aut
     weights = []
     for v in graph.vertices:
+        if v.kind.tag in _UNIT_KINDS:
+            weights.append(_ONE)
+            continue
         n, d = _ratio(v.kind, convention)
         num, den = num * n, den * d
         weights.append(_fraction(n, d))

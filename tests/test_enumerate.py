@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 import runpy
 import weakref
 from collections import Counter
@@ -38,6 +39,7 @@ from tropdisk.enumerate import (
     _direction_pairs,
     _echelon_rank,
     _EdgeSpec,
+    _pant_root_directions,
     _rigidity_rows,
     _Standing,
     _Tracer,
@@ -82,6 +84,7 @@ from tropdisk.multiplicity import (
     holomorphic_pant,
     pair_of_pants,
     pant_seam,
+    pant_strip_direction,
     perp_collision,
     graph_index_diagnostic,
 )
@@ -2367,7 +2370,7 @@ def test_second_pass_adds_no_standing_entry(name, case):
             _search_record(fx, case, edge, t)
         s = enumerate_module._last_standing
         return s, (len(s._rates), len(s._ends), sum(leg is not None for leg in s._legs),
-                   len(s._pant_roots))
+                   len(s._roots))
 
     first, counts = one_pass()
     second, again = one_pass()
@@ -2387,3 +2390,136 @@ def test_standing_lets_a_dropped_diagram_go():
     builtin_fixture("dp5").run("segment")
     gc.collect()
     assert ref() is None
+
+
+# -- the filtered root tables -----------------------------------------------------
+
+NODE_FREE_CASES = [(name, case) for name, case in SHIPPED_CASES
+                   if name in ("p1xp1", "dp7", "dp6")]
+FIVE_POINTS = [Vec(F(1, 16), F(1, 32)), Vec(F(-1, 5), F(1, 7)), Vec(F(1, 7), F(-1, 5)),
+               Vec(F(1, 3), F(1, 5)), Vec(F(-1, 3), F(-1, 9))]
+
+
+def _unfiltered_candidates(diagram, lag, constraint, bounds, flags):
+    """`_candidate_graphs` from a tracer of its own that traces every root
+    direction, kept as the reference for the filtered root tables: every
+    `_direction_pairs` entry from a fiber; every lattice length of the
+    perpendicular (each side traced again in a room that never binds when
+    nothing fits) and every `_pant_root_directions` entry from an edge."""
+    tracer = _fresh_tracer(diagram, lag, bounds, flags)
+    origin, length = constraint.triple, bounds.max_lattice_length
+    crossings, splits, room = bounds.max_cut_crossings, bounds.max_splits, bounds.max_vertices
+    if constraint.edge_index is None:
+        root = _VertexSpec(origin, VertexKind(FIBER_ROOT))
+        return [c.prepend([root], []) for d in _direction_pairs(length)
+                for c in tracer._trace(origin, d, crossings, splits, room - 1)]
+    k = constraint.edge_index
+    out = []
+    nx, ny = lag.edge_normal(k)
+    for ell in range(1, length + 1):
+        ds = [(nx * ell, ny * ell), (-nx * ell, -ny * ell)]
+        sides = [tracer._trace(origin, d, crossings, splits, room - 1) for d in ds]
+        if all(side or tracer._trace(origin, d, crossings, splits, room + crossings + 2 * splits)
+               for side, d in zip(sides, ds)):
+            root = _VertexSpec(origin, perp_collision(ell))
+            out += [c.prepend([root], []) for c in sides[0] + sides[1]]
+    lam = (*lag.edge_direction(k), 1)
+    for ex, ey, target_id in _pant_root_directions(lag, k, length):
+        target = homogeneous(lag.position(target_id))
+        root = [_VertexSpec(origin, holomorphic_pant((ex, ey, 1), lam)),
+                _VertexSpec(target, pant_seam())]
+        strip = _EdgeSpec(origin, target, pant_strip_direction((ex, ey, 1), lam), open=True)
+        out += [c.prepend(root, [strip])
+                for c in tracer._trace(origin, (ex, ey), crossings, splits, room - 2)]
+    return out
+
+
+def _node_free_runs():
+    """(name, case, constraint) of every edge of every node-free shipped
+    case at t = k/16, then of every node-free case at the five points."""
+    runs = []
+    for name, case in NODE_FREE_CASES:
+        lag = builtin_fixture(name).lagrangian_for(case)
+        runs += [(name, case, Constraint.on_lagrangian(lag, edge, F(k, 16)))
+                 for edge in range(len(lag.edges) if lag is not None else 0)
+                 for k in range(1, 16)]
+    return runs + [(name, case, Constraint.interior_point(p))
+                   for name, case in NODE_FREE_CASES for p in FIVE_POINTS]
+
+
+def test_filtered_root_tables_give_the_unfiltered_completions():
+    # with no focus the standing keeps only the root directions that can
+    # end; the completions are those of tracing every root direction, in
+    # the same order, on fresh objects per search, then on one fixture
+    # object per name, whose standing each case's run of positions reuses
+    runs = _node_free_runs()
+    expected, filtered = [], 0
+    for name, case, constraint in runs:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        diagram, lag = fx.diagram_for(case), fx.lagrangian_for(case)
+        expected.append(_unfiltered_candidates(diagram, lag, constraint, c.bounds, c.flags))
+        got = _candidate_graphs(diagram, lag, constraint, c.bounds, c.flags)
+        assert got == expected[-1], (name, case, constraint)
+        s, length = enumerate_module._last_standing, c.bounds.max_lattice_length
+        roots = s.roots(constraint.edge_index, length)
+        unfiltered = (_direction_pairs(length) if constraint.edge_index is None
+                      else _pant_root_directions(lag, constraint.edge_index, length))
+        assert set(roots) <= set(unfiltered)
+        filtered += len(roots) < len(unfiltered)
+    assert filtered
+    shared = {name: builtin_fixture(name) for name, _ in NODE_FREE_CASES}
+    standings = set()
+    for (name, case, constraint), completions in zip(runs, expected):
+        fx, c = shared[name], shared[name].case(case)
+        got = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case), constraint,
+                                c.bounds, c.flags)
+        assert got == completions, (name, case, constraint)
+        standings.add(id(enumerate_module._last_standing))
+    assert len(standings) < len(runs) // 10
+
+
+def test_fiber_root_tables_keep_the_directions_that_can_end():
+    # with L = 3, a p1xp1 fiber keeps the four directions of its normals of
+    # 48, a dp6 fiber the six of its normals
+    for name, kept in (("p1xp1", 4), ("dp6", 6)):
+        fx = builtin_fixture(name)
+        standing = _Standing(fx.diagram, None, NO_FLAGS)
+        roots = standing.roots(None, 3)
+        assert len(_direction_pairs(3)) == 48 and len(roots) == kept
+        assert sorted(roots) == sorted((-nx, -ny) for nx, ny in fx.diagram.normals())
+        assert standing.roots(None, 3) is roots
+
+
+@pytest.mark.parametrize("name,case", [("dp3", "trivalent"), ("dp5", "segment")])
+def test_root_tables_with_foci_are_unfiltered(name, case):
+    # a focus may redirect any trace, so the stored tables are the
+    # unfiltered ones
+    fx = builtin_fixture(name)
+    lag, length = fx.lagrangian_for(case), fx.case(case).bounds.max_lattice_length
+    for edge in range(len(lag.edges)):
+        fx.run(case, None, Constraint.on_lagrangian(lag, edge, F(1, 2)))
+        stored = enumerate_module._last_standing._roots[(edge, length)]
+        assert stored == _pant_root_directions(lag, edge, length)
+    fx.run(case, None, Constraint.interior_point(FIVE_POINTS[0]))
+    assert enumerate_module._last_standing._roots[(None, length)] == _direction_pairs(length)
+
+
+# -- the per-graph fast paths ------------------------------------------------------
+
+
+def test_unique_graphs_of_no_or_one_completion():
+    # no completion has no graph; a lone completion is its own graph, but it
+    # is still refused when it puts two vertices at one point
+    assert _unique_graphs([]) == []
+    fx = builtin_fixture("dp6")
+    lag = fx.lagrangians["segment"]
+    lone = _candidate_graphs(fx.diagram, lag, fx.constraint("segment"),
+                             SearchBounds(2, 1, 0, 0), NO_FLAGS)[0]
+    (kept,) = _unique_graphs([lone])
+    assert kept is lone
+    point = lone.vertices[-1].position
+    twice = _Completion(lone.vertices + (_VertexSpec(point, cylinder()),), lone.edges)
+    with pytest.raises(GeometryError,
+                       match=re.escape(f"two graph vertices at {from_homogeneous(point)!r}")):
+        _unique_graphs([twice])

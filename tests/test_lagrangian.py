@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from test_geometry import apply_matrix, rational_length, reference_primitive
 from tropdisk.diagram import BaseDiagram, FocusFocus
 from tropdisk.diskgraph import Constraint
+from tropdisk.enumerate import enumerate_disks
 from tropdisk.fixtures import FIXTURE_NAMES, builtin_fixture
 from tropdisk.geometry import GeometryError, Vec, det2, homogeneous
 from tropdisk.lagrangian import (
@@ -558,3 +559,22 @@ def test_mutate_nodal_slide_agrees_with_fraction_reference(case):
                   LagEdge(("slide0", "focus0"))]
     assert mutated.vertices == tuple(vertices)
     assert mutated.edges == tuple(edges)
+
+
+def test_weight_codes_are_built_at_construction_and_copied():
+    # each call returns a copy of the codes the graph built, so a caller's
+    # edit reaches neither the next call nor the refusals that read them
+    diagram = builtin_fixture("dp6").diagram
+    segment = builtin_fixture("dp6").lagrangians["segment"]
+    heavy = LagGraph(list(segment.vertices), [LagEdge(segment.edges[0].endpoints, 2)])
+    for lag, codes in ((heavy, {0: "edge_weight_not_one:0"}), (segment, {})):
+        mine = lag.weight_violations()
+        assert mine == codes
+        mine.clear()
+        mine[7] = "edge_weight_not_one:7"
+        assert lag.weight_violations() == codes
+    assert heavy.is_allowable(diagram) == ["edge_weight_not_one:0"]
+    with pytest.raises(GeometryError) as raised:
+        enumerate_disks(diagram, heavy, Constraint.on_lagrangian(heavy, 0, F(1, 2)))
+    assert str(raised.value) == ("the search reads every Lagrangian edge as primitive: "
+                                 "edge_weight_not_one:0")

@@ -379,6 +379,24 @@ def test_aut_order_parallel_edges_between_distinct_positions():
     assert aut_order(doubled([(0, 1, Vec(1, 0), False), (0, 1, Vec(1, 0), True)])) == 1
 
 
+def test_aut_order_keys_each_edge_once():
+    # a -> b along d and b -> a along -d are one key, as are a loop's two
+    # readings; when every key differs the order is 1
+    def graph(edges):
+        return _graph([(Vec(0, 0), perp_collision(1)), (Vec(1, 0), focus_cover(1)),
+                       (Vec(0, 1), focus_cover(1))], edges)
+
+    ab, ba = (0, 1, Vec(1, 0), False), (1, 0, Vec(-1, 0), False)
+    assert aut_order(graph([ab, ba])) == 2
+    assert aut_order(graph([ab, ba, ab])) == 6
+    assert aut_order(graph([ab, ba, (0, 2, Vec(0, 1), False), (2, 0, Vec(0, -1), True)])) == 2
+    distinct = [ab, (0, 1, Vec(2, 0), False), (1, 0, Vec(1, 0), False),
+                (0, 1, Vec(1, 0), True), (0, 2, Vec(0, 1), False), (1, 2, Vec(-1, 1), False)]
+    assert aut_order(graph(distinct)) == 1
+    assert aut_order(graph([(0, 0, Vec(1, 0), False), (0, 0, Vec(-1, 0), False)])) == 2
+    assert aut_order(graph([(0, 0, Vec(1, 0), False), (0, 0, Vec(0, 1), False)])) == 1
+
+
 def _aut_reference(graph):
     # independent brute force: try all vertex permutations, demand the edge
     # multiset is preserved exactly

@@ -15,6 +15,7 @@ from tropdisk.cli import main
 from tropdisk.diagram import BaseDiagram
 from tropdisk.diskgraph import Constraint
 from tropdisk.fixtures import SHIPPED_CASES, builtin_fixture
+from tropdisk.geometry import Vec
 from tropdisk.lagrangian import LagGraph
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -320,21 +321,40 @@ def test_compare_outputs_reports_each_differing_command():
         "validate --fixture dp6", "validate --fixture dp6 --json", "table", "table --json",
         *malformed, *unreadable, *focus_leg, *edge_codes, *grid, *unbudgeted, *edges, *points,
         *conventions, *fibers, *coincident, *case_files, *renders, *diagram_renders]
-    # the in-process section: each edge case at each t, t major, the cases
-    # interleaved on one fixture object per name
-    runs = compare["reuse_runs"]([("dp7", "leg"), ("dp7", "diag"), ("dp6", "fiber")],
-                                 builtin_fixture)
+    # the in-process section, on one fixture object per name: each edge case
+    # at each t, t major with the cases interleaved, then case major with
+    # each edge's positions in a row, then the fibers at the five points
+    cases = [("dp7", "leg"), ("dp7", "diag"), ("dp6", "fiber"), ("dp5", "segment")]
+    positions = ("3/16", "1/2", "13/16")
+    points = ("1/16,1/32", "-1/5,1/7", "1/7,-1/5", "1/3,1/5", "-1/3,-1/9")
+    runs = compare["reuse_runs"](cases, builtin_fixture)
+    case_major = compare["case_major_runs"](cases, builtin_fixture)
+    fibers = compare["fiber_runs"](cases, builtin_fixture)
     assert [label for label, *_ in runs] == [
-        f"dp7:{case}#{k}@{t}" for t in ("3/16", "1/2", "13/16")
-        for case in ("leg", "diag") for k in range(3)]
-    assert len({id(fixture) for _, fixture, *_ in runs}) == 1
-    outputs = compare["reuse_outputs"](runs[:2])
-    assert list(outputs) == ["in-process dp7:leg#0@3/16", "in-process dp7:leg#1@3/16"]
-    for (label, fixture, case, k, t), output in zip(runs, outputs.values()):
+        label for t in positions for label in
+        [f"dp7:{case}#{k}@{t}" for case in ("leg", "diag") for k in range(3)]
+        + [f"dp5:segment#0@{t}"]]
+    assert [label for label, *_ in case_major] == [
+        f"case-major dp7:{case}#{k}@{t}" for case in ("leg", "diag") for k in range(3)
+        for t in positions] + [f"case-major dp5:segment#0@{t}" for t in positions]
+    assert [label for label, *_ in fibers] == [
+        f"fiber dp7:{case}@{xy}" for case in ("leg", "diag") for xy in points] + [
+        f"fiber dp6:fiber@{xy}" for xy in points]
+    for section in (runs, case_major, fibers):
+        assert len({id(fixture) for _, fixture, *_ in section}) == len(
+            {label.split(":")[0] for label, *_ in section})
+    assert [c.edge_index for *_, c in case_major[:3]] == [0, 0, 0]
+    assert [c.t for *_, c in case_major[:4]] == [F(3, 16), F(1, 2), F(13, 16), F(3, 16)]
+    assert fibers[-1][3] == Constraint.interior_point(Vec(F(-1, 3), F(-1, 9)))
+    picked = [runs[0], runs[1], case_major[-1], fibers[0]]
+    outputs = compare["reuse_outputs"](picked)
+    assert list(outputs) == ["in-process dp7:leg#0@3/16", "in-process dp7:leg#1@3/16",
+                             "in-process case-major dp5:segment#0@13/16",
+                             "in-process fiber dp7:leg@1/16,1/32"]
+    for (label, fixture, case, constraint), output in zip(picked, outputs.values()):
         assert output["exit"] == 0 and output["stderr"] == ""
         line = json.loads(output["stdout"])
-        result = fixture.run(case, None, Constraint.on_lagrangian(
-            fixture.lagrangian_for(case), k, F(t)))
+        result = fixture.run(case, None, constraint)
         assert line == [label, [result.total().numerator, result.total().denominator],
                         sorted(repr(g.graph.signature()) for g in result.graphs)]
     parent = {"table": {"exit": 0, "stdout": "P2  none\nP1xP1 eigenvalue 0\n", "stderr": ""},
