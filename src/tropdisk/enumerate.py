@@ -249,23 +249,54 @@ def _cap_admits(offset, prim) -> bool:
 _NO_BLOCK = (1, 0)
 
 
-class _Standing:
-    """What the tracer reads that depends on the diagram, the Lagrangian and
-    the flags alone, never on the constraint.
+class _Tracer:
+    """Exhaustive ray tracing on homogeneous integers, one tracer per
+    diagram, Lagrangian and flags.
+
+    It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
+    edges as rows of their own.  The roots call `_trace` from the
+    constraint's homogeneous point.  It carries every ray origin, split
+    point and cut crossing as a homogeneous (X, Y, W) triple and every
+    direction as an integer pair, so each event test is an integer cross
+    product and each comparison of ray parameters a cross-multiplication.
+    A direction crosses a cut through `BaseDiagram.cross_cut` and meets a
+    facet head-on through `BaseDiagram.collision_facet`.  Its completion
+    specs carry the same triples, and so do the kinds it tags: the tracer
+    builds no Vec.
 
     Built at once: the cut, shear and Lagrangian rows, the cap table and its
     offsets, and the focus and facet ids the end test (`_can_end`) scans.
     Filled as searches ask: the facet rates per primitive direction
-    (`_rates`), the leg table per focus (`_legs`), the pant-root and
-    fiber-root directions per edge and lattice length (`roots`) and, from
-    the standing's second search on, the end test per direction (`_ends`):
-    a search on freshly built objects asks each direction about once, so
-    keeping its answers would only cost.  With no foci nothing redirects a
-    trace, so `_trace` refuses every direction that `_can_end` rejects,
-    whatever the budgets, and the root tables keep only the directions
-    that pass it; with foci they are unfiltered.  Nothing in it is keyed by
-    a point, so its size is bounded by the directions, the foci and the
-    edges.
+    (`_rates`, from `BaseDiagram.facet_rates`), the leg table per focus
+    (`_legs`, from `_leg_table`: a split leg runs along its focus's shear
+    line, so whether it is clear depends only on where w sits on that
+    line), the pant-root and fiber-root directions per edge and lattice
+    length (`roots`) and the end test per direction ell * prim (`_ends`).
+    None of these is keyed by a point, so their size is bounded by the
+    directions, the foci and the edges, and `_candidate_graphs` keeps the
+    tracer for the next search on the same diagram and Lagrangian objects
+    under equal flags; nothing is stored on the diagram or the Lagrangian.
+    The memos read the diagram's rules (`along_shear`, `collision_facet`)
+    when they are filled, so a test that swaps a rule method must run its
+    search on freshly built objects.
+
+    A search sets the bounds and fills `_origins`, which it drops when it
+    returns: every offset a cast reads (to each facet, cut, focus and
+    Lagrangian row) depends on the origin alone, so the first cast from an
+    origin builds its `_Origin` table, and a cast computes only what
+    depends on the direction: the facet rates, the cut and focus cross
+    products and the Lagrangian hit.  Everything a trace finds before its
+    ends depends only on the origin and the primitive direction, so the
+    origin's table keeps a `_Ray` per direction.
+
+    A trace is cast only when a cut crossing or a split is left or when its
+    direction can end as it runs straight (`_can_end`): at a focus along
+    its shear (`BaseDiagram.along_shear`), or for a primitive direction
+    head-on on a facet or at a flagged corner's cap.  On a diagram with no
+    foci nothing redirects a trace, so a search there has no cut-crossing
+    or split budget and casts only the directions of its possible ends; its
+    root tables (`roots`) drop the directions that fail the test, and the
+    perpendicular root traces lattice length 1 only.
     """
 
     def __init__(self, diagram: BaseDiagram, lag: Optional[LagGraph], flags: FixtureFlags):
@@ -292,13 +323,15 @@ class _Standing:
         self._facet_ids = range(len(diagram.normals()))
         # each primitive direction's `facet_rates`
         self._rates: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        # each direction ell * prim's `_can_end(prim, ell)`, a dict once the
-        # standing is reused (`_candidate_graphs`)
-        self._ends: Optional[Dict[Tuple[int, int], bool]] = None
+        # each direction ell * prim's `_can_end(prim, ell)`
+        self._ends: Dict[Tuple[int, int], bool] = {}
         self._legs: List[Optional[Tuple]] = [None] * len(self.foci)
         # (edge index, lattice length bound) -> the pant root's directions,
         # and (None, bound) -> the fiber root's (`roots`)
         self._roots: Dict[Tuple[Optional[int], int], Tuple[Tuple, ...]] = {}
+        # the search's bounds and `_Origin` tables (`_candidate_graphs`)
+        self.bounds: Optional[SearchBounds] = None
+        self._origins: Dict[Tuple[int, int, int], _Origin] = {}
 
     def roots(self, k: Optional[int], bound: int) -> Tuple[Tuple, ...]:
         """The pant root's directions on Lagrangian edge k
@@ -324,8 +357,8 @@ class _Standing:
         the rules its ends use: at a focus along its shear (`along_shear`),
         at any ell; or, for ell = 1, on the boundary, head-on on some facet
         (`collision_facet` over every facet) or at a flagged corner whose
-        cap admits prim (`_cap_admits`).  `_Tracer._trace` keeps each
-        answer in a reused standing, per direction ell * prim."""
+        cap admits prim (`_cap_admits`).  `_trace` keeps each answer in
+        `_ends`, per direction ell * prim."""
         diagram = self.diagram
         if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
             return True
@@ -335,67 +368,6 @@ class _Standing:
             return True
         return bool(self._cap_offsets) and any(
             _cap_admits(offset, prim) for offset in self._cap_offsets)
-
-
-class _Tracer:
-    """Exhaustive ray tracing on homogeneous integers.
-
-    It reads the diagram's facet and branch-cut rows and keeps the Lagrangian
-    edges as rows of their own.  The roots call `_trace` from the
-    constraint's homogeneous point.  It carries every ray origin, split
-    point and cut crossing as a homogeneous (X, Y, W) triple and every
-    direction as an integer pair, so each event test is an integer cross
-    product and each comparison of ray parameters a cross-multiplication.
-    A direction crosses a cut through `BaseDiagram.cross_cut` and meets a
-    facet head-on through `BaseDiagram.collision_facet`.  Its completion
-    specs carry the same triples, and so do the kinds it tags: the tracer
-    builds no Vec.
-
-    A tracer serves one enumeration, and what depends on the constraint
-    lives in it for that long only: the `_Origin` table of each point a
-    cast starts from, and the `_Ray`s in it.  Everything else is its
-    `_Standing`, which `_candidate_graphs` keeps for the next enumeration on
-    the same diagram and Lagrangian objects under equal flags; nothing is
-    stored on the diagram or the Lagrangian.  Every offset a cast reads (to
-    each facet, cut, focus and Lagrangian row) depends on the origin alone,
-    so the first cast from an origin builds its `_Origin` table, and a
-    cast computes only what depends on the direction: the
-    facet rates (`BaseDiagram.facet_rates`, once per direction in the
-    standing), the cut and focus cross products and the Lagrangian hit.
-    Everything a trace finds before its ends depends only on the origin and
-    the primitive direction, so the origin's table keeps a `_Ray` per
-    direction.  A split leg runs along its focus's shear line, so whether it
-    is clear depends only on where w sits on that line: the standing keeps
-    one leg table per focus (`_leg_table`).  The memos read the diagram's
-    rules (`along_shear`, `collision_facet`) when they are filled, so a test
-    that swaps a rule method must run its search on freshly built objects.
-
-    A trace is cast only when something may redirect it (the diagram has
-    foci, and a cut crossing or a split is left) or when its direction can
-    end as it runs straight (`_can_end`): at a focus along its shear
-    (`BaseDiagram.along_shear`), or for a primitive direction head-on on a
-    facet or at a flagged corner's cap.  So a search on a diagram with no
-    foci casts only the directions of its possible ends.  The standing
-    owns that test and fixes what it scans when it is built (the focus and
-    facet ids, and each flagged corner's offset once, from the flags'
-    triples), and a reused standing keeps each answer, so a test re-derives
-    nothing.  With no foci the roots trace no direction that fails it: the
-    standing's root tables (`_Standing.roots`) drop them, and the
-    perpendicular root traces lattice length 1 only.
-    """
-
-    def __init__(self, standing: _Standing, bounds: SearchBounds):
-        # the standing's tables as the tracer's own attributes, which its
-        # loops read; the memos are shared, so what this enumeration fills
-        # in them stays for the next
-        self.diagram = standing.diagram
-        self.cut_rows, self.cut_scale = standing.cut_rows, standing.cut_scale
-        self.foci, self.shear_table = standing.foci, standing.shear_table
-        self.lag_rows, self.lag_scale = standing.lag_rows, standing.lag_scale
-        self.cap_table, self._can_end = standing.cap_table, standing._can_end
-        self._rates, self._ends, self._legs = standing._rates, standing._ends, standing._legs
-        self.bounds = bounds
-        self._origins: Dict[Tuple[int, int, int], _Origin] = {}
 
     # -- event scanning -------------------------------------------------------
 
@@ -520,23 +492,19 @@ class _Tracer:
         vertices.  A cut crossing adds one vertex (its cylinder) and a split
         two (its pants and focus vertex) before the rest of the edge, which
         adds at least one, so a trace with room < 2 neither crosses nor
-        splits and one with room < 3 does not split.  A trace that no cut
-        crossing or split can redirect (no foci, or no budget for either)
-        runs straight, so it is cast only when its direction can end
-        (`_can_end`)."""
+        splits and one with room < 3 does not split.  A trace with no budget
+        for either runs straight, so it is cast only when its direction can
+        end (`_can_end`, kept in `_ends`)."""
         if room < 3:
             if room < 1:
                 return []
             crossings, splits = (crossings if room > 1 else 0), 0
         ell = math.gcd(*d)
         prim = (d[0] // ell, d[1] // ell)
-        if not self.foci or crossings == splits == 0:
-            ends = self._ends
-            can = None if ends is None else ends.get(d)
+        if crossings == splits == 0:
+            can = self._ends.get(d)
             if can is None:
-                can = self._can_end(prim, ell)
-                if ends is not None:
-                    ends[d] = can
+                can = self._ends[d] = self._can_end(prim, ell)
             if not can:
                 return []
         ray = self._ray(origin, prim)
@@ -1083,30 +1051,36 @@ def enumerate_disks(
     return EnumerationResult(out, [], warnings)
 
 
-# the `_Standing` of the last search, the one entry kept: the next search
-# reuses it when it runs on the same diagram and Lagrangian objects (`is`)
-# under equal flags, and otherwise replaces it
-_last_standing: Optional[_Standing] = None
+# the `_Tracer` of the last search, the one kept: the next search reuses it
+# when it runs on the same diagram and Lagrangian objects (`is`) under equal
+# flags, and otherwise replaces it
+_last_tracer: Optional[_Tracer] = None
 
 
 def _candidate_graphs(diagram, lag, constraint, bounds, flags) -> List[_Completion]:
     """Every completion the roots grow from the constraint, root specs
-    prepended, duplicates included, in search order."""
-    global _last_standing
-    standing = _last_standing
-    if (standing is None or standing.diagram is not diagram or standing.lag is not lag
-            or standing.flags != flags):
-        standing = _last_standing = _Standing(diagram, lag, flags)
-    elif standing._ends is None:
-        standing._ends = {}
-    tracer = _Tracer(standing, bounds)
+    prepended, duplicates included, in search order.  The search sets the
+    tracer's bounds, with no cut-crossing or split budget on a diagram with
+    no foci, where nothing redirects a trace, and drops the tracer's
+    `_Origin` tables when it returns."""
+    global _last_tracer
+    tracer = _last_tracer
+    if (tracer is None or tracer.diagram is not diagram or tracer.lag is not lag
+            or tracer.flags != flags):
+        tracer = _last_tracer = _Tracer(diagram, lag, flags)
+    if not tracer.foci:
+        bounds = SearchBounds(bounds.max_vertices, bounds.max_lattice_length, 0, 0)
+    tracer.bounds = bounds
     completions: List[_Completion] = []
-    roots = standing.roots(constraint.edge_index, bounds.max_lattice_length)
-    if constraint.edge_index is None:
-        _fiber_graphs(tracer, constraint, completions, bounds, roots)
-    else:
-        _perp_graphs(tracer, lag, constraint, completions, bounds)
-        _pant_graphs(tracer, lag, constraint, completions, bounds, roots)
+    roots = tracer.roots(constraint.edge_index, bounds.max_lattice_length)
+    try:
+        if constraint.edge_index is None:
+            _fiber_graphs(tracer, constraint, completions, bounds, roots)
+        else:
+            _perp_graphs(tracer, lag, constraint, completions, bounds)
+            _pant_graphs(tracer, lag, constraint, completions, bounds, roots)
+    finally:
+        tracer._origins = {}
     return completions
 
 
@@ -1170,8 +1144,8 @@ def _perp_graphs(tracer, lag, constraint, completions, bounds) -> None:
     crossings, splits = bounds.max_cut_crossings, bounds.max_splits
     room = bounds.max_vertices - 1
     # a room that never binds: a trace adds a vertex per cut crossing and two
-    # per split, both only with foci, and at most two at its end (a corner cap)
-    unbounded = (crossings + 2 * splits if tracer.foci else 0) + 2
+    # per split, and at most two at its end (a corner cap)
+    unbounded = crossings + 2 * splits + 2
     # with no focus only a primitive direction can end (`_can_end`)
     for ell in range(1, bounds.max_lattice_length + 1 if tracer.foci else 2):
         sides = []

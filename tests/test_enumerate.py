@@ -39,9 +39,10 @@ from tropdisk.enumerate import (
     _direction_pairs,
     _echelon_rank,
     _EdgeSpec,
+    _Origin,
     _pant_root_directions,
+    _Ray,
     _rigidity_rows,
-    _Standing,
     _Tracer,
     _unique_graphs,
     _VertexSpec,
@@ -1726,8 +1727,11 @@ def _edge(p, q, d):
 
 
 def _fresh_tracer(diagram, lag, bounds, flags):
-    """A tracer on a `_Standing` of its own, which no search shares."""
-    return _Tracer(_Standing(diagram, lag, flags), bounds)
+    """A tracer of its own, which no search shares, with its bounds set as a
+    search sets them."""
+    tracer = _Tracer(diagram, lag, flags)
+    tracer.bounds = bounds
+    return tracer
 
 
 class _ReferenceTracer(_Tracer):
@@ -1740,9 +1744,8 @@ class _ReferenceTracer(_Tracer):
     room, which is what the tracer's pruning must give."""
 
     def __init__(self, diagram, lag, bounds, flags):
-        super().__init__(_Standing(diagram, lag, flags), bounds)
-        self.lag = lag
-        self.flags = flags
+        super().__init__(diagram, lag, flags)
+        self.bounds = bounds
         self.facets = reference_facets(diagram)
 
     def _lambda_hit(self, origin, prim, limit):
@@ -2270,7 +2273,7 @@ def test_leg_clear_along_a_lagrangian_edge_on_the_shear_line():
         assert _reference_leg_clear(tracer, origin, 1) is clear, v
 
 
-# -- the standing, reused across searches --------------------------------------
+# -- the tracer, reused across searches ----------------------------------------
 
 LAGRANGIAN_CASES = [(name, case) for name, case in SHIPPED_CASES
                     if builtin_fixture(name).case(case).lagrangian is not None]
@@ -2287,16 +2290,16 @@ def _search_record(fx, case, edge, t):
     return result.total(), sorted(repr(g.graph.signature()) for g in result.graphs)
 
 
-def _counted_standings(monkeypatch):
-    """The (diagram, lag, flags) of every `_Standing` built from now on."""
+def _counted_tracers(monkeypatch):
+    """The (diagram, lag, flags) of every `_Tracer` built from now on."""
     built = []
-    init = _Standing.__init__
+    init = _Tracer.__init__
 
     def counted(self, diagram, lag, flags):
         built.append((diagram, lag, flags))
         init(self, diagram, lag, flags)
 
-    monkeypatch.setattr(_Standing, "__init__", counted)
+    monkeypatch.setattr(_Tracer, "__init__", counted)
     return built
 
 
@@ -2314,17 +2317,17 @@ def test_reused_objects_enumerate_as_fresh_ones(monkeypatch):
     expected = [_search_record(builtin_fixture(name), case, edge, t)
                 for name, case, edge, t in runs]
     shared = {name: builtin_fixture(name) for name, _ in LAGRANGIAN_CASES}
-    built = _counted_standings(monkeypatch)
+    built = _counted_tracers(monkeypatch)
     for run, record in zip(runs, expected):
         name, case, edge, t = run
         assert _search_record(shared[name], case, edge, t) == record, run
-    # a standing per run of consecutive searches on one case
+    # a tracer per run of consecutive searches on one case
     cases = [key for key, _ in itertools.groupby(runs, key=lambda run: run[:2])]
     assert len(built) == len(cases) < len(runs)
 
 
-def test_standing_is_built_once_per_diagram_lagrangian_and_flags(monkeypatch):
-    # a run of searches on one triple builds one standing, whatever the
+def test_tracer_is_built_once_per_diagram_lagrangian_and_flags(monkeypatch):
+    # a run of searches on one triple builds one tracer, whatever the
     # position, the bounds and whether the flags are the same object; a new
     # flags value, a Lagrangian or a diagram that is another object (though
     # equal) builds another
@@ -2340,7 +2343,7 @@ def test_standing_is_built_once_per_diagram_lagrangian_and_flags(monkeypatch):
     def search(diagram, lag, flags, t=F(1, 8), bounds=SearchBounds()):
         enumerate_disks(diagram, lag, Constraint.on_lagrangian(lag, 1, t), bounds, flags=flags)
 
-    built = _counted_standings(monkeypatch)
+    built = _counted_tracers(monkeypatch)
     for t in (F(1, 8), F(1, 4), F(3, 8)):
         search(diagram, lag, leg, t)
     search(diagram, lag, same_leg)
@@ -2368,9 +2371,9 @@ def test_second_pass_adds_no_standing_entry(name, case):
     def one_pass():
         for edge, t in positions:
             _search_record(fx, case, edge, t)
-        s = enumerate_module._last_standing
-        return s, (len(s._rates), len(s._ends), sum(leg is not None for leg in s._legs),
-                   len(s._roots))
+        tracer = enumerate_module._last_tracer
+        return tracer, (len(tracer._rates), len(tracer._ends),
+                        sum(leg is not None for leg in tracer._legs), len(tracer._roots))
 
     first, counts = one_pass()
     second, again = one_pass()
@@ -2378,18 +2381,84 @@ def test_second_pass_adds_no_standing_entry(name, case):
     assert again == counts and counts[3] == len(lag.edges)
 
 
-def test_standing_lets_a_dropped_diagram_go():
-    # the kept standing is the last search's only: once a search runs on
+def test_kept_tracer_lets_a_dropped_diagram_go():
+    # the kept tracer is the last search's only: once a search runs on
     # another diagram, nothing holds the first one but its caller
     fx = builtin_fixture("dp6")
     fx.run("segment")
     ref = weakref.ref(fx.diagram)
     del fx
     gc.collect()
-    assert ref() is not None  # the last search's standing holds it
+    assert ref() is not None  # the last search's tracer holds it
     builtin_fixture("dp5").run("segment")
     gc.collect()
     assert ref() is None
+
+
+def _held_objects(tracer):
+    """Every object the tracer's attributes hold through dicts, lists,
+    tuples and sets, those containers included."""
+    containers = (dict, list, tuple, set, frozenset)
+    held, stack, seen = [], list(vars(tracer).values()), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        held.append(obj)
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, containers):
+            stack += obj
+    return held
+
+
+@pytest.mark.parametrize("name,case", LAGRANGIAN_CASES)
+def test_kept_tracer_holds_nothing_keyed_by_a_point(monkeypatch, name, case):
+    # between searches the kept tracer holds no `_Origin` and no `_Ray`, and
+    # its end-test memo answers a second search on the same objects: it asks
+    # `_can_end` about no direction that the first search asked about
+    fx = builtin_fixture(name)
+    lag = fx.lagrangian_for(case)
+    asked = []
+    can_end = _Tracer._can_end
+
+    def recorded(self, prim, ell):
+        asked[-1].add((prim, ell))
+        return can_end(self, prim, ell)
+
+    monkeypatch.setattr(_Tracer, "_can_end", recorded)
+    for t in (F(1, 3), F(2, 3)):
+        asked.append(set())
+        _search_record(fx, case, 0, t)
+        tracer = enumerate_module._last_tracer
+        assert tracer.lag is lag and tracer._origins == {}
+        assert not [obj for obj in _held_objects(tracer) if isinstance(obj, (_Origin, _Ray))]
+    # a diagram with foci may leave every trace a budget, and so ask nothing
+    assert asked[0] or fx.diagram_for(case).focus_foci
+    assert not asked[0] & asked[1], asked
+
+
+def test_node_free_searches_never_split(monkeypatch):
+    # on a diagram with no foci a search has no cut-crossing or split budget,
+    # so no trace asks for split points; with foci (dp3) traces do
+    calls = Counter()
+
+    def counting(method):
+        fn = getattr(_Tracer, method)
+
+        def counted(self, *args):
+            calls[method] += 1
+            return fn(self, *args)
+        return counted
+
+    for method in ("_split_completions", "_split_points"):
+        monkeypatch.setattr(_Tracer, method, counting(method))
+    for name, case, constraint in _node_free_runs():
+        builtin_fixture(name).run(case, None, constraint)
+    assert calls == Counter()
+    builtin_fixture("dp3").run("trivalent")
+    assert calls["_split_completions"] and calls["_split_points"]
 
 
 # -- the filtered root tables -----------------------------------------------------
@@ -2448,10 +2517,10 @@ def _node_free_runs():
 
 
 def test_filtered_root_tables_give_the_unfiltered_completions():
-    # with no focus the standing keeps only the root directions that can
+    # with no focus the tracer keeps only the root directions that can
     # end; the completions are those of tracing every root direction, in
     # the same order, on fresh objects per search, then on one fixture
-    # object per name, whose standing each case's run of positions reuses
+    # object per name, whose tracer each case's run of positions reuses
     runs = _node_free_runs()
     expected, filtered = [], 0
     for name, case, constraint in runs:
@@ -2461,22 +2530,22 @@ def test_filtered_root_tables_give_the_unfiltered_completions():
         expected.append(_unfiltered_candidates(diagram, lag, constraint, c.bounds, c.flags))
         got = _candidate_graphs(diagram, lag, constraint, c.bounds, c.flags)
         assert got == expected[-1], (name, case, constraint)
-        s, length = enumerate_module._last_standing, c.bounds.max_lattice_length
-        roots = s.roots(constraint.edge_index, length)
+        tracer, length = enumerate_module._last_tracer, c.bounds.max_lattice_length
+        roots = tracer.roots(constraint.edge_index, length)
         unfiltered = (_direction_pairs(length) if constraint.edge_index is None
                       else _pant_root_directions(lag, constraint.edge_index, length))
         assert set(roots) <= set(unfiltered)
         filtered += len(roots) < len(unfiltered)
     assert filtered
     shared = {name: builtin_fixture(name) for name, _ in NODE_FREE_CASES}
-    standings = set()
+    tracers = set()
     for (name, case, constraint), completions in zip(runs, expected):
         fx, c = shared[name], shared[name].case(case)
         got = _candidate_graphs(fx.diagram_for(case), fx.lagrangian_for(case), constraint,
                                 c.bounds, c.flags)
         assert got == completions, (name, case, constraint)
-        standings.add(id(enumerate_module._last_standing))
-    assert len(standings) < len(runs) // 10
+        tracers.add(id(enumerate_module._last_tracer))
+    assert len(tracers) < len(runs) // 10
 
 
 def test_fiber_root_tables_keep_the_directions_that_can_end():
@@ -2484,11 +2553,11 @@ def test_fiber_root_tables_keep_the_directions_that_can_end():
     # 48, a dp6 fiber the six of its normals
     for name, kept in (("p1xp1", 4), ("dp6", 6)):
         fx = builtin_fixture(name)
-        standing = _Standing(fx.diagram, None, NO_FLAGS)
-        roots = standing.roots(None, 3)
+        tracer = _Tracer(fx.diagram, None, NO_FLAGS)
+        roots = tracer.roots(None, 3)
         assert len(_direction_pairs(3)) == 48 and len(roots) == kept
         assert sorted(roots) == sorted((-nx, -ny) for nx, ny in fx.diagram.normals())
-        assert standing.roots(None, 3) is roots
+        assert tracer.roots(None, 3) is roots
 
 
 @pytest.mark.parametrize("name,case", [("dp3", "trivalent"), ("dp5", "segment")])
@@ -2499,10 +2568,10 @@ def test_root_tables_with_foci_are_unfiltered(name, case):
     lag, length = fx.lagrangian_for(case), fx.case(case).bounds.max_lattice_length
     for edge in range(len(lag.edges)):
         fx.run(case, None, Constraint.on_lagrangian(lag, edge, F(1, 2)))
-        stored = enumerate_module._last_standing._roots[(edge, length)]
+        stored = enumerate_module._last_tracer._roots[(edge, length)]
         assert stored == _pant_root_directions(lag, edge, length)
     fx.run(case, None, Constraint.interior_point(FIVE_POINTS[0]))
-    assert enumerate_module._last_standing._roots[(None, length)] == _direction_pairs(length)
+    assert enumerate_module._last_tracer._roots[(None, length)] == _direction_pairs(length)
 
 
 # -- the per-graph fast paths ------------------------------------------------------

@@ -280,3 +280,28 @@ def test_the_benchmark_counters_see_the_constructors_they_hook():
     # removed: the classes hold their own methods again
     assert vars(Vec)["__init__"].__qualname__ == "Vec.__init__"
     assert vars(DiskGraph)["__post_init__"].__qualname__ == "DiskGraph.__post_init__"
+
+
+def test_enumerate_rebinds_one_module_name():
+    # a search keeps one thing for the next, the last tracer: no function in
+    # enumerate.py rebinds any other module-level name or reaches the
+    # module's namespace through `globals()`, and the module binds each of
+    # its names once
+    path = pathlib.Path(tropdisk.__file__).parent / "enumerate.py"
+    tree = ast.parse(path.read_text(), str(path))
+    rebound = {name for node in ast.walk(tree) if isinstance(node, ast.Global)
+               for name in node.names}
+    assert rebound == {"_last_tracer"}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "globals"]
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            bound.append(node.target.id)
+    assert "_last_tracer" in bound
+    assert sorted(bound) == sorted(set(bound))
