@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .diagram import BaseDiagram
 from .diskgraph import DiskEdge, DiskGraph, Triple
-from .geometry import GeometryError, from_homogeneous, point_on_row, primitive_pair
+from .geometry import GeometryError, from_homogeneous, primitive_pair
 from .lagrangian import LagGraph
 from .multiplicity import (
     HigherValenceVertex,
@@ -80,21 +80,19 @@ def _trivalent_legs(lag: Optional[LagGraph], point) -> Optional[List[Tuple[int, 
 
 
 def _cylinder_across_cut(diagram: BaseDiagram, point, d1: Triple, d2: Triple) -> bool:
-    """Whether a path arriving along -d1 leaves along d2 once it crosses a
-    cut through the homogeneous point.
+    """Whether a path arriving along -d1 leaves along d2 once it crosses the
+    cut through the homogeneous point (`BaseDiagram.cut_through`).
 
     The shear keeps det(pi, .), so this holds exactly when a path arriving
     along -d2 leaves along d1.
     """
+    j = diagram.cut_through(point)
+    if j is None:
+        return False
     X, Y, W = d1
-    rows, scale = diagram.cut_rows()
-    for j, row in enumerate(rows):
-        if point_on_row(point, row, scale):
-            X2, Y2 = diagram.cross_cut(j, (-X, -Y))
-            g = math.gcd(X2, Y2, W)
-            if (X2 // g, Y2 // g, W // g) == d2:
-                return True
-    return False
+    X2, Y2 = diagram.cross_cut(j, (-X, -Y))
+    g = math.gcd(X2, Y2, W)
+    return (X2 // g, Y2 // g, W // g) == d2
 
 
 def classify_vertex(graph: DiskGraph, vid: str, diagram: BaseDiagram,

@@ -135,7 +135,7 @@ def _report_dict(label, result: EnumerationResult, total: Fraction, verdict: str
                 {
                     "kind": v.kind.label(),
                     "position": _point(v.triple),
-                    "multiplicity": _rat(weight),
+                    "multiplicity": weight,
                 }
                 for v, weight in zip(g.graph.vertices, g.weights)
             ],

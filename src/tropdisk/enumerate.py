@@ -149,7 +149,7 @@ class EnumeratedGraph:
     contribution: Fraction
     rigidity: int
     aut_order: int
-    weights: Tuple[Fraction, ...]  # vertex multiplicities under the convention used
+    weights: Tuple[Tuple[int, int], ...]  # vertex multiplicities (num, den) in lowest terms
 
 
 @dataclass
@@ -337,7 +337,7 @@ class _Tracer:
         """The pant root's directions on Lagrangian edge k
         (`_pant_root_directions`), or the fiber root's when k is None
         (`_direction_pairs`), in order; with no foci only those that pass
-        `_can_end`."""
+        `_can_end`, read from and kept in `_ends` as `_trace` does."""
         roots = self._roots.get((k, bound))
         if roots is None:
             roots = (_direction_pairs(bound) if k is None
@@ -345,8 +345,12 @@ class _Tracer:
             if not self.foci:
                 kept = []
                 for root in roots:
-                    ell = math.gcd(root[0], root[1])
-                    if self._can_end((root[0] // ell, root[1] // ell), ell):
+                    d = root[:2]
+                    can = self._ends.get(d)
+                    if can is None:
+                        ell = math.gcd(*d)
+                        can = self._ends[d] = self._can_end((d[0] // ell, d[1] // ell), ell)
+                    if can:
                         kept.append(root)
                 roots = tuple(kept)
             self._roots[(k, bound)] = roots
@@ -357,8 +361,9 @@ class _Tracer:
         the rules its ends use: at a focus along its shear (`along_shear`),
         at any ell; or, for ell = 1, on the boundary, head-on on some facet
         (`collision_facet` over every facet) or at a flagged corner whose
-        cap admits prim (`_cap_admits`).  `_trace` keeps each answer in
-        `_ends`, per direction ell * prim."""
+        cap admits prim (`_cap_admits`).  `roots` and `_trace` keep each
+        answer in `_ends`, per direction ell * prim, and ask only about a
+        direction not in it."""
         diagram = self.diagram
         if self.foci and any(diagram.along_shear(j, prim) for j in self._focus_ids):
             return True

@@ -170,8 +170,6 @@ class SignConvention:
 DEFAULT_CONVENTION = SignConvention()
 
 
-_ONE = Fraction(1)  # the multiplicity of every weight-1 kind, built once
-
 _UNIT_KINDS = frozenset((CYLINDER, BOUNDARY_COLLISION, PANT_SEAM, TWO_STRIP, THREE_STRIP,
                          FIBER_ROOT, CORNER_CAP))
 
@@ -209,12 +207,8 @@ def _ratio(kind: VertexKind, convention: SignConvention) -> Tuple[int, int]:
     raise HigherValenceVertex(f"no multiplicity known for kind {tag!r}")
 
 
-def _fraction(num: int, den: int) -> Fraction:
-    return _ONE if num == den == 1 else Fraction(num, den)
-
-
 def multiplicity(kind: VertexKind, convention: SignConvention = DEFAULT_CONVENTION) -> Fraction:
-    return _fraction(*_ratio(kind, convention))
+    return Fraction(*_ratio(kind, convention))
 
 
 # -- graph-level weights ------------------------------------------------------
@@ -248,20 +242,19 @@ def aut_order(graph) -> int:
 
 
 def graph_weights(graph, convention: SignConvention = DEFAULT_CONVENTION
-                  ) -> Tuple[int, Tuple[Fraction, ...], Fraction]:
-    """The automorphism order, the vertex multiplicities (in vertex order)
-    and the contribution: the product of the multiplicities over the order,
-    multiplied out in integers into one Fraction."""
+                  ) -> Tuple[int, Tuple[Tuple[int, int], ...], Fraction]:
+    """The automorphism order, the vertex multiplicities (in vertex order),
+    each as integers (numerator, denominator > 0) in lowest terms, and the
+    contribution: the product of the multiplicities over the order,
+    multiplied out in integers into one Fraction, the graph's only one."""
     aut = aut_order(graph)
     num, den = 1, aut
     weights = []
     for v in graph.vertices:
-        if v.kind.tag in _UNIT_KINDS:
-            weights.append(_ONE)
-            continue
         n, d = _ratio(v.kind, convention)
         num, den = num * n, den * d
-        weights.append(_fraction(n, d))
+        g = math.gcd(n, d)
+        weights.append((n // g, d // g))
     return aut, tuple(weights), Fraction(num, den)
 
 

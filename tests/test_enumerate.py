@@ -1015,6 +1015,28 @@ def test_enumeration_builds_no_vec(monkeypatch):
     assert graphs and built == []
 
 
+def test_enumeration_builds_one_fraction_per_counted_graph(monkeypatch):
+    # the weights of a counted graph are integer pairs: its contribution is
+    # the one Fraction a whole enumeration of each shipped case builds for it
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for name, case in SHIPPED_CASES:
+        fx = builtin_fixture(name)
+        c = fx.case(case)
+        diagram, lag, constraint = (fx.diagram_for(case), fx.lagrangian_for(case),
+                                    fx.constraint(case))
+        built.clear()
+        monkeypatch.setattr(F, "__new__", counted)
+        result = enumerate_disks(diagram, lag, constraint, c.bounds, flags=c.flags)
+        monkeypatch.undo()
+        assert len(built) == len(result.graphs), (name, case, built)
+
+
 def test_search_hands_each_graph_its_canonical_triples():
     # every vertex and edge triple of every searched graph is canonical:
     # gcd(X, Y, W) = 1 and W > 0, as `homogeneous` writes it, so equal
@@ -2437,6 +2459,23 @@ def test_kept_tracer_holds_nothing_keyed_by_a_point(monkeypatch, name, case):
     # a diagram with foci may leave every trace a budget, and so ask nothing
     assert asked[0] or fx.diagram_for(case).focus_foci
     assert not asked[0] & asked[1], asked
+
+
+@pytest.mark.parametrize("name,case", [("dp7", "leg"), ("dp6", "trivalent")])
+def test_fresh_run_asks_each_direction_once(monkeypatch, name, case):
+    # the root tables and the traces share the end-test memo (`_ends`): a
+    # fresh tracer asks `_can_end` about each direction once
+    asked = []
+    can_end = _Tracer._can_end
+
+    def recorded(self, prim, ell):
+        asked.append((prim, ell))
+        return can_end(self, prim, ell)
+
+    monkeypatch.setattr(enumerate_module, "_last_tracer", None)
+    monkeypatch.setattr(_Tracer, "_can_end", recorded)
+    builtin_fixture(name).run(case)
+    assert asked and len(asked) == len(set(asked)), asked
 
 
 def test_node_free_searches_never_split(monkeypatch):

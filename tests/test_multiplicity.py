@@ -10,6 +10,7 @@ homogeneous triples, so the references read them back as Vecs.
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -472,8 +473,10 @@ def test_weights_agree_with_fraction_reference_on_shipped_graphs():
             graph = g.graph
             for convention in (DEFAULT_CONVENTION, flipped):
                 aut, weights, total = graph_weights(graph, convention)
-                assert (aut, weights, total) == reference_graph_weights(graph, convention)
-                assert all(type(w) is F for w in weights) and type(total) is F
+                assert all(type(w) is tuple and len(w) == 2 for w in weights), weights
+                assert ((aut, tuple(F(*w) for w in weights), total)
+                        == reference_graph_weights(graph, convention))
+                assert type(total) is F
                 for v in graph.vertices:
                     weights_agree(v.kind, convention)
             assert (g.aut_order, g.weights, g.contribution) == graph_weights(graph)
@@ -482,10 +485,28 @@ def test_weights_agree_with_fraction_reference_on_shipped_graphs():
 
 
 def test_weight_one_kinds_share_one_fraction():
-    ones = [multiplicity(kind) for kind in (cylinder(), boundary_collision(0), pant_seam(),
-                                           two_ended_strip(), three_ended_strip(),
-                                           VertexKind(FIBER_ROOT), VertexKind(CORNER_CAP))]
-    assert all(m is ones[0] for m in ones) and ones[0] == 1
+    # the unit kinds weigh 1, and `graph_weights` writes each as (1, 1)
+    kinds = (cylinder(), boundary_collision(0), pant_seam(), two_ended_strip(),
+             three_ended_strip(), VertexKind(FIBER_ROOT), VertexKind(CORNER_CAP))
+    assert all(multiplicity(kind) == 1 for kind in kinds)
+    graph = _graph([(Vec(i, 0), kind) for i, kind in enumerate(kinds)], [])
+    assert graph_weights(graph) == (1, ((1, 1),) * len(kinds), 1)
+
+
+def test_graph_weights_are_reduced_integer_pairs():
+    # `_ratio` leaves a pant's (sign * D, 2) and a stacked focus cover's
+    # (w * (-1)^(l - 1), l^2) unreduced; the weights are in lowest terms
+    diag = (1, 1, 1)
+    kinds = (holomorphic_pant((1, -1, 1), diag),   # D = 2: (-2, 2)
+             holomorphic_pant((4, -2, 1), diag),   # D = 6: (-6, 2)
+             focus_cover(2, 0, weight=2))          # w = 2, l = 2: (-2, 4)
+    assert [pant_determinant(kind) for kind in kinds[:2]] == [2, 6]
+    graph = _graph([(Vec(i, 0), kind) for i, kind in enumerate(kinds)], [])
+    aut, weights, total = graph_weights(graph)
+    assert weights == ((-1, 1), (-3, 1), (-1, 2))
+    for n, d in weights:
+        assert math.gcd(n, d) == 1 and d > 0
+    assert (aut, tuple(F(*w) for w in weights), total) == reference_graph_weights(graph)
 
 
 def test_pair_of_pants_agrees_with_fraction_reference():
